@@ -11,13 +11,11 @@ and the exhaustive reference mode (``active_set=False`` with the dynamic
 repo tracks simulator performance over time.
 
 Wall-clock numbers are best-of-``repeats`` to suppress scheduler noise.
-Each optimization wave keeps the wall-clock of the wave before it as a
-fixed column (``pre_change_wall_s`` for the pre-active-set core,
-``pr1_wall_s`` for the active-set core of PR 1), so the file always carries
-the whole perf trajectory with it. The aggregate speedups weight the
-saturation workloads heavier (``weight`` column) because reproduction
-wall-clock is dominated by the high-load end of the latency-throughput
-sweeps.
+The aggregate speedups weight the saturation workloads heavier
+(``weight`` column) because reproduction wall-clock is dominated by the
+high-load end of the latency-throughput sweeps. Walls only compare
+against walls measured on the same machine: end-to-end tracking across
+commits is ``perf/`` + ``BENCHMARK.json``'s job, not this file's.
 
 ``--profile`` wraps one extra repeat of every workload in ``cProfile`` and
 prints the top cumulative-time entries, so perf work can cite a profile
@@ -90,28 +88,6 @@ CANONICAL_WORKLOADS = (
     ("mesh8x8-uniform-sat-baseline", BASELINE, 0.30, 3),
     ("mesh8x8-uniform-sat-pseudo_sb", PSEUDO_SB, 0.30, 3),
 )
-
-#: Wall-clock of the pre-active-set core (commit b4c3d8c) on the canonical
-#: workloads, measured with this same driver (cycles=1500, best of 2) on
-#: the machine where the active-set core was developed. Kept as the fixed
-#: origin of the perf trajectory; only comparable to runs with default
-#: ``cycles`` on similar hardware.
-PRE_CHANGE_WALL_S = {
-    "mesh8x8-uniform-low-baseline": 0.497,
-    "mesh8x8-uniform-low-pseudo_sb": 0.616,
-    "mesh8x8-uniform-sat-baseline": 3.936,
-    "mesh8x8-uniform-sat-pseudo_sb": 5.694,
-}
-
-#: Wall-clock of the PR 1 active-set core (commit 78707cf), before compiled
-#: routing tables and the bitmask allocator — the second fixed point of the
-#: trajectory, same measurement conditions as ``PRE_CHANGE_WALL_S``.
-PR1_WALL_S = {
-    "mesh8x8-uniform-low-baseline": 0.165,
-    "mesh8x8-uniform-low-pseudo_sb": 0.2175,
-    "mesh8x8-uniform-sat-baseline": 2.3686,
-    "mesh8x8-uniform-sat-pseudo_sb": 3.2235,
-}
 
 DEFAULT_CYCLES = 1500
 DEFAULT_REPEATS = 3
@@ -434,23 +410,6 @@ def time_batched_sweep(cycles: int = DEFAULT_CYCLES,
     }
 
 
-def _weighted_geomean_speedup(workloads: list[dict], baseline_key: str,
-                              weights: dict[str, int]) -> float | None:
-    """Weighted geometric mean of per-workload speedups vs a baseline."""
-    log_sum = 0.0
-    weight_sum = 0
-    for row in workloads:
-        base = row.get(baseline_key)
-        if base is None:
-            return None
-        weight = weights[row["name"]]
-        log_sum += weight * math.log(base / row["wall_s"])
-        weight_sum += weight
-    if not weight_sum:
-        return None
-    return round(math.exp(log_sum / weight_sum), 3)
-
-
 def _vectorized_speedup(workloads: list[dict], weights: dict[str, int],
                         sat_only: bool) -> float | None:
     """Weighted geomean of scalar-vs-vectorized wall ratios.
@@ -574,7 +533,6 @@ def run_bench(cycles: int = DEFAULT_CYCLES, repeats: int = DEFAULT_REPEATS,
                                                show=show)
     workloads = []
     weights = {name: weight for name, _, _, weight in CANONICAL_WORKLOADS}
-    at_default_scale = cycles == DEFAULT_CYCLES
     for name, scheme, rate, weight in CANONICAL_WORKLOADS:
         journal_key = (f"bench:{name}:cycles={cycles}:repeats={repeats}"
                        f":backend={backend}")
@@ -588,18 +546,11 @@ def run_bench(cycles: int = DEFAULT_CYCLES, repeats: int = DEFAULT_REPEATS,
         row = {"name": name, "weight": weight,
                **time_workload(scheme, rate, cycles, repeats,
                                backend=backend)}
-        if at_default_scale:
-            row["pre_change_wall_s"] = PRE_CHANGE_WALL_S[name]
-            row["speedup_vs_pre_change"] = round(
-                PRE_CHANGE_WALL_S[name] / row["wall_s"], 3)
-            row["pr1_wall_s"] = PR1_WALL_S[name]
-            row["speedup_vs_pr1"] = round(PR1_WALL_S[name] / row["wall_s"], 3)
         workloads.append(row)
         if bench_journal is not None:
             bench_journal.append(journal_key, row)
         if show:
-            speedup = row.get("speedup_vs_pr1")
-            trail = f"  {speedup}x vs PR1" if speedup is not None else ""
+            trail = ""
             vec = row.get("speedup_vectorized")
             if vec is not None:
                 trail += (f"  vec {row['vectorized_wall_s']:.3f}s "
@@ -660,19 +611,6 @@ def run_bench(cycles: int = DEFAULT_CYCLES, repeats: int = DEFAULT_REPEATS,
         if show:
             print(f"{'auto selector':32s} {len(disagreements)} "
                   f"disagreement(s), max penalty {penalty:+.2%}")
-    if at_default_scale:
-        summary.update({
-            "weighted_speedup_vs_pr1": _weighted_geomean_speedup(
-                workloads, "pr1_wall_s", weights),
-            "weighted_speedup_vs_pre_change": _weighted_geomean_speedup(
-                workloads, "pre_change_wall_s", weights),
-            "weight_note": ("geometric means weighted per workload "
-                            "(saturation x3): sweep wall-clock is "
-                            "saturation-dominated."),
-        })
-        if show and summary["weighted_speedup_vs_pr1"] is not None:
-            print(f"{'weighted (sat x3) vs PR1':32s} "
-                  f"{summary['weighted_speedup_vs_pr1']:7.3f}x")
     report = {
         "meta": {
             "generated_unix": int(time.time()),
@@ -684,12 +622,6 @@ def run_bench(cycles: int = DEFAULT_CYCLES, repeats: int = DEFAULT_REPEATS,
             "seed": _SEED,
             "backend": backend,
             "methodology": METHODOLOGY,
-            "pre_change_note": (
-                "pre_change_wall_s columns replay the measurements taken "
-                "against the pre-active-set core (commit b4c3d8c), "
-                "pr1_wall_s those against the PR 1 active-set core (commit "
-                "78707cf), with this driver at default scale; comparable "
-                "only on similar hardware."),
         },
         "summary": summary,
         "workloads": workloads,

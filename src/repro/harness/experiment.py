@@ -6,13 +6,17 @@ source (a benchmark trace or a synthetic pattern). ``run_experiment``
 builds the network, drives it, and returns a ``Result`` with the metrics
 every figure needs. Traces and completed runs are memoized per process so
 overlapping figures (e.g. Fig. 9 and Fig. 10 use the same grid of runs)
-pay for each simulation once.
+pay for each simulation once. The chip a point runs on — topology,
+routing instance and, through it, the compiled routing tables — is a pure
+function of the config's shape fields and is likewise built once per
+process (``chip_plan``) and shared read-only by every network on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from ..energy import DEFAULT_ENERGY_MODEL
 from ..evc import EvcMesh, EvcRouting
@@ -21,6 +25,7 @@ from ..network.backend import (BackendUnsupportedError, backend_of,
                                choose_backend, resolve_backend)
 from ..network.config import NetworkConfig, PseudoCircuitConfig
 from ..network.simulator import Network
+from ..routing import make_routing
 from ..topology import make_topology
 from ..traffic.synthetic import SyntheticTraffic
 from ..traffic.trace import Trace, TraceReplayTraffic
@@ -171,6 +176,38 @@ def default_store():
     return _default_store
 
 
+#: Config fields that fix the chip: the topology and the routing built
+#: on it (chiplets/chiplet_link_latency only matter to ``chiplet``).
+CHIP_FIELDS = ("topology", "kx", "ky", "concentration", "chiplets",
+               "chiplet_link_latency", "routing")
+
+
+@lru_cache(maxsize=8)
+def _chip_plan(topology, kx, ky, concentration, chiplets,
+               chiplet_link_latency, routing):
+    if topology == "evc_mesh":
+        topo = EvcMesh(kx, ky, concentration)
+        return topo, EvcRouting(topo)
+    topo = make_topology(topology, kx, ky, concentration,
+                         chiplets=chiplets,
+                         chiplet_link_latency=chiplet_link_latency)
+    return topo, make_routing(routing, topo)
+
+
+def chip_plan(config: ExperimentConfig):
+    """The ``(topology, routing instance)`` ``config`` runs on.
+
+    Both are pure functions of ``CHIP_FIELDS`` and immutable once built,
+    so a process builds each shape once and every later point on it —
+    scalar, vectorized or a batch lane — shares the same two objects
+    and, through the routing instance, the same compiled routing tables
+    (``routing.compiled``). The memo keeps the 8 most recently used
+    shapes; an evicted shape is simply rebuilt. It holds no results, so
+    ``clear_cache()`` leaves it alone.
+    """
+    return _chip_plan(*(getattr(config, name) for name in CHIP_FIELDS))
+
+
 def build_network(config: ExperimentConfig, probe=None) -> Network:
     """Construct the simulated network one experiment point describes.
 
@@ -188,15 +225,7 @@ def build_network(config: ExperimentConfig, probe=None) -> Network:
         num_vcs=config.num_vcs, buffer_depth=config.buffer_depth,
         pseudo=config.scheme,
         mshrs=config.mshrs if config.benchmark is not None else 0)
-    if config.topology == "evc_mesh":
-        topo = EvcMesh(config.kx, config.ky, config.concentration)
-        routing = EvcRouting(topo)
-    else:
-        topo = make_topology(
-            config.topology, config.kx, config.ky, config.concentration,
-            chiplets=config.chiplets,
-            chiplet_link_latency=config.chiplet_link_latency)
-        routing = config.routing
+    topo, routing = chip_plan(config)
     kwargs = dict(routing=routing, vc_policy=config.vc_policy,
                   seed=config.seed, probe=probe)
     backend = resolve_backend(config.backend)
@@ -305,9 +334,8 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
 #: Config fields every lane of one batch must share (the chip shape the
 #: replicated layout is built from). pattern/rate/packet_size/seed and
 #: the cycle/warmup windows may vary per lane.
-BATCH_KEY_FIELDS = ("topology", "kx", "ky", "concentration", "chiplets",
-                    "chiplet_link_latency", "routing", "vc_policy", "scheme",
-                    "num_vcs", "buffer_depth")
+BATCH_KEY_FIELDS = CHIP_FIELDS + ("vc_policy", "scheme", "num_vcs",
+                                  "buffer_depth")
 
 
 def batch_key(config: ExperimentConfig):
@@ -373,13 +401,10 @@ def run_batch_experiments(configs, *, use_cache: bool = True,
     net_cfg = NetworkConfig(num_vcs=first.num_vcs,
                             buffer_depth=first.buffer_depth,
                             pseudo=first.scheme, mshrs=0)
-    topo = make_topology(
-        first.topology, first.kx, first.ky, first.concentration,
-        chiplets=first.chiplets,
-        chiplet_link_latency=first.chiplet_link_latency)
+    topo, routing = chip_plan(first)
     from ..network.vectorized import BatchNetwork
     start = time.perf_counter()
-    net = BatchNetwork(topo, net_cfg, routing=first.routing,
+    net = BatchNetwork(topo, net_cfg, routing=routing,
                        vc_policy=first.vc_policy,
                        seeds=[configs[i].seed for i in todo])
     registry = None
@@ -457,7 +482,8 @@ def backend_decision(config: ExperimentConfig, lanes: int = 1) -> dict:
     policy runs on the vectorized core, as ``build_network`` does).
     Purely observational: ``build_network`` stays the authority, and
     its documented scalar fallback for refused ``auto`` configurations
-    is not re-modelled here.
+    is not re-modelled here. The terminal count is read off the chip
+    ``build_network`` builds on, not re-derived from the shape fields.
     """
     policy = resolve_backend(config.backend)
     if policy != "auto":
@@ -466,12 +492,8 @@ def backend_decision(config: ExperimentConfig, lanes: int = 1) -> dict:
             chosen = "vectorized"
         return {"chosen": chosen, "policy": policy, "reason": "explicit"}
     from ..network.backend import explain_choice
-    routers = config.kx * config.ky
-    if config.topology == "chiplet":
-        # K dies of kx*ky routers plus the IO die, each with terminals.
-        routers = config.chiplets * config.kx * config.ky + 1
     decision = explain_choice(
-        terminals=routers * config.concentration,
+        terminals=chip_plan(config)[0].num_terminals,
         rate=config.rate if config.benchmark is None else None,
         pseudo=config.scheme.enabled, batch=lanes)
     decision["policy"] = "auto"
@@ -483,9 +505,7 @@ def cached(config: ExperimentConfig, store=None) -> Result | None:
 
     The in-process memo is consulted first; on a miss, the explicit
     ``store`` (or the process-wide default store) is queried by content
-    address. A durable hit is deserialized, folded into the memo, and
-    returned — corrupt store entries read back as misses (the store
-    quarantines them), so callers transparently recompute.
+    address (``store_hit``).
     """
     hit = _run_cache.get(config)
     if hit is not None:
@@ -493,10 +513,22 @@ def cached(config: ExperimentConfig, store=None) -> Result | None:
     store = store if store is not None else _default_store
     if store is None:
         return None
-    from ..store import payload_to_result, store_key
-    payload = store.get(store_key(config))
+    from ..store import store_key
+    return store_hit(config, store_key(config), store)
+
+
+def store_hit(config: ExperimentConfig, key: str, store) -> Result | None:
+    """``store``'s result for ``config`` under its ``store_key`` ``key``.
+
+    For callers that already hold the key (the scheduler computes each
+    point's once). A durable hit is deserialized, folded into the memo,
+    and returned — corrupt store entries read back as misses (the store
+    quarantines them), so callers transparently recompute.
+    """
+    payload = store.get(key)
     if payload is None:
         return None
+    from ..store import payload_to_result
     try:
         result = payload_to_result(payload)
     except (KeyError, TypeError, ValueError):
@@ -512,12 +544,20 @@ def cache_result(result: Result, store=None) -> None:
     is also persisted under its content-addressed key, making it
     durable across processes.
     """
-    _run_cache[result.config] = result
     store = store if store is not None else _default_store
-    if store is not None:
-        from ..store import result_to_payload, store_key
-        store.put(store_key(result.config), result_to_payload(result),
-                  label=result.config.label)
+    if store is None:
+        _run_cache[result.config] = result
+    else:
+        from ..store import store_key
+        write_through(result, store_key(result.config), store)
+
+
+def write_through(result: Result, key: str, store) -> None:
+    """Fold ``result`` into the memo and put it in ``store`` under
+    ``key``, its config's ``store_key`` (see ``store_hit``)."""
+    from ..store import result_to_payload
+    _run_cache[result.config] = result
+    store.put(key, result_to_payload(result), label=result.config.label)
 
 
 def clear_cache() -> None:

@@ -73,8 +73,9 @@ from ..instrument import run_manifest
 from ..store import (SweepJournal, payload_to_result, result_to_payload,
                      store_key)
 from .experiment import (ExperimentConfig, Result, backend_decision,
-                         batch_key, cache_result, cached, default_store,
-                         memo_hit, run_batch_experiments, run_experiment)
+                         batch_key, cache_result, default_store, memo_hit,
+                         run_batch_experiments, run_experiment, store_hit,
+                         write_through)
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -353,6 +354,9 @@ class _Scheduler:
                  check_stride=1, telemetry=None):
         self.configs = configs
         self.results: list[Result | None] = [None] * len(configs)
+        #: Each point's store key, hashed once by ``collect_todo`` and
+        #: reused by every store get/put, journal append and span.
+        self.keys: list[str | None] = [None] * len(configs)
         self.check = check
         self.check_stride = check_stride
         self.store = store
@@ -377,13 +381,16 @@ class _Scheduler:
         """
         self.results[idx] = result
         tel = self.tel
+        key = self.keys[idx]
         t0 = time.perf_counter() if tel is not None else 0.0
         if not self.check:
-            cache_result(result, store=self.store)
+            if self.store is not None:
+                write_through(result, key, self.store)
+            else:
+                cache_result(result)  # no store anywhere: memo only
         t1 = time.perf_counter() if tel is not None else 0.0
         if self.journal is not None and not from_journal:
-            self.journal.append(store_key(result.config),
-                                result_to_payload(result))
+            self.journal.append(key, result_to_payload(result))
         if tel is not None:
             tel.emit("persist", idx=idx, store_s=round(t1 - t0, 6),
                      journal_s=round(time.perf_counter() - t1, 6))
@@ -406,10 +413,10 @@ class _Scheduler:
             journaled = self.journal.load()
         todo: list[tuple[int, ExperimentConfig]] = []
         for idx, cfg in enumerate(self.configs):
+            key = self.keys[idx] = store_key(cfg)
             if self.check:
                 todo.append((idx, cfg))
                 continue
-            key = store_key(cfg)
             payload = journaled.get(key)
             if payload is not None:
                 t0 = time.perf_counter() if tel is not None else 0.0
@@ -423,16 +430,14 @@ class _Scheduler:
                                   time.perf_counter() - t0, attempts=0)
                     self.finish_point(idx, result, from_journal=True)
                     continue
-            if tel is not None:
-                hit = memo_hit(cfg)
-                tier, read_s = "memo", 0.0
-                if hit is None:
-                    t0 = time.perf_counter()
-                    hit = cached(cfg, store=self.store)
+            hit = memo_hit(cfg)
+            tier, read_s = "memo", 0.0
+            if hit is None and self.store is not None:
+                t0 = time.perf_counter() if tel is not None else 0.0
+                hit = store_hit(cfg, key, self.store)
+                if tel is not None:
                     read_s = time.perf_counter() - t0
-                    tier = "store"
-            else:
-                hit = cached(cfg, store=self.store)
+                tier = "store"
             if hit is not None:
                 # Already durable — record the slot (and checkpoint, so
                 # the journal stays self-contained) without a store put.
@@ -485,7 +490,7 @@ class _Scheduler:
                 last = err
             else:
                 if tel is not None:
-                    tel.point(idx, cfg, store_key(cfg), "simulate",
+                    tel.point(idx, cfg, self.keys[idx], "simulate",
                               time.perf_counter() - t0, attempts=attempt,
                               backoff_s=[round(d, 6) for d in history],
                               **_decision_fields(cfg))
@@ -528,7 +533,7 @@ class _Scheduler:
                     for lane, ((idx, cfg), result) in enumerate(
                             zip(unit, lanes)):
                         if tel is not None:
-                            tel.point(idx, cfg, store_key(cfg), "simulate",
+                            tel.point(idx, cfg, self.keys[idx], "simulate",
                                       dur / len(unit), backend="batched",
                                       attempts=1, lane=lane,
                                       lanes=len(unit),
@@ -719,16 +724,16 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     configs = list(configs)
     journal = _open_journal(journal if not check else None, resume)
     tel = _open_telemetry(telemetry, resume)
+    active_store = store if store is not None else default_store()
     scheduler = _Scheduler(
-        configs, check=check, store=store, journal=journal, resume=resume,
-        max_attempts=1 + max(0, retries), backoff_base=backoff_base,
-        backoff_cap=backoff_cap, timeout=timeout, sleep=sleep,
-        check_stride=check_stride, telemetry=tel)
+        configs, check=check, store=active_store, journal=journal,
+        resume=resume, max_attempts=1 + max(0, retries),
+        backoff_base=backoff_base, backoff_cap=backoff_cap, timeout=timeout,
+        sleep=sleep, check_stride=check_stride, telemetry=tel)
     if max_workers is None:
         max_workers = default_workers()
     status, error = "error", None
     start = time.perf_counter()
-    active_store = store if store is not None else default_store()
     store_baseline = (dict(active_store.stats)
                       if tel is not None and active_store is not None
                       else None)

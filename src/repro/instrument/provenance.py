@@ -17,6 +17,7 @@ compare`` prints that key in its report header.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -24,26 +25,69 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from functools import lru_cache
 
 #: Bumped whenever manifest fields change meaning.
 SCHEMA = "repro.run-manifest/1"
 
 
+def _plain(value):
+    """``dataclasses.asdict``'s output without its per-leaf deepcopy.
+
+    Dataclasses become dicts and containers are rebuilt, so the result
+    shares nothing mutable with the config; the immutable scalars every
+    config here is made of are passed through instead of copied (only an
+    unknown leaf type still pays ``asdict``'s deepcopy).
+    """
+    if isinstance(value, (str, int, float, type(None))):
+        return value
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    return copy.deepcopy(value)
+
+
 def config_dict(config) -> dict:
     """Normalize a config (dataclass or mapping) to a plain JSON-able dict."""
     if is_dataclass(config) and not isinstance(config, type):
-        return asdict(config)
+        return _plain(config)
     if isinstance(config, dict):
         return dict(config)
     raise TypeError(f"cannot serialize config of type {type(config).__name__}")
 
 
-def config_hash(config) -> str:
-    """SHA-256 over the canonical JSON form of the config dict."""
+def _sha256_of(config) -> str:
     canon = json.dumps(config_dict(config), sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+#: One entry per distinct frozen config hashed in this process; an entry
+#: is the config (already alive in the sweep that hashed it) and 64 hex
+#: characters, so the bound is a few MB.
+_sha256_of_frozen = lru_cache(maxsize=8192)(_sha256_of)
+
+
+def config_hash(config) -> str:
+    """SHA-256 over the canonical JSON form of the config dict.
+
+    A frozen, hashable dataclass is hashed once per process and answered
+    from a memo afterwards: its fields cannot change, so neither can its
+    canonical form. (Configs that compare equal share an entry, as they
+    already share a run-cache slot: ``rate=1`` after ``rate=1.0`` reports
+    the latter's hash.) Dicts and mutable dataclasses are hashed per call.
+    """
+    params = getattr(type(config), "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        try:
+            return _sha256_of_frozen(config)
+        except TypeError:
+            pass  # frozen, but holds an unhashable field (a list, a dict)
+    return _sha256_of(config)
 
 
 @lru_cache(maxsize=1)
@@ -74,7 +118,7 @@ def run_manifest(config, *, seed: int | None = None,
     manifest = {
         "schema": SCHEMA,
         "config": cfg,
-        "config_sha256": config_hash(cfg),
+        "config_sha256": config_hash(config),
         "seed": seed if seed is not None else cfg.get("seed"),
         "git_sha": git_sha(),
         "python": sys.version.split()[0],

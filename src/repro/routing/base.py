@@ -40,6 +40,8 @@ class RoutingAlgorithm:
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        #: num_vcs -> CompiledRouting, filled by ``routing.compiled``.
+        self.compiled: dict = {}
 
     def on_inject(self, packet: Packet, rng: random.Random) -> None:
         """Hook run once per packet at injection (O1TURN picks its order)."""

@@ -16,6 +16,12 @@ for call sites that already know the route (VA retries, NIC injection).
 Compilation calls the algorithm's pure ``route_entry``/``vc_range_for_choice``
 — the exact code the dynamic path runs — so the table cannot diverge from
 ``route()`` (locked in by ``tests/routing/test_compiled.py``).
+
+A table is a pure function of (routing instance, ``num_vcs``), so
+``compile_routing`` builds it once per instance and every network built
+on that instance afterwards shares it read-only: rows are tuples, equal
+entries are one interned object, and the ``as_arrays()`` export is
+write-protected. The memo lives on the routing instance and dies with it.
 """
 
 from __future__ import annotations
@@ -61,23 +67,51 @@ class CompiledRouting:
                 for choice, entries in enumerate(per_choice):
                     out[router, choice] = [e[0] for e in entries]
                     drop[router, choice] = [e[1] for e in entries]
+            out.setflags(write=False)  # shared by every network on the chip
+            drop.setflags(write=False)
             self._arrays = (out, drop)
         return self._arrays
 
 
 def compile_routing(routing: RoutingAlgorithm, topology: Topology,
                     num_vcs: int) -> CompiledRouting | None:
-    """Build lookup tables for ``routing``; None when not tabulable."""
+    """Lookup tables for ``routing``; None when not tabulable.
+
+    Built on the first call per (routing instance, ``num_vcs``) and
+    shared by every later one. ``topology`` must be the instance the
+    routing was constructed on.
+    """
+    if topology is not routing.topology:
+        def shape(topo):
+            return (f"{topo.name!r} ({topo.num_routers} routers, "
+                    f"{topo.num_terminals} terminals)")
+        raise ValueError(
+            f"routing {routing.name!r} was built for topology "
+            f"{shape(routing.topology)} but is being compiled against "
+            f"another instance, {shape(topology)}: the tables would be "
+            f"sized by one and routed by the other")
     if not routing.tabulable:
         return None
+    compiled = routing.compiled.get(num_vcs)
+    if compiled is not None:
+        return compiled
     choices = range(routing.num_route_choices)
     vc_ranges = tuple(routing.vc_range_for_choice(c, num_vcs)
                       for c in choices)
     terminals = range(topology.num_terminals)
+    # A table holds few distinct entries (ports x VC windows): keep one
+    # tuple of each, so a row costs pointers.
+    entries: dict[tuple, tuple] = {}
+
+    def entry(router, dst, choice):
+        made = (*routing.route_entry(router, dst, choice),
+                *vc_ranges[choice])
+        return entries.setdefault(made, made)
+
     tables = tuple(
         tuple(
-            [(*routing.route_entry(router, dst, choice), *vc_ranges[choice])
-             for dst in terminals]
+            tuple(entry(router, dst, choice) for dst in terminals)
             for choice in choices)
         for router in range(topology.num_routers))
-    return CompiledRouting(tables, vc_ranges)
+    compiled = routing.compiled[num_vcs] = CompiledRouting(tables, vc_ranges)
+    return compiled

@@ -38,6 +38,8 @@ import os
 import threading
 import time
 
+from ..instrument.provenance import config_hash
+
 #: Salt mixed into every store key; bump when simulation semantics change
 #: so stale results stop being addressable. ``REPRO_STORE_SALT`` in the
 #: environment overrides it (useful to force a cold store in CI).
@@ -77,11 +79,13 @@ def store_key(config) -> str:
 
     The config hash already covers the seed; it is salted in a second
     time explicitly so the key derivation matches its documented
-    definition even for config types that keep the seed elsewhere.
+    definition even for config types that keep the seed elsewhere. Only
+    the config hash is memoized (``provenance.config_hash``); the salt
+    is read from the environment on every call.
     """
-    from ..instrument.provenance import config_dict, config_hash
-    cfg = config_dict(config)
-    return key_from_hash(config_hash(cfg), cfg.get("seed"))
+    seed = (config.get("seed") if isinstance(config, dict)
+            else getattr(config, "seed", None))
+    return key_from_hash(config_hash(config), seed)
 
 
 def document_key(doc) -> str:

@@ -27,6 +27,42 @@ def test_config_hash_is_stable_and_order_insensitive():
     assert config_hash(cfg) == config_hash(cfg)
 
 
+def test_config_dict_equals_asdict_and_shares_nothing_mutable():
+    from dataclasses import asdict, dataclass, field
+
+    @dataclass(frozen=True)
+    class Nested:
+        cfg: ExperimentConfig
+        tags: tuple = ("a", "b")
+        sizes: list = field(default_factory=lambda: [1, [2, 3]])
+        extra: dict = field(default_factory=lambda: {"k": (1, 2)})
+
+    nested = Nested(ExperimentConfig(pattern="uniform", rate=0.1))
+    plain = config_dict(nested)
+    assert plain == asdict(nested)
+    assert plain["sizes"] is not nested.sizes
+    assert plain["sizes"][1] is not nested.sizes[1]
+    assert plain["extra"] is not nested.extra
+    # Holds a list, so it is unhashable: hashed per call, never memoized.
+    before = config_hash(nested)
+    nested.sizes.append(4)
+    assert config_hash(nested) != before
+
+
+def test_config_hash_of_a_mutable_dataclass_follows_its_fields():
+    from dataclasses import dataclass
+
+    @dataclass(eq=False)  # hashable by identity, but not frozen
+    class Mutable:
+        x: int = 1
+
+    cfg = Mutable()
+    before = config_hash(cfg)
+    assert before == config_hash({"x": 1})
+    cfg.x = 2
+    assert config_hash(cfg) == config_hash({"x": 2})
+
+
 def test_manifest_fields():
     manifest = run_manifest({"x": 1}, seed=9, cycles=1000, wall_s=0.5,
                             extra={"note": "t"})

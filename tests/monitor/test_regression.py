@@ -133,7 +133,7 @@ class TestBenchDocCompat:
     def test_flattens_a_bench_style_report(self):
         doc = {
             "meta": {"cycles": 1500, "git_sha": "abc"},
-            "summary": {"weighted_speedup_vs_pr1": 1.4},
+            "summary": {"speedup_vectorized_sat": 1.4},
             "workloads": [{"name": "sat", "wall_s": 1.5,
                            "stats_identical": True}],
         }

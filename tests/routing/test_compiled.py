@@ -73,6 +73,34 @@ def test_vc_ranges_match_vc_limits(make):
                 == routing.vc_range_for_choice(choice, NUM_VCS))
 
 
+def test_mismatched_topology_is_refused_by_name():
+    # Tables sized by one topology and routed by another used to come
+    # back silently; with the per-instance memo they would also stick.
+    small = make_topology("mesh", 2, 2, 1)
+    large = make_topology("mesh", 3, 3, 1)
+    routing = make_routing("xy", small)
+    with pytest.raises(ValueError) as err:
+        compile_routing(routing, large, NUM_VCS)
+    assert "4 routers" in str(err.value) and "9 routers" in str(err.value)
+    twin = make_topology("mesh", 2, 2, 1)  # equal shape, other instance
+    with pytest.raises(ValueError, match="another instance"):
+        compile_routing(routing, twin, NUM_VCS)
+    assert compile_routing(routing, small, NUM_VCS) is not None
+
+
+def test_table_is_built_once_per_instance_and_num_vcs():
+    topology = make_topology("mesh", 3, 3, 1)
+    routing = make_routing("o1turn", topology)
+    first = compile_routing(routing, topology, 4)
+    assert compile_routing(routing, topology, 4) is first
+    assert first.as_arrays() is first.as_arrays()
+    wider = compile_routing(routing, topology, 8)
+    assert wider is not first
+    assert wider.vc_ranges != first.vc_ranges
+    other = compile_routing(make_routing("o1turn", topology), topology, 4)
+    assert other is not first and other.tables == first.tables
+
+
 class TestNonTabulable:
     def test_evc_compiles_to_none(self):
         cfg = ExperimentConfig(topology="evc_mesh", kx=4, ky=4,

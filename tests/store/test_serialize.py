@@ -75,6 +75,54 @@ class TestKeyDerivation:
         assert code_version() == "pc-sim-test-salt"
         assert store_key(_config()) != before
 
+    def test_pinned_config_keeps_its_pre_memo_key(self, monkeypatch):
+        # Literal hex from the commit before config_hash stopped going
+        # through dataclasses.asdict: warm stores must stay addressable.
+        from repro.instrument import config_hash
+        from repro.network.config import PSEUDO_SB
+        monkeypatch.delenv("REPRO_STORE_SALT", raising=False)
+        synthetic = ExperimentConfig(
+            topology="mesh", kx=4, ky=4, concentration=1, routing="xy",
+            vc_policy="static", scheme=PSEUDO_SB, pattern="uniform",
+            rate=0.05, synth_cycles=100, synth_warmup=20, seed=11,
+            backend="scalar")
+        assert config_hash(synthetic) == (
+            "83af9904c59720fbff2dcb79d899c6e78bf6e6d7fe653f769d2e81c490acc9b7")
+        assert store_key(synthetic) == (
+            "d60e2193e4691242cc70997b2640ae8d6a9f28367f9de87afdfe820bb74409a6")
+        trace = ExperimentConfig(topology="cmesh", benchmark="fma3d",
+                                 seed=3, backend="auto")
+        assert store_key(trace) == (
+            "fd4b6a619c04a74679188d24b38acad21f89015f4a9b4a2564bdfbbfd1ae6c09")
+        # The config hash is memoized; the salt must not be.
+        monkeypatch.setenv("REPRO_STORE_SALT", "pinned-salt")
+        assert store_key(synthetic) == (
+            "b3cd74b4af25781a70d09e74d3727a97a1daba5a239d26f78244d80ccaa661f8")
+
+    def test_salt_change_after_the_memo_is_warm_is_followed(self,
+                                                            monkeypatch):
+        cfg = _config(seed=31)
+        monkeypatch.delenv("REPRO_STORE_SALT", raising=False)
+        unsalted = store_key(cfg)
+        assert store_key(cfg) == unsalted  # second call: memo hit
+        monkeypatch.setenv("REPRO_STORE_SALT", "salt-a")
+        salted = store_key(cfg)
+        assert salted != unsalted
+        assert salted == store_key(_config(seed=31))  # equal, not same
+        monkeypatch.delenv("REPRO_STORE_SALT")
+        assert store_key(cfg) == unsalted
+
+    def test_dict_and_dataclass_forms_of_a_config_share_a_key(self):
+        from dataclasses import asdict
+        cfg = _config(seed=32)
+        assert store_key(asdict(cfg)) == store_key(cfg)
+        # Dicts are unhashable: never memoized, so edits are seen.
+        doc = asdict(cfg)
+        before = store_key(doc)
+        doc["rate"] = 0.07
+        assert store_key(doc) != before
+        assert store_key(doc) == store_key(_config(seed=32, rate=0.07))
+
     def test_key_from_hash_matches_documented_definition(self):
         import hashlib
         key = key_from_hash("abc123", 7)
