@@ -37,6 +37,10 @@ class PseudoCircuitRegister:
     __slots__ = ("in_vc", "out_port", "valid")
 
     def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: never established (nothing to restore)."""
         self.in_vc = -1
         self.out_port = -1
         self.valid = False

@@ -29,13 +29,14 @@ class OutputHistory:
     __slots__ = ("last_input",)
 
     def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: no circuit to this output was ever terminated."""
         self.last_input = -1
 
     def record_termination(self, in_port: int) -> None:
         self.last_input = in_port
-
-    def clear(self) -> None:
-        self.last_input = -1
 
 
 def try_restore(out_port: int, history: OutputHistory,

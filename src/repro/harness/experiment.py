@@ -9,12 +9,16 @@ overlapping figures (e.g. Fig. 9 and Fig. 10 use the same grid of runs)
 pay for each simulation once. The chip a point runs on — topology,
 routing instance and, through it, the compiled routing tables — is a pure
 function of the config's shape fields and is likewise built once per
-process (``chip_plan``) and shared read-only by every network on it.
+process (``chip_plan``) and shared read-only by every network on it. The
+scalar network wired on that chip is reused as well: a point's run ends
+with the network idle again, and the next point of the same wiring
+resets it instead of constructing it (``_idle_networks``).
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -208,6 +212,32 @@ def chip_plan(config: ExperimentConfig):
     return _chip_plan(*(getattr(config, name) for name in CHIP_FIELDS))
 
 
+#: Idle scalar networks of this process, least recently used first. A
+#: ``Network``'s wiring (~1 300 objects on a 4x4 mesh) depends only on
+#: the key below, so ``run_experiment`` takes a finished one out, resets
+#: it, runs, and puts it back once the run drained clean; a run that
+#: raised never puts its network back. Two entries hold the
+#: baseline/pseudo pair sweeps alternate between (0.6 MB each on a 4x4
+#: mesh, 10.5 MB on 16x16). Like the chip plan it holds no results, so
+#: ``clear_cache()`` leaves it alone and forked workers inherit it.
+_idle_networks: OrderedDict = OrderedDict()
+_IDLE_NETWORKS_MAX = 2
+
+
+def _idle_key(config: ExperimentConfig, net_cfg: NetworkConfig):
+    return (tuple(getattr(config, name) for name in CHIP_FIELDS), net_cfg,
+            config.vc_policy)
+
+
+def _park_network(config: ExperimentConfig, net: Network) -> None:
+    """Hand a cleanly drained scalar network back for the next point."""
+    key = _idle_key(config, net.config)
+    _idle_networks[key] = net
+    _idle_networks.move_to_end(key)
+    if len(_idle_networks) > _IDLE_NETWORKS_MAX:
+        _idle_networks.popitem(last=False)  # the least recently returned
+
+
 def build_network(config: ExperimentConfig, probe=None) -> Network:
     """Construct the simulated network one experiment point describes.
 
@@ -219,30 +249,47 @@ def build_network(config: ExperimentConfig, probe=None) -> Network:
     its documented policy, not a silent fallback — takes the scalar
     core wherever the vectorized core refuses the configuration. For
     the explicit vectorized/batched backends unsupported configurations
-    still raise ``BackendUnsupportedError``.
+    still raise ``BackendUnsupportedError``. Always a new network:
+    ``run_experiment`` reuses idle scalar ones, callers of this never
+    see them.
     """
-    net_cfg = NetworkConfig(
+    return _network_for(config, probe, reuse=False)
+
+
+def _net_config(config: ExperimentConfig) -> NetworkConfig:
+    return NetworkConfig(
         num_vcs=config.num_vcs, buffer_depth=config.buffer_depth,
         pseudo=config.scheme,
         mshrs=config.mshrs if config.benchmark is not None else 0)
+
+
+def _network_for(config: ExperimentConfig, probe, reuse: bool):
+    """``build_network``; with ``reuse``, a point that resolves to the
+    scalar core takes the idle network of its wiring, reset to its seed,
+    when there is one."""
+    net_cfg = _net_config(config)
     topo, routing = chip_plan(config)
     kwargs = dict(routing=routing, vc_policy=config.vc_policy,
                   seed=config.seed, probe=probe)
     backend = resolve_backend(config.backend)
-    if backend == "auto":
+    scalar_fallback = backend == "auto"
+    if scalar_fallback:
         backend = choose_backend(
             terminals=topo.num_terminals,
             rate=config.rate if config.benchmark is None else None,
             pseudo=config.scheme.enabled)
-        if backend == "vectorized":
-            from ..network.vectorized import VectorNetwork
-            try:
-                return VectorNetwork(topo, net_cfg, **kwargs)
-            except BackendUnsupportedError:
-                return Network(topo, net_cfg, **kwargs)
     if backend in ("vectorized", "batched"):
         from ..network.vectorized import VectorNetwork
-        return VectorNetwork(topo, net_cfg, **kwargs)
+        try:
+            return VectorNetwork(topo, net_cfg, **kwargs)
+        except BackendUnsupportedError:
+            if not scalar_fallback:
+                raise
+    if reuse:
+        net = _idle_networks.pop(_idle_key(config, net_cfg), None)
+        if net is not None:
+            net.reset(config.seed)
+            return net
     return Network(topo, net_cfg, **kwargs)
 
 
@@ -296,13 +343,16 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
             return hit
     registry = None
     start = time.perf_counter()
+    # Monitored runs get a network of their own, before and after: what a
+    # probe or monitor sees must not depend on what ran here earlier.
+    reuse = probe is None and not check
     if check:
         # Built bare: monitors attach after construction so the vector
         # cores can take the checker path instead of a probe refusal.
         net = build_network(config)
         registry = _attach_monitors(net, probe, check_stride)
     else:
-        net = build_network(config, probe=probe)
+        net = _network_for(config, probe, reuse)
     if config.benchmark is not None:
         trace = get_trace(config.benchmark, cycles=config.trace_cycles,
                           warmup=config.trace_warmup, seed=config.seed)
@@ -326,6 +376,8 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
                             wall_s=wall, extra={"backend": backend_of(net)})
     result = Result.from_network(config, net, manifest=manifest,
                                  monitor_report=monitor_report)
+    if reuse and type(net) is Network:
+        _park_network(config, net)  # drained clean: fit for the next point
     if use_cache:
         cache_result(result)
     return result
@@ -398,9 +450,7 @@ def run_batch_experiments(configs, *, use_cache: bool = True,
     if not todo:
         return results
     first = configs[todo[0]]
-    net_cfg = NetworkConfig(num_vcs=first.num_vcs,
-                            buffer_depth=first.buffer_depth,
-                            pseudo=first.scheme, mshrs=0)
+    net_cfg = _net_config(first)  # synthetic lanes: no MSHR throttling
     topo, routing = chip_plan(first)
     from ..network.vectorized import BatchNetwork
     start = time.perf_counter()
@@ -548,18 +598,21 @@ def cache_result(result: Result, store=None) -> None:
     if store is None:
         _run_cache[result.config] = result
     else:
-        from ..store import store_key
-        write_through(result, store_key(result.config), store)
+        from ..store import result_to_payload, store_key
+        write_through(result, store_key(result.config),
+                      result_to_payload(result), store)
 
 
-def write_through(result: Result, key: str, store) -> None:
-    """Fold ``result`` into the memo and put it in ``store`` under
-    ``key``, its config's ``store_key`` (see ``store_hit``)."""
-    from ..store import result_to_payload
+def write_through(result: Result, key: str, payload: dict, store) -> None:
+    """Fold ``result`` into the memo and put ``payload``, its
+    ``result_to_payload`` form, in ``store`` under ``key``, its config's
+    ``store_key`` (see ``store_hit``). Callers that also journal the
+    point serialize it once and hand the same payload to both."""
     _run_cache[result.config] = result
-    store.put(key, result_to_payload(result), label=result.config.label)
+    store.put(key, payload, label=result.config.label)
 
 
 def clear_cache() -> None:
-    """Empty the in-process run memo (the default store is untouched)."""
+    """Empty the in-process run memo (the default store, the chip plan
+    and the idle networks hold no results and are untouched)."""
     _run_cache.clear()

@@ -382,15 +382,20 @@ class _Scheduler:
         self.results[idx] = result
         tel = self.tel
         key = self.keys[idx]
+        journaling = self.journal is not None and not from_journal
+        persisting = not self.check and self.store is not None
+        # Serialized once: the store entry and the journal line carry the
+        # same payload.
+        payload = (result_to_payload(result)
+                   if persisting or journaling else None)
         t0 = time.perf_counter() if tel is not None else 0.0
-        if not self.check:
-            if self.store is not None:
-                write_through(result, key, self.store)
-            else:
-                cache_result(result)  # no store anywhere: memo only
+        if persisting:
+            write_through(result, key, payload, self.store)
+        elif not self.check:
+            cache_result(result)  # no store anywhere: memo only
         t1 = time.perf_counter() if tel is not None else 0.0
-        if self.journal is not None and not from_journal:
-            self.journal.append(key, result_to_payload(result))
+        if journaling:
+            self.journal.append(key, payload)
         if tel is not None:
             tel.emit("persist", idx=idx, store_s=round(t1 - t0, 6),
                      journal_s=round(time.perf_counter() - t1, 6))

@@ -38,8 +38,12 @@ class RoundRobinArbiter:
         if size < 1:
             raise ValueError("arbiter size must be >= 1")
         self.size = size
-        self._next = 0
         self._full = (1 << size) - 1
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: requester 0 has the highest priority."""
+        self._next = 0
 
     def grant_mask(self, mask: int) -> int | None:
         """Grant one set bit of ``mask``; returns None when empty.
@@ -83,6 +87,11 @@ class MatrixArbiter:
         if size < 1:
             raise ValueError("arbiter size must be >= 1")
         self.size = size
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: lower indices beat higher ones."""
+        size = self.size
         self._prio = [[i < j for j in range(size)] for i in range(size)]
 
     def grant_mask(self, mask: int) -> int | None:

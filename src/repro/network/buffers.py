@@ -25,6 +25,10 @@ class FlitBuffer:
         if capacity < 1:
             raise ValueError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: empty."""
         self._q: deque[Flit] = deque()
 
     def __len__(self) -> int:

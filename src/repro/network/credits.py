@@ -40,8 +40,12 @@ class CreditCounter:
         if limit < 1:
             raise ValueError(f"credit limit must be >= 1, got {limit}")
         self.limit = limit
-        self.count = limit
         self.where = where
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: every downstream slot free."""
+        self.count = self.limit
 
     @property
     def available(self) -> bool:
@@ -84,6 +88,10 @@ class CreditChannel:
         if delay < 0:
             raise ValueError("credit delay must be >= 0")
         self.delay = delay
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: no credit in flight."""
         self._inflight: deque[tuple[int, int]] = deque()
 
     def send(self, vc: int, now: int) -> None:

@@ -42,10 +42,14 @@ class Link:
         # fifo=True: deque of (cycle, flit, endpoint), send order == arrival
         # order. fifo=False: heap of (cycle, seq, flit, endpoint).
         self._fifo = fifo
-        self._q: deque | list = deque() if fifo else []
         # Wired by the Network in active-set mode.
         self.link_id = -1
         self._live: dict | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Initial state: nothing in flight, no probe."""
+        self._q: deque | list = deque() if self._fifo else []
         # Null-object probe: one attribute test on the delivery path when
         # tracing is off (set by Network.bind_probe).
         self._probe = None

@@ -39,6 +39,11 @@ class InjectEndpoint:
         self.ovcs = [OutVC(buffer_depth, (-1, terminal, v))
                      for v in range(num_vcs)]
 
+    def reset(self) -> None:
+        """Initial state of every injection VC (no state of its own)."""
+        for ovc in self.ovcs:
+            ovc.reset()
+
     def restore_credit(self, vc: int) -> None:
         self.ovcs[vc].credits.restore()
 
@@ -62,20 +67,38 @@ class Nic:
         self.vc_policy = vc_policy
         self.stats = stats
         self.rng = rng
-        self.queue: deque[Packet] = deque()
         self.inject_state = InjectEndpoint(config.num_vcs,
                                            config.buffer_depth, terminal)
+        # Wired by the Network: link + endpoint into the router local port,
+        # and the router-side ejection endpoint whose credits we replenish.
+        self.inject_link: Link | None = None
+        self.inject_endpoint = None
+        self.eject_endpoint = None
+        # Active-set registries (dicts keyed by terminal id), bound by the
+        # Network when it runs in active-set mode; None when standalone.
+        self._inject_set: dict | None = None
+        self._eject_set: dict | None = None
+        # Per-route-choice VC ranges from the compiled routing table (bound
+        # by the Network for tabulable algorithms); None -> dynamic path.
+        self._vc_ranges = None
+        self._reset_own()
+
+    def reset(self) -> None:
+        """Initial state: nothing queued, sending, outstanding or
+        received; injection credits restored; no upcall, no probe. The
+        ``rng`` is re-seeded by its owner (``Network.reset``)."""
+        self.inject_state.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
+        self.queue: deque[Packet] = deque()
         # In-progress transmissions, one per injection VC: vc -> [packet,
         # flits, next flit index]. The NIC interleaves them on the single
         # injection channel, one flit per cycle.
         self._sending: dict[int, list] = {}
         self._send_rr = 0
         self.outstanding = 0
-        # Wired by the Network: link + endpoint into the router local port,
-        # and the router-side ejection endpoint whose credits we replenish.
-        self.inject_link: Link | None = None
-        self.inject_endpoint = None
-        self.eject_endpoint = None
         self._eject_credit_due: deque[tuple[int, int]] = deque()
         # Reassembly and delivery upcall (used by the CMP substrate). The
         # ejection queue is a FIFO: its single sender (the router's
@@ -85,13 +108,6 @@ class Nic:
         self.on_packet = None  # callback(packet, cycle)
         self.ejected: list[Packet] = []
         self.keep_ejected = False
-        # Active-set registries (dicts keyed by terminal id), bound by the
-        # Network when it runs in active-set mode; None when standalone.
-        self._inject_set: dict | None = None
-        self._eject_set: dict | None = None
-        # Per-route-choice VC ranges from the compiled routing table (bound
-        # by the Network for tabulable algorithms); None -> dynamic path.
-        self._vc_ranges = None
         # Null-object probe: one attribute test per inject/eject when
         # tracing is off (set by Network.bind_probe).
         self._probe = None

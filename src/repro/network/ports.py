@@ -26,6 +26,15 @@ class OutVC:
     def __init__(self, depth: int,
                  where: tuple[int, int, int] | None = None):
         self.credits = CreditCounter(depth, where)
+        self._reset_own()
+
+    def reset(self) -> None:
+        """Initial state: unallocated, all credits available."""
+        self.credits.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
         # (in_port, in_vc) of the packet currently allocated this VC.
         self.owner: tuple[int, int] | None = None
 
@@ -51,6 +60,11 @@ class OutEndpoint:
         self.latency = latency
         self.ovcs = [OutVC(buffer_depth, (router, in_port, v))
                      for v in range(num_vcs)]
+
+    def reset(self) -> None:
+        """Initial state of every downstream VC (no state of its own)."""
+        for ovc in self.ovcs:
+            ovc.reset()
 
     def restore_credit(self, vc: int) -> None:
         self.ovcs[vc].credits.restore()
@@ -83,9 +97,21 @@ class OutputPort:
         # router-to-router channels, a NIC for ejection ports.
         self.sink = sink
         self.history = OutputHistory()
+        self.is_ejection = is_ejection
+        self._reset_own()
+
+    def reset(self) -> None:
+        """Initial state: crossbar column free, no circuit, no history,
+        every endpoint's credits restored."""
+        for endpoint in self.endpoints:
+            endpoint.reset()
+        self.history.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
         self.pc_holder = -1
         self.st_busy_cycle = -1
-        self.is_ejection = is_ejection
 
     def any_credit(self) -> bool:
         for ep in self.endpoints:
@@ -111,6 +137,19 @@ class InputPort:
         # OutEndpoint (or NIC injection endpoint) whose credits this port's
         # returns replenish; wired by the Network at build time.
         self.upstream = None
+        self._reset_own()
+
+    def reset(self) -> None:
+        """Initial state: VCs idle and empty, no circuit, no credit in
+        flight, crossbar row free, no traffic seen."""
+        for vc in self.vcs:
+            vc.reset()
+        self.pc.reset()
+        self.credit_channel.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
         self.st_busy_cycle = -1
         # Temporal-locality trackers (Fig. 1).
         self.last_pair: tuple[int, int] | None = None

@@ -88,16 +88,7 @@ class Router:
                          for _ in range(num_inports)]
         self._out_arbs = [make_arbiter(config.arbiter_kind, num_inports)
                           for _ in range(num_outports)]
-        self._arrivals: list[tuple[int, Flit]] = []
-        self._buffered_flits = 0
-        # Buffer occupancy as bitmasks: bit i of _occ_in_mask marks an input
-        # port with at least one occupied VC, _occ_vc_masks[i] marks which.
-        self._occ_in_mask = 0
-        self._occ_vc_masks = [0] * num_inports
         self._in_full_mask = (1 << num_inports) - 1
-        # Per-input SA request VC masks, reused across cycles (reset after
-        # each allocation so idle cycles never touch them).
-        self._req_vc_masks = [0] * num_inports
         # Compiled routing (bound by the Network when the algorithm is
         # tabulable): per-choice destination tables and VC ranges.
         self._route_table = None
@@ -110,14 +101,41 @@ class Router:
         self._pc_enabled = config.pseudo.enabled
         self._pc_speculation = config.pseudo.speculation
         self._pc_bypass = config.pseudo.buffer_bypass
-        # In-flight credit returns across all input ports (drives the
-        # credit-delivery active set) and which ports hold them (bitmask).
-        self._pending_credits = 0
-        self._credit_mask = 0
         # Active-set registries (dicts keyed by router id), bound by the
         # Network when it runs in active-set mode; None when standalone.
         self._work_set: dict | None = None
         self._credit_set: dict | None = None
+        self._reset_own()
+
+    def reset(self) -> None:
+        """Initial state of the router and of everything wired into it:
+        ports, arbiters, occupancy and credit bookkeeping; no probe."""
+        for ip in self.in_ports:
+            ip.reset()
+        for out in self.out_ports:
+            out.reset()
+        for arb in self._in_arbs:
+            arb.reset()
+        for arb in self._out_arbs:
+            arb.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
+        num_inports = len(self.in_ports)
+        self._arrivals: list[tuple[int, Flit]] = []
+        self._buffered_flits = 0
+        # Buffer occupancy as bitmasks: bit i of _occ_in_mask marks an input
+        # port with at least one occupied VC, _occ_vc_masks[i] marks which.
+        self._occ_in_mask = 0
+        self._occ_vc_masks = [0] * num_inports
+        # Per-input SA request VC masks, reused across cycles (reset after
+        # each allocation so idle cycles never touch them).
+        self._req_vc_masks = [0] * num_inports
+        # In-flight credit returns across all input ports (drives the
+        # credit-delivery active set) and which ports hold them (bitmask).
+        self._pending_credits = 0
+        self._credit_mask = 0
         # Instrumentation probe (see ``repro.instrument``), set by
         # Network.bind_probe; None (the null object) when tracing is off,
         # so every emission site costs one attribute test.

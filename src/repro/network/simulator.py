@@ -32,6 +32,20 @@ cycle, the remaining work is purely time-scheduled (link arrivals, credit
 returns, ejection completions, trace injections), and the clock jumps
 straight to the earliest such event. Construct with ``active_set=False``
 to force the exhaustive reference loop.
+
+Wiring and state
+----------------
+
+Construction does two things: it *wires* (routers, ports, VCs, channels,
+endpoints, NICs, routing tables, active-set registries — fixed by the
+topology, the ``NetworkConfig`` and the policies) and it puts every
+component in its *initial state* (empty buffers, idle VCs, full credit
+counters, arbiter pointers at 0, no pseudo-circuit, cycle 0). Each
+component states its initial state once, in ``reset()``, which its
+``__init__`` runs through (a component built of parts constructs them,
+born reset, and then runs the lines of its own registers);
+:meth:`Network.reset` walks the wired network back to that state, so one
+network can serve many runs, each bit-identical to a run on a new one.
 """
 
 from __future__ import annotations
@@ -72,11 +86,7 @@ class Network:
         self.vc_policy = vc_policy
         self.stats = stats if stats is not None else NetworkStats()
         self.rng = random.Random(seed)
-        self.cycle = 0
         self._active = active_set
-        # Instrumentation null object: None unless bind_probe attaches one
-        # (see repro.instrument); the step loops pay one attribute test.
-        self.probe = None
         # Active sets, keyed by component id so members can be visited in
         # the same relative order as the exhaustive loops.
         self._work_routers: dict[int, Router] = {}
@@ -113,8 +123,46 @@ class Network:
                 nic.bind_scheduler(self._inject_nics, self._eject_nics)
             for link_id, link in enumerate(self.links):
                 link.bind(link_id, self._live_links)
+        self._reset_own()
         if probe is not None:
             self.bind_probe(probe)
+
+    def reset(self, seed: int = 1) -> None:
+        """Back to the state of a freshly built network seeded ``seed``.
+
+        Everything ``__init__`` wired stays (topology, routing tables,
+        ports, channels, active-set registries); everything a run changes
+        goes back to its initial value through the components' own
+        ``reset()``, the random streams are re-seeded exactly as
+        construction seeds them, and a new ``NetworkStats`` replaces the
+        old one (which a caller may still hold). Any bound probe is
+        detached. A run on a reset network is bit-identical to the same
+        run on a new one.
+        """
+        stats = self.stats = NetworkStats()
+        self.rng.seed(seed)
+        for router in self.routers:
+            router.reset()
+            router.stats = stats
+        for link in self.links:
+            link.reset()
+        for nic in self.nics:
+            nic.reset()
+            nic.stats = stats
+            nic.rng.seed(self.rng.getrandbits(32))
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
+        self.cycle = 0
+        # Instrumentation null object: None unless bind_probe attaches one
+        # (see repro.instrument); the step loops pay one attribute test.
+        self.probe = None
+        self._work_routers.clear()
+        self._credit_routers.clear()
+        self._live_links.clear()
+        self._inject_nics.clear()
+        self._eject_nics.clear()
 
     def bind_probe(self, probe) -> None:
         """Attach an instrumentation probe (see :mod:`repro.instrument`) to

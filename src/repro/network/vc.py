@@ -29,6 +29,15 @@ class VirtualChannel:
     def __init__(self, vc_id: int, buffer_depth: int):
         self.vc_id = vc_id
         self.buffer = FlitBuffer(buffer_depth)
+        self._reset_own()
+
+    def reset(self) -> None:
+        """Initial state: IDLE with an empty buffer."""
+        self.buffer.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The registers of this object itself; its parts have their own."""
         self.state = VCState.IDLE
         self.out_port = -1
         self.out_ep = 0  # endpoint (drop) index on multidrop channels

@@ -161,9 +161,9 @@ class ResultStore:
         tmp = os.path.join(
             self.tmp_dir,
             f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+        # dumps, not dump: dump() streams through the pure-Python encoder.
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True, default=str)
-            fh.write("\n")
+            fh.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
         os.replace(tmp, path)
         self.stats["puts"] += 1
         return path

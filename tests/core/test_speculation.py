@@ -14,7 +14,7 @@ def test_history_records_last_termination():
     h.record_termination(2)
     h.record_termination(3)
     assert h.last_input == 3
-    h.clear()
+    h.reset()
     assert h.last_input == -1
 
 

@@ -57,6 +57,26 @@ class TestPutGet:
         assert entry["label"] == "lbl"
         assert entry["payload_sha256"] == payload_checksum(PAYLOAD)
 
+    def test_entry_bytes_are_pinned(self, store, monkeypatch):
+        """The file ``put`` writes, byte for byte: one line of key-sorted
+        JSON (ASCII-escaped, ``", "`` / ``": "`` separators, floats by
+        ``repr``, tuples as arrays) and a trailing newline."""
+        monkeypatch.delenv("REPRO_STORE_SALT", raising=False)
+        monkeypatch.setattr("repro.store.result_store.time.time",
+                            lambda: 1700000000.9)
+        payload = dict(PAYLOAD, when=(1, 2.5), nan=float("nan"))
+        path = store.put(KEY, payload, label="lbl \u00e9")
+        with open(path, "rb") as fh:
+            assert fh.read() == (
+                b'{"code_version": "pc-sim-1", "created_unix": 1700000000, '
+                b'"key": "' + KEY.encode() + b'", "kind": "result", '
+                b'"label": "lbl \\u00e9", "payload": {"nan": NaN, '
+                b'"nested": {"pi": 3.14159}, '
+                b'"schema": "repro.result-payload/1", "value": 42, '
+                b'"when": [1, 2.5]}, "payload_sha256": "6fc17c59a2d6cc09bab1'
+                b'd0bc05a1db78d563eac60d23fe9086e52a430baf86f4", '
+                b'"schema": "repro.store-entry/1"}\n')
+
     def test_no_tmp_debris_after_put(self, store):
         store.put(KEY, PAYLOAD)
         assert os.listdir(store.tmp_dir) == []
