@@ -564,27 +564,32 @@ def cached(config: ExperimentConfig, store=None) -> Result | None:
     if store is None:
         return None
     from ..store import store_key
-    return store_hit(config, store_key(config), store)
+    hit = store_hit(config, store_key(config), store)
+    return None if hit is None else hit[0]
 
 
-def store_hit(config: ExperimentConfig, key: str, store) -> Result | None:
-    """``store``'s result for ``config`` under its ``store_key`` ``key``.
+def store_hit(config: ExperimentConfig, key: str,
+              store) -> tuple[Result, str] | None:
+    """``store``'s result for ``config`` under its ``store_key`` ``key``,
+    with the verified canonical payload text it was read from (so a
+    caller that journals the hit re-records those bytes instead of
+    serializing the result again).
 
     For callers that already hold the key (the scheduler computes each
     point's once). A durable hit is deserialized, folded into the memo,
     and returned — corrupt store entries read back as misses (the store
     quarantines them), so callers transparently recompute.
     """
-    payload = store.get(key)
-    if payload is None:
+    hit = store.get_with_text(key)
+    if hit is None:
         return None
     from ..store import payload_to_result
     try:
-        result = payload_to_result(payload)
+        result = payload_to_result(hit[0])
     except (KeyError, TypeError, ValueError):
         return None  # forward-incompatible payload: recompute
     _run_cache[config] = result
-    return result
+    return result, hit[1]
 
 
 def cache_result(result: Result, store=None) -> None:
@@ -598,18 +603,18 @@ def cache_result(result: Result, store=None) -> None:
     if store is None:
         _run_cache[result.config] = result
     else:
-        from ..store import result_to_payload, store_key
+        from ..store import result_to_text, store_key
         write_through(result, store_key(result.config),
-                      result_to_payload(result), store)
+                      result_to_text(result), store)
 
 
-def write_through(result: Result, key: str, payload: dict, store) -> None:
-    """Fold ``result`` into the memo and put ``payload``, its
-    ``result_to_payload`` form, in ``store`` under ``key``, its config's
+def write_through(result: Result, key: str, text: str, store) -> None:
+    """Fold ``result`` into the memo and put ``text``, its
+    ``result_to_text`` form, in ``store`` under ``key``, its config's
     ``store_key`` (see ``store_hit``). Callers that also journal the
-    point serialize it once and hand the same payload to both."""
+    point encode it once and hand the same text to both."""
     _run_cache[result.config] = result
-    store.put(key, payload, label=result.config.label)
+    store.put_text(key, text, label=result.config.label)
 
 
 def clear_cache() -> None:

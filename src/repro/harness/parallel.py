@@ -70,7 +70,7 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from ..instrument import run_manifest
-from ..store import (SweepJournal, payload_to_result, result_to_payload,
+from ..store import (SweepJournal, payload_to_result, result_to_text,
                      store_key)
 from .experiment import (ExperimentConfig, Result, backend_decision,
                          batch_key, cache_result, default_store, memo_hit,
@@ -372,30 +372,34 @@ class _Scheduler:
     # -- completion -------------------------------------------------------
 
     def finish_point(self, idx: int, result: Result,
-                     from_journal: bool = False) -> None:
+                     journaled_text: str | None = None) -> None:
         """Record one completed point: slot, memo/store, checkpoint.
 
-        With telemetry on, the store write-through and journal append
-        are timed and emitted as a ``persist`` event — the "40% of the
-        wall went to store I/O" records the ISSUE asks for.
+        ``journaled_text`` marks a point replayed from the journal: it
+        is not journaled again, and the verified text it was read from
+        is what the store gets. With telemetry on, the store
+        write-through and journal append are timed and emitted as a
+        ``persist`` event — the "40% of the wall went to store I/O"
+        records the ISSUE asks for.
         """
         self.results[idx] = result
         tel = self.tel
         key = self.keys[idx]
-        journaling = self.journal is not None and not from_journal
+        journaling = self.journal is not None and journaled_text is None
         persisting = not self.check and self.store is not None
-        # Serialized once: the store entry and the journal line carry the
-        # same payload.
-        payload = (result_to_payload(result)
-                   if persisting or journaling else None)
+        # Encoded once: the store entry and the journal line carry the
+        # same canonical payload text.
+        text = journaled_text
+        if text is None and (persisting or journaling):
+            text = result_to_text(result)
         t0 = time.perf_counter() if tel is not None else 0.0
         if persisting:
-            write_through(result, key, payload, self.store)
+            write_through(result, key, text, self.store)
         elif not self.check:
             cache_result(result)  # no store anywhere: memo only
         t1 = time.perf_counter() if tel is not None else 0.0
         if journaling:
-            self.journal.append(key, payload)
+            self.journal.append_text(key, text)
         if tel is not None:
             tel.emit("persist", idx=idx, store_s=round(t1 - t0, 6),
                      journal_s=round(time.perf_counter() - t1, 6))
@@ -413,44 +417,49 @@ class _Scheduler:
         the journal append so a journaled point always has its span.
         """
         tel = self.tel
-        journaled: dict[str, dict] = {}
+        journaled: dict[str, tuple[dict, str]] = {}
         if self.journal is not None and self.resume:
-            journaled = self.journal.load()
+            journaled = self.journal.records()
         todo: list[tuple[int, ExperimentConfig]] = []
         for idx, cfg in enumerate(self.configs):
             key = self.keys[idx] = store_key(cfg)
             if self.check:
                 todo.append((idx, cfg))
                 continue
-            payload = journaled.get(key)
-            if payload is not None:
+            record = journaled.get(key)
+            if record is not None:
                 t0 = time.perf_counter() if tel is not None else 0.0
                 try:
-                    result = payload_to_result(payload)
+                    result = payload_to_result(record[0])
                 except (KeyError, TypeError, ValueError):
                     pass  # stale journal payload: recompute
                 else:
                     if tel is not None:
                         tel.point(idx, cfg, key, "journal-replay",
                                   time.perf_counter() - t0, attempts=0)
-                    self.finish_point(idx, result, from_journal=True)
+                    self.finish_point(idx, result, journaled_text=record[1])
                     continue
             hit = memo_hit(cfg)
-            tier, read_s = "memo", 0.0
+            tier, read_s, text = "memo", 0.0, None
             if hit is None and self.store is not None:
                 t0 = time.perf_counter() if tel is not None else 0.0
-                hit = store_hit(cfg, key, self.store)
+                stored = store_hit(cfg, key, self.store)
                 if tel is not None:
                     read_s = time.perf_counter() - t0
                 tier = "store"
+                if stored is not None:
+                    hit, text = stored
             if hit is not None:
                 # Already durable — record the slot (and checkpoint, so
                 # the journal stays self-contained) without a store put.
+                # A store hit re-records the bytes it just verified.
                 self.results[idx] = hit
                 if tel is not None:
                     tel.point(idx, cfg, key, tier, read_s, attempts=0)
                 if self.journal is not None:
-                    self.journal.append(key, result_to_payload(hit))
+                    self.journal.append_text(
+                        key, text if text is not None
+                        else result_to_text(hit))
             else:
                 todo.append((idx, cfg))
         return todo

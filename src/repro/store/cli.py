@@ -5,8 +5,9 @@ Four actions over one store directory (``--dir``, default from the
 
 * ``ls`` — list valid entries (key, kind, age, label);
 * ``verify`` — checksum every entry, quarantine the bad ones (exit 1 if
-  any were found, the CI contract);
-* ``gc`` — reclaim stale-salt/expired entries, temp debris, quarantine;
+  any were found, the CI contract) and list stale-schema ones;
+* ``gc`` — reclaim stale-salt/stale-schema/expired entries, temp debris,
+  quarantine;
 * ``export`` — bundle entries into one portable JSON document.
 """
 
@@ -72,9 +73,11 @@ def _verify(store: ResultStore) -> int:
     """Checksum-verify the whole store; exit 1 when anything was bad."""
     report = store.verify()
     print(f"verified {report['checked']} entries: {report['ok']} ok, "
+          f"{len(report['stale'])} stale, "
           f"{len(report['quarantined'])} quarantined")
-    for key in report["quarantined"]:
-        print(f"  quarantined {key}")
+    for status in ("stale", "quarantined"):
+        for key in report[status]:
+            print(f"  {status} {key}")
     return 1 if report["quarantined"] else 0
 
 

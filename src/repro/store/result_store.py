@@ -17,14 +17,20 @@ Durability and trust model:
 * **Atomic writes** — payloads are written to a unique temp file and
   ``os.replace``-d into place, so readers (including concurrent writers
   racing on one key) only ever observe complete entries.
-* **Verified reads** — every entry embeds a SHA-256 over its canonical
-  payload JSON. ``get`` recomputes it on read; a mismatch (truncated
-  write after power loss, bit rot, manual tampering) *quarantines* the
-  entry — moved aside into ``quarantine/``, never trusted, never
-  silently deleted — and reports a miss so the caller recomputes.
+* **Verified reads** — every entry is one sealed record
+  (``repro.store.sealed``, layout in ``docs/ARCHITECTURE.md``): its
+  SHA-256 covers the payload bytes exactly as stored. ``get`` hashes
+  them on read; a mismatch (truncated write after power loss, bit rot,
+  manual tampering) *quarantines* the entry — moved aside into
+  ``quarantine/``, never trusted, never silently deleted — and reports
+  a miss so the caller recomputes.
 * **First writer wins** — ``put`` on an existing key is a no-op; two
   processes computing the same point deterministically produce the same
   payload, so there is nothing to reconcile.
+* **Old schemas are stale, not corrupt** — a well-formed entry of
+  another ``repro.store-entry/N`` has no reader: ``get`` misses without
+  quarantining it, ``put`` replaces it, ``gc`` reclaims it and
+  ``verify`` lists it as stale.
 
 ``python -m repro store ls|verify|gc|export`` exposes the maintenance
 surface (see ``repro.store.cli``).
@@ -39,6 +45,7 @@ import threading
 import time
 
 from ..instrument.provenance import config_hash
+from .sealed import Sealed, canonical_json, payload_checksum, seal, unseal
 
 #: Salt mixed into every store key; bump when simulation semantics change
 #: so stale results stop being addressable. ``REPRO_STORE_SALT`` in the
@@ -46,7 +53,9 @@ from ..instrument.provenance import config_hash
 CODE_VERSION = "pc-sim-1"
 
 #: On-disk entry schema; bump when the envelope fields change meaning.
-ENTRY_SCHEMA = "repro.store-entry/1"
+#: Every version shares the family prefix (see ``_stale_schema``).
+_SCHEMA_FAMILY = "repro.store-entry/"
+ENTRY_SCHEMA = _SCHEMA_FAMILY + "2"
 
 #: Bundle schema written by :meth:`ResultStore.export`.
 EXPORT_SCHEMA = "repro.store-export/1"
@@ -55,17 +64,6 @@ EXPORT_SCHEMA = "repro.store-export/1"
 def code_version() -> str:
     """The active code-version salt (env ``REPRO_STORE_SALT`` wins)."""
     return os.environ.get("REPRO_STORE_SALT") or CODE_VERSION
-
-
-def canonical_json(payload) -> str:
-    """The canonical JSON form checksums are computed over."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
-
-
-def payload_checksum(payload) -> str:
-    """SHA-256 hex digest of a payload's canonical JSON."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def key_from_hash(config_sha256: str, seed) -> str:
@@ -102,6 +100,20 @@ def document_key(doc) -> str:
             return key_from_hash(manifest["config_sha256"],
                                  manifest.get("seed"))
     return payload_checksum(doc)
+
+
+def _stale_schema(path: str) -> bool:
+    """Whether ``path`` holds a well-formed entry of *another* schema
+    version. Only the tag is read — there is no reader for old layouts,
+    so nothing else in such a file is looked at or trusted."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+    except (OSError, ValueError):
+        return False
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    return (isinstance(schema, str) and schema.startswith(_SCHEMA_FAMILY)
+            and schema != ENTRY_SCHEMA)
 
 
 class ResultStore:
@@ -143,27 +155,30 @@ class ResultStore:
         skipped (counted under ``stats['redundant']``) — identical keys
         imply identical payloads by construction.
         """
+        return self.put_text(key, canonical_json(payload), kind, label)
+
+    def put_text(self, key: str, text: str, kind: str = "result",
+                 label: str | None = None) -> str:
+        """:meth:`put` for a payload already in ``canonical_json`` form
+        (the scheduler encodes each point once for store and journal).
+
+        Only a stale-schema file at the key's path is replaced; any
+        other existing file keeps first-writer-wins (a corrupt one is
+        quarantined by the next read, after which the put goes through).
+        """
         path = self._entry_path(key)
-        if os.path.exists(path):
+        if os.path.exists(path) and not _stale_schema(path):
             self.stats["redundant"] += 1
             return path
-        entry = {
-            "schema": ENTRY_SCHEMA,
-            "key": key,
-            "kind": kind,
-            "label": label,
-            "code_version": code_version(),
-            "created_unix": int(time.time()),
-            "payload_sha256": payload_checksum(payload),
-            "payload": payload,
-        }
+        line = seal({"schema": ENTRY_SCHEMA, "key": key, "kind": kind,
+                     "label": label, "code_version": code_version(),
+                     "created_unix": int(time.time())}, text)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = os.path.join(
             self.tmp_dir,
             f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-        # dumps, not dump: dump() streams through the pure-Python encoder.
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
+            fh.write(line + "\n")
         os.replace(tmp, path)
         self.stats["puts"] += 1
         return path
@@ -173,35 +188,48 @@ class ResultStore:
 
         Returns ``None`` on a miss *and* on corruption — a corrupt entry
         is moved to ``quarantine/`` (never trusted, never deleted) so
-        the caller transparently recomputes.
+        the caller transparently recomputes. A stale-schema entry is a
+        plain miss and stays where it is for ``put`` to replace.
         """
-        path = self._entry_path(key)
-        entry = self._load_entry(path, expected_key=key)
+        hit = self.get_with_text(key)
+        return None if hit is None else hit[0]
+
+    def get_with_text(self, key: str) -> tuple[dict, str] | None:
+        """:meth:`get` plus the verified canonical text the payload was
+        decoded from, for callers that re-record it (``journal.append_text``)
+        without encoding it again."""
+        entry = self._load_entry(key)
         if entry is None:
-            if os.path.exists(path):
+            path = self._entry_path(key)
+            if os.path.exists(path) and not _stale_schema(path):
                 self._quarantine(path)
             self.stats["misses"] += 1
             return None
         self.stats["hits"] += 1
-        return entry["payload"]
+        return entry.payload, entry.text
 
     def __contains__(self, key: str) -> bool:
         """Whether an entry file exists for ``key`` (checksum unverified)."""
         return os.path.exists(self._entry_path(key))
 
-    def _load_entry(self, path: str, expected_key: str | None = None):
-        """Parse + validate one entry file; ``None`` if absent or bad."""
+    def _load_entry(self, key: str) -> Sealed | None:
+        """Unseal + validate the entry file of ``key``; ``None`` if
+        absent or bad. The envelope fields the maintenance commands read
+        are checked here, so nothing downstream meets a half-formed
+        entry."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
+            with open(self._entry_path(key), "rb") as fh:
+                entry = unseal(fh.read(), ENTRY_SCHEMA)
+        except OSError:
             return None
-        if not isinstance(entry, dict) or entry.get("schema") != ENTRY_SCHEMA:
+        if entry is None:
             return None
-        if expected_key is not None and entry.get("key") != expected_key:
-            return None
-        if entry.get("payload_sha256") != payload_checksum(
-                entry.get("payload")):
+        envelope = entry.envelope
+        if not (envelope.get("key") == key
+                and isinstance(envelope.get("kind"), str)
+                and isinstance(envelope.get("code_version"), str)
+                and isinstance(envelope.get("created_unix"), (int, float))
+                and "label" in envelope):
             return None
         return entry
 
@@ -232,53 +260,64 @@ class ResultStore:
         """Envelope metadata (no payload) of every *valid* entry."""
         out = []
         for key in self.keys():
-            entry = self._load_entry(self._entry_path(key), expected_key=key)
+            entry = self._load_entry(key)
             if entry is not None:
-                meta = {k: v for k, v in entry.items() if k != "payload"}
-                out.append(meta)
+                out.append(entry.envelope)
         return out
 
     def verify(self) -> dict:
         """Checksum every entry; quarantine the bad ones.
 
-        Returns ``{"checked", "ok", "quarantined": [keys]}`` — the
-        maintenance counterpart of the per-read verification ``get``
-        already performs.
+        Returns ``{"checked", "ok", "stale": [keys], "quarantined":
+        [keys]}`` — the maintenance counterpart of the per-read
+        verification ``get`` already performs. Stale-schema entries are
+        listed, not moved: they are ``gc``'s to reclaim.
         """
-        quarantined = []
+        stale, quarantined = [], []
         checked = 0
         for key in self.keys():
             checked += 1
+            if self._load_entry(key) is not None:
+                continue
             path = self._entry_path(key)
-            if self._load_entry(path, expected_key=key) is None:
+            if _stale_schema(path):
+                stale.append(key)
+            else:
                 self._quarantine(path)
                 quarantined.append(key)
-        return {"checked": checked, "ok": checked - len(quarantined),
-                "quarantined": quarantined}
+        return {"checked": checked,
+                "ok": checked - len(stale) - len(quarantined),
+                "stale": stale, "quarantined": quarantined}
 
     def gc(self, older_than_s: float | None = None,
            now: float | None = None) -> dict:
-        """Reclaim space: stale salts, expired entries, debris.
+        """Reclaim space: stale salts and schemas, expired entries, debris.
 
         Removes entries whose ``code_version`` no longer matches the
-        active salt (they can never be addressed again), entries older
-        than ``older_than_s`` when given, leftover temp files, and
-        quarantined files (already both distrusted and preserved long
-        enough to have been inspected). Returns removal counts.
+        active salt or whose schema has no reader any more (neither can
+        ever be addressed again; both count as ``stale_version``),
+        entries older than ``older_than_s`` when given, leftover temp
+        files, and quarantined files (already both distrusted and
+        preserved long enough to have been inspected). Returns removal
+        counts.
         """
         now = time.time() if now is None else now
         removed = {"stale_version": 0, "expired": 0, "tmp": 0,
                    "quarantine": 0}
         for key in self.keys():
             path = self._entry_path(key)
-            entry = self._load_entry(path, expected_key=key)
+            entry = self._load_entry(key)
             if entry is None:
-                continue  # verify()'s job, not gc's
-            if entry["code_version"] != code_version():
+                if _stale_schema(path):
+                    os.remove(path)
+                    removed["stale_version"] += 1
+                continue  # anything else is verify()'s job, not gc's
+            envelope = entry.envelope
+            if envelope["code_version"] != code_version():
                 os.remove(path)
                 removed["stale_version"] += 1
             elif (older_than_s is not None
-                  and now - entry["created_unix"] > older_than_s):
+                  and now - envelope["created_unix"] > older_than_s):
                 os.remove(path)
                 removed["expired"] += 1
         for name in os.listdir(self.tmp_dir):
@@ -298,9 +337,9 @@ class ResultStore:
         wanted = self.keys() if not keys else keys
         entries = []
         for key in wanted:
-            entry = self._load_entry(self._entry_path(key), expected_key=key)
+            entry = self._load_entry(key)
             if entry is not None:
-                entries.append(entry)
+                entries.append({**entry.envelope, "payload": entry.payload})
         bundle = {"schema": EXPORT_SCHEMA, "code_version": code_version(),
                   "entry_count": len(entries), "entries": entries}
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
+from .sealed import canonical_json
+
 #: Payload schema tag; bump when the serialized field set changes.
 PAYLOAD_SCHEMA = "repro.result-payload/1"
 
@@ -58,6 +60,12 @@ def result_to_payload(result) -> dict:
     for name in _METRIC_FIELDS:
         payload[name] = getattr(result, name)
     return payload
+
+
+def result_to_text(result) -> str:
+    """A ``Result``'s payload in the canonical text form sealed records
+    carry — encoded once, handed to the store and the journal alike."""
+    return canonical_json(result_to_payload(result))
 
 
 def payload_to_result(payload: dict):

@@ -1,11 +1,12 @@
 """Checksummed JSONL telemetry stream: append-only writer, tailing reader.
 
 The stream uses the exact durability discipline of the PR 5 checkpoint
-journal (``repro.store.journal``): one JSON object per line, each line
-carrying a SHA-256 over its own body, flushed as it is written. A
-writer killed mid-append (SIGKILL, OOM) leaves at worst one torn final
-line; readers skip lines that fail to parse or fail their checksum and
-trust everything before them.
+journal (``repro.store.journal``): one sealed record per line
+(``repro.store.sealed``, layout in ``docs/ARCHITECTURE.md``) — the
+record body is the payload, under a SHA-256 of its bytes as written —
+flushed as it is written. A writer killed mid-append (SIGKILL, OOM)
+leaves at worst one torn final line; readers skip lines that fail to
+unseal and trust everything before them.
 
 Two things differ from the journal, both because telemetry is *shared*
 rather than owned:
@@ -29,37 +30,27 @@ uses it to follow checkpoint journals too.
 
 from __future__ import annotations
 
-import json
 import os
 
-from ..store.result_store import payload_checksum
+from ..store.sealed import canonical_json, seal, unseal
 
 #: Line schema tag; bump when the record fields change meaning.
-SCHEMA = "repro.telemetry/1"
+SCHEMA = "repro.telemetry/2"
 
 
-def parse_telemetry_line(line: str) -> dict | None:
+def parse_telemetry_line(line: bytes | str) -> dict | None:
     """Validate one stream line; the record body, or ``None`` if bad.
 
-    Bad means: unparseable JSON (torn line), a different schema tag, or
-    a checksum that does not match the body — exactly the journal's
-    load discipline. The returned dict is the record *body* (schema and
-    checksum envelope stripped).
+    Bad means whatever ``unseal`` rejects — a torn line, a different
+    schema tag, a checksum that does not match the body bytes — exactly
+    the journal's load discipline, plus a body that is not an object.
+    The returned dict is the record *body* (the sealed payload; schema
+    and checksum envelope stripped).
     """
-    line = line.strip()
-    if not line:
+    record = unseal(line, SCHEMA)
+    if record is None or not isinstance(record.payload, dict):
         return None
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(record, dict) or record.get("schema") != SCHEMA:
-        return None
-    body = {key: value for key, value in record.items()
-            if key not in ("schema", "sha256")}
-    if record.get("sha256") != payload_checksum(body):
-        return None
-    return body
+    return record.payload
 
 
 class TelemetryWriter:
@@ -82,9 +73,8 @@ class TelemetryWriter:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
-        line = {"schema": SCHEMA, "sha256": payload_checksum(record)}
-        line.update(record)
-        self._fh.write(json.dumps(line, sort_keys=True, default=str) + "\n")
+        self._fh.write(seal({"schema": SCHEMA}, canonical_json(record))
+                       + "\n")
         self._fh.flush()
 
     def sync(self) -> None:
@@ -124,10 +114,10 @@ class TailReader:
     never misparses a torn append. A file that shrinks (truncated and
     restarted by a fresh sweep) resets the reader to the top.
 
-    ``parse`` maps one line to a record or ``None`` (skip); the default
-    understands :data:`SCHEMA` lines. Pass a different callback to
-    follow other line-oriented formats (``repro top`` follows
-    checkpoint journals this way).
+    ``parse`` maps one line (bytes, newline stripped) to a record or
+    ``None`` (skip); the default understands :data:`SCHEMA` lines. Pass
+    a different callback to follow other line-oriented formats
+    (``repro top`` follows checkpoint journals this way).
     """
 
     def __init__(self, path: str, parse=parse_telemetry_line):
@@ -156,7 +146,7 @@ class TailReader:
             if newline < 0:
                 break
             line, buffer = buffer[:newline], buffer[newline + 1:]
-            record = self.parse(line.decode("utf-8", "replace"))
+            record = self.parse(line)
             if record is not None:
                 records.append(record)
         self._partial = buffer

@@ -24,7 +24,7 @@ from .stream import SCHEMA, TailReader, parse_telemetry_line
 from .trace_export import write_chrome_trace
 
 
-def parse_journal_line(line: str) -> dict | None:
+def parse_journal_line(line: bytes | str) -> dict | None:
     """One checkpoint-journal line as a synthetic progress record.
 
     Valid journal lines (``store.journal.parse_line`` — the exact

@@ -246,6 +246,38 @@ class TestStoreIntegration:
         run_experiments([point], max_workers=1, store=store, journal=path)
         assert set(SweepJournal(path).load()) == {store_key(point)}
 
+    def test_replayed_points_are_recorded_without_encoding(
+            self, tmp_path, monkeypatch):
+        """A store hit is journaled, and a journal replay is stored, from
+        the payload text the read just verified — byte for byte what the
+        cold sweep wrote, with no serialization in between."""
+        store = ResultStore(str(tmp_path / "store"))
+        points = [_point(seed=s) for s in (51, 52)]
+        cold_path = str(tmp_path / "cold.journal")
+        cold = run_experiments(points, max_workers=1, store=store,
+                               journal=cold_path)
+
+        def bomb(result):
+            raise AssertionError("a replayed point must not be re-encoded")
+
+        monkeypatch.setattr(parallel, "result_to_text", bomb)
+        clear_cache()
+        warm_path = str(tmp_path / "warm.journal")
+        warm = run_experiments(points, max_workers=1, store=store,
+                               journal=warm_path)
+        assert warm == cold
+        with open(cold_path, "rb") as a, open(warm_path, "rb") as b:
+            assert a.read() == b.read()
+        clear_cache()
+        refilled = ResultStore(str(tmp_path / "refilled"))
+        resumed = run_experiments(points, max_workers=1, store=refilled,
+                                  journal=warm_path, resume=True)
+        assert resumed == cold
+        assert refilled.stats["puts"] == 2
+        for point in points:
+            key = store_key(point)
+            assert refilled.get_with_text(key) == store.get_with_text(key)
+
     def test_check_bypasses_memo_store_and_journal(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         point = _point(seed=54)

@@ -8,6 +8,7 @@ longer be addressed, and export bundles that carry only valid entries.
 
 import json
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,6 +20,8 @@ PAYLOAD = {"schema": "repro.result-payload/1", "value": 42,
            "nested": {"pi": 3.14159}}
 KEY = "ab" + "0" * 62
 OTHER_KEY = "cd" + "1" * 62
+V1_ENTRY = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "store_entry_v1.json")
 
 
 @pytest.fixture
@@ -55,12 +58,15 @@ class TestPutGet:
         assert entry["schema"] == ENTRY_SCHEMA
         assert entry["key"] == KEY
         assert entry["label"] == "lbl"
-        assert entry["payload_sha256"] == payload_checksum(PAYLOAD)
+        assert entry["sha256"] == payload_checksum(PAYLOAD)
+        assert entry["payload"] == PAYLOAD
 
     def test_entry_bytes_are_pinned(self, store, monkeypatch):
-        """The file ``put`` writes, byte for byte: one line of key-sorted
-        JSON (ASCII-escaped, ``", "`` / ``": "`` separators, floats by
-        ``repr``, tuples as arrays) and a trailing newline."""
+        """The file ``put`` writes, byte for byte: one sealed line
+        (``docs/ARCHITECTURE.md``) — compact JSON, envelope first in
+        declaration order, digest, then the key-sorted ASCII-escaped
+        payload (floats by ``repr``, tuples as arrays) — and a trailing
+        newline."""
         monkeypatch.delenv("REPRO_STORE_SALT", raising=False)
         monkeypatch.setattr("repro.store.result_store.time.time",
                             lambda: 1700000000.9)
@@ -68,14 +74,14 @@ class TestPutGet:
         path = store.put(KEY, payload, label="lbl \u00e9")
         with open(path, "rb") as fh:
             assert fh.read() == (
-                b'{"code_version": "pc-sim-1", "created_unix": 1700000000, '
-                b'"key": "' + KEY.encode() + b'", "kind": "result", '
-                b'"label": "lbl \\u00e9", "payload": {"nan": NaN, '
-                b'"nested": {"pi": 3.14159}, '
-                b'"schema": "repro.result-payload/1", "value": 42, '
-                b'"when": [1, 2.5]}, "payload_sha256": "6fc17c59a2d6cc09bab1'
-                b'd0bc05a1db78d563eac60d23fe9086e52a430baf86f4", '
-                b'"schema": "repro.store-entry/1"}\n')
+                b'{"schema":"repro.store-entry/2","key":"' + KEY.encode()
+                + b'","kind":"result","label":"lbl \\u00e9",'
+                b'"code_version":"pc-sim-1","created_unix":1700000000,'
+                b'"sha256":"6fc17c59a2d6cc09bab1d0bc05a1db78d563eac60d23'
+                b'fe9086e52a430baf86f4","payload":{"nan":NaN,'
+                b'"nested":{"pi":3.14159},'
+                b'"schema":"repro.result-payload/1","value":42,'
+                b'"when":[1,2.5]}}\n')
 
     def test_no_tmp_debris_after_put(self, store):
         store.put(KEY, PAYLOAD)
@@ -91,9 +97,9 @@ class TestCorruption:
     def test_flipped_payload_is_quarantined_not_trusted(self, store):
         path = store.put(KEY, PAYLOAD)
         with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        entry["payload"]["value"] = 43  # bit rot / tampering
-        self._corrupt(store, KEY, json.dumps(entry))
+            text = fh.read()
+        assert '"value":42' in text
+        self._corrupt(store, KEY, text.replace('"value":42', '"value":43'))
         assert store.get(KEY) is None  # recompute, don't trust
         assert store.stats["quarantined"] == 1
         assert KEY not in store  # moved aside...
@@ -108,13 +114,21 @@ class TestCorruption:
         assert len(os.listdir(store.quarantine_dir)) == 1
 
     def test_key_mismatch_is_quarantined(self, store):
-        store.put(KEY, PAYLOAD)
-        path = store._entry_path(KEY)
+        path = store.put(OTHER_KEY, PAYLOAD)
+        os.makedirs(os.path.dirname(store._entry_path(KEY)))
+        os.replace(path, store._entry_path(KEY))  # filed under the wrong name
+        assert store.get(KEY) is None
+        assert store.stats["quarantined"] == 1
+
+    def test_reencoded_entry_is_quarantined(self, store):
+        """The checksum covers the bytes as stored: the same JSON value
+        re-serialized (whitespace, key order) is not the record."""
+        path = store.put(KEY, PAYLOAD)
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
-        entry["key"] = OTHER_KEY  # entry filed under the wrong name
         self._corrupt(store, KEY, json.dumps(entry))
         assert store.get(KEY) is None
+        assert store.stats["quarantined"] == 1
 
     def test_recompute_after_quarantine_repopulates(self, store):
         store.put(KEY, PAYLOAD)
@@ -124,11 +138,56 @@ class TestCorruption:
         assert store.get(KEY) == PAYLOAD
 
 
+class TestStaleSchema:
+    """A real ``repro.store-entry/1`` file (``fixtures/``, written by the
+    last commit that had that layout): stale, not corrupt, and unread."""
+
+    @pytest.fixture
+    def stale_key(self, store):
+        with open(V1_ENTRY, encoding="utf-8") as fh:
+            key = json.load(fh)["key"]
+        os.makedirs(os.path.dirname(store._entry_path(key)))
+        shutil.copy(V1_ENTRY, store._entry_path(key))
+        return key
+
+    def test_get_is_a_plain_miss(self, store, stale_key):
+        assert store.get(stale_key) is None
+        assert store.stats["misses"] == 1
+        assert store.stats["quarantined"] == 0
+        assert stale_key in store  # left in place for put/gc
+        assert os.listdir(store.quarantine_dir) == []
+
+    def test_put_replaces_it(self, store, stale_key):
+        store.put(stale_key, PAYLOAD)
+        assert store.stats["puts"] == 1
+        assert store.stats["redundant"] == 0
+        assert store.get(stale_key) == PAYLOAD
+        store.put(stale_key, PAYLOAD)  # current schema: first writer wins
+        assert store.stats["redundant"] == 1
+
+    def test_gc_reclaims_it_as_stale_version(self, store, stale_key):
+        assert store.gc()["stale_version"] == 1
+        assert store.keys() == []
+
+    def test_verify_reports_it_stale_and_leaves_it(self, store, stale_key):
+        store.put(KEY, PAYLOAD)
+        assert store.verify() == {"checked": 2, "ok": 1,
+                                  "stale": [stale_key], "quarantined": []}
+        assert stale_key in store
+
+    def test_entries_and_export_skip_it(self, store, stale_key, tmp_path):
+        assert store.entries() == []
+        out = store.export(str(tmp_path / "bundle.json"))
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh)["entry_count"] == 0
+
+
 class TestVerify:
     def test_clean_store(self, store):
         store.put(KEY, PAYLOAD)
         store.put(OTHER_KEY, PAYLOAD)
-        assert store.verify() == {"checked": 2, "ok": 2, "quarantined": []}
+        assert store.verify() == {"checked": 2, "ok": 2, "stale": [],
+                                  "quarantined": []}
 
     def test_bad_entry_is_reported_and_quarantined(self, store):
         store.put(KEY, PAYLOAD)

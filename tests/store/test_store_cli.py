@@ -1,6 +1,8 @@
 """End-to-end tests of ``python -m repro store ...`` through ``main()``."""
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -36,6 +38,22 @@ class TestStoreCli:
             fh.write("garbage")
         assert main(["store", "--dir", store_dir, "verify"]) == 1
         assert "1 quarantined" in capsys.readouterr().out
+
+    def test_verify_lists_stale_schema_entries_and_exits_zero(
+            self, store_dir, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "store_entry_v1.json")
+        with open(fixture, encoding="utf-8") as fh:
+            key = json.load(fh)["key"]
+        path = ResultStore(store_dir)._entry_path(key)
+        os.makedirs(os.path.dirname(path))
+        shutil.copy(fixture, path)
+        assert main(["store", "--dir", store_dir, "verify"]) == 0
+        out = capsys.readouterr().out
+        assert "1 ok, 1 stale, 0 quarantined" in out
+        assert f"stale {key}" in out
+        assert main(["store", "--dir", store_dir, "gc"]) == 0
+        assert "removed 1 stale-salt" in capsys.readouterr().out
 
     def test_gc(self, store_dir, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_SALT", "pc-sim-other")

@@ -26,7 +26,7 @@ class TestEnvelope:
         assert [r["ev"] for r in records] == ["point", "sweep_end"]
         assert records[0]["idx"] == 3
         # The envelope (schema, sha256) is stripped on read.
-        assert "sha256" not in records[0]
+        assert records[0] == {"ev": "point", "idx": 3, "dur_s": 0.25}
 
     def test_lines_carry_schema_and_checksum(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -35,6 +35,7 @@ class TestEnvelope:
         raw = json.loads(open(path, encoding="utf-8").read())
         assert raw["schema"] == SCHEMA
         assert len(raw["sha256"]) == 64
+        assert raw["payload"] == {"ev": "point"}
 
     def test_corrupted_line_is_skipped(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -42,7 +43,8 @@ class TestEnvelope:
             writer.write({"ev": "a"})
             writer.write({"ev": "b"})
         lines = open(path, encoding="utf-8").read().splitlines()
-        lines[0] = lines[0].replace('"ev": "a"', '"ev": "tampered"')
+        assert '"ev":"a"' in lines[0]
+        lines[0] = lines[0].replace('"ev":"a"', '"ev":"tampered"')
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         assert [r["ev"] for r in read_stream(path)] == ["b"]
