@@ -11,9 +11,9 @@ Commands (full reference with every flag: ``docs/CLI.md``):
           --pattern uniform --rate 0.1
 
 * ``sweep`` — sensitivity sweeps (``--kind vcs|buffers|load``);
-* ``bench`` — time the canonical simulator workloads and write
-  ``BENCH_core.json`` (the perf trajectory file, see README);
-  ``--gate`` additionally runs the instrumentation-overhead gate;
+* ``bench`` — the post-install self-check: probes, monitors and
+  telemetry are cold when off and bit-identical when on (speed is
+  measured by ``perf/run.py``, not here);
 * ``compare`` — diff two metrics/bench JSON documents into a regression
   report (exit 1 when any metric regressed past its threshold), e.g.::
 
@@ -58,7 +58,7 @@ import json
 import os
 import sys
 
-from .harness.bench import run_bench
+from .harness.bench import DEFAULT_CYCLES, run_bench
 from .harness.experiment import (ExperimentConfig, default_store,
                                  run_experiment, set_default_store)
 from .harness.figures import ALL_FIGURES
@@ -358,6 +358,18 @@ def _add_backend_arg(p) -> None:
                         "repro[fast]")
 
 
+class _ExactParser(argparse.ArgumentParser):
+    """``ArgumentParser`` that never accepts a flag by unique prefix.
+
+    ``add_subparsers`` builds subcommands with the class of their parent,
+    so every (nested) subparser inherits this: a mistyped or removed flag
+    exits 2 naming itself instead of silently binding to a longer one.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the full ``repro`` argument parser.
 
@@ -365,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     documentation drift test can walk every subcommand and option string
     and assert ``docs/CLI.md`` covers them.
     """
-    parser = argparse.ArgumentParser(
+    parser = _ExactParser(
         prog="repro", description="Pseudo-Circuit reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ALL_FIGURES:
@@ -500,42 +512,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "follow live with 'repro top PATH'")
 
     bench_p = sub.add_parser(
-        "bench", help="time canonical workloads, write BENCH_core.json")
-    bench_p.add_argument("--cycles", type=int, default=None,
-                         help="cycles per workload (default 1500)")
-    bench_p.add_argument("--repeats", type=int, default=None,
-                         help="timing repetitions, best-of (default 3)")
-    bench_p.add_argument("--out", default="BENCH_core.json",
-                         help="output path ('-' to skip writing)")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="also run one repeat under cProfile and "
-                              "print the top-20 cumulative entries")
-    bench_p.add_argument("--gate", action="store_true",
-                         help="run the instrumentation-overhead gate: "
-                              "probes cold, stats bit-identical, walls "
-                              "within 2%% of the previous report")
+        "bench", help="self-check that instrumentation is cold when off "
+                      "and bit-identical when on")
+    bench_p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
+                         help="cycles per gate workload (default "
+                              f"{DEFAULT_CYCLES})")
+    bench_p.add_argument("--out", default=None, metavar="PATH",
+                         help="write the report (+ manifest sidecar) to "
+                              "this JSON; nothing is written without it")
     bench_p.add_argument("--check", action="store_true",
-                         help="run the monitored self-check and write its "
-                              "metrics doc next to the report")
+                         help="also run the monitored self-check; its "
+                              "metrics doc is written next to --out")
     _add_backend_arg(bench_p)
-    bench_p.add_argument("--min-backend-speedup", type=float, default=None,
-                         metavar="X",
-                         help="with --gate --backend vectorized: fail "
-                              "unless the saturation-workload speedup "
-                              "geomean over the scalar core reaches X")
-    bench_p.add_argument("--min-batched-speedup", type=float, default=None,
-                         metavar="X",
-                         help="with --gate and a vectorized-capable "
-                              "--backend: fail unless the 16-point "
-                              "batched sweep beats per-point vectorized "
-                              "execution by at least X times")
     _add_store_arg(bench_p)
-    bench_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="checkpoint every timed workload row to "
-                              "this journal file as it lands")
-    bench_p.add_argument("--resume", action="store_true",
-                         help="reuse workload rows already in --journal "
-                              "from an interrupted bench")
 
     compare_p = sub.add_parser(
         "compare", help="regression report between two metrics/bench JSON "
@@ -601,17 +590,8 @@ def main(argv=None) -> int:
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "bench":
-        kwargs = {}
-        if args.cycles is not None:
-            kwargs["cycles"] = args.cycles
-        if args.repeats is not None:
-            kwargs["repeats"] = args.repeats
-        run_bench(out_path=None if args.out == "-" else args.out,
-                  profile=args.profile, gate=args.gate, check=args.check,
-                  journal=args.journal, resume=args.resume,
-                  backend=args.backend or "scalar",
-                  min_backend_speedup=args.min_backend_speedup,
-                  min_batched_speedup=args.min_batched_speedup, **kwargs)
+        run_bench(cycles=args.cycles, backend=args.backend or "scalar",
+                  check=args.check, out_path=args.out)
         return 0
     if args.command == "compare":
         return _cmd_compare(args)

@@ -1,6 +1,6 @@
 """Experiment harness: configs, runners, per-figure reproduction."""
 
-from .bench import run_bench, time_workload
+from .bench import run_bench
 from .experiment import (ExperimentConfig, Result, build_network,
                          clear_cache, run_experiment)
 from .figures import (ALL_FIGURES, fig1, fig6, fig8, fig9, fig10, fig11,
@@ -19,7 +19,6 @@ __all__ = [
     "prefetch",
     "run_bench",
     "run_experiments",
-    "time_workload",
     "fig1",
     "fig6",
     "fig8",

@@ -4,7 +4,7 @@ A probe receives the flit-lifecycle events the network components emit.
 The null object is literally ``None``: components hold ``_probe = None``
 when tracing is off and guard every emission with a single attribute test,
 so the disabled hot path costs one pointer load per call site
-(``python -m repro bench --gate`` keeps this honest). Probes that are
+(``python -m repro bench`` keeps this honest). Probes that are
 attached (``Network.bind_probe``) receive every event of the simulation
 they observe; they must never mutate what they are handed — the overhead
 gate asserts stats stay bit-identical with probes on.

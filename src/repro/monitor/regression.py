@@ -1,8 +1,8 @@
 """Run-to-run regression reports: diff two metrics/bench documents.
 
 ``compare_docs`` flattens two JSON documents (metrics documents from
-``--check`` runs, ``BENCH_core.json`` bench reports, or any JSON with
-numeric leaves) into dotted-key leaves, matches keys against a built-in
+``--check`` runs, ``repro bench`` reports, or any JSON with numeric
+leaves) into dotted-key leaves, matches keys against a built-in
 threshold table, and classifies every shared metric as *ok*, *improved*
 or *regressed*. The ``python -m repro compare`` CLI prints the report and
 exits non-zero when anything regressed — the CI contract.

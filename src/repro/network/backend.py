@@ -14,10 +14,10 @@ fingerprints for every supported configuration; the parity suites under
 grouped into a batch take the batched core, single points take the
 vectorized core above a calibrated offered-load crossover (in flits per
 cycle per chip — whole-chip array ops amortize only with enough work in
-flight) and the scalar core below it. The crossover ships with a
-measured default and is re-measured by the ``repro bench``
-microcalibration probe, which records it into BENCH_core.json;
-``load_calibration`` installs a recorded block.
+flight) and the scalar core below it. The crossover is a module
+constant; the ``perf/`` ledger scores it against the measured-fastest
+core on every run (``network.backend.auto_agreement_share`` /
+``auto_penalty_pct``), which is where a stale value would show.
 
 The vectorized cores need numpy, which is an *optional* runtime
 dependency (``pip install repro[fast]``). ``require_numpy`` converts the
@@ -43,15 +43,9 @@ _default_backend = "scalar"
 
 #: Selector calibration: offered load (flits per cycle per chip,
 #: ``rate * terminals``) above which the vectorized core beats the
-#: scalar core, per scheme kind. Defaults measured on the canonical
-#: 8x8-mesh workloads; ``repro bench`` re-measures and records the
-#: block into BENCH_core.json.
-DEFAULT_CALIBRATION = {
-    "crossover_flits_per_cycle": {"baseline": 6.0, "pseudo": 8.0},
-    "source": "default",
-}
-
-_calibration = dict(DEFAULT_CALIBRATION)
+#: scalar core, per scheme kind. Measured on the canonical 8x8-mesh
+#: workloads.
+_CROSSOVER_FLITS_PER_CYCLE = {"baseline": 6.0, "pseudo": 8.0}
 
 
 class BackendUnsupportedError(RuntimeError):
@@ -102,56 +96,14 @@ def backend_of(network) -> str:
 # -- the "auto" selector ------------------------------------------------------
 
 def calibration() -> dict:
-    """The selector calibration currently in effect (a copy)."""
-    cal = dict(_calibration)
-    cal["crossover_flits_per_cycle"] = dict(
-        _calibration["crossover_flits_per_cycle"])
-    return cal
+    """The selector calibration in effect (a fresh dict per call).
 
-
-def set_calibration(cal: dict) -> dict:
-    """Install a measured selector calibration; returns the previous.
-
-    Missing keys keep their defaults, so a partial block (e.g. only the
-    baseline crossover) is fine.
+    ``source`` is always ``"default"`` — nothing re-measures the
+    crossover at run time; the key stays because sweep telemetry and the
+    ``perf/`` reports record it.
     """
-    global _calibration
-    previous = calibration()
-    merged = dict(DEFAULT_CALIBRATION)
-    cross = dict(DEFAULT_CALIBRATION["crossover_flits_per_cycle"])
-    merged.update(cal)
-    cross.update(cal.get("crossover_flits_per_cycle", {}))
-    merged["crossover_flits_per_cycle"] = cross
-    _calibration = merged
-    return previous
-
-
-def load_calibration(path) -> bool:
-    """Install the ``calibration`` block of a BENCH_core.json, if any.
-
-    Returns True when a block was found and installed; a missing or
-    unreadable file (or one without the block) leaves the calibration
-    untouched and returns False — with a one-line warning on stderr
-    naming the path and reason, so a typo'd path doesn't silently run
-    with the default crossovers.
-    """
-    import json
-    import sys
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"warning: backend calibration not loaded from {path}: "
-              f"{exc}; keeping default crossovers", file=sys.stderr)
-        return False
-    cal = doc.get("calibration")
-    if not isinstance(cal, dict):
-        print(f"warning: backend calibration not loaded from {path}: "
-              f"no 'calibration' block; keeping default crossovers",
-              file=sys.stderr)
-        return False
-    set_calibration(cal)
-    return True
+    return {"crossover_flits_per_cycle": dict(_CROSSOVER_FLITS_PER_CYCLE),
+            "source": "default"}
 
 
 def choose_backend(*, terminals: int, rate: float | None,
@@ -172,8 +124,7 @@ def choose_backend(*, terminals: int, rate: float | None,
         return "batched"
     if rate is None or terminals <= 0:
         return "scalar"
-    cross = _calibration["crossover_flits_per_cycle"]
-    threshold = cross["pseudo" if pseudo else "baseline"]
+    threshold = _CROSSOVER_FLITS_PER_CYCLE["pseudo" if pseudo else "baseline"]
     return "vectorized" if rate * terminals >= threshold else "scalar"
 
 
@@ -184,12 +135,11 @@ def explain_choice(*, terminals: int, rate: float | None,
     Harness telemetry stamps every simulated point with this record so
     a sweep's stream says not just *which* core ran each point but
     *why*: the offered load, the calibrated crossover it was compared
-    against, and where that calibration came from (``default`` or a
-    ``repro bench`` measurement).
+    against, and where that calibration came from (``calibration()``'s
+    ``source``).
     """
     chosen = choose_backend(terminals=terminals, rate=rate, pseudo=pseudo,
                             batch=batch)
-    cross = _calibration["crossover_flits_per_cycle"]
     if batch > 1:
         reason = "batched-unit"
     elif rate is None or terminals <= 0:
@@ -203,9 +153,9 @@ def explain_choice(*, terminals: int, rate: float | None,
         "rate": rate,
         "offered_flits_per_cycle": (None if rate is None
                                     else round(rate * terminals, 3)),
-        "crossover_flits_per_cycle": cross["pseudo" if pseudo
-                                           else "baseline"],
-        "calibration_source": _calibration.get("source"),
+        "crossover_flits_per_cycle": _CROSSOVER_FLITS_PER_CYCLE[
+            "pseudo" if pseudo else "baseline"],
+        "calibration_source": "default",
         "batch": batch,
     }
 

@@ -104,7 +104,7 @@ class Network:
         self._build_nics()
         # Compile deterministic routing into per-router lookup tables
         # (``compiled_routing=False`` keeps the dynamic route() path — the
-        # differential reference the bench verifies against).
+        # differential reference tests/network/test_active_set.py uses).
         self.compiled_routing = (
             compile_routing(routing, topology, config.num_vcs)
             if compiled_routing else None)

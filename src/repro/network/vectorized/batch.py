@@ -8,7 +8,8 @@ pass of array ops. The per-cycle numpy dispatch overhead that dominates
 low-load runs — ~20 fixed-cost array calls per pipeline stage whatever
 the occupancy — is paid once per cycle for the whole batch instead of
 once per run, which is what makes a sweep of many small low-load points
-cheap (BENCH_core.json ``speedup_batched``).
+cheap (``network.batched.lane_speedup.mesh8_low16`` in the ``perf/``
+ledger).
 
 Bit-identity per lane: lanes never share an index, so no array op
 couples them, and each lane's packets keep lane-local src/dst ids, so

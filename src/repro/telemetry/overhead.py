@@ -4,7 +4,7 @@ Same contract as the PR 3 probe gate (``instrument.overhead``): the
 instrumentation must be a null object when disabled. Here that means
 the scheduler holds ``telemetry=None`` by default, takes no
 telemetry branches on that path, and produces bit-identical results
-with telemetry on and off. ``repro bench --gate`` runs this check and
+with telemetry on and off. ``repro bench`` runs this check and
 records it in the report's ``overhead_gate.telemetry`` block.
 """
 

@@ -90,3 +90,63 @@ def test_cli_sweep_out_writes_manifest(tmp_path, capsys):
         assert json.load(fh)["rows"]
     with open(str(tmp_path / "sweep.manifest.json"), encoding="utf-8") as fh:
         assert json.load(fh)["config"]["command"] == "sweep"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--cycle", "10"], "--cycle 10"),  # prefix of --cycles
+    (["bench", "--gate"], "--gate"),           # removed with the timing bench
+], ids=["abbreviated", "removed"])
+def test_cli_matches_flags_exactly(argv, named, capsys):
+    """Prefix matching is off and removed flags have no shim: either
+    exits 2 naming the flag instead of binding to a surviving one."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+class TestBenchRoundTrip:
+    """``repro bench`` through ``main()``: the cold gates and nothing else."""
+
+    def test_report_holds_the_gates_and_no_timings(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--cycles", "120", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        gate = report["overhead_gate"]
+        assert gate["probes_cold"] and gate["stats_identical"]
+        assert gate["telemetry"]["results_identical"]
+        assert report["meta"]["backend"] == "scalar"
+        assert "workloads" not in report and "self_check" not in report
+        manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
+        assert manifest["config"]["driver"] == "bench"
+        assert f"wrote {out}" in capsys.readouterr().out
+
+    def test_writes_nothing_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--cycles", "120"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "wrote" not in capsys.readouterr().out
+
+    def test_vectorized_backend_adds_the_vector_gate(self, capsys):
+        pytest.importorskip("numpy")
+        from repro.harness.bench import run_bench
+        report = run_bench(cycles=120, backend="vectorized", show=False)
+        assert report["meta"]["backend"] == "vectorized"
+        vec = report["overhead_gate"]["vectorized_overhead"]
+        assert vec["probes_cold"] and vec["stats_identical"]
+        assert capsys.readouterr().out == ""
+
+    def test_hot_probe_fails_the_run(self, monkeypatch):
+        from repro.instrument import FlitTracer, overhead
+        from repro.instrument.overhead import OverheadGateError
+        cold_build = overhead.build_network
+
+        def hot_build(*args, **kwargs):
+            kwargs.setdefault("probe", FlitTracer())
+            return cold_build(*args, **kwargs)
+
+        monkeypatch.setattr(overhead, "build_network", hot_build)
+        with pytest.raises(OverheadGateError, match="probe by default"):
+            main(["bench", "--cycles", "120"])

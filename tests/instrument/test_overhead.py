@@ -1,10 +1,9 @@
-"""Overhead gate: structural, bit-identity and timing checks."""
+"""Overhead gate: structural and bit-identity checks."""
 
 import pytest
 
 from repro.instrument import FlitTracer, identity_check, overhead_gate
-from repro.instrument.overhead import (OverheadGateError, assert_probes_cold,
-                                       timing_gate)
+from repro.instrument.overhead import OverheadGateError, assert_probes_cold
 from repro.network.config import PSEUDO_SB, NetworkConfig
 from repro.network.simulator import build_network
 from repro.topology import make_topology
@@ -35,27 +34,3 @@ def test_overhead_gate_runs_quiet(capsys):
     report = overhead_gate(cycles=200, show=False)
     assert report["probes_cold"] and report["stats_identical"]
     assert capsys.readouterr().out == ""
-
-
-WEIGHTS = {"a": 1, "b": 3}
-
-
-def test_timing_gate_passes_within_threshold():
-    fresh = [{"name": "a", "wall_s": 1.01}, {"name": "b", "wall_s": 3.02}]
-    previous = [{"name": "a", "wall_s": 1.0}, {"name": "b", "wall_s": 3.0}]
-    report = timing_gate(fresh, previous, WEIGHTS)
-    assert report["applied"]
-    assert report["overhead"] < 0.02
-
-
-def test_timing_gate_trips_on_regression():
-    fresh = [{"name": "a", "wall_s": 1.2}, {"name": "b", "wall_s": 3.6}]
-    previous = [{"name": "a", "wall_s": 1.0}, {"name": "b", "wall_s": 3.0}]
-    with pytest.raises(OverheadGateError):
-        timing_gate(fresh, previous, WEIGHTS)
-
-
-def test_timing_gate_without_comparable_workloads():
-    report = timing_gate([{"name": "new", "wall_s": 1.0}],
-                         [{"name": "old", "wall_s": 1.0}], {"new": 1})
-    assert not report["applied"]

@@ -68,8 +68,8 @@ class TestBenchCheck:
     def test_bench_check_writes_metrics_doc(self, tmp_path):
         from repro.harness.bench import run_bench
         out = tmp_path / "bench.json"
-        report = run_bench(cycles=120, repeats=1, out_path=str(out),
-                           show=False, check=True)
+        report = run_bench(cycles=120, out_path=str(out), show=False,
+                           check=True)
         assert report["self_check"]["violations"] == 0
         assert report["self_check"]["stats_identical"] is True
         doc = json.loads((tmp_path / "bench.metrics.json").read_text())

@@ -13,7 +13,6 @@ merge).
 
 import pytest
 
-from repro.harness.bench import time_workload
 from repro.harness.experiment import clear_cache
 from repro.harness.sweep import sweep_load, sweep_vcs
 from repro.network.config import (BASELINE, NetworkConfig, PSEUDO, PSEUDO_B,
@@ -27,7 +26,7 @@ RATE = 0.08
 
 
 def _fingerprint(topo_name, kx, ky, conc, scheme, pattern, active,
-                 vc_policy="dynamic", seed=3):
+                 vc_policy="dynamic", seed=3, rate=RATE):
     """Simulate once and return every observable stat plus the end cycle."""
     topo = make_topology(topo_name, kx, ky, conc)
     # The reference leg also disables compiled routing tables, so one
@@ -38,7 +37,7 @@ def _fingerprint(topo_name, kx, ky, conc, scheme, pattern, active,
                                              pseudo=scheme),
                         seed=seed, active_set=active,
                         compiled_routing=active)
-    traffic = SyntheticTraffic(pattern, topo.num_terminals, RATE, 3,
+    traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 3,
                                seed=seed)
     net.stats.warmup_cycles = CYCLES // 4
     net.run(CYCLES, traffic)
@@ -70,6 +69,13 @@ class TestSchemeEquivalence:
     def test_static_va(self, scheme):
         _assert_equivalent("mesh", 4, 4, 1, scheme, "uniform",
                            vc_policy="static")
+
+    @pytest.mark.parametrize(
+        "scheme", [BASELINE, PSEUDO_SB], ids=lambda s: s.label)
+    def test_mesh8_saturation(self, scheme):
+        """The canonical scale: the paper's 8x8 mesh just past saturation,
+        where every router is busy and the active set is the whole chip."""
+        _assert_equivalent("mesh", 8, 8, 1, scheme, "uniform", rate=0.30)
 
 
 class TestTopologyEquivalence:
@@ -123,13 +129,3 @@ class TestParallelSweepDeterminism:
         clear_cache()
         parallel = sweep_vcs(max_workers=3, **kwargs)
         assert serial == parallel
-
-
-class TestBenchSmoke:
-    """Fast smoke over the perf driver (full scale runs via `repro bench`)."""
-
-    def test_time_workload_small(self):
-        row = time_workload(PSEUDO_SB, 0.05, cycles=120, repeats=1)
-        assert row["stats_identical"]
-        assert row["packets"] > 0
-        assert row["wall_s"] > 0 and row["reference_wall_s"] > 0

@@ -7,8 +7,7 @@ from repro.harness.experiment import (ExperimentConfig, build_network,
 from repro.network.backend import (BACKENDS, CONCRETE_BACKENDS,
                                    BackendUnsupportedError, calibration,
                                    choose_backend, default_backend,
-                                   load_calibration, resolve_backend,
-                                   set_calibration, set_default_backend)
+                                   resolve_backend, set_default_backend)
 from repro.network.simulator import Network
 
 
@@ -127,14 +126,6 @@ class TestRefusals:
         assert CONCRETE_BACKENDS == ("scalar", "vectorized", "batched")
 
 
-@pytest.fixture
-def default_calibration():
-    """Restore the selector calibration after the test."""
-    previous = calibration()
-    yield
-    set_calibration(previous)
-
-
 class TestAutoSelector:
     def test_batch_always_picks_batched(self):
         assert choose_backend(terminals=64, rate=0.01, batch=4) == "batched"
@@ -143,9 +134,7 @@ class TestAutoSelector:
     def test_trace_replay_picks_scalar(self):
         assert choose_backend(terminals=64, rate=None) == "scalar"
 
-    def test_offered_load_crossover(self, default_calibration):
-        set_calibration({"crossover_flits_per_cycle": {"baseline": 6.0,
-                                                       "pseudo": 8.0}})
+    def test_offered_load_crossover(self):
         # 64 terminals: 0.05 offers 3.2 flits/cycle, 0.30 offers 19.2.
         assert choose_backend(terminals=64, rate=0.05) == "scalar"
         assert choose_backend(terminals=64, rate=0.30) == "vectorized"
@@ -154,63 +143,27 @@ class TestAutoSelector:
         assert choose_backend(terminals=64, rate=0.11,
                               pseudo=True) == "scalar"
 
-    def test_set_calibration_merges_partial_blocks(self,
-                                                   default_calibration):
-        set_calibration({"crossover_flits_per_cycle": {"baseline": 2.0}})
-        cal = calibration()
-        assert cal["crossover_flits_per_cycle"]["baseline"] == 2.0
-        assert cal["crossover_flits_per_cycle"]["pseudo"] == 8.0
-
-    def test_load_calibration_from_bench_report(self, tmp_path,
-                                                default_calibration):
-        import json
-        path = tmp_path / "BENCH_core.json"
-        path.write_text(json.dumps({"calibration": {
-            "crossover_flits_per_cycle": {"baseline": 3.0, "pseudo": 4.0},
-            "source": "measured"}}))
-        assert load_calibration(path)
-        assert calibration()["crossover_flits_per_cycle"] == {
-            "baseline": 3.0, "pseudo": 4.0}
-        assert calibration()["source"] == "measured"
-
-    def test_load_calibration_tolerates_missing_block(self, tmp_path,
-                                                      default_calibration):
-        before = calibration()
-        assert not load_calibration(tmp_path / "absent.json")
-        path = tmp_path / "noblock.json"
-        path.write_text("{}")
-        assert not load_calibration(path)
-        assert calibration() == before
-
-    def test_load_calibration_warns_on_stderr(self, tmp_path, capsys,
-                                              default_calibration):
-        # A typo'd path must not silently run with default crossovers:
-        # both failure modes name the path and the reason on stderr.
-        missing = tmp_path / "absent.json"
-        assert not load_calibration(missing)
-        err = capsys.readouterr().err
-        assert "warning" in err and str(missing) in err
-        assert "default crossovers" in err
-
-        noblock = tmp_path / "noblock.json"
-        noblock.write_text("{}")
-        assert not load_calibration(noblock)
-        err = capsys.readouterr().err
-        assert str(noblock) in err and "no 'calibration' block" in err
+    def test_calibration_is_the_module_constants(self):
+        # Nothing re-measures the crossover at run time: every process
+        # selects on the same two numbers, and the ``perf/`` ledger
+        # scores them (network.backend.auto_agreement_share).
+        assert calibration() == {
+            "crossover_flits_per_cycle": {"baseline": 6.0, "pseudo": 8.0},
+            "source": "default"}
+        calibration()["crossover_flits_per_cycle"]["baseline"] = 0.0
+        assert calibration()["crossover_flits_per_cycle"]["baseline"] == 6.0
 
 
 class TestAutoDispatch:
-    def test_low_load_builds_scalar(self, default_calibration):
-        set_calibration({"crossover_flits_per_cycle": {"baseline": 6.0}})
+    def test_low_load_builds_scalar(self):
         cfg = ExperimentConfig(topology="mesh", kx=8, ky=8, concentration=1,
                                routing="xy", pattern="uniform", rate=0.02,
                                backend="auto")
         assert type(build_network(cfg)) is Network
 
-    def test_high_load_builds_vectorized(self, default_calibration):
+    def test_high_load_builds_vectorized(self):
         pytest.importorskip("numpy")
         from repro.network.vectorized import VectorNetwork
-        set_calibration({"crossover_flits_per_cycle": {"baseline": 6.0}})
         cfg = ExperimentConfig(topology="mesh", kx=8, ky=8, concentration=1,
                                routing="xy", pattern="uniform", rate=0.30,
                                backend="auto")
