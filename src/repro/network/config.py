@@ -58,7 +58,6 @@ class NetworkConfig:
 
     num_vcs: int = 4
     buffer_depth: int = 4
-    link_latency: int = 1
     credit_delay: int = 1
     arbiter_kind: str = "roundrobin"
     pseudo: PseudoCircuitConfig = field(default_factory=PseudoCircuitConfig)
@@ -74,7 +73,5 @@ class NetworkConfig:
             raise ValueError("num_vcs must be >= 1")
         if self.buffer_depth < 1:
             raise ValueError("buffer_depth must be >= 1")
-        if self.link_latency < 1:
-            raise ValueError("link_latency must be >= 1")
         if self.credit_delay < 0:
             raise ValueError("credit_delay must be >= 0")

@@ -135,10 +135,6 @@ class Nic:
         self.routing.on_inject(packet, self.rng)
         self.queue.append(packet)
 
-    @property
-    def can_accept(self) -> bool:
-        return not (0 < self.config.inject_queue <= len(self.queue))
-
     def tick_inject(self, cycle: int) -> None:
         """Start the head-of-queue packet if a VC is free, then send at most
         one flit (round-robin over the in-progress VCs with credits)."""
@@ -257,16 +253,6 @@ class Nic:
     def idle(self) -> bool:
         return (not self.queue and not self._sending
                 and not self._eject_q)
-
-    @property
-    def inject_active(self) -> bool:
-        """True while tick_inject can make progress on some cycle."""
-        return bool(self.queue) or bool(self._sending)
-
-    @property
-    def eject_active(self) -> bool:
-        """True while tick_eject has queued flits or credit returns."""
-        return bool(self._eject_q) or bool(self._eject_credit_due)
 
     def next_eject_cycle(self) -> int:
         """Earliest cycle at which tick_eject has scheduled work."""

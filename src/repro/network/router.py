@@ -167,11 +167,6 @@ class Router:
             work[self.router_id] = self
         self._arrivals.append((in_port, flit))
 
-    @property
-    def has_work(self) -> bool:
-        """True while this router can make progress (arrivals or buffers)."""
-        return bool(self._arrivals) or self._buffered_flits > 0
-
     def deliver_credits(self, cycle: int) -> None:
         if self._pending_credits == 0:
             return

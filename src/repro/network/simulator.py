@@ -280,8 +280,6 @@ class Network:
             probe.on_cycle_start(cycle, self)
         routers = self.routers
         nics = self.nics
-        # The drained checks inline the components' *_active/has_work
-        # properties (one property call per member per cycle adds up).
         credit_set = self._credit_routers
         if credit_set:
             for rid in sorted(credit_set):

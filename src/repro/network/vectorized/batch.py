@@ -53,10 +53,6 @@ class _LaneSink:
     def inject(self, packet) -> None:
         self._net.inject(packet, self._lane)
 
-    @property
-    def cycle(self) -> int:
-        return self._net.cycle
-
 
 class BatchNetwork(VectorNetwork):
     """S independent simulations of one topology, stepped as one chip.
@@ -81,15 +77,12 @@ class BatchNetwork(VectorNetwork):
 
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing="xy", vc_policy="dynamic", seeds=(1,),
-                 active_set: bool = True, compiled_routing: bool = True,
                  probe=None):
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("BatchNetwork needs at least one lane seed")
         super().__init__(topology, config, routing=routing,
-                         vc_policy=vc_policy, seed=seeds[0],
-                         active_set=active_set,
-                         compiled_routing=compiled_routing, probe=probe,
+                         vc_policy=vc_policy, seed=seeds[0], probe=probe,
                          lanes=len(seeds), lane_seeds=seeds)
         np = self._np
         S = len(seeds)
@@ -232,9 +225,6 @@ class BatchNetwork(VectorNetwork):
     def _count_va(self, wivc):
         self._ctr["va_allocations"] += self._bins(wivc, self._L_NIVC)
 
-    def _count_va1(self, ip_):
-        self._ctr["va_allocations"][ip_ // self._L_NIP] += 1
-
     def _count_traversals(self, via, popped, ports, hports, e2e_rep,
                           xbar_rep):
         ctr = self._ctr
@@ -255,28 +245,11 @@ class BatchNetwork(VectorNetwork):
             ctr["e2e_repeats"] += self._wbins(hports, self._L_NIP,
                                               e2e_rep)
 
-    def _count_traversal1(self, ip_, e2e_rep, xbar_rep):
-        ctr = self._ctr
-        lane = ip_ // self._L_NIP
-        if e2e_rep is not None:
-            ctr["e2e_packets"][lane] += 1
-            if e2e_rep:
-                ctr["e2e_repeats"][lane] += 1
-        ctr["sa_bypass_flits"][lane] += 1
-        ctr["buf_bypass_flits"][lane] += 1
-        ctr["flit_hops"][lane] += 1
-        ctr["xbar_flits"][lane] += 1
-        if xbar_rep:
-            ctr["xbar_repeats"][lane] += 1
-
     def _count_terminations(self, pps, reason):
         for lane, n in enumerate(
                 self._bins(pps, self._L_NIP).tolist()):
             if n:
                 self._terms[lane][reason] += n
-
-    def _count_termination1(self, ip_, reason):
-        self._terms[ip_ // self._L_NIP][reason] += 1
 
     def _count_established(self, g_port, refreshed):
         ctr = self._ctr

@@ -47,6 +47,7 @@ from ..config import NetworkConfig
 from ..flit import Packet
 from ..router import ProtocolError
 from .layout import build_layout
+from .obs import VectorInvariantChecker
 
 from ..backend import BackendUnsupportedError, require_numpy
 
@@ -57,15 +58,9 @@ class VectorNetwork:
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing="xy", vc_policy="dynamic", seed: int = 1,
                  stats: NetworkStats | None = None,
-                 active_set: bool = True, compiled_routing: bool = True,
                  probe=None, lanes: int = 1, lane_seeds=None):
         np = require_numpy()
         self._np = np
-        if not compiled_routing:
-            raise BackendUnsupportedError(
-                f"the vectorized backend requires compiled routing tables "
-                f"(compiled_routing=True) on topology {topology.name!r}; "
-                f"use --backend scalar")
         if config.arbiter_kind != "roundrobin":
             raise BackendUnsupportedError(
                 f"the vectorized backend supports only roundrobin "
@@ -557,9 +552,6 @@ class VectorNetwork:
     def _count_va(self, wivc) -> None:
         self.stats.va_allocations += len(wivc)
 
-    def _count_va1(self, ip_: int) -> None:
-        self.stats.va_allocations += 1
-
     def _count_traversals(self, via: str, popped: bool, ports, hports,
                           e2e_rep, xbar_rep) -> None:
         stats = self.stats
@@ -579,24 +571,8 @@ class VectorNetwork:
             stats.e2e_packets += len(hports)
             stats.e2e_repeats += int(e2e_rep.sum())
 
-    def _count_traversal1(self, ip_: int, e2e_rep, xbar_rep) -> None:
-        stats = self.stats
-        if e2e_rep is not None:
-            stats.e2e_packets += 1
-            if e2e_rep:
-                stats.e2e_repeats += 1
-        stats.sa_bypass_flits += 1
-        stats.buf_bypass_flits += 1
-        stats.flit_hops += 1
-        stats.xbar_flits += 1
-        if xbar_rep:
-            stats.xbar_repeats += 1
-
     def _count_terminations(self, pps, reason: Termination) -> None:
         self.stats.pc_terminations[reason] += len(pps)
-
-    def _count_termination1(self, ip_: int, reason: Termination) -> None:
-        self.stats.pc_terminations[reason] += 1
 
     def _count_established(self, g_port, refreshed) -> None:
         self.stats.pc_established += len(g_port) - int(refreshed.sum())
@@ -608,23 +584,11 @@ class VectorNetwork:
         self.stats.buffer_writes += len(aivc)
 
     def check_invariants(self) -> None:
-        """Assert pseudo-circuit and credit invariants (tests only)."""
-        np = self._np
-        lay = self._lay
-        valid = (self.pc_valid).nonzero()[0]
-        outs = (valid // self._Pi) * self._Po + self.pc_out_port[valid]
-        if len(np.unique(outs)) != len(outs):
-            raise AssertionError("two valid circuits share an output")
-        expected = np.full(self._NOP, -1, dtype=np.int64)
-        expected[outs] = valid % self._Pi
-        if not np.array_equal(expected, self.op_holder):
-            raise AssertionError("pc_holder out of sync with registers")
-        limit = lay.cred_init
-        if ((self.cred < 0) | (self.cred > limit)).any():
-            raise AssertionError("credit counter out of range")
-        occ = (self.buf_len > 0).reshape(self._R, -1).any(axis=1)
-        if not np.array_equal(occ, self._r_buffered > 0):
-            raise AssertionError("router occupancy counters out of sync")
+        """One strict ``VectorInvariantChecker`` sweep of the live state
+        (the end-of-run check; a failure names router, port and VC)."""
+        checker = VectorInvariantChecker(strict=True)
+        checker.bind(self)
+        checker.sweep(self.cycle)
 
     # -- ejection (NIC receive side) ------------------------------------------
 
@@ -824,33 +788,6 @@ class VectorNetwork:
             ok_ej = free[rows, first]
             pick = np.where(ej_mask, np.where(ok_ej, first, -1), pick)
         return pick
-
-    def _alloc_one(self, opid: int, choice: int, dst: int,
-                   ejection: bool) -> int:
-        """Scalar VC allocation for the buffer-bypass path (one packet)."""
-        lay = self._lay
-        lo = int(lay.route_lo[choice])
-        hi = int(lay.route_hi[choice])
-        base = opid * self._V
-        cred_free = self.cred_free
-        if not self._static_vc:
-            best = -1
-            best_credits = -1
-            cred = self.cred
-            for v in range(lo, hi):
-                if cred_free[base + v]:
-                    credits = int(cred[base + v])
-                    if credits > best_credits:
-                        best = v
-                        best_credits = credits
-            return best
-        if ejection:
-            for v in range(lo, hi):
-                if cred_free[base + v]:
-                    return v
-            return -1
-        v = lo + dst % (hi - lo)
-        return v if cred_free[base + v] else -1
 
     # -- router pipeline ------------------------------------------------------
 
@@ -1277,68 +1214,33 @@ class VectorNetwork:
         vcs = self.f_vc[fids]
         aivc = dests * V + vcs
         n = len(fids)
-        buffered = None  # row mask of flits to buffer
         if self._pc_bypass:
             rows = (self.pc_valid[dests]
                               & (self.pc_in_vc[dests] == vcs)
                               & (self.buf_len[aivc] == 0)).nonzero()[0]
             if len(rows):
                 # Drop side-effect-free failures early: busy or claimed
-                # input port (a failing port fails for every arrival it
-                # receives this cycle, so no later row misses a
-                # buffered-flit update from a dropped one).
+                # input port.
                 rd = dests[rows]
                 rows = rows[(self.ip_st[rd] < c) & ~claimed_ip[rd]]
-            npot = len(rows)
-            if npot:
-                if npot > 1:
-                    # Arrivals sharing a port share the circuit's one
-                    # in-VC: only the first can bypass (a success busies
-                    # the port, a failure fills the buffer), so exactly
-                    # one attempt per port goes forward.
-                    prt = dests[rows]
-                    so = prt.argsort(kind="stable")
-                    sp = prt[so]
-                    fm = np.empty(npot, dtype=bool)
-                    fm[0] = True
-                    fm[1:] = sp[1:] != sp[:-1]
-                    att = rows[so[fm]]
-                    att.sort()
-                else:
-                    att = rows
-                done = self._bypass_attempts(c, att, dests, vcs, fids,
-                                             claimed_ip, claimed_op)
+            if len(rows):
+                done = self._bypass_attempts(c, rows, dests, vcs, fids,
+                                             claimed_op)
                 if len(done) == n:
                     return
                 buffered = np.ones(n, dtype=bool)
                 buffered[done] = False
                 aivc, fids = aivc[buffered], fids[buffered]
                 n = len(fids)
-        # Buffer writes, order-preserving per VC (a link can deliver two
-        # same-circuit flits in one cycle; mostly they're all distinct,
-        # where plain fancy indexing replaces the scatter-add).
-        dup = False
-        if n > 1:
-            sp = aivc.copy()
-            sp.sort()
-            dup = bool((sp[1:] == sp[:-1]).any())
+        # Buffer writes: a link delivers one flit per cycle, so the
+        # arrival VCs are pairwise distinct and plain fancy indexing
+        # replaces the scatter-add.
         lens = self.buf_len[aivc]
-        if dup:
-            sidx = aivc.argsort(kind="stable")
-            cnt = np.empty(n, dtype=np.int64)
-            cnt[sidx] = self._cumcount(aivc[sidx])
-            if (lens + cnt >= D).any():
-                raise BufferOverflowError(
-                    f"flit buffer overflow (capacity {D})")
-            self.buf_fid[aivc,
-                         (self.buf_head[aivc] + lens + cnt) % D] = fids
-            np.add.at(self.buf_len, aivc, 1)
-        else:
-            if (lens >= D).any():
-                raise BufferOverflowError(
-                    f"flit buffer overflow (capacity {D})")
-            self.buf_fid[aivc, (self.buf_head[aivc] + lens) % D] = fids
-            self.buf_len[aivc] = lens + 1
+        if (lens >= D).any():
+            raise BufferOverflowError(
+                f"flit buffer overflow (capacity {D})")
+        self.buf_fid[aivc, (self.buf_head[aivc] + lens) % D] = fids
+        self.buf_len[aivc] = lens + 1
         self.f_ready[fids] = c + 1
         np.add.at(self._r_buffered, aivc // (self._Pi * V), 1)
         self._buffered += n
@@ -1349,15 +1251,14 @@ class VectorNetwork:
                 h.vec_buffer_writes(c, aivc)
 
     def _bypass_attempts(self, c: int, att, dests, vcs, fids,
-                         claimed_ip, claimed_op):
+                         claimed_op):
         """Router._try_buffer_bypass over all attempt rows at once;
         returns the arrival rows whose flit bypassed. Attempts have
-        pairwise-distinct input ports, so they couple only through a
-        shared target output; the rare contended outputs fall back to
-        the order-sensitive scalar path (each group independent).
+        pairwise-distinct input ports, and each targets the output its
+        own valid circuit holds exclusively, so no two rows couple.
         """
         np = self._np
-        V, Pi, Po = self._V, self._Pi, self._Po
+        V, Pi = self._V, self._Pi
         lay = self._lay
         na = len(att)
         prt = dests[att]
@@ -1389,24 +1290,8 @@ class VectorNetwork:
             opid[hidx] = self._ip_opbase[prt[hidx]] + out
         ok &= ~claimed_op[opid] & (self.op_st[opid] < c)
         live = (ok).nonzero()[0]
-        empty = att[:0]
         if not len(live):
-            return empty
-        loop_done: list[int] = []
-        if len(live) > 1:
-            counts = np.bincount(opid[live], minlength=self._NOP)
-            dup = counts[opid[live]] > 1
-            if dup.any():
-                dups = live[dup]
-                ok[dups] = False
-                added: dict[int, int] = {}
-                for k in dups.tolist():
-                    if self._try_bypass_one(
-                            c, int(prt[k]), int(vcs[att[k]]),
-                            int(afid[k]), claimed_ip, claimed_op,
-                            added):
-                        loop_done.append(int(att[k]))
-                live = (ok).nonzero()[0]
+            return att[:0]
         lh = live[heads[live]]
         if len(lh):
             lop = opid[lh]
@@ -1441,63 +1326,7 @@ class VectorNetwork:
         fin = (ok).nonzero()[0]
         if len(fin):
             self._traverse_batch(c, aivc[fin], "buf", False, afid[fin])
-        if loop_done:
-            return np.concatenate(
-                [att[fin], np.array(loop_done, dtype=np.int64)])
         return att[fin]
-
-    def _try_bypass_one(self, c: int, ip_: int, vc_: int, fid_: int,
-                        claimed_ip, claimed_op, added) -> bool:
-        """Scalar replication of Router._try_buffer_bypass for one flit
-        (bypass successes are rare enough that python-scalar beats
-        1-element array batches)."""
-        aivc = ip_ * self._V + vc_
-        if added.get(aivc):
-            return False  # an earlier arrival buffered into this VC
-        if self.ip_st[ip_] >= c or claimed_ip[ip_]:
-            return False
-        if self.f_head[fid_]:
-            if self.vc_state[aivc] != 0:
-                raise ProtocolError(
-                    f"head flit arrived on VC {vc_} still allocated")
-            pk = int(self.f_pkt[fid_])
-            choice = int(self.p_choice[pk])
-            dst = int(self.p_dst[pk])
-            r = ip_ // self._Pi
-            out = int(self._lay.route_out[r, choice, dst])
-            if self.pc_out_port[ip_] != out:
-                # conflicts_with_route: same VC, different output.
-                self._terminate_one(ip_, Termination.ROUTE_MISMATCH)
-                return False
-            opid = r * self._Po + out
-            if claimed_op[opid] or self.op_st[opid] >= c:
-                return False
-            ovc = self._alloc_one(opid, choice, dst,
-                                  bool(self._lay.op_eject[opid]))
-            if ovc < 0 or self.cred[opid * self._V + ovc] == 0:
-                return False
-            ci = opid * self._V + ovc
-            self.cred_free[ci] = False
-            self.vc_state[aivc] = 2
-            self.vc_out_port[aivc] = out
-            self.vc_out_opid[aivc] = opid
-            self.vc_out_vc[aivc] = ovc
-            self.vc_out_cred[aivc] = ci
-            self._count_va1(ip_)
-        else:
-            if self.vc_state[aivc] != 2:
-                raise ProtocolError(
-                    f"body flit arrived on inactive VC {vc_}")
-            opid = int(self.vc_out_opid[aivc])
-            if claimed_op[opid] or self.op_st[opid] >= c:
-                return False
-            if self.cred[self.vc_out_cred[aivc]] == 0:
-                # Out of credit before the flit arrived: tear the
-                # circuit down and buffer normally (Section IV.B).
-                self._terminate_one(ip_, Termination.NO_CREDIT)
-                return False
-        self._traverse_one(c, aivc, fid_)
-        return True
 
     # -- flit traversal -------------------------------------------------------
 
@@ -1629,73 +1458,7 @@ class VectorNetwork:
             self.vc_out_opid[tivc] = -1
             self.vc_out_vc[tivc] = -1
 
-    def _traverse_one(self, c: int, aivc: int, fid: int) -> None:
-        """Write-through buffer bypass of one arriving flit: like
-        ``_traverse_batch`` but the flit never touches the buffer (no
-        pop, no buffer read) and the circuit refresh is a guaranteed
-        fast path (matching register, matching holder)."""
-        np = self._np
-        V = self._V
-        ip_ = aivc // V
-        self._cred_bucket.setdefault(c + self._cd, []).append(
-            np.array([int(self._lay.ip_upbase[ip_]) + aivc % V],
-                     dtype=np.int64))
-        ci = int(self.vc_out_cred[aivc])
-        self.cred[ci] -= 1
-        opid = int(self.vc_out_opid[aivc])
-        outl = int(self.vc_out_port[aivc])
-        if self.f_head[fid]:
-            pk = int(self.f_pkt[fid])
-            self.p_hops[pk] += 1
-            self.p_sa[pk] += 1
-            self.p_buf[pk] += 1
-            pair = int(self.p_pair[pk])
-            e2e_rep = bool(self.ip_last_pair[ip_] == pair)
-            self.ip_last_pair[ip_] = pair
-        else:
-            e2e_rep = None
-        xbar_rep = bool(self.ip_last_out[ip_] == outl)
-        self.ip_last_out[ip_] = outl
-        self._count_traversal1(ip_, e2e_rep, xbar_rep)
-        hooks = self._vhooks
-        if hooks:
-            for h in hooks:
-                h.vec_traversal1(c, aivc)
-        self.ip_st[ip_] = c
-        self.op_st[opid] = c
-        ovc = int(self.vc_out_vc[aivc])
-        self.f_vc[fid] = ovc
-        arrival = c + int(self._lay.op_latency[opid]) + 1
-        if self._lay.op_eject[opid]:
-            self._ej_pending += 1
-            self._ej_bucket.setdefault(arrival, []).append(
-                (np.array([int(self._lay.op_term[opid])], dtype=np.int64),
-                 np.array([fid], dtype=np.int64)))
-        else:
-            self._arr_bucket.setdefault(arrival, []).append(
-                (np.array([int(self._lay.op_link[opid])], dtype=np.int64),
-                 np.array([int(self._lay.op_dest[opid])], dtype=np.int64),
-                 np.array([fid], dtype=np.int64)))
-        if self.f_tail[fid]:
-            self.cred_free[ci] = True
-            self.vc_state[aivc] = 0
-            self.vc_out_port[aivc] = -1
-            self.vc_out_opid[aivc] = -1
-            self.vc_out_vc[aivc] = -1
-
     # -- pseudo-circuit bookkeeping -------------------------------------------
-
-    def _terminate_one(self, ip_: int, reason: Termination) -> None:
-        if not self.pc_valid[ip_]:
-            return
-        self.pc_valid[ip_] = False
-        opid = ((ip_ // self._Pi) * self._Po
-                + int(self.pc_out_port[ip_]))
-        local = ip_ % self._Pi
-        if self.op_holder[opid] == local:
-            self.op_holder[opid] = -1
-        self.op_hist[opid] = local
-        self._count_termination1(ip_, reason)
 
     def _terminate_batch(self, pps, reason: Termination) -> None:
         """Terminate a batch of valid circuits (callers guarantee the

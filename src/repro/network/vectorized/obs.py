@@ -5,7 +5,10 @@ movement calls a probe method. Replaying that per-event protocol from the
 vectorized core would serialize exactly the loops the core exists to
 avoid, so the vectorized cores emit *batched* hooks instead — one call
 per array operation, carrying the index arrays the operation already
-computed. The hook vocabulary (``VectorHooks``) is deliberately tiny:
+computed. The hook vocabulary (``VectorHooks``) is six calls — the
+router step is arrays-only, so every event has exactly one batched form
+(NIC inject/eject remain per-packet Python, hence the scalar
+``vec_inject``):
 
 ========================  ==================================================
 ``on_cycle_start``        shared with the scalar probe protocol (window
@@ -17,7 +20,6 @@ computed. The hook vocabulary (``VectorHooks``) is deliberately tiny:
 ``vec_buffer_writes``     flits written into input VC buffers (ivc array)
 ``vec_traversals``        a crossbar traversal batch (ivc array; ``via`` and
                           ``popped`` as in the scalar ``on_traverse``)
-``vec_traversal1``        one write-through buffer bypass (scalar ivc)
 ========================  ==================================================
 
 Consumers implement the hooks as numpy reductions:
@@ -68,9 +70,6 @@ class VectorHooks:
 
     def vec_traversals(self, cycle: int, via: str, popped: bool,
                        ivcs) -> None:
-        pass
-
-    def vec_traversal1(self, cycle: int, aivc: int) -> None:
         pass
 
 
@@ -144,13 +143,6 @@ class VectorSeriesProbe(VectorHooks, TimeSeriesProbe):
                 np.add.at(acc["buf_bypass"], routers, 1)
         if popped:
             np.add.at(acc["buffer_reads"], routers, 1)
-
-    def vec_traversal1(self, cycle, aivc):
-        acc = self._acc
-        r = aivc // self._pv
-        acc["hops"][r] += 1
-        acc["sa_bypass"][r] += 1
-        acc["buf_bypass"][r] += 1
 
     # -- window management ----------------------------------------------------
 

@@ -46,72 +46,93 @@ def latest_sweep(records: list[dict]) -> list[dict]:
     return [r for r in records if r.get("sweep") == sweep]
 
 
-def _span_accumulators(records):
-    """Walk one sweep's records into the raw aggregation state."""
-    state = {
-        "begin": None, "end": None,
-        "points": {},            # idx -> last point span (last wins)
-        "errors": [],            # terminal point_error records
-        "retries": 0, "backoff_s": 0.0,
-        "tiers": {}, "backends": {},
-        "units_ok": 0, "unit_lanes": 0, "batch_failures": 0,
-        "groups": None, "dispatch": None,
-        "chunks": 0, "turnaround_s": 0.0,
-        "persist_store_s": 0.0, "persist_journal_s": 0.0,
-        "degrades": [],
-        "store_by_pid": {},      # pid -> last cumulative counter delta
-        "per_worker": {},        # pid -> {points, busy_s}
-    }
-    for record in records:
+class SweepFold:
+    """One sweep's records folded one at a time.
+
+    The single reading of the record vocabulary: ``build_sweep_report``
+    feeds it a whole stream, ``repro top`` feeds it records as they
+    land. ``feed`` keeps raw counts only; what depends on which span of
+    a point is the *last* one (tier/backend mix, per-worker busy time)
+    is derived on demand by :meth:`mix`.
+    """
+
+    def __init__(self):
+        self.begin = None
+        self.end = None
+        self.first_t = None          # earliest / latest record timestamp
+        self.last_t = None
+        self.points: dict = {}       # idx -> last point span (last wins)
+        self.errors: list[dict] = []  # terminal point_error records
+        self.retries = 0
+        self.backoff_s = 0.0
+        self.units_ok = 0
+        self.unit_lanes = 0
+        self.batch_failures = 0
+        self.groups = None
+        self.chunks = 0
+        self.turnaround_s = 0.0
+        self.persist_store_s = 0.0
+        self.persist_journal_s = 0.0
+        self.degrades: list = []
+        self.store_by_pid: dict = {}  # pid -> last cumulative counters
+
+    def feed(self, record: dict) -> None:
+        """Fold one record of the sweep into the counts."""
+        t = record.get("t")
+        if t is not None:
+            if self.first_t is None or t < self.first_t:
+                self.first_t = t
+            if self.last_t is None or t > self.last_t:
+                self.last_t = t
         ev = record.get("ev")
         if ev == "sweep_begin":
-            state["begin"] = record
+            self.begin = record
         elif ev == "sweep_end":
-            state["end"] = record
+            self.end = record
         elif ev == "point":
-            state["points"][record.get("idx")] = record
+            self.points[record.get("idx")] = record
         elif ev == "point_error":
-            state["errors"].append(record)
+            self.errors.append(record)
         elif ev == "retry":
-            state["retries"] += 1
-            state["backoff_s"] += float(record.get("delay_s") or 0.0)
+            self.retries += 1
+            self.backoff_s += float(record.get("delay_s") or 0.0)
         elif ev == "unit":
             if record.get("status") == "ok":
-                state["units_ok"] += 1
-                state["unit_lanes"] += int(record.get("lanes") or 0)
+                self.units_ok += 1
+                self.unit_lanes += int(record.get("lanes") or 0)
             else:
-                state["batch_failures"] += 1
+                self.batch_failures += 1
         elif ev == "batch_groups":
-            state["groups"] = record
-        elif ev == "dispatch":
-            state["dispatch"] = record
+            self.groups = record
         elif ev == "chunk":
-            state["chunks"] += 1
-            state["turnaround_s"] += float(record.get("turnaround_s")
-                                           or 0.0)
+            self.chunks += 1
+            self.turnaround_s += float(record.get("turnaround_s") or 0.0)
         elif ev == "degrade":
-            state["degrades"].append(record.get("reason"))
+            self.degrades.append(record.get("reason"))
         elif ev == "persist":
-            state["persist_store_s"] += float(record.get("store_s") or 0.0)
-            state["persist_journal_s"] += float(record.get("journal_s")
-                                                or 0.0)
+            self.persist_store_s += float(record.get("store_s") or 0.0)
+            self.persist_journal_s += float(record.get("journal_s") or 0.0)
         elif ev == "worker_store":
             # Cumulative per process: the last event per pid wins.
-            state["store_by_pid"][record.get("pid")] = record.get("stats")
-    for span in state["points"].values():
-        tier = span.get("tier")
-        state["tiers"][tier] = state["tiers"].get(tier, 0) + 1
-        backend = span.get("backend")
-        if backend:
-            state["backends"][backend] = (
-                state["backends"].get(backend, 0) + 1)
-        pid = span.get("pid")
-        worker = state["per_worker"].setdefault(
-            pid, {"points": 0, "busy_s": 0.0})
-        worker["points"] += 1
-        worker["busy_s"] = round(
-            worker["busy_s"] + float(span.get("dur_s") or 0.0), 6)
-    return state
+            self.store_by_pid[record.get("pid")] = record.get("stats")
+
+    def mix(self):
+        """``(tiers, backends, per_worker)`` over each point's last span."""
+        tiers: dict = {}
+        backends: dict = {}
+        per_worker: dict = {}        # pid -> {points, busy_s}
+        for span in self.points.values():
+            tier = span.get("tier")
+            tiers[tier] = tiers.get(tier, 0) + 1
+            backend = span.get("backend")
+            if backend:
+                backends[backend] = backends.get(backend, 0) + 1
+            worker = per_worker.setdefault(
+                span.get("pid"), {"points": 0, "busy_s": 0.0})
+            worker["points"] += 1
+            worker["busy_s"] = round(
+                worker["busy_s"] + float(span.get("dur_s") or 0.0), 6)
+        return tiers, backends, per_worker
 
 
 def build_sweep_report(records: list[dict]) -> dict:
@@ -122,19 +143,22 @@ def build_sweep_report(records: list[dict]) -> dict:
     streams: absent a ``sweep_end`` the status is ``in-flight`` and
     wall-clock is estimated from the record timestamps.
     """
-    records = latest_sweep(records)
-    state = _span_accumulators(records)
-    begin = state["begin"] or {}
-    end = state["end"]
-    spans = state["points"]
+    fold = SweepFold()
+    for record in latest_sweep(records):
+        fold.feed(record)
+    tiers, backends, per_worker = fold.mix()
+    begin = fold.begin or {}
+    end = fold.end
+    spans = fold.points
     completed = len(spans)
     total = begin.get("points")
 
     if end is not None and end.get("wall_s") is not None:
         wall_s = float(end["wall_s"])
+    elif fold.first_t is not None:
+        wall_s = round(fold.last_t - fold.first_t, 6)
     else:
-        stamps = [r["t"] for r in records if "t" in r]
-        wall_s = round(max(stamps) - min(stamps), 6) if stamps else 0.0
+        wall_s = 0.0
     sim_spans = [s for s in spans.values() if s.get("tier") == "simulate"]
     busy_s = round(sum(float(s.get("dur_s") or 0.0) for s in sim_spans), 6)
     worker_pids = {s.get("pid") for s in sim_spans}
@@ -142,7 +166,7 @@ def build_sweep_report(records: list[dict]) -> dict:
     utilization = (busy_s / (processes * wall_s)) if wall_s > 0 else 0.0
 
     store_totals: dict[str, int] = {}
-    for stats in state["store_by_pid"].values():
+    for stats in fold.store_by_pid.values():
         if isinstance(stats, dict):
             for key, value in stats.items():
                 if isinstance(value, (int, float)):
@@ -150,13 +174,13 @@ def build_sweep_report(records: list[dict]) -> dict:
                                          + int(value))
     looked = store_totals.get("hits", 0) + store_totals.get("misses", 0)
 
-    groups = state["groups"] or {}
+    groups = fold.groups or {}
     batch_size = begin.get("batch_size")
     multi_units = groups.get("multi_lane_units")
     occupancy = None
-    if state["units_ok"] and batch_size:
+    if fold.units_ok and batch_size:
         occupancy = round(
-            state["unit_lanes"] / (state["units_ok"] * batch_size), 4)
+            fold.unit_lanes / (fold.units_ok * batch_size), 4)
 
     report = {
         "schema": SWEEP_REPORT_SCHEMA,
@@ -164,15 +188,15 @@ def build_sweep_report(records: list[dict]) -> dict:
         "status": (end.get("status") if end is not None else "in-flight"),
         "points": total,
         "completed": completed,
-        "failed": len(state["errors"]),
+        "failed": len(fold.errors),
         "wall_s": wall_s,
         "points_per_s": (round(completed / wall_s, 3) if wall_s > 0
                          else None),
-        "tiers": dict(sorted(state["tiers"].items())),
-        "backends": dict(sorted(state["backends"].items())),
+        "tiers": dict(sorted(tiers.items())),
+        "backends": dict(sorted(backends.items())),
         "retries": {
-            "scheduled": state["retries"],
-            "backoff_s": round(state["backoff_s"], 6),
+            "scheduled": fold.retries,
+            "backoff_s": round(fold.backoff_s, 6),
             "attempts_total": sum(int(s.get("attempts") or 0)
                                   for s in spans.values()),
         },
@@ -180,10 +204,10 @@ def build_sweep_report(records: list[dict]) -> dict:
             "batch_size": batch_size,
             "units": groups.get("units"),
             "multi_lane_units": multi_units,
-            "completed_units": state["units_ok"],
-            "lanes": state["unit_lanes"],
+            "completed_units": fold.units_ok,
+            "lanes": fold.unit_lanes,
             "occupancy": occupancy,
-            "batch_failures": state["batch_failures"],
+            "batch_failures": fold.batch_failures,
         },
         "scheduler": {
             "workers": begin.get("workers"),
@@ -191,31 +215,30 @@ def build_sweep_report(records: list[dict]) -> dict:
             "busy_s": busy_s,
             "utilization": round(utilization, 4),
             "overhead_fraction": round(max(0.0, 1.0 - utilization), 4),
-            "chunks": state["chunks"],
-            "dispatch_turnaround_s": round(state["turnaround_s"], 6),
-            "persist_store_s": round(state["persist_store_s"], 6),
-            "persist_journal_s": round(state["persist_journal_s"], 6),
-            "degraded": state["degrades"],
+            "chunks": fold.chunks,
+            "dispatch_turnaround_s": round(fold.turnaround_s, 6),
+            "persist_store_s": round(fold.persist_store_s, 6),
+            "persist_journal_s": round(fold.persist_journal_s, 6),
+            "degraded": fold.degrades,
         },
         "errors": [{"idx": e.get("idx"), "label": e.get("label"),
                     "reason": e.get("reason"),
                     "attempts": e.get("attempts")}
-                   for e in state["errors"][:8]],
+                   for e in fold.errors[:8]],
         "per_worker": {str(pid): stats for pid, stats
-                       in sorted(state["per_worker"].items(),
+                       in sorted(per_worker.items(),
                                  key=lambda item: str(item[0]))},
     }
     if end is not None and end.get("error"):
         report["error"] = end["error"]
     if store_totals:
         report["store"] = dict(sorted(store_totals.items()))
-        report["store"]["processes"] = len(state["store_by_pid"])
+        report["store"]["processes"] = len(fold.store_by_pid)
         report["store_hit_rate"] = (round(store_totals.get("hits", 0)
                                           / looked, 4)
                                     if looked else None)
-    backends = set(state["backends"])
     if len(backends) == 1:
-        report["backend"] = backends.pop()
+        report["backend"] = next(iter(backends))
     return report
 
 

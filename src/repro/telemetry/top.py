@@ -19,7 +19,7 @@ import json
 import time
 
 from ..store import journal as journal_mod
-from .report import build_sweep_report, latest_sweep
+from .report import SweepFold, build_sweep_report, latest_sweep
 from .stream import SCHEMA, TailReader, parse_telemetry_line
 from .trace_export import write_chrome_trace
 
@@ -69,31 +69,19 @@ def sniff_stream_kind(path: str) -> str | None:
 
 
 class SweepProgress:
-    """Aggregated live view of one sweep, fed one record at a time.
+    """Live view of one sweep, fed one record at a time.
 
-    Understands both telemetry records and the synthetic
-    ``journal_point`` records of journal mode. A fresh ``sweep_begin``
-    resets the view (one stream file can hold several sweeps).
+    Telemetry records go through the report's :class:`SweepFold` (one
+    reading of the record vocabulary); what is kept here is journal mode
+    (the synthetic ``journal_point`` records), the reset on a fresh
+    ``sweep_begin`` (one stream file can hold several sweeps) and the
+    rendering.
     """
 
     def __init__(self):
-        self._reset()
-        self.kind = "journal"  # flips on the first telemetry record
-
-    def _reset(self) -> None:
-        self.begin = None
-        self.end = None
-        self.spans: dict = {}
-        self.tiers: dict = {}
-        self.backends: dict = {}
-        self.per_worker: dict = {}
-        self.retries = 0
-        self.backoff_s = 0.0
-        self.failures: list[dict] = []
-        self.degrades: list[str] = []
+        self.fold = SweepFold()
         self.journal_keys: set = set()
-        self.first_t = None
-        self.last_t = None
+        self.kind = "journal"  # flips on the first telemetry record
 
     def feed(self, record: dict) -> None:
         """Fold one stream record into the view."""
@@ -103,40 +91,16 @@ class SweepProgress:
             return
         self.kind = "telemetry"
         if ev == "sweep_begin":
-            self._reset()
-            self.kind = "telemetry"
-            self.begin = record
-        t = record.get("t")
-        if t is not None:
-            self.first_t = t if self.first_t is None else self.first_t
-            self.last_t = t
-        if ev == "sweep_end":
-            self.end = record
-        elif ev == "point":
-            self.spans[record.get("idx")] = record
-            tier = record.get("tier")
-            self.tiers[tier] = self.tiers.get(tier, 0) + 1
-            backend = record.get("backend")
-            if backend:
-                self.backends[backend] = self.backends.get(backend, 0) + 1
-            worker = self.per_worker.setdefault(
-                record.get("pid"), {"points": 0, "busy_s": 0.0})
-            worker["points"] += 1
-            worker["busy_s"] += float(record.get("dur_s") or 0.0)
-        elif ev == "point_error":
-            self.failures.append(record)
-        elif ev == "retry":
-            self.retries += 1
-            self.backoff_s += float(record.get("delay_s") or 0.0)
-        elif ev == "degrade":
-            self.degrades.append(str(record.get("reason")))
+            self.fold = SweepFold()
+            self.journal_keys = set()
+        self.fold.feed(record)
 
     # -- derived ----------------------------------------------------------
 
     @property
     def finished(self) -> bool:
         """Whether the followed sweep has emitted its terminal record."""
-        return self.end is not None
+        return self.fold.end is not None
 
     @property
     def completed(self) -> int:
@@ -144,57 +108,64 @@ class SweepProgress:
         mode)."""
         if self.kind == "journal":
             return len(self.journal_keys)
-        return len(self.spans)
+        return len(self.fold.points)
+
+    @property
+    def last_t(self):
+        """Timestamp of the newest record folded so far, or ``None``."""
+        return self.fold.last_t
 
     def render(self, now: float | None = None) -> str:
         """The multi-line progress snapshot for the terminal."""
         if self.kind == "journal":
             return (f"journal: {len(self.journal_keys)} points "
                     f"checkpointed (no telemetry stream; totals unknown)")
-        begin = self.begin or {}
+        fold = self.fold
+        tiers, backends, per_worker = fold.mix()
+        begin = fold.begin or {}
+        end = fold.end
         total = begin.get("points")
-        done = len(self.spans)
+        done = len(fold.points)
         now = time.time() if now is None else now
-        start = begin.get("t", self.first_t)
-        wall = (self.end.get("t", now) if self.end is not None
+        start = begin.get("t", fold.first_t)
+        wall = (end.get("t", now) if end is not None
                 else now) - (start or now)
         wall = max(0.0, wall)
         rate = done / wall if wall > 0 else 0.0
-        status = (self.end.get("status") if self.end is not None
-                  else "running")
+        status = end.get("status") if end is not None else "running"
         head = f"sweep {begin.get('sweep', '?')} [{status}]"
         if total:
             head += f" {done}/{total} points ({done / total:.0%})"
         else:
             head += f" {done} points"
         head += f" · {rate:.2f}/s · wall {wall:.1f}s"
-        if total and rate > 0 and self.end is None and done < total:
+        if total and rate > 0 and end is None and done < total:
             head += f" · ETA {(total - done) / rate:.1f}s"
         lines = [head]
-        if self.tiers:
+        if tiers:
             mix = " · ".join(f"{tier} {count}" for tier, count
-                             in sorted(self.tiers.items()))
+                             in sorted(tiers.items()))
             lines.append(f"  tiers: {mix}")
-        if self.backends:
+        if backends:
             mix = " · ".join(f"{name} {count}" for name, count
-                             in sorted(self.backends.items()))
+                             in sorted(backends.items()))
             lines.append(f"  backends: {mix}")
-        busy = sum(w["busy_s"] for w in self.per_worker.values())
-        procs = max(1, len(self.per_worker))
+        busy = sum(w["busy_s"] for w in per_worker.values())
+        procs = max(1, len(per_worker))
         util = busy / (procs * wall) if wall > 0 else 0.0
         lines.append(f"  workers: {procs} · busy {busy:.1f}s · "
-                     f"utilization {util:.0%} · retries {self.retries} "
-                     f"(backoff {self.backoff_s:g}s)")
-        for reason in self.degrades:
+                     f"utilization {util:.0%} · retries {fold.retries} "
+                     f"(backoff {fold.backoff_s:g}s)")
+        for reason in fold.degrades:
             lines.append(f"  DEGRADED: {reason}")
-        for failure in self.failures[-4:]:
+        for failure in fold.errors[-4:]:
             lines.append(f"  FAILED point {failure.get('idx')} "
                          f"[{failure.get('label')}] after "
                          f"{failure.get('attempts')} attempt(s): "
                          f"{failure.get('reason')}")
-        if (self.end is not None and self.end.get("status") == "error"
-                and self.end.get("error")):
-            lines.append(f"  SWEEP FAILED: {self.end['error']}")
+        if (end is not None and end.get("status") == "error"
+                and end.get("error")):
+            lines.append(f"  SWEEP FAILED: {end['error']}")
         return "\n".join(lines)
 
 

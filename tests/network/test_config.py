@@ -37,12 +37,10 @@ class TestNetworkConfig:
         cfg = NetworkConfig()
         assert cfg.num_vcs == 4
         assert cfg.buffer_depth == 4
-        assert cfg.link_latency == 1
         assert not cfg.pseudo.enabled
 
     @pytest.mark.parametrize("field,value", [
-        ("num_vcs", 0), ("buffer_depth", 0), ("link_latency", 0),
-        ("credit_delay", -1)])
+        ("num_vcs", 0), ("buffer_depth", 0), ("credit_delay", -1)])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             NetworkConfig(**{field: value})

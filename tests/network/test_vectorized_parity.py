@@ -14,7 +14,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.experiment import (ExperimentConfig, _replay,
+                                      run_experiment)
+from repro.harness.traces import get_trace
 from repro.network.config import (ALL_SCHEMES, BASELINE, PSEUDO_SB,
                                   NetworkConfig)
 from repro.network.simulator import Network
@@ -24,20 +26,29 @@ from repro.traffic.synthetic import SyntheticTraffic
 
 
 def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
-         vc_policy="dynamic", seed=7, packet_size=5):
+         vc_policy="dynamic", seed=7, packet_size=5, num_vcs=4,
+         benchmark=None):
+    """One point; ``benchmark`` replays that CMP trace (``cycles`` long,
+    MSHR-throttled like the fig8 points) instead of synthetic traffic."""
     topo = make_topology(*topo_args)
-    net = cls(topo, NetworkConfig(pseudo=scheme), routing=routing,
-              vc_policy=vc_policy, seed=seed)
-    traffic = SyntheticTraffic("uniform", topo.num_terminals, rate,
-                               packet_size, seed=seed)
+    config = NetworkConfig(num_vcs=num_vcs, pseudo=scheme,
+                           mshrs=4 if benchmark else 0)
+    net = cls(topo, config, routing=routing, vc_policy=vc_policy,
+              seed=seed)
     net.stats.warmup_cycles = cycles // 5
-    net.run(cycles, traffic)
-    net.drain(max_cycles=500_000)
+    if benchmark:
+        _replay(net, get_trace(benchmark, cycles=cycles, warmup=200,
+                               seed=seed))
+    else:
+        traffic = SyntheticTraffic("uniform", topo.num_terminals, rate,
+                                   packet_size, seed=seed)
+        net.run(cycles, traffic)
+        net.drain(max_cycles=500_000)
     net.check_invariants()
     return net
 
 
-def assert_parity(topo_args, scheme, rate, cycles, **kw):
+def assert_parity(topo_args, scheme, rate, cycles, kw):
     scalar = _run(Network, topo_args, scheme, rate, cycles, **kw)
     vector = _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
     assert scalar.stats.fingerprint() == vector.stats.fingerprint()
@@ -45,45 +56,76 @@ def assert_parity(topo_args, scheme, rate, cycles, **kw):
     assert scalar.cycle == vector.cycle
 
 
-class TestCanonicalWorkloads:
-    """The bench's canonical 8x8 workloads, at reduced cycles."""
+def _case(topo_args, scheme, rate, cycles, **kw):
+    return topo_args, scheme, rate, cycles, kw
 
-    @pytest.mark.parametrize("scheme,rate", [
-        (BASELINE, 0.02), (PSEUDO_SB, 0.02),
-        (BASELINE, 0.30), (PSEUDO_SB, 0.30),
-    ], ids=["low-baseline", "low-pseudo_sb",
-            "sat-baseline", "sat-pseudo_sb"])
-    def test_mesh8x8(self, scheme, rate):
-        assert_parity(("mesh", 8, 8, 1), scheme, rate, cycles=400)
+
+# The grid as data, one table per test, keyed by test id: ``_run`` takes
+# any row, and tests/network/test_vector_reach.py re-runs every row on
+# the array cores under a profiler.
+
+#: The bench's canonical 8x8 workloads, at reduced cycles.
+MESH8X8 = {
+    "low-baseline": _case(("mesh", 8, 8, 1), BASELINE, 0.02, 400),
+    "low-pseudo_sb": _case(("mesh", 8, 8, 1), PSEUDO_SB, 0.02, 400),
+    "sat-baseline": _case(("mesh", 8, 8, 1), BASELINE, 0.30, 400),
+    "sat-pseudo_sb": _case(("mesh", 8, 8, 1), PSEUDO_SB, 0.30, 400),
+}
+#: Every scheme x VC policy near saturation on a small mesh.
+MESH4X4 = {
+    f"{vc_policy}-{scheme.label}": _case(("mesh", 4, 4, 1), scheme, 0.25,
+                                         400, vc_policy=vc_policy)
+    for vc_policy in ("dynamic", "static") for scheme in ALL_SCHEMES}
+ROUTINGS = {
+    routing: _case(("mesh", 4, 4, 1), PSEUDO_SB, 0.20, 300, routing=routing)
+    for routing in ("xy", "yx", "o1turn")}
+CONCENTRATED = {
+    "cmesh": _case(("cmesh", 2, 2, 4), PSEUDO_SB, 0.15, 300),
+    "fbfly": _case(("fbfly", 2, 2, 4), PSEUDO_SB, 0.15, 300),
+    # 10-port routers: arbiters wider than the 8-bit grant table, so
+    # ``_rr_pick`` takes its formula path (the Fig. 13 shape).
+    "fbfly4x4-wide-arbiters": _case(("fbfly", 4, 4, 4), PSEUDO_SB, 0.15,
+                                    300),
+    # More VCs than one ``packbits`` byte: the wide NIC send mask.
+    "fbfly-12vcs": _case(("fbfly", 2, 2, 4), PSEUDO_SB, 0.15, 300,
+                         num_vcs=12),
+    # The fig8 point shape: CMP trace replay behind the MSHR gate,
+    # stepped through ``fast_forward`` between injections.
+    "cmesh4x4-trace-mshrs": _case(("cmesh", 4, 4, 4), PSEUDO_SB, 0.15, 300,
+                                  benchmark="radix", routing="o1turn"),
+}
+SEEDS = {
+    str(seed): _case(("mesh", 4, 4, 1), PSEUDO_SB, 0.30, 300, seed=seed)
+    for seed in (1, 11, 42)}
+GRID = [*MESH8X8.values(), *MESH4X4.values(), *ROUTINGS.values(),
+        *CONCENTRATED.values(), *SEEDS.values()]
+
+
+class TestCanonicalWorkloads:
+    @pytest.mark.parametrize("case", MESH8X8.values(), ids=MESH8X8)
+    def test_mesh8x8(self, case):
+        assert_parity(*case)
 
 
 class TestSchemeGrid:
-    """Every scheme x VC policy near saturation on a small mesh."""
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES,
-                             ids=[s.label for s in ALL_SCHEMES])
-    @pytest.mark.parametrize("vc_policy", ["dynamic", "static"])
-    def test_mesh4x4(self, scheme, vc_policy):
-        assert_parity(("mesh", 4, 4, 1), scheme, 0.25, cycles=400,
-                      vc_policy=vc_policy)
+    @pytest.mark.parametrize("case", MESH4X4.values(), ids=MESH4X4)
+    def test_mesh4x4(self, case):
+        assert_parity(*case)
 
 
 class TestRoutingAndTopology:
-    @pytest.mark.parametrize("routing", ["xy", "yx", "o1turn"])
-    def test_routings(self, routing):
-        assert_parity(("mesh", 4, 4, 1), PSEUDO_SB, 0.20, cycles=300,
-                      routing=routing)
+    @pytest.mark.parametrize("case", ROUTINGS.values(), ids=ROUTINGS)
+    def test_routings(self, case):
+        assert_parity(*case)
 
-    @pytest.mark.parametrize("topo_args", [
-        ("cmesh", 2, 2, 4), ("fbfly", 2, 2, 4)],
-        ids=["cmesh", "fbfly"])
-    def test_concentrated_topologies(self, topo_args):
-        assert_parity(topo_args, PSEUDO_SB, 0.15, cycles=300)
+    @pytest.mark.parametrize("case", CONCENTRATED.values(),
+                             ids=CONCENTRATED)
+    def test_concentrated_topologies(self, case):
+        assert_parity(*case)
 
-    @pytest.mark.parametrize("seed", [1, 11, 42])
-    def test_seeds(self, seed):
-        assert_parity(("mesh", 4, 4, 1), PSEUDO_SB, 0.30, cycles=300,
-                      seed=seed)
+    @pytest.mark.parametrize("case", SEEDS.values(), ids=SEEDS)
+    def test_seeds(self, case):
+        assert_parity(*case)
 
 
 class TestMonitoredRun:
