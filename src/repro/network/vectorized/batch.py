@@ -139,7 +139,11 @@ class BatchNetwork(VectorNetwork):
                     if nexts[lane] is None:
                         skippable = False
             self.step()
-            if not skippable:
+            # Nothing can be skipped while a flit or packet is anywhere
+            # on the chip (``_try_fast_forward`` would return at once):
+            # don't ask every lane for its next injection to find out.
+            if (not skippable or self._buffered or self._num_queued
+                    or self._sending_count):
                 continue
             c = self.cycle
             nxt = math.inf

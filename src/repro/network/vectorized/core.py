@@ -12,6 +12,10 @@ once. Every supported configuration produces bit-identical
 ``NetworkStats`` fingerprints to the scalar core (locked in by
 ``tests/network/test_vectorized_parity.py``).
 
+Packets and flits are rows of two pools (the ``p_*`` and ``f_*`` arrays)
+recycled at ejection, so storage follows the packets in flight rather
+than the packets ever injected (see "pools" in the class).
+
 Event flow between cycles uses bucketed queues (dict keyed by cycle,
 values are lists of index arrays): flit arrivals, credit returns and
 ejections are appended as whole batches at traversal time and drained
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict, deque
 from time import perf_counter
 
 from ...core.pseudo_circuit import Termination
 from ...metrics.stats import NetworkStats
-from ...routing import compile_routing, make_routing
+from ...routing import RoutingAlgorithm, compile_routing, make_routing
 from ...topology.base import Topology
 from ...vcalloc import make_vc_policy
 from ..buffers import BufferOverflowError
@@ -50,6 +55,22 @@ from .layout import build_layout
 from .obs import VectorInvariantChecker
 
 from ..backend import BackendUnsupportedError, require_numpy
+
+# Pool fields and the value a slot reads before its packet writes it;
+# construction, growth and a reused slot all take it from here.
+#: Packet fields filled in flight, which a reused slot must not inherit.
+_PACKET_IN_FLIGHT = {"p_inject": -1, "p_hops": 0, "p_sa": 0, "p_buf": 0,
+                     "p_rx": 0}
+#: The rest are assigned outright by ``inject`` (``p_pair`` is
+#: src * T + dst, precomputed there: the e2e-repeat stat compares one
+#: gather per traversal instead of two).
+_PACKET_FIELDS = {"p_src": 0, "p_dst": 0, "p_size": 0, "p_choice": 0,
+                  "p_create": 0, "p_pair": 0, **_PACKET_IN_FLIGHT}
+#: Flit fields rewritten at every hop; ``f_pkt`` is assigned when the
+#: block is taken and ``f_head``/``f_tail`` are fixed for a block's life.
+_FLIT_PER_HOP = {"f_vc": -1, "f_ready": 0}
+_FLIT_FIELDS = {"f_pkt": 0, "f_head": False, "f_tail": False,
+                **_FLIT_PER_HOP}
 
 
 class VectorNetwork:
@@ -141,30 +162,18 @@ class VectorNetwork:
         self.cred_free = np.ones(lay.NCRED, dtype=bool)   # owner is None
         self._credview = self.cred[:NOVC].reshape(NOP, V)
 
-        # Flit pool (grown on demand).
-        self._fcap = 1024
-        self.f_pkt = np.zeros(self._fcap, dtype=i64)
-        self.f_head = np.zeros(self._fcap, dtype=bool)
-        self.f_tail = np.zeros(self._fcap, dtype=bool)
-        self.f_vc = np.full(self._fcap, -1, dtype=i64)
-        self.f_ready = np.zeros(self._fcap, dtype=i64)
+        # Packet and flit pools (see "pools" below): a slot lives as
+        # long as its packet, so the pools grow to the peak in flight.
+        self._pcap = self._size_pool(_PACKET_FIELDS, 0, 512)
+        self._fcap = self._size_pool(_FLIT_FIELDS, 0, 1024)
+        #: Slot -> the ``Packet`` handed to ``inject`` (its fields are
+        #: written back at ejection), ``None`` once ejected; its length
+        #: is the packet high-water mark, ``_nflits`` the flit one.
+        self.p_obj: list[Packet | None] = []
         self._nflits = 0
-        # Packet pool.
-        self._pcap = 512
-        self.p_src = np.zeros(self._pcap, dtype=i64)
-        self.p_dst = np.zeros(self._pcap, dtype=i64)
-        self.p_size = np.zeros(self._pcap, dtype=i64)
-        self.p_choice = np.zeros(self._pcap, dtype=i64)
-        self.p_create = np.zeros(self._pcap, dtype=i64)
-        self.p_inject = np.full(self._pcap, -1, dtype=i64)
-        self.p_hops = np.zeros(self._pcap, dtype=i64)
-        self.p_sa = np.zeros(self._pcap, dtype=i64)
-        self.p_buf = np.zeros(self._pcap, dtype=i64)
-        self.p_rx = np.zeros(self._pcap, dtype=i64)
-        # src * T + dst, precomputed at inject: the e2e-repeat stat
-        # compares one gather per traversal instead of two.
-        self.p_pair = np.zeros(self._pcap, dtype=i64)
-        self.p_obj: list[Packet] = []
+        self._p_free: list[int] = []
+        #: Packet size -> first flit ids of the free blocks of that size.
+        self._f_free: defaultdict[int, list[int]] = defaultdict(list)
 
         # NIC send state: one in-progress transmission per inject VC.
         self.snd_pid = np.full((T, V), -1, dtype=i64)
@@ -172,27 +181,33 @@ class VectorNetwork:
         self.snd_left = np.zeros((T, V), dtype=i64)
         self.send_rr = np.zeros(T, dtype=i64)
         self.outstanding = np.zeros(T, dtype=i64)
-        from collections import deque
-        self._queues = [deque() for _ in range(T)]
+        #: Terminal -> source queue of packet slots, built on first use.
+        self._queues: defaultdict[int, deque] = defaultdict(deque)
         self.hq_valid = np.zeros(T, dtype=bool)
         self.hq_choice = np.zeros(T, dtype=i64)
         self.hq_dst = np.zeros(T, dtype=i64)
         self._num_queued = 0
         self._sending_count = 0
-        # Per-terminal injection RNGs, drawn in the same order as
+        # Per-terminal injection RNG seeds, drawn in the same order as
         # Network._build_nics so o1turn route choices match bit-for-bit.
         # With lane_seeds each lane draws its block from its own seed,
-        # reproducing the solo network seeded the same way.
+        # reproducing the solo network seeded the same way. The RNG
+        # itself is built when a terminal first injects, and only under
+        # a routing whose ``on_inject`` does something.
         if lane_seeds is None:
-            self.nic_rngs = [random.Random(self.rng.getrandbits(32))
-                             for _ in range(T)]
+            self._nic_seeds = [self.rng.getrandbits(32) for _ in range(T)]
         else:
             if len(lane_seeds) != lanes:
                 raise ValueError("lane_seeds must give one seed per lane")
-            self.nic_rngs = [
-                random.Random(lane_rng.getrandbits(32))
+            self._nic_seeds = [
+                lane_rng.getrandbits(32)
                 for lane_rng in (random.Random(s) for s in lane_seeds)
                 for _ in range(self._T_local)]
+        self.nic_rngs: dict[int, random.Random] = {}
+        self._on_inject = (
+            routing.on_inject
+            if type(routing).on_inject is not RoutingAlgorithm.on_inject
+            else None)
 
         # Bucketed event queues: cycle -> list of index-array batches.
         self._arr_bucket: dict[int, list] = {}
@@ -273,32 +288,63 @@ class VectorNetwork:
             self.bind_probe(probe)
 
     # -- pools ----------------------------------------------------------------
+    # A packet slot and its contiguous flit block live exactly as long
+    # as the packet: taken at ``inject`` / ``_start_packet``, returned by
+    # ``_eject`` when the tail is reassembled. The bump allocator is the
+    # free list's empty case, and the pools never shrink — the stale ids
+    # that rings of empty VCs and finished ``snd_next`` slots still hold
+    # stay in range, and every reader masks them (``buf_len``,
+    # ``snd_left``) before deciding anything from them.
 
-    def _grow_flits(self, need: int) -> None:
+    def _size_pool(self, fields, old: int, need: int) -> int:
+        """Allocate every field of a pool for at least ``need`` slots,
+        doubling from ``old`` (construction is ``old == 0``), and return
+        the capacity. The first ``old`` slots keep their contents; the
+        rest read the field's initial value."""
         np = self._np
-        cap = self._fcap
+        cap = old or need
         while cap < need:
             cap *= 2
-        for name in ("f_pkt", "f_head", "f_tail", "f_vc", "f_ready"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[:self._fcap] = old
+        for name, init in fields.items():
+            new = np.full(cap, init,
+                          dtype=bool if init is False else np.int64)
+            if old:
+                new[:old] = getattr(self, name)
             setattr(self, name, new)
-        self._fcap = cap
+        return cap
 
-    def _grow_packets(self, need: int) -> None:
-        np = self._np
-        cap = self._pcap
-        while cap < need:
-            cap *= 2
-        for name in ("p_src", "p_dst", "p_size", "p_choice", "p_create",
-                     "p_inject", "p_hops", "p_sa", "p_buf", "p_rx",
-                     "p_pair"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[:self._pcap] = old
-            setattr(self, name, new)
-        self._pcap = cap
+    def _take_packet(self) -> int:
+        """A packet slot whose in-flight fields read their initial
+        values: a free one, else the next past the high-water mark."""
+        if self._p_free:
+            pk = self._p_free.pop()
+            for name, init in _PACKET_IN_FLIGHT.items():
+                getattr(self, name)[pk] = init
+            return pk
+        pk = len(self.p_obj)
+        if pk >= self._pcap:
+            self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap, pk + 1)
+        self.p_obj.append(None)
+        return pk
+
+    def _take_flits(self, size: int) -> int:
+        """First id of a contiguous block of ``size`` flits: a free block
+        of that size (its head and tail marks already in place), else
+        fresh ids past the high-water mark."""
+        free = self._f_free[size]
+        if free:
+            fid0 = free.pop()
+            for name, init in _FLIT_PER_HOP.items():
+                getattr(self, name)[fid0:fid0 + size] = init
+            return fid0
+        fid0 = self._nflits
+        end = fid0 + size
+        if end > self._fcap:
+            self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap, end)
+        self._nflits = end
+        self.f_head[fid0] = True
+        self.f_tail[end - 1] = True
+        return fid0
 
     # -- driving --------------------------------------------------------------
 
@@ -318,11 +364,13 @@ class VectorNetwork:
         if 0 < self._iq <= len(q):
             raise RuntimeError(
                 f"NIC {t}: source queue overflow ({self._iq})")
-        self.routing.on_inject(packet, self.nic_rngs[t])
-        pk = len(self.p_obj)
-        if pk >= self._pcap:
-            self._grow_packets(pk + 1)
-        self.p_obj.append(packet)
+        if self._on_inject is not None:
+            rng = self.nic_rngs.get(t)
+            if rng is None:
+                rng = self.nic_rngs[t] = random.Random(self._nic_seeds[t])
+            self._on_inject(packet, rng)
+        pk = self._take_packet()
+        self.p_obj[pk] = packet
         self.p_src[pk] = t
         self.p_dst[pk] = packet.dst
         self.p_pair[pk] = packet.src * self._T_local + packet.dst
@@ -621,14 +669,22 @@ class VectorNetwork:
         if hooks:
             for h in hooks:
                 h.vec_ejects(c, terms[tidx])
+        # Everything above has read the slots: write each Packet back,
+        # drop the core's reference to it and free its slot and block.
         objs = self.p_obj
-        for k in tpk.tolist():
+        p_free = self._p_free
+        f_free = self._f_free
+        for k, size, fid0 in zip(tpk.tolist(), sizes.tolist(),
+                                 (fids[tidx] - sizes + 1).tolist()):
             pkt = objs[k]
+            objs[k] = None
             pkt.eject_cycle = c
             pkt.inject_cycle = int(self.p_inject[k])
             pkt.hops = int(self.p_hops[k])
             pkt.sa_bypass_hops = int(self.p_sa[k])
             pkt.buf_bypass_hops = int(self.p_buf[k])
+            p_free.append(k)
+            f_free[size].append(fid0)
 
     # -- injection (NIC send side) --------------------------------------------
 
@@ -711,13 +767,8 @@ class VectorNetwork:
             for h in hooks:
                 h.vec_inject(c, t)
         self.outstanding[t] += 1
-        fid0 = self._nflits
-        if fid0 + size > self._fcap:
-            self._grow_flits(fid0 + size)
-        self._nflits = fid0 + size
+        fid0 = self._take_flits(size)
         self.f_pkt[fid0:fid0 + size] = pk
-        self.f_head[fid0] = True
-        self.f_tail[fid0 + size - 1] = True
         self.snd_pid[t, vc] = pk
         self.snd_next[t, vc] = fid0
         self.snd_left[t, vc] = size

@@ -200,7 +200,8 @@ class VectorSeriesProbe(VectorHooks, TimeSeriesProbe):
 class VectorInvariantChecker(VectorHooks, Monitor):
     """Whole-array invariant sweeps over the vectorized core's state.
 
-    Three invariant families, matching the scalar monitor suite:
+    Four invariant families — the scalar monitor suite's three, plus the
+    array core's own storage:
 
     * **conservation** — every VC's occupancy equals its shadow
       writes − reads count, the per-router and whole-chip occupancy
@@ -209,7 +210,11 @@ class VectorInvariantChecker(VectorHooks, Monitor):
       buffered downstream, in flight toward it, and credit returns still
       in the pipeline; counters stay within ``[0, limit]``;
     * **pseudo-circuit** — valid circuits have pairwise-distinct
-      outputs and the output holder registers mirror them exactly.
+      outputs and the output holder registers mirror them exactly;
+    * **pool** — a packet slot and its flit block live exactly as long
+      as the packet: every flit id a ring, bucket or NIC send slot
+      holds sits in a live block, no slot is free twice, and the live
+      and free slots together make up the high-water mark.
 
     A sweep runs at the bottom of every ``stride``-th stepped cycle
     (``--check-stride``) and once more at :meth:`finish`. Violations
@@ -262,8 +267,13 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         self.sweep(network.cycle)
 
     def snapshot(self) -> dict:
+        # The pools never shrink, so their high-water marks are the most
+        # packets and flits that were ever in flight at once.
+        net = self._network
         return {"violations": len(self.violations),
-                "sweeps": self.sweeps, "stride": self.stride}
+                "sweeps": self.sweeps, "stride": self.stride,
+                "pool_high_water": {"packets": len(net.p_obj),
+                                    "flits": net._nflits}}
 
     # -- localization ---------------------------------------------------------
 
@@ -292,11 +302,16 @@ class VectorInvariantChecker(VectorHooks, Monitor):
             loc["vc"] = ci % net._V
             return loc
         # NIC injection side: locate via the terminal's injection port.
-        t = (ci - lay.NOVC) // net._V
-        lane = t // net._T_local
+        loc = self._loc_term((ci - lay.NOVC) // net._V)
+        loc["vc"] = (ci - lay.NOVC) % net._V
+        return loc
+
+    def _loc_term(self, t: int) -> dict:
+        net, lay = self._network, self._lay
+        t = int(t)
         local = int(lay.inj_ipid[t]) % (lay.NIP // net._lanes)
-        return {"lane": self._lane(lane), "router": local // net._Pi,
-                "port": local % net._Pi, "vc": (ci - lay.NOVC) % net._V}
+        return {"lane": self._lane(t // net._T_local),
+                "router": local // net._Pi, "port": local % net._Pi}
 
     # -- the sweep ------------------------------------------------------------
 
@@ -307,6 +322,7 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         self._check_credit(cycle)
         if self._network._pc_enabled:
             self._check_pc(cycle)
+        self._check_pools(cycle)
 
     def _check_conservation(self, cycle: int) -> None:
         np = self._np
@@ -399,3 +415,152 @@ class VectorInvariantChecker(VectorHooks, Monitor):
                 "registers",
                 cycle=cycle, expected=int(expected[opid]),
                 actual=int(net.op_holder[opid]), **self._loc_op(opid))
+
+    # -- pool life cycle ------------------------------------------------------
+
+    def _flit_refs(self):
+        """Every place the core holds the id of a flit still in the
+        network, as ``(fids, locate)`` pairs: ``locate(i)`` names where
+        ``fids[i]`` sits. A NIC send slot gives the next and the last
+        flit of the range it has left to send."""
+        np = self._np
+        net, lay = self._network, self._lay
+        V, D = net._V, net._D
+        occ = net.buf_len.nonzero()[0]
+        lens = net.buf_len[occ, None]
+        k = np.arange(D)
+        ivcs = occ.repeat(lens[:, 0])
+        refs = [(net.buf_fid[ivcs,
+                             ((net.buf_head[occ, None] + k) % D)[k < lens]],
+                 lambda i: self._loc_ivc(ivcs[i]))]
+        for batches in net._arr_bucket.values():
+            for _, dests, fids in batches:
+                refs.append((fids, lambda i, dests=dests, fids=fids:
+                             self._loc_ivc(dests[i] * V
+                                           + net.f_vc[fids[i]])))
+        for batches in net._ej_bucket.values():
+            for terms, fids in batches:
+                refs.append((fids, lambda i, terms=terms, fids=fids: dict(
+                    self._loc_op(lay.ej_opid[terms[i]]),
+                    vc=int(net.f_vc[fids[i]]))))
+        t, v = net.snd_left.nonzero()
+        nxt = net.snd_next[t, v]
+        refs.append((np.concatenate((nxt, nxt + net.snd_left[t, v] - 1)),
+                     lambda i: self._loc_cred(lay.NOVC + t[i % len(t)] * V
+                                              + v[i % len(t)])))
+        return refs
+
+    def _check_pools(self, cycle: int) -> None:
+        np = self._np
+        net = self._network
+        pcap, fcap = net._pcap, net._fcap
+        # Packet slots below the high-water mark are live or free, once.
+        hwm = len(net.p_obj)
+        freed = np.bincount(np.array(net._p_free, dtype=np.int64),
+                            minlength=pcap)
+        if freed.max() > 1:
+            k = int(freed.argmax())
+            self.violation("pool_double_free",
+                           "packet slot is on the free list twice",
+                           cycle=cycle, actual=k,
+                           **self._loc_term(net.p_src[k]))
+        live = freed == 0
+        live[hwm:] = False
+        # Flit blocks are the head..tail runs; with the unused rest of
+        # the pool as one more (dead) block they tile it exactly.
+        n = net._nflits
+        heads = net.f_head[:n].nonzero()[0]
+        tails = net.f_tail[:n].nonzero()[0]
+        nb = len(heads)
+        starts = np.empty(nb + 1, dtype=np.int64)
+        starts[:nb] = heads
+        starts[nb] = n
+        if not (len(tails) == nb and starts[0] == 0
+                and np.array_equal(starts[1:], tails + 1)):
+            self.violation("pool_block",
+                           "head..tail runs do not tile the flit pool up "
+                           "to its high-water mark",
+                           cycle=cycle, expected=n)
+            return
+        sizes = np.empty(nb + 1, dtype=np.int64)
+        sizes[:nb] = starts[1:] - heads
+        sizes[nb] = fcap - n
+        block_of = np.arange(nb + 1).repeat(sizes)
+        sizes[nb] = 0   # no free block may claim the unused rest
+        bfreed = np.zeros(nb + 1, dtype=np.int64)
+        for size, free in net._f_free.items():
+            f0 = np.array(free, dtype=np.int64)
+            b = block_of[f0]
+            bad = ((starts[b] != f0) | (sizes[b] != size)).nonzero()[0]
+            if len(bad):
+                self.violation("pool_block",
+                               "free list holds a block that is not a "
+                               "whole block of its size",
+                               cycle=cycle, expected=size,
+                               actual=int(f0[bad[0]]))
+            bfreed += np.bincount(b, minlength=nb + 1)
+        if bfreed.max() > 1:
+            self.violation("pool_double_free",
+                           "flit block is on the free lists twice",
+                           cycle=cycle, actual=int(starts[bfreed.argmax()]))
+        dead = bfreed > 0
+        dead[nb] = True
+        # Every held flit id sits in a live block; the packets those
+        # flits, the NIC send slots and the source queues name are
+        # exactly the live slots, and exactly those still hold a Packet.
+        refs = self._flit_refs()
+        fids = np.concatenate([held for held, _ in refs])
+        bad = dead[block_of[fids]].nonzero()[0]
+        if len(bad):
+            i = int(bad[0])
+            for held, locate in refs:
+                if i < len(held):
+                    break
+                i -= len(held)
+            self.violation("pool_reference",
+                           "flit id in use lies outside every live block",
+                           cycle=cycle, actual=int(held[i]), **locate(i))
+        named = np.zeros(pcap, dtype=bool)
+        named[net.f_pkt[fids]] = True
+        named[net.snd_pid[net.snd_left > 0]] = True
+        if net._num_queued:
+            named[[pk for queue in net._queues.values()
+                   for pk in queue]] = True
+        holds = np.zeros(pcap, dtype=bool)
+        holds[:hwm] = [pkt is not None for pkt in net.p_obj]
+        for wrong, rule, message in (
+                (named & ~live, "pool_reference",
+                 "packet slot in use is free or past the high-water mark"),
+                (live & ~named, "pool_accounting",
+                 "packet slot is neither in use nor free: live + free "
+                 "slots fall short of the high-water mark"),
+                (holds != live, "pool_accounting",
+                 "p_obj holds a Packet for exactly the live slots")):
+            if wrong.any():
+                k = int(wrong.argmax())
+                self.violation(rule, message, cycle=cycle, actual=k,
+                               **self._loc_term(net.p_src[k]))
+        # Each live block belongs to one started packet of its size, and
+        # each started packet owns one.
+        lb = (~dead[:nb]).nonzero()[0]
+        pk = net.f_pkt[heads[lb]]
+        owned = (live[pk] & (net.p_inject[pk] >= 0)
+                 & (net.p_size[pk] == sizes[lb])
+                 & (net.f_pkt[tails[lb]] == pk))
+        if not owned.all():
+            i = int(owned.argmin())
+            self.violation("pool_block",
+                           "live flit block does not belong to a started "
+                           "packet of its size",
+                           cycle=cycle, expected=int(sizes[lb[i]]),
+                           actual=int(heads[lb[i]]),
+                           **self._loc_term(net.p_src[pk[i]]))
+        blocks = np.bincount(pk[owned], minlength=pcap)
+        wrong = blocks != (live & (net.p_inject >= 0))
+        if wrong.any():
+            k = int(wrong.argmax())
+            self.violation("pool_accounting",
+                           "started packet does not own exactly one live "
+                           "flit block",
+                           cycle=cycle, expected=1, actual=int(blocks[k]),
+                           **self._loc_term(net.p_src[k]))

@@ -119,6 +119,25 @@ class TestDegenerateBatches:
         with pytest.raises(TypeError, match="run_batch"):
             net.run(10)
 
+    def test_lanes_are_asked_for_injections_only_on_an_empty_chip(self):
+        """``run_batch`` can only skip cycles while nothing is buffered,
+        queued or sending, so that is the only time it asks."""
+        topo = make_topology("mesh", 4, 4, 1)
+        net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                           seeds=(1, 2))
+        asked = []
+
+        class Source(SyntheticTraffic):
+            def next_injection_cycle(self, cycle, lookahead=4096):
+                asked.append((net._buffered, net._num_queued,
+                              net._sending_count))
+                return super().next_injection_cycle(cycle, lookahead)
+
+        net.run_batch([Source("uniform", topo.num_terminals, 0.02, 5,
+                              seed=seed) for seed in (1, 2)], [300, 300])
+        assert asked and set(asked) == {(0, 0, 0)}
+        assert net.cycle == 300
+
     def test_lane_budget_mismatch_rejected(self):
         topo = make_topology("mesh", 2, 2, 1)
         net = BatchNetwork(topo, NetworkConfig(pseudo=BASELINE),

@@ -49,7 +49,9 @@ class TestCleanRuns:
         assert checker.sweeps > 0
         doc = checker.snapshot()
         assert doc == {"violations": 0, "sweeps": checker.sweeps,
-                       "stride": 1}
+                       "stride": 1,
+                       "pool_high_water": {"packets": len(net.p_obj),
+                                           "flits": net._nflits}}
 
     def test_checked_stats_identical_to_bare(self):
         topo = make_topology("mesh", 4, 4, 1)
