@@ -293,6 +293,19 @@ def _network_for(config: ExperimentConfig, probe, reuse: bool):
     return Network(topo, net_cfg, **kwargs)
 
 
+def _core_fields(net) -> dict:
+    """Manifest fields naming the core that ran a point: ``backend``,
+    and for an array core ``step_kernel`` — ``c:<artifact key>`` when
+    its router step ran compiled, ``numpy:<reason>`` when it did not
+    (``network/vectorized/kernel.py``). A scalar network has no such
+    step and no such field."""
+    fields = {"backend": backend_of(net)}
+    step_kernel = getattr(net, "step_kernel", None)
+    if step_kernel is not None:
+        fields["step_kernel"] = step_kernel
+    return fields
+
+
 def _attach_monitors(net, probe, check_stride: int):
     """Attach the ``--check`` suite to a freshly built network.
 
@@ -373,7 +386,7 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
             monitor_report["phase_profile"] = prof_doc
     wall = time.perf_counter() - start
     manifest = run_manifest(config, seed=config.seed, cycles=net.cycle,
-                            wall_s=wall, extra={"backend": backend_of(net)})
+                            wall_s=wall, extra=_core_fields(net))
     result = Result.from_network(config, net, manifest=manifest,
                                  monitor_report=monitor_report)
     if reuse and type(net) is Network:
@@ -480,7 +493,7 @@ def run_batch_experiments(configs, *, use_cache: bool = True,
         manifest = run_manifest(cfg, seed=cfg.seed, cycles=net.cycle,
                                 wall_s=wall / len(todo),
                                 extra={"batch_lanes": len(todo),
-                                       "backend": "batched",
+                                       **_core_fields(net),
                                        "batch_lane": lane})
         monitor_report = None
         if registry is not None:

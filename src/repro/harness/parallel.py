@@ -199,6 +199,13 @@ def _decision_fields(cfg: ExperimentConfig, lanes: int = 1) -> dict:
     return {"backend": decision.pop("chosen", None), "decision": decision}
 
 
+def _kernel_field(result) -> dict:
+    """Span field saying how an array core stepped its routers
+    (``step_kernel`` of the run manifest; scalar points have none)."""
+    step_kernel = (result.manifest or {}).get("step_kernel")
+    return {} if step_kernel is None else {"step_kernel": step_kernel}
+
+
 def _run_unit(points: Sequence[tuple], check: bool = False,
               check_stride: int = 1, tel=None) -> list:
     """Simulate one unit: a multi-point unit runs as one batched chip.
@@ -244,7 +251,8 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
                               attempts=1, lane=lane, lanes=len(cfgs),
                               decision={"policy": cfg.backend,
                                         "reason": "batched-unit",
-                                        "batch": len(cfgs)})
+                                        "batch": len(cfgs)},
+                              **_kernel_field(results[lane]))
             return results
     outcomes = []
     for idx, cfg in points:
@@ -261,7 +269,7 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
                 tel.point(idx, cfg, store_key(cfg), "simulate",
                           time.perf_counter() - start, attempts=1,
                           solo_fallback=solo_fallback,
-                          **_decision_fields(cfg))
+                          **_decision_fields(cfg), **_kernel_field(result))
             outcomes.append(result)
     return outcomes
 
@@ -507,7 +515,8 @@ class _Scheduler:
                     tel.point(idx, cfg, self.keys[idx], "simulate",
                               time.perf_counter() - t0, attempts=attempt,
                               backoff_s=[round(d, 6) for d in history],
-                              **_decision_fields(cfg))
+                              **_decision_fields(cfg),
+                              **_kernel_field(result))
                 return result
         if tel is not None:
             tel.point_error(idx, cfg, last.cause, attempts=attempt,
@@ -553,7 +562,8 @@ class _Scheduler:
                                       lanes=len(unit),
                                       decision={"policy": cfg.backend,
                                                 "reason": "batched-unit",
-                                                "batch": len(unit)})
+                                                "batch": len(unit)},
+                                      **_kernel_field(result))
                         self.finish_point(idx, result)
                     continue
             for idx, cfg in unit:

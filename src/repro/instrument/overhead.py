@@ -163,6 +163,7 @@ def vectorized_identity_check(cycles: int = 400, rate: float = 0.30,
         "series_windows": len(series.samples),
         "checker_sweeps": checker.sweeps,
         "phase_profile": net.profile(),
+        "step_kernel": net.step_kernel,
     }
 
 
@@ -178,7 +179,8 @@ def vectorized_overhead_gate(cycles: int = 400, show: bool = True) -> dict:
         print(f"vectorized overhead gate: probes cold, stats "
               f"bit-identical over {cycles} cycles "
               f"({report['series_windows']} series windows, "
-              f"{report['checker_sweeps']} checker sweeps)")
+              f"{report['checker_sweeps']} checker sweeps, "
+              f"step kernel {report['step_kernel']})")
     return report
 
 

@@ -23,6 +23,14 @@ in one concatenation when their cycle comes. Arrival batches are
 stable-sorted by link id, reproducing the scalar phase-3 ascending
 link-id tick order exactly.
 
+The router step exists in two forms, chosen once per network at
+construction (``_bind_kernel``; ``step_kernel`` names the choice): the
+numpy phases of ``_step_routers`` below, and the same phases compiled
+from ``kernel.c`` and called from ``_step_kernel`` when the process
+found a C compiler (``kernel.py``). Both leave identical state and emit
+identical events through the same stats hooks, observer hooks and
+calendars; everything outside the router step is shared.
+
 Observability is array-native (see ``vectorized/obs.py``): probes and
 monitors that implement the batched ``vector_hooks`` vocabulary
 (``VectorSeriesProbe``, ``VectorInvariantChecker``) attach through
@@ -51,6 +59,8 @@ from ..buffers import BufferOverflowError
 from ..config import NetworkConfig
 from ..flit import Packet
 from ..router import ProtocolError
+from .kernel import E_BOUNDS, Binding
+from .kernel import load as load_kernel
 from .layout import build_layout
 from .obs import VectorInvariantChecker
 
@@ -71,6 +81,22 @@ _PACKET_FIELDS = {"p_src": 0, "p_dst": 0, "p_size": 0, "p_choice": 0,
 _FLIT_PER_HOP = {"f_vc": -1, "f_ready": 0}
 _FLIT_FIELDS = {"f_pkt": 0, "f_head": False, "f_tail": False,
                 **_FLIT_PER_HOP}
+
+# What the compiled step (``kernel.c``) reports in the integers of its
+# ``n[]``: the error a negative return code stands for (the one the
+# numpy phase raises at the same place), the termination reason of each
+# ``term`` row, and ``(via, popped)`` of a traversal batch.
+_KERNEL_ERRORS = {
+    -1: (ProtocolError, "body flit at the front of an idle VC"),
+    -2: (ProtocolError, "body flit on inactive VC"),
+    -3: (ProtocolError, "head flit arrived on a still-allocated VC"),
+    -4: (ProtocolError, "body flit arrived on an inactive VC"),
+    -5: (BufferOverflowError, "flit buffer overflow (capacity {D})"),
+}
+_KERNEL_TERMINATIONS = (Termination.CONFLICT_OUTPUT,
+                        Termination.CONFLICT_INPUT,
+                        Termination.ROUTE_MISMATCH, Termination.NO_CREDIT)
+_KERNEL_VIAS = (("sa", True), ("pc", True), ("buf", False))
 
 
 class VectorNetwork:
@@ -164,6 +190,7 @@ class VectorNetwork:
 
         # Packet and flit pools (see "pools" below): a slot lives as
         # long as its packet, so the pools grow to the peak in flight.
+        self._kernel = None
         self._pcap = self._size_pool(_PACKET_FIELDS, 0, 512)
         self._fcap = self._size_pool(_FLIT_FIELDS, 0, 1024)
         #: Slot -> the ``Packet`` handed to ``inject`` (its fields are
@@ -284,8 +311,37 @@ class VectorNetwork:
         self._checker = None
         self._vhooks = ()
         self._prof = None
+        self._bind_kernel()
         if probe is not None:
             self.bind_probe(probe)
+
+    def _bind_kernel(self) -> None:
+        """Decide, once, how this network steps its routers: through
+        the compiled phases of ``kernel.c`` when the process has them
+        (``self._kernel`` is then this network's ``Chip``), else through
+        the numpy phases below. ``step_kernel`` says which, and why."""
+        kernel = load_kernel()
+        #: ``c:<artifact key>`` or ``numpy:<reason>`` (run manifests).
+        self.step_kernel = kernel.status
+        if kernel.lib is None:
+            return
+        lay = self._lay
+        # The Chip names each array as this class or its layout does
+        # (less the underscore of ``_r_buffered`` and the SA scratch).
+        arrays = {
+            name: next(getattr(holder, attr) for holder, attr in (
+                (self, name), (self, "_" + name), (lay, name))
+                if hasattr(holder, attr))
+            for _, name, owner in kernel.arrays if owner == "NET"}
+        _, choices, t_local = lay.route_out.shape
+        self._kernel = Binding(
+            kernel, self._np, arrays,
+            dict(R=self._R, Pi=self._Pi, Po=self._Po, V=self._V, D=self._D,
+                 C=choices, TL=t_local, NIP=self._NIP,
+                 static_vc=self._static_vc, pc_enabled=self._pc_enabled,
+                 pc_speculation=self._pc_speculation,
+                 pc_bypass=self._pc_bypass),
+            NIVC=self._NIVC, NOP=self._NOP)
 
     # -- pools ----------------------------------------------------------------
     # A packet slot and its contiguous flit block live exactly as long
@@ -311,6 +367,8 @@ class VectorNetwork:
             if old:
                 new[:old] = getattr(self, name)
             setattr(self, name, new)
+            if self._kernel is not None and name in self._kernel:
+                self._kernel.point(name, new)
         return cap
 
     def _take_packet(self) -> int:
@@ -425,7 +483,10 @@ class VectorNetwork:
             prof["st_credit"] += perf_counter() - t0
             prof["stepped_cycles"] += 1
         if self._buffered or arrivals is not None:
-            self._step_routers(c, arrivals)
+            if self._kernel is None:
+                self._step_routers(c, arrivals)
+            else:
+                self._step_kernel(c, arrivals)
         if self._num_queued or self._sending_count:
             if prof is not None:
                 t0 = perf_counter()
@@ -950,6 +1011,108 @@ class VectorNetwork:
             self._pc_maintenance(c, work_r, wall)
         if prof is not None:
             prof["pc"] += perf_counter() - t_mark
+
+    # -- the compiled step ----------------------------------------------------
+    # The same phases in the same order with the same timers, each one
+    # call into ``kernel.c``; what a phase emits comes back as index
+    # arrays and is filed exactly where the numpy phase files it. This
+    # fork lasts one PR: the numpy phases below are the path taken when
+    # the process has no compiler (EXPERIMENTS.md "PR 20").
+
+    def _step_kernel(self, c: int, arrivals) -> None:
+        k = self._kernel
+        if arrivals is None:
+            n_arr = 0
+        else:
+            dests, fids = arrivals
+            n_arr = len(fids)
+            if n_arr > k.capacity:
+                raise ProtocolError(
+                    f"{n_arr} arrivals in one cycle on {k.capacity} "
+                    f"input ports")
+            k.in_dest[:n_arr] = dests
+            k.in_fid[:n_arr] = fids
+        prof = self._prof
+        ref = k.ref
+        for key, phase in k.phases:
+            if prof is not None:
+                t_mark = perf_counter()
+            emitted = phase(ref, c, n_arr)
+            if emitted:
+                self._kernel_events(c, emitted)
+            if prof is not None:
+                prof[key] += perf_counter() - t_mark
+
+    def _kernel_events(self, c: int, emitted: int) -> None:
+        """File what one kernel phase emitted: stats and observer hooks
+        get the index arrays their numpy twins hand them, traversed
+        flits go into the calendars. The arrays are views of buffers
+        the next phase overwrites — the stats hooks reduce them at
+        once, observers and calendars get copies."""
+        k = self._kernel
+        if emitted < 0:
+            if emitted == E_BOUNDS:
+                raise ProtocolError(k.fault())
+            error, message = _KERNEL_ERRORS[emitted]
+            raise error(message.format(D=self._D))
+        (n_va, n_trav, n_head, n_arr, n_ej, n_bw, n_est, n_rest, *n_term,
+         via, arr_lo, arr_hi, ej_lo, ej_hi) = k.events.tolist()
+        hooks = self._vhooks
+        for reason, n, pps in zip(_KERNEL_TERMINATIONS, n_term, k.term):
+            if n:
+                self._count_terminations(pps[:n], reason)
+        if n_va:
+            self._count_va(k.va_ivc[:n_va])
+        if n_trav:
+            via, popped = _KERNEL_VIAS[via]
+            hports, e2e_rep = ((k.h_port[:n_head], k.h_e2e[:n_head])
+                               if n_head else (None, None))
+            self._count_traversals(via, popped, k.t_port[:n_trav], hports,
+                                   e2e_rep, k.t_xrep[:n_trav])
+            if hooks:
+                ivcs = k.t_ivc[:n_trav].copy()
+                for h in hooks:
+                    h.vec_traversals(c, via, popped, ivcs)
+            if popped:
+                self._buffered -= n_trav
+            self._cred_bucket.setdefault(c + self._cd, []).append(
+                k.cr_idx[:n_trav].copy())
+            if n_arr:
+                self._file(self._arr_bucket, arr_lo, arr_hi,
+                           k.a_cycle[:n_arr], (k.a_link[:n_arr],
+                                               k.a_dest[:n_arr],
+                                               k.a_fid[:n_arr]))
+            if n_ej:
+                self._ej_pending += n_ej
+                self._file(self._ej_bucket, ej_lo, ej_hi, k.e_cycle[:n_ej],
+                           (k.e_term[:n_ej], k.e_fid[:n_ej]))
+        if n_bw:
+            aivc = k.bw_ivc[:n_bw]
+            self._buffered += n_bw
+            self._count_buffer_writes(aivc)
+            if hooks:
+                aivc = aivc.copy()
+                for h in hooks:
+                    h.vec_buffer_writes(c, aivc)
+        if n_est:
+            self._count_established(k.est_port[:n_est], k.est_ref[:n_est])
+        if n_rest:
+            self._count_restored(k.rest_op[:n_rest])
+
+    @staticmethod
+    def _file(bucket: dict, lo: int, hi: int, cycles, columns) -> None:
+        """Append one batch of traversed flits to a calendar, one entry
+        per arrival cycle (``_deliver``'s grouping; one cycle is the
+        common case)."""
+        if lo == hi:
+            bucket.setdefault(lo, []).append(
+                tuple(col.copy() for col in columns))
+            return
+        for cycle in range(lo, hi + 1):
+            due = cycles == cycle
+            if due.any():
+                bucket.setdefault(cycle, []).append(
+                    tuple(col[due] for col in columns))
 
     # -- VA stage -------------------------------------------------------------
 

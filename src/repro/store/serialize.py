@@ -20,8 +20,7 @@ imported by ``harness.experiment`` without a cycle.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
+from ..instrument.provenance import config_dict
 from .sealed import canonical_json
 
 #: Payload schema tag; bump when the serialized field set changes.
@@ -36,8 +35,9 @@ _METRIC_FIELDS = (
 
 
 def config_to_payload(config) -> dict:
-    """Flatten an ``ExperimentConfig`` to a plain JSON-able dict."""
-    return asdict(config)
+    """Flatten an ``ExperimentConfig`` to a plain JSON-able dict
+    (``dataclasses.asdict``'s output, without its per-leaf deepcopy)."""
+    return config_dict(config)
 
 
 def payload_to_config(payload: dict):

@@ -12,6 +12,18 @@ from repro.network.config import NetworkConfig
 from repro.network.flit import Packet
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_kernel_cache(tmp_path_factory):
+    """The compiled router step (``network/vectorized/kernel.py``) builds
+    into this session's own cache: the suite neither reads nor leaves
+    anything under the user's ``~/.cache``, and workers it forks or
+    spawns inherit the same place."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture
 def stats():
     return NetworkStats()

@@ -11,7 +11,11 @@ Nothing in the hot path guards either; they are pinned here instead.
   ``sys.setprofile``; every ``def`` in ``core.py`` must be entered on
   ``VectorNetwork`` and every ``def`` in ``batch.py`` on
   ``BatchNetwork``. There is no allow-list: a function the grid cannot
-  reach gets the one-line case that enters it, or is deleted.
+  reach gets the one-line case that enters it, or is deleted. The
+  router step has two forms, decided per process (compiled phases,
+  numpy phases): the grid runs under both, every ``def`` must be
+  entered under one of them, and every phase of ``kernel.c`` must be
+  called and must emit.
 * **Seeded duplicate arrival.** A ``(link, dest, fid)`` row pushed twice
   into ``_arr_bucket`` is caught by ``VectorInvariantChecker`` in the
   cycle it lands, naming the port (and the lane).
@@ -32,7 +36,7 @@ from repro.harness.experiment import (ExperimentConfig,
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
                                       VectorNetwork, VectorSeriesProbe, batch,
-                                      core)
+                                      core, kernel)
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -94,17 +98,50 @@ _CHECKED = dict(topology="mesh", kx=4, ky=4, concentration=1, routing="xy",
                 synth_cycles=200, synth_warmup=40)
 
 
+class _CountingBinding(kernel.Binding):
+    """A ``Chip`` that notes which kernel phases ran and which emitted."""
+
+    called: set = set()
+    emitted: set = set()
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+
+        def counting(phase):
+            def call(*args):
+                events = phase(*args)
+                self.called.add(phase.__name__)
+                if events:
+                    self.emitted.add(phase.__name__)
+                return events
+            return call
+        self.phases = [(key, counting(phase)) for key, phase in self.phases]
+
+
 class TestReach:
-    def test_grid_enters_every_core_function(self):
+    def test_grid_enters_every_core_function(self, monkeypatch):
+        monkeypatch.setattr(core, "Binding", _CountingBinding)
+        compiled = kernel.load().lib is not None
         with _entered(core) as seen:
-            for topo_args, scheme, rate, cycles, kw in GRID:
-                _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
-            run_experiment(
-                ExperimentConfig(backend="vectorized", seed=7, **_CHECKED),
-                probe=VectorSeriesProbe(), check=True)
-            with pytest.raises(RuntimeError, match="packets left"):
-                _loaded(VectorNetwork).drain(max_cycles=1)
-        assert _defined(core) - seen == set()
+            for cc in ((None, "false") if compiled else (None,)):
+                if cc is not None:
+                    monkeypatch.setenv("CC", cc)    # the numpy phases
+                for topo_args, scheme, rate, cycles, kw in GRID:
+                    _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
+                run_experiment(
+                    ExperimentConfig(backend="vectorized", seed=7,
+                                     **_CHECKED),
+                    probe=VectorSeriesProbe(), check=True)
+                with pytest.raises(RuntimeError, match="packets left"):
+                    _loaded(VectorNetwork).drain(max_cycles=1)
+        kernel_only = {"VectorNetwork._step_kernel",
+                       "VectorNetwork._kernel_events", "VectorNetwork._file"}
+        assert _defined(core) - seen == (set() if compiled else kernel_only)
+        if compiled:
+            phases = {entry for _, entry in kernel.PHASES}
+            assert _CountingBinding.called == phases
+            # Request collection hands its requests to the next phase.
+            assert _CountingBinding.emitted == phases - {"va_sa_requests"}
 
     def test_grid_enters_every_batch_function(self):
         # Rows on one chip become the lanes of one batch; the 12-VC and
@@ -132,17 +169,20 @@ class TestReach:
         assert _defined(batch) - seen == set()
 
 
-class TestSeededDuplicateArrival:
-    """The plain fancy-index buffer write relies on one arrival per input
-    VC per cycle; were an upstream bug to deliver a flit twice, the
-    checker — not a hot-path guard — reports it in the same cycle."""
+_DUPLICATE = pytest.mark.parametrize("cls,kw,lane", [
+    (VectorNetwork, {}, None),
+    (BatchNetwork, {"seeds": (1, 2, 3, 4)}, 1),
+], ids=["solo", "4-lane"])
 
-    @pytest.mark.parametrize("cls,kw,lane", [
-        (VectorNetwork, {}, None),
-        (BatchNetwork, {"seeds": (1, 2, 3, 4)}, 1),
-    ], ids=["solo", "4-lane"])
-    def test_checker_raises_conservation_in_the_same_cycle(self, cls, kw,
-                                                           lane):
+
+class TestSeededDuplicateArrival:
+    """The plain fancy-index buffer write of the numpy phases relies on
+    one arrival per input VC per cycle; were an upstream bug to deliver
+    a flit twice, the checker — not a hot-path guard — reports it in the
+    same cycle. The compiled phases buffer the flit twice, as the scalar
+    core would, and the checker reports the credit it never paid for."""
+
+    def _duplicated(self, cls, kw):
         net = _loaded(cls, **kw)
         net.attach_checker(VectorInvariantChecker(strict=True))
         c = net.cycle
@@ -150,8 +190,28 @@ class TestSeededDuplicateArrival:
         net._arr_bucket[c].append((links[:1], dests[:1], fids[:1]))
         with pytest.raises(InvariantViolation) as caught:
             net.step()
-        v = caught.value
-        local = int(dests[0]) % (net._NIP // net._lanes)
+        return net, caught.value, c, int(dests[0]), int(fids[0])
+
+    @_DUPLICATE
+    def test_checker_raises_conservation_in_the_same_cycle(
+            self, cls, kw, lane, monkeypatch):
+        monkeypatch.setenv("CC", "false")
+        net, v, c, dest, fid = self._duplicated(cls, kw)
+        local = dest % (net._NIP // net._lanes)
         assert (v.rule, v.cycle, v.lane) == ("conservation", c, lane)
         assert (v.router, v.port) == divmod(local, net._Pi)
-        assert v.vc == int(net.f_vc[fids[0]])
+        assert v.vc == int(net.f_vc[fid])
+
+    @_DUPLICATE
+    def test_checker_raises_credit_in_the_same_cycle_on_the_kernel(
+            self, cls, kw, lane):
+        if kernel.load().lib is None:
+            pytest.skip(f"no compiled step ({kernel.load().status})")
+        net, v, c, dest, fid = self._duplicated(cls, kw)
+        # Named by the sender's side of the link: the output VC whose
+        # counter is one short of the two flits it now has downstream.
+        upstream = int(net._lay.ip_upbase[dest]) // net._V
+        local = upstream % (net._NOP // net._lanes)
+        assert (v.rule, v.cycle, v.lane) == ("credit_count", c, lane)
+        assert (v.router, v.port) == divmod(local, net._Po)
+        assert v.vc == int(net.f_vc[fid])

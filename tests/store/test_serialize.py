@@ -59,6 +59,35 @@ class TestResultRoundTrip:
         assert payload_to_config(payload["config"]) == cfg
 
 
+    def test_config_payload_is_the_pinned_literal(self):
+        """The stored form of a config, byte for byte: what
+        ``dataclasses.asdict`` produced before ``config_to_payload``
+        stopped paying its per-leaf deepcopy."""
+        import dataclasses
+
+        from repro.network.config import PSEUDO_SB
+        from repro.store import canonical_json, config_to_payload
+        cfg = ExperimentConfig(
+            topology="mesh", kx=4, ky=4, concentration=1, routing="xy",
+            vc_policy="static", scheme=PSEUDO_SB, pattern="uniform",
+            rate=0.05, synth_cycles=100, synth_warmup=20, seed=11,
+            backend="scalar")
+        payload = config_to_payload(cfg)
+        assert canonical_json(payload) == (
+            '{"backend":"scalar","benchmark":null,"buffer_depth":4,'
+            '"chiplet_link_latency":4,"chiplets":4,"concentration":1,'
+            '"kx":4,"ky":4,"mshrs":4,"num_vcs":4,"packet_size":5,'
+            '"pattern":"uniform","rate":0.05,"routing":"xy",'
+            '"scheme":{"buffer_bypass":true,"enabled":true,'
+            '"speculation":true},"seed":11,"synth_cycles":100,'
+            '"synth_warmup":20,"topology":"mesh","trace_cycles":2000,'
+            '"trace_warmup":400,"vc_policy":"static"}')
+        assert payload == dataclasses.asdict(cfg)
+        assert list(payload) == list(dataclasses.asdict(cfg))  # key order
+        payload["scheme"]["enabled"] = False  # shares nothing with cfg
+        assert cfg.scheme.enabled
+
+
 class TestKeyDerivation:
     def test_key_differs_by_seed(self):
         assert store_key(_config(seed=1)) != store_key(_config(seed=2))
