@@ -7,7 +7,7 @@ does everything that observes really only observe, on *my* install":
 * ``overhead_gate`` — a default-built scalar network carries no probe,
   and stats stay bit-identical with a full tracer + time-series stack
   attached (``repro.instrument.overhead``);
-* ``vectorized_overhead_gate`` — the same two checks on the numpy core
+* ``vectorized_overhead_gate`` — the same two checks on the array core
   (``VectorSeriesProbe`` + strict invariant checker + phase profiler),
   for every backend that can run it;
 * ``telemetry_cold_check`` — a telemetry-off sweep constructs no emitter
@@ -41,7 +41,8 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
     """Run every cold/identity gate; return (and optionally write) the report.
 
     ``backend`` other than ``"scalar"`` adds the vectorized-core gate
-    (needs numpy). ``check=True`` adds the monitored self-check and, when
+    (needs numpy and a C compiler; without one the gate's line says
+    why and the refusal is raised). ``check=True`` adds the monitored self-check and, when
     ``out_path`` is given, writes its metrics document next to the report
     (``*.metrics.json``). Nothing touches the filesystem without
     ``out_path``; with one, the report gets a provenance manifest sidecar.

@@ -242,14 +242,15 @@ def build_network(config: ExperimentConfig, probe=None) -> Network:
     """Construct the simulated network one experiment point describes.
 
     ``config.backend`` picks the core: the scalar object-per-router
-    ``Network`` or the numpy ``VectorNetwork`` (bit-identical stats; see
+    ``Network`` or the array ``VectorNetwork`` (bit-identical stats; see
     ARCHITECTURE.md "Backends"). ``"batched"`` runs single points on
     the vectorized core (lane grouping happens in the scheduler, not
     here); ``"auto"`` picks per point via ``choose_backend`` and — as
     its documented policy, not a silent fallback — takes the scalar
-    core wherever the vectorized core refuses the configuration. For
-    the explicit vectorized/batched backends unsupported configurations
-    still raise ``BackendUnsupportedError``. Always a new network:
+    core wherever the vectorized core refuses the configuration or the
+    process (no C compiler to build its cycle with). For the explicit
+    vectorized/batched backends both still raise
+    ``BackendUnsupportedError``. Always a new network:
     ``run_experiment`` reuses idle scalar ones, callers of this never
     see them.
     """
@@ -295,10 +296,10 @@ def _network_for(config: ExperimentConfig, probe, reuse: bool):
 
 def _core_fields(net) -> dict:
     """Manifest fields naming the core that ran a point: ``backend``,
-    and for an array core ``step_kernel`` — ``c:<artifact key>`` when
-    its router step ran compiled, ``numpy:<reason>`` when it did not
+    and for an array core ``step_kernel`` — ``c:<artifact key>``, the
+    build of ``kernel.c`` it stepped through
     (``network/vectorized/kernel.py``). A scalar network has no such
-    step and no such field."""
+    artifact and no such field."""
     fields = {"backend": backend_of(net)}
     step_kernel = getattr(net, "step_kernel", None)
     if step_kernel is not None:

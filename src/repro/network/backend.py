@@ -13,20 +13,24 @@ fingerprints for every supported configuration; the parity suites under
 ``backend="auto"`` defers the choice to ``choose_backend``: points
 grouped into a batch take the batched core, single points take the
 vectorized core above a calibrated offered-load crossover (in flits per
-cycle per chip — whole-chip array ops amortize only with enough work in
-flight) and the scalar core below it. The crossover is a module
-constant; the ``perf/`` ledger scores it against the measured-fastest
-core on every run (``network.backend.auto_agreement_share`` /
-``auto_penalty_pct``), which is where a stale value would show.
+cycle per chip — building the arrays and calling the compiled cycle
+pay off only with some work in flight) and the scalar core below it.
+The crossover is a module constant; the ``perf/`` ledger scores it
+against the measured-fastest core on every run
+(``network.backend.auto_agreement_share`` / ``auto_penalty_pct``),
+which is where a stale value would show.
 
 The vectorized cores need numpy, which is an *optional* runtime
-dependency (``pip install repro[fast]``). ``require_numpy`` converts the
-bare ImportError into an actionable message; ``BackendUnsupportedError``
-marks configurations the vectorized core deliberately refuses (probes,
-non-tabulable routing, multidrop channels) so callers fall back to the
-scalar core explicitly instead of getting silently-different semantics —
-``auto`` is the one sanctioned fallback path: its documented policy is
-to pick scalar wherever the vectorized core refuses.
+dependency (``pip install repro[fast]``), and a C compiler on the
+machine that runs them (their cycle is one C file built on first use,
+``network/vectorized/kernel.py``). ``require_numpy`` converts the bare
+ImportError into an actionable message; ``BackendUnsupportedError``
+marks what the vectorized core deliberately refuses (probes,
+non-tabulable routing, multidrop channels, a process with no compiler)
+so callers fall back to the scalar core explicitly instead of getting
+silently-different semantics — ``auto`` is the one sanctioned fallback
+path: its documented policy is to pick scalar wherever the vectorized
+core refuses.
 """
 
 from __future__ import annotations
@@ -43,9 +47,11 @@ _default_backend = "scalar"
 
 #: Selector calibration: offered load (flits per cycle per chip,
 #: ``rate * terminals``) above which the vectorized core beats the
-#: scalar core, per scheme kind. Measured on the canonical 8x8-mesh
-#: workloads.
-_CROSSOVER_FLITS_PER_CYCLE = {"baseline": 6.0, "pseudo": 8.0}
+#: scalar core, per scheme kind. Measured on 4x4 and 8x8 meshes with
+#: the whole cycle compiled (EXPERIMENTS.md "PR 21"): the array core
+#: wins wherever a point simulates more than a few milliseconds, so
+#: what is left below the line is its ~2 ms construction.
+_CROSSOVER_FLITS_PER_CYCLE = {"baseline": 0.1, "pseudo": 0.06}
 
 
 class BackendUnsupportedError(RuntimeError):
@@ -111,14 +117,15 @@ def choose_backend(*, terminals: int, rate: float | None,
     """Pick a concrete core for one point (the ``auto`` policy).
 
     The decision variable is offered load in flits per cycle per chip
-    (``rate * terminals``): whole-chip array ops amortize above the
-    calibrated crossover, python-object dispatch wins below it —
-    ``pseudo`` selects the slightly higher pseudo-circuit crossover
-    (the vectorized pseudo-circuit pipeline has more fixed per-cycle
-    stages). Points grouped into a ``batch`` of two or more always
-    take the batched core: lane batching amortizes the dispatch cost
-    whatever the load. ``rate=None`` (trace replay, offered load
-    unknown and self-throttled by MSHRs) picks scalar.
+    (``rate * terminals``): the compiled cycle wins above the
+    calibrated crossover, and below it a point is so nearly empty that
+    reusing an idle scalar network beats building the arrays —
+    ``pseudo`` selects the pseudo-circuit schemes' crossover (lower:
+    the scalar pipeline has more to do per flit there). Points grouped
+    into a ``batch`` of two or more always take the batched core: one
+    chip is built and one call made per cycle whatever the load.
+    ``rate=None`` (trace replay, offered load unknown and
+    self-throttled by MSHRs) picks scalar.
     """
     if batch > 1:
         return "batched"

@@ -4,11 +4,12 @@ The scalar instrumentation layer (PR 3) is an event stream: every flit
 movement calls a probe method. Replaying that per-event protocol from the
 vectorized core would serialize exactly the loops the core exists to
 avoid, so the vectorized cores emit *batched* hooks instead — one call
-per array operation, carrying the index arrays the operation already
-computed. The hook vocabulary (``VectorHooks``) is six calls — the
-router step is arrays-only, so every event has exactly one batched form
-(NIC inject/eject remain per-packet Python, hence the scalar
-``vec_inject``):
+per kind of event per cycle, carrying the index arrays the compiled
+cycle recorded (``kernel.c`` fills them only while an observer is
+attached; ``VectorNetwork._dispatch`` hands them over after the call, so
+no hook sees a half-stepped chip). The hook vocabulary
+(``VectorHooks``) is six calls (``vec_inject`` stays one call per
+packet, as the probes were written against):
 
 ========================  ==================================================
 ``on_cycle_start``        shared with the scalar probe protocol (window
@@ -203,18 +204,20 @@ class VectorInvariantChecker(VectorHooks, Monitor):
     Four invariant families — the scalar monitor suite's three, plus the
     array core's own storage:
 
-    * **conservation** — every VC's occupancy equals its shadow
-      writes − reads count, the per-router and whole-chip occupancy
-      caches agree with ``buf_len``;
+    * **conservation** — a flit in the network sits in exactly one
+      buffer slot or calendar entry, every VC's occupancy equals its
+      shadow writes − reads count, the per-router and whole-chip
+      occupancy caches agree with ``buf_len``;
     * **credit** — every credit counter equals its limit minus the flits
       buffered downstream, in flight toward it, and credit returns still
       in the pipeline; counters stay within ``[0, limit]``;
     * **pseudo-circuit** — valid circuits have pairwise-distinct
       outputs and the output holder registers mirror them exactly;
     * **pool** — a packet slot and its flit block live exactly as long
-      as the packet: every flit id a ring, bucket or NIC send slot
-      holds sits in a live block, no slot is free twice, and the live
-      and free slots together make up the high-water mark.
+      as the packet: every flit id a buffer, calendar ring or NIC send
+      slot holds sits in a live block, no slot is on a free stack
+      twice, and the live and free slots together make up the
+      high-water mark.
 
     A sweep runs at the bottom of every ``stride``-th stepped cycle
     (``--check-stride``) and once more at :meth:`finish`. Violations
@@ -318,15 +321,37 @@ class VectorInvariantChecker(VectorHooks, Monitor):
     def sweep(self, cycle: int) -> None:
         """Run every whole-array check against the live state."""
         self.sweeps += 1
-        self._check_conservation(cycle)
+        refs = self._flit_refs()
+        self._check_conservation(cycle, refs)
         self._check_credit(cycle)
         if self._network._pc_enabled:
             self._check_pc(cycle)
-        self._check_pools(cycle)
+        self._check_pools(cycle, refs)
 
-    def _check_conservation(self, cycle: int) -> None:
+    @staticmethod
+    def _located(refs, i: int):
+        """``(flit id, where it sits)`` of entry ``i`` of the
+        concatenated ``refs``."""
+        for held, locate in refs:
+            if i < len(held):
+                return int(held[i]), locate(i)
+            i -= len(held)
+        raise IndexError(i)
+
+    def _check_conservation(self, cycle: int, refs) -> None:
         np = self._np
         net = self._network
+        # A flit in the network is in one place: one buffer slot or one
+        # ring entry (the NICs' unsent ranges, last in ``refs``, name
+        # their ends twice when one flit is left).
+        held = np.concatenate([fids for fids, _ in refs[:-1]])
+        order = held.argsort(kind="stable")
+        twice = (held[order][1:] == held[order][:-1]).nonzero()[0]
+        if len(twice):
+            fid, where = self._located(refs, int(order[twice[0] + 1]))
+            self.violation("conservation",
+                           "flit is held in two places at once",
+                           cycle=cycle, expected=1, actual=fid, **where)
         expect = self._w - self._r
         if not np.array_equal(net.buf_len, expect):
             i = int((net.buf_len != expect).nonzero()[0][0])
@@ -370,18 +395,12 @@ class VectorInvariantChecker(VectorHooks, Monitor):
             ci = self._ivc_ci[occ]
             wired = ci >= 0
             np.subtract.at(expect, ci[wired], net.buf_len[occ[wired]])
-        for batches in net._arr_bucket.values():
-            for links, dests, fids in batches:
-                np.subtract.at(expect,
-                               lay.ip_upbase[dests] + net.f_vc[fids], 1)
-        for batches in net._ej_bucket.values():
-            for terms, fids in batches:
-                np.subtract.at(expect,
-                               lay.ej_opid[terms] * net._V
-                               + net.f_vc[fids], 1)
-        for batches in net._cred_bucket.values():
-            for idx in batches:
-                np.subtract.at(expect, idx, 1)
+        dests, fids = net._pending("arrivals")
+        np.subtract.at(expect, lay.ip_upbase[dests] + net.f_vc[fids], 1)
+        terms, fids = net._pending("ejections")
+        np.subtract.at(expect, lay.ej_opid[terms] * net._V + net.f_vc[fids],
+                       1)
+        np.subtract.at(expect, net._pending("credits")[0], 1)
         if not np.array_equal(net.cred, expect):
             ci = int((net.cred != expect).nonzero()[0][0])
             self.violation(
@@ -420,9 +439,10 @@ class VectorInvariantChecker(VectorHooks, Monitor):
 
     def _flit_refs(self):
         """Every place the core holds the id of a flit still in the
-        network, as ``(fids, locate)`` pairs: ``locate(i)`` names where
-        ``fids[i]`` sits. A NIC send slot gives the next and the last
-        flit of the range it has left to send."""
+        network — input buffers, the arrival and ejection rings, the
+        NICs' send slots — as ``(fids, locate)`` pairs: ``locate(i)``
+        names where ``fids[i]`` sits. A NIC send slot gives the next and
+        the last flit of the range it has left to send."""
         np = self._np
         net, lay = self._network, self._lay
         V, D = net._V, net._D
@@ -433,16 +453,12 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         refs = [(net.buf_fid[ivcs,
                              ((net.buf_head[occ, None] + k) % D)[k < lens]],
                  lambda i: self._loc_ivc(ivcs[i]))]
-        for batches in net._arr_bucket.values():
-            for _, dests, fids in batches:
-                refs.append((fids, lambda i, dests=dests, fids=fids:
-                             self._loc_ivc(dests[i] * V
-                                           + net.f_vc[fids[i]])))
-        for batches in net._ej_bucket.values():
-            for terms, fids in batches:
-                refs.append((fids, lambda i, terms=terms, fids=fids: dict(
-                    self._loc_op(lay.ej_opid[terms[i]]),
-                    vc=int(net.f_vc[fids[i]]))))
+        dests, fids = net._pending("arrivals")
+        refs.append((fids, lambda i, dests=dests, fids=fids:
+                     self._loc_ivc(dests[i] * V + net.f_vc[fids[i]])))
+        terms, fids = net._pending("ejections")
+        refs.append((fids, lambda i, terms=terms, fids=fids: dict(
+            self._loc_op(lay.ej_opid[terms[i]]), vc=int(net.f_vc[fids[i]]))))
         t, v = net.snd_left.nonzero()
         nxt = net.snd_next[t, v]
         refs.append((np.concatenate((nxt, nxt + net.snd_left[t, v] - 1)),
@@ -450,14 +466,13 @@ class VectorInvariantChecker(VectorHooks, Monitor):
                                               + v[i % len(t)])))
         return refs
 
-    def _check_pools(self, cycle: int) -> None:
+    def _check_pools(self, cycle: int, refs) -> None:
         np = self._np
         net = self._network
         pcap, fcap = net._pcap, net._fcap
         # Packet slots below the high-water mark are live or free, once.
         hwm = len(net.p_obj)
-        freed = np.bincount(np.array(net._p_free, dtype=np.int64),
-                            minlength=pcap)
+        freed = np.bincount(net._free_packets(), minlength=pcap)
         if freed.max() > 1:
             k = int(freed.argmax())
             self.violation("pool_double_free",
@@ -488,7 +503,7 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         block_of = np.arange(nb + 1).repeat(sizes)
         sizes[nb] = 0   # no free block may claim the unused rest
         bfreed = np.zeros(nb + 1, dtype=np.int64)
-        for size, free in net._f_free.items():
+        for size, free in net._free_blocks().items():
             f0 = np.array(free, dtype=np.int64)
             b = block_of[f0]
             bad = ((starts[b] != f0) | (sizes[b] != size)).nonzero()[0]
@@ -508,24 +523,18 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         # Every held flit id sits in a live block; the packets those
         # flits, the NIC send slots and the source queues name are
         # exactly the live slots, and exactly those still hold a Packet.
-        refs = self._flit_refs()
         fids = np.concatenate([held for held, _ in refs])
         bad = dead[block_of[fids]].nonzero()[0]
         if len(bad):
-            i = int(bad[0])
-            for held, locate in refs:
-                if i < len(held):
-                    break
-                i -= len(held)
+            fid, where = self._located(refs, int(bad[0]))
             self.violation("pool_reference",
                            "flit id in use lies outside every live block",
-                           cycle=cycle, actual=int(held[i]), **locate(i))
+                           cycle=cycle, actual=fid, **where)
         named = np.zeros(pcap, dtype=bool)
         named[net.f_pkt[fids]] = True
         named[net.snd_pid[net.snd_left > 0]] = True
         if net._num_queued:
-            named[[pk for queue in net._queues.values()
-                   for pk in queue]] = True
+            named[net._queued_packets()] = True
         holds = np.zeros(pcap, dtype=bool)
         holds[:hwm] = [pkt is not None for pkt in net.p_obj]
         for wrong, rule, message in (

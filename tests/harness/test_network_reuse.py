@@ -382,7 +382,7 @@ class TestIdlePool:
                               cycles=20), use_cache=False)
         assert not idle
         # ...the scalar core below it, and where vectorized refuses.
-        low = _point(rate=0.01, backend="auto")
+        low = _point(rate=0.001, backend="auto")
         refused = _point("mecs", kx=8, ky=8, rate=0.4, backend="auto",
                          cycles=20)
         for cfg in (low, refused, low, refused):

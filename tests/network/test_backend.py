@@ -135,29 +135,34 @@ class TestAutoSelector:
         assert choose_backend(terminals=64, rate=None) == "scalar"
 
     def test_offered_load_crossover(self):
-        # 64 terminals: 0.05 offers 3.2 flits/cycle, 0.30 offers 19.2.
-        assert choose_backend(terminals=64, rate=0.05) == "scalar"
-        assert choose_backend(terminals=64, rate=0.30) == "vectorized"
-        # The pseudo crossover is higher: 0.11 straddles 6.0 and 8.0.
-        assert choose_backend(terminals=64, rate=0.11) == "vectorized"
-        assert choose_backend(terminals=64, rate=0.11,
+        # 64 terminals: 0.0005 offers 0.032 flits/cycle, 0.30 offers 19.2.
+        assert choose_backend(terminals=64, rate=0.0005) == "scalar"
+        assert choose_backend(terminals=64, rate=0.0005,
                               pseudo=True) == "scalar"
+        assert choose_backend(terminals=64, rate=0.30) == "vectorized"
+        # The canonical low-load cell (0.02: 1.28 flits/cycle) is far
+        # above either line since the whole cycle is compiled.
+        assert choose_backend(terminals=64, rate=0.02) == "vectorized"
+        # The pseudo crossover is lower: 0.00125 straddles 0.06 and 0.1.
+        assert choose_backend(terminals=64, rate=0.00125) == "scalar"
+        assert choose_backend(terminals=64, rate=0.00125,
+                              pseudo=True) == "vectorized"
 
     def test_calibration_is_the_module_constants(self):
         # Nothing re-measures the crossover at run time: every process
         # selects on the same two numbers, and the ``perf/`` ledger
         # scores them (network.backend.auto_agreement_share).
         assert calibration() == {
-            "crossover_flits_per_cycle": {"baseline": 6.0, "pseudo": 8.0},
+            "crossover_flits_per_cycle": {"baseline": 0.1, "pseudo": 0.06},
             "source": "default"}
         calibration()["crossover_flits_per_cycle"]["baseline"] = 0.0
-        assert calibration()["crossover_flits_per_cycle"]["baseline"] == 6.0
+        assert calibration()["crossover_flits_per_cycle"]["baseline"] == 0.1
 
 
 class TestAutoDispatch:
     def test_low_load_builds_scalar(self):
         cfg = ExperimentConfig(topology="mesh", kx=8, ky=8, concentration=1,
-                               routing="xy", pattern="uniform", rate=0.02,
+                               routing="xy", pattern="uniform", rate=0.001,
                                backend="auto")
         assert type(build_network(cfg)) is Network
 

@@ -129,13 +129,12 @@ class TestDegenerateBatches:
 
         class Source(SyntheticTraffic):
             def next_injection_cycle(self, cycle, lookahead=4096):
-                asked.append((net._buffered, net._num_queued,
-                              net._sending_count))
+                asked.append(net._busy())
                 return super().next_injection_cycle(cycle, lookahead)
 
         net.run_batch([Source("uniform", topo.num_terminals, 0.02, 5,
                               seed=seed) for seed in (1, 2)], [300, 300])
-        assert asked and set(asked) == {(0, 0, 0)}
+        assert asked and set(asked) == {False}
         assert net.cycle == 300
 
     def test_lane_budget_mismatch_rejected(self):

@@ -1,23 +1,27 @@
-"""The compiled router step (``vectorized/kernel.c``) and its loader.
+"""The compiled cycle (``vectorized/kernel.c``) and its loader.
 
-The array cores step their routers through C when the process finds a
-compiler and through numpy when it does not; both must be the same
-simulator. Pinned here:
+An array core steps through one C call per cycle and has no second form
+of itself to be compared with; its oracle is the scalar ``Network``.
+Pinned here:
 
-* **Per-phase differential.** The same run on the numpy phases and on
-  the kernel, compared at every phase-timer mark of every cycle: every
-  state array, every calendar and every index array handed to a stats
-  or observer hook since the previous mark. Both start each phase from
-  equal state (that is what the previous mark asserted), so a
-  divergence names the first phase, cycle and array it appears in.
-* **The numpy twin stays held.** The parity, batched-parity,
-  irregular-parity and property suites once more with ``CC=false``.
+* **Lockstep differential.** The scalar core and the array core driven
+  by the same traffic, compared after *every* cycle (``stats
+  .fingerprint()`` and the clock), over the parity grid — both VC
+  policies, ``o1turn``, chiplet / kite, trace replay behind MSHRs — and
+  each lane of a 4-lane batch against its own scalar run. A divergence
+  names the first cycle it appears in. (The class keeps the name it had
+  when the reference was the numpy twin of each phase.)
+* **Observers change nothing.** The same runs with the observer hooks
+  attached — the kernel's event buffers on — and with them off.
 * **Checked build.** The parity grid under ``-DREPRO_KERNEL_CHECK``:
   an out-of-bounds access is the one fault fingerprint parity cannot
   see; a seeded one is raised naming array and index.
-* **Pools.** Both pools grow mid-flight and the ``Chip`` follows.
-* **Loader.** Every way the build can go wrong ends in its named
-  ``step_kernel`` reason and the same result, never in an exception.
+* **Storage.** Calendar rings that wrap at a chiplet boundary, a ring
+  one slot too shallow, pools that grow mid-flight with the ``Chip``
+  following, a start that finds the flit pool full.
+* **Loader.** Every way the build can go wrong ends in a refusal that
+  names its reason (``BackendUnsupportedError``), and ``auto`` still
+  answers, from the scalar core.
 """
 
 import dataclasses
@@ -25,22 +29,30 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.harness import run_experiments
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
+from repro.harness.traces import get_trace
+from repro.instrument.overhead import vectorized_overhead_gate
+from repro.network.backend import BackendUnsupportedError
 from repro.network.buffers import BufferOverflowError
 from repro.network.config import PSEUDO_SB, NetworkConfig
+from repro.network.flit import Packet
 from repro.network.router import ProtocolError
 from repro.network.simulator import Network
 from repro.network.vectorized import (BatchNetwork, VectorHooks,
-                                      VectorNetwork, core, kernel)
+                                      VectorInvariantChecker, VectorNetwork,
+                                      batch, core, kernel)
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 
 from . import test_batched_parity, test_irregular_parity
 from .test_vectorized_parity import (CONCENTRATED, GRID, MESH4X4, MESH8X8,
@@ -51,18 +63,18 @@ REPO = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(autouse=True)
 def compiled(_private_kernel_cache):
-    """Every test here compares against the compiled step."""
-    status = kernel.load().status
-    if not status.startswith("c:"):
-        pytest.skip(f"no compiled step on this machine ({status})")
-    return status
+    """Every test here starts from a process that has the kernel."""
+    loaded = kernel.load()
+    if not loaded.status.startswith("c:"):
+        pytest.skip(f"no compiled cycle on this machine: {loaded.refusal()}")
+    return loaded.status
 
 
 @pytest.fixture
-def numpy_step(monkeypatch):
+def no_compiler(monkeypatch):
     """Networks built from here on find no compiler."""
     monkeypatch.setenv("CC", "false")
-    assert kernel.load().status == "numpy:no-compiler"
+    assert kernel.load().status == "refused:no-compiler"
 
 
 @pytest.fixture
@@ -73,124 +85,76 @@ def checked_step(monkeypatch):
     monkeypatch.setattr(core, "load_kernel", lambda: checked)
 
 
-# -- per-phase differential ---------------------------------------------------
+# -- lockstep differential ----------------------------------------------------
 
-#: Everything ``_step_routers`` .. ``_deliver`` may write.
-_STATE = ("vc_state", "vc_out_port", "vc_out_opid", "vc_out_vc",
-          "vc_out_cred", "buf_fid", "buf_head", "buf_len", "pc_in_vc",
-          "pc_out_port", "pc_valid", "ip_st", "ip_last_out", "ip_last_pair",
-          "op_st", "op_holder", "op_hist", "in_arb_next", "out_arb_next",
-          "cred", "cred_free", "_r_buffered", "p_hops", "p_sa", "p_buf",
-          "f_vc", "f_ready", "_buffered", "_ej_pending")
-_CALENDARS = ("_arr_bucket", "_ej_bucket", "_cred_bucket")
-_HOOKS = ("_count_va", "_count_traversals", "_count_terminations",
-          "_count_established", "_count_restored", "_count_buffer_writes")
-
-
-def _plain(value):
-    return value.tolist() if hasattr(value, "tolist") else value
-
-
-def _digest(value):
-    """State is compared by hash: a mark of an 8x8 holds ~50 000 words,
-    a run several thousand marks."""
-    return hash(value.tobytes()) if hasattr(value, "tobytes") else value
+def _stepping(net, traffic, cycles):
+    """``net.run(cycles, traffic)`` then ``net.drain()``, as a generator
+    that yields after every ``step()`` (before the fast-forward that
+    follows it)."""
+    end = net.cycle + cycles
+    while net.cycle < end:
+        traffic.tick(net, net.cycle)
+        net.step()
+        yield
+        net.fast_forward(end, traffic.next_injection_cycle(net.cycle))
+    while not net.quiescent():
+        net.step()
+        yield
+        if not net.quiescent():
+            net.fast_forward(net.cycle + 500_000)
 
 
-class _Observer(VectorHooks):
-    """Records the two observer hooks the router step drives."""
-
-    def __init__(self, pending):
-        self.pending = pending
-
-    def bind(self, network):
-        pass
-
-    def on_cycle_start(self, cycle, network):
-        pass
-
-    def vec_buffer_writes(self, cycle, aivc):
-        self.pending.append(("vec_buffer_writes", cycle, aivc.tolist()))
-
-    def vec_traversals(self, cycle, via, popped, ivcs):
-        self.pending.append(("vec_traversals", cycle, via, popped,
-                             ivcs.tolist()))
+def _replaying(net, trace):
+    """``experiment._replay``, yielding after every ``step()``."""
+    replay = TraceReplayTraffic(trace)
+    while not replay.exhausted:
+        replay.tick(net, net.cycle)
+        net.step()
+        yield
+        nxt = replay.next_injection_cycle(net.cycle)
+        if nxt is not None:
+            net.fast_forward(nxt, nxt)
+    yield from _stepping(net, None, 0)
 
 
-class _Marks(dict):
-    """The phase-timer dict of ``enable_profile``: every mark the step
-    loop makes also logs the network's state and the hook calls since
-    the previous mark. Each hook call is compared argument for
-    argument, but not their order within one phase (every hook adds to
-    counters), and VA winners are compared as a set — the numpy phase
-    emits them pool by pool, the kernel in the scalar visit order."""
-
-    def __init__(self, net, log):
-        super().__init__(net.enable_profile())
-        self.net, self.log, self.pending = net, log, []
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        net = self.net
-        granted = sorted(ivc for call in self.pending
-                         if call[0] == "_count_va" for ivc in call[1])
-        calls = sorted((call for call in self.pending
-                        if call[0] != "_count_va"), key=repr)
-        self.pending.clear()
-        state = {name: _digest(getattr(net, name)) for name in _STATE}
-        for name in _CALENDARS:
-            state[name] = {
-                cycle: [_digest(np.concatenate(column))
-                        for column in (zip(*batches)
-                                       if isinstance(batches[0], tuple)
-                                       else [batches])]
-                for cycle, batches in sorted(getattr(net, name).items())}
-        self.log.append((net.cycle, key, granted, calls, state))
+def _lockstep(build, drive):
+    """Build the point on both cores, step them side by side and compare
+    after every cycle; returns the two finished networks."""
+    nets = [build(cls) for cls in (Network, VectorNetwork)]
+    steps = 0
+    for _ in zip(*(drive(net) for net in nets), strict=True):
+        scalar, vector = nets
+        assert scalar.cycle == vector.cycle, f"clocks part after {steps}"
+        assert scalar.stats.fingerprint() == vector.stats.fingerprint(), (
+            f"cycle {scalar.cycle - 1}")
+        steps += 1
+    assert steps and nets[0].quiescent() and nets[1].quiescent()
+    for net in nets:
+        net.check_invariants()
+    return nets
 
 
-def _traced(cls, log):
-    """``cls``, whose instances log every phase mark into ``log``."""
-    def build(*args, **kw):
-        net = cls(*args, **kw)
-        marks = net._prof = _Marks(net, log)
-        for name in _HOOKS:
-            def spy(*args, _hook=getattr(net, name), _name=name):
-                marks.pending.append(
-                    (_name, *(_plain(arg) for arg in args)))
-                return _hook(*args)
-            setattr(net, name, spy)
-        net.bind_probe(_Observer(marks.pending))
+def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
+                vc_policy="dynamic", seed=7, packet_size=5, num_vcs=4,
+                benchmark=None):
+    """``(build, drive)`` of one row of the parity grid
+    (``test_vectorized_parity._run``, taken apart)."""
+    def build(cls):
+        net = cls(make_topology(*topo_args),
+                  NetworkConfig(num_vcs=num_vcs, pseudo=scheme,
+                                mshrs=4 if benchmark else 0),
+                  routing=routing, vc_policy=vc_policy, seed=seed)
+        net.stats.warmup_cycles = cycles // 5
         return net
-    return build
 
-
-def _first_difference(numpy_log, kernel_log):
-    assert len(numpy_log) == len(kernel_log)
-    for (cycle, key, *ours), (cycle_k, key_k, *theirs) in zip(numpy_log,
-                                                              kernel_log):
-        assert (cycle, key) == (cycle_k, key_k)
-        for what, a, b in zip(("VA winners", "hook calls", "state"), ours,
-                              theirs):
-            if a != b:
-                if what == "state":
-                    what = [name for name in a if a[name] != b[name]]
-                return f"cycle {cycle}, mark {key!r}: {what} differ"
-    return None
-
-
-def _differential(drive, monkeypatch):
-    """Run ``drive(log)`` on the numpy phases, then on the kernel."""
-    logs = {}
-    for mode in ("numpy", "kernel"):
-        with monkeypatch.context() as patch:
-            if mode == "numpy":
-                patch.setenv("CC", "false")
-            logs[mode] = []
-            net = drive(logs[mode])
-            assert net.step_kernel.startswith(
-                "numpy:" if mode == "numpy" else "c:")
-    assert logs["numpy"], "the run made no phase mark"
-    assert _first_difference(logs["numpy"], logs["kernel"]) is None
+    def drive(net):
+        if benchmark:
+            return _replaying(net, get_trace(benchmark, cycles=cycles,
+                                             warmup=200, seed=seed))
+        return _stepping(net, SyntheticTraffic(
+            "uniform", net.topology.num_terminals, rate, packet_size,
+            seed=seed), cycles)
+    return build, drive
 
 
 #: The parity grid by test id: each scheme under both VC policies,
@@ -201,92 +165,192 @@ _GRID = {**MESH8X8, **MESH4X4, **ROUTINGS, **CONCENTRATED,
 assert list(_GRID.values()) == GRID
 
 
+def _irregular_point(topo_args, topo_kw, config, rate, cycles):
+    def build(cls):
+        net = cls(make_topology(*topo_args, **topo_kw), config,
+                  routing="weighted", vc_policy="static", seed=7)
+        net.stats.warmup_cycles = cycles // 5
+        return net
+
+    def drive(net):
+        return _stepping(net, SyntheticTraffic(
+            "uniform", net.topology.num_terminals, rate, 5, seed=7), cycles)
+    return build, drive
+
+
 class TestPerPhaseDifferential:
     @pytest.mark.parametrize("case", _GRID.values(), ids=_GRID)
-    def test_parity_grid(self, case, monkeypatch):
+    def test_parity_grid(self, case):
         topo_args, scheme, rate, cycles, kw = case
-        _differential(
-            lambda log: _run(_traced(VectorNetwork, log), topo_args, scheme,
-                             rate, cycles, **kw), monkeypatch)
+        _lockstep(*_grid_point(topo_args, scheme, rate, cycles, **kw))
 
     @pytest.mark.parametrize("topo_args,topo_kw",
                              test_irregular_parity.POINTS,
                              ids=test_irregular_parity.POINT_IDS)
-    def test_irregular_latencies(self, topo_args, topo_kw, monkeypatch):
-        """Chiplet and kite links differ in latency: one traversal batch
-        lands on several cycles of the calendars."""
-        _differential(
-            lambda log: test_irregular_parity._run(
-                _traced(VectorNetwork, log), topo_args, topo_kw, PSEUDO_SB,
-                0.20, 200), monkeypatch)
+    def test_irregular_latencies(self, topo_args, topo_kw):
+        """Chiplet and kite links differ in latency: one cycle's
+        traversals land in several slots of the rings."""
+        _lockstep(*_irregular_point(topo_args, topo_kw,
+                                    NetworkConfig(pseudo=PSEUDO_SB), 0.20,
+                                    200))
 
-    def test_four_lane_batch(self, monkeypatch):
-        def drive(log):
-            built = []
+    def test_ring_wrap_on_a_chiplet_boundary(self):
+        """Boundary latency 6 plus credit delay 3 is ``RD`` - 1: ten-slot
+        rings, in which a switch-granted boundary flit is filed eight
+        slots ahead and a credit three, wrapping every ten cycles."""
+        config = NetworkConfig(pseudo=PSEUDO_SB, credit_delay=3)
+        _, vector = _lockstep(*_irregular_point(
+            ("chiplet", 2, 2, 1), dict(chiplets=2, chiplet_link_latency=6),
+            config, 0.20, 200))
+        assert vector._RD == 10
+        assert int(vector._lay.op_latency.max()) + config.credit_delay == 9
+        assert vector.cycle > 20 * vector._RD
 
-            def build(*args, **kw):
-                built.append(_traced(BatchNetwork, log)(*args, **kw))
-                return built[0]
-            monkeypatch.setattr(test_batched_parity, "BatchNetwork", build)
-            test_batched_parity._batched_stats(
-                ("mesh", 4, 4, 1), PSEUDO_SB,
-                test_batched_parity.MIXED_LANES, vc_policy="static")
-            return built[0]
-        _differential(drive, monkeypatch)
+    def test_four_lane_batch(self):
+        """Each lane of a mixed batch against its own scalar run, after
+        every cycle of the shared clock (no fast-forward on either side:
+        skipping is stats-preserving, the batch's clock never skips what
+        one lane alone could)."""
+        topo = make_topology("mesh", 4, 4, 1)
+        lanes = test_batched_parity.MIXED_LANES
+        config = NetworkConfig(pseudo=PSEUDO_SB)
+        net = BatchNetwork(topo, config, vc_policy="static",
+                           seeds=[seed for _, _, seed, _ in lanes])
+        solos = [Network(topo, config, vc_policy="static", seed=seed)
+                 for _, _, seed, _ in lanes]
+        sources = [[SyntheticTraffic(pattern, topo.num_terminals, rate, 5,
+                                     seed=seed) for _ in range(2)]
+                   for pattern, rate, seed, _ in lanes]
+        ends = [cycles for *_, cycles in lanes]
+        for solo, end in zip(solos, ends):
+            solo.stats.warmup_cycles = end // 5
+        net.run_batch([ours for ours, _ in sources], [0] * len(lanes),
+                      warmups=[end // 5 for end in ends])   # warm-ups only
+        sinks = [batch._LaneSink(net, lane) for lane in range(len(lanes))]
+        while net.cycle < max(ends) or not net.quiescent():
+            c = net.cycle
+            for lane, (solo, end) in enumerate(zip(solos, ends)):
+                if c < end:
+                    sources[lane][0].tick(sinks[lane], c)
+                    sources[lane][1].tick(solo, c)
+                solo.step()
+            net.step()
+            for lane, solo in enumerate(solos):
+                assert (net.lane_stats(lane).fingerprint()
+                        == solo.stats.fingerprint()), (lane, c)
+        assert all(solo.quiescent() for solo in solos)
+        assert net.stats == solos[0].stats      # lane 0 is ``stats``
 
 
-# -- the numpy twin, still held to the scalar core ----------------------------
+# -- observers ----------------------------------------------------------------
 
-@pytest.mark.parametrize("suite", ["test_vectorized_parity",
-                                   "test_batched_parity",
-                                   "test_irregular_parity",
-                                   "test_vectorized_property"])
-def test_suite_passes_without_a_compiler(suite):
-    """The suite as it stands, in an interpreter that finds no compiler:
-    every case it holds the kernel to, it holds the numpy phases to."""
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-         "no:cacheprovider", f"tests/network/{suite}.py"],
-        cwd=REPO, env=dict(os.environ, CC="false"), capture_output=True,
-        text=True, timeout=900)
-    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+class _Observer(VectorHooks):
+    """Counts what each observer hook is handed."""
 
+    def __init__(self):
+        self.seen = {"injects": 0, "ejects": 0, "buffer_writes": 0,
+                     "sa": 0, "pc": 0, "buf": 0, "popped": 0}
+
+    def bind(self, network):
+        pass
+
+    def on_cycle_start(self, cycle, network):
+        pass
+
+    def vec_inject(self, cycle, terminal):
+        self.seen["injects"] += 1
+
+    def vec_ejects(self, cycle, terminals):
+        self.seen["ejects"] += len(terminals)
+
+    def vec_buffer_writes(self, cycle, aivc):
+        self.seen["buffer_writes"] += len(aivc)
+
+    def vec_traversals(self, cycle, via, popped, ivcs):
+        assert len(set(ivcs.tolist())) == len(ivcs)
+        self.seen[via] += len(ivcs)
+        self.seen["popped"] += popped * len(ivcs)
+
+
+@pytest.mark.parametrize("case", [
+    MESH8X8["sat-pseudo_sb"], MESH4X4["static-Baseline"],
+    ROUTINGS["o1turn"], CONCENTRATED["cmesh4x4-trace-mshrs"],
+], ids=["sat-pseudo_sb", "static-Baseline", "o1turn", "trace-mshrs"])
+def test_observers_change_nothing_and_see_everything(case):
+    """The event buffers are filled only while a hook is attached: the
+    run is the same run either way, and what the hooks were handed adds
+    up to the counters."""
+    topo_args, scheme, rate, cycles, kw = case
+    bare = _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
+    observer = _Observer()
+
+    def observed(*args, **kwargs):
+        net = VectorNetwork(*args, **kwargs)
+        net.bind_probe(observer)
+        net.attach_checker(VectorInvariantChecker(strict=True))
+        return net
+    net = _run(observed, topo_args, scheme, rate, cycles, **kw)
+    assert not bare._vhooks and len(net._vhooks) == 2
+    assert net.stats.fingerprint() == bare.stats.fingerprint()
+    assert net.cycle == bare.cycle
+    stats, seen = net.stats, observer.seen
+    assert seen == {
+        "injects": stats.injected_packets, "ejects": stats.ejected_packets,
+        "buffer_writes": stats.buffer_writes,
+        "sa": stats.sa_arbitrations,
+        "pc": stats.sa_bypass_flits - stats.buf_bypass_flits,
+        "buf": stats.buf_bypass_flits, "popped": stats.buffer_reads}
+
+
+# -- manifests ----------------------------------------------------------------
 
 _POINT = dict(topology="mesh", kx=4, ky=4, concentration=1, routing="xy",
               scheme=PSEUDO_SB, pattern="uniform", rate=0.25,
               synth_cycles=150, synth_warmup=30, seed=7)
+#: A point ``auto`` sends to the vectorized core (19 flits per cycle).
+_BUSY_POINT = dict(_POINT, kx=8, ky=8, rate=0.30)
 
 
-def _solo():
-    return run_experiment(ExperimentConfig(backend="vectorized", **_POINT),
-                          use_cache=False)
+def _solo(backend="vectorized", **point):
+    return run_experiment(
+        ExperimentConfig(backend=backend, **(point or _POINT)),
+        use_cache=False)
 
 
 class TestManifest:
     def test_both_paths_are_named_and_agree(self, compiled, monkeypatch):
-        fast = _solo()
+        """Solo and batched, with a compiler: both name the artifact.
+        Without one: the explicit backends refuse, ``auto`` and a
+        grouped sweep answer the same rows from the scalar core."""
+        fast = _solo(**_BUSY_POINT)
         lanes = run_batch_experiments(
-            [ExperimentConfig(backend="batched", **_POINT)],
+            [ExperimentConfig(backend="batched", **_BUSY_POINT)],
             use_cache=False)
         assert fast.manifest["step_kernel"] == compiled
         assert lanes[0].manifest["step_kernel"] == compiled
-        monkeypatch.setenv("CC", "false")
-        slow = _solo()
-        assert slow.manifest["step_kernel"] == "numpy:no-compiler"
         # Result equality is every measured field; the lane's config
         # differs in the backend it names.
-        assert slow == fast == dataclasses.replace(lanes[0],
-                                                   config=fast.config)
-        assert (slow.manifest["backend"], lanes[0].manifest["backend"]) == (
+        assert fast == dataclasses.replace(lanes[0], config=fast.config)
+        assert (fast.manifest["backend"], lanes[0].manifest["backend"]) == (
             "vectorized", "batched")
+        monkeypatch.setenv("CC", "false")
+        for backend in ("vectorized", "batched"):
+            with pytest.raises(BackendUnsupportedError, match="no-compiler"):
+                _solo(backend, **_BUSY_POINT)
+        slow = _solo("auto", **_BUSY_POINT)
+        assert slow.manifest["backend"] == "scalar"
+        assert "step_kernel" not in slow.manifest
+        assert fast == dataclasses.replace(slow, config=fast.config)
+        swept = run_experiments(
+            [ExperimentConfig(backend="auto", **dict(_BUSY_POINT, seed=seed))
+             for seed in (7, 8)], max_workers=1, batch_size=2)
+        assert [r.manifest["backend"] for r in swept] == ["scalar"] * 2
+        assert fast == dataclasses.replace(swept[0], config=fast.config)
 
     def test_scalar_points_say_nothing(self):
-        result = run_experiment(ExperimentConfig(backend="scalar", **_POINT),
-                                use_cache=False)
-        assert "step_kernel" not in result.manifest
+        assert "step_kernel" not in _solo("scalar").manifest
 
     def test_point_spans_carry_it(self, compiled, tmp_path):
-        from repro.harness import run_experiments
         from repro.telemetry.stream import read_stream
         stream = tmp_path / "sweep.telemetry.jsonl"
         run_experiments(
@@ -302,6 +366,15 @@ class TestManifest:
 
 
 # -- the checked build --------------------------------------------------------
+
+def _due_arrivals(net):
+    """(ring index, input port, flit) of every arrival due this cycle."""
+    row, (ports, fids) = net._rings["arrivals"]
+    slot = net.cycle % net._RD
+    due = int(net.ring_n[row, slot])
+    return [((slot, k), int(ports[slot, k]), int(fids[slot, k]))
+            for k in range(due)]
+
 
 class TestCheckedBuild:
     def test_parity_grid_stays_in_bounds(self, checked_step):
@@ -326,9 +399,9 @@ class TestCheckedBuild:
         for _ in range(12):
             traffic.tick(net, net.cycle)
             net.step()
-        _, dests, fids = net._arr_bucket[net.cycle][0]
-        net.f_vc[fids[0]] = 10 ** 6     # an arrival on VC one million
-        wild = int(dests[0]) * net._V + 10 ** 6
+        _, dest, fid = _due_arrivals(net)[0]
+        net.f_vc[fid] = 10 ** 6     # an arrival on VC one million
+        wild = dest * net._V + 10 ** 6
         with pytest.raises(ProtocolError) as caught:
             net.step()
         assert str(caught.value) == (
@@ -339,7 +412,7 @@ class TestCheckedBuild:
 # -- errors -------------------------------------------------------------------
 # Each fault is seeded into a 4x4 chip a few cycles into saturating
 # traffic, at the first cycle that offers it; the next step must raise
-# the same error, from the same cycle, on both forms of the step.
+# the error the scalar core raises at the same place.
 
 def _fronts(net):
     """(ivc, front flit) of every occupied VC whose front is ready."""
@@ -351,13 +424,12 @@ def _fronts(net):
 
 def _bypass_offers(net, head):
     """Arrivals of this cycle at the idle, empty VC of a valid circuit."""
-    for _, dests, fids in net._arr_bucket.get(net.cycle, ()):
-        for dest, fid in zip(dests.tolist(), fids.tolist()):
-            ivc = dest * net._V + int(net.f_vc[fid])
-            if (net.pc_valid[dest] and net.pc_in_vc[dest] == net.f_vc[fid]
-                    and net.buf_len[ivc] == 0 and net.ip_st[dest] < net.cycle
-                    and bool(net.f_head[fid]) == head):
-                yield ivc
+    for _, dest, fid in _due_arrivals(net):
+        ivc = dest * net._V + int(net.f_vc[fid])
+        if (net.pc_valid[dest] and net.pc_in_vc[dest] == net.f_vc[fid]
+                and net.buf_len[ivc] == 0 and net.ip_st[dest] < net.cycle
+                and bool(net.f_head[fid]) == head):
+            yield ivc
 
 
 def _body_at_idle_front(net):
@@ -393,9 +465,18 @@ def _body_arrives_inactive(net):
 
 
 def _buffer_overflow(net):
-    for _, dests, fids in net._arr_bucket.get(net.cycle, ()):
-        net.buf_len[dests[0] * net._V + net.f_vc[fids[0]]] = net._D
+    for _, dest, fid in _due_arrivals(net):
+        net.buf_len[dest * net._V + net.f_vc[fid]] = net._D
         return True
+
+
+def _tail_before_its_body(net):
+    row, (_, fids) = net._rings["ejections"]
+    slot = net.cycle % net._RD
+    for fid in fids[slot, :net.ring_n[row, slot]].tolist():
+        if net.f_tail[fid]:
+            net.p_rx[net.f_pkt[fid]] -= 1
+            return True
 
 
 def _seeded(fault, cycles):
@@ -412,46 +493,80 @@ def _seeded(fault, cycles):
         return None
     try:
         net.step()
-    except (ProtocolError, BufferOverflowError) as error:
+    except (ProtocolError, BufferOverflowError, RuntimeError) as error:
         return type(error), str(error)
     return None
 
 
-@pytest.mark.parametrize("fault,message", [
-    (_body_at_idle_front, "body flit at the front of an idle VC"),
-    (_body_on_inactive_circuit, "body flit on inactive VC"),
-    (_head_on_allocated, "head flit arrived on a still-allocated VC"),
-    (_body_arrives_inactive, "body flit arrived on an inactive VC"),
-    (_buffer_overflow, "flit buffer overflow (capacity 4)"),
+@pytest.mark.parametrize("fault,error", [
+    (_body_at_idle_front,
+     (ProtocolError, "body flit at the front of an idle VC")),
+    (_body_on_inactive_circuit, (ProtocolError, "body flit on inactive VC")),
+    (_head_on_allocated,
+     (ProtocolError, "head flit arrived on a still-allocated VC")),
+    (_body_arrives_inactive,
+     (ProtocolError, "body flit arrived on an inactive VC")),
+    (_buffer_overflow,
+     (BufferOverflowError, "flit buffer overflow (capacity 4)")),
+    (_tail_before_its_body,
+     (RuntimeError, "NIC: tail arrived before all flits of its packet")),
 ], ids=lambda arg: arg.__name__.strip("_") if callable(arg) else "")
-def test_seeded_faults_raise_what_the_numpy_phases_raise(fault, message,
-                                                         monkeypatch):
-    raised = next(((cycles, error) for cycles in range(8, 60)
+def test_seeded_faults_raise_what_the_numpy_phases_raise(fault, error):
+    """...which is what the scalar router and NIC raise: the kernel
+    answers a code, ``core.py`` raises the named error."""
+    raised = next((error for cycles in range(8, 60)
                    if (error := _seeded(fault, cycles)) is not None), None)
     assert raised is not None, "no cycle offered the fault"
-    cycles, error = raised
-    assert error[1] == message
-    monkeypatch.setenv("CC", "false")
-    assert _seeded(fault, cycles) == error
+    assert raised == error
 
 
-def test_more_arrivals_than_input_ports_never_reach_the_kernel():
-    """The staging buffers hold one arrival per input port; a calendar
-    that claims more is refused before anything is copied."""
-    def flood(net):
-        rows = np.zeros(net._NIP + 1, dtype=np.int64)
-        net._arr_bucket[net.cycle] = [(rows, rows, rows)]
-        return True
-    assert _seeded(flood, 8) == (
-        ProtocolError, "81 arrivals in one cycle on 80 input ports")
+# -- storage: rings and pools -------------------------------------------------
+
+def _saturated(**kw):
+    topo = make_topology("mesh", 4, 4, 1)
+    net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB), seed=5, **kw)
+    return net, SyntheticTraffic("uniform", topo.num_terminals, 0.5, 5,
+                                 seed=5)
 
 
-# -- pools --------------------------------------------------------------------
+def test_a_ring_one_slot_too_shallow_is_refused_in_that_cycle():
+    """Rings of ``RD`` - 1 slots hold everything but a switch-granted
+    flit's arrival (granted now, across the switch next cycle, off the
+    link one later: ``RD`` ahead). The first grant is refused by name,
+    in its cycle, rather than filed into the slot of an earlier one."""
+    healthy, traffic = _saturated()
+    while not healthy.stats.sa_arbitrations:
+        traffic.tick(healthy, healthy.cycle)
+        healthy.step()
+    first_grant = healthy.cycle - 1
+    net, traffic = _saturated()
+    net._kernel.chip.RD -= 1
+    with pytest.raises(ProtocolError, match="calendar ring overflow: an "
+                                            "event more than 3 cycles"):
+        while True:
+            traffic.tick(net, net.cycle)
+            net.step()
+    assert net.cycle == first_grant
+
+
+def test_a_ring_slot_holds_one_arrival_per_input_port():
+    """A slot that claims to be full already cannot take one more: the
+    kernel answers the named error before it writes past the slot."""
+    net, traffic = _saturated()
+    for _ in range(12):
+        traffic.tick(net, net.cycle)
+        net.step()
+    row, _ = net._rings["arrivals"]
+    net.ring_n[row, (net.cycle + 1) % net._RD] = net._NIP
+    with pytest.raises(ProtocolError, match="calendar ring overflow"):
+        net.step()
+
 
 def test_chip_follows_both_pools_as_they_grow(compiled):
     """An overloaded 8x8 outgrows the initial 512 packet slots and 1024
     flits with flits buffered all over the chip; the kernel must read
-    and write the reallocated arrays from the next cycle on."""
+    and write the reallocated arrays — fields, free stack, links — from
+    the next cycle on, and the run still equals the scalar core's."""
     nets = {}
     for cls in (Network, VectorNetwork):
         topo = make_topology("mesh", 8, 8, 1)
@@ -463,13 +578,28 @@ def test_chip_follows_both_pools_as_they_grow(compiled):
     net = nets[VectorNetwork]
     assert net.step_kernel == compiled
     assert net._pcap > 512 and net._fcap > 1024
-    for name in ("p_hops", "p_pair", "f_pkt", "f_ready", "f_tail"):
+    for name in (*core._PACKET_FIELDS, *core._FLIT_FIELDS, "fb_head"):
         assert getattr(net._kernel.chip, name) == getattr(
             net, name).ctypes.data
         assert getattr(net._kernel.chip, "n_" + name) == len(
             getattr(net, name))
     assert net.stats.fingerprint() == nets[Network].stats.fingerprint()
     assert net.cycle == nets[Network].cycle
+
+
+def test_a_start_that_finds_the_flit_pool_full_is_refused_by_name():
+    """``step`` grows the flit pool for the most a cycle can start; were
+    that bound ever wrong the kernel must not write past the pool. Here
+    the pool claims to be two flits from full and may not grow."""
+    net, _ = _saturated()
+    net.inject(Packet(0, 15, 5, 0))
+    net._state[net._S_FLITS] = net._fcap - 2
+    net._size_pool = lambda fields, old, need: old
+    with pytest.raises(ProtocolError, match="flit pool exhausted"):
+        net.step()
+    # Nothing was taken: the packet is still queued, unstarted.
+    assert net._num_queued == 1 and net._nflits == net._fcap - 2
+    assert net.stats.injected_packets == 0
 
 
 # -- loader -------------------------------------------------------------------
@@ -505,7 +635,7 @@ def _fake_compiler(tmp_path, body: str) -> str:
 
 
 def test_an_installed_package_carries_the_source():
-    """The step is built on the machine that runs it, so a wheel ships
+    """The cycle is built on the machine that runs it, so a wheel ships
     ``kernel.c`` as package data, beside the loader."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((REPO / "pyproject.toml").read_text("utf-8"))
@@ -529,11 +659,21 @@ print(r.manifest["step_kernel"], r.avg_latency, r.flit_hops)
 
 
 class TestLoader:
-    def _lands_on(self, reason, reference):
+    def _refuses(self, reason, reference, *also):
+        """No array core is built — the refusal names ``reason`` (and
+        whatever else it should quote) and the way out — and ``auto``
+        answers the same point from the scalar core."""
         assert reason in kernel.REASONS
-        result = _solo()
-        assert result.manifest["step_kernel"] == f"numpy:{reason}"
-        assert result == reference
+        with pytest.raises(BackendUnsupportedError) as caught:
+            _solo()
+        message = str(caught.value)
+        for part in (reason, "--backend scalar|auto", *also):
+            assert part in message, message
+        assert kernel.load().status == f"refused:{reason}"
+        answered = _solo("auto")
+        assert answered.manifest["backend"] == "scalar"
+        assert reference == dataclasses.replace(answered,
+                                                config=reference.config)
 
     def test_cold_build_is_sealed_and_owner_only(self, cold_cache,
                                                  reference):
@@ -577,24 +717,47 @@ class TestLoader:
         assert kernel._sealed(str(target))
         assert [p.name for p in target.parent.iterdir()] == [path.name]
 
-    def test_no_compiler(self, numpy_step, reference):
-        self._lands_on("no-compiler", reference)
+    def test_no_compiler(self, no_compiler, reference):
+        self._refuses("no-compiler", reference, "$CC='false'")
 
     def test_compile_failed_leaves_nothing_behind(self, cold_cache,
                                                   reference, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setenv("CC", _fake_compiler(tmp_path, "exit 1"))
-        self._lands_on("compile-failed", reference)
+        """...and says what the compiler said: its exit status and the
+        last lines of its stderr, not the first."""
+        fakecc = _fake_compiler(
+            tmp_path, 'for n in 1 2 3 4 5 6 7 8; do '
+                      'echo "kernel.c:$n: error: boom $n" >&2; done; exit 3')
+        monkeypatch.setenv("CC", fakecc)
+        self._refuses("compile-failed", reference, f"$CC={fakecc!r}",
+                      "exit status 3", "kernel.c:8: error: boom 8")
+        assert "boom 1" not in kernel.load().detail
         assert list((cold_cache / "repro" / "kernel").iterdir()) == []
+
+    def test_a_killed_compile_is_swept_by_the_next_build(self, cold_cache):
+        """SIGKILL runs no ``finally``: the temporary file of a compile
+        that died is removed by the next build once no live compile can
+        be that old; a young one is somebody else's build in progress."""
+        cache = cold_cache / "repro" / "kernel"
+        cache.mkdir(parents=True, mode=0o700)
+        dead, live = cache / "build-dead.tmp", cache / "build-live.tmp"
+        for path in (dead, live):
+            path.write_bytes(b"half an object file")
+        long_ago = time.time() - kernel._COMPILE_TIMEOUT_S - 60
+        os.utime(dead, (long_ago, long_ago))
+        assert _solo().manifest["step_kernel"].startswith("c:")
+        left = sorted(p.name for p in cache.iterdir())
+        assert len(left) == 2 and live.name in left
+        assert kernel._sealed(str(cache / left[1 - left.index(live.name)]))
 
     def test_cache_home_is_a_file(self, cold_cache, reference):
         cold_cache.write_text("in the way")
-        self._lands_on("cache-unwritable", reference)
+        self._refuses("cache-unwritable", reference)
 
     def test_cache_open_to_others_is_refused(self, cold_cache, reference):
         (cold_cache / "repro" / "kernel").mkdir(parents=True)
         (cold_cache / "repro" / "kernel").chmod(0o755)
-        self._lands_on("cache-unwritable", reference)
+        self._refuses("cache-unwritable", reference)
         assert list((cold_cache / "repro" / "kernel").iterdir()) == []
 
     def test_sealed_but_unloadable(self, cold_cache, reference, tmp_path,
@@ -604,12 +767,21 @@ class TestLoader:
         monkeypatch.setenv("CC", _fake_compiler(
             tmp_path, 'while [ "$1" != -o ]; do shift; done; '
                       'echo "not a shared object" > "$2"'))
-        self._lands_on("load-failed", reference)
+        self._refuses("load-failed", reference)
 
     def test_wrong_abi_fails_the_self_test(self, cold_cache, reference,
                                            monkeypatch):
         monkeypatch.setattr(kernel, "ABI", kernel.ABI + 1)
-        self._lands_on("self-test-failed", reference)
+        self._refuses("self-test-failed", reference)
+
+    def test_bench_says_why_its_vectorized_gate_cannot_run(self, no_compiler,
+                                                           capsys):
+        with pytest.raises(BackendUnsupportedError):
+            vectorized_overhead_gate(cycles=50)
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("vectorized overhead gate: refused")
+        for part in ("no-compiler", "$CC='false'", "--backend scalar|auto"):
+            assert part in line
 
     def test_two_processes_race_a_cold_cache(self, cold_cache, reference):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

@@ -124,7 +124,7 @@ class TestFaultInjection:
         rules = {v.rule for v in checker.violations}
         assert "occupancy_sync" in rules
         net2, checker2 = self._net()
-        net2._buffered += 1
+        net2._state[net2._S_BUFFERED] += 1
         checker2.sweep(net2.cycle)
         assert {v.rule for v in checker2.violations} == {"occupancy_total"}
 

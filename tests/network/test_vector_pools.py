@@ -1,18 +1,20 @@
 """The array core's packet and flit pools follow what is in flight.
 
 A packet slot and its contiguous flit block live exactly as long as the
-packet (``vectorized/core.py`` "pools"): ``_eject`` returns them, and
-``inject`` / ``_start_packet`` take a free slot before bumping the
-high-water mark. Three things are pinned here:
+packet (``vectorized/core.py`` "pools"): the compiled cycle returns them
+to the free stacks when the tail is reassembled, and ``inject`` (the
+slot) and the kernel's packet start (the block) take a free one before
+bumping the high-water mark. Three things are pinned here:
 
 * **Seeded mutants.** A slot freed one cycle early, a leaked slot and a
-  block handed out for the wrong size are each caught by
+  block handed out for the wrong size — each seeded into the free stacks
+  the kernel and ``inject`` share — are each caught by
   ``VectorInvariantChecker``'s pool invariant in the cycle they happen,
   with the lane and port named, on a solo and on a 4-lane chip.
 * **Plateau.** Capacity ends within twice the peak in flight however
   many packets were injected; mixed 1-/5-flit traffic reuses both size
   classes; per-terminal state (NIC RNGs) exists only where it is used.
-* **Contract.** A slot, new, grown or reused, reads its initial values;
+* **Contract.** A slot, new, grown or free, reads its initial values;
   the ``Packet`` handed to ``inject`` gets its fields written back at
   ejection and is then released; results equal the scalar core's.
 """
@@ -65,47 +67,76 @@ def _nic(net, t):
 # seeds its fault (returning what the checker must report) or waits for
 # a cycle where the fault is unambiguous; ``lane`` is where it must hit.
 
+def _push_packet(net, pk):
+    """Put slot ``pk`` on the free-packet stack."""
+    top = net._state[net._S_P_FREE]
+    net.p_free[top] = pk
+    net._state[net._S_P_FREE] = top + 1
+
+
+def _push_block(net, size, fid0):
+    """Put the block starting at ``fid0`` on the stack of ``size``."""
+    net.f_link[fid0] = net.fb_head[size]
+    net.fb_head[size] = fid0
+
+
+def _pop_block(net, size):
+    net.fb_head[size] = net.f_link[net.fb_head[size]]
+
+
 def _free_early(net, lane):
     """A tail still one cycle from its NIC gives its slot and block back
     now. Waits for empty source queues, so the step cannot re-issue the
     block before the sweep sees it."""
     if net._num_queued:
         return None
-    for cycle, batches in net._ej_bucket.items():
-        if cycle <= net.cycle:
-            continue
-        for terms, fids in batches:
-            for t, fid in zip(terms.tolist(), fids.tolist()):
-                if net.f_tail[fid] and t // net._T_local == lane:
-                    pk = int(net.f_pkt[fid])
-                    size = int(net.p_size[pk])
-                    net._p_free.append(pk)
-                    net._f_free[size].append(fid - size + 1)
-                    local = int(net._lay.ej_opid[t]) % (
-                        net._NOP // net._lanes)
-                    return ("pool_reference", *divmod(local, net._Po),
-                            int(net.f_vc[fid]))
+    row, (terms, fids) = net._rings["ejections"]
+    for slot in range(net._RD):
+        if slot == net.cycle % net._RD:
+            continue    # due now: the step would free it properly
+        due = int(net.ring_n[row, slot])
+        for t, fid in zip(terms[slot, :due].tolist(),
+                          fids[slot, :due].tolist()):
+            if net.f_tail[fid] and t // net._T_local == lane:
+                pk = int(net.f_pkt[fid])
+                size = int(net.p_size[pk])
+                _push_packet(net, pk)
+                _push_block(net, size, fid - size + 1)
+                local = int(net._lay.ej_opid[t]) % (net._NOP // net._lanes)
+                return ("pool_reference", *divmod(local, net._Po),
+                        int(net.f_vc[fid]))
     return None
 
 
 def _leak(net, lane):
-    """An ejected packet's slot and block never reach the free lists."""
-    for pk in net._p_free:
-        if net.p_src[pk] // net._T_local == lane and net._f_free[5]:
-            net._p_free.remove(pk)
-            net._f_free[5].pop()
+    """An ejected packet's slot and block never reach the free stacks."""
+    free = net._free_packets().tolist()
+    for pk in free:
+        if net.p_src[pk] // net._T_local == lane and net.fb_head[5] >= 0:
+            free.remove(pk)
+            net.p_free[:len(free)] = free
+            net._state[net._S_P_FREE] = len(free)
+            _pop_block(net, 5)
             return ("pool_accounting", *_nic(net, net.p_src[pk]), None)
     return None
 
 
 def _wrong_size(net, lane):
-    """The one packet starting this cycle is handed a 1-flit block."""
-    ready = [t for t in net.hq_valid.nonzero()[0].tolist()
+    """The one packet starting this cycle finds a 1-flit block on top of
+    the 5-flit stack. Waits for a cycle in which no tail is ejected: its
+    block would go on top of that one first."""
+    ready = [t for t in (net.q_head >= 0).nonzero()[0].tolist()
              if net.cred_free[net._NOVC + t * net._V:][:net._V].any()]
-    if len(ready) != 1 or ready[0] // net._T_local != lane:
+    fid0 = net._nflits
+    row, (_, fids) = net._rings["ejections"]
+    slot = net.cycle % net._RD
+    if (len(ready) != 1 or ready[0] // net._T_local != lane
+            or fid0 + 5 > net._fcap
+            or net.f_tail[fids[slot, :net.ring_n[row, slot]]].any()):
         return None
-    take = net._take_flits
-    net._take_flits = lambda size: take(1)
+    net._state[net._S_FLITS] = fid0 + 1     # a new block of one flit
+    net.f_head[fid0] = net.f_tail[fid0] = True
+    _push_block(net, 5, fid0)
     return ("pool_reference", *_nic(net, ready[0]), None)
 
 
@@ -150,7 +181,8 @@ class TestPlateau:
             tick()
             peak = max(peak, net.in_flight_packets())
             net.step()
-        injected = int(net._ctr["injected_packets"].sum())
+        injected = sum(net.lane_stats(lane).injected_packets
+                       for lane in range(net.lanes))
         assert injected > 20 * peak > 0
         assert len(net.p_obj) <= peak
         assert net._pcap <= max(pcap0, 2 * peak)
@@ -159,15 +191,16 @@ class TestPlateau:
         net.drain()
         net.check_invariants()
         # Drained: every slot is free again and no Packet is retained.
-        assert len(net._p_free) == len(net.p_obj)
+        assert len(net._free_packets()) == len(net.p_obj)
         assert net.p_obj.count(None) == len(net.p_obj)
-        assert 5 * len(net._f_free[5]) == net._nflits
+        assert 5 * len(net._free_blocks()[5]) == net._nflits
 
     def test_trace_replay_reuses_both_size_classes(self):
         topo_args, scheme, rate, cycles, kw = CONCENTRATED[
             "cmesh4x4-trace-mshrs"]
         net = _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
-        blocks = {size: len(free) for size, free in net._f_free.items()}
+        blocks = {size: len(free)
+                  for size, free in net._free_blocks().items()}
         assert set(blocks) == {1, 5}
         assert blocks[1] + 5 * blocks[5] == net._nflits
         # Far fewer blocks of either size were ever made than packets of
@@ -195,7 +228,6 @@ class TestPerTerminalState:
     def test_xy_builds_no_nic_rng(self):
         net = self._few_injections(VectorNetwork, "xy")
         assert net.nic_rngs == {}
-        assert set(net._queues) == {0, 5, 9}
 
     def test_o1turn_builds_them_for_injecting_terminals_only(self):
         net = self._few_injections(VectorNetwork, "o1turn")
@@ -224,11 +256,13 @@ class TestSlotContract:
         net.drain()
         assert net._fcap > 1024 or net._nflits <= 1024
         assert (net.f_vc[net._nflits:] == -1).all()
-        # A reused slot does not inherit what its last packet gathered.
-        pk = net._p_free[-1]
-        assert net.p_inject[pk] >= 0 and net.p_hops[pk] > 0
+        # A free slot and a free block read their initial values again:
+        # the next packet does not inherit what the last one gathered.
+        assert (net.f_vc[:net._nflits] == -1).all()
+        assert not net.f_ready[:net._nflits].any()
+        pk = int(net._free_packets()[-1])
         net.inject(Packet(0, 1, 5, net.cycle))
-        assert net._queues[0][-1] == pk
+        assert net.q_tail[0] == pk
         assert [int(getattr(net, name)[pk]) for name in
                 ("p_inject", "p_hops", "p_sa", "p_buf", "p_rx")] == [
                     -1, 0, 0, 0, 0]

@@ -1,27 +1,26 @@
 """Reach of the array core: no function the grid cannot enter, no arrival
 the checker cannot see.
 
-The router step of ``vectorized/core.py`` has one batched form of every
-event because two things never happen: two bypass attempts never share a
-target output, and two arrivals never share an input port in one cycle.
-Nothing in the hot path guards either; they are pinned here instead.
+The compiled cycle (``vectorized/kernel.c``) handles one flit at a time
+and guards nothing the scalar core does not: two arrivals never share
+an input port in one cycle because a link delivers one flit per cycle.
+That is pinned here instead.
 
 * **Reach.** The parity grid (``test_vectorized_parity.GRID``), the
   checked/probed harness route and one drain timeout run under
-  ``sys.setprofile``; every ``def`` in ``core.py`` must be entered on
-  ``VectorNetwork`` and every ``def`` in ``batch.py`` on
-  ``BatchNetwork``. There is no allow-list: a function the grid cannot
-  reach gets the one-line case that enters it, or is deleted. The
-  router step has two forms, decided per process (compiled phases,
-  numpy phases): the grid runs under both, every ``def`` must be
-  entered under one of them, and every phase of ``kernel.c`` must be
-  called and must emit.
-* **Seeded duplicate arrival.** A ``(link, dest, fid)`` row pushed twice
-  into ``_arr_bucket`` is caught by ``VectorInvariantChecker`` in the
+  ``sys.setprofile`` on the kernel's checked build, which notes every
+  function it enters; every ``def`` in ``core.py`` must be entered on
+  ``VectorNetwork``, every ``def`` in ``batch.py`` on ``BatchNetwork``,
+  and every function of ``kernel.c`` by the cycles they step. There is
+  no allow-list: a function the grid cannot reach gets the one-line case
+  that enters it, or is deleted.
+* **Seeded duplicate arrival.** A ``(port, fid)`` entry written twice
+  into the arrival ring is caught by ``VectorInvariantChecker`` in the
   cycle it lands, naming the port (and the lane).
 """
 
 import ast
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,10 +29,10 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.violation import InvariantViolation
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
+from repro.network.flit import Packet
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
                                       VectorNetwork, VectorSeriesProbe, batch,
                                       core, kernel)
@@ -98,50 +97,45 @@ _CHECKED = dict(topology="mesh", kx=4, ky=4, concentration=1, routing="xy",
                 synth_cycles=200, synth_warmup=40)
 
 
-class _CountingBinding(kernel.Binding):
-    """A ``Chip`` that notes which kernel phases ran and which emitted."""
-
-    called: set = set()
-    emitted: set = set()
-
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-
-        def counting(phase):
-            def call(*args):
-                events = phase(*args)
-                self.called.add(phase.__name__)
-                if events:
-                    self.emitted.add(phase.__name__)
-                return events
-            return call
-        self.phases = [(key, counting(phase)) for key, phase in self.phases]
+def _kernel_functions():
+    """Every function ``kernel.c`` defines, less the checked build's own
+    instrumentation (the ``#ifdef REPRO_KERNEL_CHECK`` blocks)."""
+    source = Path(kernel._SOURCE).read_text(encoding="utf-8")
+    source = re.sub(r"#ifdef REPRO_KERNEL_CHECK\n.*?\n#(?:else|endif)\n", "",
+                    source, flags=re.S)
+    return set(re.findall(r"^(?:static )?[a-z]\w*(?: \*?|\*? )\*?(\w+)\("
+                          r"[^;{]*\)\n\{", source, flags=re.M))
 
 
 class TestReach:
     def test_grid_enters_every_core_function(self, monkeypatch):
-        monkeypatch.setattr(core, "Binding", _CountingBinding)
-        compiled = kernel.load().lib is not None
+        checked = kernel.load(kernel.CHECK_FLAGS)
+        assert checked.status.startswith("c:"), checked.refusal()
+        monkeypatch.setattr(core, "load_kernel", lambda: checked)
+        checked.reach_reset()
         with _entered(core) as seen:
-            for cc in ((None, "false") if compiled else (None,)):
-                if cc is not None:
-                    monkeypatch.setenv("CC", cc)    # the numpy phases
-                for topo_args, scheme, rate, cycles, kw in GRID:
-                    _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
-                run_experiment(
-                    ExperimentConfig(backend="vectorized", seed=7,
-                                     **_CHECKED),
-                    probe=VectorSeriesProbe(), check=True)
-                with pytest.raises(RuntimeError, match="packets left"):
-                    _loaded(VectorNetwork).drain(max_cycles=1)
-        kernel_only = {"VectorNetwork._step_kernel",
-                       "VectorNetwork._kernel_events", "VectorNetwork._file"}
-        assert _defined(core) - seen == (set() if compiled else kernel_only)
-        if compiled:
-            phases = {entry for _, entry in kernel.PHASES}
-            assert _CountingBinding.called == phases
-            # Request collection hands its requests to the next phase.
-            assert _CountingBinding.emitted == phases - {"va_sa_requests"}
+            for topo_args, scheme, rate, cycles, kw in GRID:
+                _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
+            run_experiment(
+                ExperimentConfig(backend="vectorized", seed=7, **_CHECKED),
+                probe=VectorSeriesProbe(), check=True)
+            # Mid-run, with a source queue longer than its NIC has VCs:
+            # the sweep walks it, a solo network is its own lane 0, and
+            # it cannot drain in one cycle.
+            net = _loaded(VectorNetwork)
+            for _ in range(6):
+                net.inject(Packet(0, 15, 5, net.cycle))
+            net.step()
+            net.check_invariants()
+            assert net._num_queued and net.lane_stats(0) == net.stats
+            with pytest.raises(RuntimeError, match="packets left"):
+                net.drain(max_cycles=1)
+        assert _defined(core) - seen == set()
+        # What only the loader calls: the handle's known-answer test.
+        assert checked.self_test(np)
+        functions = _kernel_functions()
+        assert {"cycle", "va_sa_switch", "inject_send", "rr_pick"} <= functions
+        assert functions - set(checked.reached()) == set()
 
     def test_grid_enters_every_batch_function(self):
         # Rows on one chip become the lanes of one batch; the 12-VC and
@@ -176,42 +170,47 @@ _DUPLICATE = pytest.mark.parametrize("cls,kw,lane", [
 
 
 class TestSeededDuplicateArrival:
-    """The plain fancy-index buffer write of the numpy phases relies on
-    one arrival per input VC per cycle; were an upstream bug to deliver
-    a flit twice, the checker — not a hot-path guard — reports it in the
-    same cycle. The compiled phases buffer the flit twice, as the scalar
-    core would, and the checker reports the credit it never paid for."""
+    """The kernel buffers what the arrival ring holds; were an upstream
+    bug to deliver a flit twice, the checker — not a hot-path guard —
+    reports it in the same cycle, twice over: the flit sits in two
+    buffer slots, and the second never paid a credit."""
 
     def _duplicated(self, cls, kw):
         net = _loaded(cls, **kw)
-        net.attach_checker(VectorInvariantChecker(strict=True))
+        checker = VectorInvariantChecker(strict=False)
+        net.attach_checker(checker)
         c = net.cycle
-        links, dests, fids = net._arr_bucket[c][0]
-        net._arr_bucket[c].append((links[:1], dests[:1], fids[:1]))
-        with pytest.raises(InvariantViolation) as caught:
-            net.step()
-        return net, caught.value, c, int(dests[0]), int(fids[0])
+        row, (ports, fids) = net._rings["arrivals"]
+        slot = c % net._RD
+        due = int(net.ring_n[row, slot])
+        assert due, "no arrival to duplicate"
+        dest, fid = int(ports[slot, 0]), int(fids[slot, 0])
+        ports[slot, due], fids[slot, due] = dest, fid
+        net.ring_n[row, slot] = due + 1
+        net.step()
+        assert {v.cycle for v in checker.violations} == {c}
+        return net, {v.rule: v for v in checker.violations}, dest, fid
 
     @_DUPLICATE
     def test_checker_raises_conservation_in_the_same_cycle(
-            self, cls, kw, lane, monkeypatch):
-        monkeypatch.setenv("CC", "false")
-        net, v, c, dest, fid = self._duplicated(cls, kw)
+            self, cls, kw, lane):
+        net, raised, dest, fid = self._duplicated(cls, kw)
+        v = raised["conservation"]
         local = dest % (net._NIP // net._lanes)
-        assert (v.rule, v.cycle, v.lane) == ("conservation", c, lane)
+        assert v.lane == lane
         assert (v.router, v.port) == divmod(local, net._Pi)
         assert v.vc == int(net.f_vc[fid])
+        assert v.actual == fid
 
     @_DUPLICATE
     def test_checker_raises_credit_in_the_same_cycle_on_the_kernel(
             self, cls, kw, lane):
-        if kernel.load().lib is None:
-            pytest.skip(f"no compiled step ({kernel.load().status})")
-        net, v, c, dest, fid = self._duplicated(cls, kw)
+        net, raised, dest, fid = self._duplicated(cls, kw)
+        v = raised["credit_count"]
         # Named by the sender's side of the link: the output VC whose
         # counter is one short of the two flits it now has downstream.
         upstream = int(net._lay.ip_upbase[dest]) // net._V
         local = upstream % (net._NOP // net._lanes)
-        assert (v.rule, v.cycle, v.lane) == ("credit_count", c, lane)
+        assert v.lane == lane
         assert (v.router, v.port) == divmod(local, net._Po)
         assert v.vc == int(net.f_vc[fid])
