@@ -21,6 +21,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 from ..energy import DEFAULT_ENERGY_MODEL
 from ..evc import EvcMesh, EvcRouting
@@ -355,43 +356,15 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
         hit = cached(config)
         if hit is not None:
             return hit
-    registry = None
     start = time.perf_counter()
     # Monitored runs get a network of their own, before and after: what a
-    # probe or monitor sees must not depend on what ran here earlier.
+    # probe or monitor sees must not depend on what ran here earlier. A
+    # checked one is built bare: monitors attach after construction so
+    # the vector cores take the checker path, not a probe refusal.
     reuse = probe is None and not check
-    if check:
-        # Built bare: monitors attach after construction so the vector
-        # cores can take the checker path instead of a probe refusal.
-        net = build_network(config)
-        registry = _attach_monitors(net, probe, check_stride)
-    else:
-        net = _network_for(config, probe, reuse)
-    if config.benchmark is not None:
-        trace = get_trace(config.benchmark, cycles=config.trace_cycles,
-                          warmup=config.trace_warmup, seed=config.seed)
-        _replay(net, trace)
-    else:
-        traffic = SyntheticTraffic(config.pattern,
-                                   net.topology.num_terminals, config.rate,
-                                   config.packet_size, seed=config.seed)
-        net.stats.warmup_cycles = config.synth_warmup
-        net.run(config.synth_cycles, traffic)
-        net.drain(max_cycles=500_000)
-    net.check_invariants()
-    monitor_report = None
-    if registry is not None:
-        monitor_report = registry.finish(net)
-        profile = getattr(net, "profile", None)
-        if profile is not None and (prof_doc := profile()) is not None:
-            monitor_report["phase_profile"] = prof_doc
-    wall = time.perf_counter() - start
-    manifest = run_manifest(config, seed=config.seed, cycles=net.cycle,
-                            wall_s=wall, extra=_core_fields(net))
-    result = Result.from_network(config, net, manifest=manifest,
-                                 monitor_report=monitor_report)
-    if reuse and type(net) is Network:
-        _park_network(config, net)  # drained clean: fit for the next point
+    net = _network_for(config, None if check else probe, reuse)
+    (result,) = _simulate([config], net, start, probe=probe, check=check,
+                          check_stride=check_stride, park=reuse)
     if use_cache:
         cache_result(result)
     return result
@@ -419,25 +392,17 @@ def batch_key(config: ExperimentConfig):
     return tuple(getattr(config, f) for f in BATCH_KEY_FIELDS)
 
 
-class _LaneStatsView:
-    """Stats/cycle shim so ``MetricsRegistry.snapshot`` can document one
-    lane of a batched run (the live network only has whole-chip stats)."""
-
-    def __init__(self, net, lane: int):
-        self.stats = net.lane_stats(lane)
-        self.cycle = net.cycle
-
-
-def run_batch_experiments(configs, *, use_cache: bool = True,
-                          check: bool = False, check_stride: int = 1):
+def run_batch_experiments(configs, *, check: bool = False,
+                          check_stride: int = 1):
     """Simulate compatible points as lanes of one ``BatchNetwork`` run.
 
     All configs must share ``batch_key`` (same chip shape, scheme and
     VC policy); pattern, rate, packet size, seed and the cycle/warmup
     windows may vary per lane. Returns one ``Result`` per config, in
     order, each bit-identical to ``run_experiment`` of the same point
-    (the batched-parity suite locks this in). Cached points are
-    returned from the memo/store without occupying a lane.
+    (the batched-parity suite locks this in) and naming the ``batched``
+    core, a single lane included. No cache layer is read or written:
+    the scheduler resolves those first and writes lanes through after.
 
     ``check=True`` attaches one ``VectorInvariantChecker`` to the shared
     chip (whole-array sweeps every ``check_stride`` cycles cover every
@@ -446,70 +411,78 @@ def run_batch_experiments(configs, *, use_cache: bool = True,
     """
     if not configs:
         return []
-    if check:
-        use_cache = False
     keys = {batch_key(cfg) for cfg in configs}
     if len(keys) != 1 or None in keys:
         raise ValueError(
             "configs are not batch-compatible (one shared batch_key "
             "required)")
-    results: list[Result | None] = [None] * len(configs)
-    todo = []
-    for i, cfg in enumerate(configs):
-        hit = cached(cfg) if use_cache else None
-        if hit is not None:
-            results[i] = hit
-        else:
-            todo.append(i)
-    if not todo:
-        return results
-    first = configs[todo[0]]
-    net_cfg = _net_config(first)  # synthetic lanes: no MSHR throttling
+    first = configs[0]
     topo, routing = chip_plan(first)
     from ..network.vectorized import BatchNetwork
     start = time.perf_counter()
-    net = BatchNetwork(topo, net_cfg, routing=routing,
-                       vc_policy=first.vc_policy,
-                       seeds=[configs[i].seed for i in todo])
-    registry = None
-    if check:
-        registry = _attach_monitors(net, None, check_stride)
-    traffics = [SyntheticTraffic(configs[i].pattern, topo.num_terminals,
-                                 configs[i].rate, configs[i].packet_size,
-                                 seed=configs[i].seed)
-                for i in todo]
-    net.run_batch(traffics,
-                  [configs[i].synth_cycles for i in todo],
-                  [configs[i].synth_warmup for i in todo])
-    net.drain(max_cycles=500_000)
+    net = BatchNetwork(topo, _net_config(first),  # synthetic: no MSHRs
+                       routing=routing, vc_policy=first.vc_policy,
+                       seeds=[cfg.seed for cfg in configs])
+    return _simulate(configs, net, start, check=check,
+                     check_stride=check_stride)
+
+
+def _simulate(configs, net, start: float, *, probe=None,
+              check: bool = False, check_stride: int = 1,
+              park: bool = False) -> list[Result]:
+    """Everything after construction, for a solo point and the lanes of
+    a batch alike: monitors, traffic, drain, the end-of-run invariant
+    sweep, then one manifest and one ``Result`` per config. ``net`` was
+    built for ``configs`` at ``start`` — a ``BatchNetwork`` with a lane
+    per config, else the one config's own network, which ``park`` hands
+    back to ``_idle_networks`` if it is scalar and drained clean.
+    """
+    first = configs[0]
+    core = _core_fields(net)
+    batched = core["backend"] == "batched"
+    registry = _attach_monitors(net, probe, check_stride) if check else None
+    if first.benchmark is not None:
+        _replay(net, get_trace(first.benchmark, cycles=first.trace_cycles,
+                               warmup=first.trace_warmup, seed=first.seed))
+    else:
+        traffics = [SyntheticTraffic(cfg.pattern, net.topology.num_terminals,
+                                     cfg.rate, cfg.packet_size, seed=cfg.seed)
+                    for cfg in configs]
+        if batched:
+            net.run_batch(traffics, [cfg.synth_cycles for cfg in configs],
+                          [cfg.synth_warmup for cfg in configs])
+        else:
+            net.stats.warmup_cycles = first.synth_warmup
+            net.run(first.synth_cycles, traffics[0])
+        net.drain(max_cycles=500_000)
     net.check_invariants()
     prof_doc = None
     if registry is not None:
         for monitor in registry.monitors:
             monitor.finish(net)
-        prof_doc = net.profile()
+        if hasattr(net, "profile"):  # the array cores' phase timers
+            prof_doc = net.profile()
     wall = time.perf_counter() - start
-    for lane, i in enumerate(todo):
-        cfg = configs[i]
-        manifest = run_manifest(cfg, seed=cfg.seed, cycles=net.cycle,
-                                wall_s=wall / len(todo),
-                                extra={"batch_lanes": len(todo),
-                                       **_core_fields(net),
-                                       "batch_lane": lane})
+    lanes = len(configs)
+    results = []
+    for lane, cfg in enumerate(configs):
+        stats = net.lane_stats(lane) if batched else net.stats
+        where = {"batch_lanes": lanes, "batch_lane": lane} if batched else {}
         monitor_report = None
         if registry is not None:
-            monitor_report = registry.snapshot(_LaneStatsView(net, lane),
-                                               backend="batched")
-            monitor_report["batch_lanes"] = len(todo)
-            monitor_report["batch_lane"] = lane
+            monitor_report = registry.snapshot(
+                SimpleNamespace(stats=stats, cycle=net.cycle),
+                backend=core["backend"])
+            monitor_report.update(where)
             if prof_doc is not None:
                 monitor_report["phase_profile"] = prof_doc
-        result = Result.from_stats(cfg, net.lane_stats(lane),
-                                   manifest=manifest,
-                                   monitor_report=monitor_report)
-        if use_cache:
-            cache_result(result)
-        results[i] = result
+        manifest = run_manifest(cfg, seed=cfg.seed, cycles=net.cycle,
+                                wall_s=wall / lanes,
+                                extra={**core, **where})
+        results.append(Result.from_stats(cfg, stats, manifest=manifest,
+                                         monitor_report=monitor_report))
+    if park and type(net) is Network:
+        _park_network(first, net)  # drained clean: fit for the next point
     return results
 
 
@@ -537,24 +510,17 @@ def memo_hit(config: ExperimentConfig) -> Result | None:
 
 
 def backend_decision(config: ExperimentConfig, lanes: int = 1) -> dict:
-    """The concrete core a point runs on, with the selector's inputs.
-
-    For ``auto`` points this is ``network.backend.explain_choice`` —
-    chosen core, offered load, the calibrated crossover it was compared
-    against, calibration source. Explicit backends record the policy
-    with ``reason: "explicit"`` (a solo point under the ``batched``
-    policy runs on the vectorized core, as ``build_network`` does).
-    Purely observational: ``build_network`` stays the authority, and
-    its documented scalar fallback for refused ``auto`` configurations
-    is not re-modelled here. The terminal count is read off the chip
-    ``build_network`` builds on, not re-derived from the shape fields.
+    """What the selector made of a point, for a unit of ``lanes``: the
+    ``policy`` it ran under and, for ``auto``,
+    ``network.backend.explain_choice`` (core chosen, offered load, the
+    crossover it was compared against; terminals read off the chip plan,
+    not re-derived). The core that *ran* is ``manifest["backend"]`` and
+    is not re-modelled here: an ``auto`` point the array core refused
+    says ``chosen: vectorized`` here and ``scalar`` there.
     """
     policy = resolve_backend(config.backend)
     if policy != "auto":
-        chosen = policy
-        if policy == "batched" and lanes <= 1:
-            chosen = "vectorized"
-        return {"chosen": chosen, "policy": policy, "reason": "explicit"}
+        return {"policy": policy, "reason": "explicit"}
     from ..network.backend import explain_choice
     decision = explain_choice(
         terminals=chip_plan(config)[0].num_terminals,

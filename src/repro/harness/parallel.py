@@ -8,56 +8,40 @@ simulation's outcome depends on nothing but its config, and the ordered
 merge removes scheduling effects — parallel and serial runs are
 bit-identical (``tests/network/test_active_set.py`` locks this in).
 
-On top of that ordered merge the scheduler is built to *survive*
-(``DESIGN.md`` §11):
+On top of that ordered merge the scheduler is built to *survive*. The
+contract is stated once, in docs/ARCHITECTURE.md ("L4 — execution
+engine"); ``run_experiments`` documents each knob. In short:
 
-* **Checkpointing** — with ``journal=`` every completed point is
-  appended (flushed + fsync'd) to a ``repro.store.SweepJournal`` as it
-  lands; ``resume=True`` replays journaled points instead of
-  recomputing them, and the merge stays bit-identical to an
-  uninterrupted run because results are pure functions of their config.
-* **Retries with deterministic backoff** — ``retries=N`` grants every
-  point up to N extra attempts, sleeping ``backoff_base * 2**(k-1)``
-  (capped at ``backoff_cap``) before the k-th retry. No jitter: the
-  wait sequence is reproducible, which matters more here than
-  thundering-herd avoidance (the "herd" is our own worker pool). The
-  ``sleep`` callable is injectable so tests can run the schedule on a
-  fake clock.
-* **Graceful degradation** — a broken pool (worker SIGKILLed, fork
-  bomb, pickling failure) or a stall past ``timeout`` seconds without
-  any chunk completing abandons the pool and finishes the remaining
-  points serially in-process, in input order.
-* **Durable caching** — completed points are written through the
-  content-addressed ``ResultStore`` (explicit ``store=`` or the
-  process-wide default installed by
-  ``experiment.set_default_store``), so a *new process* reruns nothing
-  that is already known.
-* **Telemetry** — with ``telemetry=`` every scheduling decision and
-  cost lands in an append-only span/event stream
-  (``repro.telemetry``): one closed span per completed point stamped
-  with its resolution tier (journal-replay/memo/store/simulate), the
-  backend chosen and why, attempt count and backoff history, plus
-  scheduler lifecycle events (batch-group formation, pool dispatch,
-  degradation, retries) and per-process store-counter deltas. The
-  default is ``telemetry=None`` and that path is a null object — no
-  stream, no spans, no timing calls (the bench gate's
-  ``telemetry_cold_check`` enforces it).
-* **Batched execution** — after the cache layers resolve, points that
-  share a ``batch_key`` (same chip shape, scheme and VC policy, with
-  backend ``batched`` or ``auto``) are grouped into units of up to
-  ``batch_size`` lanes and simulated as one ``BatchNetwork`` per unit
-  (``experiment.run_batch_experiments``), amortizing the vectorized
-  core's per-cycle dispatch cost across the lanes. Lanes stay
-  bit-identical to solo runs, store/journal entries stay per-point,
-  and a failing batch falls back to solo execution with the full
-  retry budget — batching is purely a throughput tier.
+* **Tiers** — a point is answered by the checkpoint journal (on
+  ``resume``), the in-process memo or the content-addressed store
+  before anything simulates. ``check=True`` bypasses all three: a
+  replayed result would silently skip the monitors.
+* **Units** — what is left is grouped: points sharing a ``batch_key``
+  (backend ``batched`` or ``auto``) run as up to ``batch_size`` lanes of
+  one ``BatchNetwork`` — one construction and one Python loop per cycle
+  for the unit, all a batch saves since the cycle was compiled
+  (``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"); every other point
+  is a unit of one.
+* **One way to run a unit** — ``_run_unit`` executes it, whether the
+  inline loop, a worker's chunk or the retry pass calls it (a batch
+  that fails reruns its lanes solo), and ``_Scheduler.absorb`` takes in
+  what comes back: a ``Result`` is stored and journaled (flushed +
+  fsync'd) as it lands, a ``SweepPointError`` — or a point a broken or
+  stalled pool never returned — waits for ``retry_pass``.
+* **Retries** — that pass runs in this process, in input order, after
+  every unit: ``retries=N`` extra attempts per point, sleeping
+  ``backoff_base * 2**(k-1)`` (capped, jitter-free, injectable
+  ``sleep``) before the k-th; the first point to exhaust its budget
+  raises with everything else already checkpointed.
+* **Telemetry** — ``telemetry=`` streams one closed span per point
+  (tier, the core that ran it, attempts, backoff) plus lifecycle events
+  (``repro.telemetry``); the default ``None`` holds no emitter at all
+  (the bench gate's ``telemetry_cold_check`` enforces it).
 
 Workers are forked (POSIX default), so they inherit the parent's trace
 and run caches; results travel back pickled and are folded into the
 parent's cache, which lets the figure code keep its cheap memoized
-``run_experiment`` calls after a ``prefetch``. ``check=True`` runs
-bypass every cache layer — memo, store and journal — because a replayed
-result would silently skip the monitors.
+``run_experiment`` calls after a ``prefetch``.
 """
 
 from __future__ import annotations
@@ -190,25 +174,30 @@ def _group_units(todo: Sequence[tuple], batch_size: int) -> list[list]:
     return units
 
 
-def _decision_fields(cfg: ExperimentConfig, lanes: int = 1) -> dict:
-    """Span fields naming the chosen backend and the selector inputs."""
+def _core_span_fields(cfg: ExperimentConfig, result: Result) -> dict:
+    """Span fields saying where a simulated point ran, read off the
+    manifest of the run itself — ``backend``, an array core's
+    ``step_kernel``, a batch lane's ``lane`` / ``lanes`` — plus
+    ``decision``, what the manifest does not say: the selector's inputs.
+    """
+    manifest = result.manifest or {}
+    fields = {name: manifest[key] for name, key in (
+        ("backend", "backend"), ("step_kernel", "step_kernel"),
+        ("lane", "batch_lane"), ("lanes", "batch_lanes")) if key in manifest}
     try:
-        decision = backend_decision(cfg, lanes=lanes)
+        fields["decision"] = backend_decision(
+            cfg, lanes=fields.get("lanes", 1))
     except Exception:
-        return {}  # observation must never fail the point
-    return {"backend": decision.pop("chosen", None), "decision": decision}
-
-
-def _kernel_field(result) -> dict:
-    """Span field saying how an array core stepped its routers
-    (``step_kernel`` of the run manifest; scalar points have none)."""
-    step_kernel = (result.manifest or {}).get("step_kernel")
-    return {} if step_kernel is None else {"step_kernel": step_kernel}
+        pass  # observation must never fail the point
+    return fields
 
 
 def _run_unit(points: Sequence[tuple], check: bool = False,
-              check_stride: int = 1, tel=None) -> list:
-    """Simulate one unit: a multi-point unit runs as one batched chip.
+              check_stride: int = 1, tel=None, attempts: int = 1,
+              backoff_s: Sequence[float] = ()) -> list:
+    """Simulate one unit — the only function that does, whether the
+    inline loop, a worker's chunk or the retry pass calls it. A
+    multi-point unit runs as one batched chip.
 
     ``points`` are ``(idx, cfg)`` pairs (the sweep index travels with
     the config so telemetry spans name the point they close). A failure
@@ -221,56 +210,56 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     shared chip at once.
 
     With ``tel`` every completed point emits its closed span *before*
-    the outcome travels back to the parent (whose ``finish_point``
+    the outcome goes back to the scheduler (whose ``finish_point``
     journals it) — the ordering that makes "every journaled point has a
-    span" hold through a SIGKILL at any instant.
+    span" hold through a SIGKILL at any instant. ``attempts`` and
+    ``backoff_s`` are the retry pass's account of the tries this one
+    makes, stamped on that span.
     """
     cfgs = [cfg for _, cfg in points]
-    solo_fallback = False
-    if len(cfgs) > 1:
-        start = time.perf_counter()
+    lanes = len(cfgs)
+    results, solo_fallback = None, False
+    start = time.perf_counter()
+    if lanes > 1:
         try:
             # Cache layers were already consulted by ``collect_todo``;
-            # the parent's ``finish_point`` writes results through.
-            results = list(run_batch_experiments(cfgs, use_cache=False,
-                                                 check=check,
+            # the scheduler's ``finish_point`` writes results through.
+            results = list(run_batch_experiments(cfgs, check=check,
                                                  check_stride=check_stride))
         except Exception as exc:
             solo_fallback = True  # rerun solo to isolate the failing lane
             if tel is not None:
-                tel.emit("unit", lanes=len(cfgs), status="batch-failed",
+                tel.emit("unit", lanes=lanes, status="batch-failed",
                          cause=f"{type(exc).__name__}: {exc}")
         else:
+            unit_dur = time.perf_counter() - start
+            dur = unit_dur / lanes  # each lane's span carries its share
             if tel is not None:
-                dur = time.perf_counter() - start
-                tel.emit("unit", lanes=len(cfgs), status="ok",
-                         dur_s=round(dur, 6))
-                for lane, (idx, cfg) in enumerate(points):
-                    tel.point(idx, cfg, store_key(cfg), "simulate",
-                              dur / len(cfgs), backend="batched",
-                              attempts=1, lane=lane, lanes=len(cfgs),
-                              decision={"policy": cfg.backend,
-                                        "reason": "batched-unit",
-                                        "batch": len(cfgs)},
-                              **_kernel_field(results[lane]))
-            return results
+                tel.emit("unit", lanes=lanes, status="ok",
+                         dur_s=round(unit_dur, 6))
     outcomes = []
-    for idx, cfg in points:
-        start = time.perf_counter()
-        try:
-            result = _run_point(cfg, check, check_stride)
-        except SweepPointError as err:
-            if tel is not None:
-                tel.emit("point_failed", idx=idx, label=cfg.label,
-                         cause=err.cause, solo_fallback=solo_fallback)
-            outcomes.append(err)
+    for lane, (idx, cfg) in enumerate(points):
+        if results is not None:
+            outcome = results[lane]
         else:
-            if tel is not None:
-                tel.point(idx, cfg, store_key(cfg), "simulate",
-                          time.perf_counter() - start, attempts=1,
-                          solo_fallback=solo_fallback,
-                          **_decision_fields(cfg), **_kernel_field(result))
-            outcomes.append(result)
+            start = time.perf_counter()
+            try:
+                outcome = _run_point(cfg, check, check_stride)
+            except SweepPointError as err:
+                outcome = err
+            dur = time.perf_counter() - start
+        outcomes.append(outcome)
+        if tel is None:
+            continue
+        if isinstance(outcome, SweepPointError):
+            tel.emit("point_failed", idx=idx, label=cfg.label,
+                     cause=outcome.cause, solo_fallback=solo_fallback)
+        else:
+            tel.point(idx, cfg, store_key(cfg), "simulate", dur,
+                      attempts=attempts,
+                      backoff_s=[round(d, 6) for d in backoff_s],
+                      solo_fallback=solo_fallback,
+                      **_core_span_fields(cfg, outcome))
     return outcomes
 
 
@@ -376,8 +365,24 @@ class _Scheduler:
         self.timeout = timeout
         self.sleep = sleep
         self.tel = telemetry
+        #: Owed to ``retry_pass``: ``(idx, cfg, SweepPointError | None)``.
+        self.recover: list[tuple] = []
 
     # -- completion -------------------------------------------------------
+
+    def absorb(self, points, outcomes=None) -> None:
+        """Take in executed points — the one way in, whether
+        ``_run_unit`` ran them here or a worker's chunk brought them
+        back. A ``Result`` is finished as it lands; a ``SweepPointError``
+        waits for ``retry_pass``, as does every point of a chunk the
+        pool lost (``outcomes`` is ``None``: it never ran).
+        """
+        for k, (idx, cfg) in enumerate(points):
+            outcome = None if outcomes is None else outcomes[k]
+            if outcome is None or isinstance(outcome, SweepPointError):
+                self.recover.append((idx, cfg, outcome))
+            else:
+                self.finish_point(idx, outcome)
 
     def finish_point(self, idx: int, result: Result,
                      journaled_text: str | None = None) -> None:
@@ -387,8 +392,8 @@ class _Scheduler:
         is not journaled again, and the verified text it was read from
         is what the store gets. With telemetry on, the store
         write-through and journal append are timed and emitted as a
-        ``persist`` event — the "40% of the wall went to store I/O"
-        records the ISSUE asks for.
+        ``persist`` event (what says "40% of the wall went to store
+        I/O").
         """
         self.results[idx] = result
         tel = self.tel
@@ -472,26 +477,37 @@ class _Scheduler:
                 todo.append((idx, cfg))
         return todo
 
-    # -- serial execution with retries ------------------------------------
+    # -- inline execution and the retry pass -------------------------------
 
-    def attempt_with_retries(self, cfg: ExperimentConfig,
-                             first_error: SweepPointError | None = None,
-                             attempts_done: int = 0,
-                             idx: int | None = None) -> Result:
-        """Run one point inline, retrying with deterministic backoff.
+    def run_serial(self, units) -> None:
+        """Execute units inline, in input order (the no-pool path)."""
+        for unit in units:
+            self.absorb(unit, _run_unit(unit, self.check, self.check_stride,
+                                        self.tel))
 
-        ``first_error``/``attempts_done`` account for attempts already
-        spent in the worker pool. Exhausting the budget raises a
-        ``SweepPointError`` carrying the attempt count and the full
-        backoff history, chained to the underlying cause. Telemetry
-        records every scheduled retry (attempt number, delay, cause),
-        the final span with its total attempt count and backoff
-        history, and — on a spent budget — a terminal ``point_error``
-        span, so a crashed sweep's stream explains itself.
+    def retry_pass(self) -> None:
+        """Finish what ``absorb`` queued, in input order and in this
+        process. Every other point is finished (stored, journaled) by
+        now, so the first one to exhaust its budget can raise."""
+        for idx, cfg, err in sorted(self.recover, key=lambda item: item[0]):
+            self.finish_point(idx, self.attempt_with_retries(idx, cfg, err))
+
+    def attempt_with_retries(self, idx: int, cfg: ExperimentConfig,
+                             last: SweepPointError | None) -> Result:
+        """Run one queued point solo, retrying with deterministic backoff.
+
+        ``last`` is the error of the attempt the point's unit already
+        spent (``None``: the point never ran). Exhausting the budget
+        raises a ``SweepPointError`` carrying the attempt count and the
+        full backoff history, chained to the underlying cause; a budget
+        of one surfaces the first error as it was. Telemetry records
+        every scheduled retry (attempt number, delay, cause), the final
+        span with its total attempt count and backoff history, and — on
+        a spent budget — a terminal ``point_error`` span, so a crashed
+        sweep's stream explains itself.
         """
         tel = self.tel
-        attempt = attempts_done
-        last = first_error
+        attempt = 0 if last is None else 1
         history: list[float] = []
         while attempt < self.max_attempts:
             if attempt > 0:
@@ -505,19 +521,12 @@ class _Scheduler:
                                     else None))
                 self.sleep(delay)
             attempt += 1
-            t0 = time.perf_counter() if tel is not None else 0.0
-            try:
-                result = _run_point(cfg, self.check, self.check_stride)
-            except SweepPointError as err:
-                last = err
-            else:
-                if tel is not None:
-                    tel.point(idx, cfg, self.keys[idx], "simulate",
-                              time.perf_counter() - t0, attempts=attempt,
-                              backoff_s=[round(d, 6) for d in history],
-                              **_decision_fields(cfg),
-                              **_kernel_field(result))
-                return result
+            (outcome,) = _run_unit([(idx, cfg)], self.check,
+                                   self.check_stride, tel, attempts=attempt,
+                                   backoff_s=history)
+            if not isinstance(outcome, SweepPointError):
+                return outcome
+            last = outcome
         if tel is not None:
             tel.point_error(idx, cfg, last.cause, attempts=attempt,
                             backoff_s=history)
@@ -526,49 +535,6 @@ class _Scheduler:
         rebuilt = SweepPointError(last.point, last.cause, last.manifest,
                                   attempt, history)
         raise rebuilt from (last.__cause__ or last)
-
-    def run_serial(self, units) -> None:
-        """Execute units inline, in input order (the no-pool path).
-
-        Multi-point units run as one batched chip first; if the batch
-        fails, every lane reruns solo through the normal retry path, so
-        batching never costs a point its retry budget.
-        """
-        tel = self.tel
-        for unit in units:
-            if len(unit) > 1:
-                t0 = time.perf_counter()
-                try:
-                    lanes = run_batch_experiments(
-                        [cfg for _, cfg in unit], use_cache=False,
-                        check=self.check, check_stride=self.check_stride)
-                except Exception as exc:
-                    lanes = None  # isolate the failing lane solo below
-                    if tel is not None:
-                        tel.emit("unit", lanes=len(unit),
-                                 status="batch-failed",
-                                 cause=f"{type(exc).__name__}: {exc}")
-                if lanes is not None:
-                    dur = time.perf_counter() - t0
-                    if tel is not None:
-                        tel.emit("unit", lanes=len(unit), status="ok",
-                                 dur_s=round(dur, 6))
-                    for lane, ((idx, cfg), result) in enumerate(
-                            zip(unit, lanes)):
-                        if tel is not None:
-                            tel.point(idx, cfg, self.keys[idx], "simulate",
-                                      dur / len(unit), backend="batched",
-                                      attempts=1, lane=lane,
-                                      lanes=len(unit),
-                                      decision={"policy": cfg.backend,
-                                                "reason": "batched-unit",
-                                                "batch": len(unit)},
-                                      **_kernel_field(result))
-                        self.finish_point(idx, result)
-                    continue
-            for idx, cfg in unit:
-                self.finish_point(idx,
-                                  self.attempt_with_retries(cfg, idx=idx))
 
     # -- pooled execution --------------------------------------------------
 
@@ -579,9 +545,8 @@ class _Scheduler:
         Chunk outcomes are journaled as they land (``as_completed``
         order), the final merge is input-ordered. Worker-raised
         ``SweepPointError``s, a broken pool, and a pool that makes no
-        progress for ``timeout`` seconds all funnel the affected points
-        into an in-process retry pass with backoff; the first point (in
-        input order) to exhaust its attempts raises.
+        progress for ``timeout`` seconds all leave the affected points
+        to ``retry_pass``.
         """
         tel = self.tel
         npoints = sum(len(unit) for unit in units)
@@ -608,7 +573,6 @@ class _Scheduler:
                      chunk_size=chunk_size, workers=workers)
         tel_spec = (tel.path, tel.sweep) if tel is not None else None
         pool = ProcessPoolExecutor(max_workers=workers)
-        recover: list[tuple] = []  # (idx, cfg, pool_error | None)
         submitted: dict = {}       # future -> submission perf_counter
         try:
             future_chunks = {}
@@ -621,8 +585,7 @@ class _Scheduler:
         except Exception:
             # Pool unusable from the start (e.g. fork failure): everything
             # runs inline.
-            recover = [(idx, cfg, None)
-                       for unit in units for idx, cfg in unit]
+            self.absorb([point for unit in units for point in unit])
             future_chunks = {}
             if tel is not None:
                 tel.emit("degrade", reason="pool-unusable",
@@ -637,13 +600,11 @@ class _Scheduler:
                 stalled = 0
                 for future in pending:
                     future.cancel()
-                    recover.extend((idx, cfg, None)
-                                   for idx, cfg in future_chunks[future])
+                    self.absorb(future_chunks[future])
                     stalled += len(future_chunks[future])
                 if tel is not None:
                     tel.emit("degrade", reason="stall-timeout",
                              timeout_s=self.timeout, points=stalled)
-                pending = set()
                 break
             for future in done:
                 chunk = future_chunks[future]
@@ -652,7 +613,7 @@ class _Scheduler:
                 except Exception as exc:
                     # Worker process died / pool broke mid-flight: the
                     # chunk's points rerun serially.
-                    recover.extend((idx, cfg, None) for idx, cfg in chunk)
+                    self.absorb(chunk)
                     if tel is not None:
                         tel.emit("degrade", reason="worker-failure",
                                  points=len(chunk),
@@ -663,23 +624,8 @@ class _Scheduler:
                              turnaround_s=round(
                                  time.perf_counter() - submitted[future],
                                  6))
-                for (idx, cfg), outcome in zip(chunk, outcomes):
-                    if isinstance(outcome, SweepPointError):
-                        recover.append((idx, cfg, outcome))
-                    else:
-                        self.finish_point(idx, outcome)
+                self.absorb(chunk, outcomes)
         pool.shutdown(wait=False, cancel_futures=True)
-        for idx, cfg, err in sorted(recover, key=lambda item: item[0]):
-            if err is not None and self.max_attempts <= 1:
-                if tel is not None:
-                    tel.point_error(idx, cfg, err.cause,
-                                    attempts=err.attempts,
-                                    backoff_s=err.backoff_s)
-                raise err
-            result = self.attempt_with_retries(
-                cfg, first_error=err, attempts_done=1 if err else 0,
-                idx=idx)
-            self.finish_point(idx, result)
 
 
 def run_experiments(configs: Iterable[ExperimentConfig],
@@ -721,10 +667,12 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     Before dispatch, uncached points that share a ``batch_key`` (same
     chip shape, scheme and VC policy, backend ``batched`` or ``auto``)
     are grouped into units of up to ``batch_size`` lanes and simulated
-    as one ``BatchNetwork`` run each — the lanes amortize the
-    per-cycle array-dispatch cost while staying bit-identical to solo
-    runs. Store and journal keys are unchanged: one entry per point,
-    whichever way it ran. ``batch_size=1`` disables grouping.
+    as one ``BatchNetwork`` run each — one construction and one Python
+    loop per cycle for the unit (what a batch saves now that the cycle
+    is compiled: ``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"),
+    every lane bit-identical to its solo run. Store and journal keys
+    are unchanged: one entry per point, whichever way it ran.
+    ``batch_size=1`` disables grouping.
 
     ``check=True`` attaches invariant checking to every point (strict
     mode: the first violation surfaces as a ``SweepPointError`` naming
@@ -780,6 +728,7 @@ def run_experiments(configs: Iterable[ExperimentConfig],
                 scheduler.run_serial(units)
             else:
                 scheduler.run_pooled(units, max_workers, chunk_size)
+            scheduler.retry_pass()
         status = "ok"
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}".splitlines()[0]

@@ -25,6 +25,8 @@ records the span/event stream documented in ``repro.telemetry``.
 
 from __future__ import annotations
 
+import inspect
+
 from ..network.config import BASELINE, PSEUDO_SB
 from .experiment import ExperimentConfig
 from .parallel import derive_seed, run_experiments
@@ -63,15 +65,18 @@ def _rows(key: str, points: list, max_workers: int | None,
     return rows
 
 
+#: ``run_experiments``' own keywords, read off its signature: a sweep
+#: names the point list, the worker count and ``check`` itself and
+#: passes every other one through.
+_SCHEDULER_NAMES = tuple(
+    name for name in inspect.signature(run_experiments).parameters
+    if name not in ("configs", "max_workers", "check"))
+
+
 def _scheduler_kwargs(overrides: dict) -> dict:
     """Split the scheduler passthrough keywords out of sweep overrides."""
-    scheduler = {}
-    for name in ("journal", "resume", "retries", "backoff_base",
-                 "backoff_cap", "timeout", "sleep", "store", "batch_size",
-                 "check_stride", "telemetry"):
-        if name in overrides:
-            scheduler[name] = overrides.pop(name)
-    return scheduler
+    return {name: overrides.pop(name) for name in _SCHEDULER_NAMES
+            if name in overrides}
 
 
 def sweep_vcs(vc_counts=(2, 4, 8), max_workers: int | None = None,

@@ -15,11 +15,13 @@ Record vocabulary (the ``ev`` field):
 ``sweep_begin``           sweep id, point count, workers, batch size, knobs
 ``point``                 one *closed* span per completed point: idx, label,
                           store key, resolution tier (``journal-replay`` /
-                          ``memo`` / ``store`` / ``simulate``), backend
-                          chosen and the selector inputs that chose it,
-                          attempt count, backoff history, duration
+                          ``memo`` / ``store`` / ``simulate``), the backend
+                          that ran it (read off its run manifest) and the
+                          selector's inputs, attempt count, backoff
+                          history, duration
 ``point_error``           terminal failure of one point (retry budget spent)
-``point_failed``          one failed attempt inside a worker (parent retries)
+``point_failed``          one failed attempt of one point, inline or in a
+                          worker (the scheduler's retry pass follows up)
 ``retry``                 one scheduled retry: attempt number, backoff delay
 ``unit``                  one batched multi-lane unit: lanes, wall, status
 ``batch_groups``          how the todo list grouped into execution units

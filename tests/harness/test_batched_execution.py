@@ -60,14 +60,13 @@ class TestRunBatchExperiments:
                 _cfg(rate=0.30, seed=12),
                 _cfg(pattern="transpose", rate=0.10, seed=13,
                      synth_cycles=160, synth_warmup=40)]
-        lanes = run_batch_experiments(cfgs, use_cache=False)
+        lanes = run_batch_experiments(cfgs)
         for cfg, lane in zip(cfgs, lanes):
             assert lane == run_experiment(cfg, use_cache=False)
 
     def test_mixed_keys_rejected(self):
         with pytest.raises(ValueError):
-            run_batch_experiments([_cfg(), _cfg(num_vcs=8)],
-                                  use_cache=False)
+            run_batch_experiments([_cfg(), _cfg(num_vcs=8)])
 
 
 class TestGrouping:

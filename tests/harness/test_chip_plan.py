@@ -123,11 +123,11 @@ class TestWarmChipEqualsColdBuild:
         pytest.importorskip("numpy")
         cfgs = [replace(MESH4_XY, backend="batched", seed=s, rate=r)
                 for s, r in ((5, 0.05), (6, 0.08))]
-        cold_batch = run_batch_experiments(cfgs, use_cache=False)
+        cold_batch = run_batch_experiments(cfgs)
         plan_memo.cache_clear()
         cold_solo = [run_experiment(replace(cfg, backend="scalar"),
                                     use_cache=False) for cfg in cfgs[:1]]
-        warm_batch = run_batch_experiments(cfgs, use_cache=False)
+        warm_batch = run_batch_experiments(cfgs)
         warm_solo = [run_experiment(replace(cfg, backend="scalar"),
                                     use_cache=False) for cfg in cfgs[:1]]
         assert warm_batch == cold_batch

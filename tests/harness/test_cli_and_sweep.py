@@ -44,6 +44,15 @@ def test_sweep_vcs_rows_complete():
         assert row["latency"] > 0 and 0 <= row["reusability"] <= 1
 
 
+def test_sweeps_pass_every_scheduler_keyword_through():
+    """``chunk_size`` is ``run_experiments``' keyword, not a config field:
+    a sweep hands it — and whatever keyword the scheduler grows next —
+    to the scheduler."""
+    rows = sweep_load(loads=(0.05,), chunk_size=2, max_workers=2, kx=4,
+                      ky=4, synth_cycles=200, synth_warmup=50)
+    assert [row["load"] for row in rows] == [0.05]
+
+
 def test_cli_trace_writes_all_outputs(tmp_path, capsys):
     import json
 

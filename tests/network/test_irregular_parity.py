@@ -112,8 +112,7 @@ class TestHarnessBackends:
             _config(topo_args, topo_kw, "vectorized", rate=0.05),
             use_cache=False)
         (batched,) = run_batch_experiments(
-            [_config(topo_args, topo_kw, "batched", rate=0.05)],
-            use_cache=False)
+            [_config(topo_args, topo_kw, "batched", rate=0.05)])
         for field in ("avg_latency", "avg_network_latency", "avg_hops",
                       "reusability", "buffer_bypass_rate", "packets",
                       "flit_hops", "energy_pj", "pc_restored"):

@@ -324,8 +324,7 @@ class TestManifest:
         grouped sweep answer the same rows from the scalar core."""
         fast = _solo(**_BUSY_POINT)
         lanes = run_batch_experiments(
-            [ExperimentConfig(backend="batched", **_BUSY_POINT)],
-            use_cache=False)
+            [ExperimentConfig(backend="batched", **_BUSY_POINT)])
         assert fast.manifest["step_kernel"] == compiled
         assert lanes[0].manifest["step_kernel"] == compiled
         # Result equality is every measured field; the lane's config
@@ -363,6 +362,29 @@ class TestManifest:
         assert [span["backend"] for span in spans] == [
             "vectorized", "batched", "batched"]
         assert {span["step_kernel"] for span in spans} == {compiled}
+
+    def test_a_span_names_the_core_that_ran(self, no_compiler, tmp_path):
+        """...not the one the selector would have liked: without a
+        compiler a solo ``auto`` point and a grouped ``auto`` unit (which
+        refuses and reruns solo) land on the scalar core, and their
+        spans say what their manifests say."""
+        from repro.telemetry.stream import read_stream
+        stream = tmp_path / "sweep.telemetry.jsonl"
+        point = dict(_POINT, rate=0.1)
+        results = run_experiments(
+            [ExperimentConfig(backend="auto", **dict(point, kx=8, ky=8)),
+             *(ExperimentConfig(backend="auto", **dict(point, seed=s))
+               for s in (1, 2))],
+            max_workers=1, batch_size=2, telemetry=str(stream))
+        spans = {rec["idx"]: rec for rec in read_stream(str(stream))
+                 if rec["ev"] == "point"}
+        assert [spans[idx]["backend"] for idx in range(3)] == [
+            r.manifest["backend"] for r in results] == ["scalar"] * 3
+        assert [spans[idx]["solo_fallback"] for idx in range(3)] == [
+            False, True, True]
+        # What the selector chose stays on record, under ``decision``.
+        assert spans[0]["decision"]["chosen"] == "vectorized"
+        assert not any("step_kernel" in span for span in spans.values())
 
 
 # -- the checked build --------------------------------------------------------
