@@ -296,15 +296,17 @@ def _network_for(config: ExperimentConfig, probe, reuse: bool):
 
 
 def _core_fields(net) -> dict:
-    """Manifest fields naming the core that ran a point: ``backend``,
-    and for an array core ``step_kernel`` — ``c:<artifact key>``, the
-    build of ``kernel.c`` it stepped through
-    (``network/vectorized/kernel.py``). A scalar network has no such
-    artifact and no such field."""
+    """Manifest fields naming the core that ran a point, read after
+    the run: ``backend``, and for an array core ``step_kernel`` —
+    ``c:<artifact key>``, the build of ``kernel.c`` it stepped through
+    (``network/vectorized/kernel.py``) — and ``traffic_source``, which
+    side drew the traffic: ``kernel`` (the compiled ``source_tick``) or
+    ``python`` (``tick`` into ``inject``). A scalar network has no such
+    artifact and neither field."""
     fields = {"backend": backend_of(net)}
-    step_kernel = getattr(net, "step_kernel", None)
-    if step_kernel is not None:
-        fields["step_kernel"] = step_kernel
+    for name in ("step_kernel", "traffic_source"):
+        if hasattr(net, name):
+            fields[name] = getattr(net, name)
     return fields
 
 
@@ -438,8 +440,7 @@ def _simulate(configs, net, start: float, *, probe=None,
     back to ``_idle_networks`` if it is scalar and drained clean.
     """
     first = configs[0]
-    core = _core_fields(net)
-    batched = core["backend"] == "batched"
+    batched = backend_of(net) == "batched"
     registry = _attach_monitors(net, probe, check_stride) if check else None
     if first.benchmark is not None:
         _replay(net, get_trace(first.benchmark, cycles=first.trace_cycles,
@@ -456,6 +457,7 @@ def _simulate(configs, net, start: float, *, probe=None,
             net.run(first.synth_cycles, traffics[0])
         net.drain(max_cycles=500_000)
     net.check_invariants()
+    core = _core_fields(net)
     prof_doc = None
     if registry is not None:
         for monitor in registry.monitors:

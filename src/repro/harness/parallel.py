@@ -177,13 +177,15 @@ def _group_units(todo: Sequence[tuple], batch_size: int) -> list[list]:
 def _core_span_fields(cfg: ExperimentConfig, result: Result) -> dict:
     """Span fields saying where a simulated point ran, read off the
     manifest of the run itself — ``backend``, an array core's
-    ``step_kernel``, a batch lane's ``lane`` / ``lanes`` — plus
+    ``step_kernel`` and ``traffic_source``, a batch lane's ``lane`` /
+    ``lanes`` — plus
     ``decision``, what the manifest does not say: the selector's inputs.
     """
     manifest = result.manifest or {}
     fields = {name: manifest[key] for name, key in (
         ("backend", "backend"), ("step_kernel", "step_kernel"),
-        ("lane", "batch_lane"), ("lanes", "batch_lanes")) if key in manifest}
+        ("traffic_source", "traffic_source"), ("lane", "batch_lane"),
+        ("lanes", "batch_lanes")) if key in manifest}
     try:
         fields["decision"] = backend_decision(
             cfg, lanes=fields.get("lanes", 1))

@@ -26,31 +26,16 @@ Active-lane compaction is structural rather than masked: finished or
 idle lanes have no buffered flits, no queued or in-flight NIC work and
 no calendar entries, so they drop out of the kernel's occupancy scans
 (``_r_buffered``, ``q_head``, ``_snd_cnt``, the rings) and cost
-nothing; ``run_batch`` additionally stops ticking a lane's traffic
-source once its injection window closes and fast-forwards the global
-clock to the earliest next injection over still-active lanes only.
+nothing; the traffic loop (``VectorNetwork._drive``) serves a lane's
+source only while its window is open. What this module adds is the
+constructor (a seed per lane) and ``run_batch``'s per-lane arguments.
 """
 
 from __future__ import annotations
 
-import math
-
 from ...topology.base import Topology
 from ..config import NetworkConfig
 from .core import VectorNetwork
-
-
-class _LaneSink:
-    """Per-lane injection adapter handed to each lane's traffic source."""
-
-    __slots__ = ("_net", "_lane")
-
-    def __init__(self, net: "BatchNetwork", lane: int):
-        self._net = net
-        self._lane = lane
-
-    def inject(self, packet) -> None:
-        self._net.inject(packet, self._lane)
 
 
 class BatchNetwork(VectorNetwork):
@@ -82,13 +67,11 @@ class BatchNetwork(VectorNetwork):
             "cycles, warmups)")
 
     def run_batch(self, traffics, cycles, warmups=None) -> None:
-        """Tick every lane's traffic for its own cycle budget.
+        """Offer every lane its traffic for its own cycle budget.
 
         ``traffics``/``cycles``/``warmups`` give one entry per lane. A
-        lane stops being ticked once its budget is spent (matching the
-        solo run window exactly); the global clock fast-forwards only
-        over cycles where no still-active lane has a pending injection
-        and no lane has in-flight work. Call ``drain`` afterwards.
+        lane's window closes once its budget is spent (matching the solo
+        run window exactly). Call ``drain`` afterwards.
         """
         S = self.lanes
         if len(traffics) != S or len(cycles) != S:
@@ -101,31 +84,4 @@ class BatchNetwork(VectorNetwork):
             self.lane_warmup[:] = [int(w) for w in warmups]
             # Lane 0's is re-read from the lane-0 stats every cycle.
             self._stats.warmup_cycles = int(warmups[0])
-        ends = [self.cycle + int(n) for n in cycles]
-        end_all = max(ends)
-        sinks = [_LaneSink(self, lane) for lane in range(S)]
-        nexts = [getattr(tr, "next_injection_cycle", None)
-                 for tr in traffics]
-        while self.cycle < end_all:
-            c = self.cycle
-            skippable = True
-            for lane in range(S):
-                if c < ends[lane]:
-                    traffics[lane].tick(sinks[lane], c)
-                    if nexts[lane] is None:
-                        skippable = False
-            self.step()
-            # Nothing can be skipped while a flit or packet is anywhere
-            # on the chip (``fast_forward`` would return at once):
-            # don't ask every lane for its next injection to find out.
-            if not skippable or self._busy():
-                continue
-            c = self.cycle
-            nxt = math.inf
-            for lane in range(S):
-                if c < ends[lane]:
-                    ni = nexts[lane](c)
-                    if ni is not None and ni < nxt:
-                        nxt = ni
-            self.fast_forward(
-                end_all, None if nxt is math.inf else int(nxt))
+        self._drive(traffics, [self.cycle + int(n) for n in cycles])

@@ -12,12 +12,12 @@ configuration produces bit-identical ``NetworkStats`` fingerprints to
 the scalar core, cycle by cycle (``tests/network/test_step_kernel.py``,
 ``test_vectorized_parity.py``).
 
-This module is what stays per packet or outside the chip: ``inject``
-(a ``Packet`` becomes a row of the packet pool at the tail of its
-source queue), the write-back of the packets a cycle ejected and their
-latency histogram, the traffic loop with its quiescence fast-forward,
-the observer hooks, and the allocation of everything the kernel's
-``Chip`` points into:
+This module is what stays outside the chip: the traffic loop with its
+quiescence fast-forward (a ``SyntheticTraffic`` is handed to the kernel
+to draw, any other source ticked into ``inject``: a ``Packet`` becomes a
+row of the packet pool at the tail of its source queue), the latency
+histogram and the write-back of the ``Packet``s a cycle ejected, the
+observer hooks, and the allocation of everything the ``Chip`` points into:
 
 * **pools** — packets and flits are rows of two pools (the ``p_*`` and
   ``f_*`` arrays) recycled at ejection, so storage follows the packets
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import partial
+from types import SimpleNamespace
 
 from ...core.pseudo_circuit import Termination
 from ...metrics.stats import NetworkStats
@@ -94,11 +96,12 @@ _KERNEL_ERRORS = {
     -4: (ProtocolError, "body flit arrived on an inactive VC"),
     -5: (BufferOverflowError, "flit buffer overflow (capacity {D})"),
     -6: (RuntimeError, "NIC: tail arrived before all flits of its packet"),
-    -7: (ProtocolError, "flit pool exhausted: a packet started that the "
-                        "pool was not grown for ({fcap} flits)"),
+    -7: (ProtocolError, "packet or flit pool exhausted: a cycle took more "
+                        "than they were grown for ({pcap}, {fcap} slots)"),
     -8: (ProtocolError, "calendar ring overflow: an event more than "
                         "{RD} cycles ahead, or more in one cycle than "
                         "the chip has links"),
+    -10: (RuntimeError, "NIC {t}: source queue overflow ({iq})"),
 }
 #: One row of ``ej_out`` as ``_after_ejections`` unpacks it; checked
 #: against ``kernel.c``'s ``CHIP_EJECTED`` when a network binds.
@@ -107,6 +110,8 @@ _EJECTED_ROW = ["slot", "inject_cycle", "hops", "sa_bypass_hops",
 #: The three traversal event lists in the kernel's order (``VIA_*``,
 #: the thirds of ``ev_trav``): ``via`` and whether the flit was popped.
 _KERNEL_VIAS = (("sa", True), ("pc", True), ("buf", False))
+#: ``export_stream``'s ``draw`` in the kernel's order (``DRAW_*``).
+_KERNEL_DRAWS = ("table", "uniform", "hotspot")
 
 
 class VectorNetwork:
@@ -208,9 +213,9 @@ class VectorNetwork:
         self._pcap = self._size_pool(_PACKET_FIELDS, 0, 512)
         self._fcap = self._size_pool(_FLIT_FIELDS, 0, 1024)
         #: Slot -> the ``Packet`` handed to ``inject`` (its fields are
-        #: written back at ejection), ``None`` once ejected; its length
-        #: is the packet high-water mark.
-        self.p_obj: list[Packet | None] = []
+        #: written back at ejection, when the entry goes); a packet the
+        #: kernel's source made has none.
+        self.p_obj: dict[int, Packet] = {}
         #: Packet size -> first flit of the free block on top of that
         #: size's stack (-1: none); as long as the largest size seen.
         self.fb_head = np.full(2, -1, dtype=i64)
@@ -226,6 +231,12 @@ class VectorNetwork:
         self.q_head = np.full(T, -1, dtype=i64)
         self.q_tail = np.full(T, -1, dtype=i64)
         self.q_len = np.zeros(T, dtype=i64)
+        # Bound sources (CHIP_SOURCE; ``_drive``), and who drew the last run.
+        self.src = np.zeros((lanes, len(kernel.source)), dtype=i64)
+        self.src_mt = np.zeros((lanes, 625), dtype=i64)
+        self.src_dest = np.zeros((lanes, T // lanes), dtype=i64)
+        self.src_row = np.zeros((lanes, T // lanes), dtype=i64)
+        self._src_terminals, self.traffic_source = 0, "python"
         # Per-terminal injection RNG seeds, drawn in the same order as
         # Network._build_nics so o1turn route choices match bit-for-bit.
         # With lane_seeds each lane draws its block from its own seed,
@@ -280,11 +291,12 @@ class VectorNetwork:
         #: Whole-chip scalars shared with the kernel (``CHIP_STATE``).
         self._state = np.zeros(len(kernel.state), dtype=i64)
         (self._S_BUFFERED, self._S_QUEUED, self._S_SENDING,
-         self._S_STARTED, self._S_P_FREE, self._S_FLITS,
-         self._S_NEXT_EVENT) = (kernel.state.index(name) for name in (
-             "buffered", "queued", "sending", "started", "p_free",
-             "flits", "next_event"))
-        self._state[self._S_NEXT_EVENT] = -1
+         self._S_STARTED, self._S_P_FREE, self._S_PACKETS, self._S_FLITS,
+         self._S_NEXT_EVENT, self._S_NEXT_INJECTION) = (
+             kernel.state.index(name) for name in (
+                 "buffered", "queued", "sending", "started", "p_free",
+                 "packets", "flits", "next_event", "next_injection"))
+        self._state[[self._S_NEXT_EVENT, self._S_NEXT_INJECTION]] = -1
         self._phase_names = kernel.phases
         self._prof_ns = np.zeros(len(kernel.phases), dtype=i64)
 
@@ -320,6 +332,7 @@ class VectorNetwork:
                  C=choices, TL=t_local, LR=self._R // self._lanes,
                  T=self._T, NIP=self._NIP, NOVC=self._NOVC, RD=self._RD,
                  CD=credit_delay, mshrs=self.config.mshrs,
+                 inject_queue=self._iq,
                  static_vc=self.vc_policy.name == "static",
                  pc_enabled=pseudo.enabled,
                  pc_speculation=pseudo.speculation,
@@ -332,10 +345,11 @@ class VectorNetwork:
         self._cycle = kernel.cycle
         self._chip = self._kernel.ref
         self._event_names = kernel.events
+        self._src_names = kernel.source
 
     # -- pools ----------------------------------------------------------------
     # A packet slot and its contiguous flit block live exactly as long
-    # as the packet: the slot is taken by ``inject``, the block by the
+    # as the packet: the slot is taken at injection, the block by the
     # kernel when the packet starts, and the kernel returns both when
     # the tail is reassembled. The bump allocator is the free stacks'
     # empty case, and the pools never shrink — the stale ids that rings
@@ -377,6 +391,11 @@ class VectorNetwork:
         """The flit pool's high-water mark."""
         return int(self._state[self._S_FLITS])
 
+    @property
+    def _npackets(self) -> int:
+        """The packet pool's high-water mark."""
+        return int(self._state[self._S_PACKETS])
+
     def _free_packets(self):
         """The free packet slots, bottom of the stack first."""
         return self.p_free[:self._state[self._S_P_FREE]]
@@ -399,7 +418,7 @@ class VectorNetwork:
     def _queued_packets(self) -> list:
         """The packet slots waiting in source queues (at most one link
         walked per slot ever made)."""
-        links = self.p_next[:len(self.p_obj)].tolist()
+        links = self.p_next[:self._npackets].tolist()
         slots = []
         for pk in self.q_head[self.q_len > 0].tolist():
             while 0 <= pk < len(links) and len(slots) <= len(links):
@@ -448,11 +467,11 @@ class VectorNetwork:
             state[self._S_P_FREE] = free - 1
             pk = int(self.p_free[free - 1])
         else:
-            pk = len(self.p_obj)
+            pk = int(state[self._S_PACKETS])
             if pk >= self._pcap:
                 self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap,
                                              pk + 1)
-            self.p_obj.append(None)
+            state[self._S_PACKETS] = pk + 1
         self.p_obj[pk] = packet
         self.p_src[pk] = t
         self.p_dst[pk] = packet.dst
@@ -478,14 +497,20 @@ class VectorNetwork:
             for h in hooks:
                 h.on_cycle_start(c, self)
         state = self._state
-        queued = state[self._S_QUEUED]
+        offered = self._src_terminals
+        queued = int(state[self._S_QUEUED]) + offered
         if queued:
-            # One start per terminal per cycle, each of at most the
-            # largest size seen: the most fresh flits this call can take.
+            # One start per terminal per cycle (a bound source may queue
+            # one at each of its own first), each of at most the largest
+            # size seen: the most fresh flits, and slots, this call takes.
             need = int(state[self._S_FLITS]) + (
-                min(int(queued), self._T) * (len(self.fb_head) - 1))
+                min(queued, self._T) * (len(self.fb_head) - 1))
             if need > self._fcap:
                 self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap, need)
+            need = offered and offered + int(
+                state[self._S_PACKETS] - state[self._S_P_FREE])
+            if need > self._pcap:
+                self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap, need)
         # Lane 0's warm-up is ``stats.warmup_cycles``, which a caller may
         # set any time before the run.
         self.lane_warmup[0] = self._stats.warmup_cycles
@@ -499,29 +524,30 @@ class VectorNetwork:
         self.cycle = c + 1
 
     def _after_ejections(self, c: int, ejected: int) -> None:
-        """Write each packet the kernel ejected back into its ``Packet``,
-        count its latency and drop the core's reference to it (the slot
-        and its flit block are free already) — or raise the error a
-        negative return code stands for."""
+        """Count the latency of each packet the kernel ejected and, if it
+        came in as a ``Packet``, write it back and drop the core's
+        reference to it (the slot and its flit block are free already)
+        — or raise the error a negative return code stands for."""
         if ejected < 0:
             if ejected == E_BOUNDS:
                 raise ProtocolError(self._kernel.fault())
             error, message = _KERNEL_ERRORS[ejected]
-            raise error(message.format(D=self._D, RD=self._RD,
-                                       fcap=self._fcap))
+            raise error(message.format(
+                D=self._D, RD=self._RD, fcap=self._fcap, pcap=self._pcap,
+                iq=self._iq, t=self._kernel.chip.err_idx))
         width = len(_EJECTED_ROW)
         rows = self._kernel.ej_out[:ejected * width].tolist()
         objs = self.p_obj
         hists = self._hist
         for at in range(0, len(rows), width):
             k, inject, hops, sa, buf, latency, lane = rows[at:at + width]
-            pkt = objs[k]
-            objs[k] = None
-            pkt.eject_cycle = c
-            pkt.inject_cycle = inject
-            pkt.hops = hops
-            pkt.sa_bypass_hops = sa
-            pkt.buf_bypass_hops = buf
+            pkt = objs.pop(k, None)
+            if pkt is not None:
+                pkt.eject_cycle = c
+                pkt.inject_cycle = inject
+                pkt.hops = hops
+                pkt.sa_bypass_hops = sa
+                pkt.buf_bypass_hops = buf
             if latency >= 0:
                 hist = hists[lane]
                 hist[latency] = hist.get(latency, 0) + 1
@@ -552,13 +578,12 @@ class VectorNetwork:
         for h in hooks:
             h.vec_cycle_end(c, self)
 
-    def fast_forward(self, bound: int,
-                     traffic_next: int | None = None) -> None:
+    def fast_forward(self, bound: int, *traffic_next: int | None) -> None:
         """Skip to the next scheduled event if nothing acts per-cycle."""
         if self._busy():
             return
         target = bound
-        for event in (int(self._state[self._S_NEXT_EVENT]), traffic_next):
+        for event in (int(self._state[self._S_NEXT_EVENT]), *traffic_next):
             if event is not None and 0 <= event < target:
                 target = event
         if target > self.cycle:
@@ -568,18 +593,61 @@ class VectorNetwork:
 
     def run(self, cycles: int, traffic=None) -> NetworkStats:
         """Run for ``cycles`` cycles, ticking ``traffic`` once per cycle."""
-        end = self.cycle + cycles
-        next_injection = (getattr(traffic, "next_injection_cycle", None)
-                          if traffic is not None else None)
-        while self.cycle < end:
-            if traffic is not None:
-                traffic.tick(self, self.cycle)
-            self.step()
-            if traffic is None:
-                self.fast_forward(end)
-            elif next_injection is not None:
-                self.fast_forward(end, next_injection(self.cycle))
+        self._drive([traffic], [self.cycle + cycles])
         return self.stats
+
+    def _drive(self, traffics, ends) -> None:
+        """The traffic loop: lane ``i`` is offered ``traffics[i]`` every
+        cycle before ``ends[i]``; cycles in which nothing acts and no
+        source injects are skipped. A source that hands over its stream
+        (``SyntheticTraffic.export_stream``) is drawn by the kernel and
+        takes it back on the way out — unless the routing hooks injection
+        (O1TURN's draw, ``weighted``'s class) and needs the ``Packet``; any
+        other is ticked into ``inject``, every cycle if it cannot say when."""
+        end_all, here = max(ends), (self.cycle, self._T_local)
+        bound, ticked = [], []
+        for lane, (traffic, end) in enumerate(zip(traffics, ends)):
+            stream = None if self._on_inject else getattr(
+                traffic, "export_stream", lambda *_: None)(*here)
+            if stream is not None:
+                if stream["size"] >= len(self.fb_head):
+                    self._size_classes(stream["size"])
+                self.src_mt[lane] = stream["mt"]
+                self.src_dest[lane] = stream["table"]
+                self.src_row[lane, :len(stream["row"])] = stream["row"]
+                fields = dict(stream, end=end, pending=len(stream["row"]),
+                              draw=_KERNEL_DRAWS.index(stream["draw"]))
+                self.src[lane] = [fields[name] for name in self._src_names]
+                bound.append((lane, traffic))
+            elif traffic is not None:
+                sink = SimpleNamespace(inject=partial(self.inject, lane=lane))
+                ticked.append((end, partial(traffic.tick, sink), getattr(
+                    traffic, "next_injection_cycle", lambda cycle: cycle)))
+        if bound or ticked:
+            self.traffic_source = "python" if ticked else "kernel"
+        self._src_terminals = len(bound) * self._T_local
+        try:
+            while self.cycle < end_all:
+                c = self.cycle
+                for end, tick, _ in ticked:
+                    if c < end:
+                        tick(c)
+                self.step()
+                # A busy chip skips nothing: don't ask the sources then.
+                if not self._busy():
+                    c = self.cycle
+                    self.fast_forward(
+                        end_all, int(self._state[self._S_NEXT_INJECTION]),
+                        *[ask(c) for end, _, ask in ticked if c < end])
+        finally:
+            self._src_terminals = 0
+            for lane, traffic in bound:
+                src = dict(zip(self._src_names, self.src[lane].tolist()))
+                traffic.restore_stream(
+                    self.src_mt[lane].tolist(), src["drawn_until"],
+                    self.src_row[lane, :src["pending"]].tolist(),
+                    src["generated"])
+                self.src[lane] = 0   # ``end``: the window is closed
 
     def drain(self, max_cycles: int = 1_000_000) -> NetworkStats:
         """Run without new traffic until every packet is delivered."""

@@ -3,13 +3,14 @@
  * One translation unit, built on first use by ``kernel.py`` with the
  * system C compiler and called through ``ctypes``. ``cycle()`` is the
  * only entry point a network steps through, and this file is the only
- * statement of what an array core does in a cycle: credit returns,
- * ejection reassembly, arrival staging, the router pipeline (VA | PC
- * candidates | SA requests | circuit reuse | BW | switch allocation |
- * PC maintenance) and the NICs' start + send, in that order. Each stage
- * is a static function named after the phase timer it is billed to and
- * written as the plain loops of the scalar reference
- * (``network/router.py``, ``network/nic.py``) over the
+ * statement of what an array core does in a cycle: the bound sources'
+ * injections, credit returns, ejection reassembly, arrival staging, the
+ * router pipeline (VA | PC candidates | SA requests | circuit reuse | BW
+ * | switch allocation | PC maintenance) and the NICs' start + send, in
+ * that order. Each stage is a static function named after the phase
+ * timer it is billed to (the source to none) and written as the plain
+ * loops of the scalar reference (``network/router.py``,
+ * ``network/nic.py``, ``traffic/synthetic.py``) over the
  * structure-of-arrays state: routers ascending, input ports in the
  * scalar visit order, VCs ascending, one flit at a time. The parity
  * suites hold it bit-identical to the scalar core, cycle by cycle.
@@ -36,8 +37,11 @@
  *   (``p_free``), the free flit blocks one stack per packet size
  *   threaded through ``f_link`` (``fb_head``). ``inject()`` in
  *   ``core.py`` pushes and pops the same structures and grows the pools
- *   before a call that could need it; a start that still finds the flit
+ *   before a call that could need it; a packet that still finds its
  *   pool full is ``E_POOL``, never a write past it.
+ * - a lane's synthetic source, while ``core.py`` has bound one: its row
+ *   of ``src`` (CHIP_SOURCE), its ``random.Random`` state in ``src_mt``,
+ *   its destinations in ``src_dest``, the last row drawn in ``src_row``.
  * - ``state`` carries the whole-chip scalars both sides read.
  *
  * What a call hands back: the return value is the number of packets
@@ -70,7 +74,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 3001
+#define REPRO_KERNEL_ABI 4001
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -133,6 +137,11 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, snd_cnt, NET) \
     X(i64, send_rr, NET) \
     X(i64, outstanding, NET) \
+    /* synthetic sources: one row of each per lane */ \
+    X(i64, src, NET) \
+    X(i64, src_mt, NET) \
+    X(i64, src_dest, NET) \
+    X(i64, src_row, NET) \
     /* layout: wiring and routing tables */ \
     X(i64, nip, NET) \
     X(u8, op_valid, NET) \
@@ -188,7 +197,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
  * delay; RD the ring depth. */
 #define CHIP_SCALARS(X) \
     X(R) X(Pi) X(Po) X(V) X(D) X(C) X(TL) X(LR) X(T) X(NIP) X(NOVC) \
-    X(RD) X(CD) X(mshrs) \
+    X(RD) X(CD) X(mshrs) X(inject_queue) \
     X(static_vc) X(pc_enabled) X(pc_speculation) X(pc_bypass) \
     X(events_on) X(profile_on) \
     X(err_id) X(err_idx)
@@ -212,11 +221,21 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 
 /* ``state``: flits buffered on the chip, packets in source queues,
  * transmissions in progress, packets started and not yet ejected, free
- * packet slots (height of ``p_free``), the flit pool's high-water mark,
- * and the next cycle a ring holds anything for (-1: none). */
+ * packet slots (height of ``p_free``), the packet and flit pools'
+ * high-water marks, the next cycle a ring holds anything for and (the
+ * chip not busy) the next a bound source injects in (-1: none). */
 #define CHIP_STATE(X) \
-    X(buffered) X(queued) X(sending) X(started) X(p_free) X(flits) \
-    X(next_event)
+    X(buffered) X(queued) X(sending) X(started) X(p_free) X(packets) \
+    X(flits) X(next_event) X(next_injection)
+
+/* One row of ``src``, a lane's ``SyntheticTraffic``: the Bernoulli
+ * threshold (``random() < rate / size`` on the 53 bits ``random()`` is
+ * made of), packet size, the cycle its window closes (0: none bound),
+ * the last cycle drawn, how destinations are found (DRAW_*), the packets
+ * of that cycle's row still to be offered, those handed over so far. */
+#define CHIP_SOURCE(X) \
+    X(threshold) X(size) X(end) X(drawn_until) X(draw) X(pending) \
+    X(generated)
 
 /* ``prof_ns``: the phase timers of ``VectorNetwork.profile``. */
 #define CHIP_PHASES(X) X(bw) X(va_sa) X(st_credit) X(pc) X(inject)
@@ -261,6 +280,14 @@ enum {
     S_COUNT
 };
 enum {
+#define X(name) SRC_##name,
+    CHIP_SOURCE(X)
+#undef X
+    SRC_WIDTH
+};
+/* Read from ``src_dest`` (patterns that use no random number) or drawn. */
+enum { DRAW_table, DRAW_uniform, DRAW_hotspot };
+enum {
 #define X(name) PH_##name,
     CHIP_PHASES(X)
 #undef X
@@ -293,9 +320,10 @@ enum {
     E_BODY_ARRIVED_INACTIVE = -4, /* body flit arrived on an inactive VC */
     E_BUFFER_OVERFLOW = -5,     /* flit buffer overflow */
     E_TAIL_EARLY = -6,          /* tail arrived before all flits of its packet */
-    E_POOL = -7,                /* a start found the flit pool full */
+    E_POOL = -7,                /* a packet found its pool full */
     E_RING = -8,                /* an event beyond a calendar's depth or room */
-    E_BOUNDS = -9               /* checked build: see err_id / err_idx */
+    E_BOUNDS = -9,              /* checked build: see err_id / err_idx */
+    E_QUEUE = -10               /* source queue overflow at NIC err_idx */
 };
 
 #ifdef REPRO_KERNEL_CHECK
@@ -579,6 +607,145 @@ static void establish(Chip *ch, i64 port, i64 in_vc, i64 outl, i64 opid)
     A(pc_out_port, port) = outl;
     A(pc_valid, port) = 1;
     A(op_holder, opid) = local;
+}
+
+/* -- the synthetic sources (traffic/synthetic.py, stated again) ----------- */
+
+/* ``random.Random``'s next 32 bits: MT19937 over ``getstate()`` at ``mt``. */
+static uint32_t source_word(Chip *ch, i64 mt)
+{
+    ENTER();
+    i64 pos = A(src_mt, mt + 624);
+    if (pos >= 624) {
+        for (i64 k = 0; k < 624; k++) {
+            uint32_t y = ((uint32_t)A(src_mt, mt + k) & 0x80000000u)
+                | ((uint32_t)A(src_mt, mt + (k + 1) % 624) & 0x7fffffffu);
+            A(src_mt, mt + k) = (uint32_t)A(src_mt, mt + (k + 397) % 624)
+                ^ (y >> 1) ^ (y & 1 ? 0x9908b0dfu : 0u);
+        }
+        pos = 0;
+    }
+    uint32_t y = (uint32_t)A(src_mt, mt + pos);
+    A(src_mt, mt + 624) = pos + 1;
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+}
+
+/* ``rng.random() < threshold / 2**53``. */
+static int source_chance(Chip *ch, i64 mt, i64 threshold)
+{
+    ENTER();
+    i64 a = source_word(ch, mt) >> 5, b = source_word(ch, mt) >> 6;
+    return (a << 26 | b) < threshold;
+}
+
+/* ``rng._randbelow(n)``: ``n.bit_length()`` bits until they fall below. */
+static i64 source_below(Chip *ch, i64 mt, i64 n)
+{
+    ENTER();
+    i64 r, spare = __builtin_clzll((uint64_t)n) - 32;
+    do
+        r = source_word(ch, mt) >> spare;
+    while (r >= n);
+    return r;
+}
+
+/* SyntheticTraffic._draw_cycle: the lane's next undrawn cycle, terminals
+ * ascending, becomes its row (``p_pair`` values). */
+static void source_draw(Chip *ch, i64 lane)
+{
+    ENTER();
+    i64 TL = ch->TL, *s = &A(src, lane * SRC_WIDTH), mt = lane * 625;
+    s[SRC_pending] = 0;
+    for (i64 t = 0; t < TL; t++) {
+        if (!source_chance(ch, mt, s[SRC_threshold]))
+            continue;
+        i64 dst;
+        if (s[SRC_draw] == DRAW_table)
+            dst = A(src_dest, lane * TL + t);
+        else if (s[SRC_draw] == DRAW_uniform) {
+            dst = source_below(ch, mt, TL - 1);
+            dst += dst >= t;
+        } else if (source_chance(ch, mt, (i64)1 << 52))
+            dst = source_below(ch, mt, 2) * (TL / 2); /* a hot terminal */
+        else
+            dst = source_below(ch, mt, TL);
+        if (dst >= 0 && dst != t)
+            A(src_row, lane * TL + s[SRC_pending]++) = t * TL + dst;
+    }
+    s[SRC_drawn_until] += 1;
+}
+
+/* SyntheticTraffic.tick for every lane whose window is open (a row for a
+ * cycle never ticked is drawn over), then VectorNetwork.inject for each
+ * packet of a row due now: a slot off the free stack, else past the
+ * high-water mark, at the tail of its source queue. */
+static i64 source_tick(Chip *ch, i64 c)
+{
+    ENTER();
+    for (i64 lane = 0, TL = ch->TL; lane < ch->T / TL; lane++) {
+        i64 *s = &A(src, lane * SRC_WIDTH);
+        if (c >= s[SRC_end])
+            continue;
+        while (s[SRC_drawn_until] < c)
+            source_draw(ch, lane);
+        if (s[SRC_drawn_until] != c)
+            continue;
+        for (i64 k = 0; k < s[SRC_pending]; k++) {
+            i64 pair = A(src_row, lane * TL + k), t = lane * TL + pair / TL;
+            if (ch->inject_queue > 0 && A(q_len, t) >= ch->inject_queue) {
+                ch->err_idx = t;
+                return E_QUEUE;
+            }
+            i64 pk = A(state, S_packets);
+            if (A(state, S_p_free))
+                pk = A(p_free, --A(state, S_p_free));
+            else if (pk < ch->n_p_src)
+                A(state, S_packets) = pk + 1;
+            else
+                return E_POOL;
+            A(p_src, pk) = t;
+            A(p_dst, pk) = pair % TL;
+            A(p_pair, pk) = pair;
+            A(p_size, pk) = s[SRC_size];
+            A(p_choice, pk) = 0;
+            A(p_create, pk) = c;
+            A(p_next, pk) = -1;
+            if (A(q_tail, t) < 0)
+                A(q_head, t) = pk;
+            else
+                A(p_next, A(q_tail, t)) = pk;
+            A(q_tail, t) = pk;
+            A(q_len, t) += 1;
+            A(state, S_queued) += 1;
+        }
+        s[SRC_generated] += s[SRC_pending];
+        s[SRC_pending] = 0;
+    }
+    return 0;
+}
+
+/* SyntheticTraffic.next_injection_cycle(c) over the open lanes: each
+ * draws ahead to its first row with a packet in it (4096 cycles at the
+ * most; it is asked again from there); the earliest, or -1. */
+static i64 source_ahead(Chip *ch, i64 c)
+{
+    ENTER();
+    i64 next = -1;
+    for (i64 lane = 0; lane < ch->T / ch->TL; lane++) {
+        i64 *s = &A(src, lane * SRC_WIDTH);
+        if (c >= s[SRC_end] || !s[SRC_threshold])
+            continue;
+        while (s[SRC_drawn_until] < c
+               || (!s[SRC_pending] && s[SRC_drawn_until] < c + 4096))
+            source_draw(ch, lane);
+        i64 at = s[SRC_drawn_until] + !s[SRC_pending];
+        if (next < 0 || at < next)
+            next = at;
+    }
+    return next;
 }
 
 /* -- the calendars' due slots ------------------------------------------- */
@@ -1084,6 +1251,7 @@ static i64 inject_send(Chip *ch, i64 c, i64 t)
 i64 cycle(Chip *ch, i64 c)
 {
     ENTER();
+    TRY(source_tick(ch, c));
     i64 slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
     for (i64 k = 0; k < N_EVENTS; k++)
         A(n, k) = 0;
@@ -1130,6 +1298,8 @@ i64 cycle(Chip *ch, i64 c)
             next = c + ahead;
     }
     A(state, S_next_event) = next;
+    A(state, S_next_injection) = A(state, S_buffered) || A(state, S_queued)
+        || A(state, S_sending) ? -1 : source_ahead(ch, c + 1);
     RETURN(closed);
 }
 

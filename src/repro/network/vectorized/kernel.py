@@ -44,7 +44,7 @@ import time
 from functools import lru_cache
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 3001
+ABI = 4001
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -105,13 +105,13 @@ class Kernel:
         #: The other lists ``kernel.c`` declares, as names in C order:
         #: the ``Chip``'s scalars, one row of ``counts`` (``stats`` then
         #: ``terminations``), ``state``, ``prof_ns``, the event counts at
-        #: the head of ``n[]``, one row of ``ej_out``.
+        #: the head of ``n[]``, one row of ``ej_out``, one row of ``src``.
         (self.scalars, self.stats, self.terminations, self.state,
-         self.phases, self.events, self.ejected) = (
+         self.phases, self.events, self.ejected, self.source) = (
             [name for name, in _macro_names(source, macro)]
             for macro in ("CHIP_SCALARS", "CHIP_STATS", "CHIP_TERMINATIONS",
                           "CHIP_STATE", "CHIP_PHASES", "CHIP_EVENTS",
-                          "CHIP_EJECTED"))
+                          "CHIP_EJECTED", "CHIP_SOURCE"))
         fields = []
         for _, name, _ in self.arrays:
             fields += [(name, ctypes.c_void_p),

@@ -275,7 +275,7 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         net = self._network
         return {"violations": len(self.violations),
                 "sweeps": self.sweeps, "stride": self.stride,
-                "pool_high_water": {"packets": len(net.p_obj),
+                "pool_high_water": {"packets": net._npackets,
                                     "flits": net._nflits}}
 
     # -- localization ---------------------------------------------------------
@@ -471,7 +471,7 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         net = self._network
         pcap, fcap = net._pcap, net._fcap
         # Packet slots below the high-water mark are live or free, once.
-        hwm = len(net.p_obj)
+        hwm = net._npackets
         freed = np.bincount(net._free_packets(), minlength=pcap)
         if freed.max() > 1:
             k = int(freed.argmax())
@@ -522,7 +522,8 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         dead[nb] = True
         # Every held flit id sits in a live block; the packets those
         # flits, the NIC send slots and the source queues name are
-        # exactly the live slots, and exactly those still hold a Packet.
+        # exactly the live slots, and only those still hold a Packet
+        # (the ones that came in through ``inject``).
         fids = np.concatenate([held for held, _ in refs])
         bad = dead[block_of[fids]].nonzero()[0]
         if len(bad):
@@ -536,15 +537,15 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         if net._num_queued:
             named[net._queued_packets()] = True
         holds = np.zeros(pcap, dtype=bool)
-        holds[:hwm] = [pkt is not None for pkt in net.p_obj]
+        holds[list(net.p_obj)] = True
         for wrong, rule, message in (
                 (named & ~live, "pool_reference",
                  "packet slot in use is free or past the high-water mark"),
                 (live & ~named, "pool_accounting",
                  "packet slot is neither in use nor free: live + free "
                  "slots fall short of the high-water mark"),
-                (holds != live, "pool_accounting",
-                 "p_obj holds a Packet for exactly the live slots")):
+                (holds & ~live, "pool_accounting",
+                 "p_obj holds a Packet for a slot that is not live")):
             if wrong.any():
                 k = int(wrong.argmax())
                 self.violation(rule, message, cycle=cycle, actual=k,

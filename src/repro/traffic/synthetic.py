@@ -17,6 +17,7 @@ hotspot, neighbor) are provided beyond the paper's set.
 
 from __future__ import annotations
 
+import math
 import random
 
 from ..network.flit import Packet
@@ -70,11 +71,43 @@ class SyntheticTraffic:
         while self._drawn_until < cycle:
             self._draw_cycle()
         row = self._drawn.pop(cycle, None)
-        if row is None:
-            return
-        for src, dst in row:
-            network.inject(Packet(src, dst, self.packet_size, cycle))
-        self.generated += len(row)
+        if row is not None:
+            for src, dst in row:
+                network.inject(Packet(src, dst, self.packet_size, cycle))
+            self.generated += len(row)
+        while self._drawn and (first := next(iter(self._drawn))) < cycle:
+            del self._drawn[first]  # a cycle nobody ticked: never offered
+
+    def export_stream(self, cycle: int, terminals: int) -> dict | None:
+        """What ``tick(cycle)`` onwards depends on, for a driver of
+        ``terminals`` that draws the stream itself (the array cores'
+        ``source_tick``) and hands it back to ``restore_stream``: the
+        generator's words, the Bernoulli threshold on the 53 bits of
+        ``random()``, ``draw`` or the destination ``table`` (-1: none),
+        the row drawn ahead as ``src * n + dst``. ``None`` from a subclass,
+        for another terminal count, or if a row waits for a cycle that is
+        not the last one drawn: those streams ``source_tick`` cannot draw."""
+        rows = {c: row for c, row in self._drawn.items() if c >= cycle}
+        n, draw = self.num_terminals, getattr(self._dest_fn, "draw", "table")
+        if (type(self) is not SyntheticTraffic or n != terminals
+                or rows.keys() - {self._drawn_until}):
+            return None
+        return dict(
+            mt=self.rng.getstate()[1], size=self.packet_size,
+            threshold=math.ceil(self.rate / self.packet_size * 2 ** 53),
+            drawn_until=self._drawn_until, generated=self.generated,
+            draw=draw, table=-1 if draw != "table" else [
+                -1 if (dst := self._dest_fn(src, None)) is None else dst
+                for src in range(n)],
+            row=[src * n + dst
+                 for src, dst in rows.get(self._drawn_until, ())])
+
+    def restore_stream(self, mt, drawn_until, row, generated) -> None:
+        """Take the stream back as ``export_stream``'s driver left it."""
+        self.rng.setstate((self.rng.VERSION, tuple(mt), self.rng.gauss_next))
+        self._drawn_until, self.generated = drawn_until, generated
+        n = self.num_terminals
+        self._drawn = {drawn_until: [divmod(p, n) for p in row]} if row else {}
 
     def next_injection_cycle(self, cycle: int,
                              lookahead: int = 4096) -> int | None:
@@ -109,13 +142,15 @@ def _bits_for(n: int) -> int:
 
 
 def destination_function(pattern: str, num_terminals: int):
-    """Return ``f(src, rng) -> dst | None`` for a named pattern."""
+    """Return ``f(src, rng) -> dst | None`` for a named pattern. One that
+    draws from ``rng`` says how in ``f.draw``; the rest are a table."""
     n = num_terminals
 
     if pattern in ("uniform", "ur", "uniform_random"):
         def uniform(src: int, rng: random.Random) -> int:
             dst = rng.randrange(n - 1)
             return dst if dst < src else dst + 1
+        uniform.draw = "uniform"
         return uniform
 
     if pattern in ("bitcomp", "bc", "bit_complement"):
@@ -164,6 +199,7 @@ def destination_function(pattern: str, num_terminals: int):
             else:
                 dst = rng.randrange(n)
             return None if dst == src else dst
+        hotspot.draw = "hotspot"
         return hotspot
 
     raise ValueError(f"unknown traffic pattern {pattern!r}")

@@ -9,6 +9,9 @@ object core and the solo vectorized core) — and a Hypothesis property
 test re-checks the invariant over random batch compositions.
 """
 
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -28,6 +31,11 @@ MIXED_LANES = (
     ("transpose", 0.10, 3, 240),
     ("bitcomp", 0.05, 4, 360),
 )
+
+
+def lane_sink(net, lane):
+    """What a hand-ticked source of ``lane`` injects into."""
+    return SimpleNamespace(inject=partial(net.inject, lane=lane))
 
 
 def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
@@ -102,6 +110,13 @@ class TestMixedLanes:
         lanes = (("uniform", 0.05, 1, 240), ("uniform", 0.20, 2, 240))
         assert_lane_parity(VectorNetwork, ("cmesh", 2, 2, 4), PSEUDO_SB,
                            lanes)
+
+    def test_hotspot_and_a_non_power_of_two_chip(self):
+        """12 terminals: ``randrange`` rejects some draws, and each lane
+        keeps its own generator through them."""
+        lanes = (("hotspot", 0.10, 5, 240), ("uniform", 0.20, 6, 300),
+                 ("tornado", 0.05, 7, 200))
+        assert_lane_parity(Network, ("mesh", 4, 3, 1), PSEUDO_SB, lanes)
 
 
 class TestDegenerateBatches:

@@ -49,14 +49,14 @@ from repro.network.router import ProtocolError
 from repro.network.simulator import Network
 from repro.network.vectorized import (BatchNetwork, VectorHooks,
                                       VectorInvariantChecker, VectorNetwork,
-                                      batch, core, kernel)
+                                      core, kernel)
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
 
 from . import test_batched_parity, test_irregular_parity
 from .test_vectorized_parity import (CONCENTRATED, GRID, MESH4X4, MESH8X8,
-                                      ROUTINGS, SEEDS, _run)
+                                      PATTERNS, ROUTINGS, SEEDS, _run)
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -136,7 +136,7 @@ def _lockstep(build, drive):
 
 def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
                 vc_policy="dynamic", seed=7, packet_size=5, num_vcs=4,
-                benchmark=None):
+                benchmark=None, pattern="uniform"):
     """``(build, drive)`` of one row of the parity grid
     (``test_vectorized_parity._run``, taken apart)."""
     def build(cls):
@@ -152,7 +152,7 @@ def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
             return _replaying(net, get_trace(benchmark, cycles=cycles,
                                              warmup=200, seed=seed))
         return _stepping(net, SyntheticTraffic(
-            "uniform", net.topology.num_terminals, rate, packet_size,
+            pattern, net.topology.num_terminals, rate, packet_size,
             seed=seed), cycles)
     return build, drive
 
@@ -161,7 +161,8 @@ def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
 #: low load and saturation, o1turn's VC windows, wide arbiters, 12 VCs,
 #: MSHR-gated trace replay.
 _GRID = {**MESH8X8, **MESH4X4, **ROUTINGS, **CONCENTRATED,
-         **{f"seed-{seed}": case for seed, case in SEEDS.items()}}
+         **{f"seed-{seed}": case for seed, case in SEEDS.items()},
+         **PATTERNS}
 assert list(_GRID.values()) == GRID
 
 
@@ -226,7 +227,8 @@ class TestPerPhaseDifferential:
             solo.stats.warmup_cycles = end // 5
         net.run_batch([ours for ours, _ in sources], [0] * len(lanes),
                       warmups=[end // 5 for end in ends])   # warm-ups only
-        sinks = [batch._LaneSink(net, lane) for lane in range(len(lanes))]
+        sinks = [test_batched_parity.lane_sink(net, lane)
+                 for lane in range(len(lanes))]
         while net.cycle < max(ends) or not net.quiescent():
             c = net.cycle
             for lane, (solo, end) in enumerate(zip(solos, ends)):

@@ -50,7 +50,7 @@ class TestCleanRuns:
         doc = checker.snapshot()
         assert doc == {"violations": 0, "sweeps": checker.sweeps,
                        "stride": 1,
-                       "pool_high_water": {"packets": len(net.p_obj),
+                       "pool_high_water": {"packets": net._npackets,
                                            "flits": net._nflits}}
 
     def test_checked_stats_identical_to_bare(self):

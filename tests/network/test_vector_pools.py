@@ -33,10 +33,11 @@ from repro.network.config import PSEUDO_SB, NetworkConfig
 from repro.network.flit import Packet
 from repro.network.simulator import Network
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
-                                      VectorNetwork, batch)
+                                      VectorNetwork)
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
+from .test_batched_parity import lane_sink
 from .test_vectorized_parity import CONCENTRATED, _run
 
 
@@ -46,7 +47,7 @@ def _chip(cls, rate=0.1, **kw):
     topo = make_topology("mesh", 4, 4, 1)
     net = cls(topo, NetworkConfig(pseudo=PSEUDO_SB), **kw)
     sinks = ([net] if cls is VectorNetwork else
-             [batch._LaneSink(net, lane) for lane in range(net.lanes)])
+             [lane_sink(net, lane) for lane in range(net.lanes)])
     sources = [SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                 seed=3 + lane)
                for lane in range(len(sinks))]
@@ -184,15 +185,15 @@ class TestPlateau:
         injected = sum(net.lane_stats(lane).injected_packets
                        for lane in range(net.lanes))
         assert injected > 20 * peak > 0
-        assert len(net.p_obj) <= peak
+        assert net._npackets <= peak
         assert net._pcap <= max(pcap0, 2 * peak)
         assert net._nflits <= 5 * peak
         assert net._fcap <= max(fcap0, 2 * 5 * peak)
         net.drain()
         net.check_invariants()
         # Drained: every slot is free again and no Packet is retained.
-        assert len(net._free_packets()) == len(net.p_obj)
-        assert net.p_obj.count(None) == len(net.p_obj)
+        assert len(net._free_packets()) == net._npackets
+        assert net.p_obj == {}
         assert 5 * len(net._free_blocks()[5]) == net._nflits
 
     def test_trace_replay_reuses_both_size_classes(self):
@@ -210,7 +211,7 @@ class TestPlateau:
             seed=7).records)
         assert sum(sent.values()) == net.stats.injected_packets
         assert sent[1] > 4 * blocks[1] and sent[5] > 4 * blocks[5]
-        assert net.stats.injected_packets > 4 * len(net.p_obj)
+        assert net.stats.injected_packets > 4 * net._npackets
 
 
 class TestPerTerminalState:
@@ -286,7 +287,7 @@ class TestSlotContract:
         assert all(eject > inject >= 0 and hops > 0
                    for inject, eject, hops, _, _ in fields[VectorNetwork])
         assert any(sa for *_, sa, _ in fields[VectorNetwork])
-        assert net.p_obj == [None] * len(net.p_obj)
+        assert net.p_obj == {} and net._npackets == len(pairs)
 
 
 class TestPoolHighWaterInMetrics:

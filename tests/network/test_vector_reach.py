@@ -37,9 +37,10 @@ from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
                                       VectorNetwork, VectorSeriesProbe, batch,
                                       core, kernel)
 from repro.topology import make_topology
+from repro.traffic import synthetic
 from repro.traffic.synthetic import SyntheticTraffic
 
-from .test_batched_parity import _batched_stats
+from .test_batched_parity import _batched_stats, lane_sink
 from .test_vectorized_parity import GRID, _run
 
 
@@ -62,14 +63,14 @@ def _defined(module):
 
 
 @contextmanager
-def _entered(module):
-    """Collect the qualified names of ``module``'s functions entered
+def _entered(*modules):
+    """Collect the qualified names of the ``modules``' functions entered
     while the block runs."""
-    filename = module.__file__
+    filenames = {module.__file__ for module in modules}
     seen = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == filename:
+        if event == "call" and frame.f_code.co_filename in filenames:
             seen.add(frame.f_code.co_qualname)
 
     previous = sys.getprofile()
@@ -85,7 +86,7 @@ def _loaded(cls, **kw):
     topo = make_topology("mesh", 4, 4, 1)
     net = cls(topo, NetworkConfig(pseudo=BASELINE), **kw)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, 0.5, 5, seed=3)
-    sink = net if cls is VectorNetwork else batch._LaneSink(net, 1)
+    sink = net if cls is VectorNetwork else lane_sink(net, 1)
     for _ in range(12):
         traffic.tick(sink, net.cycle)
         net.step()
@@ -113,7 +114,7 @@ class TestReach:
         assert checked.status.startswith("c:"), checked.refusal()
         monkeypatch.setattr(core, "load_kernel", lambda: checked)
         checked.reach_reset()
-        with _entered(core) as seen:
+        with _entered(core, synthetic) as seen:
             for topo_args, scheme, rate, cycles, kw in GRID:
                 _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
             run_experiment(
@@ -131,10 +132,14 @@ class TestReach:
             with pytest.raises(RuntimeError, match="packets left"):
                 net.drain(max_cycles=1)
         assert _defined(core) - seen == set()
+        # The grid's sources went to the kernel and came back.
+        assert {"SyntheticTraffic.export_stream",
+                "SyntheticTraffic.restore_stream"} <= seen
         # What only the loader calls: the handle's known-answer test.
         assert checked.self_test(np)
         functions = _kernel_functions()
-        assert {"cycle", "va_sa_switch", "inject_send", "rr_pick"} <= functions
+        assert {"cycle", "va_sa_switch", "inject_send", "rr_pick",
+                "source_tick", "source_ahead"} <= functions
         assert functions - set(checked.reached()) == set()
 
     def test_grid_enters_every_batch_function(self):
@@ -144,11 +149,11 @@ class TestReach:
         chips = {}
         for topo_args, scheme, rate, cycles, kw in GRID:
             kw = dict(kw)
-            seed = kw.pop("seed", 7)
+            seed, pattern = kw.pop("seed", 7), kw.pop("pattern", "uniform")
             if not kw.keys() <= {"routing", "vc_policy"}:
                 continue
             chip = (topo_args, scheme, tuple(sorted(kw.items())))
-            chips.setdefault(chip, []).append(("uniform", rate, seed, cycles))
+            chips.setdefault(chip, []).append((pattern, rate, seed, cycles))
         with _entered(batch) as seen:
             for (topo_args, scheme, kw), lanes in chips.items():
                 _batched_stats(topo_args, scheme, lanes, **dict(kw))

@@ -27,7 +27,7 @@ from repro.traffic.synthetic import SyntheticTraffic
 
 def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
          vc_policy="dynamic", seed=7, packet_size=5, num_vcs=4,
-         benchmark=None):
+         benchmark=None, pattern="uniform"):
     """One point; ``benchmark`` replays that CMP trace (``cycles`` long,
     MSHR-throttled like the fig8 points) instead of synthetic traffic."""
     topo = make_topology(*topo_args)
@@ -40,7 +40,7 @@ def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
         _replay(net, get_trace(benchmark, cycles=cycles, warmup=200,
                                seed=seed))
     else:
-        traffic = SyntheticTraffic("uniform", topo.num_terminals, rate,
+        traffic = SyntheticTraffic(pattern, topo.num_terminals, rate,
                                    packet_size, seed=seed)
         net.run(cycles, traffic)
         net.drain(max_cycles=500_000)
@@ -97,8 +97,18 @@ CONCENTRATED = {
 SEEDS = {
     str(seed): _case(("mesh", 4, 4, 1), PSEUDO_SB, 0.30, 300, seed=seed)
     for seed in (1, 11, 42)}
+#: What the compiled source draws that ``uniform`` on a power of two
+#: does not: ``hotspot``'s second draw, a table, and 12 terminals, where
+#: ``randrange`` rejects some draws and no bit pattern applies.
+PATTERNS = {
+    f"{name}-{pattern}": _case(topo_args, PSEUDO_SB, 0.15, 300,
+                               pattern=pattern)
+    for name, topo_args, patterns in (
+        ("mesh4x4", ("mesh", 4, 4, 1), ("hotspot", "transpose")),
+        ("mesh4x3", ("mesh", 4, 3, 1), ("uniform", "hotspot", "tornado")))
+    for pattern in patterns}
 GRID = [*MESH8X8.values(), *MESH4X4.values(), *ROUTINGS.values(),
-        *CONCENTRATED.values(), *SEEDS.values()]
+        *CONCENTRATED.values(), *SEEDS.values(), *PATTERNS.values()]
 
 
 class TestCanonicalWorkloads:
@@ -125,6 +135,10 @@ class TestRoutingAndTopology:
 
     @pytest.mark.parametrize("case", SEEDS.values(), ids=SEEDS)
     def test_seeds(self, case):
+        assert_parity(*case)
+
+    @pytest.mark.parametrize("case", PATTERNS.values(), ids=PATTERNS)
+    def test_patterns_and_a_non_power_of_two_chip(self, case):
         assert_parity(*case)
 
 

@@ -144,3 +144,61 @@ class TestInjectionLookahead:
         traffic = SyntheticTraffic("uniform", 16, 1e-9, 5, seed=1)
         nxt = traffic.next_injection_cycle(0, lookahead=64)
         assert nxt is not None and nxt <= 65
+
+
+class TestRowsOfUntickedCycles:
+    """A row drawn ahead for a cycle the driver then never ticks (the run
+    ended first) was never offered: a later run must not trip over it."""
+
+    def _second_run(self, net):
+        traffic = SyntheticTraffic("uniform", 64, 0.002, 5, seed=3)
+        net.run(2000, traffic)
+        net.drain()
+        net.run(500)
+        assert traffic._drawn and min(traffic._drawn) < net.cycle
+        stepped = []
+        step = net.step
+        net.step = lambda: (stepped.append(net.cycle), step())
+        start = net.cycle
+        net.run(3000, traffic)
+        assert net.cycle == start + 3000
+        return traffic, stepped
+
+    def _check(self, net):
+        traffic, stepped = self._second_run(net)
+        # The idle stretches were skipped again, and nothing below the
+        # clock is left to answer ``next_injection_cycle`` with.
+        assert 0 < len(stepped) < 2000
+        assert all(cycle >= net.cycle for cycle in traffic._drawn)
+        assert traffic.next_injection_cycle(net.cycle) >= net.cycle
+
+    def test_scalar(self):
+        from repro.network.config import PSEUDO_SB, NetworkConfig
+        from repro.network.simulator import Network
+        from repro.topology import make_topology
+        self._check(Network(make_topology("mesh", 8, 8, 1),
+                            NetworkConfig(pseudo=PSEUDO_SB), seed=7))
+
+    def test_vectorized(self):
+        pytest.importorskip("numpy")
+        from repro.network.backend import BackendUnsupportedError
+        from repro.network.config import PSEUDO_SB, NetworkConfig
+        from repro.network.vectorized import VectorNetwork
+        from repro.topology import make_topology
+        try:
+            net = VectorNetwork(make_topology("mesh", 8, 8, 1),
+                                NetworkConfig(pseudo=PSEUDO_SB), seed=7)
+        except BackendUnsupportedError as err:
+            pytest.skip(str(err))
+        self._check(net)
+
+    def test_tick_drops_them_and_offers_the_rest(self):
+        traffic = SyntheticTraffic("neighbor", 4, 1.0, 1, seed=1)
+        traffic.next_injection_cycle(0)
+        traffic.next_injection_cycle(3)     # rows for cycles 0..3 wait
+        assert sorted(traffic._drawn) == [0, 1, 2, 3]
+        net = FakeNetwork()
+        traffic.tick(net, 2)
+        assert [(p.create_cycle, p.src) for p in net.packets] == [
+            (2, 0), (2, 1), (2, 2), (2, 3)]
+        assert sorted(traffic._drawn) == [3] and traffic.generated == 4
