@@ -17,18 +17,20 @@ locality registers see exactly the solo values. The batch steps a
 shared global clock; a lane stepping through cycles its solo run would
 have fast-forwarded over changes nothing, because fast-forwarding is
 stats-preserving (locked in by the solo parity suite) and an idle
-lane's routers never enter the work set. Each lane's ``lane_stats`` —
-its row of the ``counts`` every array core keeps; a solo network is
-the one-lane case — is therefore fingerprint-identical to the same
-point run solo (tests/network/test_batched_parity.py).
+lane's routers are on neither router list of the cycle. Each lane's
+``lane_stats`` — its row of the ``counts`` every array core keeps; a
+solo network is the one-lane case — is therefore fingerprint-identical
+to the same point run solo (tests/network/test_batched_parity.py).
 
 Active-lane compaction is structural rather than masked: finished or
 idle lanes have no buffered flits, no queued or in-flight NIC work and
-no calendar entries, so they drop out of the kernel's occupancy scans
-(``_r_buffered``, ``q_head``, ``_snd_cnt``, the rings) and cost
-nothing; the traffic loop (``VectorNetwork._drive``) serves a lane's
-source only while its window is open. What this module adds is the
-constructor (a seed per lane) and ``run_batch``'s per-lane arguments.
+no calendar entries, so none of their routers has a bit in ``r_map``,
+the bitmap the kernel builds a cycle's router lists from, their
+terminals fall through the NIC loop's two tests (``q_head``,
+``_snd_cnt``), and they cost next to nothing; the traffic loop
+(``VectorNetwork._drive``) serves a lane's source only while its window
+is open. What this module adds is the constructor (a seed per lane) and
+``run_batch``'s per-lane arguments.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ from ..router import ProtocolError
 from .kernel import E_BOUNDS, Binding
 from .kernel import load as load_kernel
 from .layout import build_layout
-from .obs import VectorInvariantChecker
+from .obs import VectorInvariantChecker, summaries
 
 from ..backend import BackendUnsupportedError, require_numpy
 
@@ -169,6 +169,13 @@ class VectorNetwork:
         self._lay = lay
         R, T, V, D = lay.R, lay.T, lay.V, lay.D
         Pi, Po = lay.Pi, lay.Po
+        if max(V, Pi, Po) > 63:
+            # The kernel's VC, port and output masks are 64-bit words and
+            # its arbiters rotate them by up to their width.
+            raise BackendUnsupportedError(
+                f"the vectorized backend supports at most 63 VCs per port "
+                f"and 63 ports per router, not {max(V, Pi, Po)} (topology "
+                f"{topology.name!r}); use --backend scalar")
         self._R, self._T, self._V, self._D = R, T, V, D
         self._lanes = lanes
         self._T_local = T // lanes
@@ -206,6 +213,13 @@ class VectorNetwork:
         # Unified credit space: router output VCs then NIC inject VCs.
         self.cred = lay.cred_init.copy()
         self.cred_free = np.ones(lay.NCRED, dtype=bool)   # owner is None
+        # Summaries of the state above, which the kernel keeps and walks
+        # instead of it (the table in ``kernel.c``): an empty chip's, all
+        # zero but for its credit sums, from the function that says what
+        # each means.
+        for name, summary in summaries(np, lambda state: getattr(self, state),
+                                       R, Pi, Po, V).items():
+            setattr(self, name, summary)
 
         # Packet and flit pools (see "pools" below): a slot lives as
         # long as its packet, so the pools grow to the peak in flight.
@@ -754,12 +768,14 @@ class VectorNetwork:
 
         The kernel reads the clock between its stages: ``bw`` is
         arrival processing (buffer writes and bypass attempts),
-        ``va_sa`` covers VC allocation, SA request collection and
-        switch allocation (including the ST of granted flits),
-        ``st_credit`` covers the calendars' due slots (credit returns,
-        ejections, arrival staging) plus circuit-reuse traversals,
-        ``pc`` covers pseudo-circuit candidate scan and maintenance,
-        and ``inject`` is the NIC start + send stage. What Python does
+        ``va_sa`` covers the cycle's router lists, VC allocation over
+        the waiting fronts, SA request collection over the occupied
+        active VCs and switch allocation (including the ST of granted
+        flits), ``st_credit`` covers the calendars' due slots (credit
+        returns, ejections, arrival staging) plus circuit-reuse
+        traversals, ``pc`` covers the candidate scan over valid
+        circuits and maintenance of held and restorable outputs, and
+        ``inject`` is the NIC start + send stage. What Python does
         around the call (traffic, ``inject``, the write-back of ejected
         packets, observers) is in none of them. ``ff_cycles`` counts
         cycles skipped by quiescence fast-forward (zero wall time).

@@ -43,6 +43,27 @@
  *   of ``src`` (CHIP_SOURCE), its ``random.Random`` state in ``src_mt``,
  *   its destinations in ``src_dest``, the last row drawn in ``src_row``.
  * - ``state`` carries the whole-chip scalars both sides read.
+ * - summaries of the pipeline's state, so that a phase visits what is
+ *   occupied, not what exists: 64-bit masks (a bit per VC of a port,
+ *   per port or output of a router, per router) and one sum, each
+ *   written where the state under it changes and read by iterating its
+ *   set bits, ascending. ``obs.summaries`` states every one from that
+ *   state again; the checker's ``summary_*`` rules compare the two.
+ *
+ *   summary     what it says                       written by   read by
+ *   ip_occ      port: VCs with buf_len > 0         summarise    VA, SA, PC
+ *   ip_act      port: VCs in VC_ACTIVE             summarise    VA, SA
+ *   r_occ       router: ports with ip_occ != 0     summarise    SA requests
+ *   r_wait      ..with ip_occ & ~ip_act != 0       summarise    VA
+ *   r_map       chip: routers with r_occ != 0      summarise    router lists
+ *   r_pcv       router: ports, circuit valid       circuits*    PC candidates
+ *   r_pcinv     ..invalid, still naming an output  circuits*    maintenance
+ *   r_held      router: outputs with a holder      circuits*    maintenance
+ *   op_credsum  output: sum of its VCs' credits    credits**    any_credit
+ *
+ *   * ``terminate``, ``establish`` and the restoration in
+ *   ``pc_maintenance``, the three places ``pc_valid`` / ``op_holder``
+ *   change; ** ``traverse`` and ``st_credit_returns``.
  *
  * What a call hands back: the return value is the number of packets
  * whose tail was reassembled, their slots and final fields in
@@ -59,7 +80,12 @@
  * recorded (``err_id``, ``err_idx``), the access is redirected to
  * element 0 and ``cycle()`` returns ``E_BOUNDS``; and every function
  * notes that it was entered (``repro_kernel_reach``). The release build
- * compiles ``A()`` to the bare access and ``ENTER()`` to nothing.
+ * compiles ``A()`` to the bare access and ``ENTER()`` to nothing. The
+ * checked build also counts, in the last entry of ``n[]``, the front
+ * flits the VA, SA-request and PC-candidate scans examine.
+ * -DREPRO_SEED_STALE_SUMMARY (tests only) leaves out the ``summarise``
+ * of a flit buffered into an empty VC: the seeded bug the checker and
+ * the drain must catch.
  */
 
 #define _POSIX_C_SOURCE 199309L
@@ -74,7 +100,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 4001
+#define REPRO_KERNEL_ABI 5001
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -105,6 +131,10 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, cred, NET) \
     X(u8, cred_free, NET) \
     X(i64, r_buffered, NET) \
+    /* summaries (the table above) */ \
+    X(i64, ip_occ, NET) X(i64, ip_act, NET) X(i64, r_occ, NET) \
+    X(i64, r_wait, NET) X(i64, r_map, NET) X(i64, r_pcv, NET) \
+    X(i64, r_pcinv, NET) X(i64, r_held, NET) X(i64, op_credsum, NET) \
     /* packet pool, its free stack; flit pool, its free blocks by size \
      * (re-aimed when a pool grows) */ \
     X(i64, p_src, NET) \
@@ -175,8 +205,12 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, port_mask, NIP) \
     X(i64, omask, NOP) \
     X(i64, smap, NIP) \
-    /* scratch handed from stage to stage within one cycle */ \
-    X(u8, work, R) \
+    /* scratch handed from stage to stage within one cycle: the routers \
+     * with a buffered flit, those and the ones an arrival is staged for \
+     * (as a bitmap like r_map, then as a list), ascending */ \
+    X(i64, active, R) \
+    X(i64, work_map, RW) \
+    X(i64, work, R) \
     X(i64, cand_ip, NIP) \
     X(i64, cand_ivc, NIP) \
     X(i64, order, NIP) \
@@ -301,14 +335,18 @@ enum {
 };
 /* How a flit reached the crossbar: the ``via`` of ``on_traverse``. */
 enum { VIA_SA, VIA_PC, VIA_BUF };
-/* n[]: observer event counts (cleared on entry), then the lengths of
- * the scratch lists one stage leaves for a later one. */
+/* n[], CHIP_COUNTS entries: observer event counts (cleared on entry),
+ * then the lengths of the scratch lists one stage leaves for a later
+ * one; in the last, the checked build's count of front flits examined. */
+#define CHIP_COUNTS 16
 enum {
 #define X(name) N_##name,
     CHIP_EVENTS(X)
 #undef X
-    N_EVENTS, N_CAND = N_EVENTS, N_ORDER
+    N_EVENTS, N_CAND = N_EVENTS, N_ORDER, N_ACTIVE, N_WORK, N_LISTS,
+    N_VISITS = CHIP_COUNTS - 1
 };
+_Static_assert(N_LISTS <= N_VISITS, "n[] has no room for its last list");
 enum { RING_ARR, RING_EJ, RING_CR };
 /* vc.VCState */
 enum { VC_IDLE, VC_VA, VC_ACTIVE };
@@ -345,6 +383,7 @@ static i64 ck(Chip *ch, i64 id, i64 i, i64 len)
 }
 #define A(name, i) (ch->name[ck(ch, ID_##name, (i), ch->n_##name)])
 #define RETURN(value) return ch->err_id ? E_BOUNDS : (value)
+#define VISIT() (A(n, N_VISITS)++)
 
 /* Which functions of this file the process has entered, and how often:
  * one slot per ENTER() site. */
@@ -374,6 +413,7 @@ void repro_kernel_reach_reset(void)
 #else
 #define A(name, i) (ch->name[(i)])
 #define RETURN(value) return (value)
+#define VISIT() ((void)0)
 #define ENTER() ((void)0)
 #endif
 
@@ -398,6 +438,14 @@ i64 repro_kernel_sizeof_chip(void)
         if (rc_ < 0) \
             return rc_; \
     } while (0)
+
+/* Every set bit of the uint64_t variable ``mask`` (used up on the way),
+ * ascending, as ``i``; one bit switched to ``on``. */
+#define EACH_BIT(i, mask) \
+    for (i64 i; (mask) \
+         && (i = __builtin_ctzll(mask), (mask) &= (mask) - 1, 1);)
+#define BIT(i) ((i64)((uint64_t)1 << (i)))
+#define PUT(word, bit, on) ((word) = (on) ? (word) | (bit) : (word) & ~(bit))
 
 /* The counters of the lane that owns ``router`` / ``terminal``. */
 static i64 *router_counts(Chip *ch, i64 router)
@@ -444,16 +492,36 @@ static i64 credit_return(Chip *ch, i64 c, i64 ci)
     return 0;
 }
 
+/* ``mask`` (``size`` bits) turned so that bit ``next`` is bit 0: what is
+ * at or after ``next`` comes first, then what is before it. */
+static uint64_t rotated(i64 mask, i64 next, i64 size)
+{
+    ENTER();
+    uint64_t m = (uint64_t)mask;
+    return next ? ((m >> next) | (m << (size - next)))
+        & (((uint64_t)1 << size) - 1) : m;
+}
+
 /* RoundRobinArbiter.grant_mask: lowest set bit at or after ``next``. */
 static i64 rr_pick(i64 mask, i64 next, i64 size)
 {
     ENTER();
-    uint64_t m = (uint64_t)mask;
-    if (next)
-        m = ((m >> next) | (m << (size - next)))
-            & (((uint64_t)1 << size) - 1);
-    i64 cand = (i64)__builtin_ctzll(m) + next;
+    i64 cand = (i64)__builtin_ctzll(rotated(mask, next, size)) + next;
     return cand >= size ? cand - size : cand;
+}
+
+/* The one writer of the occupancy summaries: ``buf_len`` of input VC
+ * ``ivc`` of ``port`` crossed zero, or its ``vc_state`` VC_ACTIVE. */
+static void summarise(Chip *ch, i64 port, i64 ivc)
+{
+    ENTER();
+    i64 r = port / ch->Pi, pbit = BIT(port - r * ch->Pi);
+    i64 vbit = BIT(ivc - port * ch->V);
+    i64 occ = PUT(A(ip_occ, port), vbit, A(buf_len, ivc) > 0);
+    i64 act = PUT(A(ip_act, port), vbit, A(vc_state, ivc) == VC_ACTIVE);
+    PUT(A(r_wait, r), pbit, occ & ~act);
+    i64 ports = PUT(A(r_occ, r), pbit, occ);
+    PUT(A(r_map, r >> 6), BIT(r & 63), ports);
 }
 
 /* VCAllocationPolicy.allocate over the output VCs at credit index
@@ -484,23 +552,21 @@ static i64 policy_pick(Chip *ch, i64 base, i64 pk, int eject)
     return A(cred_free, base + v) ? v : -1;
 }
 
-static void grant_out_vc(Chip *ch, i64 ivc, i64 ci, i64 vc)
+static void grant_out_vc(Chip *ch, i64 port, i64 ivc, i64 ci, i64 vc)
 {
     ENTER();
     A(cred_free, ci) = 0;
     A(vc_state, ivc) = VC_ACTIVE;
     A(vc_out_vc, ivc) = vc;
     A(vc_out_cred, ivc) = ci;
-    COUNT(router_counts(ch, ivc / (ch->Pi * ch->V)), va_allocations) += 1;
+    summarise(ch, port, ivc);
+    COUNT(router_counts(ch, port / ch->Pi), va_allocations) += 1;
 }
 
 static int any_credit(Chip *ch, i64 opid)
 {
     ENTER();
-    for (i64 v = 0; v < ch->V; v++)
-        if (A(cred, opid * ch->V + v) > 0)
-            return 1;
-    return 0;
+    return A(op_credsum, opid) > 0;
 }
 
 /* Router._terminate_pc on a valid circuit. */
@@ -508,10 +574,14 @@ static void terminate(Chip *ch, i64 pp, int reason)
 {
     ENTER();
     i64 r = pp / ch->Pi, local = pp - r * ch->Pi;
-    i64 opid = r * ch->Po + A(pc_out_port, pp);
+    i64 out = A(pc_out_port, pp), opid = r * ch->Po + out;
     A(pc_valid, pp) = 0;
-    if (A(op_holder, opid) == local)
+    A(r_pcv, r) &= ~BIT(local);
+    A(r_pcinv, r) |= BIT(local);
+    if (A(op_holder, opid) == local) {
         A(op_holder, opid) = -1;
+        A(r_held, r) &= ~BIT(out);
+    }
     A(op_hist, opid) = local;
     router_counts(ch, r)[ST_TERM + reason] += 1;
 }
@@ -523,12 +593,12 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
                     i64 delayed, i64 fid)
 {
     ENTER();
-    i64 *count = router_counts(ch, port / ch->Pi);
+    i64 *count = router_counts(ch, port / ch->Pi), emptied = 0;
     if (fid < 0) {
         i64 head = A(buf_head, ivc);
         fid = A(buf_fid, ivc * ch->D + head);
         A(buf_head, ivc) = head + 1 == ch->D ? 0 : head + 1;
-        A(buf_len, ivc) -= 1;
+        emptied = (A(buf_len, ivc) -= 1) == 0;
         A(r_buffered, port / ch->Pi) -= 1;
         A(state, S_buffered) -= 1;
         COUNT(count, buffer_reads) += 1;
@@ -537,6 +607,7 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
     i64 opid = A(vc_out_opid, ivc), outl = A(vc_out_port, ivc);
     i64 civ = A(vc_out_cred, ivc);
     A(cred, civ) -= 1;
+    A(op_credsum, opid) -= 1;
     COUNT(count, flit_hops) += 1;
     COUNT(count, xbar_flits) += 1;
     if (via == VIA_SA)
@@ -587,6 +658,8 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
         A(vc_out_opid, ivc) = -1;
         A(vc_out_vc, ivc) = -1;
     }
+    if (emptied || A(f_tail, fid))
+        summarise(ch, port, ivc);
     return 0;
 }
 
@@ -607,6 +680,9 @@ static void establish(Chip *ch, i64 port, i64 in_vc, i64 outl, i64 opid)
     A(pc_out_port, port) = outl;
     A(pc_valid, port) = 1;
     A(op_holder, opid) = local;
+    A(r_pcv, r) |= BIT(local);
+    A(r_pcinv, r) &= ~BIT(local);
+    A(r_held, r) |= BIT(outl);
 }
 
 /* -- the synthetic sources (traffic/synthetic.py, stated again) ----------- */
@@ -617,11 +693,13 @@ static uint32_t source_word(Chip *ch, i64 mt)
     ENTER();
     i64 pos = A(src_mt, mt + 624);
     if (pos >= 624) {
-        for (i64 k = 0; k < 624; k++) {
+        for (i64 k = 0, k1 = 1, km = 397; k < 624; k++) {
             uint32_t y = ((uint32_t)A(src_mt, mt + k) & 0x80000000u)
-                | ((uint32_t)A(src_mt, mt + (k + 1) % 624) & 0x7fffffffu);
-            A(src_mt, mt + k) = (uint32_t)A(src_mt, mt + (k + 397) % 624)
-                ^ (y >> 1) ^ (y & 1 ? 0x9908b0dfu : 0u);
+                | ((uint32_t)A(src_mt, mt + k1) & 0x7fffffffu);
+            A(src_mt, mt + k) = (uint32_t)A(src_mt, mt + km)
+                ^ (y >> 1) ^ (-(y & 1) & 0x9908b0dfu);
+            k1 = k1 == 623 ? 0 : k1 + 1;
+            km = km == 623 ? 0 : km + 1;
         }
         pos = 0;
     }
@@ -755,8 +833,12 @@ static void st_credit_returns(Chip *ch, i64 slot)
 {
     ENTER();
     i64 room = ch->NIP + ch->T, due = A(ring_n, RING_CR * ch->RD + slot);
-    for (i64 k = 0; k < due; k++)
-        A(cred, A(cr_ci, slot * room + k)) += 1;
+    for (i64 k = 0; k < due; k++) {
+        i64 ci = A(cr_ci, slot * room + k);
+        A(cred, ci) += 1;
+        if (ci < ch->NOVC) /* a router's output VC, not a NIC's */
+            A(op_credsum, ci / ch->V) += 1;
+    }
     A(ring_n, RING_CR * ch->RD + slot) = 0;
 }
 
@@ -831,29 +913,46 @@ static i64 st_credit_stage(Chip *ch, i64 slot)
 
 /* -- the router pipeline, in the order Router.step runs it --------------- */
 
-/* va_sa: the work set, then VA (Router._va_phase): route idle fronts and
- * allocate output VCs, ports rotated by the cycle, VCs ascending. */
+/* va_sa: this cycle's router lists out of ``r_map`` and the staged
+ * arrivals, then VA (Router._va_phase): route idle fronts and allocate
+ * output VCs, ports rotated by the cycle, VCs ascending. */
 static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
 {
     ENTER();
-    i64 Pi = ch->Pi, Po = ch->Po, V = ch->V;
-    /* Routers with buffered flits or arrivals staged this cycle; the
-     * rest return early from the scalar step, maintenance included. */
-    for (i64 r = 0; r < ch->R; r++)
-        A(work, r) = A(r_buffered, r) > 0;
-    for (i64 j = 0; j < n_arr; j++)
-        A(work, A(in_dest, j) / Pi) = 1;
-    for (i64 r = 0; r < ch->R; r++) {
-        if (A(r_buffered, r) <= 0)
-            continue;
+    i64 Pi = ch->Pi, Po = ch->Po, V = ch->V, n_active = 0, n_work = 0;
+    /* Routers with buffered flits, and those or arrivals staged this
+     * cycle; the rest return early from the scalar step, maintenance
+     * included. */
+    i64 words = (ch->R + 63) >> 6;
+    for (i64 w = 0; w < words; w++)
+        A(work_map, w) = A(r_map, w);
+    for (i64 j = 0; j < n_arr; j++) {
+        i64 r = A(in_dest, j) / Pi;
+        A(work_map, r >> 6) |= BIT(r & 63);
+    }
+    for (i64 w = 0; w < words; w++) {
+        uint64_t buffered = (uint64_t)A(r_map, w), all = A(work_map, w);
+        EACH_BIT(b, buffered)
+            A(active, n_active++) = w * 64 + b;
+        EACH_BIT(b, all)
+            A(work, n_work++) = w * 64 + b;
+    }
+    A(n, N_ACTIVE) = n_active;
+    A(n, N_WORK) = n_work;
+    for (i64 k = 0; k < n_active; k++) {
+        i64 r = A(active, k), wait = A(r_wait, r);
+        if (!wait)
+            continue; /* its fronts all hold an output VC already */
         i64 num = A(nip, r), start = c % num;
-        for (i64 k = 0; k < num; k++) {
-            i64 i = start + k < num ? start + k : start + k - num;
-            for (i64 v = 0; v < V; v++) {
-                i64 ivc = (r * Pi + i) * V + v;
-                if (A(buf_len, ivc) == 0 || A(vc_state, ivc) == VC_ACTIVE)
-                    continue;
+        uint64_t ports = rotated(wait, start, num);
+        EACH_BIT(turn, ports) {
+            i64 port = r * Pi + (start + turn < num ? start + turn
+                                 : start + turn - num);
+            uint64_t vcs = (uint64_t)(A(ip_occ, port) & ~A(ip_act, port));
+            EACH_BIT(v, vcs) {
+                i64 ivc = port * V + v;
                 i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
+                VISIT();
                 if (A(f_ready, front) > c)
                     continue;
                 i64 pk = A(f_pkt, front);
@@ -869,7 +968,7 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
                 i64 opid = A(vc_out_opid, ivc);
                 i64 vc = policy_pick(ch, opid * V, pk, A(op_eject, opid));
                 if (vc >= 0)
-                    grant_out_vc(ch, ivc, opid * V + vc, vc);
+                    grant_out_vc(ch, port, ivc, opid * V + vc, vc);
             }
         }
     }
@@ -883,16 +982,16 @@ static i64 pc_candidates(Chip *ch, i64 c)
 {
     ENTER();
     i64 found = 0;
-    for (i64 r = 0; r < ch->R; r++) {
-        if (!A(work, r))
-            continue;
-        for (i64 pp = r * ch->Pi; pp < (r + 1) * ch->Pi; pp++) {
-            if (!A(pc_valid, pp))
+    for (i64 k = 0; k < A(n, N_ACTIVE); k++) {
+        i64 r = A(active, k);
+        uint64_t circuits = (uint64_t)A(r_pcv, r);
+        EACH_BIT(local, circuits) {
+            i64 pp = r * ch->Pi + local, vc = A(pc_in_vc, pp);
+            if (!(A(ip_occ, pp) >> vc & 1))
                 continue;
-            i64 ivc = pp * ch->V + A(pc_in_vc, pp);
-            if (A(buf_len, ivc) == 0)
-                continue;
+            i64 ivc = pp * ch->V + vc;
             i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
+            VISIT();
             if (A(f_ready, front) > c)
                 continue;
             int active = A(vc_state, ivc) == VC_ACTIVE;
@@ -927,25 +1026,26 @@ static void va_sa_requests(Chip *ch, i64 c)
     memset(ch->claimed_ip, 0, (size_t)ch->n_claimed_ip);
     memset(ch->claimed_op, 0, (size_t)ch->n_claimed_op);
     i64 requesting = 0, ci = 0, n_cand = A(n, N_CAND);
-    for (i64 r = 0; r < ch->R; r++) {
-        if (A(r_buffered, r) <= 0)
-            continue;
-        for (i64 port = r * ch->Pi; port < (r + 1) * ch->Pi; port++) {
+    for (i64 k = 0; k < A(n, N_ACTIVE); k++) {
+        i64 r = A(active, k);
+        uint64_t ports = (uint64_t)A(r_occ, r);
+        EACH_BIT(local, ports) {
+            i64 port = r * ch->Pi + local, acc = 0;
+            uint64_t vcs = (uint64_t)(A(ip_occ, port) & A(ip_act, port));
             while (ci < n_cand && A(cand_ip, ci) < port)
                 ci++;
             i64 cand = ci < n_cand && A(cand_ip, ci) == port
                 ? A(cand_ivc, ci) : -1;
-            i64 acc = 0;
-            for (i64 v = 0; v < ch->V; v++) {
+            EACH_BIT(v, vcs) {
                 i64 ivc = port * ch->V + v;
-                if (A(buf_len, ivc) == 0 || A(vc_state, ivc) != VC_ACTIVE
-                    || ivc == cand)
+                if (ivc == cand)
                     continue;
                 i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
+                VISIT();
                 if (A(f_ready, front) > c
                     || A(cred, A(vc_out_cred, ivc)) == 0)
                     continue;
-                acc |= (i64)1 << v;
+                acc |= BIT(v);
                 A(claimed_op, A(vc_out_opid, ivc)) = 1;
             }
             if (acc) {
@@ -1009,7 +1109,7 @@ static i64 try_buffer_bypass(Chip *ch, i64 c, i64 port, i64 ivc, i64 fid)
             return 0;
         A(vc_out_port, ivc) = outl;
         A(vc_out_opid, ivc) = opid;
-        grant_out_vc(ch, ivc, opid * ch->V + vc, vc);
+        grant_out_vc(ch, port, ivc, opid * ch->V + vc, vc);
     } else {
         if (A(vc_state, ivc) != VC_ACTIVE)
             return E_BODY_ARRIVED_INACTIVE;
@@ -1053,6 +1153,10 @@ static i64 bw_arrivals(Chip *ch, i64 c, i64 n_arr)
             return E_BUFFER_OVERFLOW;
         A(buf_fid, ivc * ch->D + (A(buf_head, ivc) + len) % ch->D) = fid;
         A(buf_len, ivc) = len + 1;
+#ifndef REPRO_SEED_STALE_SUMMARY
+        if (!len)
+            summarise(ch, port, ivc);
+#endif
         A(f_ready, fid) = c + 1;
         A(r_buffered, port / ch->Pi) += 1;
         A(state, S_buffered) += 1;
@@ -1097,40 +1201,38 @@ static i64 va_sa_switch(Chip *ch, i64 c)
     return 0;
 }
 
-/* pc: end-of-cycle upkeep of the work routers, one pass over their
- * outputs -- credit terminations on held ones, speculative restoration
- * on free ones, the history register resolving ties
- * (Router._pc_maintenance). */
+/* pc: end-of-cycle upkeep of the routers on the work list, one pass
+ * over their held and restorable outputs -- credit terminations on held
+ * ones, speculative restoration on free ones, the history register
+ * resolving ties (Router._pc_maintenance). */
 static void pc_maintenance(Chip *ch)
 {
     ENTER();
     i64 Pi = ch->Pi, Po = ch->Po;
-    for (i64 r = 0; r < ch->R; r++) {
-        if (!A(work, r))
-            continue;
+    for (i64 k = 0; k < A(n, N_WORK); k++) {
         /* Outputs some invalidated circuit still points at. The
          * terminations below only add candidates at their own
-         * creditless port, so the snapshot stays exact. */
-        i64 cand_outs = 0;
-        if (ch->pc_speculation)
-            for (i64 pp = r * Pi; pp < (r + 1) * Pi; pp++)
-                if (!A(pc_valid, pp) && A(pc_in_vc, pp) >= 0)
-                    cand_outs |= (i64)1 << A(pc_out_port, pp);
-        for (i64 out = 0; out < Po; out++) {
-            i64 opid = r * Po + out, holder = A(op_holder, opid);
-            if (holder != -1) {
+         * creditless port, so the snapshots stay exact. */
+        i64 r = A(work, k), held = A(r_held, r), cand_outs = 0;
+        uint64_t inv = ch->pc_speculation ? (uint64_t)A(r_pcinv, r) : 0;
+        uint64_t ports = inv;
+        EACH_BIT(i, ports)
+            cand_outs |= BIT(A(pc_out_port, r * Pi + i));
+        uint64_t outs = (uint64_t)(held | cand_outs);
+        EACH_BIT(out, outs) {
+            i64 opid = r * Po + out;
+            if (held >> out & 1) {
                 if (!any_credit(ch, opid))
-                    terminate(ch, r * Pi + holder, T_NO_CREDIT);
+                    terminate(ch, r * Pi + A(op_holder, opid), T_NO_CREDIT);
                 continue;
             }
-            if (!(cand_outs >> out & 1) || !A(op_valid, opid))
+            if (!A(op_valid, opid))
                 continue;
             i64 hist = A(op_hist, opid), chosen = -1, count = 0;
             int hist_ok = 0;
-            for (i64 i = 0; i < Pi; i++) {
-                i64 pp = r * Pi + i;
-                if (A(pc_valid, pp) || A(pc_in_vc, pp) < 0
-                    || A(pc_out_port, pp) != out)
+            ports = inv;
+            EACH_BIT(i, ports) {
+                if (A(pc_out_port, r * Pi + i) != out)
                     continue;
                 count++;
                 if (chosen == -1)
@@ -1138,8 +1240,6 @@ static void pc_maintenance(Chip *ch)
                 if (i == hist)
                     hist_ok = 1;
             }
-            if (count == 0)
-                continue;
             if (count > 1) {
                 if (!hist_ok)
                     continue;
@@ -1149,6 +1249,9 @@ static void pc_maintenance(Chip *ch)
                 continue; /* restoration needs credits downstream */
             A(pc_valid, r * Pi + chosen) = 1;
             A(op_holder, opid) = chosen;
+            A(r_pcv, r) |= BIT(chosen);
+            A(r_pcinv, r) &= ~BIT(chosen);
+            A(r_held, r) |= BIT(out);
             COUNT(router_counts(ch, r), pc_restored) += 1;
         }
     }
@@ -1255,6 +1358,7 @@ i64 cycle(Chip *ch, i64 c)
     i64 slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
     for (i64 k = 0; k < N_EVENTS; k++)
         A(n, k) = 0;
+    A(n, N_VISITS) = 0;
     st_credit_returns(ch, slot);
     i64 closed = st_credit_eject(ch, c, slot);
     if (closed < 0)

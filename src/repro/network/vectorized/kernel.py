@@ -43,8 +43,10 @@ import tempfile
 import time
 from functools import lru_cache
 
+from .obs import summaries
+
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 4001
+ABI = 5001
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -58,8 +60,6 @@ CHECK_FLAGS = ("-O1", "-shared", "-fPIC", "-DREPRO_KERNEL_CHECK",
 REASONS = ("no-compiler", "compile-failed", "cache-unwritable",
            "load-failed", "self-test-failed")
 
-#: Room in ``n[]``: the observer event counts and the scratch lengths.
-_COUNTS = 16
 #: Return code of the checked build's bounds fault.
 E_BOUNDS = -9
 #: A compile may run this long; a ``build-*.tmp`` older than that was
@@ -112,6 +112,9 @@ class Kernel:
             for macro in ("CHIP_SCALARS", "CHIP_STATS", "CHIP_TERMINATIONS",
                           "CHIP_STATE", "CHIP_PHASES", "CHIP_EVENTS",
                           "CHIP_EJECTED", "CHIP_SOURCE"))
+        #: Room in ``n[]`` (``kernel.c`` asserts its last entry fits).
+        self.counts = int(re.search(r"#define CHIP_COUNTS (\d+)\n",
+                                    source).group(1))
         fields = []
         for _, name, _ in self.arrays:
             fields += [(name, ctypes.c_void_p),
@@ -186,6 +189,8 @@ class Kernel:
         state["cred_free"][:4] = True
         sizes = dict(R=2, Pi=1, Po=1, V=2, D=1, C=1, TL=2, LR=2, T=2, NIP=2,
                      NOVC=4, RD=3, CD=1)
+        for name, summary in summaries(np, state.get, 2, 1, 1, 2).items():
+            state[name][:len(summary)] = summary
         chip = Binding(self, np, state, sizes, NOP=2)
         stats = state["counts"][:len(self.stats)].tolist
         return (self.cycle(chip.ref, 0) == 0
@@ -218,8 +223,9 @@ class Binding:
         self._arrays = {}
         # Size classes of the buffers allocated here: some are sizes the
         # Chip carries anyway (R, NIP, T), the rest the caller names.
-        extents = dict(scalars, **extents, COUNTS=_COUNTS)
+        extents = dict(scalars, **extents, COUNTS=kernel.counts)
         extents["NIP3"] = 3 * extents["NIP"]
+        extents["RW"] = -(-extents["R"] // 64)   # one bit per router
         extents["TOUT"] = len(kernel.ejected) * extents["T"]
         for dtype, name, owner in kernel.arrays:
             if owner == "NET":

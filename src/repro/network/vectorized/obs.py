@@ -43,8 +43,40 @@ taken from the bound network (``network._np``) at bind time.
 
 from __future__ import annotations
 
+import math
+
 from ...instrument.series import ACTIVITY_KEYS, TimeSeriesProbe
 from ...monitor.base import Monitor
+
+
+def summaries(np, get, R: int, Pi: int, Po: int, V: int) -> dict:
+    """Every summary ``kernel.c`` keeps (the table in its header comment),
+    worked out again from the state it summarises — the one Python
+    statement of what each means. ``get(name)`` hands over a state array
+    (flat, at least its chip's size); the answer maps summary to array.
+    """
+    def field(name, *shape):
+        return get(name)[:math.prod(shape)].reshape(shape)
+
+    def mask(flags, word=np.int64):
+        # Bit ``i`` of an answer is ``flags[..., i]``.
+        shifts = np.arange(flags.shape[-1], dtype=word)
+        return (flags.astype(word) << shifts).sum(axis=-1, dtype=word)
+
+    occ = field("buf_len", R, Pi, V) > 0
+    act = field("vc_state", R, Pi, V) == 2      # vc.VCState.ACTIVE
+    valid = field("pc_valid", R, Pi).astype(bool)
+    routers = np.zeros(-(-R // 64) * 64, dtype=bool)
+    routers[:R] = occ.any(axis=(1, 2))
+    return {
+        "ip_occ": mask(occ).ravel(), "ip_act": mask(act).ravel(),
+        "r_occ": mask(occ.any(axis=2)),
+        "r_wait": mask((occ & ~act).any(axis=2)),
+        "r_map": mask(routers.reshape(-1, 64), np.uint64).view(np.int64),
+        "r_pcv": mask(valid),
+        "r_pcinv": mask(~valid & (field("pc_in_vc", R, Pi) >= 0)),
+        "r_held": mask(field("op_holder", R, Po) != -1),
+        "op_credsum": field("cred", R * Po, V).sum(axis=1)}
 
 
 class VectorHooks:
@@ -201,8 +233,8 @@ class VectorSeriesProbe(VectorHooks, TimeSeriesProbe):
 class VectorInvariantChecker(VectorHooks, Monitor):
     """Whole-array invariant sweeps over the vectorized core's state.
 
-    Four invariant families — the scalar monitor suite's three, plus the
-    array core's own storage:
+    Five invariant families — the scalar monitor suite's three, plus the
+    array core's own storage and summaries:
 
     * **conservation** — a flit in the network sits in exactly one
       buffer slot or calendar entry, every VC's occupancy equals its
@@ -217,7 +249,10 @@ class VectorInvariantChecker(VectorHooks, Monitor):
       as the packet: every flit id a buffer, calendar ring or NIC send
       slot holds sits in a live block, no slot is on a free stack
       twice, and the live and free slots together make up the
-      high-water mark.
+      high-water mark;
+    * **summary** — every occupancy, circuit and credit summary the
+      compiled cycle iterates instead of the state (``summaries``)
+      equals that state's (``summary_<name>`` names which did not).
 
     A sweep runs at the bottom of every ``stride``-th stepped cycle
     (``--check-stride``) and once more at :meth:`finish`. Violations
@@ -327,6 +362,7 @@ class VectorInvariantChecker(VectorHooks, Monitor):
         if self._network._pc_enabled:
             self._check_pc(cycle)
         self._check_pools(cycle, refs)
+        self._check_summaries(cycle)
 
     @staticmethod
     def _located(refs, i: int):
@@ -434,6 +470,35 @@ class VectorInvariantChecker(VectorHooks, Monitor):
                 "registers",
                 cycle=cycle, expected=int(expected[opid]),
                 actual=int(net.op_holder[opid]), **self._loc_op(opid))
+
+    def _check_summaries(self, cycle: int) -> None:
+        net, lay = self._network, self._lay
+        for name, expected in summaries(
+                self._np, lambda state: getattr(net, state), lay.R, net._Pi,
+                net._Po, net._V).items():
+            actual = getattr(net, name)
+            wrong = (actual != expected).nonzero()[0]
+            if not len(wrong):
+                continue
+            i = int(wrong[0])
+            want, have = int(expected[i]), int(actual[i])
+            # Of a mask, the lowest bit that differs: a VC of port ``i``
+            # (ip_*), a router of the chip (r_map), else a port (or
+            # output) of router ``i``.
+            bit = ((want ^ have) & -(want ^ have)).bit_length() - 1
+            if name == "op_credsum":
+                where = self._loc_op(i)
+            elif name.startswith("ip_"):
+                where = self._loc_ivc(i * net._V + bit)
+            else:
+                lane, router = divmod(i * 64 + bit if name == "r_map" else i,
+                                      lay.R // net._lanes)
+                where = {"lane": self._lane(lane), "router": router,
+                         "port": None if name == "r_map" else bit}
+            self.violation(
+                "summary_" + name,
+                f"summary {name} diverged from the state it summarises",
+                cycle=cycle, expected=want, actual=have, **where)
 
     # -- pool life cycle ------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """The backend seam: selection, config plumbing, and refusal paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.harness.experiment import (ExperimentConfig, build_network,
@@ -115,6 +117,31 @@ class TestRefusals:
         with pytest.raises(BackendUnsupportedError,
                            match="point-to-point"):
             build_network(cfg)
+
+    def test_masks_wider_than_a_word_rejected(self):
+        """The kernel keeps a VC, port or output per bit of a 64-bit
+        mask and rotates masks by their width: 64 VCs are refused by
+        name on both array cores (they used to crash the interpreter),
+        ``auto`` answers from the scalar core, and 63 is scalar-equal."""
+        pytest.importorskip("numpy")
+        point = dict(topology="mesh", kx=3, ky=3, concentration=1,
+                     routing="xy", pattern="uniform", rate=0.6,
+                     synth_cycles=300)
+        for backend in ("vectorized", "batched"):
+            with pytest.raises(BackendUnsupportedError,
+                               match=r"at most 63 VCs.*not 64.*'mesh'"):
+                run_experiment(ExperimentConfig(num_vcs=64, backend=backend,
+                                                **point), use_cache=False)
+        answered = run_experiment(
+            ExperimentConfig(num_vcs=64, backend="auto", **point),
+            use_cache=False)
+        assert answered.manifest["backend"] == "scalar"
+        widest, scalar = (
+            run_experiment(ExperimentConfig(num_vcs=63, backend=backend,
+                                            **point), use_cache=False)
+            for backend in ("vectorized", "scalar"))
+        assert widest.manifest["backend"] == "vectorized"
+        assert widest == dataclasses.replace(scalar, config=widest.config)
 
     def test_require_numpy_returns_module_when_available(self):
         numpy = pytest.importorskip("numpy")

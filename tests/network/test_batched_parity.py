@@ -39,11 +39,11 @@ def lane_sink(net, lane):
 
 
 def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
-                vc_policy="dynamic"):
+                vc_policy="dynamic", num_vcs=4):
     pattern, rate, seed, cycles = lane
     topo = make_topology(*topo_args)
-    net = cls(topo, NetworkConfig(pseudo=scheme), routing=routing,
-              vc_policy=vc_policy, seed=seed)
+    net = cls(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme),
+              routing=routing, vc_policy=vc_policy, seed=seed)
     traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 5,
                                seed=seed)
     net.stats.warmup_cycles = cycles // 5
@@ -54,10 +54,10 @@ def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
 
 
 def _batched_stats(topo_args, scheme, lanes, *, routing="xy",
-                   vc_policy="dynamic"):
+                   vc_policy="dynamic", num_vcs=4):
     topo = make_topology(*topo_args)
-    net = BatchNetwork(topo, NetworkConfig(pseudo=scheme), routing=routing,
-                       vc_policy=vc_policy,
+    net = BatchNetwork(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme),
+                       routing=routing, vc_policy=vc_policy,
                        seeds=[seed for _, _, seed, _ in lanes])
     traffics = [SyntheticTraffic(pattern, topo.num_terminals, rate, 5,
                                  seed=seed)
@@ -110,6 +110,18 @@ class TestMixedLanes:
         lanes = (("uniform", 0.05, 1, 240), ("uniform", 0.20, 2, 240))
         assert_lane_parity(VectorNetwork, ("cmesh", 2, 2, 4), PSEUDO_SB,
                            lanes)
+
+    @pytest.mark.parametrize("topo_args", [("mesh", 4, 4, 1),
+                                           ("fbfly", 4, 4, 4)],
+                             ids=["mesh4x4", "fbfly4x4-radix10"])
+    @pytest.mark.parametrize("num_vcs", [1, 8])
+    def test_narrow_and_wide_masks(self, topo_args, num_vcs):
+        """One VC a port and eight, 5-port and 10-port routers: the
+        kernel's VC and port masks at other widths than a mesh's 4 / 5."""
+        lanes = (("uniform", 0.03, 1, 240), ("uniform", 0.04 * num_vcs, 2,
+                                             240))
+        assert_lane_parity(Network, topo_args, PSEUDO_SB, lanes,
+                           num_vcs=num_vcs)
 
     def test_hotspot_and_a_non_power_of_two_chip(self):
         """12 terminals: ``randrange`` rejects some draws, and each lane

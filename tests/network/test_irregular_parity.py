@@ -30,10 +30,10 @@ POINT_IDS = ["chiplet", "kite"]
 
 
 def _run(cls, topo_args, topo_kw, scheme, rate, cycles, *, seed=7,
-         vc_policy="static"):
+         vc_policy="static", num_vcs=4):
     topo = make_topology(*topo_args, **topo_kw)
-    net = cls(topo, NetworkConfig(pseudo=scheme), routing="weighted",
-              vc_policy=vc_policy, seed=seed)
+    net = cls(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme),
+              routing="weighted", vc_policy=vc_policy, seed=seed)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=seed)
     net.stats.warmup_cycles = cycles // 5
@@ -65,13 +65,34 @@ class TestScalarVectorParity:
                       300, vc_policy=vc_policy)
         assert scalar.stats.fingerprint() == vector.stats.fingerprint()
 
+    @pytest.mark.parametrize("topo_args,topo_kw,num_vcs", [
+        (CHIPLET, CHIPLET_KW, 2), (CHIPLET, CHIPLET_KW, 8),
+        (KITE, {}, 1), (KITE, {}, 8),
+    ], ids=["chiplet-2vcs", "chiplet-8vcs", "kite-1vc", "kite-8vcs"])
+    def test_narrow_and_wide_masks(self, topo_args, topo_kw, num_vcs):
+        """The fewest VCs each takes (the chiplet's two deadlock classes
+        need one each) and eight; the kite's 7-port routers are the
+        widest an irregular topology has."""
+        scalar = _run(Network, topo_args, topo_kw, PSEUDO_SB, 0.10, 300,
+                      num_vcs=num_vcs)
+        vector = _run(VectorNetwork, topo_args, topo_kw, PSEUDO_SB, 0.10,
+                      300, num_vcs=num_vcs)
+        assert scalar.stats.fingerprint() == vector.stats.fingerprint()
+        assert scalar.cycle == vector.cycle
+
 
 class TestBatchedParity:
     @pytest.mark.parametrize("topo_args,topo_kw", POINTS, ids=POINT_IDS)
-    def test_lanes_match_solo_runs(self, topo_args, topo_kw):
+    @pytest.mark.parametrize("num_vcs", [2, 8])
+    def test_narrow_and_wide_masks(self, topo_args, topo_kw, num_vcs):
+        self.test_lanes_match_solo_runs(topo_args, topo_kw, num_vcs)
+
+    @pytest.mark.parametrize("topo_args,topo_kw", POINTS, ids=POINT_IDS)
+    def test_lanes_match_solo_runs(self, topo_args, topo_kw, num_vcs=4):
         lanes = ((0.02, 3, 300), (0.20, 9, 240))
         topo = make_topology(*topo_args, **topo_kw)
-        net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+        net = BatchNetwork(topo, NetworkConfig(num_vcs=num_vcs,
+                                               pseudo=PSEUDO_SB),
                            routing="weighted", vc_policy="static",
                            seeds=[seed for _, seed, _ in lanes])
         traffics = [SyntheticTraffic("uniform", topo.num_terminals, rate,
@@ -83,7 +104,7 @@ class TestBatchedParity:
         net.check_invariants()
         for lane, (rate, seed, cycles) in enumerate(lanes):
             solo = _run(VectorNetwork, topo_args, topo_kw, PSEUDO_SB, rate,
-                        cycles, seed=seed)
+                        cycles, seed=seed, num_vcs=num_vcs)
             stats = net.lane_stats(lane)
             assert stats.fingerprint() == solo.stats.fingerprint(), lane
             assert stats.latency_histogram \

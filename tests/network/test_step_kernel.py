@@ -50,13 +50,14 @@ from repro.network.simulator import Network
 from repro.network.vectorized import (BatchNetwork, VectorHooks,
                                       VectorInvariantChecker, VectorNetwork,
                                       core, kernel)
+from repro.network.vectorized.obs import summaries
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
 
 from . import test_batched_parity, test_irregular_parity
 from .test_vectorized_parity import (CONCENTRATED, GRID, MESH4X4, MESH8X8,
-                                      PATTERNS, ROUTINGS, SEEDS, _run)
+                                      PATTERNS, ROUTINGS, SEEDS, WIDTHS, _run)
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -158,11 +159,11 @@ def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
 
 
 #: The parity grid by test id: each scheme under both VC policies,
-#: low load and saturation, o1turn's VC windows, wide arbiters, 12 VCs,
-#: MSHR-gated trace replay.
+#: low load and saturation, o1turn's VC windows, wide arbiters, 1 / 8 /
+#: 12 VCs, MSHR-gated trace replay.
 _GRID = {**MESH8X8, **MESH4X4, **ROUTINGS, **CONCENTRATED,
          **{f"seed-{seed}": case for seed, case in SEEDS.items()},
-         **PATTERNS}
+         **PATTERNS, **WIDTHS}
 assert list(_GRID.values()) == GRID
 
 
@@ -415,6 +416,35 @@ class TestCheckedBuild:
             assert checked.stats.fingerprint() == release.stats.fingerprint()
             assert checked.cycle == release.cycle
 
+    def test_scans_visit_what_is_occupied(self, checked_step):
+        """The checked build counts the front flits VA, the SA-request
+        scan and the PC-candidate scan examine. One busy lane of sixteen:
+        every occupied VC is looked at, by each scan at most once,
+        whatever the chip holds besides — 20 480 VCs here, all of which
+        VA and the request scan used to read — and a cycle with nothing
+        buffered looks at none."""
+        topo = make_topology("mesh", 8, 8, 1)
+        net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                           seeds=range(1, 17))
+        traffic = SyntheticTraffic("uniform", topo.num_terminals, 0.2, 5,
+                                   seed=3)
+        sink = test_batched_parity.lane_sink(net, 0)
+        visits = net._kernel.n[-1:]
+        net.step()
+        assert visits[0] == 0 and net._NIVC == 16 * 64 * 5 * 4
+        examined = busiest = 0
+        while net.cycle < 150 or not net.quiescent():
+            if net.cycle < 150:
+                traffic.tick(sink, net.cycle)
+            occupied = int((net.buf_len > 0).sum())
+            net.step()
+            assert occupied <= visits[0] <= 3 * occupied, net.cycle
+            examined += int(visits[0])
+            busiest = max(busiest, occupied)
+        assert busiest > 100 and examined > 10_000
+        assert not net.lane_stats(1).injected_packets
+        net.check_invariants()
+
     def test_a_wild_index_is_named(self, checked_step):
         topo = make_topology("mesh", 4, 4, 1)
         net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB))
@@ -515,6 +545,10 @@ def _seeded(fault, cycles):
         net.step()
     if not fault(net):
         return None
+    # The summaries the scans walk say what the seeded state says.
+    for name, summary in summaries(np, lambda state: getattr(net, state),
+                                   net._R, net._Pi, net._Po, net._V).items():
+        getattr(net, name)[:] = summary
     try:
         net.step()
     except (ProtocolError, BufferOverflowError, RuntimeError) as error:

@@ -6,6 +6,11 @@ workload) this suite corrupts live state cells and asserts the next
 sweep reports the *right* rule with the *right* coordinates — including
 the lane index on batched networks. Strictness, stride pacing and the
 snapshot document round out the contract.
+
+The ``summary_*`` rules get the same treatment on both builds of
+``kernel.c``: one flipped bit per summary is named with its lane, router
+and port, and a kernel with one ``summarise`` call compiled out is caught
+by the checker in the cycle it first matters, by the drain without one.
 """
 
 import pytest
@@ -15,7 +20,8 @@ np = pytest.importorskip("numpy")
 from repro.core.violation import InvariantViolation
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
-                                      VectorNetwork)
+                                      VectorNetwork, core, kernel)
+from repro.network.vectorized.obs import summaries
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -103,7 +109,10 @@ class TestFaultInjection:
         ci = int((net.cred > 0).nonzero()[0][0])
         net.cred[ci] -= 1  # still within [0, limit], wrong count
         checker.sweep(net.cycle)
-        assert {v.rule for v in checker.violations} == {"credit_count"}
+        # Seen twice: against the flits downstream, and against the
+        # output's credit sum the kernel keeps beside it.
+        assert {v.rule for v in checker.violations} == {
+            "credit_count", "summary_op_credsum"}
 
     def test_conservation(self):
         net, checker = self._net()
@@ -140,7 +149,8 @@ class TestFaultInjection:
                    + net.pc_out_port[valid[0]])
         net.op_holder[opid] = -1
         checker.sweep(net.cycle)
-        assert {v.rule for v in checker.violations} == {"pc_holder_sync"}
+        assert {v.rule for v in checker.violations} == {
+            "pc_holder_sync", "summary_r_held"}
 
     def test_strict_raises(self):
         net, checker = self._net(strict=True)
@@ -195,3 +205,98 @@ class TestBatchedLaneAttribution:
         assert v.rule == "conservation"
         assert v.lane == 1
         assert v.router == 0
+
+
+@pytest.fixture(params=["RELEASE_FLAGS", "CHECK_FLAGS"])
+def either_build(request, monkeypatch):
+    """Networks built from here on step through that build of the
+    kernel."""
+    built = kernel.load(getattr(kernel, request.param))
+    assert built.status.startswith("c:"), built.refusal()
+    monkeypatch.setattr(core, "load_kernel", lambda: built)
+
+
+#: Every summary of ``kernel.c``'s table, with the element of lane 1,
+#: router 5, port 2 (of a two-lane 4x4 mesh: 5 x 5 ports, 16 routers a
+#: lane, all 32 in one word of ``r_map``) and the bit to flip in it.
+_SEEDED = {
+    "ip_occ": ((16 + 5) * 5 + 2, 3), "ip_act": ((16 + 5) * 5 + 2, 0),
+    "r_occ": (16 + 5, 2), "r_wait": (16 + 5, 2), "r_map": (0, 16 + 5),
+    "r_pcv": (16 + 5, 2), "r_pcinv": (16 + 5, 2), "r_held": (16 + 5, 2),
+    "op_credsum": ((16 + 5) * 5 + 2, 0),
+}
+
+
+@pytest.mark.usefixtures("either_build")
+class TestSummaries:
+    """What the compiled cycle iterates instead of the state is proved
+    against that state by every sweep."""
+
+    def _mid_run(self):
+        topo = make_topology("mesh", 4, 4, 1)
+        net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                           routing="xy", vc_policy="dynamic", seeds=[3, 11])
+        checker = VectorInvariantChecker(strict=False)
+        net.attach_checker(checker)
+        net.run_batch([SyntheticTraffic("uniform", topo.num_terminals, 0.3,
+                                        5, seed=seed) for seed in (3, 11)],
+                      [120, 120])
+        assert checker.violations == [] and checker.sweeps >= 120
+        assert net._buffered and net.pc_valid.any()
+        return net, checker
+
+    def test_the_table_is_the_checked_set(self):
+        source = open(kernel._SOURCE, encoding="utf-8").read()
+        table = source[source.index("summary     what it says"):]
+        rows = [line.split()[1] for line in table.splitlines()[1:10]]
+        net, _ = self._mid_run()
+        assert rows == list(_SEEDED) == list(summaries(
+            np, lambda name: getattr(net, name), net._R, net._Pi, net._Po,
+            net._V))
+
+    @pytest.mark.parametrize("name", _SEEDED)
+    def test_a_seeded_bug_is_named(self, name):
+        net, checker = self._mid_run()
+        index, bit = _SEEDED[name]
+        if name == "op_credsum":
+            getattr(net, name)[index] += 1
+        else:
+            getattr(net, name)[index] ^= 1 << bit
+        checker.sweep(net.cycle)
+        (v,) = checker.violations
+        assert v.rule == "summary_" + name
+        assert (v.lane, v.router) == (1, 5)
+        assert v.port == (None if name == "r_map" else 2)
+        assert v.vc == (bit if name.startswith("ip_") else None)
+        assert v.actual == int(getattr(net, name)[index]) != v.expected
+        assert name in str(v)
+
+
+class TestStaleSummary:
+    """``-DREPRO_SEED_STALE_SUMMARY`` compiles out the ``summarise`` of
+    a flit buffered into an empty VC: no scan ever sees that flit."""
+
+    @pytest.fixture(autouse=True)
+    def stale(self, monkeypatch):
+        built = kernel.load((*kernel.CHECK_FLAGS,
+                             "-DREPRO_SEED_STALE_SUMMARY"))
+        assert built.status.startswith("c:"), built.refusal()
+        monkeypatch.setattr(core, "load_kernel", lambda: built)
+
+    def test_the_checker_names_it_in_the_cycle_it_happens(self):
+        with pytest.raises(InvariantViolation) as caught:
+            _checked_run(BASELINE, 0.10, 100)
+        v = caught.value
+        assert v.rule == "summary_ip_occ" and v.expected and not v.actual
+        # The first flit off an injection channel: sent at 0 at the
+        # earliest, buffered one cycle later.
+        assert 1 <= v.cycle <= 10
+
+    def test_the_drain_ends_without_one(self):
+        topo = make_topology("mesh", 4, 4, 1)
+        net = VectorNetwork(topo, NetworkConfig(pseudo=BASELINE))
+        net.run(100, SyntheticTraffic("uniform", topo.num_terminals, 0.10, 5,
+                                      seed=7))
+        assert net.stats.buffer_writes and not net.stats.flit_hops
+        with pytest.raises(RuntimeError, match="failed to drain"):
+            net.drain(max_cycles=500)

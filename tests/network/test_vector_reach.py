@@ -139,7 +139,8 @@ class TestReach:
         assert checked.self_test(np)
         functions = _kernel_functions()
         assert {"cycle", "va_sa_switch", "inject_send", "rr_pick",
-                "source_tick", "source_ahead"} <= functions
+                "source_tick", "source_ahead", "summarise",
+                "rotated"} <= functions
         assert functions - set(checked.reached()) == set()
 
     def test_grid_enters_every_batch_function(self):

@@ -107,8 +107,19 @@ PATTERNS = {
         ("mesh4x4", ("mesh", 4, 4, 1), ("hotspot", "transpose")),
         ("mesh4x3", ("mesh", 4, 3, 1), ("uniform", "hotspot", "tornado")))
     for pattern in patterns}
+#: Masks narrower and wider than the 5 ports x 4 VCs of a mesh router:
+#: one VC a port (every summary a single bit, VA with nothing to
+#: choose) and eight, on a 5-port mesh and on the 10-port routers of the
+#: 4x4 flattened butterfly.
+WIDTHS = {
+    f"{name}-{num_vcs}vcs": _case(topo_args, PSEUDO_SB, rate, 300,
+                                  num_vcs=num_vcs)
+    for name, topo_args in (("mesh4x4", ("mesh", 4, 4, 1)),
+                            ("fbfly4x4", ("fbfly", 4, 4, 4)))
+    for num_vcs, rate in ((1, 0.08), (8, 0.25))}
 GRID = [*MESH8X8.values(), *MESH4X4.values(), *ROUTINGS.values(),
-        *CONCENTRATED.values(), *SEEDS.values(), *PATTERNS.values()]
+        *CONCENTRATED.values(), *SEEDS.values(), *PATTERNS.values(),
+        *WIDTHS.values()]
 
 
 class TestCanonicalWorkloads:
@@ -139,6 +150,10 @@ class TestRoutingAndTopology:
 
     @pytest.mark.parametrize("case", PATTERNS.values(), ids=PATTERNS)
     def test_patterns_and_a_non_power_of_two_chip(self, case):
+        assert_parity(*case)
+
+    @pytest.mark.parametrize("case", WIDTHS.values(), ids=WIDTHS)
+    def test_narrow_and_wide_masks(self, case):
         assert_parity(*case)
 
 
