@@ -145,30 +145,12 @@ def _experiment_config(args) -> ExperimentConfig:
                             synth_warmup=args.cycles // 4, **common)
 
 
-def _series_probe(args) -> TimeSeriesProbe:
-    """The time-series probe matching the requested backend.
-
-    Non-scalar backends get the array-native ``VectorSeriesProbe`` — it
-    produces the identical row schema, and binds to the scalar core too
-    (so an ``auto`` run that resolves to scalar still records).
-    """
-    if args.backend in ("vectorized", "batched", "auto"):
-        from .network.vectorized import VectorSeriesProbe
-        return VectorSeriesProbe(window=args.window)
-    return TimeSeriesProbe(window=args.window)
-
-
 def _cmd_run(args) -> int:
     cfg = _experiment_config(args)
     tracing = args.trace is not None or args.series is not None
     if tracing and args.scheme == "all":
         print("error: --trace/--series need a single --scheme",
               file=sys.stderr)
-        return 2
-    if args.trace is not None and args.backend in ("vectorized", "batched"):
-        print("error: --trace records per-flit events, which only the "
-              "scalar core emits; use --backend scalar (or drop --trace "
-              "and keep --series)", file=sys.stderr)
         return 2
     rows = []
     out_rows = []
@@ -183,7 +165,7 @@ def _cmd_run(args) -> int:
                 tracer = FlitTracer(max_events=args.max_events)
                 probes.append(tracer)
             if args.series is not None:
-                series = _series_probe(args)
+                series = TimeSeriesProbe(window=args.window)
                 probes.append(series)
             probe = (probes[0] if len(probes) == 1
                      else CompositeProbe(*probes))
@@ -350,12 +332,13 @@ def _add_store_arg(p) -> None:
 def _add_backend_arg(p) -> None:
     """--backend NAME: pick the network core for every simulation."""
     p.add_argument("--backend", default=None, choices=list(BACKENDS),
-                   help="network core: scalar (default), the numpy "
-                        "structure-of-arrays core (vectorized), batched "
-                        "(groups compatible sweep points into multi-lane "
-                        "runs), or auto (calibrated per-point choice); "
-                        "all bit-identical stats; non-scalar cores need "
-                        "repro[fast]")
+                   help="network core: scalar (default), the array core "
+                        "(vectorized: one compiled C cycle over flat "
+                        "arrays), batched (groups compatible sweep points "
+                        "into multi-lane runs), or auto (per-point choice; "
+                        "scalar wherever the array core refuses); all "
+                        "bit-identical stats; the array core needs numpy "
+                        "and a C compiler")
 
 
 class _ExactParser(argparse.ArgumentParser):
@@ -576,6 +559,12 @@ def main(argv=None) -> int:
         return cmd_store(args)
     if args.command == "top":
         return _cmd_top(args)
+    flit_trace = args.command == "trace" or getattr(args, "trace", None)
+    if flit_trace and args.backend in ("vectorized", "batched"):
+        print("error: a flit trace records per-flit events, which only the "
+              "scalar core emits; use --backend scalar (--series works on "
+              "every core)", file=sys.stderr)
+        return 2
     _activate_store(args)
     # Install the backend before any ExperimentConfig is constructed:
     # configs freeze the process default into their cache/store keys.

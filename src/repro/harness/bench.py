@@ -4,12 +4,10 @@ An installed package ships no test suite, so this runner is how a user
 asks "does everything that is off by default really cost nothing, and
 does everything that observes really only observe, on *my* install":
 
-* ``overhead_gate`` — a default-built scalar network carries no probe,
-  and stats stay bit-identical with a full tracer + time-series stack
-  attached (``repro.instrument.overhead``);
-* ``vectorized_overhead_gate`` — the same two checks on the array core
-  (``VectorSeriesProbe`` + strict invariant checker + phase profiler),
-  for every backend that can run it;
+* ``overhead_gate`` — a default-built network carries no probe, and
+  stats stay bit-identical with every observer the core accepts
+  attached (``repro.instrument.overhead``), on the scalar core and, for
+  any other backend, on the array core too;
 * ``telemetry_cold_check`` — a telemetry-off sweep constructs no emitter
   and a telemetry-on sweep returns bit-identical results
   (``repro.telemetry.overhead``);
@@ -28,7 +26,7 @@ import sys
 import time
 
 from ..instrument import git_sha, overhead_gate, run_manifest, write_manifest
-from ..instrument.overhead import vectorized_overhead_gate
+from ..network.backend import BackendUnsupportedError
 
 #: Length of each gate workload; the checks are structural and
 #: bit-identity assertions, so a few hundred cycles exercise them fully.
@@ -40,9 +38,12 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
               show: bool = True) -> dict:
     """Run every cold/identity gate; return (and optionally write) the report.
 
-    ``backend`` other than ``"scalar"`` adds the vectorized-core gate
-    (needs numpy and a C compiler; without one the gate's line says
-    why and the refusal is raised). ``check=True`` adds the monitored self-check and, when
+    ``backend`` other than ``"scalar"`` adds the array-core gate (needs
+    numpy and a C compiler). Without one the gate's line says why; an
+    explicit ``vectorized`` / ``batched`` then raises the refusal, while
+    ``auto`` — which would land on the scalar core — records it under
+    ``vectorized_overhead: {"refused": ...}`` and goes on.
+    ``check=True`` adds the monitored self-check and, when
     ``out_path`` is given, writes its metrics document next to the report
     (``*.metrics.json``). Nothing touches the filesystem without
     ``out_path``; with one, the report gets a provenance manifest sidecar.
@@ -50,8 +51,13 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
     start_wall = time.perf_counter()
     gate_report = overhead_gate(cycles=cycles, show=show)
     if backend != "scalar":
-        gate_report["vectorized_overhead"] = vectorized_overhead_gate(
-            cycles=cycles, show=show)
+        try:
+            gate_report["vectorized_overhead"] = overhead_gate(
+                cycles=cycles, show=show, backend="vectorized")
+        except BackendUnsupportedError as refusal:
+            if backend != "auto":
+                raise
+            gate_report["vectorized_overhead"] = {"refused": str(refusal)}
     from ..telemetry.overhead import telemetry_cold_check
     gate_report["telemetry"] = tel_gate = telemetry_cold_check()
     if show:

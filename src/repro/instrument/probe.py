@@ -1,18 +1,27 @@
 """Probe interface: the event vocabulary of the instrumentation layer.
 
-A probe receives the flit-lifecycle events the network components emit.
-The null object is literally ``None``: components hold ``_probe = None``
-when tracing is off and guard every emission with a single attribute test,
-so the disabled hot path costs one pointer load per call site
-(``python -m repro bench`` keeps this honest). Probes that are
-attached (``Network.bind_probe``) receive every event of the simulation
-they observe; they must never mutate what they are handed — the overhead
-gate asserts stats stay bit-identical with probes on.
+A probe receives the events the network cores emit. The null object is
+literally ``None``: scalar components hold ``_probe = None`` and an array
+core an empty hook tuple when nothing observes, so the disabled hot path
+costs one pointer test per call site (``python -m repro bench`` keeps
+this honest). Attached probes (``bind_probe``) must never mutate what
+they are handed — the overhead gate asserts stats stay bit-identical.
 
-Event vocabulary (all cycles are simulation cycles; ``flit`` arguments are
-live :class:`~repro.network.flit.Flit` objects, read-only):
+The scalar core makes one call per flit event (``flit`` arguments are
+live :class:`~repro.network.flit.Flit` objects, read-only). The array
+cores make *batched* calls after each compiled cycle — one per kind of
+event, carrying the index arrays the kernel recorded (global ids,
+lane-major on a batch) — and drive only a probe whose ``vector_hooks``
+is true: replaying the per-flit stream would serialize their loops.
 
 ========================  ==================================================
+``bind``                  called once when attached to a network
+``on_cycle_start``        (both cores) a cycle is about to execute, before
+                          any other event of it (after a quiescence fast-
+                          forward ``cycle`` jumps; window probes close every
+                          skipped window here, which is exact: skipped
+                          cycles are provably event-free)
+*scalar core*
 ``on_buffer_write``       flit written into an input VC buffer (BW stage)
 ``on_va_grant``           output VC granted to a head flit (VA stage)
 ``on_traverse``           crossbar traversal: ``via`` is ``'sa'`` (arbitrated),
@@ -28,12 +37,13 @@ live :class:`~repro.network.flit.Flit` objects, read-only):
 ``on_pc_terminate``       circuit torn down, with the ``Termination`` reason
 ``on_inject``             packet left its source queue into the network
 ``on_eject``              packet fully reassembled at its destination NIC
-``on_cycle_start``        a simulated cycle is about to execute, before any
-                          other event of that cycle (after a quiescence
-                          fast-forward ``cycle`` jumps; window-based probes
-                          close every skipped window here, which is exact:
-                          skipped cycles are provably event-free)
-``bind``                  called once when attached to a Network
+*array cores*
+``vec_inject``            one packet left its source queue (terminal)
+``vec_ejects``            packets fully reassembled (terminal array)
+``vec_buffer_writes``     flits written into input VC buffers (ivc array)
+``vec_traversals``        a crossbar traversal batch (duplicate-free ivc
+                          array; ``via``, and ``popped`` as ``read``)
+``vec_cycle_end``         the cycle's last event has been handed over
 ========================  ==================================================
 """
 
@@ -42,7 +52,12 @@ from __future__ import annotations
 
 class Probe:
     """Base probe: every hook is a no-op; subclasses override what they
-    need. Attach with :meth:`repro.network.simulator.Network.bind_probe`."""
+    need. Attach with :meth:`repro.network.simulator.Network.bind_probe`
+    (or ``VectorNetwork.bind_probe``, if ``vector_hooks``)."""
+
+    #: Whether the array cores may drive this probe with the ``vec_*``
+    #: hooks; they refuse one that needs the per-flit stream.
+    vector_hooks = False
 
     def bind(self, network) -> None:
         """Called once when the probe is attached to a network."""
@@ -94,6 +109,24 @@ class Probe:
     # -- clock ----------------------------------------------------------------
 
     def on_cycle_start(self, cycle: int, network) -> None:
+        pass
+
+    # -- array cores ----------------------------------------------------------
+
+    def vec_inject(self, cycle: int, terminal: int) -> None:
+        pass
+
+    def vec_ejects(self, cycle: int, terminals) -> None:
+        pass
+
+    def vec_buffer_writes(self, cycle: int, ivcs) -> None:
+        pass
+
+    def vec_traversals(self, cycle: int, via: str, popped: bool,
+                       ivcs) -> None:
+        pass
+
+    def vec_cycle_end(self, cycle: int, network) -> None:
         pass
 
 

@@ -11,6 +11,11 @@ cycle lands — so attribution is exact, including across quiescence
 fast-forwards (the skipped cycles are event-free by construction; skipped
 windows are emitted with zero activity and the carried occupancy).
 
+One probe serves every core: on the scalar ``Network`` it counts the
+``on_*`` events into lists, on an array core the ``vec_*`` hooks into
+arrays of the network's numpy, with bit-identical rows. A batch's rows
+span every lane (lane-major router ids); :meth:`lane_view` cuts one out.
+
 Exports:
 
 * :meth:`to_csv` — long format, one row per (window, router), with the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from types import SimpleNamespace
 
 from .probe import Probe
 
@@ -37,6 +43,8 @@ ACTIVITY_KEYS = ("hops", "sa_bypass", "buf_bypass", "buffer_writes",
 class TimeSeriesProbe(Probe):
     """Ring-buffered windowed samples of per-router activity."""
 
+    vector_hooks = True
+
     def __init__(self, window: int = 64, capacity: int | None = 4096):
         if window < 1:
             raise ValueError("window must be >= 1 cycle")
@@ -45,20 +53,28 @@ class TimeSeriesProbe(Probe):
         #: Closed windows, oldest first (bounded by ``capacity``).
         self.samples: deque[dict] = deque(maxlen=capacity)
         self._network = None
+        self._np = None    # numpy while bound to an array core
         self._num = 0
-        self._acc: dict[str, list[int]] = {}
-        self._terminal_router: list[int] = []
+        self._acc: dict = {}
+        self._terminal_router = []
         self._win_start = 0
         self._boundary = window
 
     def bind(self, network) -> None:
-        topo = network.topology
         self._network = network
-        n = topo.num_routers
-        self._num = n
-        self._acc = {key: [0] * n for key in ACTIVITY_KEYS}
-        self._terminal_router = [topo.terminal_router(t)
-                                 for t in range(topo.num_terminals)]
+        if hasattr(network, "routers"):
+            topo = network.topology
+            self._np = None
+            self._num = topo.num_routers
+            self._terminal_router = [topo.terminal_router(t)
+                                     for t in range(topo.num_terminals)]
+        else:
+            lay = network._lay
+            self._np = network._np
+            self._num = lay.R
+            self._terminal_router = lay.inj_ipid // lay.Pi
+            self._ivc_router = lay.Pi * lay.V   # ivcs per router
+        self._acc = {key: self._zeros() for key in ACTIVITY_KEYS}
         self._win_start = network.cycle
         self._boundary = network.cycle + self.window
 
@@ -84,22 +100,52 @@ class TimeSeriesProbe(Probe):
     def on_eject(self, cycle, terminal, packet):
         self._acc["ejected"][self._terminal_router[terminal]] += 1
 
+    def vec_inject(self, cycle, terminal):
+        self._acc["injected"][self._terminal_router[terminal]] += 1
+
+    def vec_ejects(self, cycle, terminals):
+        self._np.add.at(self._acc["ejected"],
+                        self._terminal_router[terminals], 1)
+
+    def vec_buffer_writes(self, cycle, ivcs):
+        self._np.add.at(self._acc["buffer_writes"],
+                        ivcs // self._ivc_router, 1)
+
+    def vec_traversals(self, cycle, via, popped, ivcs):
+        acc, add = self._acc, self._np.add.at
+        routers = ivcs // self._ivc_router
+        add(acc["hops"], routers, 1)
+        if via != "sa":
+            add(acc["sa_bypass"], routers, 1)
+            if via == "buf":
+                add(acc["buf_bypass"], routers, 1)
+        if popped:
+            add(acc["buffer_reads"], routers, 1)
+
     # -- window management ----------------------------------------------------
 
     def on_cycle_start(self, cycle, network):
         while cycle >= self._boundary:
             self._close(self._boundary)
 
+    def _zeros(self):
+        if self._np is None:
+            return [0] * self._num
+        return self._np.zeros(self._num, dtype=self._np.int64)
+
     def _occupancy(self) -> list[int]:
-        return [router._buffered_flits for router in self._network.routers]
+        if self._np is None:
+            return [router._buffered_flits
+                    for router in self._network.routers]
+        return self._network._r_buffered.tolist()
 
     def _close(self, end: int) -> None:
         acc = self._acc
         row = {"start": self._win_start, "end": end,
                "occupancy": self._occupancy()}
         for key in ACTIVITY_KEYS:
-            row[key] = acc[key]
-            acc[key] = [0] * self._num
+            row[key] = acc[key] if self._np is None else acc[key].tolist()
+            acc[key] = self._zeros()
         self.samples.append(row)
         self._win_start = end
         self._boundary = end + self.window
@@ -118,6 +164,28 @@ class TimeSeriesProbe(Probe):
             self._close(cycle)
 
     # -- derived views --------------------------------------------------------
+
+    def lane_view(self, lane: int) -> TimeSeriesProbe:
+        """A probe holding lane ``lane``'s rows of a ``BatchNetwork``
+        run — a solo run's rows, whose exporters work against the batch's
+        solo topology (:meth:`flush` first). Only the last window's
+        ``end`` may be later than solo: the chip drains to its slowest
+        lane, idle for this one."""
+        net = self._network
+        lanes = getattr(net, "_lanes", 1)
+        if not 0 <= lane < lanes:
+            raise ValueError(f"lane {lane} out of range (lanes={lanes})")
+        solo = self._num // lanes
+        view = TimeSeriesProbe(window=self.window, capacity=self.capacity)
+        view._num = solo
+        view._network = SimpleNamespace(topology=net.topology,
+                                        cycle=net.cycle)
+        lo, hi = lane * solo, (lane + 1) * solo
+        for sample in self.samples:
+            view.samples.append({key: value[lo:hi]
+                                 if isinstance(value, list) else value
+                                 for key, value in sample.items()})
+        return view
 
     def network_rows(self) -> list[dict]:
         """Network-wide totals per window (activity summed over routers)."""

@@ -1,8 +1,8 @@
 """Monitored self-check: the acceptance run behind ``--check`` in CI.
 
-Runs the canonical 8×8 mesh PSEUDO_SB workload at a low and a saturation
-injection rate, twice each: once bare and once with the full monitor
-suite attached. Passing means
+Runs the gate workload of ``repro.instrument.overhead`` (8×8 mesh,
+Pseudo+S+B) at a low and a saturation injection rate, twice each: once
+bare and once with the full monitor suite attached. Passing means
 
 * every monitor stayed violation-free at both loads, and
 * the monitored run's ``NetworkStats`` fingerprint is bit-identical to
@@ -14,11 +14,7 @@ metrics document, so CI can archive the self-check alongside the bench.
 
 from __future__ import annotations
 
-from ..instrument.overhead import OverheadGateError
-from ..network.config import PSEUDO_SB, NetworkConfig
-from ..network.simulator import build_network
-from ..topology import make_topology
-from ..traffic.synthetic import SyntheticTraffic
+from ..instrument.overhead import OverheadGateError, _gate_workload
 from .registry import default_registry
 
 
@@ -26,27 +22,16 @@ class SelfCheckError(AssertionError):
     """The monitored self-check failed (violation or perturbed stats)."""
 
 
-def _run(cycles: int, rate: float, seed: int, probe=None):
-    config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
-    topo = make_topology("mesh", 8, 8, 1)
-    net = build_network(topo, config=config, seed=seed, probe=probe)
-    traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
-                               seed=seed)
-    net.stats.warmup_cycles = cycles // 5
-    net.run(cycles, traffic)
-    net.drain(max_cycles=500_000)
-    return net
-
-
 def self_check(cycles: int = 600, rates: tuple = (0.02, 0.30),
                seed: int = 7, show: bool = False) -> dict:
     """Run the monitored acceptance workloads; raise on any divergence."""
     runs = []
     for rate in rates:
-        bare = _run(cycles, rate, seed)
+        bare = _gate_workload("scalar", cycles, rate, seed)
         registry = default_registry(strict=True)
         try:
-            net = _run(cycles, rate, seed, probe=registry.probe())
+            net = _gate_workload("scalar", cycles, rate, seed,
+                                 registry.probe())
         except Exception as err:
             raise SelfCheckError(
                 f"monitored run at rate {rate:g} failed: {err}") from err

@@ -71,9 +71,7 @@ class Network:
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing: RoutingAlgorithm | str = "xy",
                  vc_policy: VCAllocationPolicy | str = "dynamic",
-                 seed: int = 1, stats: NetworkStats | None = None,
-                 router_cls: type[Router] = Router,
-                 active_set: bool = True,
+                 seed: int = 1, active_set: bool = True,
                  compiled_routing: bool = True,
                  probe=None):
         self.topology = topology
@@ -84,7 +82,7 @@ class Network:
             vc_policy = make_vc_policy(vc_policy)
         self.routing = routing
         self.vc_policy = vc_policy
-        self.stats = stats if stats is not None else NetworkStats()
+        self.stats = NetworkStats()
         self.rng = random.Random(seed)
         self._active = active_set
         # Active sets, keyed by component id so members can be visited in
@@ -95,8 +93,8 @@ class Network:
         self._inject_nics: dict[int, Nic] = {}
         self._eject_nics: dict[int, Nic] = {}
         self.routers = [
-            router_cls(r, topology.num_inports(r), topology.num_outports(r),
-                       config, routing, vc_policy, self.stats)
+            Router(r, topology.num_inports(r), topology.num_outports(r),
+                   config, routing, vc_policy, self.stats)
             for r in range(topology.num_routers)]
         self.links: list[Link] = []
         self.nics: list[Nic] = []

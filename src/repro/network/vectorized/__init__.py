@@ -1,10 +1,9 @@
-"""Vectorized structure-of-arrays network backend (requires numpy)."""
+"""Vectorized structure-of-arrays network backend (numpy + a C compiler)."""
 
 from .batch import BatchNetwork
 from .core import VectorNetwork
 from .layout import Layout, build_layout
-from .obs import VectorHooks, VectorInvariantChecker, VectorSeriesProbe
+from .obs import VectorInvariantChecker
 
-__all__ = ["BatchNetwork", "Layout", "VectorHooks",
-           "VectorInvariantChecker", "VectorNetwork",
-           "VectorSeriesProbe", "build_layout"]
+__all__ = ["BatchNetwork", "Layout", "VectorInvariantChecker",
+           "VectorNetwork", "build_layout"]

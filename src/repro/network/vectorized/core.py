@@ -30,10 +30,10 @@ observer hooks, and the allocation of everything the ``Chip`` points into:
   (``counts``); a solo network is the one-lane case, and ``stats`` /
   ``lane_stats`` read the rows.
 
-Observability is array-native (see ``vectorized/obs.py``): probes and
-monitors that implement the batched ``vector_hooks`` vocabulary
-(``VectorSeriesProbe``, ``VectorInvariantChecker``) attach through
-``bind_probe``/``attach_checker`` and receive, after each cycle, the
+Observability is array-native: probes and monitors with
+``vector_hooks`` set (``TimeSeriesProbe``, ``VectorInvariantChecker``)
+attach through ``bind_probe``/``attach_checker`` and receive, after each
+cycle, the batched ``vec_*`` hooks of ``instrument/probe.py`` — the
 index arrays the kernel recorded while one was attached;
 ``enable_profile`` has the kernel time its stages. Deliberately
 unsupported (raising ``BackendUnsupportedError``): a process that
@@ -120,7 +120,6 @@ class VectorNetwork:
 
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing="xy", vc_policy="dynamic", seed: int = 1,
-                 stats: NetworkStats | None = None,
                  probe=None, lanes: int = 1, lane_seeds=None):
         np = require_numpy()
         self._np = np
@@ -300,7 +299,7 @@ class VectorNetwork:
             (lanes, len(kernel.stats) + len(kernel.terminations)), dtype=i64)
         self.lane_warmup = np.zeros(lanes, dtype=i64)
         self._hist: list[dict] = [{} for _ in range(lanes)]
-        self._stats = stats if stats is not None else NetworkStats()
+        self._stats = NetworkStats()
         self._hist[0] = self._stats.latency_histogram
         #: Whole-chip scalars shared with the kernel (``CHIP_STATE``).
         self._state = np.zeros(len(kernel.state), dtype=i64)
@@ -727,11 +726,11 @@ class VectorNetwork:
         return self._read_counts(stats, lane)
 
     def bind_probe(self, probe) -> None:
-        """Attach a vector-aware probe (``vector_hooks`` protocol).
+        """Attach a probe that takes the batched hooks (``vector_hooks``).
 
         Probes that need the scalar per-event stream (``FlitTracer``,
-        the plain ``TimeSeriesProbe``) are refused loudly: replaying
-        per-flit events from array batches would serialize the core.
+        the scalar monitors) are refused loudly: replaying per-flit
+        events from array batches would serialize the core.
         """
         if not getattr(probe, "vector_hooks", False):
             raise BackendUnsupportedError(
@@ -739,7 +738,7 @@ class VectorNetwork:
                 f"{type(probe).__name__}: per-flit event instrumentation "
                 f"(e.g. Chrome tracing) needs the scalar core (topology "
                 f"{self.topology.name!r}) — use --backend scalar, or a "
-                f"vector-aware probe such as VectorSeriesProbe")
+                f"vector-aware probe such as TimeSeriesProbe")
         probe.bind(self)
         self.probe = probe
         self._vprobe = probe

@@ -1,41 +1,16 @@
-"""Array-native observability for the vectorized backends.
+"""Array-native invariant checking for the vectorized backends.
 
-The scalar instrumentation layer (PR 3) is an event stream: every flit
-movement calls a probe method. Replaying that per-event protocol from the
-vectorized core would serialize exactly the loops the core exists to
-avoid, so the vectorized cores emit *batched* hooks instead — one call
-per kind of event per cycle, carrying the index arrays the compiled
-cycle recorded (``kernel.c`` fills them only while an observer is
-attached; ``VectorNetwork._dispatch`` hands them over after the call, so
-no hook sees a half-stepped chip). The hook vocabulary
-(``VectorHooks``) is six calls (``vec_inject`` stays one call per
-packet, as the probes were written against):
-
-========================  ==================================================
-``on_cycle_start``        shared with the scalar probe protocol (window
-                          probes close boundaries here, before any event)
-``vec_cycle_end``         the cycle's last event has been applied (the
-                          invariant checker sweeps here)
-``vec_inject``            one packet left its source queue (global terminal)
-``vec_ejects``            packets fully reassembled (global terminal array)
-``vec_buffer_writes``     flits written into input VC buffers (ivc array)
-``vec_traversals``        a crossbar traversal batch (ivc array; ``via`` and
-                          ``popped`` as in the scalar ``on_traverse``)
-========================  ==================================================
-
-Consumers implement the hooks as numpy reductions:
-
-* :class:`VectorSeriesProbe` — the ``TimeSeriesProbe`` row schema
-  (per-router occupancy + activity windows) computed with ``np.add.at``
-  scatters; rows are bit-identical to the scalar probe on the parity
-  workloads and feed the inherited CSV/JSON/heatmap exporters unchanged.
-  On a ``BatchNetwork``, :meth:`VectorSeriesProbe.lane_view` slices the
-  recorded samples into an ordinary per-lane ``TimeSeriesProbe``.
-* :class:`VectorInvariantChecker` — flit conservation, credit
-  conservation and pseudo-circuit legality as whole-array assertions,
-  swept every cycle (or every ``stride`` cycles); failures raise the same
-  structured :class:`~repro.core.violation.InvariantViolation` as the
-  scalar monitors, with batched-lane attribution.
+The array cores hand observers batched hooks (the ``vec_*`` half of the
+vocabulary in ``instrument/probe.py``) instead of the scalar per-flit
+stream. Two consumers implement them as numpy reductions:
+``instrument.series.TimeSeriesProbe`` (the windowed time series, which
+serves both cores) and, here, :class:`VectorInvariantChecker` — flit
+conservation, credit conservation, pseudo-circuit legality, the pools'
+life cycle and the kernel's summaries as whole-array assertions, swept
+every cycle (or every ``stride`` cycles); failures raise the same
+structured :class:`~repro.core.violation.InvariantViolation` as the
+scalar monitors, with batched-lane attribution. :func:`summaries` is the
+one Python statement of what each summary ``kernel.c`` keeps means.
 
 No module-level numpy import: numpy is an optional dependency and is
 taken from the bound network (``network._np``) at bind time.
@@ -45,7 +20,6 @@ from __future__ import annotations
 
 import math
 
-from ...instrument.series import ACTIVITY_KEYS, TimeSeriesProbe
 from ...monitor.base import Monitor
 
 
@@ -79,158 +53,7 @@ def summaries(np, get, R: int, Pi: int, Po: int, V: int) -> dict:
         "op_credsum": field("cred", R * Po, V).sum(axis=1)}
 
 
-class VectorHooks:
-    """No-op implementations of the vectorized hook vocabulary.
-
-    ``vector_hooks`` is the capability flag ``VectorNetwork.bind_probe``
-    duck-types on: probes without it (per-flit tracers) are refused
-    loudly instead of silently observing nothing.
-    """
-
-    vector_hooks = True
-
-    def vec_cycle_end(self, cycle: int, network) -> None:
-        pass
-
-    def vec_inject(self, cycle: int, terminal: int) -> None:
-        pass
-
-    def vec_ejects(self, cycle: int, terminals) -> None:
-        pass
-
-    def vec_buffer_writes(self, cycle: int, aivc) -> None:
-        pass
-
-    def vec_traversals(self, cycle: int, via: str, popped: bool,
-                       ivcs) -> None:
-        pass
-
-
-class _LaneShim:
-    """Minimal network stand-in behind a :meth:`lane_view` probe: the
-    exporters only touch ``topology`` (heatmap grid) and ``cycle``."""
-
-    def __init__(self, topology, cycle: int):
-        self.topology = topology
-        self.cycle = cycle
-
-
-class VectorSeriesProbe(VectorHooks, TimeSeriesProbe):
-    """``TimeSeriesProbe`` computed as windowed numpy reductions.
-
-    Binding to a scalar ``Network`` falls back to the inherited
-    per-event accumulation, so one probe instance serves every backend —
-    including the ``auto`` path that may resolve to scalar after a
-    ``BackendUnsupportedError`` fallback. Binding to a
-    ``VectorNetwork``/``BatchNetwork`` switches to array accumulators
-    driven by the ``vec_*`` hooks.
-
-    On a ``BatchNetwork`` the samples span every lane (router ids are
-    global, lane-major); windows share the one global clock. Use
-    :meth:`lane_view` for per-lane rows and heatmaps — the whole-batch
-    ``heatmap()`` is refused by the grid-shape check already.
-    """
-
-    def __init__(self, window: int = 64, capacity: int | None = 4096):
-        super().__init__(window=window, capacity=capacity)
-        self._vec = None  # numpy module when vector-bound, else None
-
-    def bind(self, network) -> None:
-        if hasattr(network, "routers"):  # scalar core: inherited path
-            self._vec = None
-            super().bind(network)
-            return
-        np = network._np
-        self._vec = np
-        self._network = network
-        lay = network._lay
-        self._num = lay.R
-        self._pv = network._Pi * network._V
-        self._inj_router = lay.inj_ipid // network._Pi
-        self._ej_router = lay.ej_opid // network._Po
-        self._acc = {key: np.zeros(lay.R, dtype=np.int64)
-                     for key in ACTIVITY_KEYS}
-        self._win_start = network.cycle
-        self._boundary = network.cycle + self.window
-
-    # -- vectorized accumulation ----------------------------------------------
-
-    def vec_inject(self, cycle, terminal):
-        self._acc["injected"][self._inj_router[terminal]] += 1
-
-    def vec_ejects(self, cycle, terminals):
-        self._vec.add.at(self._acc["ejected"],
-                         self._ej_router[terminals], 1)
-
-    def vec_buffer_writes(self, cycle, aivc):
-        self._vec.add.at(self._acc["buffer_writes"], aivc // self._pv, 1)
-
-    def vec_traversals(self, cycle, via, popped, ivcs):
-        np = self._vec
-        acc = self._acc
-        routers = ivcs // self._pv
-        np.add.at(acc["hops"], routers, 1)
-        if via != "sa":
-            np.add.at(acc["sa_bypass"], routers, 1)
-            if via == "buf":
-                np.add.at(acc["buf_bypass"], routers, 1)
-        if popped:
-            np.add.at(acc["buffer_reads"], routers, 1)
-
-    # -- window management ----------------------------------------------------
-
-    def _occupancy(self):
-        if self._vec is None:
-            return super()._occupancy()
-        return self._network._r_buffered.tolist()
-
-    def _close(self, end):
-        if self._vec is None:
-            return super()._close(end)
-        acc = self._acc
-        row = {"start": self._win_start, "end": end,
-               "occupancy": self._occupancy()}
-        for key in ACTIVITY_KEYS:
-            row[key] = acc[key].tolist()
-            acc[key].fill(0)
-        self.samples.append(row)
-        self._win_start = end
-        self._boundary = end + self.window
-
-    # -- per-lane views -------------------------------------------------------
-
-    def lane_view(self, lane: int) -> TimeSeriesProbe:
-        """An ordinary ``TimeSeriesProbe`` holding one lane's rows.
-
-        ``BatchNetwork`` router ids are lane-major, so lane ``k`` owns
-        the contiguous id block ``[k * solo, (k + 1) * solo)``; slicing
-        every recorded sample there yields rows identical to a solo run
-        of that lane, and the view's exporters (CSV/JSON/heatmap) work
-        unchanged against the batch's solo topology. Call
-        :meth:`flush` first so the open window is included. The final
-        window's ``end`` may exceed a solo run's (the shared chip drains
-        to its slowest lane; the extra cycles are idle for this lane, so
-        every count and occupancy column still matches solo exactly).
-        """
-        net = self._network
-        lanes = getattr(net, "lanes", None) or getattr(net, "_lanes", 1)
-        if not 0 <= lane < lanes:
-            raise ValueError(f"lane {lane} out of range (lanes={lanes})")
-        solo = self._num // lanes
-        view = TimeSeriesProbe(window=self.window, capacity=self.capacity)
-        view._num = solo
-        view._network = _LaneShim(net.topology, net.cycle)
-        lo, hi = lane * solo, (lane + 1) * solo
-        for sample in self.samples:
-            row = {"start": sample["start"], "end": sample["end"],
-                   "occupancy": sample["occupancy"][lo:hi]}
-            for key in ACTIVITY_KEYS:
-                row[key] = sample[key][lo:hi]
-            view.samples.append(row)
-        return view
-
-
-class VectorInvariantChecker(VectorHooks, Monitor):
+class VectorInvariantChecker(Monitor):
     """Whole-array invariant sweeps over the vectorized core's state.
 
     Five invariant families — the scalar monitor suite's three, plus the
@@ -261,6 +84,7 @@ class VectorInvariantChecker(VectorHooks, Monitor):
     """
 
     name = "vector_invariants"
+    vector_hooks = True
 
     def __init__(self, strict: bool = True, stride: int = 1):
         super().__init__(strict=strict)

@@ -4,6 +4,15 @@ import pytest
 
 from repro.__main__ import main
 from repro.harness.sweep import sweep_load, sweep_vcs
+from repro.network import backend
+from repro.network.backend import BackendUnsupportedError
+
+
+@pytest.fixture
+def process_backend(monkeypatch):
+    """``main`` installs ``--backend`` process-wide: put it back after."""
+    monkeypatch.setattr(backend, "_default_backend",
+                        backend.default_backend())
 
 
 def test_cli_table2(capsys):
@@ -81,6 +90,24 @@ def test_cli_run_trace_needs_single_scheme(capsys):
     assert "single --scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("core", ["vectorized", "batched"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_cli_flit_trace_on_an_array_core_exits_2(command, core, tmp_path,
+                                                 capsys, process_backend):
+    """Only the scalar core emits per-flit events: both commands refuse
+    an array core up front, with one line and no output file, whether
+    or not this machine could build it."""
+    prefix = str(tmp_path / "t")
+    argv = [command, "--scheme", "pseudo_sb", "--cycles", "50",
+            "--backend", core]
+    argv += ["--trace", prefix] if command == "run" else ["--out", prefix]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a flit trace records per-flit events")
+    assert "--backend scalar" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_with_series(tmp_path, capsys):
     prefix = str(tmp_path / "r")
     assert main(["run", "--kx", "4", "--ky", "4", "--scheme", "pseudo_sb",
@@ -141,11 +168,34 @@ class TestBenchRoundTrip:
     def test_vectorized_backend_adds_the_vector_gate(self, capsys):
         pytest.importorskip("numpy")
         from repro.harness.bench import run_bench
-        report = run_bench(cycles=120, backend="vectorized", show=False)
-        assert report["meta"]["backend"] == "vectorized"
-        vec = report["overhead_gate"]["vectorized_overhead"]
-        assert vec["probes_cold"] and vec["stats_identical"]
+        for name in ("vectorized", "auto"):
+            report = run_bench(cycles=120, backend=name, show=False)
+            assert report["meta"]["backend"] == name
+            vec = report["overhead_gate"]["vectorized_overhead"]
+            assert vec["probes_cold"] and vec["stats_identical"]
+            assert vec["step_kernel"].startswith("c:")
         assert capsys.readouterr().out == ""
+
+    def test_auto_without_a_compiler_records_the_refusal(
+            self, tmp_path, monkeypatch, capsys, process_backend):
+        """``auto`` lands on the scalar core when the array core cannot
+        be built: its gate's refusal is printed and recorded, and the
+        command succeeds. An explicit array backend still fails on it."""
+        import json
+
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("CC", "false")
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--cycles", "120", "--backend", "auto",
+                     "--out", str(out)]) == 0
+        gate = json.loads(out.read_text())["overhead_gate"]
+        assert gate["probes_cold"] and gate["telemetry"]["results_identical"]
+        assert "no-compiler" in gate["vectorized_overhead"]["refused"]
+        assert ("vectorized overhead gate: refused"
+                in capsys.readouterr().out)
+        for core in ("vectorized", "batched"):
+            with pytest.raises(BackendUnsupportedError, match="no-compiler"):
+                main(["bench", "--cycles", "120", "--backend", core])
 
     def test_hot_probe_fails_the_run(self, monkeypatch):
         from repro.instrument import FlitTracer, overhead

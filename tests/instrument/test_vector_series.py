@@ -1,13 +1,14 @@
-"""Series parity: ``VectorSeriesProbe`` rows equal the scalar probe's.
+"""Series parity: ``TimeSeriesProbe`` rows are the same on every core.
 
-The vectorized observability layer is only trustworthy if its windowed
-numpy reductions reproduce the scalar ``TimeSeriesProbe`` rows exactly —
-same window boundaries, same per-router occupancy snapshots, same
-activity counts — so every exporter (CSV, JSON, heatmap) downstream sees
-identical data whichever core ran. This suite pins that contract on the
-canonical bench workloads, checks the dual-bind path (one probe instance
-serves scalar and vector networks), per-lane batched views, and the
-zero-overhead gate (instrumented runs stay bit-identical to bare runs).
+Bound to an array core the probe counts the batched ``vec_*`` hooks with
+numpy scatters; it is only trustworthy if those reproduce the rows its
+scalar per-event path records exactly — same window boundaries, same
+per-router occupancy snapshots, same activity counts — so every exporter
+(CSV, JSON, heatmap) downstream sees identical data whichever core ran.
+This suite pins that contract on the canonical bench workloads, checks
+that one probe instance serves scalar and vector networks in turn,
+per-lane batched views, and the zero-overhead gate on the array core
+(cold by default, instrumented runs bit-identical to bare runs).
 """
 
 import pytest
@@ -17,8 +18,7 @@ np = pytest.importorskip("numpy")
 from repro.instrument import TimeSeriesProbe
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.simulator import Network
-from repro.network.vectorized import (BatchNetwork, VectorNetwork,
-                                      VectorSeriesProbe)
+from repro.network.vectorized import BatchNetwork, VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -44,7 +44,7 @@ def _run(cls, scheme, rate, cycles, probe, *, topo_args=("mesh", 8, 8, 1),
 
 
 class TestRowParity:
-    """Scalar probe vs vector probe on the canonical 8x8 workloads."""
+    """Scalar core vs array core on the canonical 8x8 workloads."""
 
     @pytest.mark.parametrize("scheme,rate", [
         (BASELINE, 0.02), (PSEUDO_SB, 0.02),
@@ -53,7 +53,7 @@ class TestRowParity:
             "sat-baseline", "sat-pseudo_sb"])
     def test_rows_and_heatmap_identical(self, scheme, rate):
         scalar_probe = TimeSeriesProbe(window=WINDOW)
-        vector_probe = VectorSeriesProbe(window=WINDOW)
+        vector_probe = TimeSeriesProbe(window=WINDOW)
         scalar = _run(Network, scheme, rate, 400, scalar_probe)
         vector = _run(VectorNetwork, scheme, rate, 400, vector_probe)
         assert vector_probe.samples == scalar_probe.samples
@@ -62,14 +62,17 @@ class TestRowParity:
         assert scalar.stats.fingerprint() == vector.stats.fingerprint()
 
     def test_dual_bind_scalar_fallback(self):
-        """One VectorSeriesProbe instance must serve the scalar core via
-        the inherited per-event path (the auto-backend fallback)."""
+        """One probe instance serves the scalar core, then an array core,
+        then the scalar core again (an ``auto`` run may land on either):
+        each bind starts from that core's own accumulators."""
         reference = TimeSeriesProbe(window=WINDOW)
-        dual = VectorSeriesProbe(window=WINDOW)
         _run(Network, PSEUDO_SB, 0.20, 300, reference)
-        _run(Network, PSEUDO_SB, 0.20, 300, dual)
-        assert dual.samples == reference.samples
-        assert dual.heatmap() == reference.heatmap()
+        dual = TimeSeriesProbe(window=WINDOW)
+        for cls in (Network, VectorNetwork, Network):
+            dual.samples.clear()
+            _run(cls, PSEUDO_SB, 0.20, 300, dual)
+            assert dual.samples == reference.samples, cls
+            assert dual.heatmap() == reference.heatmap()
 
 
 class TestLaneView:
@@ -79,7 +82,7 @@ class TestLaneView:
 
     def test_lane_rows_match_solo(self):
         topo = make_topology("mesh", 4, 4, 1)
-        batch_probe = VectorSeriesProbe(window=WINDOW)
+        batch_probe = TimeSeriesProbe(window=WINDOW)
         net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
                            routing="xy", vc_policy="dynamic",
                            seeds=[seed for _, seed in self.LANES])
@@ -94,7 +97,7 @@ class TestLaneView:
         batch_probe.flush()
 
         for lane, (rate, seed) in enumerate(self.LANES):
-            solo_probe = VectorSeriesProbe(window=WINDOW)
+            solo_probe = TimeSeriesProbe(window=WINDOW)
             _run(VectorNetwork, PSEUDO_SB, rate, 300, solo_probe,
                  topo_args=("mesh", 4, 4, 1), seed=seed)
             view = batch_probe.lane_view(lane)
@@ -122,7 +125,7 @@ class TestLaneView:
 
     def test_lane_out_of_range(self):
         topo = make_topology("mesh", 4, 4, 1)
-        probe = VectorSeriesProbe(window=WINDOW)
+        probe = TimeSeriesProbe(window=WINDOW)
         net = BatchNetwork(topo, NetworkConfig(pseudo=BASELINE),
                            routing="xy", vc_policy="dynamic", seeds=[1, 2])
         net.bind_probe(probe)
@@ -143,15 +146,28 @@ class TestOverheadGate:
         topo = make_topology("mesh", 4, 4, 1)
         net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
                             routing="xy", vc_policy="dynamic", seed=7)
-        net.bind_probe(VectorSeriesProbe(window=WINDOW))
+        net.bind_probe(TimeSeriesProbe(window=WINDOW))
         with pytest.raises(AssertionError):
+            assert_probes_cold(net)
+
+    @pytest.mark.parametrize("switch", ["events_on", "profile_on"])
+    def test_a_kernel_switch_left_on_is_hot(self, switch):
+        """The two ``Chip`` flags that make the compiled cycle record
+        events or read the clock are heat too, with nothing attached."""
+        from repro.instrument.overhead import (OverheadGateError,
+                                               assert_probes_cold)
+        topo = make_topology("mesh", 4, 4, 1)
+        net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                            routing="xy", vc_policy="dynamic", seed=7)
+        setattr(net._kernel.chip, switch, True)
+        with pytest.raises(OverheadGateError, match="kernel"):
             assert_probes_cold(net)
 
     def test_identity_check(self):
         """The full stack (series probe + strict checker + profiler)
         must leave the stats fingerprint bit-identical to a bare run."""
-        from repro.instrument import vectorized_identity_check
-        report = vectorized_identity_check(cycles=300)
+        from repro.instrument import identity_check
+        report = identity_check(cycles=300, backend="vectorized")
         assert report["stats_identical"]
         assert report["series_windows"] > 0
         assert report["checker_sweeps"] > 0

@@ -32,11 +32,12 @@ from hypothesis import strategies as st
 from repro.harness import run_experiments
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
+from repro.instrument import Probe
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.router import ProtocolError
 from repro.network.simulator import Network
-from repro.network.vectorized import (BatchNetwork, VectorHooks,
-                                      VectorNetwork, core, kernel)
+from repro.network.vectorized import (BatchNetwork, VectorNetwork, core,
+                                      kernel)
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -83,18 +84,14 @@ class Recorder:
                           packet.size))
 
 
-class Enqueued(VectorHooks):
+class Enqueued(Probe):
     """Reads the rows a cycle enqueued off the packet pool: the slots
     created this cycle, in terminal order (one packet a terminal)."""
 
+    vector_hooks = True
+
     def __init__(self):
         self.rows = []
-
-    def bind(self, network):
-        pass
-
-    def on_cycle_start(self, cycle, network):
-        pass
 
     def vec_cycle_end(self, cycle, net):
         born = (net.p_create[:net._npackets] == cycle).nonzero()[0]

@@ -40,16 +40,16 @@ from repro.harness import run_experiments
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
 from repro.harness.traces import get_trace
-from repro.instrument.overhead import vectorized_overhead_gate
+from repro.instrument import Probe
+from repro.instrument.overhead import overhead_gate
 from repro.network.backend import BackendUnsupportedError
 from repro.network.buffers import BufferOverflowError
 from repro.network.config import PSEUDO_SB, NetworkConfig
 from repro.network.flit import Packet
 from repro.network.router import ProtocolError
 from repro.network.simulator import Network
-from repro.network.vectorized import (BatchNetwork, VectorHooks,
-                                      VectorInvariantChecker, VectorNetwork,
-                                      core, kernel)
+from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
+                                      VectorNetwork, core, kernel)
 from repro.network.vectorized.obs import summaries
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
@@ -247,18 +247,14 @@ class TestPerPhaseDifferential:
 
 # -- observers ----------------------------------------------------------------
 
-class _Observer(VectorHooks):
+class _Observer(Probe):
     """Counts what each observer hook is handed."""
+
+    vector_hooks = True
 
     def __init__(self):
         self.seen = {"injects": 0, "ejects": 0, "buffer_writes": 0,
                      "sa": 0, "pc": 0, "buf": 0, "popped": 0}
-
-    def bind(self, network):
-        pass
-
-    def on_cycle_start(self, cycle, network):
-        pass
 
     def vec_inject(self, cycle, terminal):
         self.seen["injects"] += 1
@@ -835,7 +831,7 @@ class TestLoader:
     def test_bench_says_why_its_vectorized_gate_cannot_run(self, no_compiler,
                                                            capsys):
         with pytest.raises(BackendUnsupportedError):
-            vectorized_overhead_gate(cycles=50)
+            overhead_gate(cycles=50, backend="vectorized")
         line = capsys.readouterr().out.strip()
         assert line.startswith("vectorized overhead gate: refused")
         for part in ("no-compiler", "$CC='false'", "--backend scalar|auto"):

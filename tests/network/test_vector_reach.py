@@ -31,11 +31,11 @@ np = pytest.importorskip("numpy")
 
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
+from repro.instrument import TimeSeriesProbe
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.flit import Packet
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
-                                      VectorNetwork, VectorSeriesProbe, batch,
-                                      core, kernel)
+                                      VectorNetwork, batch, core, kernel)
 from repro.topology import make_topology
 from repro.traffic import synthetic
 from repro.traffic.synthetic import SyntheticTraffic
@@ -119,7 +119,7 @@ class TestReach:
                 _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
             run_experiment(
                 ExperimentConfig(backend="vectorized", seed=7, **_CHECKED),
-                probe=VectorSeriesProbe(), check=True)
+                probe=TimeSeriesProbe(), check=True)
             # Mid-run, with a source queue longer than its NIC has VCs:
             # the sweep walks it, a solo network is its own lane 0, and
             # it cannot drain in one cycle.
