@@ -1,8 +1,8 @@
 /* The compiled cycle without Python in the way: load one network's Chip
- * from a dump (``kernel_dump.py``), drive ``cycle()`` the way
- * ``VectorNetwork._drive`` and ``drain`` do -- skipping what nothing acts
- * in -- and print what a call and a flit-hop cost. For sizing a change to
- * ``kernel.c`` under a profiler:
+ * from a dump (``kernel_dump.py``), drive it through ``run()`` the way
+ * ``VectorNetwork._drive`` and ``drain`` do -- one call for the window,
+ * then one to drain -- and print what a cycle and a flit-hop cost. For
+ * sizing a change to ``kernel.c`` under a profiler:
  *
  *   PYTHONPATH=src python3 benchmarks/kernel_dump.py /root/scratch/low.chip
  *   cc -O2 -pg -o /root/scratch/driver benchmarks/kernel_driver.c
@@ -58,7 +58,7 @@ int main(int argc, char **argv)
     CHIP_SCALARS(X)
 #undef X
     i64 c0 = word(), end = c0 + word();
-    i64 calls = 0, hops = 0, spent = 0;
+    i64 cycles = 0, hops = 0, spent = 0;
     ch = first;
     for (int rep = 0; rep < repeats; rep++) {
         /* Every repeat starts from the dumped state, in arrays of its own. */
@@ -68,30 +68,31 @@ int main(int argc, char **argv)
                          first.name, (size_t)first.n_##name * sizeof(T));
         CHIP_ARRAYS(X)
 #undef X
-        i64 before = flit_hops(&ch), began = now_ns();
-        for (i64 c = c0; c < end || ch.state[S_queued] + ch.state[S_started];
-             calls++) {
-            i64 rc = cycle(&ch, c++);
+        i64 before = flit_hops(&ch), stepped = ch.state[S_stepped];
+        i64 began = now_ns();
+        /* The window, then the drain. The dump's pools hold the whole
+         * run, and the rows a call stops for (latencies past the
+         * histogram) are Python's to count: call again. */
+        for (i64 c = c0, drain = 0, stop = end;;) {
+            i64 rc = run(&ch, c, stop, drain);
+            c = ch.state[S_cycle];
             if (rc < 0)
-                return fprintf(stderr, "cycle %lld: E %lld\n",
-                               (long long)c - 1, (long long)rc), 1;
-            if (ch.state[S_buffered] || ch.state[S_queued]
-                || ch.state[S_sending])
+                return fprintf(stderr, "cycle %lld: E %lld\n", (long long)c,
+                               (long long)rc), 1;
+            if (rc != RUN_DONE)
                 continue;
-            /* Quiescent: on to the next arrival or injection. */
-            i64 next = c < end ? end : c + 1000000;
-            i64 events[] = {ch.state[S_next_event],
-                            c < end ? ch.state[S_next_injection] : -1};
-            for (int k = 0; k < 2; k++)
-                if (events[k] >= c && events[k] < next)
-                    next = events[k];
-            c = next;
+            if (drain)
+                break;
+            drain = 1;
+            stop = c + 1000000;
         }
         spent += now_ns() - began;
+        cycles += ch.state[S_stepped] - stepped;
         hops += flit_hops(&ch) - before;
     }
-    printf("%lld calls, %lld flit-hops: %.2f us/cycle, %.1f ns/flit-hop\n",
-           (long long)calls / repeats, (long long)hops / repeats,
-           spent / 1e3 / calls, (double)spent / hops);
+    printf("%lld cycles run, %lld flit-hops: %.2f us/cycle, "
+           "%.1f ns/flit-hop\n", (long long)cycles / repeats,
+           (long long)hops / repeats, spent / 1e3 / cycles,
+           (double)spent / hops);
     return 0;
 }

@@ -3,7 +3,8 @@
 ``python benchmarks/kernel_dump.py OUT [k] [rate] [lanes] [cycles]
 [baseline|pseudo]``: a ``lanes``-lane k x k mesh (XY, static VA, uniform
 traffic at ``rate``, the shape of ``perf/``'s step-bound points) with its
-sources bound for ``cycles`` cycles, written at its first step: every
+sources bound for ``cycles`` cycles, written as its window's kernel call
+would start: every
 array of ``CHIP_ARRAYS`` as length + bytes, then ``CHIP_SCALARS``, the
 cycle and the window's end, int64 throughout, in ``kernel.c``'s order.
 """
@@ -28,7 +29,7 @@ net._pcap = net._size_pool(core._PACKET_FIELDS, net._pcap, 1 << 16)
 net._fcap = net._size_pool(core._FLIT_FIELDS, net._fcap, 1 << 19)
 
 
-def dump():
+def dump(*_):
     binding, lists = net._kernel, kernel.load()
     with open(out, "wb") as fh:
         for _, name, _ in lists.arrays:
@@ -42,7 +43,7 @@ def dump():
     sys.exit()
 
 
-net.step = dump
+net._advance = dump   # the window's one call into the kernel
 net.run_batch([SyntheticTraffic("uniform", topo.num_terminals, float(rate), 5,
                                 seed=seed) for seed in net.lane_seeds],
               [int(cycles)] * net.lanes, [int(cycles) // 5] * net.lanes)

@@ -10,9 +10,9 @@ pay for each simulation once. The chip a point runs on — topology,
 routing instance and, through it, the compiled routing tables — is a pure
 function of the config's shape fields and is likewise built once per
 process (``chip_plan``) and shared read-only by every network on it. The
-scalar network wired on that chip is reused as well: a point's run ends
-with the network idle again, and the next point of the same wiring
-resets it instead of constructing it (``_idle_networks``).
+network built on that chip is reused as well, on every core: a point's
+run ends with the network idle again, and the next point of the same
+shape resets it instead of constructing it (``_idle_networks``).
 """
 
 from __future__ import annotations
@@ -213,30 +213,40 @@ def chip_plan(config: ExperimentConfig):
     return _chip_plan(*(getattr(config, name) for name in CHIP_FIELDS))
 
 
-#: Idle scalar networks of this process, least recently used first. A
-#: ``Network``'s wiring (~1 300 objects on a 4x4 mesh) depends only on
-#: the key below, so ``run_experiment`` takes a finished one out, resets
-#: it, runs, and puts it back once the run drained clean; a run that
-#: raised never puts its network back. Two entries hold the
-#: baseline/pseudo pair sweeps alternate between (0.6 MB each on a 4x4
-#: mesh, 10.5 MB on 16x16). Like the chip plan it holds no results, so
-#: ``clear_cache()`` leaves it alone and forked workers inherit it.
+#: Idle networks of this process, of every core, least recently used
+#: first: ``run_experiment`` and ``run_batch_experiments`` take one out
+#: (``_lease``), reset it to the point, and put it back once the run
+#: drained clean — never after a run that raised, a probed or checked
+#: run, nor for ``build_network``. Two entries hold what sweeps alternate
+#: between: a scalar baseline/pseudo pair (10.5 MB each on 16x16), or the
+#: 8x8 and 16x16 array chips of ``sat_points`` serving every scheme. It
+#: holds no results (``clear_cache()`` leaves it); forked workers inherit it.
 _idle_networks: OrderedDict = OrderedDict()
 _IDLE_NETWORKS_MAX = 2
 
 
-def _idle_key(config: ExperimentConfig, net_cfg: NetworkConfig):
-    return (tuple(getattr(config, name) for name in CHIP_FIELDS), net_cfg,
-            config.vc_policy)
+def _idle_key(config: ExperimentConfig, net_cfg: NetworkConfig, cls=None,
+              lanes: int = 1):
+    """A scalar ``Network``'s wiring depends on its whole config; an
+    array core ``cls``'s on the layout fields, ``lanes`` and the kernel
+    build a construction would load now (``reset`` sets the rest)."""
+    chip = tuple(getattr(config, name) for name in CHIP_FIELDS)
+    if cls is None:
+        return chip, net_cfg, config.vc_policy
+    from ..network.vectorized import core
+    layout = replace(net_cfg, pseudo=PseudoCircuitConfig(), mshrs=0)
+    return chip, layout, cls.__name__, lanes, core.load_kernel().status
 
 
-def _park_network(config: ExperimentConfig, net: Network) -> None:
-    """Hand a cleanly drained scalar network back for the next point."""
-    key = _idle_key(config, net.config)
-    _idle_networks[key] = net
-    _idle_networks.move_to_end(key)
-    if len(_idle_networks) > _IDLE_NETWORKS_MAX:
-        _idle_networks.popitem(last=False)  # the least recently returned
+def _lease(key, reuse: bool, build, *reset):
+    """With ``reuse`` the network idle under ``key``, out of the pool and
+    ``reset(*reset)``, else ``build()``; whether it was ``"leased"`` or
+    ``"built"``; and the key it goes back under (``None``: never)."""
+    net = _idle_networks.pop(key, None) if reuse else None
+    if net is None:
+        return build(), "built", key if reuse else None
+    net.reset(*reset)
+    return net, "leased", key
 
 
 def build_network(config: ExperimentConfig, probe=None) -> Network:
@@ -252,10 +262,9 @@ def build_network(config: ExperimentConfig, probe=None) -> Network:
     process (no C compiler to build its cycle with). For the explicit
     vectorized/batched backends both still raise
     ``BackendUnsupportedError``. Always a new network:
-    ``run_experiment`` reuses idle scalar ones, callers of this never
-    see them.
+    ``run_experiment`` reuses idle ones, callers of this never see them.
     """
-    return _network_for(config, probe, reuse=False)
+    return _network_for(config, probe, reuse=False)[0]
 
 
 def _net_config(config: ExperimentConfig) -> NetworkConfig:
@@ -266,9 +275,8 @@ def _net_config(config: ExperimentConfig) -> NetworkConfig:
 
 
 def _network_for(config: ExperimentConfig, probe, reuse: bool):
-    """``build_network``; with ``reuse``, a point that resolves to the
-    scalar core takes the idle network of its wiring, reset to its seed,
-    when there is one."""
+    """``build_network`` (with ``reuse``: ``run_experiment``'s), as
+    ``_lease`` answers."""
     net_cfg = _net_config(config)
     topo, routing = chip_plan(config)
     kwargs = dict(routing=routing, vc_policy=config.vc_policy,
@@ -282,17 +290,16 @@ def _network_for(config: ExperimentConfig, probe, reuse: bool):
             pseudo=config.scheme.enabled)
     if backend in ("vectorized", "batched"):
         from ..network.vectorized import VectorNetwork
+        key = _idle_key(config, net_cfg, VectorNetwork)
         try:
-            return VectorNetwork(topo, net_cfg, **kwargs)
+            return _lease(key, reuse,
+                          lambda: VectorNetwork(topo, net_cfg, **kwargs),
+                          config.seed, net_cfg, config.vc_policy)
         except BackendUnsupportedError:
             if not scalar_fallback:
                 raise
-    if reuse:
-        net = _idle_networks.pop(_idle_key(config, net_cfg), None)
-        if net is not None:
-            net.reset(config.seed)
-            return net
-    return Network(topo, net_cfg, **kwargs)
+    return _lease(_idle_key(config, net_cfg), reuse,
+                  lambda: Network(topo, net_cfg, **kwargs), config.seed)
 
 
 def _core_fields(net) -> dict:
@@ -364,9 +371,9 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     # checked one is built bare: monitors attach after construction so
     # the vector cores take the checker path, not a probe refusal.
     reuse = probe is None and not check
-    net = _network_for(config, None if check else probe, reuse)
-    (result,) = _simulate([config], net, start, probe=probe, check=check,
-                          check_stride=check_stride, park=reuse)
+    net, how, park = _network_for(config, None if check else probe, reuse)
+    (result,) = _simulate([config], net, start, how, probe=probe,
+                          check=check, check_stride=check_stride, park=park)
     if use_cache:
         cache_result(result)
     return result
@@ -405,6 +412,8 @@ def run_batch_experiments(configs, *, check: bool = False,
     (the batched-parity suite locks this in) and naming the ``batched``
     core, a single lane included. No cache layer is read or written:
     the scheduler resolves those first and writes lanes through after.
+    The chip comes from and goes back to the idle pool as
+    ``run_experiment``'s does (a checked one does neither).
 
     ``check=True`` attaches one ``VectorInvariantChecker`` to the shared
     chip (whole-array sweeps every ``check_stride`` cycles cover every
@@ -422,22 +431,25 @@ def run_batch_experiments(configs, *, check: bool = False,
     topo, routing = chip_plan(first)
     from ..network.vectorized import BatchNetwork
     start = time.perf_counter()
-    net = BatchNetwork(topo, _net_config(first),  # synthetic: no MSHRs
-                       routing=routing, vc_policy=first.vc_policy,
-                       seeds=[cfg.seed for cfg in configs])
-    return _simulate(configs, net, start, check=check,
-                     check_stride=check_stride)
+    net_cfg, seeds = _net_config(first), [cfg.seed for cfg in configs]
+    net, how, park = _lease(
+        _idle_key(first, net_cfg, BatchNetwork, len(configs)), not check,
+        lambda: BatchNetwork(topo, net_cfg, routing=routing,
+                             vc_policy=first.vc_policy, seeds=seeds),
+        seeds, net_cfg, first.vc_policy)
+    return _simulate(configs, net, start, how, check=check,
+                     check_stride=check_stride, park=park)
 
 
-def _simulate(configs, net, start: float, *, probe=None,
+def _simulate(configs, net, start: float, how: str, *, probe=None,
               check: bool = False, check_stride: int = 1,
-              park: bool = False) -> list[Result]:
+              park=None) -> list[Result]:
     """Everything after construction, for a solo point and the lanes of
     a batch alike: monitors, traffic, drain, the end-of-run invariant
-    sweep, then one manifest and one ``Result`` per config. ``net`` was
-    built for ``configs`` at ``start`` — a ``BatchNetwork`` with a lane
-    per config, else the one config's own network, which ``park`` hands
-    back to ``_idle_networks`` if it is scalar and drained clean.
+    sweep, then one manifest and one ``Result`` per config. ``net``,
+    ``how`` (leased or built) and ``park`` are ``_lease``'s answers at
+    ``start``: a ``BatchNetwork`` with a lane per config, else the one
+    config's own network.
     """
     first = configs[0]
     batched = backend_of(net) == "batched"
@@ -480,11 +492,14 @@ def _simulate(configs, net, start: float, *, probe=None,
                 monitor_report["phase_profile"] = prof_doc
         manifest = run_manifest(cfg, seed=cfg.seed, cycles=net.cycle,
                                 wall_s=wall / lanes,
-                                extra={**core, **where})
+                                extra={**core, **where, "network": how})
         results.append(Result.from_stats(cfg, stats, manifest=manifest,
                                          monitor_report=monitor_report))
-    if park and type(net) is Network:
-        _park_network(first, net)  # drained clean: fit for the next point
+    if park is not None:  # drained clean: fit for the next point
+        _idle_networks[park] = net
+        _idle_networks.move_to_end(park)
+        if len(_idle_networks) > _IDLE_NETWORKS_MAX:
+            _idle_networks.popitem(last=False)  # the least recently back
     return results
 
 

@@ -18,8 +18,8 @@ engine"); ``run_experiments`` documents each knob. In short:
   replayed result would silently skip the monitors.
 * **Units** — what is left is grouped: points sharing a ``batch_key``
   (backend ``batched`` or ``auto``) run as up to ``batch_size`` lanes of
-  one ``BatchNetwork`` — one construction and one Python loop per cycle
-  for the unit, all a batch saves since the cycle was compiled
+  one ``BatchNetwork`` — one chip and one kernel call per window for
+  the unit, all a batch saves since the cycle was compiled
   (``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"); every other point
   is a unit of one.
 * **One way to run a unit** — ``_run_unit`` executes it, whether the
@@ -669,9 +669,9 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     Before dispatch, uncached points that share a ``batch_key`` (same
     chip shape, scheme and VC policy, backend ``batched`` or ``auto``)
     are grouped into units of up to ``batch_size`` lanes and simulated
-    as one ``BatchNetwork`` run each — one construction and one Python
-    loop per cycle for the unit (what a batch saves now that the cycle
-    is compiled: ``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"),
+    as one ``BatchNetwork`` run each — one chip and one kernel call per
+    window for the unit (what a batch saves now that the cycle is
+    compiled: ``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"),
     every lane bit-identical to its solo run. Store and journal keys
     are unchanged: one entry per point, whichever way it ran.
     ``batch_size=1`` disables grouping.

@@ -49,7 +49,6 @@ def assert_probes_cold(network) -> None:
         chip = network._kernel.chip
         for hot, what in ((network._vprobe, "a vector probe"),
                           (network._checker, "an invariant checker"),
-                          (network._prof, "a live phase profiler"),
                           (network._vhooks, "hook emission enabled"),
                           (chip.events_on, "kernel event recording on"),
                           (chip.profile_on, "kernel phase timers on")):

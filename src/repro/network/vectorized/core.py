@@ -4,20 +4,20 @@
 ``network.simulator.Network`` (see ARCHITECTURE.md "Backends") over a
 structure of arrays: all per-(router, port, vc) state lives in flat
 int64/bool arrays indexed by the id spaces of ``layout.Layout``, and a
-cycle of the whole chip is one call into the compiled ``kernel.c``
-(``kernel.py`` builds and loads it on first use) — credit returns,
-ejection reassembly, arrivals, the VA | SA | ST | BW | PC pipeline and
-the NICs' start + send, written there once. Every supported
-configuration produces bit-identical ``NetworkStats`` fingerprints to
-the scalar core, cycle by cycle (``tests/network/test_step_kernel.py``,
+window of cycles of the whole chip is one call into the compiled
+``kernel.c`` (``kernel.py`` builds and loads it on first use) — credit
+returns, ejection reassembly, arrivals, the VA | SA | ST | BW | PC
+pipeline, the NICs' start + send and the skipping of cycles nothing
+acts in, written there once. Every supported configuration produces
+bit-identical ``NetworkStats`` fingerprints to the scalar core, cycle by
+cycle (``tests/network/test_step_kernel.py``,
 ``test_vectorized_parity.py``).
 
-This module is what stays outside the chip: the traffic loop with its
-quiescence fast-forward (a ``SyntheticTraffic`` is handed to the kernel
-to draw, any other source ticked into ``inject``: a ``Packet`` becomes a
-row of the packet pool at the tail of its source queue), the latency
-histogram and the write-back of the ``Packet``s a cycle ejected, the
-observer hooks, and the allocation of everything the ``Chip`` points into:
+This module is what stays outside the chip: the traffic loop (a
+``SyntheticTraffic`` is handed to the kernel to draw, any other source
+ticked into ``inject``), what a call hands back (pools to grow,
+``Packet``s to write back, observer hooks, errors), ``reset``, and the
+allocation of everything the ``Chip`` points into:
 
 * **pools** — packets and flits are rows of two pools (the ``p_*`` and
   ``f_*`` arrays) recycled at ejection, so storage follows the packets
@@ -26,9 +26,9 @@ observer hooks, and the allocation of everything the ``Chip`` points into:
   rings of ``RD`` slots indexed ``cycle % RD`` (``_rings``), ``RD`` the
   longest link latency plus the credit delay plus one, so the boundary
   links of a chiplet fit;
-* **counters** — one row of ``NetworkStats`` integers per lane
-  (``counts``); a solo network is the one-lane case, and ``stats`` /
-  ``lane_stats`` read the rows.
+* **counters** — one row of ``NetworkStats`` integers and one of the
+  latency histogram per lane (``counts``, ``hist``); a solo network is
+  the one-lane case, and ``stats`` / ``lane_stats`` read the rows.
 
 Observability is array-native: probes and monitors with
 ``vector_hooks`` set (``TimeSeriesProbe``, ``VectorInvariantChecker``)
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -60,32 +61,33 @@ from ..buffers import BufferOverflowError
 from ..config import NetworkConfig
 from ..flit import Packet
 from ..router import ProtocolError
-from .kernel import E_BOUNDS, Binding
+from .kernel import E_BOUNDS, RUN_DONE, RUN_GROW, Binding
 from .kernel import load as load_kernel
 from .layout import build_layout
 from .obs import VectorInvariantChecker, summaries
 
 from ..backend import BackendUnsupportedError, require_numpy
 
-# Pool fields and the value a free slot reads; construction, growth and
-# the kernel's release at ejection all leave it there.
+# Pool fields and the value a free slot reads; construction, growth, the
+# kernel's release at ejection and ``reset`` all leave it there.
 #: Packet fields filled in flight, which a reused slot must not inherit.
 _PACKET_IN_FLIGHT = {"p_inject": -1, "p_hops": 0, "p_sa": 0, "p_buf": 0,
                      "p_rx": 0}
 #: The rest are assigned outright by ``inject`` (``p_pair`` is
 #: src * T + dst, precomputed there: the e2e-repeat stat compares one
-#: gather per traversal instead of two; ``p_next`` links a source
-#: queue). ``p_free`` is no field of a slot but the stack of free ones,
-#: as deep as the pool.
+#: gather per traversal instead of two; ``p_held``: a ``Packet`` waits
+#: in ``p_obj`` for the slot's fields at ejection; ``p_next`` links a
+#: source queue). ``p_free`` is no field of a slot but the stack of free
+#: ones, as deep as the pool.
 _PACKET_FIELDS = {"p_src": 0, "p_dst": 0, "p_size": 0, "p_choice": 0,
-                  "p_create": 0, "p_pair": 0, "p_next": -1, "p_free": 0,
-                  **_PACKET_IN_FLIGHT}
+                  "p_create": 0, "p_pair": 0, "p_held": 0, "p_next": -1,
+                  "p_free": 0, **_PACKET_IN_FLIGHT}
 #: Flit fields rewritten at every hop; ``f_pkt`` is assigned when the
 #: block is taken, ``f_head``/``f_tail`` are fixed for a block's life
 #: and ``f_link`` chains the free blocks of one size.
-_FLIT_PER_HOP = {"f_vc": -1, "f_ready": 0}
 _FLIT_FIELDS = {"f_pkt": 0, "f_head": False, "f_tail": False, "f_link": -1,
-                **_FLIT_PER_HOP}
+                "f_vc": -1, "f_ready": 0}
+_HIST_WIDTH = 256  #: histogram columns at first (``_after_ejections`` widens)
 
 # The error each negative return code of ``kernel.c`` stands for: the
 # one the scalar core raises at the same place.
@@ -105,8 +107,8 @@ _KERNEL_ERRORS = {
 }
 #: One row of ``ej_out`` as ``_after_ejections`` unpacks it; checked
 #: against ``kernel.c``'s ``CHIP_EJECTED`` when a network binds.
-_EJECTED_ROW = ["slot", "inject_cycle", "hops", "sa_bypass_hops",
-                "buf_bypass_hops", "latency", "lane"]
+_EJECTED_ROW = ["slot", "eject_cycle", "inject_cycle", "hops",
+                "sa_bypass_hops", "buf_bypass_hops", "latency", "lane"]
 #: The three traversal event lists in the kernel's order (``VIA_*``,
 #: the thirds of ``ev_trav``): ``via`` and whether the flit was popped.
 _KERNEL_VIAS = (("sa", True), ("pc", True), ("buf", False))
@@ -116,7 +118,7 @@ _KERNEL_DRAWS = ("table", "uniform", "hotspot")
 
 class VectorNetwork:
     """A complete simulated on-chip network, stepped as one compiled
-    call per cycle over flat arrays."""
+    call per window of cycles over flat arrays."""
 
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing="xy", vc_policy="dynamic", seed: int = 1,
@@ -129,24 +131,9 @@ class VectorNetwork:
                 f"arbiters, not {config.arbiter_kind!r} (topology "
                 f"{topology.name!r}); use --backend scalar")
         self.topology = topology
-        self.config = config
         if isinstance(routing, str):
             routing = make_routing(routing, topology)
-        if isinstance(vc_policy, str):
-            vc_policy = make_vc_policy(vc_policy)
         self.routing = routing
-        self.vc_policy = vc_policy
-        if vc_policy.name not in ("dynamic", "static"):
-            raise BackendUnsupportedError(
-                f"the vectorized backend supports only the dynamic and "
-                f"static VC policies, not {vc_policy.name!r} (topology "
-                f"{topology.name!r}); use --backend scalar")
-        for channel in topology.channels():
-            if len(channel.endpoints) != 1:
-                raise BackendUnsupportedError(
-                    f"the vectorized backend supports only point-to-point "
-                    f"channels (one endpoint); topology {topology.name!r} "
-                    f"has multidrop channels — use --backend scalar")
         self.compiled_routing = compile_routing(routing, topology,
                                                 config.num_vcs)
         if self.compiled_routing is None:
@@ -154,18 +141,16 @@ class VectorNetwork:
                 f"the vectorized backend requires a tabulable routing "
                 f"algorithm; {type(routing).__name__} is dynamic-only on "
                 f"topology {topology.name!r} — use --backend scalar")
+        lay = build_layout(topology, config, self.compiled_routing,
+                           lanes=lanes)
+        self._lay = lay
         kernel = load_kernel()
         if kernel.lib is None:
             raise BackendUnsupportedError(kernel.refusal())
         #: ``c:<artifact key>``: the build of ``kernel.c`` this network
         #: steps through (run manifests record it).
         self.step_kernel = kernel.status
-        self.rng = random.Random(seed)
-        self.cycle = 0
 
-        lay = build_layout(topology, config, self.compiled_routing,
-                           lanes=lanes)
-        self._lay = lay
         R, T, V, D = lay.R, lay.T, lay.V, lay.D
         Pi, Po = lay.Pi, lay.Po
         if max(V, Pi, Po) > 63:
@@ -175,103 +160,11 @@ class VectorNetwork:
                 f"the vectorized backend supports at most 63 VCs per port "
                 f"and 63 ports per router, not {max(V, Pi, Po)} (topology "
                 f"{topology.name!r}); use --backend scalar")
+        TL = T // lanes
         self._R, self._T, self._V, self._D = R, T, V, D
-        self._lanes = lanes
-        self._T_local = T // lanes
-        self._Pi, self._Po = Pi, Po
-        NIP, NIVC = lay.NIP, lay.NIVC
-        NOP, NOVC = lay.NOP, lay.NOVC
-        self._NIP, self._NIVC = NIP, NIVC
-        self._NOP, self._NOVC = NOP, NOVC
-        i64 = np.int64
-
-        # Input VC state (vc.VCState: 0 idle, 1 va, 2 active).
-        self.vc_state = np.zeros(NIVC, dtype=i64)
-        self.vc_out_port = np.full(NIVC, -1, dtype=i64)   # local out port
-        self.vc_out_opid = np.full(NIVC, -1, dtype=i64)   # global out port
-        self.vc_out_vc = np.full(NIVC, -1, dtype=i64)
-        self.vc_out_cred = np.zeros(NIVC, dtype=i64)      # credit index
-        # Input buffers: fixed-capacity rings of flit pool ids.
-        self.buf_fid = np.zeros((NIVC, D), dtype=i64)
-        self.buf_head = np.zeros(NIVC, dtype=i64)
-        self.buf_len = np.zeros(NIVC, dtype=i64)
-        self._r_buffered = np.zeros(R, dtype=i64)
-        # Pseudo-circuit registers (per input port) and output holders.
-        self.pc_in_vc = np.full(NIP, -1, dtype=i64)
-        self.pc_out_port = np.full(NIP, -1, dtype=i64)
-        self.pc_valid = np.zeros(NIP, dtype=bool)
-        self.ip_st = np.full(NIP, -1, dtype=i64)          # st_busy_cycle
-        self.ip_last_out = np.full(NIP, -1, dtype=i64)
-        self.ip_last_pair = np.full(NIP, -1, dtype=i64)   # src*T + dst
-        self.op_st = np.full(NOP, -1, dtype=i64)
-        self.op_holder = np.full(NOP, -1, dtype=i64)      # local in port
-        self.op_hist = np.full(NOP, -1, dtype=i64)        # history register
-        # Arbiter rotation state.
-        self.in_arb_next = np.zeros(NIP, dtype=i64)
-        self.out_arb_next = np.zeros(NOP, dtype=i64)
-        # Unified credit space: router output VCs then NIC inject VCs.
-        self.cred = lay.cred_init.copy()
-        self.cred_free = np.ones(lay.NCRED, dtype=bool)   # owner is None
-        # Summaries of the state above, which the kernel keeps and walks
-        # instead of it (the table in ``kernel.c``): an empty chip's, all
-        # zero but for its credit sums, from the function that says what
-        # each means.
-        for name, summary in summaries(np, lambda state: getattr(self, state),
-                                       R, Pi, Po, V).items():
-            setattr(self, name, summary)
-
-        # Packet and flit pools (see "pools" below): a slot lives as
-        # long as its packet, so the pools grow to the peak in flight.
-        self._kernel = None
-        self._pcap = self._size_pool(_PACKET_FIELDS, 0, 512)
-        self._fcap = self._size_pool(_FLIT_FIELDS, 0, 1024)
-        #: Slot -> the ``Packet`` handed to ``inject`` (its fields are
-        #: written back at ejection, when the entry goes); a packet the
-        #: kernel's source made has none.
-        self.p_obj: dict[int, Packet] = {}
-        #: Packet size -> first flit of the free block on top of that
-        #: size's stack (-1: none); as long as the largest size seen.
-        self.fb_head = np.full(2, -1, dtype=i64)
-
-        # NIC send state: one in-progress transmission per inject VC,
-        # and the source queue of packet slots (``p_next`` links it).
-        self.snd_pid = np.full((T, V), -1, dtype=i64)
-        self.snd_next = np.zeros((T, V), dtype=i64)
-        self.snd_left = np.zeros((T, V), dtype=i64)
-        self._snd_cnt = np.zeros(T, dtype=i64)    # transmissions per NIC
-        self.send_rr = np.zeros(T, dtype=i64)
-        self.outstanding = np.zeros(T, dtype=i64)
-        self.q_head = np.full(T, -1, dtype=i64)
-        self.q_tail = np.full(T, -1, dtype=i64)
-        self.q_len = np.zeros(T, dtype=i64)
-        # Bound sources (CHIP_SOURCE; ``_drive``), and who drew the last run.
-        self.src = np.zeros((lanes, len(kernel.source)), dtype=i64)
-        self.src_mt = np.zeros((lanes, 625), dtype=i64)
-        self.src_dest = np.zeros((lanes, T // lanes), dtype=i64)
-        self.src_row = np.zeros((lanes, T // lanes), dtype=i64)
-        self._src_terminals, self.traffic_source = 0, "python"
-        # Per-terminal injection RNG seeds, drawn in the same order as
-        # Network._build_nics so o1turn route choices match bit-for-bit.
-        # With lane_seeds each lane draws its block from its own seed,
-        # reproducing the solo network seeded the same way. The RNG
-        # itself is built when a terminal first injects, and only under
-        # a routing whose ``on_inject`` does something.
-        if lane_seeds is None:
-            self._nic_seeds = [self.rng.getrandbits(32) for _ in range(T)]
-        else:
-            if len(lane_seeds) != lanes:
-                raise ValueError("lane_seeds must give one seed per lane")
-            self._nic_seeds = [
-                lane_rng.getrandbits(32)
-                for lane_rng in (random.Random(s) for s in lane_seeds)
-                for _ in range(self._T_local)]
-        self.nic_rngs: dict[int, random.Random] = {}
-        self._on_inject = (
-            routing.on_inject
-            if type(routing).on_inject is not RoutingAlgorithm.on_inject
-            else None)
-        self._iq = config.inject_queue
-
+        self._lanes, self._T_local, self._Pi, self._Po = lanes, TL, Pi, Po
+        NIP, NIVC, NOP, NOVC = lay.NIP, lay.NIVC, lay.NOP, lay.NOVC
+        self._NIP, self._NIVC, self._NOP, self._NOVC = NIP, NIVC, NOP, NOVC
         # Calendars: what is due at cycle ``c`` waits in slot ``c % RD``
         # of its ring, a packed list as long as ``ring_n`` says. A slot
         # has room for one flit per input port (arrivals), per terminal
@@ -279,86 +172,170 @@ class VectorNetwork:
         cd = max(config.credit_delay, 1)
         valid = lay.op_latency[lay.op_valid]
         self._RD = RD = (int(valid.max()) if valid.size else 1) + cd + 1
-        self.arr_port = np.zeros((RD, NIP), dtype=i64)
-        self.arr_fid = np.zeros((RD, NIP), dtype=i64)
-        self.ej_term = np.zeros((RD, T), dtype=i64)
-        self.ej_fid = np.zeros((RD, T), dtype=i64)
-        self.cr_ci = np.zeros((RD, NIP + T), dtype=i64)
-        self.ring_n = np.zeros((3, RD), dtype=i64)
+
+        #: Kernel name -> the value every element of that array starts
+        #: at (or the array it starts as): all the kernel reads and
+        #: writes but the layout, which ``reset`` fills with it again.
+        self._starts = starts = {}
+        for name, shape, start in (
+                # Input VC state (vc.VCState: 0 idle, 1 va, 2 active),
+                # route, output VC and credit index; input buffers (rings
+                # of flit pool ids); flits buffered per router.
+                ("vc_state", NIVC, 0), ("vc_out_port", NIVC, -1),
+                ("vc_out_opid", NIVC, -1), ("vc_out_vc", NIVC, -1),
+                ("vc_out_cred", NIVC, 0), ("buf_fid", (NIVC, D), 0),
+                ("buf_head", NIVC, 0), ("buf_len", NIVC, 0),
+                ("_r_buffered", R, 0),
+                # Pseudo-circuit registers per input port (``ip_st``: the
+                # st_busy_cycle), output holders (local in ports) and
+                # history registers, arbiters; credits with no owner.
+                ("pc_in_vc", NIP, -1), ("pc_out_port", NIP, -1),
+                ("pc_valid", NIP, False), ("ip_st", NIP, -1),
+                ("ip_last_out", NIP, -1), ("ip_last_pair", NIP, -1),
+                ("op_st", NOP, -1), ("op_holder", NOP, -1),
+                ("op_hist", NOP, -1), ("in_arb_next", NIP, 0),
+                ("out_arb_next", NOP, 0), ("cred_free", lay.NCRED, True),
+                # Packet size -> top free block of that size (-1: none).
+                ("fb_head", 2, -1),
+                # NIC send state: one transmission per inject VC, and the
+                # source queue of packet slots (``p_next`` links it).
+                ("snd_pid", (T, V), -1), ("snd_next", (T, V), 0),
+                ("snd_left", (T, V), 0), ("_snd_cnt", T, 0),
+                ("send_rr", T, 0), ("outstanding", T, 0),
+                ("q_head", T, -1), ("q_tail", T, -1), ("q_len", T, 0),
+                # Bound sources (CHIP_SOURCE; ``_drive``), the calendars.
+                ("src", (lanes, len(kernel.source)), 0),
+                ("src_mt", (lanes, 625), 0), ("src_dest", (lanes, TL), 0),
+                ("src_row", (lanes, TL), 0),
+                ("arr_port", (RD, NIP), 0), ("arr_fid", (RD, NIP), 0),
+                ("ej_term", (RD, T), 0), ("ej_fid", (RD, T), 0),
+                ("cr_ci", (RD, NIP + T), 0), ("ring_n", (3, RD), 0),
+                # Per lane: NetworkStats' integers in the kernel's order
+                # then one per termination reason, warm-up, latency
+                # histogram; the kernel's stage timers.
+                ("counts", (lanes, len(kernel.stats)
+                            + len(kernel.terminations)), 0),
+                ("lane_warmup", lanes, 0), ("hist", (lanes, _HIST_WIDTH), 0),
+                ("_prof_ns", len(kernel.phases), 0)):
+            setattr(self, name, np.full(shape, start, dtype=bool
+                                        if isinstance(start, bool)
+                                        else np.int64))
+            starts[name.lstrip("_")] = start
+        # Unified credit space: router output VCs then NIC inject VCs.
+        self.cred = lay.cred_init.copy()
+        starts["cred"] = lay.cred_init
+        # Summaries of the state above, which the kernel keeps and walks
+        # instead of it (the table in ``kernel.c``): an empty chip's, all
+        # zero but for its credit sums, from the function that says what
+        # each means.
+        for name, summary in summaries(np, lambda state: getattr(self, state),
+                                       R, Pi, Po, V).items():
+            setattr(self, name, summary)
+            starts[name] = summary.copy()
+        #: Whole-chip scalars shared with the kernel (``CHIP_STATE``), at
+        #: ``self._S_<NAME>``; no cycle yet to act in or asked the pools.
+        for index, name in enumerate(kernel.state):
+            setattr(self, f"_S_{name.upper()}", index)
+        self._state = np.zeros(len(kernel.state), dtype=np.int64)
+        self._state[[self._S_NEXT_ACT, self._S_ASKED]] = -1
+        starts["state"] = self._state.copy()
+
+        # Packet and flit pools (see "pools" below): a slot lives as
+        # long as its packet, so the pools grow to the peak in flight.
+        self._kernel = None
+        self._pcap = self._size_pool(_PACKET_FIELDS, 0, 512)
+        self._fcap = self._size_pool(_FLIT_FIELDS, 0, 1024)
+        starts.update(_PACKET_FIELDS, **_FLIT_FIELDS)
+        hooked = type(routing).on_inject is not RoutingAlgorithm.on_inject
+        self._on_inject = routing.on_inject if hooked else None
+        self._iq = config.inject_queue
         #: Ring -> its row of ``ring_n`` and the columns of its slots.
         self._rings = {"arrivals": (0, (self.arr_port, self.arr_fid)),
                        "ejections": (1, (self.ej_term, self.ej_fid)),
                        "credits": (2, (self.cr_ci,))}
-
-        # Counters: one row per lane, the integer slots of NetworkStats
-        # in the kernel's order, then one per termination reason.
         self._stat_names = kernel.stats
         self._terminations = [Termination[name]
                               for name in kernel.terminations]
-        self.counts = np.zeros(
-            (lanes, len(kernel.stats) + len(kernel.terminations)), dtype=i64)
-        self.lane_warmup = np.zeros(lanes, dtype=i64)
-        self._hist: list[dict] = [{} for _ in range(lanes)]
-        self._stats = NetworkStats()
-        self._hist[0] = self._stats.latency_histogram
-        #: Whole-chip scalars shared with the kernel (``CHIP_STATE``).
-        self._state = np.zeros(len(kernel.state), dtype=i64)
-        (self._S_BUFFERED, self._S_QUEUED, self._S_SENDING,
-         self._S_STARTED, self._S_P_FREE, self._S_PACKETS, self._S_FLITS,
-         self._S_NEXT_EVENT, self._S_NEXT_INJECTION) = (
-             kernel.state.index(name) for name in (
-                 "buffered", "queued", "sending", "started", "p_free",
-                 "packets", "flits", "next_event", "next_injection"))
-        self._state[[self._S_NEXT_EVENT, self._S_NEXT_INJECTION]] = -1
-        self._phase_names = kernel.phases
-        self._prof_ns = np.zeros(len(kernel.phases), dtype=i64)
-
-        self._pc_enabled = config.pseudo.enabled
-        self._bind_kernel(kernel, cd)
-        # Observability (see vectorized/obs.py): an optional window
-        # probe and/or invariant checker consume the batched hooks
-        # after each cycle; ``_vhooks`` holds the attached consumers
-        # and the kernel records events only while it is non-empty. The
-        # probe binds last — its hooks read the arrays built above.
-        self.probe = None
-        self._vprobe = None
-        self._checker = None
-        self._vhooks = ()
-        self._prof = None
-        if probe is not None:
-            self.bind_probe(probe)
-
-    def _bind_kernel(self, kernel, credit_delay: int) -> None:
-        """Fill this network's ``Chip``: the kernel names each array as
-        this class or its layout does (less a leading underscore)."""
-        lay = self._lay
+        (self._phase_names, self._event_names, self._src_names) = (
+            kernel.phases, kernel.events, kernel.source)
+        if kernel.ejected != _EJECTED_ROW:
+            raise RuntimeError(
+                f"kernel.c hands back {kernel.ejected} per ejected packet, "
+                f"core.py unpacks {_EJECTED_ROW}")
+        # The Chip: the kernel names each array as this class or its
+        # layout does (less a leading underscore); the scratch and
+        # hand-back buffers the Binding allocates start at zero.
         arrays = {
             name: next(getattr(holder, attr) for holder, attr in (
                 (self, name), (self, "_" + name), (lay, name))
                 if hasattr(holder, attr))
             for _, name, owner in kernel.arrays if owner == "NET"}
-        _, choices, t_local = lay.route_out.shape
-        pseudo = self.config.pseudo
         self._kernel = Binding(
-            kernel, self._np, arrays,
-            dict(R=self._R, Pi=self._Pi, Po=self._Po, V=self._V, D=self._D,
-                 C=choices, TL=t_local, LR=self._R // self._lanes,
-                 T=self._T, NIP=self._NIP, NOVC=self._NOVC, RD=self._RD,
-                 CD=credit_delay, mshrs=self.config.mshrs,
-                 inject_queue=self._iq,
-                 static_vc=self.vc_policy.name == "static",
-                 pc_enabled=pseudo.enabled,
-                 pc_speculation=pseudo.speculation,
-                 pc_bypass=pseudo.buffer_bypass),
-            NOP=self._NOP)
-        if kernel.ejected != _EJECTED_ROW:
-            raise RuntimeError(
-                f"kernel.c hands back {kernel.ejected} per ejected packet, "
-                f"core.py unpacks {_EJECTED_ROW}")
-        self._cycle = kernel.cycle
-        self._chip = self._kernel.ref
-        self._event_names = kernel.events
-        self._src_names = kernel.source
+            kernel, np, arrays,
+            dict(R=R, Pi=Pi, Po=Po, V=V, D=D, C=lay.route_out.shape[1],
+                 TL=TL, LR=R // lanes, T=T, NIP=NIP, NOVC=NOVC,
+                 RD=RD, CD=cd, inject_queue=self._iq), NOP=NOP)
+        starts.update((name, 0) for _, name, owner in kernel.arrays
+                      if owner != "NET")
+        self._call, self._chip = kernel.run, self._kernel.ref
+        self.config, self.vc_policy = config, vc_policy
+        VectorNetwork.reset(self, seed, config, vc_policy, lane_seeds)
+        if probe is not None:
+            self.bind_probe(probe)
+
+    def reset(self, seed: int = 1, config: NetworkConfig | None = None,
+              vc_policy=None, lane_seeds=None) -> None:
+        """Back to the state of a network newly built on this chip with
+        ``seed`` (a batch: ``lane_seeds``), ``config`` and ``vc_policy``
+        (by default its own): every array of the ``Chip`` but the layout
+        at its value at construction (the pools and the histogram keep
+        their size), the seeds drawn again, a new ``NetworkStats``, no
+        ``Packet``, observer or profiler. The scheme, the MSHR gate and
+        the VC policy are flags; ``config`` may differ in those alone."""
+        config, vc_policy = config or self.config, vc_policy or self.vc_policy
+        if replace(self.config, pseudo=config.pseudo,
+                   mshrs=config.mshrs) != config:
+            raise ValueError(f"reset cannot change the layout of a chip "
+                             f"built for {self.config}: got {config}")
+        if isinstance(vc_policy, str):
+            vc_policy = make_vc_policy(vc_policy)
+        if vc_policy.name not in ("dynamic", "static"):
+            raise BackendUnsupportedError(
+                f"the vectorized backend supports only the dynamic and "
+                f"static VC policies, not {vc_policy.name!r} (topology "
+                f"{self.topology.name!r}); use --backend scalar")
+        self.config, self.vc_policy = config, vc_policy
+        pseudo, chip = config.pseudo, self._kernel.chip
+        self._pc_enabled = chip.pc_enabled = pseudo.enabled
+        chip.pc_speculation = pseudo.speculation
+        chip.pc_bypass = pseudo.buffer_bypass
+        chip.static_vc = vc_policy.name == "static"
+        chip.mshrs = config.mshrs
+        chip.profile_on = chip.err_id = chip.err_idx = 0
+        arrays = self._kernel._arrays
+        for name, start in self._starts.items():
+            arrays[name][...] = start
+        # Per-terminal injection RNG seeds, drawn in the order of
+        # Network._build_nics so o1turn route choices match bit-for-bit;
+        # with ``lane_seeds`` each lane draws its block from its own seed,
+        # as the solo network seeded the same way. A terminal's RNG is
+        # built when it first injects, under a routing that uses it.
+        if lane_seeds is not None and len(lane_seeds) != self._lanes:
+            raise ValueError("lane_seeds must give one seed per lane")
+        rngs = [random.Random(s) for s in lane_seeds or (seed,)]
+        self._nic_seeds = [rng.getrandbits(32) for rng in rngs
+                           for _ in range(self._T // len(rngs))]
+        self.nic_rngs: dict[int, random.Random] = {}
+        self.p_obj: dict[int, Packet] = {}
+        self.cycle, self._stats = 0, NetworkStats()
+        #: Who drew the last run's traffic: the kernel or ``inject``.
+        self.traffic_source = "python"
+        # Observability (see vectorized/obs.py): an optional window
+        # probe and/or invariant checker consume the batched hooks
+        # after each cycle; ``_vhooks`` holds the attached consumers
+        # and the kernel records events only while it is non-empty.
+        self.probe = self._vprobe = self._checker = None
+        self._rebuild_hooks()
 
     # -- pools ----------------------------------------------------------------
     # A packet slot and its contiguous flit block live exactly as long
@@ -377,6 +354,8 @@ class VectorNetwork:
         the capacity. The first ``old`` slots keep their contents; the
         rest read the field's initial value."""
         np = self._np
+        if need <= old:
+            return old
         cap = old or need
         while cap < need:
             cap *= 2
@@ -486,6 +465,7 @@ class VectorNetwork:
                                              pk + 1)
             state[self._S_PACKETS] = pk + 1
         self.p_obj[pk] = packet
+        self.p_held[pk] = 1
         self.p_src[pk] = t
         self.p_dst[pk] = packet.dst
         self.p_pair[pk] = packet.src * self._T_local + packet.dst
@@ -504,66 +484,68 @@ class VectorNetwork:
 
     def step(self) -> None:
         """Advance the whole network by one cycle."""
-        c = self.cycle
-        hooks = self._vhooks
-        if hooks:
-            for h in hooks:
-                h.on_cycle_start(c, self)
-        state = self._state
-        offered = self._src_terminals
-        queued = int(state[self._S_QUEUED]) + offered
-        if queued:
-            # One start per terminal per cycle (a bound source may queue
-            # one at each of its own first), each of at most the largest
-            # size seen: the most fresh flits, and slots, this call takes.
-            need = int(state[self._S_FLITS]) + (
-                min(queued, self._T) * (len(self.fb_head) - 1))
-            if need > self._fcap:
-                self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap, need)
-            need = offered and offered + int(
-                state[self._S_PACKETS] - state[self._S_P_FREE])
-            if need > self._pcap:
-                self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap, need)
+        self._advance(self.cycle + 1)
+
+    def _advance(self, stop: int, drain: bool = False) -> None:
+        """Cycles from ``self.cycle`` until ``stop`` (with ``drain``: or
+        until nothing is in flight) in ``kernel.c``'s ``run``, which skips
+        what nothing acts in and comes back only for what Python does:
+        grow the pools, read a cycle's ``ej_out`` rows, hand observers a
+        cycle, raise the error a code stands for."""
+        state, hooks, started = self._state, self._vhooks, None
         # Lane 0's warm-up is ``stats.warmup_cycles``, which a caller may
         # set any time before the run.
         self.lane_warmup[0] = self._stats.warmup_cycles
-        ejected = self._cycle(self._chip, c)
-        if ejected:
-            self._after_ejections(c, ejected)
-        if hooks:
-            self._dispatch(c, hooks)
-        if self._prof is not None:
-            self._prof["stepped_cycles"] += 1
-        self.cycle = c + 1
+        while True:
+            c = self.cycle
+            if (hooks and c != started and c < stop
+                    and not (drain and self.quiescent())):
+                started = c     # the cycle the call runs first
+                for h in hooks:
+                    h.on_cycle_start(c, self)
+            code = self._call(self._chip, c, stop, drain)
+            self.cycle = int(state[self._S_CYCLE])
+            if code == RUN_DONE:
+                return
+            if code == RUN_GROW:
+                self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap, int(
+                    state[self._S_NEED_FLITS]))
+                self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap, int(
+                    state[self._S_NEED_PACKETS]))
+                continue
+            if code < 0:
+                if code == E_BOUNDS:
+                    raise ProtocolError(self._kernel.fault())
+                error, message = _KERNEL_ERRORS[code]
+                raise error(message.format(
+                    D=self._D, RD=self._RD, fcap=self._fcap, pcap=self._pcap,
+                    iq=self._iq, t=self._kernel.chip.err_idx))
+            if state[self._S_ROWS]:
+                self._after_ejections()
+            if hooks:
+                self._dispatch(c, hooks)
 
-    def _after_ejections(self, c: int, ejected: int) -> None:
-        """Count the latency of each packet the kernel ejected and, if it
-        came in as a ``Packet``, write it back and drop the core's
-        reference to it (the slot and its flit block are free already)
-        — or raise the error a negative return code stands for."""
-        if ejected < 0:
-            if ejected == E_BOUNDS:
-                raise ProtocolError(self._kernel.fault())
-            error, message = _KERNEL_ERRORS[ejected]
-            raise error(message.format(
-                D=self._D, RD=self._RD, fcap=self._fcap, pcap=self._pcap,
-                iq=self._iq, t=self._kernel.chip.err_idx))
+    def _after_ejections(self) -> None:
+        """For each row the last cycle left in ``ej_out``: write the
+        packet's fields back into its ``Packet`` and drop the core's
+        reference to it (the slot and its flit block are free already),
+        or count a latency the histogram had no column for, widening
+        it."""
         width = len(_EJECTED_ROW)
-        rows = self._kernel.ej_out[:ejected * width].tolist()
-        objs = self.p_obj
-        hists = self._hist
-        for at in range(0, len(rows), width):
-            k, inject, hops, sa, buf, latency, lane = rows[at:at + width]
-            pkt = objs.pop(k, None)
+        rows = self._kernel.ej_out[:self._state[self._S_ROWS] * width]
+        for k, *fields, latency, lane in rows.reshape(-1, width).tolist():
+            pkt = self.p_obj.pop(k, None)
             if pkt is not None:
-                pkt.eject_cycle = c
-                pkt.inject_cycle = inject
-                pkt.hops = hops
-                pkt.sa_bypass_hops = sa
-                pkt.buf_bypass_hops = buf
+                (pkt.eject_cycle, pkt.inject_cycle, pkt.hops,
+                 pkt.sa_bypass_hops, pkt.buf_bypass_hops) = fields
             if latency >= 0:
-                hist = hists[lane]
-                hist[latency] = hist.get(latency, 0) + 1
+                if latency >= self.hist.shape[1]:
+                    hist = self._np.zeros((self._lanes, 2 * latency),
+                                          dtype=self.hist.dtype)
+                    hist[:, :self.hist.shape[1]] = self.hist
+                    self.hist = hist
+                    self._kernel.point("hist", hist)
+                self.hist[lane, latency] += 1
 
     def _dispatch(self, c: int, hooks) -> None:
         """Hand the attached observers the events of cycle ``c``, one
@@ -592,16 +574,18 @@ class VectorNetwork:
             h.vec_cycle_end(c, self)
 
     def fast_forward(self, bound: int, *traffic_next: int | None) -> None:
-        """Skip to the next scheduled event if nothing acts per-cycle."""
+        """Skip to ``next_act`` of the cycle just run, as ``kernel.c``'s
+        ``run`` would, capped at ``bound`` and each ``traffic_next``: for
+        a loop that steps (trace replay, ``_drive``'s ticked sources). A
+        no-op while anything is buffered, queued or being sent."""
         if self._busy():
             return
         target = bound
-        for event in (int(self._state[self._S_NEXT_EVENT]), *traffic_next):
+        for event in (int(self._state[self._S_NEXT_ACT]), *traffic_next):
             if event is not None and 0 <= event < target:
                 target = event
         if target > self.cycle:
-            if self._prof is not None:
-                self._prof["ff_cycles"] += target - self.cycle
+            self._state[self._S_SKIPPED] += target - self.cycle
             self.cycle = target
 
     def run(self, cycles: int, traffic=None) -> NetworkStats:
@@ -611,12 +595,14 @@ class VectorNetwork:
 
     def _drive(self, traffics, ends) -> None:
         """The traffic loop: lane ``i`` is offered ``traffics[i]`` every
-        cycle before ``ends[i]``; cycles in which nothing acts and no
-        source injects are skipped. A source that hands over its stream
+        cycle before ``ends[i]``. A source that hands over its stream
         (``SyntheticTraffic.export_stream``) is drawn by the kernel and
         takes it back on the way out — unless the routing hooks injection
-        (O1TURN's draw, ``weighted``'s class) and needs the ``Packet``; any
-        other is ticked into ``inject``, every cycle if it cannot say when."""
+        (O1TURN's draw, ``weighted``'s class) and needs the ``Packet``;
+        any other is ticked into ``inject``. A window of the first kind
+        is one kernel call; a ticked source is ticked in every cycle the
+        kernel runs, one call each, and on an idle chip asked where to
+        skip to beside ``next_act``."""
         end_all, here = max(ends), (self.cycle, self._T_local)
         bound, ticked = [], []
         for lane, (traffic, end) in enumerate(zip(traffics, ends)):
@@ -638,22 +624,19 @@ class VectorNetwork:
                     traffic, "next_injection_cycle", lambda cycle: cycle)))
         if bound or ticked:
             self.traffic_source = "python" if ticked else "kernel"
-        self._src_terminals = len(bound) * self._T_local
         try:
             while self.cycle < end_all:
                 c = self.cycle
                 for end, tick, _ in ticked:
                     if c < end:
                         tick(c)
-                self.step()
-                # A busy chip skips nothing: don't ask the sources then.
-                if not self._busy():
-                    c = self.cycle
-                    self.fast_forward(
-                        end_all, int(self._state[self._S_NEXT_INJECTION]),
-                        *[ask(c) for end, _, ask in ticked if c < end])
+                self._advance(c + 1 if ticked else end_all)
+                c = self.cycle
+                if ticked and not self._busy():
+                    # Only an idle chip can skip: ask the sources then.
+                    self.fast_forward(end_all, *[
+                        ask(c) for end, _, ask in ticked if c < end])
         finally:
-            self._src_terminals = 0
             for lane, traffic in bound:
                 src = dict(zip(self._src_names, self.src[lane].tolist()))
                 traffic.restore_stream(
@@ -664,15 +647,11 @@ class VectorNetwork:
 
     def drain(self, max_cycles: int = 1_000_000) -> NetworkStats:
         """Run without new traffic until every packet is delivered."""
-        deadline = self.cycle + max_cycles
-        while not self.quiescent():
-            if self.cycle >= deadline:
-                raise RuntimeError(
-                    f"network failed to drain within {max_cycles} cycles "
-                    f"({self.in_flight_packets()} packets left)")
-            self.step()
-            if not self.quiescent():
-                self.fast_forward(deadline)
+        self._advance(self.cycle + max_cycles, drain=True)
+        if not self.quiescent():
+            raise RuntimeError(
+                f"network failed to drain within {max_cycles} cycles "
+                f"({self.in_flight_packets()} packets left)")
         return self.stats
 
     # -- queries --------------------------------------------------------------
@@ -688,7 +667,7 @@ class VectorNetwork:
     def _busy(self) -> bool:
         """Whether a flit or packet is anywhere on the chip that acts
         every cycle: buffered, queued at a NIC or being sent (what only
-        waits in a calendar can be fast-forwarded to)."""
+        waits in a calendar can be skipped to)."""
         state = self._state
         return bool(state[self._S_BUFFERED] or state[self._S_QUEUED]
                     or state[self._S_SENDING])
@@ -701,7 +680,7 @@ class VectorNetwork:
         return not self.in_flight_packets()
 
     def _read_counts(self, stats: NetworkStats, lane: int) -> NetworkStats:
-        """Copy one lane's row of ``counts`` into ``stats``."""
+        """Copy one lane's rows of ``counts`` and ``hist`` into ``stats``."""
         row = self.counts[lane].tolist()
         names = self._stat_names
         for name, value in zip(names, row):
@@ -709,6 +688,10 @@ class VectorNetwork:
         stats.pc_terminations = Counter(
             {reason: n for reason, n in zip(self._terminations,
                                             row[len(names):]) if n})
+        hist = self.hist[lane]
+        latencies = hist.nonzero()[0]
+        stats.latency_histogram = dict(zip(latencies.tolist(),
+                                           hist[latencies].tolist()))
         return stats
 
     @property
@@ -716,13 +699,12 @@ class VectorNetwork:
         """The counters of lane 0 — on a solo network, the run's —
         as of this read. It is the same object every time (set
         ``warmup_cycles`` on it before a run), refreshed from ``counts``
-        on each access."""
+        and ``hist`` on each access."""
         return self._read_counts(self._stats, 0)
 
     def lane_stats(self, lane: int) -> NetworkStats:
         """Extract one lane's counters as a solo-identical NetworkStats."""
         stats = NetworkStats(warmup_cycles=int(self.lane_warmup[lane]))
-        stats.latency_histogram = dict(self._hist[lane])
         return self._read_counts(stats, lane)
 
     def bind_probe(self, probe) -> None:
@@ -740,8 +722,7 @@ class VectorNetwork:
                 f"{self.topology.name!r}) — use --backend scalar, or a "
                 f"vector-aware probe such as TimeSeriesProbe")
         probe.bind(self)
-        self.probe = probe
-        self._vprobe = probe
+        self.probe = self._vprobe = probe
         self._rebuild_hooks()
 
     def attach_checker(self, checker) -> None:
@@ -755,32 +736,27 @@ class VectorNetwork:
                              if h is not None)
         self._kernel.chip.events_on = bool(self._vhooks)
 
-    def enable_profile(self) -> dict:
+    def enable_profile(self) -> None:
         """Switch on the per-phase wall-time profiler (see ``profile``)."""
-        if self._prof is None:
-            self._prof = {"stepped_cycles": 0, "ff_cycles": 0}
-            self._kernel.chip.profile_on = True
-        return self._prof
+        chip = self._kernel.chip
+        if not chip.profile_on:
+            chip.profile_on = True
+            self._state[[self._S_STEPPED, self._S_SKIPPED]] = 0
 
     def profile(self) -> dict | None:
         """JSON-ready per-phase profile since ``enable_profile``.
 
         The kernel reads the clock between its stages: ``bw`` is
         arrival processing (buffer writes and bypass attempts),
-        ``va_sa`` covers the cycle's router lists, VC allocation over
-        the waiting fronts, SA request collection over the occupied
-        active VCs and switch allocation (including the ST of granted
-        flits), ``st_credit`` covers the calendars' due slots (credit
-        returns, ejections, arrival staging) plus circuit-reuse
-        traversals, ``pc`` covers the candidate scan over valid
-        circuits and maintenance of held and restorable outputs, and
-        ``inject`` is the NIC start + send stage. What Python does
-        around the call (traffic, ``inject``, the write-back of ejected
-        packets, observers) is in none of them. ``ff_cycles`` counts
-        cycles skipped by quiescence fast-forward (zero wall time).
+        ``va_sa`` the router lists, VC allocation, SA requests and
+        switch allocation (with the ST of granted flits), ``st_credit``
+        the calendars' due slots and circuit-reuse traversals, ``pc``
+        the candidate scan and circuit maintenance, ``inject`` the NIC
+        start + send. What Python does around the call is in none of
+        them. ``stepped_cycles`` and ``ff_cycles`` are the cycles the
+        kernel ran and skipped (zero wall time).
         """
-        prof = self._prof
-        if prof is None:
+        if not self._kernel.chip.profile_on:
             return None
         phases = {name: ns / 1e9 for name, ns in zip(
             self._phase_names, self._prof_ns.tolist())}
@@ -790,8 +766,8 @@ class VectorNetwork:
             "fractions": {k: round(v / total, 4) if total else 0.0
                           for k, v in phases.items()},
             "total_seconds": round(total, 6),
-            "stepped_cycles": prof["stepped_cycles"],
-            "ff_cycles": prof["ff_cycles"],
+            "stepped_cycles": int(self._state[self._S_STEPPED]),
+            "ff_cycles": int(self._state[self._S_SKIPPED]),
         }
 
     def check_invariants(self) -> None:

@@ -1,9 +1,11 @@
 /* The array core's cycle, compiled.
  *
  * One translation unit, built on first use by ``kernel.py`` with the
- * system C compiler and called through ``ctypes``. ``cycle()`` is the
- * only entry point a network steps through, and this file is the only
- * statement of what an array core does in a cycle: the bound sources'
+ * system C compiler and called through ``ctypes``. ``run()`` is the only
+ * entry point a network steps through: it runs ``cycle()`` after
+ * ``cycle()`` over a window and skips what nothing acts in, and this
+ * file is the only statement of what an array core does in a cycle and
+ * of which cycles it may skip. A cycle is: the bound sources'
  * injections, credit returns, ejection reassembly, arrival staging, the
  * router pipeline (VA | PC candidates | SA requests | circuit reuse | BW
  * | switch allocation | PC maintenance) and the NICs' start + send, in
@@ -15,10 +17,10 @@
  * scalar visit order, VCs ascending, one flit at a time. The parity
  * suites hold it bit-identical to the scalar core, cycle by cycle.
  *
- * Contract ("arrays in, arrays out"): ``cycle()`` takes the ``Chip`` --
+ * Contract ("arrays in, arrays out"): ``run()`` takes the ``Chip`` --
  * pointers to flat int64 / one-byte bool arrays plus a few sizes and
- * scheme flags, filled once per network by ``kernel.py`` -- and the
- * cycle number. It touches no Python object, allocates nothing and
+ * scheme flags, filled once per network by ``kernel.py`` -- and a
+ * window of cycles. It touches no Python object, allocates nothing and
  * keeps no state of its own between calls; everything that outlives a
  * call lives in arrays of the ``Chip``:
  *
@@ -30,15 +32,17 @@
  *   slot is emptied before anything is filed in the same call, so an
  *   event exactly ``RD`` ahead reuses it; one further ahead, or more
  *   events in a slot than it has links, is ``E_RING``.
- * - ``counts`` holds one row of ``NetworkStats`` counters per lane; an
+ * - ``counts`` holds one row of ``NetworkStats`` counters per lane, and
+ *   ``hist`` one row of the latency histogram (column = latency); an
  *   event is billed to the lane of the router or terminal it happens at.
  * - the source queues are lists threaded through ``p_next``
  *   (``q_head`` / ``q_tail``), the free packet slots a stack
  *   (``p_free``), the free flit blocks one stack per packet size
  *   threaded through ``f_link`` (``fb_head``). ``inject()`` in
  *   ``core.py`` pushes and pops the same structures and grows the pools
- *   before a call that could need it; a packet that still finds its
- *   pool full is ``E_POOL``, never a write past it.
+ *   when ``run()`` says a cycle could need it (``pools_short``, asked
+ *   once a cycle); a packet that still finds its pool full is
+ *   ``E_POOL``, never a write past it.
  * - a lane's synthetic source, while ``core.py`` has bound one: its row
  *   of ``src`` (CHIP_SOURCE), its ``random.Random`` state in ``src_mt``,
  *   its destinations in ``src_dest``, the last row drawn in ``src_row``.
@@ -65,20 +69,23 @@
  *   ``pc_maintenance``, the three places ``pc_valid`` / ``op_holder``
  *   change; ** ``traverse`` and ``st_credit_returns``.
  *
- * What a call hands back: the return value is the number of packets
- * whose tail was reassembled, their slots and final fields in
- * ``ej_out`` (the slots are already free: ``core.py`` copies the fields
- * into the ``Packet`` objects before it injects again), or a negative
- * ``E_*`` code raised there as the error the scalar core raises at the
- * same place. Only while ``events_on`` (an observer is attached) the
- * index arrays of the six observer hooks are filled, lengths in
- * ``n[]``; while ``profile_on`` the stages' wall time accumulates in
- * ``prof_ns``.
+ * What a call hands back: the cycle it got to (``state.cycle``) and why
+ * it came back (``RUN_*``, at ``run()``), or a negative ``E_*`` code
+ * raised in ``core.py`` as the error the scalar core raises at the same
+ * place. A cycle that ejected a packet ``core.py`` holds a ``Packet``
+ * for (``p_held``), or one whose latency the histogram is too narrow
+ * for, leaves a row per such packet in ``ej_out`` (``state.rows`` of
+ * them; the slots are already free: ``core.py`` copies the fields into
+ * the ``Packet`` objects before it injects again). Only while
+ * ``events_on`` (an observer is attached) the index arrays of the six
+ * observer hooks are filled, lengths in ``n[]``, and ``run()`` comes
+ * back after every cycle; while ``profile_on`` the stages' wall time
+ * accumulates in ``prof_ns``.
  *
  * With -DREPRO_KERNEL_CHECK (the test suite's build) every array access
  * goes through ``A()``'s bounds check: an index outside its array is
  * recorded (``err_id``, ``err_idx``), the access is redirected to
- * element 0 and ``cycle()`` returns ``E_BOUNDS``; and every function
+ * element 0 and ``run()`` returns ``E_BOUNDS``; and every function
  * notes that it was entered (``repro_kernel_reach``). The release build
  * compiles ``A()`` to the bare access and ``ENTER()`` to nothing. The
  * checked build also counts, in the last entry of ``n[]``, the front
@@ -100,7 +107,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 5001
+#define REPRO_KERNEL_ABI 6001
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -143,6 +150,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, p_choice, NET) \
     X(i64, p_create, NET) \
     X(i64, p_pair, NET) \
+    X(i64, p_held, NET) \
     X(i64, p_inject, NET) \
     X(i64, p_hops, NET) \
     X(i64, p_sa, NET) \
@@ -192,9 +200,11 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, ej_fid, NET) \
     X(i64, cr_ci, NET) \
     X(i64, ring_n, NET) \
-    /* per-lane counters and warm-up, whole-chip scalars, stage timers */ \
+    /* per-lane counters, warm-up and latency histogram (a row per lane, \
+     * re-aimed when it widens), whole-chip scalars, stage timers */ \
     X(i64, counts, NET) \
     X(i64, lane_warmup, NET) \
+    X(i64, hist, NET) \
     X(i64, state, NET) \
     X(i64, prof_ns, NET) \
     /* arrivals staged for this cycle */ \
@@ -256,11 +266,17 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* ``state``: flits buffered on the chip, packets in source queues,
  * transmissions in progress, packets started and not yet ejected, free
  * packet slots (height of ``p_free``), the packet and flit pools'
- * high-water marks, the next cycle a ring holds anything for and (the
- * chip not busy) the next a bound source injects in (-1: none). */
+ * high-water marks; the first cycle after the last one run in which
+ * anything may happen (``next_act``: the next while the chip is busy,
+ * else the earliest a ring holds something for or an open source
+ * injects in, -1 for none; what ``run()`` skips to); the cycle a call
+ * got to, the rows it left in ``ej_out``, the cycles run and skipped
+ * (``profile()``), the pool sizes a cycle could need and the cycle they
+ * were last asked for (``pools_short``). */
 #define CHIP_STATE(X) \
     X(buffered) X(queued) X(sending) X(started) X(p_free) X(packets) \
-    X(flits) X(next_event) X(next_injection)
+    X(flits) X(next_act) X(cycle) X(rows) X(stepped) X(skipped) \
+    X(need_packets) X(need_flits) X(asked)
 
 /* One row of ``src``, a lane's ``SyntheticTraffic``: the Bernoulli
  * threshold (``random() < rate / size`` on the 53 bits ``random()`` is
@@ -280,11 +296,12 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
  * (``ev_ej``). */
 #define CHIP_EVENTS(X) X(bw) X(sa) X(pc) X(buf) X(inj) X(ej)
 
-/* One row of ``ej_out`` per packet ejected this cycle. ``latency`` is
- * -1 for a packet ejected before its lane's warm-up ended. */
+/* One row of ``ej_out`` per packet of the cycle core.py must see (see
+ * ``st_credit_eject``). ``latency`` is -1 unless it is one for core.py
+ * to count: measured, and past the histogram's last row. */
 #define CHIP_EJECTED(X) \
-    X(slot) X(inject_cycle) X(hops) X(sa_bypass_hops) X(buf_bypass_hops) \
-    X(latency) X(lane)
+    X(slot) X(eject_cycle) X(inject_cycle) X(hops) X(sa_bypass_hops) \
+    X(buf_bypass_hops) X(latency) X(lane)
 
 typedef struct Chip {
 #define X(T, name, owner) T *name; i64 n_##name;
@@ -363,6 +380,10 @@ enum {
     E_BOUNDS = -9,              /* checked build: see err_id / err_idx */
     E_QUEUE = -10               /* source queue overflow at NIC err_idx */
 };
+/* Why ``run()`` came back, when it did not fail: its window is done,
+ * the pools must grow before the next cycle, or core.py must see the
+ * cycle just run. */
+enum { RUN_DONE, RUN_GROW, RUN_CYCLE };
 
 #ifdef REPRO_KERNEL_CHECK
 enum {
@@ -788,6 +809,7 @@ static i64 source_tick(Chip *ch, i64 c)
             A(p_dst, pk) = pair % TL;
             A(p_pair, pk) = pair;
             A(p_size, pk) = s[SRC_size];
+            A(p_held, pk) = 0;
             A(p_choice, pk) = 0;
             A(p_create, pk) = c;
             A(p_next, pk) = -1;
@@ -844,12 +866,16 @@ static void st_credit_returns(Chip *ch, i64 slot)
 
 /* st_credit: the receiving NICs (Nic.tick_eject). A flit frees its
  * reassembly buffer at once, the credit lands after the delay; a tail
- * closes its packet, whose slot and flit block go back to the pools
- * reading their initial values. Returns the packets closed. */
+ * closes its packet -- counted, its latency into its lane's row of
+ * ``hist`` -- whose slot and flit block go back to the pools reading
+ * their initial values. A packet core.py holds a ``Packet`` for, or
+ * whose latency is past the histogram's last row, leaves a row in
+ * ``ej_out``; returns the rows. */
 static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
 {
     ENTER();
-    i64 due = A(ring_n, RING_EJ * ch->RD + slot), closed = 0;
+    i64 due = A(ring_n, RING_EJ * ch->RD + slot), rows = 0;
+    i64 width = ch->n_hist / (ch->T / ch->TL);
     for (i64 k = 0; k < due; k++) {
         i64 t = A(ej_term, slot * ch->T + k), fid = A(ej_fid, slot * ch->T + k);
         TRY(credit_return(ch, c, A(ej_opid, t) * ch->V + A(f_vc, fid)));
@@ -857,26 +883,33 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
         A(p_rx, pk) = got;
         if (!A(f_tail, fid))
             continue;
-        i64 size = A(p_size, pk), src = A(p_src, pk);
+        i64 size = A(p_size, pk), src = A(p_src, pk), late = -1;
         if (got != size)
             return E_TAIL_EARLY;
         i64 lane = src / ch->TL, *count = terminal_counts(ch, src);
-        i64 row = closed++ * EJ_WIDTH;
-        A(ej_out, row + EJ_slot) = pk;
-        A(ej_out, row + EJ_inject_cycle) = A(p_inject, pk);
-        A(ej_out, row + EJ_hops) = A(p_hops, pk);
-        A(ej_out, row + EJ_sa_bypass_hops) = A(p_sa, pk);
-        A(ej_out, row + EJ_buf_bypass_hops) = A(p_buf, pk);
-        A(ej_out, row + EJ_latency) = -1;
-        A(ej_out, row + EJ_lane) = lane;
         COUNT(count, ejected_packets) += 1;
         COUNT(count, ejected_flits) += size;
         if (c >= A(lane_warmup, lane)) {
-            A(ej_out, row + EJ_latency) = c - A(p_create, pk);
+            i64 latency = c - A(p_create, pk);
             COUNT(count, measured_packets) += 1;
-            COUNT(count, total_latency) += c - A(p_create, pk);
+            COUNT(count, total_latency) += latency;
             COUNT(count, total_network_latency) += c - A(p_inject, pk);
             COUNT(count, total_hops) += A(p_hops, pk);
+            if (latency < width)
+                A(hist, lane * width + latency) += 1;
+            else
+                late = latency;
+        }
+        if (A(p_held, pk) || late >= 0) {
+            i64 row = rows++ * EJ_WIDTH;
+            A(ej_out, row + EJ_slot) = pk;
+            A(ej_out, row + EJ_eject_cycle) = c;
+            A(ej_out, row + EJ_inject_cycle) = A(p_inject, pk);
+            A(ej_out, row + EJ_hops) = A(p_hops, pk);
+            A(ej_out, row + EJ_sa_bypass_hops) = A(p_sa, pk);
+            A(ej_out, row + EJ_buf_bypass_hops) = A(p_buf, pk);
+            A(ej_out, row + EJ_latency) = late;
+            A(ej_out, row + EJ_lane) = lane;
         }
         A(outstanding, src) -= 1;
         A(state, S_started) -= 1;
@@ -894,7 +927,7 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
         A(fb_head, size) = fid0;
     }
     A(ring_n, RING_EJ * ch->RD + slot) = 0;
-    return closed;
+    return rows;
 }
 
 /* st_credit: this cycle's link arrivals, staged out of their slot (a
@@ -1351,7 +1384,9 @@ static i64 inject_send(Chip *ch, i64 c, i64 t)
         } \
     } while (0)
 
-i64 cycle(Chip *ch, i64 c)
+/* Cycle ``c`` of the whole chip: the rows it left in ``ej_out``, or an
+ * E_* code. */
+static i64 cycle(Chip *ch, i64 c)
 {
     ENTER();
     TRY(source_tick(ch, c));
@@ -1360,9 +1395,9 @@ i64 cycle(Chip *ch, i64 c)
         A(n, k) = 0;
     A(n, N_VISITS) = 0;
     st_credit_returns(ch, slot);
-    i64 closed = st_credit_eject(ch, c, slot);
-    if (closed < 0)
-        return closed;
+    i64 rows = st_credit_eject(ch, c, slot);
+    if (rows < 0)
+        return rows;
     i64 n_arr = st_credit_stage(ch, slot);
     STAMP(st_credit);
     if (A(state, S_buffered) || n_arr) {
@@ -1393,18 +1428,106 @@ i64 cycle(Chip *ch, i64 c)
         }
         STAMP(inject);
     }
-    /* The earliest cycle any ring still holds something for. */
-    i64 next = -1;
-    for (i64 ahead = 1; ahead <= ch->RD && next < 0; ahead++) {
-        i64 s = (c + ahead) % ch->RD;
-        if (A(ring_n, RING_ARR * ch->RD + s) || A(ring_n, RING_EJ * ch->RD + s)
-            || A(ring_n, RING_CR * ch->RD + s))
-            next = c + ahead;
+    /* The next cycle anything may happen in: the next one while a flit
+     * or packet is buffered, queued or being sent (those act every
+     * cycle), else the earliest any ring holds something for or an open
+     * source injects in. */
+    i64 next = c + 1;
+    if (!(A(state, S_buffered) || A(state, S_queued) || A(state, S_sending))) {
+        next = source_ahead(ch, c + 1);
+        for (i64 ahead = 1; ahead <= ch->RD; ahead++) {
+            i64 s = (c + ahead) % ch->RD;
+            if (A(ring_n, RING_ARR * ch->RD + s)
+                || A(ring_n, RING_EJ * ch->RD + s)
+                || A(ring_n, RING_CR * ch->RD + s)) {
+                if (next < 0 || c + ahead < next)
+                    next = c + ahead;
+                break;
+            }
+        }
     }
-    A(state, S_next_event) = next;
-    A(state, S_next_injection) = A(state, S_buffered) || A(state, S_queued)
-        || A(state, S_sending) ? -1 : source_ahead(ch, c + 1);
-    RETURN(closed);
+    A(state, S_next_act) = next;
+    RETURN(rows);
+}
+
+/* -- the entry point ------------------------------------------------------ */
+
+static int quiescent(Chip *ch)
+{
+    ENTER();
+    return !(A(state, S_queued) + A(state, S_started));
+}
+
+/* Whether the pools might not hold what cycle ``c`` takes: one start per
+ * terminal (an open source may first queue a packet at each of its own),
+ * each of at most the largest size seen, and a packet slot per open
+ * source terminal. The sizes that would take are left in ``state``
+ * (``need_flits``, ``need_packets``) for core.py to grow the pools to.
+ * Asked once a cycle: a cycle the pools are still short for after that
+ * runs, and fails by name (E_POOL) if it finds them full. */
+static int pools_short(Chip *ch, i64 c)
+{
+    ENTER();
+    if (A(state, S_asked) == c)
+        return 0;
+    A(state, S_asked) = c;
+    i64 offered = 0;
+    for (i64 lane = 0; lane < ch->T / ch->TL; lane++)
+        if (c < A(src, lane * SRC_WIDTH + SRC_end))
+            offered += ch->TL;
+    i64 starts = A(state, S_queued) + offered;
+    if (starts > ch->T)
+        starts = ch->T;
+    A(state, S_need_flits) = A(state, S_flits) + starts * (ch->n_fb_head - 1);
+    A(state, S_need_packets) = A(state, S_packets) - A(state, S_p_free)
+        + offered;
+    return A(state, S_need_flits) > ch->n_f_pkt
+        || A(state, S_need_packets) > ch->n_p_src;
+}
+
+/* Cycles ``c``, ``c`` + 1, ... until ``stop`` -- with ``drain``, until
+ * no packet is in flight or ``stop`` -- each by ``cycle()``. After a
+ * cycle in which nothing is buffered, queued or being sent it skips to
+ * ``next_act`` (at most to ``stop``; a drained chip stays where it is):
+ * the cycles in between would change nothing. A call never skips before
+ * its first cycle. Comes back RUN_DONE there, or early for what only
+ * core.py can do: RUN_GROW before a cycle the pools might not hold
+ * (``pools_short``; nothing of it run), RUN_CYCLE after a cycle (and its
+ * skip) that left rows in ``ej_out`` or while an observer is attached,
+ * or the E_* code of a cycle that failed (``state.cycle`` is that
+ * cycle). */
+i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
+{
+    ENTER();
+    i64 rc = RUN_DONE;
+    A(state, S_rows) = 0;
+    while (c < stop && !(drain && quiescent(ch))) {
+        if (pools_short(ch, c)) {
+            rc = RUN_GROW;
+            break;
+        }
+        i64 rows = cycle(ch, c);
+        if (rows < 0) {
+            rc = rows;
+            break;
+        }
+        c += 1;
+        A(state, S_stepped) += 1;
+        A(state, S_rows) = rows;
+        i64 to = A(state, S_next_act);
+        if (to < 0 || to > stop)
+            to = stop;
+        if (to > c && !(drain && quiescent(ch))) {
+            A(state, S_skipped) += to - c;
+            c = to;
+        }
+        if (rows || ch->events_on) {
+            rc = RUN_CYCLE;
+            break;
+        }
+    }
+    A(state, S_cycle) = c;
+    RETURN(rc);
 }
 
 #ifdef REPRO_KERNEL_CHECK

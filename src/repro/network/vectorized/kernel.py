@@ -24,8 +24,8 @@ in place. The cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``,
 then ``repro/kernel``) must be owned by the caller and closed to
 everyone else, or it is refused. Before a handle is trusted it answers
 a known-answer self-test: the ABI number, ``sizeof(Chip)`` against the
-``ctypes`` mirror built from the same source text, and one whole cycle
-of a two-router chip.
+``ctypes`` mirror built from the same source text, and a two-router chip
+run for one whole cycle, then over a window with a skip in it.
 
 To force a rebuild delete the cache directory; a different compiler,
 flag set or source text already keys a different artifact.
@@ -46,7 +46,7 @@ from functools import lru_cache
 from .obs import summaries
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 5001
+ABI = 6001
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -62,6 +62,9 @@ REASONS = ("no-compiler", "compile-failed", "cache-unwritable",
 
 #: Return code of the checked build's bounds fault.
 E_BOUNDS = -9
+#: Why ``run`` came back when it did not fail (``RUN_*`` in ``kernel.c``):
+#: its window is done, the pools must grow, or a cycle is to be seen.
+RUN_DONE, RUN_GROW, RUN_CYCLE = range(3)
 #: A compile may run this long; a ``build-*.tmp`` older than that was
 #: left by a killed one.
 _COMPILE_TIMEOUT_S = 300
@@ -121,9 +124,9 @@ class Kernel:
                        ("n_" + name, ctypes.c_int64)]
         fields += [(name, ctypes.c_int64) for name in self.scalars]
         self.Chip = type("Chip", (ctypes.Structure,), {"_fields_": fields})
-        self.cycle = lib.cycle
-        self.cycle.argtypes = (ctypes.POINTER(self.Chip), ctypes.c_int64)
-        self.cycle.restype = ctypes.c_int64
+        self.run = lib.run
+        self.run.argtypes = (ctypes.POINTER(self.Chip), *[ctypes.c_int64] * 3)
+        self.run.restype = ctypes.c_int64
         for entry in ("repro_kernel_abi", "repro_kernel_sizeof_chip"):
             fn = getattr(lib, entry)
             fn.argtypes = ()
@@ -163,11 +166,13 @@ class Kernel:
 
     def self_test(self, np) -> bool:
         """Known answers before the handle is trusted: the ABI number,
-        the struct size, and one cycle of two one-port routers, each
-        with a head flit at the front of a VC — the dynamic policy takes
-        the free VC with the most credits at router 0 and the lowest
-        index on a tie at router 1, both flits win their switch and
-        leave, and both events are counted."""
+        the struct size, and two one-port routers, each with a head flit
+        at the front of a VC, run for one cycle — the dynamic policy
+        takes the free VC with the most credits at router 0 and the
+        lowest index on a tie at router 1, both flits win their switch
+        and leave, and both events are counted — then on to cycle 3: the
+        credits come back in cycle 1, nothing happens in cycle 2, which
+        is skipped, and the window ends as the flits land."""
         lib = self.lib
         if (lib.repro_kernel_abi() != ABI or lib.repro_kernel_sizeof_chip()
                 != ctypes.sizeof(self.Chip)):
@@ -193,7 +198,11 @@ class Kernel:
             state[name][:len(summary)] = summary
         chip = Binding(self, np, state, sizes, NOP=2)
         stats = state["counts"][:len(self.stats)].tolist
-        return (self.cycle(chip.ref, 0) == 0
+
+        def scalars(name):
+            return state["state"][self.state.index(name)]
+        return (self.run(chip.ref, 0, 1, 0) == RUN_DONE
+                and scalars("cycle") == 1
                 and state["vc_out_cred"][[0, 3]].tolist() == [1, 2]
                 and state["cred"][:4].tolist() == [1, 1, 1, 2]
                 and state["cred_free"][:4].tolist() == [True, False, False,
@@ -205,7 +214,11 @@ class Kernel:
                                                      0, 2, 0]
                 and dict(zip(self.stats, stats()))["va_allocations"] == 2
                 and dict(zip(self.stats, stats()))["flit_hops"] == 2
-                and state["state"][self.state.index("next_event")] == 1)
+                and scalars("next_act") == 1
+                and self.run(chip.ref, 1, 3, 0) == RUN_DONE
+                and (scalars("cycle"), scalars("stepped"),
+                     scalars("skipped")) == (3, 2, 1)
+                and state["ring_n"][:9].tolist() == [2] + [0] * 8)
 
 
 class Binding:

@@ -15,8 +15,9 @@ NIC injection-side counters. ``ip_upbase[ipid]`` holds the credit-space
 base index (vc 0) of the upstream endpoint a port's credit returns
 replenish, which makes the credit-return scatter a single ``add.at``.
 
-Only point-to-point channels are supported (one endpoint per channel);
-``core.py`` rejects multidrop topologies before building a layout.
+Only point-to-point channels are supported (one endpoint per channel):
+``build_layout`` refuses a multidrop channel on its one walk over the
+channels.
 
 ``build_layout(..., lanes=S)`` replicates the solo layout ``S`` times
 into one flat "mega-chip": lane ``s`` occupies its own contiguous block
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...topology.base import Topology
-from ..backend import require_numpy
+from ..backend import BackendUnsupportedError, require_numpy
 from ..config import NetworkConfig
 
 
@@ -109,6 +110,11 @@ def build_layout(topology: Topology, config: NetworkConfig,
 
     channels = topology.channels()
     for link_id, channel in enumerate(channels):
+        if len(channel.endpoints) != 1:
+            raise BackendUnsupportedError(
+                f"the vectorized backend supports only point-to-point "
+                f"channels (one endpoint); topology {topology.name!r} "
+                f"has multidrop channels — use --backend scalar")
         ep = channel.endpoints[0]
         opid = channel.src_router * Po + channel.src_port
         op_valid[opid] = True
@@ -147,7 +153,6 @@ def build_layout(topology: Topology, config: NetworkConfig,
 
     route_out, route_drop = compiled.as_arrays()
     if route_drop.size and route_drop.any():
-        from ..backend import BackendUnsupportedError
         raise BackendUnsupportedError(
             f"the vectorized backend supports only point-to-point "
             f"channels (drop index 0); topology {topology.name!r} routes "

@@ -1,12 +1,16 @@
-"""Reset-and-reuse of scalar networks: a leased network is a new network.
+"""Reset-and-reuse of networks: a leased network is a new network.
 
-``run_experiment`` keeps up to two idle scalar ``Network``s per process
-and runs the next point of the same shape on one of them after
-``reset(seed)`` instead of constructing ~1 300 objects again. That is
-pure reuse of wiring: nothing a simulation reports may depend on what
-ran on its network before, a network whose run did not end clean is
-never used again, and monitored runs (``probe=``, ``check=True``) and
-``build_network`` stay outside the pool altogether.
+``run_experiment`` and ``run_batch_experiments`` keep up to two idle
+networks per process and run the next point of the same shape on one of
+them after ``reset`` instead of constructing it again: ~1 300 objects of
+a scalar ``Network``, every array of an array core's ``Chip``. That is
+pure reuse: nothing a simulation reports may depend on what ran on its
+network before, a network whose run did not end clean is never used
+again, and monitored runs (``probe=``, ``check=True``) and
+``build_network`` stay outside the pool altogether. An array core's key
+leaves out the scheme and VC policy, which ``reset`` sets, so one chip
+serves every scheme of a shape; every manifest says whether its network
+was ``leased`` or ``built``.
 """
 
 import random
@@ -21,7 +25,7 @@ from repro.core.violation import InvariantViolation
 from repro.harness import experiment
 from repro.harness.experiment import (ExperimentConfig, Result,
                                       build_network, clear_cache,
-                                      run_experiment)
+                                      run_batch_experiments, run_experiment)
 from repro.harness.parallel import run_experiments
 from repro.harness.traces import get_trace
 from repro.instrument import FlitTracer
@@ -104,9 +108,11 @@ def _fresh(cfg):
     return _metrics(Result.from_network(cfg, net)), net.stats.fingerprint()
 
 
-def _parked(cfg):
-    """The idle network ``cfg``'s run left behind (or ``None``)."""
-    return idle.get(experiment._idle_key(cfg, experiment._net_config(cfg)))
+def _parked(cfg, core=None, lanes=1):
+    """The idle network ``cfg``'s run left behind (or ``None``): a scalar
+    one, or one of the array ``core`` class with ``lanes`` lanes."""
+    return idle.get(experiment._idle_key(cfg, experiment._net_config(cfg),
+                                         core, lanes))
 
 
 def _reused(cfg):
@@ -372,15 +378,50 @@ class TestIdlePool:
         run_experiment(cfg, use_cache=False)
         assert during == [[]] and len(idle) == 1
 
-    def test_only_scalar_networks_are_kept(self):
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized", "batched"])
+    def test_the_manifest_says_leased_or_built(self, backend, request):
+        """The second point of a shape reads ``leased`` on each core (an
+        array chip under another scheme too), the first ``built``."""
+        if backend != "scalar":
+            request.getfixturevalue("array_core")
+        cfg = _point(backend=backend)
+        nxt = replace(cfg, seed=9, rate=0.2,
+                      scheme=cfg.scheme if backend == "scalar" else BASELINE)
+        if backend == "batched":
+            results = [run_batch_experiments([c, replace(c, seed=2)])[1]
+                       for c in (cfg, nxt)]
+        else:
+            results = [run_experiment(c, use_cache=False) for c in (cfg, nxt)]
+        assert [r.manifest["network"] for r in results] == ["built", "leased"]
+        assert [r.manifest["backend"] for r in results] == [backend] * 2
+
+    def test_each_core_parks_under_a_key_of_its_own(self):
+        """An array core is kept as a scalar one is, keyed by the chip
+        plan, the layout fields, its class and its lane count: a
+        vectorized and a batched point of one shape share one chip
+        whatever their scheme and VC policy, a two-lane batch has a chip
+        of its own, and ``auto`` parks the core it ran on."""
         pytest.importorskip("numpy")
-        for backend in ("vectorized", "batched"):
-            run_experiment(_point(backend=backend), use_cache=False)
-        assert not idle
-        # auto: the vectorized core above its crossover, never parked...
-        run_experiment(_point(kx=8, ky=8, rate=0.4, backend="auto",
-                              cycles=20), use_cache=False)
-        assert not idle
+        from repro.network.vectorized import BatchNetwork, VectorNetwork
+        point = _point(backend="vectorized")
+        first = run_experiment(point, use_cache=False)
+        solo = _parked(point, VectorNetwork)
+        again = run_experiment(replace(point, backend="batched", seed=8,
+                                       scheme=BASELINE, vc_policy="dynamic"),
+                               use_cache=False)
+        assert (first.manifest["network"], again.manifest["network"]) == (
+            "built", "leased")
+        assert type(solo) is VectorNetwork and list(idle.values()) == [solo]
+        run_batch_experiments([replace(point, backend="batched", seed=seed)
+                               for seed in (1, 2)])
+        batch = _parked(point, BatchNetwork, lanes=2)
+        assert type(batch) is BatchNetwork
+        assert list(idle.values()) == [solo, batch]
+        # auto: the vectorized core above its crossover...
+        busy = _point(kx=8, ky=8, rate=0.4, backend="auto", cycles=20)
+        assert run_experiment(busy, use_cache=False).manifest[
+            "backend"] == "vectorized"
+        assert list(idle.values()) == [batch, _parked(busy, VectorNetwork)]
         # ...the scalar core below it, and where vectorized refuses.
         low = _point(rate=0.001, backend="auto")
         refused = _point("mecs", kx=8, ky=8, rate=0.4, backend="auto",
@@ -391,6 +432,7 @@ class TestIdlePool:
             scalar = replace(cfg, backend="scalar")
             assert _metrics(replace(result, config=scalar)) == \
                 _fresh(scalar)[0]
+            assert type(_parked(cfg)) is Network
         assert len(idle) == 2
 
 
@@ -528,3 +570,278 @@ class TestMonitoredRunsAndBuildNetwork:
                    for other in built)
         assert list(idle.values()) == [net] and not resets
         assert net.cycle > 0  # untouched since its run
+
+
+# -- the array cores ----------------------------------------------------------
+
+@pytest.fixture
+def array_core():
+    """The array cores' module, in a process that has their kernel."""
+    pytest.importorskip("numpy")
+    from repro.network import vectorized
+    loaded = vectorized.kernel.load()
+    if not loaded.status.startswith("c:"):
+        pytest.skip(f"no compiled cycle on this machine: {loaded.refusal()}")
+    return vectorized
+
+
+#: Array-core shapes: each VC policy, the compiled and the Python-drawn
+#: source (O1TURN needs the ``Packet``), links of several latencies.
+ARRAY_SHAPES = [("mesh", "xy", "static"), ("mesh", "o1turn", "dynamic"),
+                ("cmesh", "xy", "dynamic"), ("chiplet", "weighted", "static")]
+
+
+def _batch_fresh(cfgs):
+    """The lanes of one batch on a ``BatchNetwork`` built for them alone:
+    ``run_batch_experiments``' body without the pool."""
+    from repro.network.vectorized import BatchNetwork
+    topo, routing = experiment.chip_plan(cfgs[0])
+    net = BatchNetwork(topo, experiment._net_config(cfgs[0]),
+                       routing=routing, vc_policy=cfgs[0].vc_policy,
+                       seeds=[cfg.seed for cfg in cfgs])
+    net.run_batch([SyntheticTraffic(cfg.pattern, topo.num_terminals,
+                                    cfg.rate, cfg.packet_size, seed=cfg.seed)
+                   for cfg in cfgs], [cfg.synth_cycles for cfg in cfgs],
+                  [cfg.synth_warmup for cfg in cfgs])
+    net.drain(max_cycles=500_000)
+    net.check_invariants()
+    return [_metrics(Result.from_stats(cfg, net.lane_stats(lane)))
+            for lane, cfg in enumerate(cfgs)]
+
+
+class TestArrayReusedEqualsFresh:
+    @pytest.mark.parametrize("topology,routing,policy", ARRAY_SHAPES)
+    def test_every_scheme_on_one_leased_chip(self, topology, routing,
+                                             policy, array_core):
+        """Baseline and each pseudo-circuit scheme alternate on the one
+        idle chip of the shape, every use with another rate, seed and
+        pattern, and each equals its ``build_network`` run."""
+        order = [_point(topology, routing, policy, scheme,
+                        backend="vectorized", **step)
+                 for step in STEPS for scheme in ALL_SCHEMES]
+        how = []
+        for cfg in order:
+            result = run_experiment(cfg, use_cache=False)
+            how.append(result.manifest["network"])
+            assert _metrics(result) == _fresh(cfg)[0], cfg.label
+        assert how == ["built"] + ["leased"] * (len(order) - 1)
+        [net] = idle.values()
+        assert type(net) is array_core.VectorNetwork
+
+    @pytest.mark.parametrize("topology,routing,policy", ARRAY_SHAPES[:2])
+    def test_batches_of_every_scheme_on_one_leased_chip(
+            self, topology, routing, policy, array_core):
+        """Two-lane units, one scheme each, alternate on one BatchNetwork;
+        every lane equals its batch on a new chip, and its solo run."""
+        units = [[_point(topology, routing, policy, scheme,
+                         backend="batched", **dict(step, seed=seed))
+                  for seed in (21, 22)]
+                 for step in STEPS[:2] for scheme in ALL_SCHEMES]
+        for unit in units:
+            lanes = run_batch_experiments(unit)
+            assert [_metrics(r) for r in lanes] == _batch_fresh(unit)
+            assert _metrics(lanes[1]) == _fresh(unit[1])[0]
+            assert {r.manifest["network"] for r in lanes} == {
+                "built" if unit is units[0] else "leased"}
+        [net] = idle.values()
+        assert type(net) is array_core.BatchNetwork
+
+    def test_pooled_sweep_on_inherited_chips(self, array_core):
+        """Forked workers start with the parent's idle array chips."""
+        points = [_point(scheme=s, backend="vectorized", **step)
+                  for step in STEPS for s in (BASELINE, PSEUDO_SB)]
+        run_experiment(points[0], use_cache=False)  # parent: one idle chip
+        run_experiment(_point(kx=4, backend="vectorized"), use_cache=False)
+        clear_cache()
+        assert len(idle) == 2
+        swept = run_experiments(points, max_workers=2, chunk_size=2)
+        assert [_metrics(r) for r in swept] == \
+            [_fresh(cfg)[0] for cfg in points]
+        assert {r.manifest["network"] for r in swept} == {"leased"}
+
+
+class TestArrayFailedRunIsNeverLeasedAgain:
+    @pytest.mark.parametrize("error", [
+        ProtocolError("body flit on inactive VC"),
+        BufferOverflowError("buffer write to full 4-flit buffer"),
+        KeyboardInterrupt(),
+    ], ids=lambda error: type(error).__name__)
+    @pytest.mark.parametrize("backend", ["vectorized", "batched"])
+    def test_raising_traffic_source(self, backend, error, monkeypatch,
+                                    array_core):
+        from repro.network.vectorized import BatchNetwork, VectorNetwork
+        cfgs = [_point(rate=0.5, backend=backend, seed=seed)
+                for seed in (7, 8)]
+
+        def run(cfgs):
+            if backend == "batched":
+                return run_batch_experiments(cfgs)
+            return [run_experiment(cfgs[0], use_cache=False)]
+
+        def parked():
+            if backend == "batched":
+                return _parked(cfgs[0], BatchNetwork, lanes=2)
+            return _parked(cfgs[0], VectorNetwork)
+
+        run(cfgs)
+        doomed = parked()
+        monkeypatch.setattr(_Raising, "error", error)
+        monkeypatch.setattr(experiment, "SyntheticTraffic", _Raising)
+        with pytest.raises(type(error)):
+            run([replace(cfg, seed=cfg.seed + 2) for cfg in cfgs])
+        monkeypatch.undo()
+        assert not idle and not doomed.quiescent()
+        # The next point of the shape is built, and reads fresh.
+        nxt = [replace(cfg, seed=cfg.seed + 4) for cfg in cfgs]
+        results = run(nxt)
+        assert [r.manifest["network"] for r in results] == ["built"] * len(
+            results)
+        assert [_metrics(r) for r in results] == \
+            [_fresh(cfg)[0] for cfg in nxt[:len(results)]]
+        assert parked() is not doomed
+
+    @pytest.mark.parametrize("method", ["drain", "check_invariants"])
+    def test_failed_drain_or_invariants(self, method, monkeypatch,
+                                        array_core):
+        cfg = _point(backend="vectorized")
+        run_experiment(cfg, use_cache=False)
+        doomed = _parked(cfg, array_core.VectorNetwork)
+
+        def fail(self, *args, **kwargs):
+            raise RuntimeError("network failed to drain")
+
+        monkeypatch.setattr(array_core.VectorNetwork, method, fail)
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg, use_cache=False)
+        monkeypatch.undo()
+        assert not idle
+        assert _metrics(run_experiment(cfg, use_cache=False)) == \
+            _fresh(cfg)[0]
+        assert _parked(cfg, array_core.VectorNetwork) is not doomed
+
+    def test_monitored_runs_and_build_network_stay_out(self, array_core):
+        """Probed and checked runs neither take nor return an array chip,
+        and ``build_network`` never hands out the idle one."""
+        from repro.instrument import TimeSeriesProbe
+        cfg = _point(backend="vectorized", rate=0.3)
+        run_experiment(cfg, use_cache=False)
+        [net] = idle.values()
+        probed = run_experiment(cfg, probe=TimeSeriesProbe())
+        checked = run_experiment(cfg, check=True)
+        assert probed.manifest["network"] == checked.manifest[
+            "network"] == "built"
+        assert build_network(cfg) is not net
+        assert list(idle.values()) == [net] and net.cycle > 0
+        assert _metrics(probed) == _metrics(checked) == _fresh(cfg)[0]
+
+
+# -- reset() reaches every array of the Chip ----------------------------------
+
+def _chip_arrays(net):
+    """Every array of ``net``'s ``Chip``, flat, by ``CHIP_ARRAYS`` name."""
+    return {name: array.ravel()
+            for name, array in net._kernel._arrays.items()}
+
+
+def _differences(net, new):
+    """The ``CHIP_ARRAYS`` and ``Chip`` scalars in which ``net`` is not
+    ``new``: an array equal up to ``new``'s size, every element beyond
+    it (a pool, a histogram grown longer) at the value it starts at."""
+    ours, theirs = _chip_arrays(net), _chip_arrays(new)
+    assert ours.keys() == theirs.keys()
+    differ = []
+    for name, want in theirs.items():
+        got, beyond = ours[name], ours[name][want.size:]
+        if (got.size < want.size or (got[:want.size] != want).any()
+                or beyond.size and (beyond != new._starts[name]).any()):
+            differ.append(name)
+    from repro.network.vectorized import kernel
+    differ += [name for name in kernel.load().scalars
+               if getattr(net._kernel.chip, name)
+               != getattr(new._kernel.chip, name)]
+    return differ
+
+
+def _python_side(net):
+    """What the network keeps outside its ``Chip``."""
+    return (net.cycle, net._nic_seeds, net.nic_rngs, net.p_obj,
+            net.stats.fingerprint(), net.traffic_source, net.probe,
+            net._vhooks, net.config, net.vc_policy.name, net._pc_enabled,
+            net.profile(), getattr(net, "lane_seeds", None))
+
+
+#: (lanes, routing, the policy the chip is dirtied under, the scheme and
+#: policy it is reset to): solo and four lanes, both VC policies each
+#: way, the compiled and the Python-drawn source.
+_RESETS = [(1, "xy", "static", PSEUDO_SB, "dynamic"),
+           (1, "o1turn", "dynamic", BASELINE, "static"),
+           (4, "xy", "dynamic", BASELINE, "static"),
+           (4, "o1turn", "static", PSEUDO_SB, "dynamic")]
+
+
+class TestArrayResetReachesEveryField:
+    def _build(self, array_core, lanes, routing, policy, scheme, seed):
+        from repro.network.config import NetworkConfig
+        topo, _ = experiment.chip_plan(_point())
+        config = NetworkConfig(pseudo=scheme)
+        if lanes == 1:
+            return array_core.VectorNetwork(topo, config, routing=routing,
+                                            vc_policy=policy, seed=seed)
+        return array_core.BatchNetwork(
+            topo, config, routing=routing, vc_policy=policy,
+            seeds=[seed + lane for lane in range(lanes)])
+
+    def _dirty(self, array_core, lanes, routing, policy, scheme):
+        """A chip stopped mid-run: flits buffered, circuits held, NICs
+        sending, latency rows set, probe bound and profiler on."""
+        from repro.instrument import TimeSeriesProbe
+        net = self._build(array_core, lanes, routing, policy, scheme, 5)
+        net.bind_probe(TimeSeriesProbe(window=8))
+        net.enable_profile()
+        traffic = [SyntheticTraffic("uniform", 9, 0.7, 5, seed=3 + lane)
+                   for lane in range(lanes)]
+        if lanes == 1:
+            net.stats.warmup_cycles = 7
+            net.run(40, traffic[0])
+        else:
+            net.run_batch(traffic, [40] * lanes, [7] * lanes)
+        assert not net.quiescent() and net._buffered
+        assert net._snd_cnt.any() and net.hist.any()
+        assert net.pc_valid.any() == (scheme is PSEUDO_SB)
+        assert bool(net.p_obj) == (routing == "o1turn")
+        return net
+
+    @pytest.mark.parametrize("lanes,routing,dirty_policy,scheme,policy",
+                             _RESETS)
+    def test_reset_chip_equals_new_chip(self, lanes, routing, dirty_policy,
+                                        scheme, policy, array_core):
+        new = self._build(array_core, lanes, routing, policy, scheme, 77)
+        other = PSEUDO_SB if scheme is BASELINE else BASELINE
+        net = self._dirty(array_core, lanes, routing, dirty_policy, other)
+        assert _differences(net, new)
+        if lanes == 1:
+            net.reset(77, new.config, policy)
+        else:
+            net.reset([77 + lane for lane in range(lanes)], new.config,
+                      policy)
+        assert _differences(net, new) == []
+        assert _python_side(net) == _python_side(new)
+
+    def test_an_array_without_a_start_is_named(self, array_core):
+        """The seeded case: an array the reset has no initial value for
+        is left as the run left it, and the comparison names it."""
+        new = self._build(array_core, 1, "xy", "static", PSEUDO_SB, 77)
+        net = self._dirty(array_core, 1, "xy", "static", PSEUDO_SB)
+        del net._starts["vc_state"]
+        net.reset(77)
+        assert _differences(net, new) == ["vc_state"]
+
+    def test_reset_keeps_the_layout(self, array_core):
+        from repro.network.config import NetworkConfig
+        net = self._build(array_core, 1, "xy", "static", BASELINE, 1)
+        for layout in (dict(num_vcs=2), dict(buffer_depth=2),
+                       dict(credit_delay=2), dict(inject_queue=4)):
+            with pytest.raises(ValueError, match="layout"):
+                net.reset(1, NetworkConfig(**layout))
+        net.reset(1, NetworkConfig(pseudo=PSEUDO_SB, mshrs=4), "dynamic")
+        assert net._kernel.chip.mshrs == 4 and net._pc_enabled

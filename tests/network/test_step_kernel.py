@@ -1,7 +1,8 @@
 """The compiled cycle (``vectorized/kernel.c``) and its loader.
 
-An array core steps through one C call per cycle and has no second form
-of itself to be compared with; its oracle is the scalar ``Network``.
+An array core steps through one C call per window of cycles
+(``run()``; ``step()`` is ``run(c, c + 1)``) and has no second form of
+itself to be compared with; its oracle is the scalar ``Network``.
 Pinned here:
 
 * **Lockstep differential.** The scalar core and the array core driven

@@ -166,6 +166,8 @@ class TestReach:
                 net.drain(max_cycles=1)
             with pytest.raises(TypeError, match="run_batch"):
                 net.run(1)
+            net.reset(seeds=(3, 4))     # what the idle pool does
+            assert net.quiescent() and net.lane_seeds == (3, 4)
         assert _defined(batch) - seen == set()
 
 
