@@ -6,13 +6,17 @@ source (a benchmark trace or a synthetic pattern). ``run_experiment``
 builds the network, drives it, and returns a ``Result`` with the metrics
 every figure needs. Traces and completed runs are memoized per process so
 overlapping figures (e.g. Fig. 9 and Fig. 10 use the same grid of runs)
-pay for each simulation once. The chip a point runs on — topology,
-routing instance and, through it, the compiled routing tables — is a pure
-function of the config's shape fields and is likewise built once per
-process (``chip_plan``) and shared read-only by every network on it. The
-network built on that chip is reused as well, on every core: a point's
-run ends with the network idle again, and the next point of the same
-shape resets it instead of constructing it (``_idle_networks``).
+pay for each simulation once. Which tier answers a point (a resumed
+journal, the memo, the store) and where a result goes (the memo, the
+store) is decided in one place, ``resolve`` / ``persist``, for
+``run_experiment`` and the sweep scheduler alike. The chip a point runs
+on — topology, routing instance and, through it, the compiled routing
+tables — is a pure function of the config's shape fields and is
+likewise built once per process (``chip_plan``) and shared read-only by
+every network on it. The network built on that chip is reused as well,
+on every core: a point's run ends with the network idle again, and the
+next point of the same shape resets it instead of constructing it
+(``_idle_networks``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from ..network.backend import (BackendUnsupportedError, backend_of,
 from ..network.config import NetworkConfig, PseudoCircuitConfig
 from ..network.simulator import Network
 from ..routing import make_routing
+from ..store import payload_to_result, result_to_text, store_key
 from ..topology import make_topology
 from ..traffic.synthetic import SyntheticTraffic
 from ..traffic.trace import Trace, TraceReplayTraffic
@@ -156,6 +161,7 @@ class Result:
         )
 
 
+#: The result memo: ``persist`` is its one writer, ``clear_cache`` empties it.
 _run_cache: dict[ExperimentConfig, Result] = {}
 
 #: Process-wide ResultStore backing the memo (None = memory only).
@@ -357,14 +363,15 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     array-native ``VectorInvariantChecker`` sweeping every
     ``check_stride`` cycles on the vectorized cores; both strict (the
     first violation raises) — and stores the metrics document on
-    ``Result.monitor_report``.
+    ``Result.monitor_report``. Unchecked, unprobed runs are answered by
+    ``resolve`` (memo, then the default store) and a simulated one goes
+    through ``persist``, as every point of a sweep does.
     """
-    if probe is not None or check:
-        use_cache = False
+    use_cache = use_cache and probe is None and not check
     if use_cache:
-        hit = cached(config)
+        hit = resolve(config, store=_default_store)
         if hit is not None:
-            return hit
+            return hit[0]
     start = time.perf_counter()
     # Monitored runs get a network of their own, before and after: what a
     # probe or monitor sees must not depend on what ran here earlier. A
@@ -375,7 +382,7 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     (result,) = _simulate([config], net, start, how, probe=probe,
                           check=check, check_stride=check_stride, park=park)
     if use_cache:
-        cache_result(result)
+        persist(result, store=_default_store)
     return result
 
 
@@ -518,10 +525,9 @@ def _replay(net: Network, trace: Trace) -> None:
 def memo_hit(config: ExperimentConfig) -> Result | None:
     """The in-process memo entry for ``config``; the store is untouched.
 
-    Telemetry uses this to attribute cache resolutions to the right
-    tier: a ``memo`` hit answered from process memory versus a
-    ``store`` hit that paid a disk read — ``cached`` alone cannot tell
-    them apart (and bumps the store's miss counter while looking).
+    For readers that want a memoized result and no store traffic (the
+    benchmark reads a figure's points back this way); ``resolve`` is
+    what answers a point.
     """
     return _run_cache.get(config)
 
@@ -547,71 +553,68 @@ def backend_decision(config: ExperimentConfig, lanes: int = 1) -> dict:
     return decision
 
 
-def cached(config: ExperimentConfig, store=None) -> Result | None:
-    """Return the cached result for ``config``, if any.
+def resolve(config: ExperimentConfig, key: str | None = None, store=None,
+            journaled: dict | None = None):
+    """Answer ``config`` without simulating it: ``(result, text, tier)``,
+    or ``None`` when it has to be simulated.
 
-    The in-process memo is consulted first; on a miss, the explicit
-    ``store`` (or the process-wide default store) is queried by content
-    address (``store_hit``).
+    The tiers, in order: ``journal-replay`` — ``journaled``, the records
+    of a journal a resumed sweep loaded (``SweepJournal.records()``,
+    keyed by store key) — then ``memo``, then ``store``. ``text`` is the
+    verified canonical payload a journal line or store entry was read
+    from (``None`` for a memo hit), for a caller that records the point
+    again without encoding it. ``key`` is the config's ``store_key``,
+    hashed here only if the store is asked and the caller has none. A
+    store hit is folded into the memo; a corrupt entry (quarantined by
+    the store) or a payload this code cannot read is a miss.
     """
+    if journaled:
+        record = journaled.get(key)
+        result = _from_payload(record)
+        if result is not None:
+            return result, record[1], "journal-replay"
     hit = _run_cache.get(config)
     if hit is not None:
-        return hit
-    store = store if store is not None else _default_store
+        return hit, None, "memo"
     if store is None:
         return None
-    from ..store import store_key
-    hit = store_hit(config, store_key(config), store)
-    return None if hit is None else hit[0]
-
-
-def store_hit(config: ExperimentConfig, key: str,
-              store) -> tuple[Result, str] | None:
-    """``store``'s result for ``config`` under its ``store_key`` ``key``,
-    with the verified canonical payload text it was read from (so a
-    caller that journals the hit re-records those bytes instead of
-    serializing the result again).
-
-    For callers that already hold the key (the scheduler computes each
-    point's once). A durable hit is deserialized, folded into the memo,
-    and returned — corrupt store entries read back as misses (the store
-    quarantines them), so callers transparently recompute.
-    """
-    hit = store.get_with_text(key)
-    if hit is None:
+    entry = store.get_with_text(key if key is not None
+                                else store_key(config))
+    result = _from_payload(entry)
+    if result is None:
         return None
-    from ..store import payload_to_result
+    persist(result)  # already durable: the memo only
+    return result, entry[1], "store"
+
+
+def _from_payload(record) -> Result | None:
+    """The ``Result`` of a ``(payload, text)`` read, or ``None`` for no
+    read or a payload this code cannot rebuild (recompute it)."""
+    if record is None:
+        return None
     try:
-        result = payload_to_result(hit[0])
+        return payload_to_result(record[0])
     except (KeyError, TypeError, ValueError):
-        return None  # forward-incompatible payload: recompute
-    _run_cache[config] = result
-    return result, hit[1]
+        return None
 
 
-def cache_result(result: Result, store=None) -> None:
-    """Fold a computed result into the memo and write it through.
-
-    With a ``store`` (explicit or the process-wide default) the result
-    is also persisted under its content-addressed key, making it
-    durable across processes.
+def persist(result: Result, key: str | None = None, store=None,
+            text: str | None = None) -> str | None:
+    """The one writer of the memo and of store entries: fold ``result``
+    into the memo, then put it in ``store`` under ``key`` (its config's
+    ``store_key``). ``text`` is its canonical payload if the caller
+    already holds it (a journal replay); otherwise it is encoded here,
+    only for a store. Returns the text put, so a caller that journals
+    the point appends the same string.
     """
-    store = store if store is not None else _default_store
-    if store is None:
-        _run_cache[result.config] = result
-    else:
-        from ..store import result_to_text, store_key
-        write_through(result, store_key(result.config),
-                      result_to_text(result), store)
-
-
-def write_through(result: Result, key: str, text: str, store) -> None:
-    """Fold ``result`` into the memo and put ``text``, its
-    ``result_to_text`` form, in ``store`` under ``key``, its config's
-    ``store_key`` (see ``store_hit``). Callers that also journal the
-    point encode it once and hand the same text to both."""
     _run_cache[result.config] = result
-    store.put_text(key, text, label=result.config.label)
+    if store is None:
+        return text
+    if text is None:
+        text = result_to_text(result)
+    store.put_text(key if key is not None else store_key(result.config),
+                   text, label=result.config.label)
+    return text
 
 
 def clear_cache() -> None:

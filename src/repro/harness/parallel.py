@@ -12,10 +12,17 @@ On top of that ordered merge the scheduler is built to *survive*. The
 contract is stated once, in docs/ARCHITECTURE.md ("L4 — execution
 engine"); ``run_experiments`` documents each knob. In short:
 
-* **Tiers** — a point is answered by the checkpoint journal (on
-  ``resume``), the in-process memo or the content-addressed store
-  before anything simulates. ``check=True`` bypasses all three: a
-  replayed result would silently skip the monitors.
+* **Points** — a point is the record ``(idx, cfg, key)``: its sweep
+  index, its config and its ``store_key``, hashed once here in the
+  parent. The record is what groups, ships to a worker, comes back and
+  waits for a retry; nothing keeps a side table by index.
+* **Tiers** — ``experiment.resolve`` answers a point from the
+  checkpoint journal (on ``resume``), the in-process memo or the
+  content-addressed store before anything simulates, and
+  ``experiment.persist`` writes a result to the memo and the store —
+  the same pair ``run_experiment`` calls, so a point is read and put
+  once. ``check=True`` bypasses all three: a replayed result would
+  silently skip the monitors.
 * **Units** — what is left is grouped: points sharing a ``batch_key``
   (backend ``batched`` or ``auto``) run as up to ``batch_size`` lanes of
   one ``BatchNetwork`` — one chip and one kernel call per window for
@@ -25,7 +32,7 @@ engine"); ``run_experiments`` documents each knob. In short:
 * **One way to run a unit** — ``_run_unit`` executes it, whether the
   inline loop, a worker's chunk or the retry pass calls it (a batch
   that fails reruns its lanes solo), and ``_Scheduler.absorb`` takes in
-  what comes back: a ``Result`` is stored and journaled (flushed +
+  what comes back: a ``Result`` is persisted and journaled (flushed +
   fsync'd) as it lands, a ``SweepPointError`` — or a point a broken or
   stalled pool never returned — waits for ``retry_pass``.
 * **Retries** — that pass runs in this process, in input order, after
@@ -39,8 +46,9 @@ engine"); ``run_experiments`` documents each knob. In short:
   (the bench gate's ``telemetry_cold_check`` enforces it).
 
 Workers are forked (POSIX default), so they inherit the parent's trace
-and run caches; results travel back pickled and are folded into the
-parent's cache, which lets the figure code keep its cheap memoized
+cache, chip plans and idle networks. They only simulate — no memo, no
+store, no journal: results travel back pickled and the parent persists
+them, which lets the figure code keep its cheap memoized
 ``run_experiment`` calls after a ``prefetch``.
 """
 
@@ -54,12 +62,10 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from ..instrument import run_manifest
-from ..store import (SweepJournal, payload_to_result, result_to_text,
-                     store_key)
+from ..store import SweepJournal, result_to_text, store_key
 from .experiment import (ExperimentConfig, Result, backend_decision,
-                         batch_key, cache_result, default_store, memo_hit,
-                         run_batch_experiments, run_experiment, store_hit,
-                         write_through)
+                         batch_key, default_store, persist, resolve,
+                         run_batch_experiments, run_experiment)
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -131,9 +137,12 @@ class SweepPointError(RuntimeError):
 
 def _run_point(cfg: ExperimentConfig, check: bool = False,
                check_stride: int = 1) -> Result:
-    """Simulate one point, labelling any failure with the point's config."""
+    """Simulate one point, labelling any failure with the point's config.
+    No tier is read or written here: the scheduler resolved the point
+    before and persists its result after."""
     try:
-        return run_experiment(cfg, check=check, check_stride=check_stride)
+        return run_experiment(cfg, use_cache=False, check=check,
+                              check_stride=check_stride)
     except Exception as exc:
         try:
             manifest = run_manifest(cfg, seed=cfg.seed)
@@ -159,16 +168,16 @@ def _group_units(todo: Sequence[tuple], batch_size: int) -> list[list]:
         return [[point] for point in todo]
     units: list[list] = []
     filling: dict = {}  # batch_key -> unit still below batch_size
-    for idx, cfg in todo:
-        key = batch_key(cfg)
+    for point in todo:
+        key = batch_key(point[1])
         if key is None:
-            units.append([(idx, cfg)])
+            units.append([point])
             continue
         unit = filling.get(key)
         if unit is None:
             unit = filling[key] = []
             units.append(unit)
-        unit.append((idx, cfg))
+        unit.append(point)
         if len(unit) >= batch_size:
             del filling[key]
     return units
@@ -201,8 +210,8 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     inline loop, a worker's chunk or the retry pass calls it. A
     multi-point unit runs as one batched chip.
 
-    ``points`` are ``(idx, cfg)`` pairs (the sweep index travels with
-    the config so telemetry spans name the point they close). A failure
+    ``points`` are ``(idx, cfg, key)`` records (index and key travel
+    with the config so telemetry spans name the point they close). A failure
     of the *batch* (any lane's exception aborts the shared chip) falls
     back to per-point simulation, which both isolates the failing lane
     and completes its innocent unit-mates. Per-point failures are
@@ -212,20 +221,18 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     shared chip at once.
 
     With ``tel`` every completed point emits its closed span *before*
-    the outcome goes back to the scheduler (whose ``finish_point``
-    journals it) — the ordering that makes "every journaled point has a
+    the outcome goes back to the scheduler (whose ``finish`` journals
+    it) — the ordering that makes "every journaled point has a
     span" hold through a SIGKILL at any instant. ``attempts`` and
     ``backoff_s`` are the retry pass's account of the tries this one
     makes, stamped on that span.
     """
-    cfgs = [cfg for _, cfg in points]
+    cfgs = [point[1] for point in points]
     lanes = len(cfgs)
     results, solo_fallback = None, False
     start = time.perf_counter()
     if lanes > 1:
         try:
-            # Cache layers were already consulted by ``collect_todo``;
-            # the scheduler's ``finish_point`` writes results through.
             results = list(run_batch_experiments(cfgs, check=check,
                                                  check_stride=check_stride))
         except Exception as exc:
@@ -240,7 +247,7 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
                 tel.emit("unit", lanes=lanes, status="ok",
                          dur_s=round(unit_dur, 6))
     outcomes = []
-    for lane, (idx, cfg) in enumerate(points):
+    for lane, (idx, cfg, key) in enumerate(points):
         if results is not None:
             outcome = results[lane]
         else:
@@ -257,7 +264,7 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
             tel.emit("point_failed", idx=idx, label=cfg.label,
                      cause=outcome.cause, solo_fallback=solo_fallback)
         else:
-            tel.point(idx, cfg, store_key(cfg), "simulate", dur,
+            tel.point(idx, cfg, key, "simulate", dur,
                       attempts=attempts,
                       backoff_s=[round(d, 6) for d in backoff_s],
                       solo_fallback=solo_fallback,
@@ -265,24 +272,9 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     return outcomes
 
 
-#: Per-process worker telemetry: stream path -> (Telemetry, store-stat
-#: baseline at first use). Forked workers inherit the parent's counter
-#: values, so the baseline turns cumulative counters into this worker's
-#: own traffic.
-_worker_state: dict = {}
-
-
-def _worker_telemetry(spec):
-    """The (emitter, store baseline) pair of this worker process."""
-    path, sweep = spec
-    state = _worker_state.get(path)
-    if state is None:
-        from ..telemetry import Telemetry
-        store = default_store()
-        baseline = dict(store.stats) if store is not None else None
-        state = _worker_state[path] = (Telemetry(path, sweep=sweep),
-                                       baseline)
-    return state
+#: This worker process's telemetry emitters, by stream path, opened on
+#: its first chunk and kept for the rest.
+_worker_tel: dict = {}
 
 
 def _run_chunk(units: Sequence[Sequence[tuple]],
@@ -290,28 +282,22 @@ def _run_chunk(units: Sequence[Sequence[tuple]],
                telemetry=None) -> list:
     """Worker entry point: simulate one chunk of units, in order.
 
-    ``units`` hold ``(idx, cfg)`` points. Returns one outcome per
+    ``units`` hold ``(idx, cfg, key)`` points. Returns one outcome per
     *point* (units flattened in order): either a ``Result`` or the
-    ``SweepPointError`` that point raised (both pickle-safe).
+    ``SweepPointError`` that point raised (both pickle-safe). A worker
+    touches no tier; the parent persists what comes back.
     ``telemetry`` is ``(stream path, sweep id)`` or ``None``; with it,
-    the worker appends spans to the shared stream as points complete
-    and a cumulative ``worker_store`` counter delta after each chunk.
+    the worker appends spans to the shared stream as points complete.
     """
-    tel = baseline = None
+    tel = None
     if telemetry is not None:
-        tel, baseline = _worker_telemetry(telemetry)
-    start = time.perf_counter()
-    outcomes = []
-    for points in units:
-        outcomes.extend(_run_unit(points, check, check_stride, tel))
-    if tel is not None:
-        fields = {"points": len(outcomes),
-                  "busy_s": round(time.perf_counter() - start, 6)}
-        store = default_store()
-        if store is not None and baseline is not None:
-            fields["stats"] = store.stats_delta(baseline)
-        tel.emit("worker_store", **fields)
-    return outcomes
+        path, sweep = telemetry
+        tel = _worker_tel.get(path)
+        if tel is None:
+            from ..telemetry import Telemetry
+            tel = _worker_tel[path] = Telemetry(path, sweep=sweep)
+    return [outcome for points in units
+            for outcome in _run_unit(points, check, check_stride, tel)]
 
 
 def _open_journal(journal, resume: bool):
@@ -353,9 +339,6 @@ class _Scheduler:
                  check_stride=1, telemetry=None):
         self.configs = configs
         self.results: list[Result | None] = [None] * len(configs)
-        #: Each point's store key, hashed once by ``collect_todo`` and
-        #: reused by every store get/put, journal append and span.
-        self.keys: list[str | None] = [None] * len(configs)
         self.check = check
         self.check_stride = check_stride
         self.store = store
@@ -367,7 +350,7 @@ class _Scheduler:
         self.timeout = timeout
         self.sleep = sleep
         self.tel = telemetry
-        #: Owed to ``retry_pass``: ``(idx, cfg, SweepPointError | None)``.
+        #: Owed to ``retry_pass``: ``(point, SweepPointError | None)``.
         self.recover: list[tuple] = []
 
     # -- completion -------------------------------------------------------
@@ -379,104 +362,69 @@ class _Scheduler:
         waits for ``retry_pass``, as does every point of a chunk the
         pool lost (``outcomes`` is ``None``: it never ran).
         """
-        for k, (idx, cfg) in enumerate(points):
+        for k, point in enumerate(points):
             outcome = None if outcomes is None else outcomes[k]
             if outcome is None or isinstance(outcome, SweepPointError):
-                self.recover.append((idx, cfg, outcome))
+                self.recover.append((point, outcome))
             else:
-                self.finish_point(idx, outcome)
+                self.finish(point, outcome)
 
-    def finish_point(self, idx: int, result: Result,
-                     journaled_text: str | None = None) -> None:
-        """Record one completed point: slot, memo/store, checkpoint.
+    def finish(self, point, result: Result, text: str | None = None,
+               tier: str = "simulate") -> None:
+        """Record one answered point: its result slot; then, unless the
+        sweep is checked, ``persist`` it (memo, store put) unless a memo
+        or store hit answered it, and journal it unless the journal did.
 
-        ``journaled_text`` marks a point replayed from the journal: it
-        is not journaled again, and the verified text it was read from
-        is what the store gets. With telemetry on, the store
-        write-through and journal append are timed and emitted as a
-        ``persist`` event (what says "40% of the wall went to store
-        I/O").
+        ``text`` is the verified payload a hit was read from, else the
+        one ``persist`` encoded: the journal line carries that string.
+        With telemetry on, a persisted point's store and journal walls
+        are emitted as a ``persist`` event.
         """
+        idx, _, key = point
         self.results[idx] = result
+        if self.check:
+            return
         tel = self.tel
-        key = self.keys[idx]
-        journaling = self.journal is not None and journaled_text is None
-        persisting = not self.check and self.store is not None
-        # Encoded once: the store entry and the journal line carry the
-        # same canonical payload text.
-        text = journaled_text
-        if text is None and (persisting or journaling):
-            text = result_to_text(result)
+        durable = tier in ("memo", "store")
         t0 = time.perf_counter() if tel is not None else 0.0
-        if persisting:
-            write_through(result, key, text, self.store)
-        elif not self.check:
-            cache_result(result)  # no store anywhere: memo only
+        if not durable:
+            text = persist(result, key, self.store, text)
         t1 = time.perf_counter() if tel is not None else 0.0
-        if journaling:
-            self.journal.append_text(key, text)
-        if tel is not None:
+        if self.journal is not None and tier != "journal-replay":
+            self.journal.append_text(
+                key, text if text is not None else result_to_text(result))
+        if tel is not None and not durable:
             tel.emit("persist", idx=idx, store_s=round(t1 - t0, 6),
                      journal_s=round(time.perf_counter() - t1, 6))
 
     # -- skip phase: journal, memo, store ---------------------------------
 
-    def collect_todo(self) -> list[tuple[int, ExperimentConfig]]:
-        """Resolve every point answerable without simulating; return the
-        rest.
+    def collect_todo(self) -> list[tuple]:
+        """Make every point's ``(idx, cfg, key)`` record, finish the
+        ones ``resolve`` answers and return the rest.
 
-        With telemetry on, every cache-resolved point emits a closed
-        span stamped with the tier that answered it — ``journal-replay``,
-        ``memo`` (in-process memory, free) or ``store`` (paid a disk
-        read, whose wall the span carries). Spans are emitted *before*
-        the journal append so a journaled point always has its span.
+        With telemetry on, every resolved point emits a closed span
+        stamped with the tier that answered it — ``journal-replay``,
+        ``memo`` or ``store`` — and the wall of the lookup. Spans are
+        emitted *before* the journal append so a journaled point always
+        has its span.
         """
         tel = self.tel
-        journaled: dict[str, tuple[dict, str]] = {}
-        if self.journal is not None and self.resume:
-            journaled = self.journal.records()
-        todo: list[tuple[int, ExperimentConfig]] = []
+        journaled = (self.journal.records()
+                     if self.journal is not None and self.resume else None)
+        todo = []
         for idx, cfg in enumerate(self.configs):
-            key = self.keys[idx] = store_key(cfg)
-            if self.check:
-                todo.append((idx, cfg))
+            key = store_key(cfg)
+            t0 = time.perf_counter() if tel is not None else 0.0
+            hit = (None if self.check
+                   else resolve(cfg, key, self.store, journaled))
+            if hit is None:
+                todo.append((idx, cfg, key))
                 continue
-            record = journaled.get(key)
-            if record is not None:
-                t0 = time.perf_counter() if tel is not None else 0.0
-                try:
-                    result = payload_to_result(record[0])
-                except (KeyError, TypeError, ValueError):
-                    pass  # stale journal payload: recompute
-                else:
-                    if tel is not None:
-                        tel.point(idx, cfg, key, "journal-replay",
-                                  time.perf_counter() - t0, attempts=0)
-                    self.finish_point(idx, result, journaled_text=record[1])
-                    continue
-            hit = memo_hit(cfg)
-            tier, read_s, text = "memo", 0.0, None
-            if hit is None and self.store is not None:
-                t0 = time.perf_counter() if tel is not None else 0.0
-                stored = store_hit(cfg, key, self.store)
-                if tel is not None:
-                    read_s = time.perf_counter() - t0
-                tier = "store"
-                if stored is not None:
-                    hit, text = stored
-            if hit is not None:
-                # Already durable — record the slot (and checkpoint, so
-                # the journal stays self-contained) without a store put.
-                # A store hit re-records the bytes it just verified.
-                self.results[idx] = hit
-                if tel is not None:
-                    tel.point(idx, cfg, key, tier, read_s, attempts=0)
-                if self.journal is not None:
-                    self.journal.append_text(
-                        key, text if text is not None
-                        else result_to_text(hit))
-            else:
-                todo.append((idx, cfg))
+            if tel is not None:
+                tel.point(idx, cfg, key, hit[2], time.perf_counter() - t0,
+                          attempts=0)
+            self.finish((idx, cfg, key), *hit)
         return todo
 
     # -- inline execution and the retry pass -------------------------------
@@ -491,10 +439,10 @@ class _Scheduler:
         """Finish what ``absorb`` queued, in input order and in this
         process. Every other point is finished (stored, journaled) by
         now, so the first one to exhaust its budget can raise."""
-        for idx, cfg, err in sorted(self.recover, key=lambda item: item[0]):
-            self.finish_point(idx, self.attempt_with_retries(idx, cfg, err))
+        for point, err in sorted(self.recover, key=lambda item: item[0][0]):
+            self.finish(point, self.attempt_with_retries(point, err))
 
-    def attempt_with_retries(self, idx: int, cfg: ExperimentConfig,
+    def attempt_with_retries(self, point,
                              last: SweepPointError | None) -> Result:
         """Run one queued point solo, retrying with deterministic backoff.
 
@@ -509,6 +457,7 @@ class _Scheduler:
         sweep's stream explains itself.
         """
         tel = self.tel
+        idx, cfg, _ = point
         attempt = 0 if last is None else 1
         history: list[float] = []
         while attempt < self.max_attempts:
@@ -523,7 +472,7 @@ class _Scheduler:
                                     else None))
                 self.sleep(delay)
             attempt += 1
-            (outcome,) = _run_unit([(idx, cfg)], self.check,
+            (outcome,) = _run_unit([point], self.check,
                                    self.check_stride, tel, attempts=attempt,
                                    backoff_s=history)
             if not isinstance(outcome, SweepPointError):
@@ -652,8 +601,9 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     default), or, with ``resume=True``, the checkpoint ``journal`` of an
     interrupted earlier run. The remainder is split into chunks
     (amortizing process round-trips) and dispatched to a worker pool;
-    every completed point is journaled and written through the store *as
-    it lands*, so progress survives a SIGKILL at any instant. With
+    this process persists (memo, store) and journals every completed
+    point *as it lands*, so progress survives a SIGKILL at any instant
+    and each point is read and put once. With
     ``max_workers`` of 1 — or a single uncached point — everything runs
     inline, which keeps tests and single-core machines free of pool
     overhead.
@@ -689,7 +639,7 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     ``telemetry=`` (a stream path or a live ``repro.telemetry
     .Telemetry``) switches on the span/event stream documented in
     ``repro.telemetry``: one closed span per point, scheduler lifecycle
-    events, per-process store-counter deltas — and, when given as a
+    events, the sweep's store-counter delta — and, when given as a
     path, a ``repro.sweep-report/1`` summary written next to the stream
     when the sweep ends (whatever way it ends). Telemetry is pure
     observation: results are bit-identical with it on or off, and the

@@ -1,6 +1,6 @@
 """Cycle-accurate flit-based wormhole NoC simulator (paper Section V)."""
 
-from .arbiters import MatrixArbiter, RoundRobinArbiter, make_arbiter
+from .arbiters import RoundRobinArbiter
 from .buffers import BufferOverflowError, FlitBuffer
 from .config import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO, PSEUDO_B,
                      PSEUDO_S, PSEUDO_SB, NetworkConfig, PseudoCircuitConfig)
@@ -25,7 +25,6 @@ __all__ = [
     "FlitType",
     "InputPort",
     "Link",
-    "MatrixArbiter",
     "Network",
     "NetworkConfig",
     "Nic",
@@ -45,5 +44,4 @@ __all__ = [
     "VCState",
     "VirtualChannel",
     "build_network",
-    "make_arbiter",
 ]

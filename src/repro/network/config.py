@@ -59,7 +59,6 @@ class NetworkConfig:
     num_vcs: int = 4
     buffer_depth: int = 4
     credit_delay: int = 1
-    arbiter_kind: str = "roundrobin"
     pseudo: PseudoCircuitConfig = field(default_factory=PseudoCircuitConfig)
     # NIC parameters.
     mshrs: int = 0          # 0 = unlimited outstanding packets per terminal

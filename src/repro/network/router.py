@@ -45,7 +45,7 @@ from ..core.violation import InvariantViolation
 from ..metrics.stats import NetworkStats
 from ..routing.base import RoutingAlgorithm
 from ..vcalloc.base import VCAllocationPolicy
-from .arbiters import make_arbiter
+from .arbiters import RoundRobinArbiter
 from .config import NetworkConfig
 from .flit import Flit
 from .ports import InputPort, OutputPort
@@ -84,9 +84,9 @@ class Router:
         # Output ports are replaced by the Network once channels exist.
         self.out_ports: list[OutputPort] = [
             OutputPort(p, []) for p in range(num_outports)]
-        self._in_arbs = [make_arbiter(config.arbiter_kind, config.num_vcs)
+        self._in_arbs = [RoundRobinArbiter(config.num_vcs)
                          for _ in range(num_inports)]
-        self._out_arbs = [make_arbiter(config.arbiter_kind, num_inports)
+        self._out_arbs = [RoundRobinArbiter(num_inports)
                           for _ in range(num_outports)]
         self._in_full_mask = (1 << num_inports) - 1
         # Compiled routing (bound by the Network when the algorithm is

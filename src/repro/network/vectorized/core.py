@@ -39,9 +39,8 @@ index arrays the kernel recorded while one was attached;
 unsupported (raising ``BackendUnsupportedError``): a process that
 cannot build the kernel (no C compiler), per-flit event probes
 (``FlitTracer`` and other scalar-protocol instrumentation),
-non-tabulable routing algorithms, multidrop (MECS) channels,
-non-roundrobin arbiters, and VC policies other than dynamic/static —
-use the scalar backend for those.
+non-tabulable routing algorithms, multidrop (MECS) channels, and VC
+policies other than dynamic/static — use the scalar backend for those.
 """
 
 from __future__ import annotations
@@ -125,11 +124,6 @@ class VectorNetwork:
                  probe=None, lanes: int = 1, lane_seeds=None):
         np = require_numpy()
         self._np = np
-        if config.arbiter_kind != "roundrobin":
-            raise BackendUnsupportedError(
-                f"the vectorized backend supports only roundrobin "
-                f"arbiters, not {config.arbiter_kind!r} (topology "
-                f"{topology.name!r}); use --backend scalar")
         self.topology = topology
         if isinstance(routing, str):
             routing = make_routing(routing, topology)

@@ -2,8 +2,8 @@
 
 The sweep-report is the execution-layer counterpart of the monitor
 suite's metrics documents: one JSON summary per sweep with the metrics
-a regression gate should watch — resolution-tier mix, store hit rate
-aggregated across *every* process that touched the store, batch
+a regression gate should watch — resolution-tier mix, store traffic
+and hit rate (the parent's counters: workers do no store I/O), batch
 occupancy, retry/backoff totals, scheduler overhead fraction, points
 per second. It flows through the same ``repro compare`` machinery as
 metrics and bench documents (``monitor/regression.py`` carries

@@ -30,7 +30,7 @@ Record vocabulary (the ``ev`` field):
 ``degrade``               scheduler degradation: pool-unusable /
                           worker-failure / stall-timeout
 ``persist``               store write-through + journal append walls
-``worker_store``          one process's ResultStore counter delta
+``worker_store``          the sweep's ResultStore counter delta (parent)
 ``sweep_end``             status (ok/error), completed count, total wall
 ========================  ==================================================
 

@@ -8,9 +8,11 @@ the result store, and the ``check=True`` cache bypass.
 
 import pytest
 
+import repro.harness.experiment as experiment
 import repro.harness.parallel as parallel
 from repro.harness.experiment import (ExperimentConfig, clear_cache,
-                                      run_experiment)
+                                      memo_hit, run_experiment,
+                                      set_default_store)
 from repro.harness.parallel import (SweepPointError, backoff_delay,
                                     run_experiments)
 from repro.store import ResultStore, SweepJournal, store_key
@@ -27,8 +29,10 @@ def _point(**overrides):
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_cache()
+    set_default_store(None)
     yield
     clear_cache()
+    set_default_store(None)
 
 
 class _FakeClock:
@@ -261,6 +265,7 @@ class TestStoreIntegration:
             raise AssertionError("a replayed point must not be re-encoded")
 
         monkeypatch.setattr(parallel, "result_to_text", bomb)
+        monkeypatch.setattr(experiment, "result_to_text", bomb)
         clear_cache()
         warm_path = str(tmp_path / "warm.journal")
         warm = run_experiments(points, max_workers=1, store=store,
@@ -289,3 +294,47 @@ class TestStoreIntegration:
         # cached (unmonitored) result does not, and nothing was journaled.
         assert checked[0].monitor_report is not None
         assert SweepJournal(path).load() == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cold_sweep_reads_and_puts_each_point_once(self, tmp_path,
+                                                         workers):
+        """The default store behind a sweep: one read (a miss) and one
+        put per simulated point, in the parent, whatever the pool."""
+        store = ResultStore(str(tmp_path / "store"))
+        set_default_store(store)
+        points = [_point(seed=s) for s in (55, 56, 57, 58)]
+        run_experiments(points, max_workers=workers, chunk_size=1)
+        assert store.stats["misses"] == len(points)
+        assert store.stats["puts"] == len(points)
+        assert store.stats["redundant"] == 0
+        assert store.stats["hits"] == 0
+
+    def test_run_experiment_answers_through_the_same_tiers(
+            self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path / "store"))
+        set_default_store(store)
+        point = _point(seed=59)
+        first = run_experiment(point)  # simulated, then put
+        assert (store.stats["misses"], store.stats["puts"]) == (1, 1)
+        assert memo_hit(point) is first
+        assert run_experiment(point) is first  # memo: no store traffic
+        assert store.stats["hits"] == 0
+        clear_cache()
+        from_store = run_experiment(point)  # a fresh memo: the store
+        assert from_store == first
+        assert store.stats["hits"] == 1 and store.stats["puts"] == 1
+        assert memo_hit(point) is from_store
+
+        def bomb(*args, **kwargs):
+            raise AssertionError("a tier was touched")
+
+        monkeypatch.setattr(experiment, "persist", bomb)
+        monkeypatch.setattr(experiment, "resolve", bomb)
+        checked = run_experiment(point, check=True)
+        assert checked.monitor_report is not None
+        from repro.instrument import Probe
+        probed = run_experiment(point, probe=Probe())
+        assert checked == probed == first
+        assert memo_hit(point) is from_store
+        assert store.stats == {"hits": 1, "misses": 1, "puts": 1,
+                               "redundant": 0, "quarantined": 0}

@@ -1,10 +1,9 @@
-"""Unit and property tests for the arbiters."""
+"""Unit and property tests for the round-robin arbiter."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network.arbiters import (MatrixArbiter, RoundRobinArbiter,
-                                    make_arbiter)
+from repro.network.arbiters import RoundRobinArbiter
 
 
 class TestRoundRobin:
@@ -38,42 +37,11 @@ class TestRoundRobin:
         assert granted == {0, 2, 4}
 
 
-class TestMatrixArbiter:
-    def test_least_recently_served(self):
-        arb = MatrixArbiter(3)
-        first = arb.grant([0, 1])
-        # The winner drops to lowest priority among the two.
-        assert arb.grant([0, 1]) != first
-
-    def test_all_requesters_served(self):
-        arb = MatrixArbiter(4)
-        granted = [arb.grant([0, 1, 2, 3]) for _ in range(4)]
-        assert sorted(granted) == [0, 1, 2, 3]
-
-    def test_single_request(self):
-        assert MatrixArbiter(2).grant([1]) == 1
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            MatrixArbiter(2).grant([2])
-
-
-class TestFactory:
-    def test_kinds(self):
-        assert isinstance(make_arbiter("roundrobin", 2), RoundRobinArbiter)
-        assert isinstance(make_arbiter("matrix", 2), MatrixArbiter)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_arbiter("magic", 2)
-
-
 @given(st.lists(st.sets(st.integers(0, 7), min_size=1), min_size=1,
-                max_size=50),
-       st.sampled_from(["roundrobin", "matrix"]))
-def test_grant_is_always_a_requester(request_seq, kind):
+                max_size=50))
+def test_grant_is_always_a_requester(request_seq):
     """Property: every grant is one of the requests, for any sequence."""
-    arb = make_arbiter(kind, 8)
+    arb = RoundRobinArbiter(8)
     for requests in request_seq:
         grant = arb.grant(requests)
         assert grant in requests

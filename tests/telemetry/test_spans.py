@@ -187,10 +187,10 @@ class TestWorkerStore:
         records = read_stream(tel)
         deltas = [r for r in records if r["ev"] == "worker_store"]
         assert deltas, "no worker_store events"
-        # Forked workers inherit parent counters; the per-pid deltas must
-        # sum to exactly the sweep's real store traffic.
-        by_pid = {}
-        for record in deltas:
-            by_pid[record["pid"]] = record["stats"]
-        puts = sum(stats["puts"] for stats in by_pid.values())
-        assert puts == len(points)
+        # Workers do no store I/O: the parent's one record is the
+        # sweep's whole store traffic, one put per point.
+        (parent,) = deltas
+        assert parent["pid"] == records[0]["pid"]
+        assert parent["role"] == "parent"
+        assert parent["stats"]["puts"] == len(points)
+        assert parent["stats"]["redundant"] == 0
