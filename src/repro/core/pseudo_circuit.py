@@ -30,6 +30,11 @@ class Termination(Enum):
     NO_CREDIT = "no_credit"                # downstream congestion
     SPECULATION_EVICT = "speculation_evict"
 
+    # Members are singletons: hash by identity in C rather than by name
+    # in Python (a counter keyed by reason is bumped per termination).
+    # Nothing iterates a set of reasons, so no order depends on it.
+    __hash__ = object.__hash__
+
 
 class PseudoCircuitRegister:
     """Per-input-port pseudo-circuit state."""

@@ -28,7 +28,7 @@ class InvariantViolation(RuntimeError):
     ``rule`` is a short machine-readable identifier (e.g.
     ``credit_underflow``, ``buffer_occupancy``); the location fields are
     ``None`` when unknown at raise time — call sites that know the cycle
-    enrich it on the way out (see ``Router.deliver_credits``).
+    pass it in (see ``CreditCounter.consume``).
     """
 
     def __init__(self, rule: str, message: str = "", *,

@@ -1,6 +1,6 @@
 """Cycle-accurate flit-based wormhole NoC simulator (paper Section V)."""
 
-from .arbiters import RoundRobinArbiter
+from .arbiters import round_robin
 from .buffers import BufferOverflowError, FlitBuffer
 from .config import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO, PSEUDO_B,
                      PSEUDO_S, PSEUDO_SB, NetworkConfig, PseudoCircuitConfig)
@@ -39,9 +39,9 @@ __all__ = [
     "Packet",
     "ProtocolError",
     "PseudoCircuitConfig",
-    "RoundRobinArbiter",
     "Router",
     "VCState",
     "VirtualChannel",
     "build_network",
+    "round_robin",
 ]

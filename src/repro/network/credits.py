@@ -10,7 +10,7 @@ Credit failures raise :class:`CreditError`, a structured
 :class:`~repro.core.violation.InvariantViolation` carrying the
 (router, port, vc) the counter guards — wired in at construction via
 ``where`` — so an under/overflow deep inside a run names the exact edge.
-The cycle is filled in by the call sites that know it (routers, NICs).
+The cycle is passed in by the call sites that know it (routers, NICs).
 """
 
 from __future__ import annotations
@@ -51,27 +51,32 @@ class CreditCounter:
     def available(self) -> bool:
         return self.count > 0
 
-    def _violation(self, rule: str, message: str, expected,
-                   actual) -> CreditError:
+    def _violation(self, rule: str, message: str, expected, actual,
+                   cycle: int | None) -> CreditError:
         router = port = vc = None
         if self.where is not None:
             router, port, vc = self.where
-        return CreditError(rule, message, router=router, port=port, vc=vc,
-                           expected=expected, actual=actual)
+        return CreditError(rule, message, cycle=cycle, router=router,
+                           port=port, vc=vc, expected=expected,
+                           actual=actual)
 
-    def consume(self) -> None:
+    # The hot paths (router traversal and credit delivery, the NICs)
+    # move ``count`` themselves and call these only on the failing
+    # branch, passing the cycle for the error's context.
+
+    def consume(self, cycle: int | None = None) -> None:
         if self.count <= 0:
             raise self._violation(
                 "credit_underflow", "credit consumed with zero credits",
-                expected=">= 1", actual=self.count)
+                ">= 1", self.count, cycle)
         self.count -= 1
 
-    def restore(self) -> None:
+    def restore(self, cycle: int | None = None) -> None:
         if self.count >= self.limit:
             raise self._violation(
                 "credit_overflow",
                 f"credit restored beyond limit {self.limit}",
-                expected=f"< {self.limit}", actual=self.count)
+                f"< {self.limit}", self.count, cycle)
         self.count += 1
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from ..core.violation import InvariantViolation
 from ..metrics.stats import NetworkStats
 from ..routing.base import RoutingAlgorithm
 from ..vcalloc.base import VCAllocationPolicy
@@ -43,9 +42,6 @@ class InjectEndpoint:
         """Initial state of every injection VC (no state of its own)."""
         for ovc in self.ovcs:
             ovc.reset()
-
-    def restore_credit(self, vc: int) -> None:
-        self.ovcs[vc].credits.restore()
 
 
 class Nic:
@@ -148,17 +144,17 @@ class Nic:
             if entry is None:
                 continue
             ovc = self.inject_state.ovcs[vc]
-            if ovc.credits.count == 0:
+            credits = ovc.credits
+            count = credits.count
+            if count == 0:
                 continue
             packet, flits, idx = entry
             flit = flits[idx]
             flit.vc = vc
-            try:
-                ovc.credits.consume()
-            except InvariantViolation as err:
-                if err.cycle is None:
-                    err.cycle = cycle
-                raise
+            if count > 0:
+                credits.count = count - 1
+            else:
+                credits.consume(cycle)  # raises CreditError
             self.inject_link.deliver(flit, self.inject_endpoint, cycle + 1)
             if idx + 1 == len(flits):
                 ovc.owner = None
@@ -212,12 +208,12 @@ class Nic:
         probe = self._probe
         while due and due[0][0] <= cycle:
             _, vc = due.popleft()
-            try:
-                self.eject_endpoint.restore_credit(vc)
-            except InvariantViolation as err:
-                if err.cycle is None:
-                    err.cycle = cycle
-                raise
+            credits = self.eject_endpoint.ovcs[vc].credits
+            count = credits.count
+            if count < credits.limit:
+                credits.count = count + 1
+            else:
+                credits.restore(cycle)  # raises CreditError
             if probe is not None:
                 # router == -1 marks the NIC ejection side of the edge.
                 probe.on_credit_restore(cycle, -1, self.terminal, vc)

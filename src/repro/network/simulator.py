@@ -292,15 +292,24 @@ class Network:
                 nic.tick_eject(cycle, self)
                 if not (nic._eject_q or nic._eject_credit_due):
                     del eject_set[nid]
+        work_set = self._work_routers
         live_links = self._live_links
         if live_links:
             links = self.links
             for lid in sorted(live_links):
                 link = links[lid]
-                link.tick(cycle, routers)
-                if not link._q:
+                q = link._q
+                if link._fifo and link._probe is None:
+                    # Link.tick + Router.accept_flit, in place.
+                    while q and q[0][0] <= cycle:
+                        _, flit, ep = q.popleft()
+                        router = routers[ep.router]
+                        router._arrivals.append((ep.in_port, flit))
+                        work_set[ep.router] = router
+                else:
+                    link.tick(cycle, routers)
+                if not q:
                     del live_links[lid]
-        work_set = self._work_routers
         if work_set:
             for rid in sorted(work_set):
                 router = routers[rid]

@@ -523,7 +523,7 @@ static uint64_t rotated(i64 mask, i64 next, i64 size)
         & (((uint64_t)1 << size) - 1) : m;
 }
 
-/* RoundRobinArbiter.grant_mask: lowest set bit at or after ``next``. */
+/* arbiters.round_robin: lowest set bit at or after ``next``. */
 static i64 rr_pick(i64 mask, i64 next, i64 size)
 {
     ENTER();
@@ -945,9 +945,10 @@ static i64 st_credit_stage(Chip *ch, i64 slot)
 }
 
 /* -- the router pipeline, in the order Router.step runs it --------------- */
+/* (Each stage names the block of ``Router.step`` it mirrors.) */
 
 /* va_sa: this cycle's router lists out of ``r_map`` and the staged
- * arrivals, then VA (Router._va_phase): route idle fronts and allocate
+ * arrivals, then VA (Router.step, "VA"): route idle fronts and allocate
  * output VCs, ports rotated by the cycle, VCs ascending. */
 static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
 {
@@ -1009,7 +1010,7 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
 }
 
 /* pc: input ports whose circuit's VC has a matching, ready front flit
- * (Router._pc_candidates), ascending; mismatched and creditless
+ * (Router.step, "PC candidates"), ascending; mismatched and creditless
  * circuits are torn down on the way. */
 static i64 pc_candidates(Chip *ch, i64 c)
 {
@@ -1052,7 +1053,7 @@ static i64 pc_candidates(Chip *ch, i64 c)
 }
 
 /* va_sa: SA requests of every other ready, active, credited VC as one
- * VC mask per input port (Router._collect_requests). */
+ * VC mask per input port (Router.step, "SA requests"). */
 static void va_sa_requests(Chip *ch, i64 c)
 {
     ENTER();
@@ -1094,7 +1095,7 @@ static void va_sa_requests(Chip *ch, i64 c)
 /* st_credit: circuit reuse. A candidate whose crossbar ports are free
  * of SA claims bypasses SA now -- or, when both ports carry the
  * previous flit of its own stream, one cycle behind it; a blocked one
- * joins SA this same cycle (Router.step, the candidate loop). */
+ * joins SA this same cycle (Router.step, "circuit reuse"). */
 static i64 st_credit_reuse(Chip *ch, i64 c)
 {
     ENTER();
@@ -1162,7 +1163,7 @@ static i64 try_buffer_bypass(Chip *ch, i64 c, i64 port, i64 ivc, i64 fid)
 
 /* bw: the staged arrivals -- through a matching idle circuit in the
  * arrival cycle, else into the input buffer
- * (Router._process_arrivals). */
+ * (Router.step, "BW"). */
 static i64 bw_arrivals(Chip *ch, i64 c, i64 n_arr)
 {
     ENTER();
@@ -1203,7 +1204,7 @@ static i64 bw_arrivals(Chip *ch, i64 c, i64 n_arr)
 /* va_sa: separable input-first switch allocation over the requesting
  * ports, outputs served in first-requested order; every grant
  * traverses next cycle and (re-)establishes its pseudo-circuit
- * (Router._allocate_switch and the grant loop of Router.step). */
+ * (Router.step, "switch allocation"). */
 static i64 va_sa_switch(Chip *ch, i64 c)
 {
     ENTER();
@@ -1237,7 +1238,7 @@ static i64 va_sa_switch(Chip *ch, i64 c)
 /* pc: end-of-cycle upkeep of the routers on the work list, one pass
  * over their held and restorable outputs -- credit terminations on held
  * ones, speculative restoration on free ones, the history register
- * resolving ties (Router._pc_maintenance). */
+ * resolving ties (Router.step, "PC upkeep"). */
 static void pc_maintenance(Chip *ch)
 {
     ENTER();

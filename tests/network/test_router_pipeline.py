@@ -9,9 +9,14 @@ import pytest
 
 from repro.network.config import (BASELINE, PSEUDO, PSEUDO_SB,
                                   NetworkConfig)
+from repro.network.credits import CreditCounter
 from repro.network.flit import Packet
+from repro.network.link import Link
+from repro.network.router import Router
 from repro.network.simulator import Network
+from repro.network.vc import VirtualChannel
 from repro.topology.mesh import Mesh
+from repro.traffic.synthetic import SyntheticTraffic
 
 
 def net_for(scheme, kx=4, ky=2, vc_policy="static"):
@@ -113,3 +118,31 @@ class TestDelivery:
         net.drain()
         # Router 0 (inject->E), routers 1, 2, router 3 (W->eject).
         assert p.hops == 4
+
+
+class TestFlitHopPath:
+    """An unprobed flit-hop updates credits, VC state and link delivery
+    in place: the reference methods run only on a raising branch."""
+
+    @pytest.mark.parametrize("scheme", [BASELINE, PSEUDO_SB],
+                             ids=lambda s: s.label)
+    def test_no_reference_method_on_the_success_path(self, scheme,
+                                                     monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on a flit-hop's success path")
+
+        for cls, name in ((CreditCounter, "consume"),
+                          (CreditCounter, "restore"),
+                          (VirtualChannel, "start_packet"),
+                          (VirtualChannel, "grant_out_vc"),
+                          (VirtualChannel, "finish_packet"),
+                          (Link, "tick"), (Router, "accept_flit")):
+            monkeypatch.setattr(cls, name, forbidden)
+        net = Network(Mesh(4, 4), NetworkConfig(pseudo=scheme),
+                      routing="xy", vc_policy="dynamic", seed=3)
+        net.run(300, SyntheticTraffic("uniform", 16, 0.2, 5, seed=3))
+        net.drain()
+        stats = net.stats
+        assert stats.ejected_packets == stats.injected_packets > 100
+        assert (stats.buf_bypass_flits > 0) == scheme.buffer_bypass
+        net.check_invariants()
