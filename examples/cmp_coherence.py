@@ -31,7 +31,8 @@ def main():
     print(f"  {len(trace)} messages, offered load "
           f"{trace.offered_load():.3f} flits/terminal/cycle, "
           f"L1 miss rate {summary['l1_miss_rate']:.1%}, "
-          f"{summary['invals']} invalidations\n")
+          f"{summary['invals']} invalidations "
+          f"(on the {summary['backend']} core)\n")
 
     print("Replaying against each router scheme (XY + static VA):")
     baseline_latency = None

@@ -7,13 +7,19 @@ Fig. 13 topology study) cores and banks are placed in a checkerboard.
 
 ``CmpSystem.run`` advances cores, banks and the network in lockstep; with
 ``record_trace=True`` every injected message is also recorded so the run
-doubles as the paper's trace-extraction step.
+doubles as the paper's trace-extraction step. The default network runs
+on the compiled core whenever that core builds in the process (the
+``auto`` rule: else on the scalar core, the refusal in ``summary()``);
+either core hands each delivery to its endpoint between the cycle's
+ejections and injections (``attach_delivery``), so both extract the same
+trace (``tests/cmp/test_extraction_cores.py``).
 """
 
 from __future__ import annotations
 
 import random
 
+from ..network.backend import BackendUnsupportedError, backend_of
 from ..network.config import NetworkConfig
 from ..network.flit import Packet
 from ..network.simulator import Network
@@ -36,10 +42,11 @@ class CmpSystem:
         self.profile = (benchmark if isinstance(benchmark, BenchmarkProfile)
                         else get_profile(benchmark))
         self.config = cmp_config if cmp_config is not None else CmpConfig()
+        #: Why the compiled core did not build the default network, or
+        #: ``None`` (it did, or the caller gave the network).
+        self.refused = None
         if network is None:
-            network = Network(ConcentratedMesh(4, 4, 4), NetworkConfig(),
-                              routing="o1turn", vc_policy="dynamic",
-                              seed=seed)
+            network, self.refused = _paper_network(seed)
         self.network = network
         self._check_capacity()
         self.rng = random.Random(seed)
@@ -61,8 +68,8 @@ class CmpSystem:
         for bank in self.banks:
             self._endpoint_by_terminal[bank.terminal] = bank
         for terminal, endpoint in self._endpoint_by_terminal.items():
-            self.network.nics[terminal].on_packet = self._make_handler(
-                endpoint)
+            self.network.attach_delivery(terminal,
+                                         self._make_handler(endpoint))
         self.trace: Trace | None = None
         self._record_from = 0
         self.messages_sent = 0
@@ -161,7 +168,9 @@ class CmpSystem:
         return misses / total if total else 0.0
 
     def summary(self) -> dict:
-        return {
+        """The run's figures and the core that ran it (``backend``; with
+        ``refused``, why the compiled core did not)."""
+        summary = {
             "benchmark": self.profile.name,
             "messages": self.messages_sent,
             "l1_miss_rate": self.l1_miss_rate(),
@@ -169,4 +178,22 @@ class CmpSystem:
             "invals": sum(b.invals_sent for b in self.banks),
             "l2_misses": sum(b.l2_misses for b in self.banks),
             "avg_latency": self.network.stats.avg_latency,
+            "backend": backend_of(self.network),
         }
+        if self.refused is not None:
+            summary["refused"] = self.refused
+        return summary
+
+
+def _paper_network(seed: int):
+    """The paper's CMP network (cmesh 4x4x4, O1TURN, dynamic VA) by the
+    ``auto`` rule: on the compiled core if it builds here, else on the
+    scalar core. Returns it and the refusal (``None`` if it built); a
+    process without numpy refuses the same way."""
+    args = ConcentratedMesh(4, 4, 4), NetworkConfig()
+    kwargs = dict(routing="o1turn", vc_policy="dynamic", seed=seed)
+    try:
+        from ..network.vectorized import VectorNetwork
+        return VectorNetwork(*args, **kwargs), None
+    except (BackendUnsupportedError, ImportError) as refusal:
+        return Network(*args, **kwargs), str(refusal)

@@ -397,8 +397,9 @@ def batch_key(config: ExperimentConfig):
     """Grouping key for batched execution, or ``None`` if unbatchable.
 
     Only synthetic-traffic points that opted into batching (backend
-    ``batched`` or ``auto``) are grouped; trace replay needs MSHR
-    self-throttling and per-trace state, and ``evc_mesh`` routing is
+    ``batched`` or ``auto``) are grouped; trace replay is ticked from
+    Python one trace per network (the MSHR gate itself is per terminal,
+    ``kernel.c``'s ``inject_start``), and ``evc_mesh`` routing is
     dynamic-only — both always run solo.
     """
     if config.benchmark is not None or config.topology == "evc_mesh":

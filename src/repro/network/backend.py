@@ -125,7 +125,13 @@ def choose_backend(*, terminals: int, rate: float | None,
     into a ``batch`` of two or more always take the batched core: one
     chip is built and one call made per cycle whatever the load.
     ``rate=None`` (trace replay, offered load unknown and
-    self-throttled by MSHRs) picks scalar.
+    self-throttled by MSHRs) picks scalar. That is not where the time
+    says to go: fig8's 15 trace points run inline took 3.38-3.86 s a
+    pass on the scalar core and 0.33-0.39 s on the vectorized one, with
+    equal Results (EXPERIMENTS.md, "CMP trace extraction on the
+    compiled core"; ROADMAP item 2(a)). The rule
+    stays until the benchmark can score trace points on either core
+    (ROADMAP item 1(e)); CMP trace *extraction* already runs compiled.
     """
     if batch > 1:
         return "batched"

@@ -233,6 +233,14 @@ class Network:
         """Hand a packet to its source NIC."""
         self.nics[packet.src].enqueue(packet)
 
+    def attach_delivery(self, terminal: int, callback) -> None:
+        """Call ``callback(packet, cycle)`` with each packet delivered at
+        ``terminal`` (``Nic.on_packet``): when its NIC ejects it, between
+        the cycle's ejections and its injections, so a packet the
+        callback injects may start in that cycle. The array cores have
+        the same method."""
+        self.nics[terminal].on_packet = callback
+
     def notify_ejection(self, packet: Packet) -> None:
         self.nics[packet.src].outstanding -= 1
 

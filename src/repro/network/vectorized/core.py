@@ -17,7 +17,13 @@ This module is what stays outside the chip: the traffic loop (a
 ``SyntheticTraffic`` is handed to the kernel to draw, any other source
 ticked into ``inject``), what a call hands back (pools to grow,
 ``Packet``s to write back, observer hooks, errors), ``reset``, and the
-allocation of everything the ``Chip`` points into:
+allocation of everything the ``Chip`` points into. A delivery callback
+(``attach_delivery``, the scalar ``Nic.on_packet``; the CMP's endpoints)
+runs in the middle of its cycle: while one is attached, a cycle whose
+ejection stage closed a ``Packet`` comes back after that stage
+(``RUN_DELIVER``), the callbacks run, terminals ascending, and may
+inject, and the next call finishes the cycle -- what they inject may
+start in it, as on the scalar core:
 
 * **pools** — packets and flits are rows of two pools (the ``p_*`` and
   ``f_*`` arrays) recycled at ejection, so storage follows the packets
@@ -49,6 +55,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from operator import itemgetter
 from types import SimpleNamespace
 
 from ...core.pseudo_circuit import Termination
@@ -60,7 +67,7 @@ from ..buffers import BufferOverflowError
 from ..config import NetworkConfig
 from ..flit import Packet
 from ..router import ProtocolError
-from .kernel import E_BOUNDS, RUN_DONE, RUN_GROW, Binding
+from .kernel import E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_GROW, Binding
 from .kernel import load as load_kernel
 from .layout import build_layout
 from .obs import VectorInvariantChecker, summaries
@@ -305,7 +312,7 @@ class VectorNetwork:
         chip.pc_bypass = pseudo.buffer_bypass
         chip.static_vc = vc_policy.name == "static"
         chip.mshrs = config.mshrs
-        chip.profile_on = chip.err_id = chip.err_idx = 0
+        chip.deliver_on = chip.profile_on = chip.err_id = chip.err_idx = 0
         arrays = self._kernel._arrays
         for name, start in self._starts.items():
             arrays[name][...] = start
@@ -321,6 +328,8 @@ class VectorNetwork:
                            for _ in range(self._T // len(rngs))]
         self.nic_rngs: dict[int, random.Random] = {}
         self.p_obj: dict[int, Packet] = {}
+        #: Terminal -> its delivery callback (``attach_delivery``).
+        self._deliveries: dict = {}
         self.cycle, self._stats = 0, NetworkStats()
         #: Who drew the last run's traffic: the kernel or ``inject``.
         self.traffic_source = "python"
@@ -476,6 +485,14 @@ class VectorNetwork:
         self.q_len[t] += 1
         state[self._S_QUEUED] += 1
 
+    def attach_delivery(self, terminal: int, callback) -> None:
+        """Call ``callback(packet, cycle)`` with each ``Packet`` delivered
+        at ``terminal`` (``Network.attach_delivery``): in the middle of
+        the cycle it ejects in, so a packet the callback injects may
+        start in that cycle. ``reset`` detaches every callback."""
+        self._deliveries[terminal] = callback
+        self._kernel.chip.deliver_on = True
+
     def step(self) -> None:
         """Advance the whole network by one cycle."""
         self._advance(self.cycle + 1)
@@ -484,8 +501,9 @@ class VectorNetwork:
         """Cycles from ``self.cycle`` until ``stop`` (with ``drain``: or
         until nothing is in flight) in ``kernel.c``'s ``run``, which skips
         what nothing acts in and comes back only for what Python does:
-        grow the pools, read a cycle's ``ej_out`` rows, hand observers a
-        cycle, raise the error a code stands for."""
+        grow the pools, read a cycle's ``ej_out`` rows, run the delivery
+        callbacks halfway through a cycle, hand observers a cycle, raise
+        the error a code stands for."""
         state, hooks, started = self._state, self._vhooks, None
         # Lane 0's warm-up is ``stats.warmup_cycles``, which a caller may
         # set any time before the run.
@@ -507,6 +525,9 @@ class VectorNetwork:
                 self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap, int(
                     state[self._S_NEED_PACKETS]))
                 continue
+            if code == RUN_DELIVER:
+                self._deliver(self._after_ejections())
+                continue
             if code < 0:
                 if code == E_BOUNDS:
                     raise ProtocolError(self._kernel.fault())
@@ -519,19 +540,21 @@ class VectorNetwork:
             if hooks:
                 self._dispatch(c, hooks)
 
-    def _after_ejections(self) -> None:
+    def _after_ejections(self) -> list:
         """For each row the last cycle left in ``ej_out``: write the
         packet's fields back into its ``Packet`` and drop the core's
         reference to it (the slot and its flit block are free already),
         or count a latency the histogram had no column for, widening
-        it."""
+        it. Returns ``(terminal, Packet)`` per packet written back."""
         width = len(_EJECTED_ROW)
         rows = self._kernel.ej_out[:self._state[self._S_ROWS] * width]
+        written = []
         for k, *fields, latency, lane in rows.reshape(-1, width).tolist():
             pkt = self.p_obj.pop(k, None)
             if pkt is not None:
                 (pkt.eject_cycle, pkt.inject_cycle, pkt.hops,
                  pkt.sa_bypass_hops, pkt.buf_bypass_hops) = fields
+                written.append((lane * self._T_local + pkt.dst, pkt))
             if latency >= 0:
                 if latency >= self.hist.shape[1]:
                     hist = self._np.zeros((self._lanes, 2 * latency),
@@ -540,6 +563,17 @@ class VectorNetwork:
                     self.hist = hist
                     self._kernel.point("hist", hist)
                 self.hist[lane, latency] += 1
+        return written
+
+    def _deliver(self, written) -> None:
+        """The delivery callbacks of the packets ``written`` back halfway
+        through a cycle, terminals ascending (the order the scalar core's
+        NICs eject in), before the cycle goes on."""
+        callbacks = self._deliveries
+        for t, pkt in sorted(written, key=itemgetter(0)):
+            callback = callbacks.get(t)
+            if callback is not None:
+                callback(pkt, pkt.eject_cycle)
 
     def _dispatch(self, c: int, hooks) -> None:
         """Hand the attached observers the events of cycle ``c``, one

@@ -2,8 +2,8 @@
  *
  * One translation unit, built on first use by ``kernel.py`` with the
  * system C compiler and called through ``ctypes``. ``run()`` is the only
- * entry point a network steps through: it runs ``cycle()`` after
- * ``cycle()`` over a window and skips what nothing acts in, and this
+ * entry point a network steps through: it runs cycle after cycle
+ * over a window and skips what nothing acts in, and this
  * file is the only statement of what an array core does in a cycle and
  * of which cycles it may skip. A cycle is: the bound sources'
  * injections, credit returns, ejection reassembly, arrival staging, the
@@ -76,7 +76,14 @@
  * for (``p_held``), or one whose latency the histogram is too narrow
  * for, leaves a row per such packet in ``ej_out`` (``state.rows`` of
  * them; the slots are already free: ``core.py`` copies the fields into
- * the ``Packet`` objects before it injects again). Only while
+ * the ``Packet`` objects before it injects again). While ``deliver_on``
+ * (``core.py`` holds delivery callbacks, the scalar ``Nic.on_packet``) a
+ * cycle whose ejection stage closed such a packet stops right there:
+ * ``run()`` comes back mid-cycle (``RUN_DELIVER``, ``state.half`` set,
+ * the rows in ``ej_out``), the callbacks run and may inject, and the
+ * next call finishes that cycle from arrival staging on before anything
+ * else -- so what they inject may start in that very cycle, as on the
+ * scalar core, whose NICs eject before they inject. Only while
  * ``events_on`` (an observer is attached) the index arrays of the six
  * observer hooks are filled, lengths in ``n[]``, and ``run()`` comes
  * back after every cycle; while ``profile_on`` the stages' wall time
@@ -107,7 +114,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 6001
+#define REPRO_KERNEL_ABI 7001
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -243,7 +250,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(R) X(Pi) X(Po) X(V) X(D) X(C) X(TL) X(LR) X(T) X(NIP) X(NOVC) \
     X(RD) X(CD) X(mshrs) X(inject_queue) \
     X(static_vc) X(pc_enabled) X(pc_speculation) X(pc_bypass) \
-    X(events_on) X(profile_on) \
+    X(events_on) X(deliver_on) X(profile_on) \
     X(err_id) X(err_idx)
 
 /* One row of ``counts``: the integer slots of ``NetworkStats`` by
@@ -272,11 +279,12 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
  * injects in, -1 for none; what ``run()`` skips to); the cycle a call
  * got to, the rows it left in ``ej_out``, the cycles run and skipped
  * (``profile()``), the pool sizes a cycle could need and the cycle they
- * were last asked for (``pools_short``). */
+ * were last asked for (``pools_short``); 1 while cycle ``cycle`` has run
+ * only through its ejection stage (``half``: a delivery stopped it). */
 #define CHIP_STATE(X) \
     X(buffered) X(queued) X(sending) X(started) X(p_free) X(packets) \
     X(flits) X(next_act) X(cycle) X(rows) X(stepped) X(skipped) \
-    X(need_packets) X(need_flits) X(asked)
+    X(need_packets) X(need_flits) X(asked) X(half)
 
 /* One row of ``src``, a lane's ``SyntheticTraffic``: the Bernoulli
  * threshold (``random() < rate / size`` on the 53 bits ``random()`` is
@@ -381,9 +389,9 @@ enum {
     E_QUEUE = -10               /* source queue overflow at NIC err_idx */
 };
 /* Why ``run()`` came back, when it did not fail: its window is done,
- * the pools must grow before the next cycle, or core.py must see the
- * cycle just run. */
-enum { RUN_DONE, RUN_GROW, RUN_CYCLE };
+ * the pools must grow before the next cycle, core.py must see the cycle
+ * just run, or its delivery callbacks must run before the rest of it. */
+enum { RUN_DONE, RUN_GROW, RUN_CYCLE, RUN_DELIVER };
 
 #ifdef REPRO_KERNEL_CHECK
 enum {
@@ -1385,9 +1393,10 @@ static i64 inject_send(Chip *ch, i64 c, i64 t)
         } \
     } while (0)
 
-/* Cycle ``c`` of the whole chip: the rows it left in ``ej_out``, or an
- * E_* code. */
-static i64 cycle(Chip *ch, i64 c)
+/* Cycle ``c`` of the whole chip up to and including its ejection stage:
+ * the bound sources' injections, credit returns, the receiving NICs.
+ * The rows it left in ``ej_out``, or an E_* code. */
+static i64 cycle_eject(Chip *ch, i64 c)
 {
     ENTER();
     TRY(source_tick(ch, c));
@@ -1399,6 +1408,28 @@ static i64 cycle(Chip *ch, i64 c)
     i64 rows = st_credit_eject(ch, c, slot);
     if (rows < 0)
         return rows;
+    STAMP(st_credit);
+    RETURN(rows);
+}
+
+/* Whether one of the ``rows`` packets ``cycle_eject`` left in ``ej_out``
+ * is one core.py holds a ``Packet`` for. Its slot is free already, but
+ * only the next cycle's sources or core.py take a slot. */
+static int delivers(Chip *ch, i64 rows)
+{
+    ENTER();
+    for (i64 k = 0; k < rows; k++)
+        if (A(p_held, A(ej_out, k * EJ_WIDTH + EJ_slot)))
+            return 1;
+    return 0;
+}
+
+/* The rest of cycle ``c``: arrival staging, the router pipeline, the
+ * NICs' start + send, then ``next_act``. 0 or an E_* code. */
+static i64 cycle_rest(Chip *ch, i64 c)
+{
+    ENTER();
+    i64 slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
     i64 n_arr = st_credit_stage(ch, slot);
     STAMP(st_credit);
     if (A(state, S_buffered) || n_arr) {
@@ -1448,7 +1479,7 @@ static i64 cycle(Chip *ch, i64 c)
         }
     }
     A(state, S_next_act) = next;
-    RETURN(rows);
+    RETURN(0);
 }
 
 /* -- the entry point ------------------------------------------------------ */
@@ -1487,29 +1518,50 @@ static int pools_short(Chip *ch, i64 c)
 }
 
 /* Cycles ``c``, ``c`` + 1, ... until ``stop`` -- with ``drain``, until
- * no packet is in flight or ``stop`` -- each by ``cycle()``. After a
- * cycle in which nothing is buffered, queued or being sent it skips to
- * ``next_act`` (at most to ``stop``; a drained chip stays where it is):
- * the cycles in between would change nothing. A call never skips before
- * its first cycle. Comes back RUN_DONE there, or early for what only
- * core.py can do: RUN_GROW before a cycle the pools might not hold
- * (``pools_short``; nothing of it run), RUN_CYCLE after a cycle (and its
- * skip) that left rows in ``ej_out`` or while an observer is attached,
- * or the E_* code of a cycle that failed (``state.cycle`` is that
- * cycle). */
+ * no packet is in flight or ``stop`` -- each by ``cycle_eject()`` then
+ * ``cycle_rest()``. After a cycle in which nothing is buffered, queued or
+ * being sent it skips to ``next_act`` (at most to ``stop``; a drained
+ * chip stays where it is): the cycles in between would change nothing.
+ * A call never skips before its first cycle. Comes back RUN_DONE there,
+ * or early for what only core.py can do: RUN_GROW before a cycle the
+ * pools might not hold (``pools_short``; nothing of it run), RUN_DELIVER
+ * in the middle of a cycle whose ejection stage closed a packet core.py
+ * holds a ``Packet`` for while ``deliver_on`` (``state.half``; the call
+ * after it, at that cycle, first finishes it, whatever its window, and
+ * asks the pools again: the callbacks may have queued packets), RUN_CYCLE
+ * after a cycle (and its skip) that left rows in ``ej_out`` or while an
+ * observer is attached, or the E_* code of a cycle that failed
+ * (``state.cycle`` is that cycle). */
 i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
 {
     ENTER();
     i64 rc = RUN_DONE;
     A(state, S_rows) = 0;
-    while (c < stop && !(drain && quiescent(ch))) {
+    while (A(state, S_half) || (c < stop && !(drain && quiescent(ch)))) {
         if (pools_short(ch, c)) {
             rc = RUN_GROW;
             break;
         }
-        i64 rows = cycle(ch, c);
-        if (rows < 0) {
-            rc = rows;
+        i64 rows = 0;
+        if (A(state, S_half))
+            A(state, S_half) = 0; /* its rows went back with RUN_DELIVER */
+        else {
+            rows = cycle_eject(ch, c);
+            if (rows < 0) {
+                rc = rows;
+                break;
+            }
+            if (ch->deliver_on && delivers(ch, rows)) {
+                A(state, S_half) = 1;
+                A(state, S_asked) = -1;
+                A(state, S_rows) = rows;
+                rc = RUN_DELIVER;
+                break;
+            }
+        }
+        i64 done = cycle_rest(ch, c);
+        if (done < 0) {
+            rc = done;
             break;
         }
         c += 1;

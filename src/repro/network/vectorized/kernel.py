@@ -46,7 +46,7 @@ from functools import lru_cache
 from .obs import summaries
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 6001
+ABI = 7001
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -63,8 +63,9 @@ REASONS = ("no-compiler", "compile-failed", "cache-unwritable",
 #: Return code of the checked build's bounds fault.
 E_BOUNDS = -9
 #: Why ``run`` came back when it did not fail (``RUN_*`` in ``kernel.c``):
-#: its window is done, the pools must grow, or a cycle is to be seen.
-RUN_DONE, RUN_GROW, RUN_CYCLE = range(3)
+#: its window is done, the pools must grow, a cycle is to be seen, or
+#: the delivery callbacks run before the rest of a cycle.
+RUN_DONE, RUN_GROW, RUN_CYCLE, RUN_DELIVER = range(4)
 #: A compile may run this long; a ``build-*.tmp`` older than that was
 #: left by a killed one.
 _COMPILE_TIMEOUT_S = 300

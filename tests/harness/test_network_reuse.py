@@ -765,7 +765,8 @@ def _differences(net, new):
 def _python_side(net):
     """What the network keeps outside its ``Chip``."""
     return (net.cycle, net._nic_seeds, net.nic_rngs, net.p_obj,
-            net.stats.fingerprint(), net.traffic_source, net.probe,
+            net._deliveries, net.stats.fingerprint(), net.traffic_source,
+            net.probe,
             net._vhooks, net.config, net.vc_policy.name, net._pc_enabled,
             net.profile(), getattr(net, "lane_seeds", None))
 
@@ -793,11 +794,13 @@ class TestArrayResetReachesEveryField:
 
     def _dirty(self, array_core, lanes, routing, policy, scheme):
         """A chip stopped mid-run: flits buffered, circuits held, NICs
-        sending, latency rows set, probe bound and profiler on."""
+        sending, latency rows set, probe bound, profiler on and a
+        delivery callback attached."""
         from repro.instrument import TimeSeriesProbe
         net = self._build(array_core, lanes, routing, policy, scheme, 5)
         net.bind_probe(TimeSeriesProbe(window=8))
         net.enable_profile()
+        net.attach_delivery(0, lambda packet, cycle: None)
         traffic = [SyntheticTraffic("uniform", 9, 0.7, 5, seed=3 + lane)
                    for lane in range(lanes)]
         if lanes == 1:

@@ -7,7 +7,8 @@ an input port in one cycle because a link delivers one flit per cycle.
 That is pinned here instead.
 
 * **Reach.** The parity grid (``test_vectorized_parity.GRID``), the
-  checked/probed harness route and one drain timeout run under
+  checked/probed harness route, one drain timeout and a CMP run whose
+  delivery callbacks stop cycles halfway run under
   ``sys.setprofile`` on the kernel's checked build, which notes every
   function it enters; every ``def`` in ``core.py`` must be entered on
   ``VectorNetwork``, every ``def`` in ``batch.py`` on ``BatchNetwork``,
@@ -29,6 +30,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.cmp.system import CmpSystem
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
 from repro.instrument import TimeSeriesProbe
@@ -131,6 +133,11 @@ class TestReach:
             assert net._num_queued and net.lane_stats(0) == net.stats
             with pytest.raises(RuntimeError, match="packets left"):
                 net.drain(max_cycles=1)
+            # Delivery callbacks (the CMP's endpoints): cycles that come
+            # back after their ejection stage and then go on.
+            CmpSystem("radix", network=VectorNetwork(
+                make_topology("cmesh", 4, 4, 4), NetworkConfig(),
+                routing="o1turn", seed=3), seed=3).run(120)
         assert _defined(core) - seen == set()
         # The grid's sources went to the kernel and came back.
         assert {"SyntheticTraffic.export_stream",
@@ -138,7 +145,8 @@ class TestReach:
         # What only the loader calls: the handle's known-answer test.
         assert checked.self_test(np)
         functions = _kernel_functions()
-        assert {"cycle", "va_sa_switch", "inject_send", "rr_pick",
+        assert {"cycle_eject", "delivers", "cycle_rest", "va_sa_switch",
+                "inject_send", "rr_pick",
                 "source_tick", "source_ahead", "summarise",
                 "rotated"} <= functions
         assert functions - set(checked.reached()) == set()
