@@ -8,9 +8,9 @@ does everything that observes really only observe, on *my* install":
   stats stay bit-identical with every observer the core accepts
   attached (``repro.instrument.overhead``), on the scalar core and, for
   any other backend, on the array core too;
-* ``telemetry_cold_check`` — a telemetry-off sweep constructs no emitter
-  and a telemetry-on sweep returns bit-identical results
-  (``repro.telemetry.overhead``);
+* ``telemetry_cold_check`` — a telemetry-off sweep holds the off emitter
+  and writes nothing, and a telemetry-on sweep returns bit-identical
+  results (``repro.instrument.overhead``);
 * with ``check=True``, the monitored self-check (``repro.monitor``).
 
 Any violation raises the named ``OverheadGateError`` / ``SelfCheckError``.
@@ -26,6 +26,7 @@ import sys
 import time
 
 from ..instrument import git_sha, overhead_gate, run_manifest, write_manifest
+from ..instrument.overhead import telemetry_cold_check
 from ..network.backend import BackendUnsupportedError
 
 #: Length of each gate workload; the checks are structural and
@@ -58,7 +59,6 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
             if backend != "auto":
                 raise
             gate_report["vectorized_overhead"] = {"refused": str(refusal)}
-    from ..telemetry.overhead import telemetry_cold_check
     gate_report["telemetry"] = tel_gate = telemetry_cold_check()
     if show:
         print(f"telemetry gate: off-by-default ok, {tel_gate['points']} "

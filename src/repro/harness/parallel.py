@@ -37,13 +37,17 @@ engine"); ``run_experiments`` documents each knob. In short:
   stalled pool never returned — waits for ``retry_pass``.
 * **Retries** — that pass runs in this process, in input order, after
   every unit: ``retries=N`` extra attempts per point, sleeping
-  ``backoff_base * 2**(k-1)`` (capped, jitter-free, injectable
-  ``sleep``) before the k-th; the first point to exhaust its budget
-  raises with everything else already checkpointed.
-* **Telemetry** — ``telemetry=`` streams one closed span per point
-  (tier, the core that ran it, attempts, backoff) plus lifecycle events
-  (``repro.telemetry``); the default ``None`` holds no emitter at all
-  (the bench gate's ``telemetry_cold_check`` enforces it).
+  ``backoff_base * 2**(k-1)`` (capped at ``BACKOFF_CAP``, jitter-free,
+  injectable ``sleep``) before the k-th; the first point to exhaust its
+  budget raises with everything else already checkpointed.
+* **Telemetry** — the scheduler always holds an emitter
+  (``repro.telemetry.spans``) and tells it what happened: one closed
+  span per point (tier, the core that ran it, attempts, backoff) plus
+  lifecycle events. The default ``telemetry=None`` holds the off
+  emitter, which returns from every call and writes nothing (the bench
+  gate's ``telemetry_cold_check`` enforces it); a pool worker gets its
+  own emitter for the spec the chunk carries, so a point's span is
+  written by the process that ran it.
 
 Workers are forked (POSIX default), so they inherit the parent's trace
 cache, chip plans and idle networks. They only simulate — no memo, no
@@ -63,9 +67,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from ..instrument import run_manifest
 from ..store import SweepJournal, result_to_text, store_key
-from .experiment import (ExperimentConfig, Result, backend_decision,
-                         batch_key, default_store, persist, resolve,
-                         run_batch_experiments, run_experiment)
+from ..telemetry.spans import OFF, open_emitter, worker_emitter
+from .experiment import (ExperimentConfig, Result, batch_key, default_store,
+                         persist, resolve, run_batch_experiments,
+                         run_experiment)
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -83,6 +88,10 @@ def derive_seed(sweep_seed: int, *coords) -> int:
 def default_workers() -> int:
     """Worker count used when callers pass ``max_workers=None``."""
     return max(1, os.cpu_count() or 1)
+
+
+#: Longest wait (seconds) before a retry, however many came before.
+BACKOFF_CAP = 30.0
 
 
 def backoff_delay(attempt: int, base: float, cap: float) -> float:
@@ -183,28 +192,8 @@ def _group_units(todo: Sequence[tuple], batch_size: int) -> list[list]:
     return units
 
 
-def _core_span_fields(cfg: ExperimentConfig, result: Result) -> dict:
-    """Span fields saying where a simulated point ran, read off the
-    manifest of the run itself — ``backend``, an array core's
-    ``step_kernel`` and ``traffic_source``, a batch lane's ``lane`` /
-    ``lanes`` — plus
-    ``decision``, what the manifest does not say: the selector's inputs.
-    """
-    manifest = result.manifest or {}
-    fields = {name: manifest[key] for name, key in (
-        ("backend", "backend"), ("step_kernel", "step_kernel"),
-        ("traffic_source", "traffic_source"), ("lane", "batch_lane"),
-        ("lanes", "batch_lanes")) if key in manifest}
-    try:
-        fields["decision"] = backend_decision(
-            cfg, lanes=fields.get("lanes", 1))
-    except Exception:
-        pass  # observation must never fail the point
-    return fields
-
-
 def _run_unit(points: Sequence[tuple], check: bool = False,
-              check_stride: int = 1, tel=None, attempts: int = 1,
+              check_stride: int = 1, tel=OFF, attempts: int = 1,
               backoff_s: Sequence[float] = ()) -> list:
     """Simulate one unit — the only function that does, whether the
     inline loop, a worker's chunk or the retry pass calls it. A
@@ -220,12 +209,11 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     batched: one ``VectorInvariantChecker`` sweeps every lane of the
     shared chip at once.
 
-    With ``tel`` every completed point emits its closed span *before*
-    the outcome goes back to the scheduler (whose ``finish`` journals
-    it) — the ordering that makes "every journaled point has a
-    span" hold through a SIGKILL at any instant. ``attempts`` and
-    ``backoff_s`` are the retry pass's account of the tries this one
-    makes, stamped on that span.
+    Every completed point goes to ``tel`` *before* the outcome goes back
+    to the scheduler (whose ``finish`` journals it) — the ordering that
+    makes "every journaled point has a span" hold through a SIGKILL at
+    any instant. ``attempts`` and ``backoff_s`` are the retry pass's
+    account of the tries this one makes, stamped on that span.
     """
     cfgs = [point[1] for point in points]
     lanes = len(cfgs)
@@ -237,44 +225,26 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
                                                  check_stride=check_stride))
         except Exception as exc:
             solo_fallback = True  # rerun solo to isolate the failing lane
-            if tel is not None:
-                tel.emit("unit", lanes=lanes, status="batch-failed",
-                         cause=f"{type(exc).__name__}: {exc}")
+            tel.emit("unit", lanes=lanes, status="batch-failed",
+                     cause=f"{type(exc).__name__}: {exc}")
         else:
             unit_dur = time.perf_counter() - start
             dur = unit_dur / lanes  # each lane's span carries its share
-            if tel is not None:
-                tel.emit("unit", lanes=lanes, status="ok",
-                         dur_s=round(unit_dur, 6))
+            tel.emit("unit", lanes=lanes, status="ok", dur_s=unit_dur)
     outcomes = []
-    for lane, (idx, cfg, key) in enumerate(points):
+    for lane, point in enumerate(points):
         if results is not None:
             outcome = results[lane]
         else:
             start = time.perf_counter()
             try:
-                outcome = _run_point(cfg, check, check_stride)
+                outcome = _run_point(point[1], check, check_stride)
             except SweepPointError as err:
                 outcome = err
             dur = time.perf_counter() - start
         outcomes.append(outcome)
-        if tel is None:
-            continue
-        if isinstance(outcome, SweepPointError):
-            tel.emit("point_failed", idx=idx, label=cfg.label,
-                     cause=outcome.cause, solo_fallback=solo_fallback)
-        else:
-            tel.point(idx, cfg, key, "simulate", dur,
-                      attempts=attempts,
-                      backoff_s=[round(d, 6) for d in backoff_s],
-                      solo_fallback=solo_fallback,
-                      **_core_span_fields(cfg, outcome))
+        tel.outcome(point, outcome, dur, attempts, backoff_s, solo_fallback)
     return outcomes
-
-
-#: This worker process's telemetry emitters, by stream path, opened on
-#: its first chunk and kept for the rest.
-_worker_tel: dict = {}
 
 
 def _run_chunk(units: Sequence[Sequence[tuple]],
@@ -286,16 +256,11 @@ def _run_chunk(units: Sequence[Sequence[tuple]],
     *point* (units flattened in order): either a ``Result`` or the
     ``SweepPointError`` that point raised (both pickle-safe). A worker
     touches no tier; the parent persists what comes back.
-    ``telemetry`` is ``(stream path, sweep id)`` or ``None``; with it,
-    the worker appends spans to the shared stream as points complete.
+    ``telemetry`` is the parent emitter's spec, ``(stream path, sweep
+    id)`` or ``None``; the worker's own emitter for it appends spans to
+    the shared stream as points complete.
     """
-    tel = None
-    if telemetry is not None:
-        path, sweep = telemetry
-        tel = _worker_tel.get(path)
-        if tel is None:
-            from ..telemetry import Telemetry
-            tel = _worker_tel[path] = Telemetry(path, sweep=sweep)
+    tel = worker_emitter(telemetry)
     return [outcome for points in units
             for outcome in _run_unit(points, check, check_stride, tel)]
 
@@ -311,32 +276,12 @@ def _open_journal(journal, resume: bool):
     return journal
 
 
-def _open_telemetry(telemetry, resume: bool):
-    """Normalize ``telemetry=``: ``None``, a path, or a live emitter.
-
-    Mirrors ``_open_journal``: a path starts the stream over unless
-    resuming (a resumed sweep appends its records after the interrupted
-    sweep's, and followers/reports key on the newest ``sweep_begin``).
-    The import is lazy so the telemetry-off path never touches the
-    package.
-    """
-    if telemetry is None:
-        return None
-    from ..telemetry import Telemetry
-    if isinstance(telemetry, Telemetry):
-        return telemetry
-    tel = Telemetry(telemetry)
-    if not resume:
-        tel.truncate()
-    return tel
-
-
 class _Scheduler:
     """One ``run_experiments`` invocation's mutable scheduling state."""
 
     def __init__(self, configs, *, check, store, journal, resume,
-                 max_attempts, backoff_base, backoff_cap, timeout, sleep,
-                 check_stride=1, telemetry=None):
+                 max_attempts, backoff_base, timeout, sleep,
+                 check_stride=1, telemetry=OFF):
         self.configs = configs
         self.results: list[Result | None] = [None] * len(configs)
         self.check = check
@@ -346,7 +291,6 @@ class _Scheduler:
         self.resume = resume
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         self.sleep = sleep
         self.tel = telemetry
@@ -377,25 +321,24 @@ class _Scheduler:
 
         ``text`` is the verified payload a hit was read from, else the
         one ``persist`` encoded: the journal line carries that string.
-        With telemetry on, a persisted point's store and journal walls
-        are emitted as a ``persist`` event.
+        A persisted point's store and journal walls go to telemetry as
+        a ``persist`` event.
         """
         idx, _, key = point
         self.results[idx] = result
         if self.check:
             return
-        tel = self.tel
         durable = tier in ("memo", "store")
-        t0 = time.perf_counter() if tel is not None else 0.0
+        t0 = time.perf_counter()
         if not durable:
             text = persist(result, key, self.store, text)
-        t1 = time.perf_counter() if tel is not None else 0.0
+        t1 = time.perf_counter()
         if self.journal is not None and tier != "journal-replay":
             self.journal.append_text(
                 key, text if text is not None else result_to_text(result))
-        if tel is not None and not durable:
-            tel.emit("persist", idx=idx, store_s=round(t1 - t0, 6),
-                     journal_s=round(time.perf_counter() - t1, 6))
+        if not durable:
+            self.tel.emit("persist", idx=idx, store_s=t1 - t0,
+                          journal_s=time.perf_counter() - t1)
 
     # -- skip phase: journal, memo, store ---------------------------------
 
@@ -403,27 +346,24 @@ class _Scheduler:
         """Make every point's ``(idx, cfg, key)`` record, finish the
         ones ``resolve`` answers and return the rest.
 
-        With telemetry on, every resolved point emits a closed span
-        stamped with the tier that answered it — ``journal-replay``,
-        ``memo`` or ``store`` — and the wall of the lookup. Spans are
-        emitted *before* the journal append so a journaled point always
-        has its span.
+        Every resolved point's closed span is stamped with the tier that
+        answered it — ``journal-replay``, ``memo`` or ``store`` — and
+        the wall of the lookup, and emitted *before* the journal append
+        so a journaled point always has its span.
         """
-        tel = self.tel
         journaled = (self.journal.records()
                      if self.journal is not None and self.resume else None)
         todo = []
         for idx, cfg in enumerate(self.configs):
             key = store_key(cfg)
-            t0 = time.perf_counter() if tel is not None else 0.0
+            t0 = time.perf_counter()
             hit = (None if self.check
                    else resolve(cfg, key, self.store, journaled))
             if hit is None:
                 todo.append((idx, cfg, key))
                 continue
-            if tel is not None:
-                tel.point(idx, cfg, key, hit[2], time.perf_counter() - t0,
-                          attempts=0)
+            self.tel.point(idx, cfg, key, hit[2], time.perf_counter() - t0,
+                           attempts=0)
             self.finish((idx, cfg, key), *hit)
         return todo
 
@@ -456,31 +396,27 @@ class _Scheduler:
         a spent budget — a terminal ``point_error`` span, so a crashed
         sweep's stream explains itself.
         """
-        tel = self.tel
         idx, cfg, _ = point
         attempt = 0 if last is None else 1
         history: list[float] = []
         while attempt < self.max_attempts:
             if attempt > 0:
                 delay = backoff_delay(attempt, self.backoff_base,
-                                      self.backoff_cap)
+                                      BACKOFF_CAP)
                 history.append(delay)
-                if tel is not None:
-                    tel.emit("retry", idx=idx, label=cfg.label,
-                             attempt=attempt + 1, delay_s=round(delay, 6),
-                             cause=(last.cause if last is not None
-                                    else None))
+                self.tel.emit("retry", idx=idx, label=cfg.label,
+                              attempt=attempt + 1, delay_s=delay,
+                              cause=getattr(last, "cause", None))
                 self.sleep(delay)
             attempt += 1
-            (outcome,) = _run_unit([point], self.check,
-                                   self.check_stride, tel, attempts=attempt,
+            (outcome,) = _run_unit([point], self.check, self.check_stride,
+                                   self.tel, attempts=attempt,
                                    backoff_s=history)
             if not isinstance(outcome, SweepPointError):
                 return outcome
             last = outcome
-        if tel is not None:
-            tel.point_error(idx, cfg, last.cause, attempts=attempt,
-                            backoff_s=history)
+        self.tel.point_error(idx, cfg, last.cause, attempts=attempt,
+                             backoff_s=history)
         if attempt <= 1 and not history:
             raise last  # single attempt: surface the original error as-is
         rebuilt = SweepPointError(last.point, last.cause, last.manifest,
@@ -519,17 +455,15 @@ class _Scheduler:
         if cur:
             chunks.append(cur)
         workers = min(max_workers, len(chunks))
-        if tel is not None:
-            tel.emit("dispatch", points=npoints, chunks=len(chunks),
-                     chunk_size=chunk_size, workers=workers)
-        tel_spec = (tel.path, tel.sweep) if tel is not None else None
+        tel.emit("dispatch", points=npoints, chunks=len(chunks),
+                 chunk_size=chunk_size, workers=workers)
         pool = ProcessPoolExecutor(max_workers=workers)
         submitted: dict = {}       # future -> submission perf_counter
         try:
             future_chunks = {}
             for chunk in chunks:
                 future = pool.submit(_run_chunk, chunk, self.check,
-                                     self.check_stride, tel_spec)
+                                     self.check_stride, tel.spec)
                 future_chunks[future] = [point for unit in chunk
                                          for point in unit]
                 submitted[future] = time.perf_counter()
@@ -538,9 +472,7 @@ class _Scheduler:
             # runs inline.
             self.absorb([point for unit in units for point in unit])
             future_chunks = {}
-            if tel is not None:
-                tel.emit("degrade", reason="pool-unusable",
-                         points=npoints)
+            tel.emit("degrade", reason="pool-unusable", points=npoints)
         pending = set(future_chunks)
         while pending:
             done, pending = wait(pending, timeout=self.timeout,
@@ -553,9 +485,8 @@ class _Scheduler:
                     future.cancel()
                     self.absorb(future_chunks[future])
                     stalled += len(future_chunks[future])
-                if tel is not None:
-                    tel.emit("degrade", reason="stall-timeout",
-                             timeout_s=self.timeout, points=stalled)
+                tel.emit("degrade", reason="stall-timeout",
+                         timeout_s=self.timeout, points=stalled)
                 break
             for future in done:
                 chunk = future_chunks[future]
@@ -565,16 +496,12 @@ class _Scheduler:
                     # Worker process died / pool broke mid-flight: the
                     # chunk's points rerun serially.
                     self.absorb(chunk)
-                    if tel is not None:
-                        tel.emit("degrade", reason="worker-failure",
-                                 points=len(chunk),
-                                 cause=f"{type(exc).__name__}: {exc}")
+                    tel.emit("degrade", reason="worker-failure",
+                             points=len(chunk),
+                             cause=f"{type(exc).__name__}: {exc}")
                     continue
-                if tel is not None:
-                    tel.emit("chunk", points=len(chunk),
-                             turnaround_s=round(
-                                 time.perf_counter() - submitted[future],
-                                 6))
+                tel.emit("chunk", points=len(chunk),
+                         turnaround_s=time.perf_counter() - submitted[future])
                 self.absorb(chunk, outcomes)
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -589,7 +516,6 @@ def run_experiments(configs: Iterable[ExperimentConfig],
                     resume: bool = False,
                     retries: int = 0,
                     backoff_base: float = 0.5,
-                    backoff_cap: float = 30.0,
                     timeout: float | None = None,
                     sleep=time.sleep,
                     batch_size: int = 16,
@@ -609,9 +535,10 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     overhead.
 
     Failures retry up to ``retries`` extra times with deterministic
-    exponential backoff (``backoff_base``/``backoff_cap``, injectable
-    ``sleep`` for testing); a broken or stalled pool (no completion for
-    ``timeout`` seconds) degrades to serial in-process execution. The
+    exponential backoff (``backoff_base`` doubling per retry, capped at
+    ``BACKOFF_CAP``; injectable ``sleep`` for testing); a broken or
+    stalled pool (no completion for ``timeout`` seconds) degrades to
+    serial in-process execution. The
     first point (in input order) to exhaust its attempts raises a
     ``SweepPointError`` carrying its attempt count and backoff history —
     with every other completed point already checkpointed.
@@ -643,39 +570,30 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     path, a ``repro.sweep-report/1`` summary written next to the stream
     when the sweep ends (whatever way it ends). Telemetry is pure
     observation: results are bit-identical with it on or off, and the
-    default off path holds no emitter at all.
+    default ``None`` holds the off emitter, which writes nothing.
     """
     configs = list(configs)
     journal = _open_journal(journal if not check else None, resume)
-    tel = _open_telemetry(telemetry, resume)
+    tel = open_emitter(telemetry, resume)
     active_store = store if store is not None else default_store()
     scheduler = _Scheduler(
         configs, check=check, store=active_store, journal=journal,
         resume=resume, max_attempts=1 + max(0, retries),
-        backoff_base=backoff_base, backoff_cap=backoff_cap, timeout=timeout,
-        sleep=sleep, check_stride=check_stride, telemetry=tel)
+        backoff_base=backoff_base, timeout=timeout, sleep=sleep,
+        check_stride=check_stride, telemetry=tel)
     if max_workers is None:
         max_workers = default_workers()
     status, error = "error", None
     start = time.perf_counter()
-    store_baseline = (dict(active_store.stats)
-                      if tel is not None and active_store is not None
-                      else None)
-    if tel is not None:
-        tel.emit("sweep_begin", points=len(configs), workers=max_workers,
-                 batch_size=batch_size, check=check, resume=resume,
-                 retries=max(0, retries),
-                 journal=(journal.path if journal is not None else None))
+    tel.sweep_begin(active_store, points=len(configs), workers=max_workers,
+                    batch_size=batch_size, check=check, resume=resume,
+                    retries=max(0, retries),
+                    journal=journal.path if journal is not None else None)
     try:
         todo = scheduler.collect_todo()
         if todo:
             units = _group_units(todo, batch_size)
-            if tel is not None:
-                multi = [len(unit) for unit in units if len(unit) > 1]
-                tel.emit("batch_groups", todo=len(todo), units=len(units),
-                         multi_lane_units=len(multi),
-                         batched_points=sum(multi),
-                         batch_size=batch_size)
+            tel.batch_groups(todo, units, batch_size)
             if max_workers <= 1 or len(units) == 1:
                 scheduler.run_serial(units)
             else:
@@ -686,19 +604,8 @@ def run_experiments(configs: Iterable[ExperimentConfig],
         error = f"{type(exc).__name__}: {exc}".splitlines()[0]
         raise
     finally:
-        if tel is not None:
-            if store_baseline is not None:
-                tel.emit("worker_store", role="parent",
-                         stats=active_store.stats_delta(store_baseline))
-            tel.emit("sweep_end", status=status, error=error,
-                     wall_s=round(time.perf_counter() - start, 6),
-                     completed=sum(result is not None
-                                   for result in scheduler.results))
-            tel.close()
-            if not hasattr(telemetry, "emit"):
-                # Given as a path: the stream owns a report sidecar.
-                from ..telemetry.report import try_write_sweep_report
-                try_write_sweep_report(tel.path)
+        tel.sweep_end(status, error, time.perf_counter() - start,
+                      scheduler.results)
         if journal is not None:
             journal.close()
     return scheduler.results

@@ -13,12 +13,22 @@ a probe must behave — and cost — exactly as if the layer did not exist.
    profiler on an array core — gives identical ``NetworkStats``
    fingerprints, and the observers find nothing wrong.
 
+The sweep scheduler's telemetry has the same contract, checked by
+:func:`telemetry_cold_check`: with telemetry off the scheduler holds the
+off emitter, which writes nothing, and results are bit-identical on and
+off.
+
 ``python -m repro bench`` runs both. What an *attached* probe costs is a
 number, not a gate: ``instrument.probe_overhead_pct.scalar`` in the
 ``perf/`` ledger.
 """
 
 from __future__ import annotations
+
+import inspect
+import os
+import tempfile
+import time
 
 from ..network.backend import BackendUnsupportedError
 from ..network.config import PSEUDO_SB, NetworkConfig
@@ -160,3 +170,71 @@ def overhead_gate(cycles: int = 400, show: bool = True,
         print(f"{gate}: probes cold, stats bit-identical over {cycles} "
               f"cycles ({seen})")
     return report
+
+
+def _refuse_write(writer, record) -> None:
+    """``TelemetryWriter.write`` while the off sweep runs."""
+    raise OverheadGateError(f"a telemetry-off sweep wrote {record!r}")
+
+
+def telemetry_cold_check() -> dict:
+    """Assert the telemetry-off sweep is free and the on sweep only
+    observes, raising :class:`OverheadGateError` on the first failure:
+
+    * ``run_experiments`` defaults to ``telemetry=None``, and a
+      default-built scheduler holds the off emitter, every method of
+      which is the one that returns at once;
+    * a telemetry-off sweep never calls ``TelemetryWriter.write``;
+    * the same sweep with telemetry on returns bit-identical results and
+      leaves a stream with one span per point.
+    """
+    from ..harness import parallel
+    from ..harness.experiment import ExperimentConfig, clear_cache
+    from ..telemetry import spans, stream
+
+    default = inspect.signature(
+        parallel.run_experiments).parameters["telemetry"].default
+    if default is not None:
+        raise OverheadGateError(
+            f"run_experiments telemetry default is {default!r}, not None")
+    scheduler = parallel._Scheduler(
+        [], check=False, store=None, journal=None, resume=False,
+        max_attempts=1, backoff_base=0.5, timeout=None, sleep=time.sleep)
+    live = [name for name, member in vars(spans.Telemetry).items()
+            if callable(member) and not name.startswith("_")
+            and getattr(spans.OFF, name).__func__ is not spans._Off._nothing]
+    if scheduler.tel is not spans.OFF or live:
+        raise OverheadGateError(
+            f"a default-built scheduler holds {scheduler.tel!r}, not the "
+            f"off emitter (methods that do something: {live})")
+
+    configs = [ExperimentConfig(topology="mesh", kx=4, ky=4, concentration=1,
+                                routing="xy", vc_policy="static",
+                                pattern="uniform", rate=0.1, packet_size=5,
+                                synth_cycles=200, synth_warmup=50,
+                                backend="scalar", seed=seed)
+               for seed in (11, 12, 13, 14)]
+    write = stream.TelemetryWriter.write
+    stream.TelemetryWriter.write = _refuse_write
+    try:
+        clear_cache()
+        off = parallel.run_experiments(configs, max_workers=1)
+    finally:
+        stream.TelemetryWriter.write = write
+    with tempfile.TemporaryDirectory() as tmp:
+        stream_path = os.path.join(tmp, "gate-telemetry.jsonl")
+        clear_cache()
+        on = parallel.run_experiments(configs, max_workers=1,
+                                      telemetry=stream_path)
+        records = stream.read_stream(stream_path)
+    clear_cache()
+    if off != on:
+        raise OverheadGateError(
+            "telemetry-on sweep results differ from telemetry-off")
+    spans_seen = sum(record.get("ev") == "point" for record in records)
+    if spans_seen != len(configs):
+        raise OverheadGateError(
+            f"expected {len(configs)} point spans, stream has {spans_seen}")
+    return {"default_off": True, "scheduler_null": True,
+            "results_identical": True, "points": len(configs),
+            "stream_records": len(records)}

@@ -133,12 +133,20 @@ def choose_backend(*, terminals: int, rate: float | None,
     stays until the benchmark can score trace points on either core
     (ROADMAP item 1(e)); CMP trace *extraction* already runs compiled.
     """
+    return _auto_rule(terminals, rate, pseudo, batch)[0]
+
+
+def _auto_rule(terminals: int, rate: float | None, pseudo: bool,
+               batch: int) -> tuple[str, str]:
+    """The ``auto`` policy's three branches, stated once: the core it
+    picks and the branch that picked it."""
     if batch > 1:
-        return "batched"
+        return "batched", "batched-unit"
     if rate is None or terminals <= 0:
-        return "scalar"
+        return "scalar", "no-offered-load"
     threshold = _CROSSOVER_FLITS_PER_CYCLE["pseudo" if pseudo else "baseline"]
-    return "vectorized" if rate * terminals >= threshold else "scalar"
+    return ("vectorized" if rate * terminals >= threshold else "scalar",
+            "offered-load-crossover")
 
 
 def explain_choice(*, terminals: int, rate: float | None,
@@ -151,14 +159,7 @@ def explain_choice(*, terminals: int, rate: float | None,
     against, and where that calibration came from (``calibration()``'s
     ``source``).
     """
-    chosen = choose_backend(terminals=terminals, rate=rate, pseudo=pseudo,
-                            batch=batch)
-    if batch > 1:
-        reason = "batched-unit"
-    elif rate is None or terminals <= 0:
-        reason = "no-offered-load"
-    else:
-        reason = "offered-load-crossover"
+    chosen, reason = _auto_rule(terminals, rate, pseudo, batch)
     return {
         "chosen": chosen,
         "reason": reason,

@@ -19,12 +19,29 @@ re-canonicalising reader would forgive.
 :func:`seal` builds a line from an envelope and a payload text the
 caller canonicalised once (and may hand to several records);
 :func:`unseal` is its strict inverse and the only reader.
+
+The two append-only logs — the checkpoint journal and the telemetry
+stream — are files of such lines, and share one writer and one reader:
+
+* :class:`SealedWriter` opens lazily in append mode (creating the
+  directory) and writes each line whole in one ``write``, flushed. POSIX
+  ``O_APPEND`` keeps concurrent writers' lines whole, so a scheduler and
+  its forked workers can share one stream; a writer killed mid-append
+  leaves at worst one torn final line. The journal fsyncs every line;
+  the stream only at close (a flush already survives the *process*
+  being killed, which is all telemetry promises).
+* :class:`TailReader` reads what was appended since its last poll and
+  parses complete lines, skipping what fails. Following a live writer it
+  holds a final line back until its newline arrives; a one-shot read
+  (:func:`read_sealed`) takes it, so a valid last line that lost only
+  its newline is kept.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import NamedTuple
 
 #: Structural bytes between the digest and the payload text. A ``"`` is
@@ -95,3 +112,92 @@ def unseal(line: bytes | str, schema: str) -> Sealed | None:
             or envelope.get("sha256") != digest):
         return None
     return Sealed(envelope, payload, text)
+
+
+class SealedWriter:
+    """Append sealed lines to one file; ``sync_each`` fsyncs every line
+    (the journal), else the file is fsync'd at :meth:`close`."""
+
+    def __init__(self, path: str, sync_each: bool = False):
+        self.path = str(path)
+        self.sync_each = sync_each
+        self._fh = None
+
+    def append_line(self, envelope: dict, text: str) -> None:
+        """Append ``seal(envelope, text)`` as one flushed line."""
+        fh = self._fh
+        if fh is None:
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)),
+                        exist_ok=True)
+            fh = self._fh = open(self.path, "a", encoding="utf-8")
+        fh.write(seal(envelope, text) + "\n")
+        fh.flush()
+        if self.sync_each:
+            os.fsync(fh.fileno())
+
+    def sync(self) -> None:
+        """fsync what was appended so far."""
+        if self._fh is not None:
+            os.fsync(self._fh.fileno())
+
+    def truncate(self) -> None:
+        """Start the file over (a fresh, non-resumed run)."""
+        self.close()
+        if os.path.exists(self.path):
+            os.remove(self.path)
+
+    def close(self) -> None:
+        """fsync and close the append handle (safe to call repeatedly)."""
+        if self._fh is not None:
+            self.sync()
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self):
+        """Context-manager entry: the writer itself."""
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Context-manager exit: close the append handle."""
+        self.close()
+
+
+class TailReader:
+    """Follow a file of lines another process may still be appending.
+
+    Each :meth:`poll` reads what was appended since the last one and
+    returns the records ``parse`` makes of its complete lines (``parse``
+    maps a line's bytes, newline stripped, to a record or ``None`` to
+    skip it). A final line without its newline is held until the newline
+    arrives, unless ``final``: then nothing more is coming and the line
+    is parsed as it stands. A file that shrank (truncated by a fresh run)
+    is read again from the top.
+    """
+
+    def __init__(self, path: str, parse):
+        self.path = str(path)
+        self.parse = parse
+        self._offset = 0
+        self._partial = b""
+
+    def poll(self, final: bool = False) -> list:
+        """Records completed since the last poll (maybe none)."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(0, os.SEEK_END)
+                if fh.tell() < self._offset:
+                    self._offset, self._partial = 0, b""
+                fh.seek(self._offset)
+                data = fh.read()
+        except OSError:
+            return []  # not created yet
+        self._offset += len(data)
+        lines = (self._partial + data).split(b"\n")
+        self._partial = b"" if final else lines.pop()
+        parse = self.parse
+        return [record for record in map(parse, lines) if record is not None]
+
+
+def read_sealed(path: str, parse) -> list:
+    """Every record ``parse`` makes of a file's lines, read once."""
+    return TailReader(path, parse).poll(final=True)

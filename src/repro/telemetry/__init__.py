@@ -3,11 +3,11 @@
 The simulator core became observable in PRs 3/4/8 (probes, monitors,
 the per-phase profiler); this package gives the *execution layer* the
 same treatment. Every sweep run can emit an append-only JSONL telemetry
-stream — the same torn-line-tolerant, checksummed discipline as the
-PR 5 checkpoint journal — of structured spans (sweep → batched unit →
-point) and scheduler lifecycle events (pool degradation, timeout
-stalls, batch-group formation, solo fallback, retries with their
-backoff schedule).
+stream — written and read by the checkpoint journal's own sealed-log
+writer and reader (``repro.store.sealed``) — of structured spans
+(sweep → batched unit → point) and scheduler lifecycle events (pool
+degradation, timeout stalls, batch-group formation, solo fallback,
+retries with their backoff schedule).
 
 Layers on top of the stream:
 
@@ -20,14 +20,13 @@ Layers on top of the stream:
   to a core-level flit trace);
 * :mod:`repro.telemetry.top` — ``repro top``, a live follower that
   tails the stream of an in-flight sweep, possibly owned by another
-  process;
-* :mod:`repro.telemetry.overhead` — the bench-gate check that
-  telemetry-off sweeps pay nothing (null-object contract, same as the
-  PR 3 probes).
+  process.
 
-The scheduler (``repro.harness.parallel``) holds ``telemetry=None`` by
-default and emits nothing on that path; pass a path (or a
-:class:`Telemetry`) to ``run_experiments`` / ``repro sweep
+The scheduler (``repro.harness.parallel``) always holds an emitter; by
+default it is the off emitter (:data:`~repro.telemetry.spans.OFF`),
+which returns from every call and writes nothing
+(``repro.instrument.overhead.telemetry_cold_check`` gates it). Pass a
+path (or a :class:`Telemetry`) to ``run_experiments`` / ``repro sweep
 --telemetry`` to switch the stream on.
 """
 

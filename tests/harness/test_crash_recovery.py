@@ -199,7 +199,6 @@ class TestDeterministicBackoff:
             waits = []
             with pytest.raises(Exception):
                 run_experiments([_point(91)], max_workers=1, retries=3,
-                                backoff_base=0.25, backoff_cap=60.0,
-                                sleep=waits.append)
+                                backoff_base=0.25, sleep=waits.append)
             schedules.append(waits)
         assert schedules[0] == schedules[1] == [0.25, 0.5, 1.0]

@@ -84,8 +84,7 @@ class TestRetries:
         monkeypatch.setattr(parallel, "run_experiment", always_broken)
         with pytest.raises(SweepPointError) as excinfo:
             run_experiments([_point(seed=22)], max_workers=1, retries=2,
-                            backoff_base=1.0, backoff_cap=30.0,
-                            sleep=clock)
+                            backoff_base=1.0, sleep=clock)
         err = excinfo.value
         assert err.attempts == 3
         assert err.backoff_s == [1.0, 2.0]

@@ -18,7 +18,7 @@ import pytest
 from repro.harness.experiment import ExperimentConfig, clear_cache
 from repro.harness.parallel import run_experiments
 from repro.store import ResultStore, SweepJournal
-from repro.telemetry import TelemetryWriter, read_stream
+from repro.telemetry import TailReader, TelemetryWriter, read_stream
 
 KEY = "ab" + "0" * 62
 
@@ -149,3 +149,17 @@ class TestNewlineEdge:
         # The key sits in the envelope, outside the digest: the renamed
         # copy is a valid line that only lost its newline.
         assert set(SweepJournal(str(path)).load()) == {KEY, "cd" + KEY[2:]}
+
+    def test_stream_keeps_a_final_line_without_newline(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(TELEMETRY_LINE + TELEMETRY_LINE.rstrip(b"\n"))
+        assert len(read_stream(str(path))) == 2
+
+    def test_a_follower_holds_it_until_the_newline(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(TELEMETRY_LINE + TELEMETRY_LINE.rstrip(b"\n"))
+        reader = TailReader(str(path))
+        assert len(reader.poll()) == 1
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        assert len(reader.poll()) == 1

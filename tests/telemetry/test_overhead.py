@@ -1,8 +1,8 @@
-"""The zero-cost contract: telemetry off must mean *nothing* attached.
+"""The zero-cost contract: telemetry off must mean the off emitter.
 
 ``telemetry_cold_check`` is the bench-gate hook; here it runs directly,
-plus direct assertions that the off path holds no emitter and that the
-``run_experiments`` default stays off.
+plus direct assertions that the off path holds the off emitter and that
+the ``run_experiments`` default stays off.
 """
 
 import inspect
@@ -11,7 +11,8 @@ import pytest
 
 from repro.harness import parallel
 from repro.harness.experiment import ExperimentConfig, clear_cache
-from repro.telemetry.overhead import OverheadGateError, telemetry_cold_check
+from repro.instrument.overhead import OverheadGateError, telemetry_cold_check
+from repro.telemetry.spans import OFF
 
 
 @pytest.fixture(autouse=True)
@@ -41,9 +42,10 @@ class TestColdCheck:
                                synth_cycles=50, synth_warmup=10, seed=1)
         scheduler = parallel._Scheduler(
             [cfg], check=False, store=None, journal=None, resume=False,
-            max_attempts=1, backoff_base=0.5, backoff_cap=30.0,
-            timeout=None, sleep=lambda s: None)
-        assert scheduler.tel is None
+            max_attempts=1, backoff_base=0.5, timeout=None,
+            sleep=lambda s: None)
+        assert scheduler.tel is OFF
+        assert OFF.writer is None and OFF.spec is None
 
     def test_gate_error_is_the_shared_gate_type(self):
         # The bench gate treats telemetry violations exactly like probe
