@@ -218,8 +218,8 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     cfgs = [point[1] for point in points]
     lanes = len(cfgs)
     results, solo_fallback = None, False
-    start = time.perf_counter()
     if lanes > 1:
+        start = time.perf_counter()
         try:
             results = list(run_batch_experiments(cfgs, check=check,
                                                  check_stride=check_stride))

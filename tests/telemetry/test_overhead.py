@@ -50,7 +50,4 @@ class TestColdCheck:
     def test_gate_error_is_the_shared_gate_type(self):
         # The bench gate treats telemetry violations exactly like probe
         # overhead violations: same exception family, same hard failure.
-        from repro.instrument.overhead import \
-            OverheadGateError as probe_gate_error
-        assert OverheadGateError is probe_gate_error
         assert issubclass(OverheadGateError, AssertionError)
