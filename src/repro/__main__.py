@@ -58,6 +58,7 @@ import json
 import os
 import sys
 
+from .evc import EvcConfigError
 from .harness.bench import DEFAULT_CYCLES, run_bench
 from .harness.experiment import (ExperimentConfig, default_store,
                                  run_experiment, set_default_store)
@@ -155,9 +156,12 @@ def _cmd_run(args) -> int:
     rows = []
     out_rows = []
     checked = []
-    schemes = (ALL_SCHEMES if args.scheme == "all"
-               else [SCHEMES[args.scheme]])
-    for scheme in schemes:
+    # Every point up front: a scheme the topology refuses fails before
+    # any point runs.
+    configs = [cfg.with_scheme(scheme) for scheme in (
+        ALL_SCHEMES if args.scheme == "all" else [SCHEMES[args.scheme]])]
+    for point in configs:
+        scheme = point.scheme
         probe = tracer = series = None
         if tracing:
             probes = []
@@ -169,7 +173,7 @@ def _cmd_run(args) -> int:
                 probes.append(series)
             probe = (probes[0] if len(probes) == 1
                      else CompositeProbe(*probes))
-        res = run_experiment(cfg.with_scheme(scheme), probe=probe,
+        res = run_experiment(point, probe=probe,
                              check=args.check,
                              check_stride=args.check_stride)
         if tracer is not None and args.trace is not None:
@@ -574,10 +578,11 @@ def main(argv=None) -> int:
         return _cmd_figure(args)
     if args.command == "all":
         return _cmd_all(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
+    if args.command in ("run", "trace"):
+        try:
+            return (_cmd_run if args.command == "run" else _cmd_trace)(args)
+        except EvcConfigError as err:
+            parser.error(str(err))
     if args.command == "bench":
         run_bench(cycles=args.cycles, backend=args.backend or "scalar",
                   check=args.check, out_path=args.out)

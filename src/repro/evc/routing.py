@@ -11,7 +11,6 @@ squeezed into half the VCs while the EVCs sit underused.
 
 from __future__ import annotations
 
-from ..network.flit import Packet
 from ..routing.base import RoutingAlgorithm
 from ..topology.mesh import EAST, NORTH, SOUTH, WEST
 from .topology import EvcMesh
@@ -28,11 +27,12 @@ class EvcRouting(RoutingAlgorithm):
             raise TypeError("EvcRouting requires an EvcMesh topology")
         super().__init__(topology)
 
-    def route(self, router: int, packet: Packet) -> tuple[int, int]:
+    def route_entry(self, router: int, dst: int,
+                    route_choice: int) -> tuple[int, int]:
         topo: EvcMesh = self.topology
-        dst_router = topo.terminal_router(packet.dst)
+        dst_router = topo.terminal_router(dst)
         if router == dst_router:
-            return self._eject(packet)
+            return topo.ejection_port(dst), 0
         x, y = topo.coords(router)
         dx, dy = topo.coords(dst_router)
         if dx != x:
@@ -46,8 +46,8 @@ class EvcRouting(RoutingAlgorithm):
             return topo.express_port(direction), 0
         return direction, 0
 
-    def vc_limits(self, packet: Packet, num_vcs: int,
-                  out_port: int = -1) -> tuple[int, int]:
+    def vc_window(self, route_choice: int, out_port: int,
+                  num_vcs: int) -> tuple[int, int]:
         if num_vcs < 2:
             raise ValueError("EVC needs at least 2 VCs (one per class)")
         half = num_vcs // 2

@@ -28,7 +28,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from ..energy import DEFAULT_ENERGY_MODEL
-from ..evc import EvcMesh, EvcRouting
+from ..evc import EvcMesh, EvcRouting, check_evc_point
 from ..instrument import run_manifest
 from ..network.backend import (BackendUnsupportedError, backend_of,
                                choose_backend, resolve_backend)
@@ -84,6 +84,8 @@ class ExperimentConfig:
         if (self.benchmark is None) == (self.pattern is None):
             raise ValueError(
                 "configure exactly one of benchmark= or pattern=")
+        if self.topology == "evc_mesh":
+            check_evc_point(self.scheme.enabled, self.routing)
         # Resolve the backend at construction so equality, run-cache and
         # store keys always carry a concrete backend name — results from
         # different backends never alias, whatever the process default
@@ -399,10 +401,9 @@ def batch_key(config: ExperimentConfig):
     Only synthetic-traffic points that opted into batching (backend
     ``batched`` or ``auto``) are grouped; trace replay is ticked from
     Python one trace per network (the MSHR gate itself is per terminal,
-    ``kernel.c``'s ``inject_start``), and ``evc_mesh`` routing is
-    dynamic-only — both always run solo.
+    ``kernel.c``'s ``inject_start``), so it always runs solo.
     """
-    if config.benchmark is not None or config.topology == "evc_mesh":
+    if config.benchmark is not None:
         return None
     if resolve_backend(config.backend) not in ("batched", "auto"):
         return None

@@ -25,8 +25,8 @@ dependency (``pip install repro[fast]``), and a C compiler on the
 machine that runs them (their cycle is one C file built on first use,
 ``network/vectorized/kernel.py``). ``require_numpy`` converts the bare
 ImportError into an actionable message; ``BackendUnsupportedError``
-marks what the vectorized core deliberately refuses (probes,
-non-tabulable routing, multidrop channels, a process with no compiler)
+marks what the vectorized core deliberately refuses (per-flit probes,
+multidrop channels, a process with no compiler)
 so callers fall back to the scalar core explicitly instead of getting
 silently-different semantics — ``auto`` is the one sanctioned fallback
 path: its documented policy is to pick scalar wherever the vectorized

@@ -18,6 +18,7 @@ from collections import deque
 
 from ..metrics.stats import NetworkStats
 from ..routing.base import RoutingAlgorithm
+from ..routing.compiled import compile_routing
 from ..vcalloc.base import VCAllocationPolicy
 from .config import NetworkConfig
 from .flit import Flit, Packet
@@ -52,7 +53,7 @@ class Nic:
                  "outstanding", "inject_link", "inject_endpoint",
                  "eject_endpoint", "_eject_credit_due", "_rx_flits",
                  "_eject_q", "on_packet", "ejected", "keep_ejected",
-                 "_inject_set", "_eject_set", "_vc_ranges", "_probe")
+                 "_inject_set", "_eject_set", "_windows", "_probe")
 
     def __init__(self, terminal: int, config: NetworkConfig,
                  routing: RoutingAlgorithm, vc_policy: VCAllocationPolicy,
@@ -74,9 +75,10 @@ class Nic:
         # Network when it runs in active-set mode; None when standalone.
         self._inject_set: dict | None = None
         self._eject_set: dict | None = None
-        # Per-route-choice VC ranges from the compiled routing table (bound
-        # by the Network for tabulable algorithms); None -> dynamic path.
-        self._vc_ranges = None
+        # The compiled routing's VC windows (``routing.compiled``);
+        # ``_windows[route_choice][-1]`` is the injection channel's.
+        self._windows = compile_routing(routing, routing.topology,
+                                        config.num_vcs).windows
         self._reset_own()
 
     def reset(self) -> None:
@@ -112,10 +114,6 @@ class Nic:
         """Attach this NIC to the network's active-set registries."""
         self._inject_set = inject_set
         self._eject_set = eject_set
-
-    def bind_vc_ranges(self, vc_ranges) -> None:
-        """Attach compiled per-choice VC ranges (see ``routing.compiled``)."""
-        self._vc_ranges = vc_ranges
 
     # -- sending --------------------------------------------------------------
 
@@ -170,11 +168,7 @@ class Nic:
         if 0 < self.config.mshrs <= self.outstanding:
             return  # self-throttling: all MSHRs busy
         packet = self.queue[0]
-        vc_ranges = self._vc_ranges
-        if vc_ranges is not None:
-            lo, hi = vc_ranges[packet.route_choice]
-        else:
-            lo, hi = self.routing.vc_limits(packet, self.config.num_vcs)
+        lo, hi = self._windows[packet.route_choice][-1]
         vc = self.vc_policy.allocate(self.inject_state.ovcs, packet, lo, hi)
         if vc is None:
             return

@@ -59,9 +59,8 @@ VC state (IDLE -> VA -> ACTIVE -> IDLE), fresh circuits and buffer writes
 are updated in place; ``CreditCounter.consume`` / ``restore`` run only on
 the branch that raises, and the ``VirtualChannel`` transitions and
 ``PseudoCircuitRegister`` methods state the same rules for reference.
-When the network compiled its routing algorithm (``routing.compiled``),
-route computation is one tuple index per head flit instead of the
-dynamic ``route()`` call chain.
+Route computation is one tuple index per head flit into the routing's
+compiled tables (``routing.compiled``), and a VC window one more.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ from __future__ import annotations
 from ..core.pseudo_circuit import Termination
 from ..metrics.stats import NetworkStats
 from ..routing.base import RoutingAlgorithm
+from ..routing.compiled import compile_routing
 from ..vcalloc.base import VCAllocationPolicy
 from .arbiters import round_robin
 from .config import NetworkConfig
@@ -86,12 +86,12 @@ class ProtocolError(RuntimeError):
 class Router:
     """One router; ports are wired by the Network at build time."""
 
-    __slots__ = ("router_id", "config", "routing", "vc_policy", "stats",
+    __slots__ = ("router_id", "config", "vc_policy", "stats",
                  "in_ports", "out_ports", "_in_rr", "_out_rr",
                  "_arrivals", "_buffered_flits",
                  "_occ_in_mask", "_occ_vc_masks", "_req_vc_masks",
                  "_in_full_mask",
-                 "_route_table", "_vc_ranges",
+                 "_route_table", "_windows",
                  "_pc_enabled", "_pc_speculation", "_pc_bypass",
                  "_pc_valid_mask", "_pc_restorable_mask", "_pc_held_mask",
                  "_pending_credits", "_credit_mask", "_registers",
@@ -102,7 +102,6 @@ class Router:
                  vc_policy: VCAllocationPolicy, stats: NetworkStats):
         self.router_id = router_id
         self.config = config
-        self.routing = routing
         self.vc_policy = vc_policy
         self.stats = stats
         self.in_ports = [
@@ -113,10 +112,14 @@ class Router:
         self.out_ports: list[OutputPort] = [
             OutputPort(p, []) for p in range(num_outports)]
         self._in_full_mask = (1 << num_inports) - 1
-        # Compiled routing (bound by the Network when the algorithm is
-        # tabulable): per-choice destination tables and VC ranges.
-        self._route_table = None
-        self._vc_ranges = None
+        # This router's rows of the compiled routing (built once per
+        # routing instance): ``_route_table[route_choice][dst]`` ->
+        # ``(out_port, drop)``, ``_windows[route_choice][out_port]`` ->
+        # the packet's VC window on that output.
+        compiled = compile_routing(routing, routing.topology,
+                                   config.num_vcs)
+        self._route_table = compiled.tables[router_id]
+        self._windows = compiled.windows
         # The per-input pseudo-circuit registers never change identity
         # after construction.
         self._registers = [ip.pc for ip in self.in_ports]
@@ -178,13 +181,6 @@ class Router:
         """Attach this router to the network's active-set registries."""
         self._work_set = work_set
         self._credit_set = credit_set
-
-    def bind_route_table(self, table, vc_ranges) -> None:
-        """Attach this router's compiled routing table (see
-        ``routing.compiled``): ``table[route_choice][dst]`` yields
-        ``(out_port, drop, vc_lo, vc_hi)``."""
-        self._route_table = table
-        self._vc_ranges = vc_ranges
 
     # -- per-cycle entry points -----------------------------------------------
 
@@ -263,7 +259,7 @@ class Router:
         if occ_in:
             num = len(in_ports)
             table = self._route_table
-            vc_ranges = self._vc_ranges
+            windows = self._windows
             allocate = self.vc_policy.allocate
             start = cycle % num
             if start:
@@ -295,23 +291,15 @@ class Router:
                             raise ProtocolError(
                                 f"router {router_id}: body flit at the "
                                 f"front of idle VC {vc.vc_id}: {front}")
-                        if table is not None:
-                            out_port, drop, _, _ = \
-                                table[packet.route_choice][packet.dst]
-                        else:
-                            out_port, drop = self.routing.route(router_id,
-                                                                packet)
+                        out_port, drop = table[packet.route_choice][
+                            packet.dst]
                         vc.state = VA
                         vc.out_port = out_port
                         vc.out_ep = drop
                         vc.out_vc = -1
                     out = out_ports[vc.out_port]
                     endpoint = out.endpoints[vc.out_ep]
-                    if vc_ranges is not None:
-                        lo, hi = vc_ranges[packet.route_choice]
-                    else:
-                        lo, hi = self.routing.vc_limits(
-                            packet, self.config.num_vcs, vc.out_port)
+                    lo, hi = windows[packet.route_choice][vc.out_port]
                     ovc = allocate(endpoint.ovcs, packet, lo, hi,
                                    ejection=out.is_ejection)
                     if ovc is None:
@@ -554,13 +542,8 @@ class Router:
                     f"router {self.router_id}: head flit arrived on VC "
                     f"{vc.vc_id} still {vc.state.name}")
             packet = flit.packet
-            table = self._route_table
-            if table is not None:
-                out_port, drop, lo, hi = table[packet.route_choice][
-                    packet.dst]
-            else:
-                out_port, drop = self.routing.route(self.router_id, packet)
-                lo = hi = -1  # vc_limits resolved below, after early-outs
+            choice = packet.route_choice
+            out_port, drop = self._route_table[choice][packet.dst]
             if ip.pc.out_port != out_port:  # same VC, different output
                 self._terminate_pc(cycle, i, Termination.ROUTE_MISMATCH)
                 return False
@@ -568,9 +551,7 @@ class Router:
             if claimed_out >> out_port & 1 or out.st_busy_cycle >= cycle:
                 return False
             endpoint = out.endpoints[drop]
-            if table is None:
-                lo, hi = self.routing.vc_limits(packet, self.config.num_vcs,
-                                                out_port)
+            lo, hi = self._windows[choice][out_port]
             ovc = self.vc_policy.allocate(endpoint.ovcs, packet, lo, hi,
                                           ejection=out.is_ejection)
             if ovc is None or endpoint.ovcs[ovc].credits.count == 0:

@@ -71,9 +71,7 @@ class Network:
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing: RoutingAlgorithm | str = "xy",
                  vc_policy: VCAllocationPolicy | str = "dynamic",
-                 seed: int = 1, active_set: bool = True,
-                 compiled_routing: bool = True,
-                 probe=None):
+                 seed: int = 1, active_set: bool = True, probe=None):
         self.topology = topology
         self.config = config
         if isinstance(routing, str):
@@ -92,6 +90,10 @@ class Network:
         self._live_links: dict[int, Link] = {}
         self._inject_nics: dict[int, Nic] = {}
         self._eject_nics: dict[int, Nic] = {}
+        #: The routing's tables (``routing.compiled``), which every router
+        #: and NIC reads, shared read-only by every network built on the
+        #: same routing instance.
+        self.compiled = compile_routing(routing, topology, config.num_vcs)
         self.routers = [
             Router(r, topology.num_inports(r), topology.num_outports(r),
                    config, routing, vc_policy, self.stats)
@@ -100,19 +102,6 @@ class Network:
         self.nics: list[Nic] = []
         self._build_channels()
         self._build_nics()
-        # Compile deterministic routing into per-router lookup tables
-        # (``compiled_routing=False`` keeps the dynamic route() path — the
-        # differential reference tests/network/test_active_set.py uses).
-        self.compiled_routing = (
-            compile_routing(routing, topology, config.num_vcs)
-            if compiled_routing else None)
-        if self.compiled_routing is not None:
-            tables = self.compiled_routing.tables
-            vc_ranges = self.compiled_routing.vc_ranges
-            for router in self.routers:
-                router.bind_route_table(tables[router.router_id], vc_ranges)
-            for nic in self.nics:
-                nic.bind_vc_ranges(vc_ranges)
         if active_set:
             for router in self.routers:
                 router.bind_scheduler(self._work_routers,
@@ -462,8 +451,7 @@ class Network:
 def build_network(topology: Topology, routing: str = "xy",
                   vc_policy: str = "dynamic",
                   config: NetworkConfig | None = None,
-                  seed: int = 1, active_set: bool = True,
-                  compiled_routing: bool = True, probe=None,
+                  seed: int = 1, active_set: bool = True, probe=None,
                   **config_overrides) -> Network:
     """Convenience constructor used by examples and the harness."""
     if config is None:
@@ -471,5 +459,4 @@ def build_network(topology: Topology, routing: str = "xy",
     elif config_overrides:
         raise ValueError("pass either config or keyword overrides, not both")
     return Network(topology, config, routing, vc_policy, seed=seed,
-                   active_set=active_set, compiled_routing=compiled_routing,
-                   probe=probe)
+                   active_set=active_set, probe=probe)

@@ -44,9 +44,9 @@ index arrays the kernel recorded while one was attached;
 ``enable_profile`` has the kernel time its stages. Deliberately
 unsupported (raising ``BackendUnsupportedError``): a process that
 cannot build the kernel (no C compiler), per-flit event probes
-(``FlitTracer`` and other scalar-protocol instrumentation),
-non-tabulable routing algorithms, multidrop (MECS) channels, and VC
-policies other than dynamic/static — use the scalar backend for those.
+(``FlitTracer`` and other scalar-protocol instrumentation), multidrop
+(MECS) channels, and VC policies other than dynamic/static — use the
+scalar backend for those.
 """
 
 from __future__ import annotations
@@ -135,15 +135,10 @@ class VectorNetwork:
         if isinstance(routing, str):
             routing = make_routing(routing, topology)
         self.routing = routing
-        self.compiled_routing = compile_routing(routing, topology,
-                                                config.num_vcs)
-        if self.compiled_routing is None:
-            raise BackendUnsupportedError(
-                f"the vectorized backend requires a tabulable routing "
-                f"algorithm; {type(routing).__name__} is dynamic-only on "
-                f"topology {topology.name!r} — use --backend scalar")
-        lay = build_layout(topology, config, self.compiled_routing,
-                           lanes=lanes)
+        #: The routing's tables, shared with every network of either
+        #: core built on the same routing instance.
+        self.compiled = compile_routing(routing, topology, config.num_vcs)
+        lay = build_layout(topology, config, self.compiled, lanes=lanes)
         self._lay = lay
         kernel = load_kernel()
         if kernel.lib is None:

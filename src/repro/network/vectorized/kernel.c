@@ -114,7 +114,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 7001
+#define REPRO_KERNEL_ABI 7002
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -198,8 +198,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, inj_ipid, NET) \
     X(i64, ej_opid, NET) \
     X(i64, route_out, NET) \
-    X(i64, route_lo, NET) \
-    X(i64, route_hi, NET) \
+    X(i64, vc_window, NET) \
     /* calendars: RD slots each, lengths in ring_n[RING_*][slot] */ \
     X(i64, arr_port, NET) \
     X(i64, arr_fid, NET) \
@@ -554,14 +553,16 @@ static void summarise(Chip *ch, i64 port, i64 ivc)
 }
 
 /* VCAllocationPolicy.allocate over the output VCs at credit index
- * ``base``: the chosen VC or -1. Dynamic takes the free VC with the
- * most credits (lowest index on ties); static takes the destination's
- * designated VC, and the first free one on an ejection port. */
-static i64 policy_pick(Chip *ch, i64 base, i64 pk, int eject)
+ * ``base``, inside the VC window of ``pk``'s route choice on local
+ * output ``port`` (Po: the injection channel): the chosen VC or -1.
+ * Dynamic takes the free VC with the most credits (lowest index on
+ * ties); static takes the destination's designated VC, and the first
+ * free one on an ejection port. */
+static i64 policy_pick(Chip *ch, i64 base, i64 pk, i64 port, int eject)
 {
     ENTER();
-    i64 choice = A(p_choice, pk);
-    i64 lo = A(route_lo, choice), hi = A(route_hi, choice);
+    i64 w = (A(p_choice, pk) * (ch->Po + 1) + port) * 2;
+    i64 lo = A(vc_window, w), hi = A(vc_window, w + 1);
     if (!ch->static_vc) {
         i64 best = -1, most = -1;
         for (i64 v = lo; v < hi; v++)
@@ -1008,7 +1009,8 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
                     A(vc_out_opid, ivc) = r * Po + out;
                 }
                 i64 opid = A(vc_out_opid, ivc);
-                i64 vc = policy_pick(ch, opid * V, pk, A(op_eject, opid));
+                i64 vc = policy_pick(ch, opid * V, pk, A(vc_out_port, ivc),
+                                     A(op_eject, opid));
                 if (vc >= 0)
                     grant_out_vc(ch, port, ivc, opid * V + vc, vc);
             }
@@ -1146,7 +1148,7 @@ static i64 try_buffer_bypass(Chip *ch, i64 c, i64 port, i64 ivc, i64 fid)
         opid = r * ch->Po + out;
         if (A(claimed_op, opid) || A(op_st, opid) >= c)
             return 0;
-        i64 vc = policy_pick(ch, opid * ch->V, pk, A(op_eject, opid));
+        i64 vc = policy_pick(ch, opid * ch->V, pk, out, A(op_eject, opid));
         if (vc < 0 || A(cred, opid * ch->V + vc) == 0)
             return 0;
         A(vc_out_port, ivc) = outl;
@@ -1313,7 +1315,7 @@ static i64 inject_start(Chip *ch, i64 c, i64 t)
     if (ch->mshrs > 0 && A(outstanding, t) >= ch->mshrs)
         return 0; /* self-throttling: all MSHRs busy */
     i64 base = ch->NOVC + t * ch->V;
-    i64 vc = policy_pick(ch, base, pk, 0);
+    i64 vc = policy_pick(ch, base, pk, ch->Po, 0);
     if (vc < 0)
         return 0;
     i64 size = A(p_size, pk), fid0 = A(fb_head, size);

@@ -46,7 +46,7 @@ from functools import lru_cache
 from .obs import summaries
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 7001
+ABI = 7002
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -188,7 +188,7 @@ class Kernel:
         state["f_head"][:2] = True
         state["f_pkt"][1] = 1
         state["p_dst"][1] = 1
-        state["route_hi"][0] = 2
+        state["vc_window"][[1, 3]] = 2    # choice 0: port 0 and injection
         state["op_latency"][:2] = 1
         state["op_dest"][:2] = (1, 0)
         state["cred"][:4] = (1, 2, 2, 2)

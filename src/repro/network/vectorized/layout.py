@@ -65,8 +65,8 @@ class Layout:
     inj_link: object    # [T] link id of the injection channel
     ej_opid: object     # [T] router ejection output port
     route_out: object   # [R, C, T_local] out_port gather table
-    route_lo: object    # [C] VC window per route choice
-    route_hi: object    # [C]
+    vc_window: object   # [C, Po + 1, 2] VC window (lo, hi) per route
+                        # choice and output port; column Po: injection
     cred_init: object   # [NCRED] initial credit counts
     lanes: int = 1      # replicated independent simulations
 
@@ -151,16 +151,12 @@ def build_layout(topology: Topology, config: NetworkConfig,
         inj_ipid[terminal] = ipid
         inj_link[terminal] = len(channels) + terminal
 
-    route_out, route_drop = compiled.as_arrays()
+    route_out, route_drop, vc_window = compiled.as_arrays()
     if route_drop.size and route_drop.any():
         raise BackendUnsupportedError(
             f"the vectorized backend supports only point-to-point "
             f"channels (drop index 0); topology {topology.name!r} routes "
             f"over multidrop endpoints — use --backend scalar")
-    route_lo = np.array([lo for lo, _ in compiled.vc_ranges],
-                        dtype=np.int64)
-    route_hi = np.array([hi for _, hi in compiled.vc_ranges],
-                        dtype=np.int64)
 
     cred_init = np.zeros(NCRED, dtype=np.int64)
     cred_init[:NOVC] = np.repeat(op_depth, V)
@@ -172,8 +168,8 @@ def build_layout(topology: Topology, config: NetworkConfig,
         op_valid=op_valid, op_latency=op_latency, op_link=op_link,
         op_dest=op_dest, op_eject=op_eject, op_term=op_term,
         ip_upbase=ip_upbase, inj_ipid=inj_ipid, inj_link=inj_link,
-        ej_opid=ej_opid, route_out=route_out, route_lo=route_lo,
-        route_hi=route_hi, cred_init=cred_init)
+        ej_opid=ej_opid, route_out=route_out, vc_window=vc_window,
+        cred_init=cred_init)
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
     return _replicate(lay, lanes) if lanes > 1 else lay
@@ -226,5 +222,4 @@ def _replicate(lay: Layout, lanes: int) -> Layout:
         inj_link=shift(lay.inj_link, nlinks),
         ej_opid=shift(lay.ej_opid, NOP),
         route_out=np.tile(lay.route_out, (S, 1, 1)),
-        route_lo=lay.route_lo, route_hi=lay.route_hi,
-        cred_init=cred_init, lanes=S)
+        vc_window=lay.vc_window, cred_init=cred_init, lanes=S)

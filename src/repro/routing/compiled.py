@@ -1,21 +1,26 @@
 """Compiled routing tables.
 
-At ``Network`` construction any deterministic (``tabulable``) routing
-algorithm is compiled into flat per-router lookup tables, replacing the
-per-flit ``route()`` call chain (topology ``isinstance`` checks, ``coords``
-tuple math, string compares on order/dimension) with a single tuple index:
+At construction of a network (either core) the routing algorithm is
+compiled into two flat lookup tables, so a head flit costs tuple indexes
+rather than the algorithm's own computation (topology ``isinstance``
+checks, ``coords`` tuple math, string compares on order/dimension):
 
-    entry = tables[router][route_choice][dst_terminal]
-    out_port, drop, vc_lo, vc_hi = entry
+    out_port, drop = tables[router][route_choice][dst_terminal]
+    lo, hi = windows[route_choice][out_port]     # windows[c][-1]: injection
 
-The VC range is folded into the entry so the router's VA stage and the
-buffer-bypass head path get routing *and* the packet's deadlock-class VC
-window from one lookup. ``vc_ranges[route_choice]`` carries the same window
-for call sites that already know the route (VA retries, NIC injection).
+The route table is per router and destination; the window table is the
+algorithm's ``vc_window`` rule, one row per route choice and one column
+per output port, plus a last column for the injection channel. The
+router's VA stage and buffer-bypass head path read both; the NIC reads
+the injection column. The array cores read the same two tables as
+numpy arrays (``as_arrays``).
 
-Compilation calls the algorithm's pure ``route_entry``/``vc_range_for_choice``
-— the exact code the dynamic path runs — so the table cannot diverge from
-``route()`` (locked in by ``tests/routing/test_compiled.py``).
+Compilation calls the algorithm's pure ``route_entry``/``vc_window`` —
+the rules ``route()``/``vc_limits()`` restate for a live packet — so the
+tables cannot diverge from them (locked in by
+``tests/routing/test_compiled.py``). A rule that refuses the
+configuration (too few VCs for the algorithm's classes) raises here, at
+construction, on every core.
 
 A table is a pure function of (routing instance, ``num_vcs``), so
 ``compile_routing`` builds it once per instance and every network built
@@ -33,26 +38,24 @@ from .base import RoutingAlgorithm
 class CompiledRouting:
     """Flat routing tables for one (algorithm, topology, num_vcs) triple."""
 
-    __slots__ = ("tables", "vc_ranges", "num_route_choices", "_arrays")
+    __slots__ = ("tables", "windows", "num_route_choices", "_arrays")
 
-    def __init__(self, tables, vc_ranges):
-        #: tables[router][route_choice][dst] -> (out_port, drop, lo, hi)
+    def __init__(self, tables, windows):
+        #: tables[router][route_choice][dst] -> (out_port, drop)
         self.tables = tables
-        #: vc_ranges[route_choice] -> (lo, hi)
-        self.vc_ranges = vc_ranges
-        self.num_route_choices = len(vc_ranges)
+        #: windows[route_choice][out_port] -> (lo, hi); the last column is
+        #: the injection channel (out_port -1).
+        self.windows = windows
+        self.num_route_choices = len(windows)
         self._arrays = None
 
-    def router_table(self, router: int):
-        """Per-choice destination tables for one router."""
-        return self.tables[router]
-
     def as_arrays(self):
-        """Export the tables as numpy gather arrays for the vectorized core.
+        """Export the tables as numpy gather arrays for the array cores.
 
-        Returns ``(out, drop)`` where both are int64 arrays of shape
-        ``[num_routers, num_route_choices, num_terminals]``; the per-choice
-        VC windows stay in ``vc_ranges`` (they do not vary by destination).
+        Returns ``(out, drop, window)``: ``out`` and ``drop`` are int64
+        arrays of shape ``[num_routers, num_route_choices,
+        num_terminals]``, ``window`` is ``[num_route_choices, ports + 1,
+        2]`` (``lo``, ``hi``; the last port column is injection).
         Requires numpy; cached after the first call.
         """
         if self._arrays is None:
@@ -67,15 +70,16 @@ class CompiledRouting:
                 for choice, entries in enumerate(per_choice):
                     out[router, choice] = [e[0] for e in entries]
                     drop[router, choice] = [e[1] for e in entries]
-            out.setflags(write=False)  # shared by every network on the chip
-            drop.setflags(write=False)
-            self._arrays = (out, drop)
+            window = np.array(self.windows, dtype=np.int64)
+            for array in (out, drop, window):
+                array.setflags(write=False)  # shared by every network
+            self._arrays = (out, drop, window)
         return self._arrays
 
 
 def compile_routing(routing: RoutingAlgorithm, topology: Topology,
-                    num_vcs: int) -> CompiledRouting | None:
-    """Lookup tables for ``routing``; None when not tabulable.
+                    num_vcs: int) -> CompiledRouting:
+    """Lookup tables for ``routing``.
 
     Built on the first call per (routing instance, ``num_vcs``) and
     shared by every later one. ``topology`` must be the instance the
@@ -90,28 +94,29 @@ def compile_routing(routing: RoutingAlgorithm, topology: Topology,
             f"{shape(routing.topology)} but is being compiled against "
             f"another instance, {shape(topology)}: the tables would be "
             f"sized by one and routed by the other")
-    if not routing.tabulable:
-        return None
     compiled = routing.compiled.get(num_vcs)
     if compiled is not None:
         return compiled
     choices = range(routing.num_route_choices)
-    vc_ranges = tuple(routing.vc_range_for_choice(c, num_vcs)
-                      for c in choices)
+    routers = range(topology.num_routers)
+    ports = max((topology.num_outports(r) for r in routers), default=0)
+    windows = tuple(
+        tuple(routing.vc_window(choice, port, num_vcs)
+              for port in (*range(ports), -1))
+        for choice in choices)
     terminals = range(topology.num_terminals)
-    # A table holds few distinct entries (ports x VC windows): keep one
-    # tuple of each, so a row costs pointers.
+    # A table holds few distinct entries (one per port and drop): keep
+    # one tuple of each, so a row costs pointers.
     entries: dict[tuple, tuple] = {}
 
     def entry(router, dst, choice):
-        made = (*routing.route_entry(router, dst, choice),
-                *vc_ranges[choice])
+        made = tuple(routing.route_entry(router, dst, choice))
         return entries.setdefault(made, made)
 
     tables = tuple(
         tuple(
             tuple(entry(router, dst, choice) for dst in terminals)
             for choice in choices)
-        for router in range(topology.num_routers))
-    compiled = routing.compiled[num_vcs] = CompiledRouting(tables, vc_ranges)
+        for router in routers)
+    compiled = routing.compiled[num_vcs] = CompiledRouting(tables, windows)
     return compiled

@@ -9,7 +9,6 @@ deadlock-free on these topologies without VC restrictions.
 
 from __future__ import annotations
 
-from ..network.flit import Packet
 from ..topology.base import Topology
 from ..topology.fbfly import FlattenedButterfly
 from ..topology.mecs import EAST, Mecs, NORTH, SOUTH, WEST
@@ -20,13 +19,11 @@ from .base import RoutingAlgorithm
 class DimensionOrderRouting(RoutingAlgorithm):
     """XY (``order='xy'``) or YX (``order='yx'``) minimal routing.
 
-    Fully deterministic in ``(router, dst, route_choice)``, so the network
-    compiles it into lookup tables (``tabulable``); ``route_choice`` 1 flips
-    the dimension order, which is how O1TURN reuses this implementation.
+    ``route_choice`` 1 flips the dimension order, which is how O1TURN
+    reuses this implementation.
     """
 
     num_vc_classes = 1
-    tabulable = True
     num_route_choices = 2  # 0: configured order, 1: flipped (O1TURN)
 
     def __init__(self, topology: Topology, order: str = "xy"):
@@ -38,9 +35,6 @@ class DimensionOrderRouting(RoutingAlgorithm):
                 f"DOR does not support topology {type(topology).__name__}")
         self.order = order
         self.name = order
-
-    def route(self, router: int, packet: Packet) -> tuple[int, int]:
-        return self.route_entry(router, packet.dst, packet.route_choice)
 
     def route_entry(self, router: int, dst: int,
                     route_choice: int) -> tuple[int, int]:

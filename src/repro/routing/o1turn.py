@@ -27,12 +27,8 @@ class O1TurnRouting(DimensionOrderRouting):
         # route_choice 0 keeps the base order (XY), 1 flips it to YX.
         packet.route_choice = rng.randrange(2)
 
-    def vc_limits(self, packet: Packet, num_vcs: int,
-                  out_port: int = -1) -> tuple[int, int]:
-        return self.vc_range_for_choice(packet.route_choice, num_vcs)
-
-    def vc_range_for_choice(self, route_choice: int,
-                            num_vcs: int) -> tuple[int, int]:
+    def vc_window(self, route_choice: int, out_port: int,
+                  num_vcs: int) -> tuple[int, int]:
         if num_vcs < 2:
             raise ValueError("O1TURN needs at least 2 VCs (one per class)")
         half = num_vcs // 2

@@ -8,10 +8,9 @@ classes first, matching gem5's ``Table`` routing where lower-weight
 links are preferred. On a mesh with x weight 1 / y weight 2 this
 reproduces XY dimension order exactly.
 
-The tables are pure in ``(router, dst, route_choice)``, so the algorithm
-is tabulable: ``routing.compiled`` flattens it into the same per-router
-lookup arrays the vectorized and batched backends consume, and none of
-the cores need to know the graph is irregular.
+``routing.compiled`` flattens the tables into the same per-router lookup
+arrays every routing compiles to, so none of the cores need to know the
+graph is irregular.
 
 Deadlock freedom is not assumed — it is *verified*. Tie-break
 interactions on irregular graphs are subtle enough that no local
@@ -43,7 +42,6 @@ class WeightOrderedRouting(RoutingAlgorithm):
     """Minimal (weight, hops) table routing with verified deadlock freedom."""
 
     name = "weighted"
-    tabulable = True
 
     def __init__(self, topology):
         if not isinstance(topology, HeterogeneousTopology):
@@ -129,9 +127,6 @@ class WeightOrderedRouting(RoutingAlgorithm):
         packet.route_choice = topo.route_class(
             topo.terminal_router(packet.src), topo.terminal_router(packet.dst))
 
-    def route(self, router: int, packet: Packet) -> tuple[int, int]:
-        return self.route_entry(router, packet.dst, packet.route_choice)
-
     def route_entry(self, router: int, dst: int,
                     route_choice: int) -> tuple[int, int]:
         dst_router = self.topology.terminal_router(dst)
@@ -139,12 +134,8 @@ class WeightOrderedRouting(RoutingAlgorithm):
             return self.topology.ejection_port(dst), 0
         return self._next[dst_router][router], 0
 
-    def vc_limits(self, packet: Packet, num_vcs: int,
-                  out_port: int = -1) -> tuple[int, int]:
-        return self.vc_range_for_choice(packet.route_choice, num_vcs)
-
-    def vc_range_for_choice(self, route_choice: int,
-                            num_vcs: int) -> tuple[int, int]:
+    def vc_window(self, route_choice: int, out_port: int,
+                  num_vcs: int) -> tuple[int, int]:
         classes = self.num_route_choices
         if classes == 1:
             return 0, num_vcs

@@ -46,7 +46,7 @@ class TopologyInfo:
     flags: tuple[str, ...]
     #: Routing algorithm names (make_routing) that accept the topology.
     routings: tuple[str, ...]
-    #: Backends (network cores) that accept it with a tabulable routing.
+    #: Backends (network cores) that accept it.
     backends: tuple[str, ...]
     #: True when channels reach several routers (vectorized core refuses).
     multidrop: bool = False

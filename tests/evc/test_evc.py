@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.evc import EvcMesh, EvcRouting, build_evc_network
+from repro.evc import EvcConfigError, EvcMesh, EvcRouting, build_evc_network
 from repro.evc.topology import EXPRESS_SPAN
-from repro.network.config import NetworkConfig, PSEUDO
+from repro.harness.experiment import ExperimentConfig
+from repro.network.config import BASELINE, NetworkConfig, PSEUDO, PSEUDO_SB
 from repro.network.flit import Packet
 from repro.topology.mesh import EAST, NORTH
 
@@ -101,3 +102,39 @@ class TestNetwork:
     def test_pseudo_circuit_config_rejected(self):
         with pytest.raises(ValueError):
             build_evc_network(4, 4, config=NetworkConfig(pseudo=PSEUDO))
+
+
+class TestOneRule:
+    """An EVC point is the baseline router under routing ``xy``; both
+    ways of asking for one refuse anything else with the same error."""
+
+    @pytest.mark.parametrize("scheme,routing", [
+        (PSEUDO, "xy"), (PSEUDO_SB, "xy"), (BASELINE, "o1turn"),
+        (BASELINE, "yx")])
+    def test_experiment_config_refuses(self, scheme, routing):
+        with pytest.raises(EvcConfigError, match="--scheme baseline"):
+            ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
+                             concentration=1, routing=routing,
+                             scheme=scheme, pattern="uniform")
+
+    def test_build_evc_network_refuses(self):
+        with pytest.raises(EvcConfigError, match="--scheme baseline"):
+            build_evc_network(4, 4, config=NetworkConfig(pseudo=PSEUDO))
+
+    def test_the_rule_is_a_value_error(self):
+        assert issubclass(EvcConfigError, ValueError)
+
+    def test_baseline_xy_is_accepted(self):
+        cfg = ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
+                               concentration=1, routing="xy",
+                               scheme=BASELINE, pattern="uniform")
+        assert cfg.topology == "evc_mesh"
+
+    def test_cli_run_refuses_before_any_point_runs(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--topology", "evc_mesh", "--kx", "4", "--ky",
+                  "4", "--cycles", "100"])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--scheme baseline" in err and not out

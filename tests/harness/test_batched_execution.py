@@ -64,6 +64,15 @@ class TestRunBatchExperiments:
         for cfg, lane in zip(cfgs, lanes):
             assert lane == run_experiment(cfg, use_cache=False)
 
+    def test_evc_lanes_equal_solo_results(self):
+        cfgs = [_cfg(topology="evc_mesh", rate=rate, seed=seed)
+                for rate, seed in ((0.05, 14), (0.30, 15))]
+        assert batch_key(cfgs[0]) == batch_key(cfgs[1]) is not None
+        lanes = run_batch_experiments(cfgs)
+        for cfg, lane in zip(cfgs, lanes):
+            assert lane.manifest["backend"] == "batched"
+            assert lane == run_experiment(cfg, use_cache=False)
+
     def test_mixed_keys_rejected(self):
         with pytest.raises(ValueError):
             run_batch_experiments([_cfg(), _cfg(num_vcs=8)])

@@ -113,11 +113,11 @@ class TestWarmChipEqualsColdBuild:
                 for core in ("scalar", "vectorized", "scalar")]
         assert len({id(net.topology) for net in nets}) == 1
         assert len({id(net.routing) for net in nets}) == 1
-        assert len({id(net.compiled_routing) for net in nets}) == 1
+        assert len({id(net.compiled) for net in nets}) == 1
         # num_vcs is not a shape field: same chip, its own table.
         wider = build_network(replace(MESH4_O1, num_vcs=8))
         assert wider.routing is nets[0].routing
-        assert wider.compiled_routing is not nets[0].compiled_routing
+        assert wider.compiled is not nets[0].compiled
 
     def test_harness_entry_points_agree_with_a_cold_process(self):
         pytest.importorskip("numpy")
@@ -144,7 +144,7 @@ class TestWarmChipEqualsColdBuild:
 
 def _digest(compiled, arrays: bool) -> str:
     sha = hashlib.sha256(repr((compiled.tables,
-                               compiled.vc_ranges)).encode())
+                               compiled.windows)).encode())
     if arrays:
         for array in compiled.as_arrays():
             sha.update(array.tobytes())

@@ -39,7 +39,8 @@ class TestBuild:
 
     def test_evc_topology_uses_evc_routing(self):
         cfg = ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
-                               concentration=1, pattern="uniform")
+                               concentration=1, routing="xy",
+                               pattern="uniform")
         net = build_network(cfg)
         assert isinstance(net.topology, EvcMesh)
         assert net.routing.name == "evc_xy"

@@ -158,7 +158,8 @@ class TestReusedEqualsFresh:
         assert {cfg.scheme for cfg in fresh} == set(ALL_SCHEMES)
 
     def test_evc_mesh_dynamic_routing(self, resets):
-        """The one chip outside the registry (route() per hop, no table)."""
+        """The one chip outside the registry: EVC's express mesh, whose
+        VC window depends on the output port."""
         points = [_point("evc_mesh", "xy", "dynamic", BASELINE, kx=4, ky=4,
                          **step) for step in STEPS]
         for cfg in points + points[::-1]:

@@ -5,6 +5,8 @@ registered work for the current cycle and fast-forwards fully quiescent
 stretches. These tests run the same workload twice — once per stepping
 mode — and require *bit-identical* ``NetworkStats`` plus the same final
 cycle, across topologies, pseudo-circuit schemes, and traffic patterns.
+Both modes read the same compiled routing tables; the oracle for those is
+``route()`` / ``vc_limits()`` in ``tests/routing/test_compiled.py``.
 
 Also covers the parallel sweep harness: a multi-worker run must return
 rows identical to a serial run (deterministic per-point seeds, ordered
@@ -29,14 +31,10 @@ def _fingerprint(topo_name, kx, ky, conc, scheme, pattern, active,
                  vc_policy="dynamic", seed=3, rate=RATE):
     """Simulate once and return every observable stat plus the end cycle."""
     topo = make_topology(topo_name, kx, ky, conc)
-    # The reference leg also disables compiled routing tables, so one
-    # comparison covers active sets, compiled routing and the bitmask
-    # allocator against the fully dynamic exhaustive core.
     net = build_network(topo, vc_policy=vc_policy,
                         config=NetworkConfig(num_vcs=4, buffer_depth=4,
                                              pseudo=scheme),
-                        seed=seed, active_set=active,
-                        compiled_routing=active)
+                        seed=seed, active_set=active)
     traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 3,
                                seed=seed)
     net.stats.warmup_cycles = CYCLES // 4

@@ -22,6 +22,8 @@ from repro.network.vectorized import BatchNetwork, VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
+from .test_vectorized_parity import chip
+
 #: (pattern, rate, seed, cycles) per lane: a low-load point, a saturated
 #: point, and two non-uniform patterns, all with distinct seeds and
 #: cycle budgets — nothing about the lanes is allowed to line up.
@@ -41,7 +43,7 @@ def lane_sink(net, lane):
 def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
                 vc_policy="dynamic", num_vcs=4):
     pattern, rate, seed, cycles = lane
-    topo = make_topology(*topo_args)
+    topo, routing = chip(topo_args, routing)
     net = cls(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme),
               routing=routing, vc_policy=vc_policy, seed=seed)
     traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 5,
@@ -55,7 +57,7 @@ def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
 
 def _batched_stats(topo_args, scheme, lanes, *, routing="xy",
                    vc_policy="dynamic", num_vcs=4):
-    topo = make_topology(*topo_args)
+    topo, routing = chip(topo_args, routing)
     net = BatchNetwork(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme),
                        routing=routing, vc_policy=vc_policy,
                        seeds=[seed for _, _, seed, _ in lanes])
@@ -105,6 +107,14 @@ class TestMixedLanes:
         lanes = (("uniform", 0.05, 3, 240), ("uniform", 0.25, 9, 240))
         assert_lane_parity(VectorNetwork, ("mesh", 4, 4, 1), PSEUDO_SB,
                            lanes, routing=routing)
+
+    @pytest.mark.parametrize("topo_args", [("evc_mesh", 4, 4, 1),
+                                           ("evc_mesh", 4, 4, 4)],
+                             ids=["evc_mesh4x4", "evc_mesh4x4c4"])
+    def test_evc(self, topo_args):
+        """EVC points batch like any other: per-output VC windows are
+        one table shared by every lane."""
+        assert_lane_parity(Network, topo_args, BASELINE, MIXED_LANES)
 
     def test_concentrated_topology(self):
         lanes = (("uniform", 0.05, 1, 240), ("uniform", 0.20, 2, 240))

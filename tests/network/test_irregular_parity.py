@@ -2,11 +2,11 @@
 the scalar, vectorized and batched cores, and survive saturation under
 the full monitor suite.
 
-Weight-ordered routing is tabulable, so the heterogeneous topologies ride
-the same compiled-table path as the grid ones; these suites lock in that
-none of the three cores forked semantics for irregular graphs, and that
-the verified-deadlock-free tables really do keep traffic moving at
-saturation (watchdog attached, zero violations).
+Weight-ordered routing compiles to the same tables as every routing, so
+the heterogeneous topologies ride the same path as the grid ones; these
+suites lock in that none of the three cores forked semantics for
+irregular graphs, and that the verified-deadlock-free tables really do
+keep traffic moving at saturation (watchdog attached, zero violations).
 """
 
 import pytest

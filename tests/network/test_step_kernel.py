@@ -57,8 +57,9 @@ from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
 
 from . import test_batched_parity, test_irregular_parity
-from .test_vectorized_parity import (CONCENTRATED, GRID, MESH4X4, MESH8X8,
-                                      PATTERNS, ROUTINGS, SEEDS, WIDTHS, _run)
+from .test_vectorized_parity import (CONCENTRATED, EVC, GRID, MESH4X4,
+                                      MESH8X8, PATTERNS, ROUTINGS, SEEDS,
+                                      WIDTHS, _run, chip)
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -142,10 +143,10 @@ def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
     """``(build, drive)`` of one row of the parity grid
     (``test_vectorized_parity._run``, taken apart)."""
     def build(cls):
-        net = cls(make_topology(*topo_args),
-                  NetworkConfig(num_vcs=num_vcs, pseudo=scheme,
-                                mshrs=4 if benchmark else 0),
-                  routing=routing, vc_policy=vc_policy, seed=seed)
+        topo, chip_routing = chip(topo_args, routing)
+        net = cls(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme,
+                                      mshrs=4 if benchmark else 0),
+                  routing=chip_routing, vc_policy=vc_policy, seed=seed)
         net.stats.warmup_cycles = cycles // 5
         return net
 
@@ -161,10 +162,10 @@ def _grid_point(topo_args, scheme, rate, cycles, *, routing="xy",
 
 #: The parity grid by test id: each scheme under both VC policies,
 #: low load and saturation, o1turn's VC windows, wide arbiters, 1 / 8 /
-#: 12 VCs, MSHR-gated trace replay.
+#: 12 VCs, MSHR-gated trace replay, EVC's per-output VC windows.
 _GRID = {**MESH8X8, **MESH4X4, **ROUTINGS, **CONCENTRATED,
          **{f"seed-{seed}": case for seed, case in SEEDS.items()},
-         **PATTERNS, **WIDTHS}
+         **PATTERNS, **WIDTHS, **EVC}
 assert list(_GRID.values()) == GRID
 
 

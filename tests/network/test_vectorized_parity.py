@@ -5,15 +5,16 @@ fingerprint, the same latency histogram, and the same final cycle on
 both backends — the vectorized core is a performance backend, never a
 semantic fork. The grid here covers the canonical bench workloads (at
 reduced cycles), every pseudo-circuit scheme, both VC policies, every
-tabulable routing algorithm, every point-to-point topology, and a
-monitored (``check=True``) scalar run cross-checked against an
-unmonitored vectorized one.
+routing algorithm, every point-to-point topology — EVC's express mesh,
+Fig. 14's comparison point, included — and monitored (``check=True``)
+scalar runs cross-checked against vectorized ones.
 """
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.evc import EvcMesh, EvcRouting
 from repro.harness.experiment import (ExperimentConfig, _replay,
                                       run_experiment)
 from repro.harness.traces import get_trace
@@ -25,12 +26,23 @@ from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
 
+def chip(topo_args, routing):
+    """The topology ``topo_args`` names and the routing to build on it:
+    ``("evc_mesh", kx, ky, concentration)`` is EVC's express mesh under
+    EVC routing (as ``experiment.chip_plan`` builds it), anything else a
+    registry topology under ``routing``."""
+    if topo_args[0] == "evc_mesh":
+        topo = EvcMesh(*topo_args[1:])
+        return topo, EvcRouting(topo)
+    return make_topology(*topo_args), routing
+
+
 def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
          vc_policy="dynamic", seed=7, packet_size=5, num_vcs=4,
          benchmark=None, pattern="uniform"):
     """One point; ``benchmark`` replays that CMP trace (``cycles`` long,
     MSHR-throttled like the fig8 points) instead of synthetic traffic."""
-    topo = make_topology(*topo_args)
+    topo, routing = chip(topo_args, routing)
     config = NetworkConfig(num_vcs=num_vcs, pseudo=scheme,
                            mshrs=4 if benchmark else 0)
     net = cls(topo, config, routing=routing, vc_policy=vc_policy,
@@ -117,9 +129,25 @@ WIDTHS = {
     for name, topo_args in (("mesh4x4", ("mesh", 4, 4, 1)),
                             ("fbfly4x4", ("fbfly", 4, 4, 4)))
     for num_vcs, rate in ((1, 0.08), (8, 0.25))}
+#: EVC (Fig. 14's baseline): express channels on ports 4-7 with their
+#: own half of the VCs, so the VC window follows the output port. Low
+#: load and saturation on the paper's 8x8, the static policy, eight VCs,
+#: and the Fig. 14 trace shapes (fma3d behind the MSHR gate).
+EVC = {
+    "evc8x8-low": _case(("evc_mesh", 8, 8, 1), BASELINE, 0.05, 400),
+    "evc8x8-sat": _case(("evc_mesh", 8, 8, 1), BASELINE, 0.30, 400),
+    "evc4x4-static": _case(("evc_mesh", 4, 4, 1), BASELINE, 0.25, 300,
+                           vc_policy="static"),
+    "evc4x4-8vcs": _case(("evc_mesh", 4, 4, 1), BASELINE, 0.30, 300,
+                         num_vcs=8),
+    "evc8x8-trace": _case(("evc_mesh", 8, 8, 1), BASELINE, 0.0, 300,
+                          benchmark="fma3d"),
+    "evc-cmesh4x4-trace": _case(("evc_mesh", 4, 4, 4), BASELINE, 0.0, 300,
+                                benchmark="fma3d"),
+}
 GRID = [*MESH8X8.values(), *MESH4X4.values(), *ROUTINGS.values(),
         *CONCENTRATED.values(), *SEEDS.values(), *PATTERNS.values(),
-        *WIDTHS.values()]
+        *WIDTHS.values(), *EVC.values()]
 
 
 class TestCanonicalWorkloads:
@@ -156,6 +184,18 @@ class TestRoutingAndTopology:
     def test_narrow_and_wide_masks(self, case):
         assert_parity(*case)
 
+    @pytest.mark.parametrize("case", EVC.values(), ids=EVC)
+    def test_evc(self, case):
+        assert_parity(*case)
+
+    @pytest.mark.parametrize("cls", [Network, VectorNetwork])
+    def test_evc_needs_two_vcs_at_construction(self, cls):
+        """EVC's window rule refuses one VC when the tables compile, on
+        either core, before a packet moves."""
+        topo, routing = chip(("evc_mesh", 4, 4, 1), None)
+        with pytest.raises(ValueError, match="at least 2 VCs"):
+            cls(topo, NetworkConfig(num_vcs=1), routing=routing)
+
 
 class TestMonitoredRun:
     def test_checked_scalar_matches_vectorized(self):
@@ -170,7 +210,31 @@ class TestMonitoredRun:
         assert checked.monitor_report["violation_count"] == 0
         vector = run_experiment(
             ExperimentConfig(backend="vectorized", **base), use_cache=False)
-        for field in ("avg_latency", "avg_network_latency", "avg_hops",
-                      "reusability", "buffer_bypass_rate", "packets",
-                      "flit_hops", "energy_pj", "pc_restored"):
-            assert getattr(checked, field) == getattr(vector, field), field
+        assert _metrics(checked) == _metrics(vector)
+
+    @pytest.mark.parametrize("extra", [
+        dict(pattern="uniform", rate=0.1, synth_cycles=400,
+             synth_warmup=100),
+        dict(benchmark="fma3d", trace_cycles=300, trace_warmup=200)],
+        ids=["synthetic", "trace"])
+    def test_checked_evc_rows_match(self, extra):
+        """EVC's rows with the monitors on, on both cores (the full
+        suite on the scalar one, the array sweeps on the vectorized
+        one): no violation, equal metrics."""
+        base = dict(topology="evc_mesh", kx=8, ky=8, concentration=1,
+                    routing="xy", scheme=BASELINE, seed=7, **extra)
+        rows = [run_experiment(ExperimentConfig(backend=core, **base),
+                               check=True)
+                for core in ("scalar", "vectorized")]
+        for row, core in zip(rows, ("scalar", "vectorized")):
+            assert row.manifest["backend"] == core
+            assert row.monitor_report["violation_count"] == 0
+        assert _metrics(rows[0]) == _metrics(rows[1])
+
+
+def _metrics(result):
+    """A ``Result``'s metrics, without the config (which names the core)."""
+    return {field: getattr(result, field) for field in (
+        "avg_latency", "avg_network_latency", "avg_hops", "reusability",
+        "buffer_bypass_rate", "packets", "flit_hops", "energy_pj",
+        "pc_restored")}

@@ -1,21 +1,21 @@
-"""Compiled routing tables must be indistinguishable from dynamic route().
+"""Compiled routing tables must be indistinguishable from route().
 
-The hot path trusts ``route_table[router][route_choice][dst]`` completely —
-a single wrong entry would silently misroute packets while every unit test
-of the dynamic algorithms keeps passing. This locks the table to the
-dynamic path: for every topology x tabulable algorithm, every (router, dst,
-route_choice) entry must equal what ``route()`` returns for a live packet,
-and the folded-in VC window must equal ``vc_limits``. Non-tabulable
-algorithms (EVC) must compile to None and keep running dynamically.
+The hot path trusts ``tables[router][route_choice][dst]`` and
+``windows[route_choice][out_port]`` completely — a single wrong entry
+would silently misroute packets or break a deadlock-avoidance class while
+every unit test of the algorithms keeps passing. This locks the tables to
+the rules asked about a live packet: for every topology x algorithm, EVC
+on its express mesh included, every (router, dst, route_choice) entry
+must equal what ``route()`` returns, and the window of the output it
+names (and of the injection channel) what ``vc_limits`` returns.
 """
 
 import pytest
 
-from repro.harness.experiment import (ExperimentConfig, build_network,
-                                      run_experiment)
-from repro.network.flit import Packet
+from repro.evc import EvcMesh, EvcRouting
 from repro.routing import (O1TurnRouting, compile_routing, make_routing,
                            xy_routing, yx_routing)
+from repro.network.flit import Packet
 from repro.topology import make_topology
 
 NUM_VCS = 4
@@ -31,6 +31,21 @@ TOPOLOGIES = [
 ALGORITHMS = ["xy", "yx", "o1turn"]
 
 
+def _chip(algo, name, kx, ky, conc):
+    """The (topology, routing) one case of ``CHIPS`` names."""
+    if algo == "evc":
+        topology = EvcMesh(kx, ky, conc)
+        return topology, EvcRouting(topology)
+    topology = make_topology(name, kx, ky, conc)
+    return topology, make_routing(algo, topology)
+
+
+#: Every registry topology under every DOR-family algorithm, then EVC on
+#: express meshes wide enough for span-2 channels (one concentrated).
+CHIPS = [(algo, *topo) for algo in ALGORITHMS for topo in TOPOLOGIES] + [
+    ("evc", "evc_mesh", 5, 4, 1), ("evc", "evc_mesh", 4, 4, 4)]
+
+
 def _packet(dst: int, route_choice: int, num_terminals: int) -> Packet:
     src = (dst + 1) % num_terminals  # any src != dst; routing ignores it
     packet = Packet(src=src, dst=dst, size=1, create_cycle=0)
@@ -38,39 +53,41 @@ def _packet(dst: int, route_choice: int, num_terminals: int) -> Packet:
     return packet
 
 
-@pytest.mark.parametrize("name,kx,ky,conc", TOPOLOGIES,
-                         ids=[f"{n}{kx}x{ky}c{c}" for n, kx, ky, c
-                              in TOPOLOGIES])
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_table_matches_dynamic_route(name, kx, ky, conc, algo):
-    topology = make_topology(name, kx, ky, conc)
-    routing = make_routing(algo, topology)
-    assert routing.tabulable
+@pytest.mark.parametrize("chip", CHIPS, ids=[
+    f"{algo}-{name}{kx}x{ky}c{conc}" for algo, name, kx, ky, conc in CHIPS])
+def test_table_matches_dynamic_route(chip):
+    topology, routing = _chip(*chip)
     compiled = compile_routing(routing, topology, NUM_VCS)
-    assert compiled is not None
     assert compiled.num_route_choices == routing.num_route_choices
     for router in range(topology.num_routers):
-        table = compiled.router_table(router)
+        table = compiled.tables[router]
         for choice in range(routing.num_route_choices):
             per_dst = table[choice]
+            windows = compiled.windows[choice]
             assert len(per_dst) == topology.num_terminals
             for dst in range(topology.num_terminals):
                 packet = _packet(dst, choice, topology.num_terminals)
                 out_port, drop = routing.route(router, packet)
-                lo, hi = routing.vc_limits(packet, NUM_VCS, out_port)
-                assert per_dst[dst] == (out_port, drop, lo, hi), (
-                    f"{name} {algo} router={router} dst={dst} "
-                    f"choice={choice}")
+                where = f"router={router} dst={dst} choice={choice}"
+                assert per_dst[dst] == (out_port, drop), where
+                assert windows[out_port] == routing.vc_limits(
+                    packet, NUM_VCS, out_port), where
+                assert windows[-1] == routing.vc_limits(packet, NUM_VCS), (
+                    where)
 
 
 @pytest.mark.parametrize("make", [xy_routing, yx_routing, O1TurnRouting])
 def test_vc_ranges_match_vc_limits(make):
+    """Every column of the window table, output ports and injection."""
     topology = make_topology("mesh", 3, 3, 1)
     routing = make(topology)
     compiled = compile_routing(routing, topology, NUM_VCS)
+    ports = max(topology.num_outports(r) for r in range(topology.num_routers))
     for choice in range(routing.num_route_choices):
-        assert (compiled.vc_ranges[choice]
-                == routing.vc_range_for_choice(choice, NUM_VCS))
+        row = compiled.windows[choice]
+        assert len(row) == ports + 1
+        for port in (*range(ports), -1):
+            assert row[port] == routing.vc_window(choice, port, NUM_VCS)
 
 
 def test_mismatched_topology_is_refused_by_name():
@@ -96,23 +113,6 @@ def test_table_is_built_once_per_instance_and_num_vcs():
     assert first.as_arrays() is first.as_arrays()
     wider = compile_routing(routing, topology, 8)
     assert wider is not first
-    assert wider.vc_ranges != first.vc_ranges
+    assert wider.windows != first.windows
     other = compile_routing(make_routing("o1turn", topology), topology, 4)
     assert other is not first and other.tables == first.tables
-
-
-class TestNonTabulable:
-    def test_evc_compiles_to_none(self):
-        cfg = ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
-                               concentration=1, pattern="uniform")
-        net = build_network(cfg)
-        assert net.routing.name == "evc_xy"
-        assert not net.routing.tabulable
-        assert net.compiled_routing is None
-
-    def test_evc_network_still_routes_dynamically(self):
-        cfg = ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
-                               concentration=1, pattern="uniform",
-                               rate=0.05, synth_cycles=200, synth_warmup=40)
-        res = run_experiment(cfg, use_cache=False)
-        assert res.packets > 0

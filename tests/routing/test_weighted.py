@@ -101,19 +101,19 @@ class TestChipletClasses:
     def test_vc_windows_disjoint_per_class(self):
         routing = WeightOrderedRouting(ChipletTopology(2, 2, chiplets=2))
         assert routing.num_route_choices == 2
-        lo0, hi0 = routing.vc_range_for_choice(0, 4)
-        lo1, hi1 = routing.vc_range_for_choice(1, 4)
+        lo0, hi0 = routing.vc_window(0, -1, 4)
+        lo1, hi1 = routing.vc_window(1, -1, 4)
         assert (lo0, hi0) == (0, 2)
         assert (lo1, hi1) == (2, 4)
 
     def test_too_few_vcs_rejected(self):
         routing = WeightOrderedRouting(ChipletTopology(2, 2, chiplets=2))
         with pytest.raises(ValueError, match="needs >= 2 VCs"):
-            routing.vc_range_for_choice(0, 1)
+            routing.vc_window(0, -1, 1)
 
     def test_single_class_uses_full_vc_range(self):
         routing = WeightOrderedRouting(KiteMesh(4, 4))
-        assert routing.vc_range_for_choice(0, 4) == (0, 4)
+        assert routing.vc_window(0, -1, 4) == (0, 4)
 
 
 class TestVerification:
