@@ -110,7 +110,7 @@ def compile_routing(routing: RoutingAlgorithm, topology: Topology,
     entries: dict[tuple, tuple] = {}
 
     def entry(router, dst, choice):
-        made = tuple(routing.route_entry(router, dst, choice))
+        made = routing.route_entry(router, dst, choice)
         return entries.setdefault(made, made)
 
     tables = tuple(

@@ -100,13 +100,15 @@ class TestNetwork:
         assert evc < mesh
 
     def test_pseudo_circuit_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="--scheme baseline"):
             build_evc_network(4, 4, config=NetworkConfig(pseudo=PSEUDO))
 
 
 class TestOneRule:
-    """An EVC point is the baseline router under routing ``xy``; both
-    ways of asking for one refuse anything else with the same error."""
+    """An EVC point is the baseline router under routing ``xy``; a config
+    (and so the CLI) refuses anything else with the error
+    ``build_evc_network`` raises (``test_pseudo_circuit_config_rejected``).
+    """
 
     @pytest.mark.parametrize("scheme,routing", [
         (PSEUDO, "xy"), (PSEUDO_SB, "xy"), (BASELINE, "o1turn"),
@@ -116,19 +118,6 @@ class TestOneRule:
             ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
                              concentration=1, routing=routing,
                              scheme=scheme, pattern="uniform")
-
-    def test_build_evc_network_refuses(self):
-        with pytest.raises(EvcConfigError, match="--scheme baseline"):
-            build_evc_network(4, 4, config=NetworkConfig(pseudo=PSEUDO))
-
-    def test_the_rule_is_a_value_error(self):
-        assert issubclass(EvcConfigError, ValueError)
-
-    def test_baseline_xy_is_accepted(self):
-        cfg = ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
-                               concentration=1, routing="xy",
-                               scheme=BASELINE, pattern="uniform")
-        assert cfg.topology == "evc_mesh"
 
     def test_cli_run_refuses_before_any_point_runs(self, capsys):
         from repro.__main__ import main

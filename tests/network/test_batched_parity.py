@@ -43,7 +43,7 @@ def lane_sink(net, lane):
 def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
                 vc_policy="dynamic", num_vcs=4):
     pattern, rate, seed, cycles = lane
-    topo, routing = chip(topo_args, routing)
+    topo = make_topology(*topo_args)
     net = cls(topo, NetworkConfig(num_vcs=num_vcs, pseudo=scheme),
               routing=routing, vc_policy=vc_policy, seed=seed)
     traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 5,
@@ -107,14 +107,6 @@ class TestMixedLanes:
         lanes = (("uniform", 0.05, 3, 240), ("uniform", 0.25, 9, 240))
         assert_lane_parity(VectorNetwork, ("mesh", 4, 4, 1), PSEUDO_SB,
                            lanes, routing=routing)
-
-    @pytest.mark.parametrize("topo_args", [("evc_mesh", 4, 4, 1),
-                                           ("evc_mesh", 4, 4, 4)],
-                             ids=["evc_mesh4x4", "evc_mesh4x4c4"])
-    def test_evc(self, topo_args):
-        """EVC points batch like any other: per-output VC windows are
-        one table shared by every lane."""
-        assert_lane_parity(Network, topo_args, BASELINE, MIXED_LANES)
 
     def test_concentrated_topology(self):
         lanes = (("uniform", 0.05, 1, 240), ("uniform", 0.20, 2, 240))
