@@ -1,18 +1,13 @@
-"""The paper's primary contribution: pseudo-circuit state and policies.
+"""The paper's primary contribution: pseudo-circuit state.
 
-The router (:mod:`repro.network.router`) wires these pieces into its
-switch-allocation stage; this package holds the scheme-specific state
-machines and pure decision logic so they can be tested in isolation.
+The pseudo-circuit register and the termination reasons; the rules that
+act on them (SA skip, speculation, buffer bypass) are stated once per
+core, in :mod:`repro.network.router` and ``vectorized/kernel.c``.
 """
 
-from .buffer_bypass import can_bypass
 from .pseudo_circuit import PseudoCircuitRegister, Termination
-from .speculation import OutputHistory, try_restore
 
 __all__ = [
-    "OutputHistory",
     "PseudoCircuitRegister",
     "Termination",
-    "can_bypass",
-    "try_restore",
 ]

@@ -1,4 +1,5 @@
-"""Pseudo-circuit registers and comparator logic (paper Section III).
+"""Pseudo-circuit registers and termination reasons (paper Sections
+III-IV).
 
 A *pseudo-circuit* is a crossbar connection (input port -> output port) left
 connected after a flit traversal so that a subsequent flit taking the same
@@ -9,11 +10,17 @@ pseudo-circuit register holding the most recent arbitration result:
 * the output port of the connection,
 * a valid bit.
 
+A head flit matches on VC and output, a body or tail flit on VC alone.
 Termination clears only the valid bit; the registers keep their values so
-that pseudo-circuit *speculation* can later restore the connection (Section
-IV.A). The hardware cost is two small registers, a flag, a mux and one
-comparator per input port — 37ps in the authors' 45nm HSPICE analysis, which
-fits inside the 250ps ST stage, so reuse costs no extra cycle.
+that *speculation* (Section IV.A) can restore the connection: each output
+keeps the input of its most recently terminated circuit
+(``OutputPort.last_input``), and a free output with credits restores the
+one invalidated circuit naming it, or among several the history's. *Buffer
+bypass* (Section IV.B) lets a flit arriving on the empty VC of a matching
+circuit skip the buffer write too. The hardware cost is two small
+registers, a flag, a mux and one comparator per input port — 37ps in the
+authors' 45nm HSPICE analysis, which fits inside the 250ps ST stage, so
+reuse costs no extra cycle.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ class Termination(Enum):
 
 
 class PseudoCircuitRegister:
-    """Per-input-port pseudo-circuit state."""
+    """Per-input-port pseudo-circuit state, read and written by the
+    router's cycle: a traversal sets all three fields, a termination
+    clears ``valid`` only, a speculative restore sets it again."""
 
     __slots__ = ("in_vc", "out_port", "valid")
 
@@ -49,39 +58,6 @@ class PseudoCircuitRegister:
         self.in_vc = -1
         self.out_port = -1
         self.valid = False
-
-    def establish(self, in_vc: int, out_port: int) -> None:
-        """Record the arbitration result of a flit traversal (always done,
-        whether the traversal came from SA or from a reuse)."""
-        self.in_vc = in_vc
-        self.out_port = out_port
-        self.valid = True
-
-    def invalidate(self) -> None:
-        """Terminate: clear the valid bit, keep register contents."""
-        self.valid = False
-
-    def restore(self) -> None:
-        """Speculatively revalidate the stored connection (Section IV.A)."""
-        if self.out_port < 0 or self.in_vc < 0:
-            raise RuntimeError("cannot restore a never-established register")
-        self.valid = True
-
-    # -- comparator ----------------------------------------------------------
-
-    def matches_head(self, vc: int, out_port: int) -> bool:
-        """Head flits must match both the stored VC and the routing info."""
-        return self.valid and self.in_vc == vc and self.out_port == out_port
-
-    def matches_body(self, vc: int) -> bool:
-        """Body/tail flits carry no routing info; matching the VC suffices
-        (the header already validated the route for this circuit)."""
-        return self.valid and self.in_vc == vc
-
-    def conflicts_with_route(self, vc: int, out_port: int) -> bool:
-        """A head flit on the circuit's VC that wants a *different* output:
-        the comparator mismatch terminates the circuit."""
-        return self.valid and self.in_vc == vc and self.out_port != out_port
 
     def __repr__(self) -> str:
         flag = "valid" if self.valid else "invalid"

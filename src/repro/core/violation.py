@@ -1,7 +1,7 @@
 """Structured invariant violations (shared by flow control and monitors).
 
 ``InvariantViolation`` is the one exception type every self-check in the
-stack raises: the credit counters in ``network.credits``, the online
+stack raises: the credit checks of ``network.credits``, the online
 monitors in ``repro.monitor``, and the registry's strict mode. It carries
 the full location of the failure — (cycle, router, port, vc, and, for
 batched runs, the lane) plus the
@@ -28,7 +28,7 @@ class InvariantViolation(RuntimeError):
     ``rule`` is a short machine-readable identifier (e.g.
     ``credit_underflow``, ``buffer_occupancy``); the location fields are
     ``None`` when unknown at raise time — call sites that know the cycle
-    pass it in (see ``CreditCounter.consume``).
+    pass it in (see ``network.credits.credit_error``).
     """
 
     def __init__(self, rule: str, message: str = "", *,

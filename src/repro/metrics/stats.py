@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core.pseudo_circuit import Termination
 from ..network.flit import Packet
 
 
@@ -82,36 +81,6 @@ class NetworkStats:
             self.total_hops += packet.hops
             hist = self.latency_histogram
             hist[latency] = hist.get(latency, 0) + 1
-
-    def record_hop(self, via: str, read: bool, xbar_repeat: bool,
-                   e2e_repeat: bool | None) -> None:
-        """Fused per-traversal recording: one call per crossbar hop.
-
-        ``via`` is the traversal kind ('sa' | 'pc' | 'buf'), ``read`` whether
-        the flit came out of a buffer (write-through bypasses skip the read),
-        ``xbar_repeat`` whether the crossbar connection repeated, and
-        ``e2e_repeat`` the head-flit source/destination repeat flag (None for
-        body/tail flits, which carry no end-to-end accounting).
-        """
-        self.flit_hops += 1
-        self.xbar_flits += 1
-        if read:
-            self.buffer_reads += 1
-        if xbar_repeat:
-            self.xbar_repeats += 1
-        if via == "sa":
-            self.sa_arbitrations += 1
-        else:
-            self.sa_bypass_flits += 1
-            if via == "buf":
-                self.buf_bypass_flits += 1
-        if e2e_repeat is not None:
-            self.e2e_packets += 1
-            if e2e_repeat:
-                self.e2e_repeats += 1
-
-    def record_termination(self, reason: Termination) -> None:
-        self.pc_terminations[reason] += 1
 
     # -- identity -------------------------------------------------------------
 

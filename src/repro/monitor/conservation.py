@@ -145,7 +145,7 @@ class ConservationMonitor(Monitor):
     def _verify(self, cycle, key):
         router, port, vc = key
         actual = len(self._network.routers[router]
-                     .in_ports[port].vcs[vc].buffer._q)
+                     .in_ports[port].vcs[vc].buffer)
         expected = self._occ.get(key, 0)
         self.buffer_checks += 1
         if actual != expected:
@@ -163,7 +163,7 @@ class ConservationMonitor(Monitor):
             for ip in router.in_ports:
                 port = ip.port_id
                 for vc_obj in ip.vcs:
-                    actual = len(vc_obj.buffer._q)
+                    actual = len(vc_obj.buffer)
                     expected = occ.get((rid, port, vc_obj.vc_id), 0)
                     self.buffer_checks += 1
                     if actual != expected:

@@ -1,9 +1,9 @@
 """Credit-conservation monitor.
 
 For every flow-control edge — router→router channel endpoint, NIC
-injection channel, and router→NIC ejection — the upstream
-``CreditCounter`` must always equal the downstream free-slot count minus
-everything in flight toward or from that buffer:
+injection channel, and router→NIC ejection — the upstream credit count
+(``OutVC.credits``) must always equal the downstream free-slot count
+minus everything in flight toward or from that buffer:
 
     count == limit − buffered − flits on the link − credits in the return
              channel
@@ -83,9 +83,9 @@ class CreditMonitor(Monitor):
                         for vc, ovc in enumerate(ep.ovcs):
                             edge = _Edge(
                                 ovc, vc, ep.router, ep.in_port,
-                                buffer_q=ip.vcs[vc].buffer._q,
+                                buffer_q=ip.vcs[vc].buffer,
                                 link=out.sink, ep=ep,
-                                channel=ip.credit_channel._inflight)
+                                channel=ip.credit_due)
                             self._add(edge, up_key, down_key)
         for nic in network.nics:
             inj = nic.inject_endpoint
@@ -93,9 +93,9 @@ class CreditMonitor(Monitor):
             down_key = (inj.router, inj.in_port)
             for vc, ovc in enumerate(nic.inject_state.ovcs):
                 edge = _Edge(ovc, vc, inj.router, inj.in_port,
-                             buffer_q=ip.vcs[vc].buffer._q,
+                             buffer_q=ip.vcs[vc].buffer,
                              link=nic.inject_link, ep=inj,
-                             channel=ip.credit_channel._inflight)
+                             channel=ip.credit_due)
                 self._add(edge, None, down_key)
                 self._inject.setdefault(nic.terminal, []).append(edge)
 
@@ -139,9 +139,8 @@ class CreditMonitor(Monitor):
 
     def _verify(self, cycle, edge):
         self.edge_checks += 1
-        credits = edge.ovc.credits
-        count = credits.count
-        limit = credits.limit
+        count = edge.ovc.credits
+        limit = edge.ovc.limit
         if not 0 <= count <= limit:
             self.violation(
                 "credit_range", "credit counter out of range",

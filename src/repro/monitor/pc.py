@@ -249,7 +249,7 @@ class PseudoCircuitMonitor(Monitor):
         if via == "buf":
             self.buf_bypass[router] += 1
             buffer_q = (self._network.routers[router]
-                        .in_ports[in_port].vcs[vc].buffer._q)
+                        .in_ports[in_port].vcs[vc].buffer)
             if buffer_q:
                 self.violation(
                     "pc_bypass_nonempty_buffer",

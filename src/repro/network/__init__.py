@@ -1,27 +1,23 @@
 """Cycle-accurate flit-based wormhole NoC simulator (paper Section V)."""
 
 from .arbiters import round_robin
-from .buffers import BufferOverflowError, FlitBuffer
 from .config import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO, PSEUDO_B,
                      PSEUDO_S, PSEUDO_SB, NetworkConfig, PseudoCircuitConfig)
-from .credits import CreditChannel, CreditCounter, CreditError
+from .credits import CreditError
 from .flit import Flit, FlitType, Packet
 from .link import Link
 from .nic import Nic
 from .ports import InputPort, OutEndpoint, OutputPort, OutVC
 from .router import ProtocolError, Router
 from .simulator import Network, build_network
-from .vc import VCState, VirtualChannel
+from .vc import BufferOverflowError, VCState, VirtualChannel
 
 __all__ = [
     "ALL_SCHEMES",
     "BASELINE",
     "BufferOverflowError",
-    "CreditChannel",
-    "CreditCounter",
     "CreditError",
     "Flit",
-    "FlitBuffer",
     "FlitType",
     "InputPort",
     "Link",

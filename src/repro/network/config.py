@@ -74,3 +74,9 @@ class NetworkConfig:
             raise ValueError("buffer_depth must be >= 1")
         if self.credit_delay < 0:
             raise ValueError("credit_delay must be >= 0")
+        if self.eject_buffer_depth < 1:
+            raise ValueError("eject_buffer_depth must be >= 1")
+        if self.mshrs < 0:
+            raise ValueError("mshrs must be >= 0 (0: unlimited)")
+        if self.inject_queue < 0:
+            raise ValueError("inject_queue must be >= 0 (0: unbounded)")

@@ -21,6 +21,7 @@ from ..routing.base import RoutingAlgorithm
 from ..routing.compiled import compile_routing
 from ..vcalloc.base import VCAllocationPolicy
 from .config import NetworkConfig
+from .credits import credit_error
 from .flit import Flit, Packet
 from .link import Link
 from .ports import OutVC
@@ -142,17 +143,15 @@ class Nic:
             if entry is None:
                 continue
             ovc = self.inject_state.ovcs[vc]
-            credits = ovc.credits
-            count = credits.count
+            count = ovc.credits
             if count == 0:
                 continue
+            if count < 0:
+                raise credit_error(ovc, cycle)
             packet, flits, idx = entry
             flit = flits[idx]
             flit.vc = vc
-            if count > 0:
-                credits.count = count - 1
-            else:
-                credits.consume(cycle)  # raises CreditError
+            ovc.credits = count - 1
             self.inject_link.deliver(flit, self.inject_endpoint, cycle + 1)
             if idx + 1 == len(flits):
                 ovc.owner = None
@@ -202,12 +201,11 @@ class Nic:
         probe = self._probe
         while due and due[0][0] <= cycle:
             _, vc = due.popleft()
-            credits = self.eject_endpoint.ovcs[vc].credits
-            count = credits.count
-            if count < credits.limit:
-                credits.count = count + 1
-            else:
-                credits.restore(cycle)  # raises CreditError
+            ovc = self.eject_endpoint.ovcs[vc]
+            count = ovc.credits
+            if count >= ovc.limit:
+                raise credit_error(ovc, cycle)
+            ovc.credits = count + 1
             if probe is not None:
                 # router == -1 marks the NIC ejection side of the edge.
                 probe.on_credit_restore(cycle, -1, self.terminal, vc)

@@ -8,43 +8,38 @@ channels have exactly one endpoint.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..core.pseudo_circuit import PseudoCircuitRegister
-from ..core.speculation import OutputHistory
-from .credits import CreditChannel, CreditCounter
 from .vc import VirtualChannel
 
 
 class OutVC:
     """Upstream-side state of one downstream input VC: allocation + credits.
 
-    ``where`` names the downstream ``(router, in_port, vc)`` for credit
-    error context (see :class:`~repro.network.credits.CreditCounter`).
+    ``credits`` counts the free slots of the downstream buffer, ``limit``
+    of them when it is empty; ``where`` names the downstream ``(router,
+    in_port, vc)`` for credit error context (``credits.credit_error``;
+    ``router == -1`` for NIC-side edges, with ``in_port`` the terminal).
     """
 
-    __slots__ = ("credits", "owner")
+    __slots__ = ("limit", "where", "credits", "owner")
 
-    def __init__(self, depth: int,
+    def __init__(self, limit: int,
                  where: tuple[int, int, int] | None = None):
-        self.credits = CreditCounter(depth, where)
-        self._reset_own()
+        self.limit = limit
+        self.where = where
+        self.reset()
 
     def reset(self) -> None:
         """Initial state: unallocated, all credits available."""
-        self.credits.reset()
-        self._reset_own()
-
-    def _reset_own(self) -> None:
-        """The registers of this object itself; its parts have their own."""
+        self.credits = self.limit
         # (in_port, in_vc) of the packet currently allocated this VC.
         self.owner: tuple[int, int] | None = None
 
     @property
     def free(self) -> bool:
         return self.owner is None
-
-    @property
-    def credit_count(self) -> int:
-        return self.credits.count
 
 
 class OutEndpoint:
@@ -66,27 +61,20 @@ class OutEndpoint:
         for ovc in self.ovcs:
             ovc.reset()
 
-    def restore_credit(self, vc: int) -> None:
-        self.ovcs[vc].credits.restore()
-
-    def any_credit(self) -> bool:
-        for ovc in self.ovcs:
-            if ovc.credits.count > 0:
-                return True
-        return False
-
 
 class OutputPort:
-    """Output side of a router port: endpoints plus pseudo-circuit history.
+    """Output side of a router port: endpoints plus pseudo-circuit state.
 
     ``st_busy_cycle`` records the cycle in which the crossbar column of this
     port is occupied by a flit in ST (set one cycle ahead for SA grants,
     same-cycle for bypassing flits); ``pc_holder`` is the input port holding
     a valid pseudo-circuit to this output (-1 when none) — the "one circuit
-    per output" invariant lives here.
+    per output" invariant lives here; ``last_input`` is speculation's
+    history register, the input of the circuit to this output terminated
+    most recently (-1 when none).
     """
 
-    __slots__ = ("port_id", "endpoints", "sink", "history", "pc_holder",
+    __slots__ = ("port_id", "endpoints", "sink", "last_input", "pc_holder",
                  "st_busy_cycle", "is_ejection")
 
     def __init__(self, port_id: int, endpoints: list[OutEndpoint], sink=None,
@@ -96,7 +84,6 @@ class OutputPort:
         # Flit consumer behind the channel: a Network delivery queue for
         # router-to-router channels, a NIC for ejection ports.
         self.sink = sink
-        self.history = OutputHistory()
         self.is_ejection = is_ejection
         self._reset_own()
 
@@ -105,35 +92,36 @@ class OutputPort:
         every endpoint's credits restored."""
         for endpoint in self.endpoints:
             endpoint.reset()
-        self.history.reset()
         self._reset_own()
 
     def _reset_own(self) -> None:
         """The registers of this object itself; its parts have their own."""
         self.pc_holder = -1
+        self.last_input = -1
         self.st_busy_cycle = -1
 
     def any_credit(self) -> bool:
         for ep in self.endpoints:
             for ovc in ep.ovcs:
-                if ovc.credits.count > 0:
+                if ovc.credits > 0:
                     return True
         return False
 
 
 class InputPort:
     """Input side of a router port: VCs, pseudo-circuit register, credit
-    return channel toward the upstream endpoint."""
+    returns toward the upstream endpoint."""
 
-    __slots__ = ("port_id", "vcs", "pc", "credit_channel", "upstream",
+    __slots__ = ("port_id", "vcs", "pc", "credit_due", "upstream",
                  "st_busy_cycle", "last_pair", "last_out")
 
-    def __init__(self, port_id: int, num_vcs: int, buffer_depth: int,
-                 credit_delay: int):
+    def __init__(self, port_id: int, num_vcs: int):
         self.port_id = port_id
-        self.vcs = [VirtualChannel(v, buffer_depth) for v in range(num_vcs)]
+        self.vcs = [VirtualChannel(v) for v in range(num_vcs)]
         self.pc = PseudoCircuitRegister()
-        self.credit_channel = CreditChannel(credit_delay)
+        # (due cycle, vc) of each credit on its way back to ``upstream``,
+        # in due order (every return takes the same credit_delay).
+        self.credit_due: deque[tuple[int, int]] = deque()
         # OutEndpoint (or NIC injection endpoint) whose credits this port's
         # returns replenish; wired by the Network at build time.
         self.upstream = None
@@ -145,7 +133,7 @@ class InputPort:
         for vc in self.vcs:
             vc.reset()
         self.pc.reset()
-        self.credit_channel.reset()
+        self.credit_due.clear()
         self._reset_own()
 
     def _reset_own(self) -> None:
@@ -154,15 +142,3 @@ class InputPort:
         # Temporal-locality trackers (Fig. 1).
         self.last_pair: tuple[int, int] | None = None
         self.last_out = -1
-
-    def send_credit(self, vc: int, now: int) -> None:
-        self.credit_channel.send(vc, now)
-
-    def deliver_credits(self, now: int) -> int:
-        """Deliver due credit returns upstream; returns how many landed."""
-        if self.upstream is None:
-            return 0
-        delivered = self.credit_channel.deliver(now)
-        for vc in delivered:
-            self.upstream.restore_credit(vc)
-        return len(delivered)

@@ -54,13 +54,13 @@ kept current wherever a register or a holder changes. An arbiter is one
 int (``_in_rr`` per input, over its VCs; ``_out_rr`` per output, over
 the inputs) moved by :func:`~repro.network.arbiters.round_robin`'s rule.
 
-A flit-hop is one ``_traverse`` call and its link's ``deliver``: credits,
-VC state (IDLE -> VA -> ACTIVE -> IDLE), fresh circuits and buffer writes
-are updated in place; ``CreditCounter.consume`` / ``restore`` run only on
-the branch that raises, and the ``VirtualChannel`` transitions and
-``PseudoCircuitRegister`` methods state the same rules for reference.
-Route computation is one tuple index per head flit into the routing's
-compiled tables (``routing.compiled``), and a VC window one more.
+A flit-hop is one ``_traverse`` call and its link's ``deliver``: credits
+(``OutVC.credits``), VC state (IDLE -> VA -> ACTIVE -> IDLE), circuits
+(``PseudoCircuitRegister``) and buffers (each VC's deque) are plain
+records the cycle reads and writes in place; this module and
+``kernel.c`` are the only statements of their rules. Route computation
+is one tuple index per head flit into the routing's compiled tables
+(``routing.compiled``), and a VC window one more.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ from ..routing.compiled import compile_routing
 from ..vcalloc.base import VCAllocationPolicy
 from .arbiters import round_robin
 from .config import NetworkConfig
+from .credits import credit_error
 from .flit import Flit
 from .ports import InputPort, OutputPort
-from .vc import VCState, VirtualChannel
+from .vc import BufferOverflowError, VCState, VirtualChannel
 
 IDLE, VA, ACTIVE = VCState.IDLE, VCState.VA, VCState.ACTIVE
 
@@ -94,7 +95,8 @@ class Router:
                  "_route_table", "_windows",
                  "_pc_enabled", "_pc_speculation", "_pc_bypass",
                  "_pc_valid_mask", "_pc_restorable_mask", "_pc_held_mask",
-                 "_pending_credits", "_credit_mask", "_registers",
+                 "_pending_credits", "_credit_mask", "_credit_delay",
+                 "_registers",
                  "_work_set", "_credit_set", "_probe")
 
     def __init__(self, router_id: int, num_inports: int, num_outports: int,
@@ -104,10 +106,8 @@ class Router:
         self.config = config
         self.vc_policy = vc_policy
         self.stats = stats
-        self.in_ports = [
-            InputPort(p, config.num_vcs, config.buffer_depth,
-                      config.credit_delay)
-            for p in range(num_inports)]
+        self.in_ports = [InputPort(p, config.num_vcs)
+                         for p in range(num_inports)]
         # Output ports are replaced by the Network once channels exist.
         self.out_ports: list[OutputPort] = [
             OutputPort(p, []) for p in range(num_outports)]
@@ -128,6 +128,7 @@ class Router:
         self._pc_enabled = config.pseudo.enabled
         self._pc_speculation = config.pseudo.speculation
         self._pc_bypass = config.pseudo.buffer_bypass
+        self._credit_delay = config.credit_delay
         # Active-set registries (dicts keyed by router id), bound by the
         # Network when it runs in active-set mode; None when standalone.
         self._work_set: dict | None = None
@@ -205,17 +206,16 @@ class Router:
             m ^= low
             i = low.bit_length() - 1
             ip = ports[i]
-            # Walk the due prefix of the port's credit delay line.
-            q = ip.credit_channel._inflight
+            # Walk the due prefix of the port's credit returns.
+            q = ip.credit_due
             upstream = ip.upstream
             while q and q[0][0] <= cycle:
                 vc = q.popleft()[1]
-                credits = upstream.ovcs[vc].credits
-                count = credits.count
-                if count < credits.limit:
-                    credits.count = count + 1
-                else:
-                    credits.restore(cycle)  # raises CreditError
+                ovc = upstream.ovcs[vc]
+                count = ovc.credits
+                if count >= ovc.limit:
+                    raise credit_error(ovc, cycle)
+                ovc.credits = count + 1
                 delivered += 1
                 if probe is not None:
                     probe.on_credit_restore(cycle, self.router_id, i, vc)
@@ -232,7 +232,7 @@ class Router:
         while m:
             low = m & -m
             m ^= low
-            due = ports[low.bit_length() - 1].credit_channel.next_due()
+            due = ports[low.bit_length() - 1].credit_due[0][0]
             if nxt is None or due < nxt:
                 nxt = due
         if nxt is None:
@@ -282,7 +282,7 @@ class Router:
                     state = vc.state
                     if state == ACTIVE:
                         continue  # VA already done for this packet
-                    front = vc.buffer._q[0]
+                    front = vc.buffer[0]
                     if front.ready_cycle > cycle:
                         continue
                     packet = front.packet
@@ -329,7 +329,7 @@ class Router:
             if not occ_vc_masks[i] >> in_vc & 1:
                 continue
             vc = ip.vcs[in_vc]
-            front = vc.buffer._q[0]
+            front = vc.buffer[0]
             if front.ready_cycle > cycle:
                 continue
             if front.is_head:
@@ -342,7 +342,7 @@ class Router:
             elif vc.state != ACTIVE:
                 raise ProtocolError(
                     f"router {router_id}: body flit on inactive VC")
-            if vc.out_ovc_obj.credits.count == 0:
+            if vc.out_ovc_obj.credits == 0:
                 self._terminate_pc(cycle, i, Termination.NO_CREDIT)
                 continue
             candidates[i] = vc
@@ -370,8 +370,8 @@ class Router:
                 # Membership in the occupancy mask already guarantees the
                 # buffer is non-empty.
                 if (vc is cand or vc.state != ACTIVE
-                        or vc.buffer._q[0].ready_cycle > cycle
-                        or vc.out_ovc_obj.credits.count == 0):
+                        or vc.buffer[0].ready_cycle > cycle
+                        or vc.out_ovc_obj.credits == 0):
                     continue
                 acc |= lowv
                 claimed_out |= 1 << vc.out_port
@@ -402,13 +402,14 @@ class Router:
         # -- BW ---------------------------------------------------------------
         if arrivals:
             bypass_on = self._pc_bypass
+            depth = self.config.buffer_depth
             occ_in_add = 0
             buffered = 0
             for i, flit in arrivals:
                 ip = in_ports[i]
                 vc_id = flit.vc
                 vc = ip.vcs[vc_id]
-                q = vc.buffer._q
+                q = vc.buffer
                 # Bypass needs the port free this cycle, and no earlier
                 # flit of the port still scheduled for a later ST (it
                 # would be overtaken).
@@ -420,8 +421,9 @@ class Router:
                                                     claimed_out)):
                     continue
                 flit.ready_cycle = cycle + 1
-                if len(q) >= vc.buffer.capacity:
-                    vc.buffer.append(flit)  # raises BufferOverflowError
+                if len(q) >= depth:
+                    raise BufferOverflowError(
+                        f"buffer write to full {depth}-flit buffer: {flit}")
                 q.append(flit)
                 vm = occ_vc_masks[i]
                 if not vm:
@@ -464,11 +466,13 @@ class Router:
 
         # -- PC upkeep --------------------------------------------------------
         # Credit terminations on held outputs, speculative restoration on
-        # free ones some invalidated circuit still points at (reference
-        # semantics: ``speculation.try_restore``), in one ascending pass
-        # over both. A termination here only ever makes its own
-        # (creditless, hence unrestorable) output a candidate, and a
-        # restoration only takes its own, so the snapshots stay exact.
+        # free ones some invalidated circuit still points at (Section
+        # IV.A: only onto an output with credits downstream; of several
+        # candidates, the one its history register names, else none), in
+        # one ascending pass over both. A termination here only ever
+        # makes its own (creditless, hence unrestorable) output a
+        # candidate, and a restoration only takes its own, so the
+        # snapshots stay exact.
         if pc_enabled:
             held = self._pc_held_mask
             restorable = (self._pc_restorable_mask if self._pc_speculation
@@ -487,7 +491,7 @@ class Router:
                 out = out_ports[o]
                 for ep in out.endpoints:
                     for ovc in ep.ovcs:
-                        if ovc.credits.count:
+                        if ovc.credits:
                             break
                     else:
                         continue
@@ -501,7 +505,7 @@ class Router:
                     continue
                 # The invalidated circuit pointing here; among several,
                 # the history register's, or none.
-                hist = out.history.last_input
+                hist = out.last_input
                 chosen = -1
                 count = 0
                 hist_ok = False
@@ -554,7 +558,7 @@ class Router:
             lo, hi = self._windows[choice][out_port]
             ovc = self.vc_policy.allocate(endpoint.ovcs, packet, lo, hi,
                                           ejection=out.is_ejection)
-            if ovc is None or endpoint.ovcs[ovc].credits.count == 0:
+            if ovc is None or endpoint.ovcs[ovc].credits == 0:
                 return False
             ovc_state = endpoint.ovcs[ovc]
             ovc_state.owner = (i, vc.vc_id)
@@ -577,7 +581,7 @@ class Router:
             out = self.out_ports[vc.out_port]
             if claimed_out >> vc.out_port & 1 or out.st_busy_cycle >= cycle:
                 return False
-            if vc.out_ovc_obj.credits.count == 0:
+            if vc.out_ovc_obj.credits == 0:
                 # Out of credit before the flit arrived: tear the circuit
                 # down and buffer normally (Section IV.B).
                 self._terminate_pc(cycle, i, Termination.NO_CREDIT)
@@ -597,7 +601,7 @@ class Router:
         stats = self.stats
         vc_id = vc.vc_id
         if arriving is None:
-            q = vc.buffer._q
+            q = vc.buffer
             flit = q.popleft()
             read = True
             if not q:
@@ -611,8 +615,7 @@ class Router:
         else:
             flit = arriving
             read = False
-        channel = ip.credit_channel
-        channel._inflight.append((cycle + channel.delay, vc_id))
+        ip.credit_due.append((cycle + self._credit_delay, vc_id))
         self._pending_credits += 1
         self._credit_mask |= 1 << i
         credit_set = self._credit_set
@@ -621,15 +624,14 @@ class Router:
         out_port = vc.out_port
         out = self.out_ports[out_port]
         ovc_state = vc.out_ovc_obj
-        credits = ovc_state.credits
-        count = credits.count
-        if count > 0:
-            credits.count = count - 1
-        else:
-            credits.consume(cycle)  # raises CreditError
+        count = ovc_state.credits
+        if count <= 0:
+            raise credit_error(ovc_state, cycle)
+        ovc_state.credits = count - 1
         packet = flit.packet
-        # Temporal locality (Fig. 1) and per-hop event counters (see
-        # NetworkStats.record_hop for the reference semantics).
+        # Temporal locality (Fig. 1) and per-hop event counters: a head
+        # counts the packet's hop and end-to-end pair, every flit its
+        # crossbar connection and how it got there (SA, circuit, bypass).
         if flit.is_head:
             packet.hops += 1
             if via != "sa":
@@ -695,11 +697,9 @@ class Router:
         endpoint = vc.out_ep_obj
         out.sink.deliver(flit, endpoint, st_cycle + 1 + endpoint.latency)
         if flit.is_tail:
-            # The tail departed: ACTIVE -> IDLE.
+            # The tail departed: ACTIVE -> IDLE (every path here starts
+            # from an ACTIVE VC).
             ovc_state.owner = None
-            if vc.state != ACTIVE:
-                raise RuntimeError(
-                    f"tail departure in state {vc.state.name}")
             vc.state = IDLE
             vc.out_port = -1
             vc.out_ep = 0
@@ -720,7 +720,9 @@ class Router:
             self._terminate_pc(cycle, i, Termination.CONFLICT_INPUT)
         refreshed = (reg.valid and reg.in_vc == in_vc
                      and reg.out_port == out_port)
-        reg.establish(in_vc, out_port)
+        reg.in_vc = in_vc
+        reg.out_port = out_port
+        reg.valid = True
         out.pc_holder = i
         self._pc_valid_mask |= 1 << i
         self._pc_restorable_mask &= ~(1 << i)
@@ -743,17 +745,19 @@ class Router:
         if out.pc_holder == i:
             out.pc_holder = -1
             self._pc_held_mask &= ~(1 << reg.out_port)
-        out.history.last_input = i
+        out.last_input = i
         self.stats.pc_terminations[reason] += 1
         probe = self._probe
         if probe is not None:
             probe.on_pc_terminate(cycle, self.router_id, i, reg.out_port,
                                   reason)
 
-    # -- introspection (tests) ------------------------------------------------
+    # -- introspection --------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the pseudo-circuit and credit invariants (tests only)."""
+        """Assert the pseudo-circuit, credit and occupancy invariants (the
+        end of every scalar point runs it, through
+        ``Network.check_invariants``)."""
         holders: dict[int, int] = {}
         for i, ip in enumerate(self.in_ports):
             if ip.pc.valid:
@@ -770,7 +774,7 @@ class Router:
                     f"scan says {expected}")
             for ep in out.endpoints:
                 for ovc in ep.ovcs:
-                    if not 0 <= ovc.credits.count <= ovc.credits.limit:
+                    if not 0 <= ovc.credits <= ovc.limit:
                         raise AssertionError("credit counter out of range")
         masks = {
             "valid": (self._pc_valid_mask,

@@ -63,10 +63,10 @@ from ...metrics.stats import NetworkStats
 from ...routing import RoutingAlgorithm, compile_routing, make_routing
 from ...topology.base import Topology
 from ...vcalloc import make_vc_policy
-from ..buffers import BufferOverflowError
 from ..config import NetworkConfig
 from ..flit import Packet
 from ..router import ProtocolError
+from ..vc import BufferOverflowError
 from .kernel import E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_GROW, Binding
 from .kernel import load as load_kernel
 from .layout import build_layout

@@ -2,7 +2,7 @@
 
 The VC allocator assigns a packet one VC at the downstream router's input
 port. ``allocate`` receives the downstream VC states (objects exposing
-``free`` and ``credit_count``), the packet, and the packet's permitted VC
+``free`` and ``credits``), the packet, and the packet's permitted VC
 class range ``[lo, hi)``; it returns the chosen VC index or None when no
 allocation is possible this cycle.
 """

@@ -22,10 +22,10 @@ class DynamicVCAllocation(VCAllocationPolicy):
         best_credits = -1
         for vc in range(lo, hi):
             state = ovc_states[vc]
-            # state.free / state.credit_count, inlined (VA runs once per
-            # packet per hop, plus every retry while the class is full).
+            # state.free, inlined (VA runs once per packet per hop, plus
+            # every retry while the class is full).
             if state.owner is None:
-                credits = state.credits.count
+                credits = state.credits
                 if credits > best_credits:
                     best = vc
                     best_credits = credits

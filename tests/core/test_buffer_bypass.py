@@ -1,49 +1,39 @@
-"""Unit tests for the buffer-bypass eligibility predicate."""
+"""Buffer bypass (paper Section IV.B), as the router runs it.
 
-from repro.core.buffer_bypass import can_bypass
-from repro.core.pseudo_circuit import PseudoCircuitRegister
-from repro.network.flit import Packet
+A flit arriving on the empty VC of its input's valid circuit, with the
+input and the circuit's output free, skips the buffer write: a head must
+match the circuit's VC and output, a body or tail its VC alone.
+``RuleProbe`` checks every bypass and every buffered arrival on a circuit's
+VC over runs of both cores in lockstep
+(``tests/network/test_router_rules``); each test asserts its case arose.
+"""
 
-
-def flits(size=5):
-    return Packet(0, 1, size, 0).make_flits()
-
-
-def warm_reg(vc=1, out=2):
-    reg = PseudoCircuitRegister()
-    reg.establish(vc, out)
-    return reg
+from ..network.test_router_rules import (BYPASS, SINGLE_FLIT_BYPASS,
+                                         rule_cases)
 
 
 def test_head_needs_full_match():
-    head = flits()[0]
-    reg = warm_reg(vc=1, out=2)
-    assert can_bypass(reg, head, vc=1, out_port=2, buffer_empty=True)
-    assert not can_bypass(reg, head, vc=0, out_port=2, buffer_empty=True)
-    assert not can_bypass(reg, head, vc=1, out_port=3, buffer_empty=True)
+    """Heads bypass on VC and route; a head on the circuit's VC wanting
+    another output terminates the circuit instead."""
+    cases = rule_cases(BYPASS)
+    assert cases["bypass_head"] and cases["route_mismatch"]
 
 
 def test_body_needs_vc_only():
-    body = flits()[1]
-    reg = warm_reg(vc=1, out=2)
-    assert can_bypass(reg, body, vc=1, out_port=99, buffer_empty=True)
-    assert not can_bypass(reg, body, vc=0, out_port=2, buffer_empty=True)
+    assert rule_cases(BYPASS)["bypass_body"]
 
 
 def test_occupied_buffer_blocks_bypass():
-    head = flits()[0]
-    reg = warm_reg(vc=1, out=2)
-    assert not can_bypass(reg, head, vc=1, out_port=2, buffer_empty=False)
+    """Bypasses leave the VC empty; arrivals behind buffered flits of the
+    circuit's VC are written, in order."""
+    assert rule_cases(BYPASS)["arrival_behind_nonempty_vc"]
 
 
 def test_invalid_circuit_blocks_bypass():
-    head = flits()[0]
-    reg = warm_reg(vc=1, out=2)
-    reg.invalidate()
-    assert not can_bypass(reg, head, vc=1, out_port=2, buffer_empty=True)
+    assert rule_cases(BYPASS)["arrival_on_invalid_circuit"]
 
 
 def test_single_flit_packet_is_a_head():
-    single = flits(size=1)[0]
-    reg = warm_reg(vc=0, out=4)
-    assert can_bypass(reg, single, vc=0, out_port=4, buffer_empty=True)
+    cases = rule_cases(SINGLE_FLIT_BYPASS)
+    assert cases["bypass_single_flit"] == cases["bypass_head"] > 0
+    assert not cases["bypass_body"]

@@ -1,8 +1,17 @@
-"""Unit tests for the pseudo-circuit register and comparator."""
+"""The pseudo-circuit register and comparator, as the router runs them.
 
-import pytest
+The register is a plain record; a traversal latches it, a termination
+clears its valid bit, a restoration sets it again. ``RuleProbe`` checks
+each of these events, and every SA-skipping traversal's comparator match,
+over runs of both cores in lockstep (``tests/network/test_router_rules``);
+each test asserts its case arose.
+"""
 
 from repro.core.pseudo_circuit import PseudoCircuitRegister, Termination
+from repro.network.config import PSEUDO, PSEUDO_S, NetworkConfig
+
+from ..network.test_router_rules import (SPECULATION, lone_flow,
+                                         rule_cases, scheme_run)
 
 
 class TestRegister:
@@ -12,59 +21,44 @@ class TestRegister:
         assert reg.in_vc == -1 and reg.out_port == -1
 
     def test_establish(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(in_vc=2, out_port=3)
-        assert reg.valid and reg.in_vc == 2 and reg.out_port == 3
+        """Every traversal latches its input's register and output."""
+        cases = rule_cases(scheme_run(PSEUDO))
+        assert cases["established"] == cases["traversed"] > 0
 
     def test_invalidate_keeps_contents(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(1, 4)
-        reg.invalidate()
-        assert not reg.valid
-        assert reg.in_vc == 1 and reg.out_port == 4  # speculation needs this
+        cases = rule_cases(SPECULATION)
+        assert sum(cases[reason.value] for reason in Termination) > 0
 
     def test_restore_revalidates(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(1, 4)
-        reg.invalidate()
-        reg.restore()
-        assert reg.valid and reg.out_port == 4
+        cases = rule_cases(SPECULATION)
+        assert cases["restore_single"] + cases["restore_by_history"] > 0
 
     def test_restore_requires_history(self):
-        with pytest.raises(RuntimeError):
-            PseudoCircuitRegister().restore()
+        """Only registers a traversal latched are ever restored: a lone
+        flow leaves every other register as reset, speculation on."""
+        net = lone_flow(NetworkConfig(pseudo=PSEUDO_S))
+        regs = [ip.pc for r in net.routers for ip in r.in_ports]
+        assert sum(reg.valid for reg in regs) == 4
+        assert net.stats.pc_restored == 0
+        assert all(reg.in_vc == -1 for reg in regs if not reg.valid)
 
     def test_reestablish_overwrites(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(0, 1)
-        reg.establish(3, 2)
-        assert reg.in_vc == 3 and reg.out_port == 2
+        cases = rule_cases(scheme_run(PSEUDO))
+        assert cases["register_overwritten"] and cases["conflict_input"]
 
 
 class TestComparator:
     def test_head_match_needs_vc_and_route(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(2, 3)
-        assert reg.matches_head(2, 3)
-        assert not reg.matches_head(1, 3)   # wrong VC
-        assert not reg.matches_head(2, 1)   # wrong output
-        reg.invalidate()
-        assert not reg.matches_head(2, 3)   # invalid
+        cases = rule_cases(scheme_run(PSEUDO))
+        assert cases["reuse_head"] and cases["route_mismatch"]
 
     def test_body_match_needs_vc_only(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(2, 3)
-        assert reg.matches_body(2)
-        assert not reg.matches_body(0)
+        assert rule_cases(scheme_run(PSEUDO))["reuse_body"]
 
     def test_route_conflict_detection(self):
-        reg = PseudoCircuitRegister()
-        reg.establish(2, 3)
-        assert reg.conflicts_with_route(2, 1)       # same VC, other output
-        assert not reg.conflicts_with_route(2, 3)   # exact match
-        assert not reg.conflicts_with_route(0, 1)   # other VC: ignored
-        reg.invalidate()
-        assert not reg.conflicts_with_route(2, 1)
+        """A head on the circuit's VC wanting another output terminates
+        the circuit, which keeps naming the old output."""
+        assert rule_cases(scheme_run(PSEUDO))["route_mismatch"]
 
 
 def test_termination_reasons_enumerated():

@@ -2,10 +2,9 @@
 
 import pickle
 
-import pytest
-
 from repro.core.violation import InvariantViolation
-from repro.network.credits import CreditCounter, CreditError
+from repro.network.credits import CreditError, credit_error
+from repro.network.ports import OutVC
 
 
 class TestStructure:
@@ -47,21 +46,17 @@ class TestStructure:
 
 class TestCreditErrorLineage:
     def test_credit_error_is_a_structured_violation(self):
-        counter = CreditCounter(2, where=(4, 1, 0))
-        counter.consume()
-        counter.consume()
-        with pytest.raises(InvariantViolation) as exc:
-            counter.consume()
-        err = exc.value
+        ovc = OutVC(2, where=(4, 1, 0))
+        ovc.credits = 0
+        err = credit_error(ovc, cycle=12)
+        assert isinstance(err, InvariantViolation)
         assert isinstance(err, CreditError)
         assert err.rule == "credit_underflow"
-        assert (err.router, err.port, err.vc) == (4, 1, 0)
+        assert (err.cycle, err.router, err.port, err.vc) == (12, 4, 1, 0)
         assert err.actual == 0
 
     def test_credit_error_pickles_as_its_subclass(self):
-        counter = CreditCounter(1, where=(0, 0, 0))
-        with pytest.raises(CreditError) as exc:
-            counter.restore()
-        clone = pickle.loads(pickle.dumps(exc.value))
+        err = credit_error(OutVC(1, where=(0, 0, 0)), cycle=3)
+        clone = pickle.loads(pickle.dumps(err))
         assert type(clone) is CreditError
         assert clone.rule == "credit_overflow"

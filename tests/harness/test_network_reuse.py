@@ -30,7 +30,7 @@ from repro.harness.parallel import run_experiments
 from repro.harness.traces import get_trace
 from repro.instrument import FlitTracer
 from repro.metrics.stats import NetworkStats
-from repro.network.buffers import BufferOverflowError
+from repro.network.vc import BufferOverflowError
 from repro.network.config import (ALL_SCHEMES, BASELINE, PC_SCHEMES,
                                   PSEUDO_SB)
 from repro.network.router import ProtocolError

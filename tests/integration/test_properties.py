@@ -67,7 +67,7 @@ def test_every_packet_delivered_exactly_once(spec):
         for out in router.out_ports:
             for ep in out.endpoints:
                 for ovc in ep.ovcs:
-                    assert ovc.credits.count == ovc.credits.limit
+                    assert ovc.credits == ovc.limit
                     assert ovc.owner is None
 
 

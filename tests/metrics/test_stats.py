@@ -67,11 +67,13 @@ class TestDerivedMetrics:
         assert s.xbar_locality == 0.0
 
     def test_termination_counter(self):
+        # The cores count a termination as one increment under its reason.
         s = NetworkStats()
-        s.record_termination(Termination.NO_CREDIT)
-        s.record_termination(Termination.NO_CREDIT)
-        s.record_termination(Termination.ROUTE_MISMATCH)
-        assert s.pc_terminations[Termination.NO_CREDIT] == 2
+        assert s.pc_terminations[Termination.NO_CREDIT] == 0
+        s.pc_terminations[Termination.NO_CREDIT] += 2
+        s.pc_terminations[Termination.ROUTE_MISMATCH] += 1
+        assert s.fingerprint()["pc_terminations"] == {
+            Termination.NO_CREDIT: 2, Termination.ROUTE_MISMATCH: 1}
 
     def test_percentile(self):
         s = NetworkStats()

@@ -26,5 +26,5 @@ def occupied_buffers(net):
     for router in net.routers:
         for ip in router.in_ports:
             for vc in ip.vcs:
-                if vc.buffer._q:
+                if vc.buffer:
                     yield router, ip, vc

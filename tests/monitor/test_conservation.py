@@ -42,7 +42,7 @@ class TestFaultInjection:
         monitor = ConservationMonitor(strict=True, deep_every=1)
         net = monitored_net(monitor, rate=0.25)
         router, ip, vc = next(occupied_buffers(net))
-        vc.buffer._q.popleft()  # corrupt: flit vanishes without an event
+        vc.buffer.popleft()  # corrupt: flit vanishes without an event
         with pytest.raises(InvariantViolation) as exc:
             net.step()
         err = exc.value
@@ -55,7 +55,7 @@ class TestFaultInjection:
         monitor = ConservationMonitor(strict=True, deep_every=1)
         net = monitored_net(monitor, rate=0.25)
         _, _, vc = next(occupied_buffers(net))
-        vc.buffer._q.append(vc.buffer._q[0])  # corrupt: flit duplicated
+        vc.buffer.append(vc.buffer[0])  # corrupt: flit duplicated
         with pytest.raises(InvariantViolation) as exc:
             net.step()
         assert exc.value.rule == "buffer_occupancy"
@@ -64,7 +64,7 @@ class TestFaultInjection:
         monitor = ConservationMonitor(strict=False, deep_every=1)
         net = monitored_net(monitor, rate=0.25)
         _, _, vc = next(occupied_buffers(net))
-        vc.buffer._q.popleft()
+        vc.buffer.popleft()
         # Non-strict: drive the boundary check directly (stepping the
         # network would execute router phases on the corrupted buffer).
         monitor.on_cycle_start(net.cycle, net)

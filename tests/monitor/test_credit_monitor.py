@@ -11,7 +11,7 @@ from .conftest import monitored_net
 def _stealable_edge(monitor):
     """An inter-router edge whose counter has credits left to steal."""
     for edge in monitor._edges:
-        if edge.nic is None and edge.ovc.credits.count > 0:
+        if edge.nic is None and edge.ovc.credits > 0:
             return edge
     raise AssertionError("no edge with spare credits")
 
@@ -43,7 +43,7 @@ class TestFaultInjection:
         monitor = CreditMonitor(strict=True, deep_every=1)
         net = monitored_net(monitor, rate=0.25)
         edge = _stealable_edge(monitor)
-        edge.ovc.credits.count -= 1  # corrupt: credit vanishes
+        edge.ovc.credits -= 1  # corrupt: credit vanishes
         with pytest.raises(InvariantViolation) as exc:
             net.step()
         err = exc.value
@@ -57,7 +57,7 @@ class TestFaultInjection:
         monitor = CreditMonitor(strict=True, deep_every=1)
         net = monitored_net(monitor, rate=0.25)
         edge = _stealable_edge(monitor)
-        edge.ovc.credits.count = edge.ovc.credits.limit + 3
+        edge.ovc.credits = edge.ovc.limit + 3
         with pytest.raises(InvariantViolation) as exc:
             net.step()
         assert exc.value.rule == "credit_range"
@@ -67,8 +67,8 @@ class TestFaultInjection:
         net = monitored_net(monitor, rate=0.25)
         for edge in monitor._edges:
             if (edge.nic is None
-                    and edge.ovc.credits.count < edge.ovc.credits.limit):
-                edge.ovc.credits.count += 1  # corrupt: forged credit
+                    and edge.ovc.credits < edge.ovc.limit):
+                edge.ovc.credits += 1  # corrupt: forged credit
                 break
         else:
             raise AssertionError("no partially drained edge")

@@ -114,10 +114,10 @@ class TestIntegration:
             for out in router.out_ports:
                 for ep in out.endpoints:
                     for ovc in ep.ovcs:
-                        ovc.credits.count = 0
+                        ovc.credits = 0
         for nic in net.nics:
             for ovc in nic.inject_state.ovcs:
-                ovc.credits.count = 0
+                ovc.credits = 0
         with pytest.raises(InvariantViolation) as exc:
             net.run(500)
         assert exc.value.rule == "deadlock"

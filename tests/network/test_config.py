@@ -45,6 +45,15 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(**{field: value})
 
+    def test_nic_side_limits_rejected(self):
+        """A zero ejection depth would leave the router no credit into
+        the NIC (the array cores then fail to drain); negative MSHR and
+        source-queue bounds mean nothing. All three are refused here."""
+        for field, value in (("eject_buffer_depth", 0), ("mshrs", -1),
+                             ("inject_queue", -1)):
+            with pytest.raises(ValueError, match=field):
+                NetworkConfig(**{field: value})
+
     def test_scheme_embedding(self):
         cfg = NetworkConfig(pseudo=PSEUDO_SB)
         assert cfg.pseudo.buffer_bypass

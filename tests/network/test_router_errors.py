@@ -42,14 +42,15 @@ def test_check_invariants_detects_corruption():
     net = Network(Mesh(2, 2), NetworkConfig(), "xy", "dynamic")
     router = net.routers[0]
     # Forge an inconsistent pseudo-circuit holder.
-    router.in_ports[0].pc.establish(0, 1)
+    reg = router.in_ports[0].pc
+    reg.in_vc, reg.out_port, reg.valid = 0, 1, True
     with pytest.raises(AssertionError):
         router.check_invariants()
 
 
 def test_flit_buffer_overflow_is_fatal_not_silent():
     """Force a flit at a full buffer: the simulator must raise, not drop."""
-    from repro.network.buffers import BufferOverflowError
+    from repro.network.vc import BufferOverflowError
     net = Network(Mesh(2, 2), NetworkConfig(buffer_depth=1), "xy", "dynamic")
     router = net.routers[0]
     flits = Packet(0, 3, 5, 0).make_flits()

@@ -9,12 +9,11 @@ import pytest
 
 from repro.network.config import (BASELINE, PSEUDO, PSEUDO_SB,
                                   NetworkConfig)
-from repro.network.credits import CreditCounter
+from repro.network import nic, router
 from repro.network.flit import Packet
 from repro.network.link import Link
 from repro.network.router import Router
 from repro.network.simulator import Network
-from repro.network.vc import VirtualChannel
 from repro.topology.mesh import Mesh
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -122,7 +121,8 @@ class TestDelivery:
 
 class TestFlitHopPath:
     """An unprobed flit-hop updates credits, VC state and link delivery
-    in place: the reference methods run only on a raising branch."""
+    in place: no credit error is built off a raising branch, and FIFO
+    links are staged by the network loop, not ``Link.tick``."""
 
     @pytest.mark.parametrize("scheme", [BASELINE, PSEUDO_SB],
                              ids=lambda s: s.label)
@@ -131,13 +131,10 @@ class TestFlitHopPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on a flit-hop's success path")
 
-        for cls, name in ((CreditCounter, "consume"),
-                          (CreditCounter, "restore"),
-                          (VirtualChannel, "start_packet"),
-                          (VirtualChannel, "grant_out_vc"),
-                          (VirtualChannel, "finish_packet"),
-                          (Link, "tick"), (Router, "accept_flit")):
-            monkeypatch.setattr(cls, name, forbidden)
+        for owner, name in ((router, "credit_error"),
+                            (nic, "credit_error"),
+                            (Link, "tick"), (Router, "accept_flit")):
+            monkeypatch.setattr(owner, name, forbidden)
         net = Network(Mesh(4, 4), NetworkConfig(pseudo=scheme),
                       routing="xy", vc_policy="dynamic", seed=3)
         net.run(300, SyntheticTraffic("uniform", 16, 0.2, 5, seed=3))

@@ -44,7 +44,7 @@ from repro.harness.traces import get_trace
 from repro.instrument import Probe
 from repro.instrument.overhead import overhead_gate
 from repro.network.backend import BackendUnsupportedError
-from repro.network.buffers import BufferOverflowError
+from repro.network.vc import BufferOverflowError
 from repro.network.config import PSEUDO_SB, NetworkConfig
 from repro.network.flit import Packet
 from repro.network.router import ProtocolError

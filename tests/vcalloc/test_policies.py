@@ -19,9 +19,8 @@ def pkt(dst=5):
 class TestDynamic:
     def test_prefers_most_credits(self):
         states = ovcs()
-        states[0].credits.consume()
-        states[2].credits.consume()
-        states[2].credits.consume()
+        states[0].credits -= 1
+        states[2].credits -= 2
         assert DynamicVCAllocation().allocate(states, pkt(), 0, 4) == 1
 
     def test_skips_owned_vcs(self):
