@@ -43,7 +43,7 @@ class TestRegister:
         assert all(reg.in_vc == -1 for reg in regs if not reg.valid)
 
     def test_reestablish_overwrites(self):
-        cases = rule_cases(scheme_run(PSEUDO))
+        cases = rule_cases(SPECULATION)
         assert cases["register_overwritten"] and cases["conflict_input"]
 
 

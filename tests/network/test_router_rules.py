@@ -194,12 +194,14 @@ def lockstep(config, drive, *, probe=None, after_step=None):
     on the scalar core with ``probe`` attached (and ``after_step()``
     called after each of its cycles), and on the array core beside it
     where the kernel builds, comparing after every cycle; return the
-    scalar network."""
+    scalar network. VA is static (the paper's choice): a head then
+    waits in VA for its one VC often, which is when only the empty-VC
+    test refuses a bypass to the body behind it."""
     classes = [Network]
     vector = array_core()
     if vector is not None:
         classes.append(vector)
-    nets = [cls(Mesh(4, 4), config, routing="xy", vc_policy="dynamic",
+    nets = [cls(Mesh(4, 4), config, routing="xy", vc_policy="static",
                 seed=5) for cls in classes]
     scalar = nets[0]
     if probe is not None:
