@@ -8,10 +8,10 @@ each test asserts its case arose.
 """
 
 from repro.core.pseudo_circuit import PseudoCircuitRegister, Termination
-from repro.network.config import PSEUDO, PSEUDO_S, NetworkConfig
+from repro.network.config import PSEUDO
 
-from ..network.test_router_rules import (SPECULATION, lone_flow,
-                                         rule_cases, scheme_run)
+from ..network.test_router_rules import (SPECULATION, rule_cases,
+                                         scheme_run)
 
 
 class TestRegister:
@@ -34,13 +34,9 @@ class TestRegister:
         assert cases["restore_single"] + cases["restore_by_history"] > 0
 
     def test_restore_requires_history(self):
-        """Only registers a traversal latched are ever restored: a lone
-        flow leaves every other register as reset, speculation on."""
-        net = lone_flow(NetworkConfig(pseudo=PSEUDO_S))
-        regs = [ip.pc for r in net.routers for ip in r.in_ports]
-        assert sum(reg.valid for reg in regs) == 4
-        assert net.stats.pc_restored == 0
-        assert all(reg.in_vc == -1 for reg in regs if not reg.valid)
+        """A restoration revalidates exactly what the input's last
+        traversal latched."""
+        assert rule_cases(SPECULATION)["restore_single"]
 
     def test_reestablish_overwrites(self):
         cases = rule_cases(SPECULATION)

@@ -63,10 +63,11 @@ def test_valid_registers_are_not_candidates():
 
 
 def test_never_established_registers_ignored():
-    """Speculation on, an idle-free lone flow: every input it did not
-    cross keeps a never-established register."""
+    """With speculation on, a lone flow leaves every input it did not
+    cross with a never-established register, never restored."""
     net = lone_flow(NetworkConfig(pseudo=PSEUDO_S))
     untouched = [ip.pc for r in net.routers for ip in r.in_ports
                  if not ip.pc.valid]
     assert len(untouched) == 16 * 5 - 4
     assert all((reg.in_vc, reg.out_port) == (-1, -1) for reg in untouched)
+    assert net.stats.pc_restored == 0

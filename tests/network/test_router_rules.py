@@ -152,7 +152,9 @@ class RuleProbe(Probe):
         registers = [ip.pc for ip in r.in_ports]
         reg = registers[in_port]
         out = r.out_ports[out_port]
-        assert reg.valid and reg.in_vc >= 0 and reg.out_port == out_port
+        assert reg.valid and reg.out_port == out_port
+        # What the input's last traversal latched, nothing else.
+        assert self.latched[router, in_port] == (reg.in_vc, out_port)
         assert out.pc_holder == in_port
         assert out.any_credit(), "restored onto a creditless output"
         if _restorable(registers, out_port, but=in_port):
