@@ -96,7 +96,8 @@
  * notes that it was entered (``repro_kernel_reach``). The release build
  * compiles ``A()`` to the bare access and ``ENTER()`` to nothing. The
  * checked build also counts, in the last entry of ``n[]``, the front
- * flits the VA, SA-request and PC-candidate scans examine.
+ * flits the VA, SA-request and PC-candidate scans examine, and in the
+ * one before it those of them not ready yet (written this cycle).
  * -DREPRO_SEED_STALE_SUMMARY (tests only) leaves out the ``summarise``
  * of a flit buffered into an empty VC: the seeded bug the checker and
  * the drain must catch.
@@ -361,16 +362,17 @@ enum {
 enum { VIA_SA, VIA_PC, VIA_BUF };
 /* n[], CHIP_COUNTS entries: observer event counts (cleared on entry),
  * then the lengths of the scratch lists one stage leaves for a later
- * one; in the last, the checked build's count of front flits examined. */
+ * one; in the last two, the checked build's counts of front flits
+ * examined not ready yet and examined at all. */
 #define CHIP_COUNTS 16
 enum {
 #define X(name) N_##name,
     CHIP_EVENTS(X)
 #undef X
     N_EVENTS, N_CAND = N_EVENTS, N_ORDER, N_ACTIVE, N_WORK, N_LISTS,
-    N_VISITS = CHIP_COUNTS - 1
+    N_UNREADY = CHIP_COUNTS - 2, N_VISITS = CHIP_COUNTS - 1
 };
-_Static_assert(N_LISTS <= N_VISITS, "n[] has no room for its last list");
+_Static_assert(N_LISTS <= N_UNREADY, "n[] has no room for its last list");
 enum { RING_ARR, RING_EJ, RING_CR };
 /* vc.VCState */
 enum { VC_IDLE, VC_VA, VC_ACTIVE };
@@ -411,7 +413,9 @@ static i64 ck(Chip *ch, i64 id, i64 i, i64 len)
 }
 #define A(name, i) (ch->name[ck(ch, ID_##name, (i), ch->n_##name)])
 #define RETURN(value) return ch->err_id ? E_BOUNDS : (value)
-#define VISIT() (A(n, N_VISITS)++)
+/* A scan of cycle ``c`` examines the front flit ``front``. */
+#define VISIT(front) \
+    (A(n, N_VISITS)++, A(n, N_UNREADY) += A(f_ready, (front)) > c)
 
 /* Which functions of this file the process has entered, and how often:
  * one slot per ENTER() site. */
@@ -441,7 +445,7 @@ void repro_kernel_reach_reset(void)
 #else
 #define A(name, i) (ch->name[(i)])
 #define RETURN(value) return (value)
-#define VISIT() ((void)0)
+#define VISIT(front) ((void)0)
 #define ENTER() ((void)0)
 #endif
 
@@ -995,7 +999,7 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
             EACH_BIT(v, vcs) {
                 i64 ivc = port * V + v;
                 i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
-                VISIT();
+                VISIT(front);
                 if (A(f_ready, front) > c)
                     continue;
                 i64 pk = A(f_pkt, front);
@@ -1035,7 +1039,7 @@ static i64 pc_candidates(Chip *ch, i64 c)
                 continue;
             i64 ivc = pp * ch->V + vc;
             i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
-            VISIT();
+            VISIT(front);
             if (A(f_ready, front) > c)
                 continue;
             int active = A(vc_state, ivc) == VC_ACTIVE;
@@ -1085,7 +1089,7 @@ static void va_sa_requests(Chip *ch, i64 c)
                 if (ivc == cand)
                     continue;
                 i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
-                VISIT();
+                VISIT(front);
                 if (A(f_ready, front) > c
                     || A(cred, A(vc_out_cred, ivc)) == 0)
                     continue;
@@ -1405,7 +1409,7 @@ static i64 cycle_eject(Chip *ch, i64 c)
     i64 slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
     for (i64 k = 0; k < N_EVENTS; k++)
         A(n, k) = 0;
-    A(n, N_VISITS) = 0;
+    A(n, N_UNREADY) = A(n, N_VISITS) = 0;
     st_credit_returns(ch, slot);
     i64 rows = st_credit_eject(ch, c, slot);
     if (rows < 0)
