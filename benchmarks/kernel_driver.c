@@ -1,8 +1,11 @@
 /* The compiled cycle without Python in the way: load one network's Chip
  * from a dump (``kernel_dump.py``), drive it through ``run()`` the way
  * ``VectorNetwork._drive`` and ``drain`` do -- one call for the window,
- * then one to drain -- and print what a cycle and a flit-hop cost. For
- * sizing a change to ``kernel.c`` under a profiler:
+ * then one to drain -- and print what a cycle and a flit-hop cost, and a
+ * digest of what the run left in ``counts``, ``hist`` and ``state``
+ * (``kernel_dump.digest`` of the same chip run through ``VectorNetwork``
+ * answers the same). For sizing a change to ``kernel.c`` under a
+ * profiler:
  *
  *   PYTHONPATH=src python3 benchmarks/kernel_dump.py /root/scratch/low.chip
  *   cc -O2 -pg -o /root/scratch/driver benchmarks/kernel_driver.c
@@ -35,6 +38,15 @@ static void *take(i64 *count, size_t width)
     if (!data || (bytes && fread(data, bytes, 1, dump) != 1))
         exit(2);
     return data;
+}
+
+/* FNV-1a (64 bits) over ``size`` bytes at ``data``, from ``hash``. */
+static uint64_t fnv(uint64_t hash, const void *data, size_t size)
+{
+    const unsigned char *byte = data;
+    for (size_t k = 0; k < size; k++)
+        hash = (hash ^ byte[k]) * 0x100000001b3u;
+    return hash;
 }
 
 static i64 flit_hops(Chip *ch)
@@ -90,9 +102,13 @@ int main(int argc, char **argv)
         cycles += ch.state[S_stepped] - stepped;
         hops += flit_hops(&ch) - before;
     }
+    uint64_t digest = 0xcbf29ce484222325u;
+    digest = fnv(digest, ch.counts, (size_t)ch.n_counts * sizeof *ch.counts);
+    digest = fnv(digest, ch.hist, (size_t)ch.n_hist * sizeof *ch.hist);
+    digest = fnv(digest, ch.state, (size_t)ch.n_state * sizeof *ch.state);
     printf("%lld cycles run, %lld flit-hops: %.2f us/cycle, "
-           "%.1f ns/flit-hop\n", (long long)cycles / repeats,
+           "%.1f ns/flit-hop, digest %016llx\n", (long long)cycles / repeats,
            (long long)hops / repeats, spent / 1e3 / cycles,
-           (double)spent / hops);
+           (double)spent / hops, (unsigned long long)digest);
     return 0;
 }

@@ -120,8 +120,7 @@ class Packet:
 class Flit:
     """One link-width unit of a packet in flight."""
 
-    __slots__ = ("packet", "ftype", "index", "vc", "ready_cycle",
-                 "is_head", "is_tail")
+    __slots__ = ("packet", "ftype", "index", "vc", "is_head", "is_tail")
 
     def __init__(self, packet: Packet, ftype: FlitType, index: int):
         self.packet = packet
@@ -134,9 +133,6 @@ class Flit:
         # Input VC currently holding the flit; rewritten at every hop when the
         # upstream router picks the downstream VC (VC allocation).
         self.vc = -1
-        # First cycle this flit may arbitrate at its current router (set to
-        # arrival+1 on buffer write: the buffer-write stage takes one cycle).
-        self.ready_cycle = 0
 
     @property
     def dst(self) -> int:

@@ -23,9 +23,9 @@ below, which carry the same names):
 1. **VA**: route the head flits at the front of idle VCs and allocate
    output VCs, input ports rotated by the cycle, VCs ascending;
 2. **PC candidates**: input ports whose valid circuit's VC has a
-   matching, ready front flit (route-mismatch / credit terminations on
-   the way);
-3. **SA requests** from every other ready, active, credited VC;
+   matching front flit (route-mismatch / credit terminations on the
+   way);
+3. **SA requests** from every other active, credited VC;
 4. **circuit reuse**: unblocked candidates traverse without SA; blocked
    ones fall back to SA requests this same cycle (the paper's "no
    additional penalty" rule);
@@ -35,6 +35,11 @@ below, which carry the same names):
    traverse next cycle;
 7. **PC upkeep**: credit terminations on held outputs, speculative
    restoration on free ones.
+
+BW runs after the three scans that read a buffer's front (VA, PC
+candidates, SA requests), so a flit written in cycle ``c`` is first
+read in ``c + 1``: the buffer-write stage's cycle is this order, not a
+stamp on the flit (``tests/network/test_read_after_write.py``).
 
 Every flit that moves goes through ``_traverse``; the rare events —
 buffer bypass attempts, circuit terminations and conflicting
@@ -283,8 +288,6 @@ class Router:
                     if state == ACTIVE:
                         continue  # VA already done for this packet
                     front = vc.buffer[0]
-                    if front.ready_cycle > cycle:
-                        continue
                     packet = front.packet
                     if state != VA:  # IDLE: route the new head
                         if not front.is_head:
@@ -330,8 +333,6 @@ class Router:
                 continue
             vc = ip.vcs[in_vc]
             front = vc.buffer[0]
-            if front.ready_cycle > cycle:
-                continue
             if front.is_head:
                 # Route is known (the VA phase ran first this cycle).
                 if vc.out_port != reg.out_port:
@@ -370,7 +371,6 @@ class Router:
                 # Membership in the occupancy mask already guarantees the
                 # buffer is non-empty.
                 if (vc is cand or vc.state != ACTIVE
-                        or vc.buffer[0].ready_cycle > cycle
                         or vc.out_ovc_obj.credits == 0):
                     continue
                 acc |= lowv
@@ -420,7 +420,6 @@ class Router:
                         and self._try_buffer_bypass(cycle, i, ip, vc, flit,
                                                     claimed_out)):
                     continue
-                flit.ready_cycle = cycle + 1
                 if len(q) >= depth:
                     raise BufferOverflowError(
                         f"buffer write to full {depth}-flit buffer: {flit}")

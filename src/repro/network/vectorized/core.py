@@ -3,7 +3,10 @@
 ``VectorNetwork`` implements the same cycle-level contract as the scalar
 ``network.simulator.Network`` (see ARCHITECTURE.md "Backends") over a
 structure of arrays: all per-(router, port, vc) state lives in flat
-int64/bool arrays indexed by the id spaces of ``layout.Layout``, and a
+arrays indexed by the id spaces of ``layout.Layout`` — each of the
+element type ``kernel.c``'s ``CHIP_ARRAYS`` gives it (``kernel.dtypes``;
+state, ids, pools and calendars in 32 bits, counters, masks and
+whole-chip scalars in 64, flags in bytes) — and a
 window of cycles of the whole chip is one call into the compiled
 ``kernel.c`` (``kernel.py`` builds and loads it on first use) — credit
 returns, ejection reassembly, arrivals, the VA | SA | ST | BW | PC
@@ -34,7 +37,11 @@ start in it, as on the scalar core:
   links of a chiplet fit;
 * **counters** — one row of ``NetworkStats`` integers and one of the
   latency histogram per lane (``counts``, ``hist``); a solo network is
-  the one-lane case, and ``stats`` / ``lane_stats`` read the rows.
+  the one-lane case, and ``stats`` / ``lane_stats`` read the rows;
+* **widths** — an id, pool slot or cycle a 32-bit array could not hold
+  is refused by name before it is written (``kernel.fits``): at layout
+  build, when a pool grows, at ``inject`` and for the window of a run or
+  a skip.
 
 Observability is array-native: probes and monitors with
 ``vector_hooks`` set (``TimeSeriesProbe``, ``VectorInvariantChecker``)
@@ -67,7 +74,8 @@ from ..config import NetworkConfig
 from ..flit import Packet
 from ..router import ProtocolError
 from ..vc import BufferOverflowError
-from .kernel import E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_GROW, Binding
+from .kernel import (E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_GROW, Binding,
+                     dtypes, fits, room)
 from .kernel import load as load_kernel
 from .layout import build_layout
 from .obs import VectorInvariantChecker, summaries
@@ -92,7 +100,9 @@ _PACKET_FIELDS = {"p_src": 0, "p_dst": 0, "p_size": 0, "p_choice": 0,
 #: block is taken, ``f_head``/``f_tail`` are fixed for a block's life
 #: and ``f_link`` chains the free blocks of one size.
 _FLIT_FIELDS = {"f_pkt": 0, "f_head": False, "f_tail": False, "f_link": -1,
-                "f_vc": -1, "f_ready": 0}
+                "f_vc": -1}
+#: The array that keeps each pool's ids, which its size must fit.
+_POOL_IDS = {"p_next": "packet slots", "f_link": "flit ids"}
 _HIST_WIDTH = 256  #: histogram columns at first (``_after_ejections`` widens)
 
 # The error each negative return code of ``kernel.c`` stands for: the
@@ -157,6 +167,7 @@ class VectorNetwork:
                 f"and 63 ports per router, not {max(V, Pi, Po)} (topology "
                 f"{topology.name!r}); use --backend scalar")
         TL = T // lanes
+        table = dtypes()
         self._R, self._T, self._V, self._D = R, T, V, D
         self._lanes, self._T_local, self._Pi, self._Po = lanes, TL, Pi, Po
         NIP, NIVC, NOP, NOVC = lay.NIP, lay.NIVC, lay.NOP, lay.NOVC
@@ -213,9 +224,8 @@ class VectorNetwork:
                             + len(kernel.terminations)), 0),
                 ("lane_warmup", lanes, 0), ("hist", (lanes, _HIST_WIDTH), 0),
                 ("_prof_ns", len(kernel.phases), 0)):
-            setattr(self, name, np.full(shape, start, dtype=bool
-                                        if isinstance(start, bool)
-                                        else np.int64))
+            setattr(self, name, np.full(shape, start,
+                                        dtype=table[name.lstrip("_")]))
             starts[name.lstrip("_")] = start
         # Unified credit space: router output VCs then NIC inject VCs.
         self.cred = lay.cred_init.copy()
@@ -226,13 +236,13 @@ class VectorNetwork:
         # each means.
         for name, summary in summaries(np, lambda state: getattr(self, state),
                                        R, Pi, Po, V).items():
-            setattr(self, name, summary)
-            starts[name] = summary.copy()
+            setattr(self, name, summary.astype(table[name]))
+            starts[name] = getattr(self, name).copy()
         #: Whole-chip scalars shared with the kernel (``CHIP_STATE``), at
         #: ``self._S_<NAME>``; no cycle yet to act in or asked the pools.
         for index, name in enumerate(kernel.state):
             setattr(self, f"_S_{name.upper()}", index)
-        self._state = np.zeros(len(kernel.state), dtype=np.int64)
+        self._state = np.zeros(len(kernel.state), dtype=table["state"])
         self._state[[self._S_NEXT_ACT, self._S_ASKED]] = -1
         starts["state"] = self._state.copy()
 
@@ -269,7 +279,7 @@ class VectorNetwork:
         self._kernel = Binding(
             kernel, np, arrays,
             dict(R=R, Pi=Pi, Po=Po, V=V, D=D, C=lay.route_out.shape[1],
-                 TL=TL, LR=R // lanes, T=T, NIP=NIP, NOVC=NOVC,
+                 TL=TL, T=T, NIP=NIP, NOVC=NOVC,
                  RD=RD, CD=cd, inject_queue=self._iq), NOP=NOP)
         starts.update((name, 0) for _, name, owner in kernel.arrays
                       if owner != "NET")
@@ -350,16 +360,20 @@ class VectorNetwork:
         """Allocate every field of a pool for at least ``need`` slots,
         doubling from ``old`` (construction is ``old == 0``), and return
         the capacity. The first ``old`` slots keep their contents; the
-        rest read the field's initial value."""
+        rest read the field's initial value. A capacity whose ids the
+        pool's id array cannot hold is refused by name."""
         np = self._np
         if need <= old:
             return old
         cap = old or need
         while cap < need:
             cap *= 2
+        table = dtypes()
+        for name, what in _POOL_IDS.items():
+            if name in fields:
+                fits(name, cap, what)
         for name, init in fields.items():
-            new = np.full(cap, init,
-                          dtype=bool if init is False else np.int64)
+            new = np.full(cap, init, dtype=table[name])
             if old:
                 new[:old] = getattr(self, name)
             setattr(self, name, new)
@@ -371,7 +385,7 @@ class VectorNetwork:
         """Give packets of ``size`` flits (the largest yet) a free-block
         stack."""
         np = self._np
-        heads = np.full(size + 1, -1, dtype=np.int64)
+        heads = np.full(size + 1, -1, dtype=self.fb_head.dtype)
         heads[:len(self.fb_head)] = self.fb_head
         self.fb_head = heads
         self._kernel.point("fb_head", heads)
@@ -439,6 +453,7 @@ class VectorNetwork:
         keeps every lane bit-identical to its solo run.
         """
         t = packet.src + lane * self._T_local
+        fits("p_create", packet.create_cycle, "cycles")
         if 0 < self._iq <= self.q_len[t]:
             raise RuntimeError(
                 f"NIC {t}: source queue overflow ({self._iq})")
@@ -498,21 +513,26 @@ class VectorNetwork:
         what nothing acts in and comes back only for what Python does:
         grow the pools, read a cycle's ``ej_out`` rows, run the delivery
         callbacks halfway through a cycle, hand observers a cycle, raise
-        the error a code stands for."""
+        the error a code stands for. Cycles are kept in 32 bits: a window
+        that would run past the last cycle they hold stops there and is
+        refused."""
         state, hooks, started = self._state, self._vhooks, None
+        end = min(stop, room("p_create"))
         # Lane 0's warm-up is ``stats.warmup_cycles``, which a caller may
         # set any time before the run.
         self.lane_warmup[0] = self._stats.warmup_cycles
         while True:
             c = self.cycle
-            if (hooks and c != started and c < stop
+            if (hooks and c != started and c < end
                     and not (drain and self.quiescent())):
                 started = c     # the cycle the call runs first
                 for h in hooks:
                     h.on_cycle_start(c, self)
-            code = self._call(self._chip, c, stop, drain)
+            code = self._call(self._chip, c, end, drain)
             self.cycle = int(state[self._S_CYCLE])
             if code == RUN_DONE:
+                if end < stop and not (drain and self.quiescent()):
+                    fits("p_create", stop, "cycles")
                 return
             if code == RUN_GROW:
                 self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap, int(
@@ -608,6 +628,7 @@ class VectorNetwork:
             if event is not None and 0 <= event < target:
                 target = event
         if target > self.cycle:
+            fits("p_create", target, "cycles")
             self._state[self._S_SKIPPED] += target - self.cycle
             self.cycle = target
 

@@ -18,15 +18,26 @@
  * suites hold it bit-identical to the scalar core, cycle by cycle.
  *
  * Contract ("arrays in, arrays out"): ``run()`` takes the ``Chip`` --
- * pointers to flat int64 / one-byte bool arrays plus a few sizes and
+ * pointers to flat arrays, each of the element type ``CHIP_ARRAYS``
+ * gives it (``i32`` for state, ids, pools, calendars and tables, ``u32``
+ * for the sources' MT19937 words, ``i64`` for counters, whole-chip
+ * scalars and 64-bit masks, ``u8`` for flags), plus a few sizes and
  * scheme flags, filled once per network by ``kernel.py`` -- and a
- * window of cycles. It touches no Python object, allocates nothing and
- * keeps no state of its own between calls; everything that outlives a
- * call lives in arrays of the ``Chip``:
+ * window of cycles. ``core.py`` allocates every array with that type
+ * and refuses a chip whose ids, pools or cycles an ``i32`` array could
+ * not hold, so nothing here wraps. Where a per-flit path would divide
+ * an index by its space's stride (a port's router, an output's router,
+ * a router's lane) the layout has a table; a credit's output, ``ci /
+ * V``, is still divided (a table for it measured no gain). It touches no
+ * Python object, allocates nothing and keeps no state of its own
+ * between calls; everything that outlives a call lives in arrays of the
+ * ``Chip``:
  *
  * - the three calendars (arrivals, ejections, credit returns) are rings
- *   of ``RD`` slots, slot ``cycle % RD``, each slot a packed list with
- *   its length in ``ring_n``. ``RD`` is the longest link latency plus
+ *   of ``RD`` slots, slot ``cycle % RD`` (the ``Chip``'s ``slot``,
+ *   worked out once a cycle; what is due ``ahead`` cycles later files
+ *   at ``slot + ahead``, wrapped by one compare), each slot a packed
+ *   list with its length in ``ring_n``. ``RD`` is the longest link latency plus
  *   the credit delay plus one (``core.py``), which no event outruns: a
  *   flit granted now crosses next cycle and lands ``latency`` later. A
  *   slot is emptied before anything is filed in the same call, so an
@@ -49,7 +60,7 @@
  * - ``state`` carries the whole-chip scalars both sides read.
  * - summaries of the pipeline's state, so that a phase visits what is
  *   occupied, not what exists: 64-bit masks (a bit per VC of a port,
- *   per port or output of a router, per router) and one sum, each
+ *   per port or output of a router, per router) and one 32-bit sum, each
  *   written where the state under it changes and read by iterating its
  *   set bits, ascending. ``obs.summaries`` states every one from that
  *   state again; the checker's ``summary_*`` rules compare the two.
@@ -97,7 +108,9 @@
  * compiles ``A()`` to the bare access and ``ENTER()`` to nothing. The
  * checked build also counts, in the last entry of ``n[]``, the front
  * flits the VA, SA-request and PC-candidate scans examine, and in the
- * one before it those of them not ready yet (written this cycle).
+ * one before it those of them not ready yet: this cycle's arrivals,
+ * which BW writes after the scans -- so never one, and no flit carries a
+ * readiness stamp.
  * -DREPRO_SEED_STALE_SUMMARY (tests only) leaves out the ``summarise``
  * of a flit buffered into an empty VC: the seeded bug the checker and
  * the drain must catch.
@@ -110,12 +123,14 @@
 #include <time.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
+typedef uint32_t u32;
 typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 7002
+#define REPRO_KERNEL_ABI 7003
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -124,89 +139,96 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
  * class of a zeroed buffer kernel.py allocates for this network. */
 #define CHIP_ARRAYS(X) \
     /* input VC state, buffers, pseudo-circuit registers, arbiters */ \
-    X(i64, vc_state, NET) \
-    X(i64, vc_out_port, NET) \
-    X(i64, vc_out_opid, NET) \
-    X(i64, vc_out_vc, NET) \
-    X(i64, vc_out_cred, NET) \
-    X(i64, buf_fid, NET) \
-    X(i64, buf_head, NET) \
-    X(i64, buf_len, NET) \
-    X(i64, pc_in_vc, NET) \
-    X(i64, pc_out_port, NET) \
+    X(i32, vc_state, NET) \
+    X(i32, vc_out_port, NET) \
+    X(i32, vc_out_opid, NET) \
+    X(i32, vc_out_vc, NET) \
+    X(i32, vc_out_cred, NET) \
+    X(i32, buf_fid, NET) \
+    X(i32, buf_head, NET) \
+    X(i32, buf_len, NET) \
+    X(i32, pc_in_vc, NET) \
+    X(i32, pc_out_port, NET) \
     X(u8, pc_valid, NET) \
-    X(i64, ip_st, NET) \
-    X(i64, ip_last_out, NET) \
-    X(i64, ip_last_pair, NET) \
-    X(i64, op_st, NET) \
-    X(i64, op_holder, NET) \
-    X(i64, op_hist, NET) \
-    X(i64, in_arb_next, NET) \
-    X(i64, out_arb_next, NET) \
-    X(i64, cred, NET) \
+    X(i32, ip_st, NET) \
+    X(i32, ip_last_out, NET) \
+    X(i32, ip_last_pair, NET) \
+    X(i32, op_st, NET) \
+    X(i32, op_holder, NET) \
+    X(i32, op_hist, NET) \
+    X(i32, in_arb_next, NET) \
+    X(i32, out_arb_next, NET) \
+    X(i32, cred, NET) \
     X(u8, cred_free, NET) \
-    X(i64, r_buffered, NET) \
+    X(i32, r_buffered, NET) \
     /* summaries (the table above) */ \
     X(i64, ip_occ, NET) X(i64, ip_act, NET) X(i64, r_occ, NET) \
     X(i64, r_wait, NET) X(i64, r_map, NET) X(i64, r_pcv, NET) \
-    X(i64, r_pcinv, NET) X(i64, r_held, NET) X(i64, op_credsum, NET) \
+    X(i64, r_pcinv, NET) X(i64, r_held, NET) X(i32, op_credsum, NET) \
     /* packet pool, its free stack; flit pool, its free blocks by size \
      * (re-aimed when a pool grows) */ \
-    X(i64, p_src, NET) \
-    X(i64, p_dst, NET) \
-    X(i64, p_size, NET) \
-    X(i64, p_choice, NET) \
-    X(i64, p_create, NET) \
-    X(i64, p_pair, NET) \
-    X(i64, p_held, NET) \
-    X(i64, p_inject, NET) \
-    X(i64, p_hops, NET) \
-    X(i64, p_sa, NET) \
-    X(i64, p_buf, NET) \
-    X(i64, p_rx, NET) \
-    X(i64, p_next, NET) \
-    X(i64, p_free, NET) \
-    X(i64, f_pkt, NET) \
+    X(i32, p_src, NET) \
+    X(i32, p_dst, NET) \
+    X(i32, p_size, NET) \
+    X(i32, p_choice, NET) \
+    X(i32, p_create, NET) \
+    X(i32, p_pair, NET) \
+    X(i32, p_held, NET) \
+    X(i32, p_inject, NET) \
+    X(i32, p_hops, NET) \
+    X(i32, p_sa, NET) \
+    X(i32, p_buf, NET) \
+    X(i32, p_rx, NET) \
+    X(i32, p_next, NET) \
+    X(i32, p_free, NET) \
+    X(i32, f_pkt, NET) \
     X(u8, f_head, NET) \
     X(u8, f_tail, NET) \
-    X(i64, f_vc, NET) \
-    X(i64, f_ready, NET) \
-    X(i64, f_link, NET) \
-    X(i64, fb_head, NET) \
+    X(i32, f_vc, NET) \
+    X(i32, f_link, NET) \
+    X(i32, fb_head, NET) \
     /* NICs: source queues, one transmission per injection VC */ \
-    X(i64, q_head, NET) \
-    X(i64, q_tail, NET) \
-    X(i64, q_len, NET) \
-    X(i64, snd_pid, NET) \
-    X(i64, snd_next, NET) \
-    X(i64, snd_left, NET) \
-    X(i64, snd_cnt, NET) \
-    X(i64, send_rr, NET) \
-    X(i64, outstanding, NET) \
+    X(i32, q_head, NET) \
+    X(i32, q_tail, NET) \
+    X(i32, q_len, NET) \
+    X(i32, snd_pid, NET) \
+    X(i32, snd_next, NET) \
+    X(i32, snd_left, NET) \
+    X(i32, snd_cnt, NET) \
+    X(i32, send_rr, NET) \
+    X(i32, outstanding, NET) \
     /* synthetic sources: one row of each per lane */ \
     X(i64, src, NET) \
-    X(i64, src_mt, NET) \
-    X(i64, src_dest, NET) \
-    X(i64, src_row, NET) \
+    X(u32, src_mt, NET) \
+    X(i32, src_dest, NET) \
+    X(i32, src_row, NET) \
     /* layout: wiring and routing tables */ \
-    X(i64, nip, NET) \
+    X(i32, nip, NET) \
     X(u8, op_valid, NET) \
-    X(i64, op_latency, NET) \
-    X(i64, op_dest, NET) \
+    X(i32, op_latency, NET) \
+    X(i32, op_dest, NET) \
     X(u8, op_eject, NET) \
-    X(i64, op_term, NET) \
-    X(i64, ip_upbase, NET) \
-    X(i64, inj_ipid, NET) \
-    X(i64, ej_opid, NET) \
-    X(i64, route_out, NET) \
-    X(i64, vc_window, NET) \
+    X(i32, op_term, NET) \
+    X(i32, ip_upbase, NET) \
+    X(i32, inj_ipid, NET) \
+    X(i32, ej_opid, NET) \
+    X(i32, route_out, NET) \
+    X(i32, vc_window, NET) \
+    /* layout: what the id spaces' divisions would say -- input port -> \
+     * router and local port, output -> router, router and terminal -> \
+     * lane (its row of counts) */ \
+    X(i32, ip_router, NET) \
+    X(i32, ip_local, NET) \
+    X(i32, op_router, NET) \
+    X(i32, r_lane, NET) \
+    X(i32, t_lane, NET) \
     /* calendars: RD slots each, lengths in ring_n[RING_*][slot] */ \
-    X(i64, arr_port, NET) \
-    X(i64, arr_fid, NET) \
-    X(i64, ej_term, NET) \
-    X(i64, ej_fid, NET) \
-    X(i64, cr_ci, NET) \
-    X(i64, ring_n, NET) \
+    X(i32, arr_port, NET) \
+    X(i32, arr_fid, NET) \
+    X(i32, ej_term, NET) \
+    X(i32, ej_fid, NET) \
+    X(i32, cr_ci, NET) \
+    X(i32, ring_n, NET) \
     /* per-lane counters, warm-up and latency histogram (a row per lane, \
      * re-aimed when it widens), whole-chip scalars, stage timers */ \
     X(i64, counts, NET) \
@@ -215,25 +237,25 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, state, NET) \
     X(i64, prof_ns, NET) \
     /* arrivals staged for this cycle */ \
-    X(i64, in_dest, NIP) \
-    X(i64, in_fid, NIP) \
+    X(i32, in_dest, NIP) \
+    X(i32, in_fid, NIP) \
     /* SA scratch, all zero between cycles: request VC mask per input \
      * port, input mask per output, stage-1 winner */ \
     X(i64, port_mask, NIP) \
     X(i64, omask, NOP) \
-    X(i64, smap, NIP) \
+    X(i32, smap, NIP) \
     /* scratch handed from stage to stage within one cycle: the routers \
      * with a buffered flit, those and the ones an arrival is staged for \
      * (as a bitmap like r_map, then as a list), ascending */ \
-    X(i64, active, R) \
+    X(i32, active, R) \
     X(i64, work_map, RW) \
-    X(i64, work, R) \
-    X(i64, cand_ip, NIP) \
-    X(i64, cand_ivc, NIP) \
-    X(i64, order, NIP) \
+    X(i32, work, R) \
+    X(i32, cand_ip, NIP) \
+    X(i32, cand_ivc, NIP) \
+    X(i32, order, NIP) \
     X(u8, claimed_ip, NIP) \
     X(u8, claimed_op, NOP) \
-    X(i64, out_order, NOP) \
+    X(i32, out_order, NOP) \
     /* what a call hands back: ejected packets, then (events_on) the \
      * observer hooks' index arrays, lengths in n[] */ \
     X(i64, ej_out, TOUT) \
@@ -243,12 +265,12 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, ev_inj, T) \
     X(i64, ev_ej, T)
 
-/* Sizes, scheme flags, switches and the checked build's fault record.
- * LR and TL are the routers and terminals of one lane; CD the credit
- * delay; RD the ring depth. */
+/* Sizes, scheme flags, switches, the ring slot of the cycle being run
+ * and the checked build's fault record. TL is the terminals of one
+ * lane; CD the credit delay; RD the ring depth. */
 #define CHIP_SCALARS(X) \
-    X(R) X(Pi) X(Po) X(V) X(D) X(C) X(TL) X(LR) X(T) X(NIP) X(NOVC) \
-    X(RD) X(CD) X(mshrs) X(inject_queue) \
+    X(R) X(Pi) X(Po) X(V) X(D) X(C) X(TL) X(T) X(NIP) X(NOVC) \
+    X(RD) X(CD) X(slot) X(mshrs) X(inject_queue) \
     X(static_vc) X(pc_enabled) X(pc_speculation) X(pc_bypass) \
     X(events_on) X(deliver_on) X(profile_on) \
     X(err_id) X(err_idx)
@@ -369,7 +391,8 @@ enum {
 #define X(name) N_##name,
     CHIP_EVENTS(X)
 #undef X
-    N_EVENTS, N_CAND = N_EVENTS, N_ORDER, N_ACTIVE, N_WORK, N_LISTS,
+    N_EVENTS, N_CAND = N_EVENTS, N_ORDER, N_ACTIVE, N_WORK, N_STAGED,
+    N_LISTS,
     N_UNREADY = CHIP_COUNTS - 2, N_VISITS = CHIP_COUNTS - 1
 };
 _Static_assert(N_LISTS <= N_UNREADY, "n[] has no room for its last list");
@@ -413,9 +436,18 @@ static i64 ck(Chip *ch, i64 id, i64 i, i64 len)
 }
 #define A(name, i) (ch->name[ck(ch, ID_##name, (i), ch->n_##name)])
 #define RETURN(value) return ch->err_id ? E_BOUNDS : (value)
-/* A scan of cycle ``c`` examines the front flit ``front``. */
-#define VISIT(front) \
-    (A(n, N_VISITS)++, A(n, N_UNREADY) += A(f_ready, (front)) > c)
+/* A scan examines the front flit of input VC ``ivc``: counted, and
+ * counted again if it is one of this cycle's staged arrivals -- a flit
+ * BW writes into its buffer later this cycle, not ready before the next
+ * (the scans run before BW, so this never counts). */
+static void visit(Chip *ch, i64 ivc)
+{
+    i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
+    A(n, N_VISITS)++;
+    for (i64 j = 0; j < A(n, N_STAGED); j++)
+        A(n, N_UNREADY) += A(in_fid, j) == front;
+}
+#define VISIT(ivc) visit(ch, (ivc))
 
 /* Which functions of this file the process has entered, and how often:
  * one slot per ENTER() site. */
@@ -445,7 +477,7 @@ void repro_kernel_reach_reset(void)
 #else
 #define A(name, i) (ch->name[(i)])
 #define RETURN(value) return (value)
-#define VISIT(front) ((void)0)
+#define VISIT(ivc) ((void)0)
 #define ENTER() ((void)0)
 #endif
 
@@ -483,13 +515,13 @@ i64 repro_kernel_sizeof_chip(void)
 static i64 *router_counts(Chip *ch, i64 router)
 {
     ENTER();
-    return &A(counts, router / ch->LR * NSTAT);
+    return &A(counts, A(r_lane, router) * NSTAT);
 }
 
 static i64 *terminal_counts(Chip *ch, i64 terminal)
 {
     ENTER();
-    return &A(counts, terminal / ch->TL * NSTAT);
+    return &A(counts, A(t_lane, terminal) * NSTAT);
 }
 
 static i64 now_ns(void)
@@ -500,24 +532,28 @@ static i64 now_ns(void)
     return (i64)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* Room for one more event of ``ring`` at cycle ``when``: the index to
- * write it at in the ring's arrays (``room`` entries per slot). */
-static i64 ring_put(Chip *ch, int ring, i64 c, i64 when, i64 room)
+/* Room for one more event of ``ring`` ``ahead`` cycles after the one
+ * being run: the index to write it at in the ring's arrays (``room``
+ * entries per slot). */
+static i64 ring_put(Chip *ch, int ring, i64 ahead, i64 room)
 {
     ENTER();
-    if (when - c > ch->RD)
+    if (ahead > ch->RD)
         return E_RING;
-    i64 slot = when % ch->RD, k = A(ring_n, ring * ch->RD + slot);
+    i64 slot = ch->slot + ahead;
+    if (slot >= ch->RD)
+        slot -= ch->RD;
+    i64 k = A(ring_n, ring * ch->RD + slot);
     if (k >= room)
         return E_RING;
     A(ring_n, ring * ch->RD + slot) = k + 1;
     return slot * room + k;
 }
 
-static i64 credit_return(Chip *ch, i64 c, i64 ci)
+static i64 credit_return(Chip *ch, i64 ci)
 {
     ENTER();
-    i64 at = ring_put(ch, RING_CR, c, c + ch->CD, ch->NIP + ch->T);
+    i64 at = ring_put(ch, RING_CR, ch->CD, ch->NIP + ch->T);
     if (at < 0)
         return at;
     A(cr_ci, at) = ci;
@@ -547,7 +583,7 @@ static i64 rr_pick(i64 mask, i64 next, i64 size)
 static void summarise(Chip *ch, i64 port, i64 ivc)
 {
     ENTER();
-    i64 r = port / ch->Pi, pbit = BIT(port - r * ch->Pi);
+    i64 r = A(ip_router, port), pbit = BIT(A(ip_local, port));
     i64 vbit = BIT(ivc - port * ch->V);
     i64 occ = PUT(A(ip_occ, port), vbit, A(buf_len, ivc) > 0);
     i64 act = PUT(A(ip_act, port), vbit, A(vc_state, ivc) == VC_ACTIVE);
@@ -594,7 +630,7 @@ static void grant_out_vc(Chip *ch, i64 port, i64 ivc, i64 ci, i64 vc)
     A(vc_out_vc, ivc) = vc;
     A(vc_out_cred, ivc) = ci;
     summarise(ch, port, ivc);
-    COUNT(router_counts(ch, port / ch->Pi), va_allocations) += 1;
+    COUNT(router_counts(ch, A(ip_router, port)), va_allocations) += 1;
 }
 
 static int any_credit(Chip *ch, i64 opid)
@@ -607,7 +643,7 @@ static int any_credit(Chip *ch, i64 opid)
 static void terminate(Chip *ch, i64 pp, int reason)
 {
     ENTER();
-    i64 r = pp / ch->Pi, local = pp - r * ch->Pi;
+    i64 r = A(ip_router, pp), local = A(ip_local, pp);
     i64 out = A(pc_out_port, pp), opid = r * ch->Po + out;
     A(pc_valid, pp) = 0;
     A(r_pcv, r) &= ~BIT(local);
@@ -627,17 +663,17 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
                     i64 delayed, i64 fid)
 {
     ENTER();
-    i64 *count = router_counts(ch, port / ch->Pi), emptied = 0;
+    i64 r = A(ip_router, port), *count = router_counts(ch, r), emptied = 0;
     if (fid < 0) {
         i64 head = A(buf_head, ivc);
         fid = A(buf_fid, ivc * ch->D + head);
         A(buf_head, ivc) = head + 1 == ch->D ? 0 : head + 1;
         emptied = (A(buf_len, ivc) -= 1) == 0;
-        A(r_buffered, port / ch->Pi) -= 1;
+        A(r_buffered, r) -= 1;
         A(state, S_buffered) -= 1;
         COUNT(count, buffer_reads) += 1;
     }
-    TRY(credit_return(ch, c, A(ip_upbase, port) + (ivc - port * ch->V)));
+    TRY(credit_return(ch, A(ip_upbase, port) + (ivc - port * ch->V)));
     i64 opid = A(vc_out_opid, ivc), outl = A(vc_out_port, ivc);
     i64 civ = A(vc_out_cred, ivc);
     A(cred, civ) -= 1;
@@ -671,15 +707,15 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
     /* SA grants and streamed followers cross next cycle, bypasses now. */
     A(ip_st, port) = c + delayed;
     A(op_st, opid) = c + delayed;
-    i64 when = c + 1 + delayed + A(op_latency, opid);
+    i64 ahead = 1 + delayed + A(op_latency, opid);
     if (A(op_eject, opid)) {
-        i64 at = ring_put(ch, RING_EJ, c, when, ch->T);
+        i64 at = ring_put(ch, RING_EJ, ahead, ch->T);
         if (at < 0)
             return at;
         A(ej_term, at) = A(op_term, opid);
         A(ej_fid, at) = fid;
     } else {
-        i64 at = ring_put(ch, RING_ARR, c, when, ch->NIP);
+        i64 at = ring_put(ch, RING_ARR, ahead, ch->NIP);
         if (at < 0)
             return at;
         A(arr_port, at) = A(op_dest, opid);
@@ -701,7 +737,7 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
 static void establish(Chip *ch, i64 port, i64 in_vc, i64 outl, i64 opid)
 {
     ENTER();
-    i64 r = port / ch->Pi, local = port - r * ch->Pi;
+    i64 r = A(ip_router, port), local = A(ip_local, port);
     i64 holder = A(op_holder, opid);
     if (holder != -1 && holder != local)
         terminate(ch, r * ch->Pi + holder, T_CONFLICT_OUTPUT);
@@ -721,24 +757,36 @@ static void establish(Chip *ch, i64 port, i64 in_vc, i64 outl, i64 opid)
 
 /* -- the synthetic sources (traffic/synthetic.py, stated again) ----------- */
 
-/* ``random.Random``'s next 32 bits: MT19937 over ``getstate()`` at ``mt``. */
-static uint32_t source_word(Chip *ch, i64 mt)
+/* MT19937's twist of word ``k`` of the state at ``mt`` from the next
+ * word ``k1`` and the word ``km`` a shift of 397 ahead. */
+#define TWIST(k, k1, km) \
+    do { \
+        u32 y_ = (A(src_mt, mt + (k)) & 0x80000000u) \
+            | (A(src_mt, mt + (k1)) & 0x7fffffffu); \
+        A(src_mt, mt + (k)) = A(src_mt, mt + (km)) ^ (y_ >> 1) \
+            ^ (-(y_ & 1) & 0x9908b0dfu); \
+    } while (0)
+
+/* ``random.Random``'s next 32 bits: MT19937 over ``getstate()`` at ``mt``
+ * (624 words, then the position), twisted in the reference's three
+ * loops: the words whose partner 397 ahead is still old, the rest, the
+ * last one. */
+static u32 source_word(Chip *ch, i64 mt)
 {
     ENTER();
-    i64 pos = A(src_mt, mt + 624);
-    if (pos >= 624) {
-        for (i64 k = 0, k1 = 1, km = 397; k < 624; k++) {
-            uint32_t y = ((uint32_t)A(src_mt, mt + k) & 0x80000000u)
-                | ((uint32_t)A(src_mt, mt + k1) & 0x7fffffffu);
-            A(src_mt, mt + k) = (uint32_t)A(src_mt, mt + km)
-                ^ (y >> 1) ^ (-(y & 1) & 0x9908b0dfu);
-            k1 = k1 == 623 ? 0 : k1 + 1;
-            km = km == 623 ? 0 : km + 1;
-        }
+    enum { N = 624, M = 397 };
+    i64 pos = A(src_mt, mt + N);
+    if (pos >= N) {
+        i64 k = 0;
+        for (; k < N - M; k++)
+            TWIST(k, k + 1, k + M);
+        for (; k < N - 1; k++)
+            TWIST(k, k + 1, k + M - N);
+        TWIST(N - 1, 0, M - 1);
         pos = 0;
     }
-    uint32_t y = (uint32_t)A(src_mt, mt + pos);
-    A(src_mt, mt + 624) = pos + 1;
+    u32 y = A(src_mt, mt + pos);
+    A(src_mt, mt + N) = (u32)pos + 1;
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680u;
     y ^= (y << 15) & 0xefc60000u;
@@ -891,7 +939,7 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
     i64 width = ch->n_hist / (ch->T / ch->TL);
     for (i64 k = 0; k < due; k++) {
         i64 t = A(ej_term, slot * ch->T + k), fid = A(ej_fid, slot * ch->T + k);
-        TRY(credit_return(ch, c, A(ej_opid, t) * ch->V + A(f_vc, fid)));
+        TRY(credit_return(ch, A(ej_opid, t) * ch->V + A(f_vc, fid)));
         i64 pk = A(f_pkt, fid), got = A(p_rx, pk) + 1;
         A(p_rx, pk) = got;
         if (!A(f_tail, fid))
@@ -899,7 +947,7 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
         i64 size = A(p_size, pk), src = A(p_src, pk), late = -1;
         if (got != size)
             return E_TAIL_EARLY;
-        i64 lane = src / ch->TL, *count = terminal_counts(ch, src);
+        i64 lane = A(t_lane, src), *count = terminal_counts(ch, src);
         COUNT(count, ejected_packets) += 1;
         COUNT(count, ejected_flits) += size;
         if (c >= A(lane_warmup, lane)) {
@@ -932,10 +980,8 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
         A(p_hops, pk) = A(p_sa, pk) = A(p_buf, pk) = A(p_rx, pk) = 0;
         A(p_free, A(state, S_p_free)++) = pk;
         i64 fid0 = fid - size + 1;
-        for (i64 f = fid0; f <= fid; f++) {
+        for (i64 f = fid0; f <= fid; f++)
             A(f_vc, f) = -1;
-            A(f_ready, f) = 0;
-        }
         A(f_link, fid0) = A(fb_head, size);
         A(fb_head, size) = fid0;
     }
@@ -954,7 +1000,7 @@ static i64 st_credit_stage(Chip *ch, i64 slot)
         A(in_fid, k) = A(arr_fid, slot * ch->NIP + k);
     }
     A(ring_n, RING_ARR * ch->RD + slot) = 0;
-    return due;
+    return A(n, N_STAGED) = due;
 }
 
 /* -- the router pipeline, in the order Router.step runs it --------------- */
@@ -974,7 +1020,7 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
     for (i64 w = 0; w < words; w++)
         A(work_map, w) = A(r_map, w);
     for (i64 j = 0; j < n_arr; j++) {
-        i64 r = A(in_dest, j) / Pi;
+        i64 r = A(ip_router, A(in_dest, j));
         A(work_map, r >> 6) |= BIT(r & 63);
     }
     for (i64 w = 0; w < words; w++) {
@@ -999,9 +1045,7 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
             EACH_BIT(v, vcs) {
                 i64 ivc = port * V + v;
                 i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
-                VISIT(front);
-                if (A(f_ready, front) > c)
-                    continue;
+                VISIT(ivc);
                 i64 pk = A(f_pkt, front);
                 if (A(vc_state, ivc) == VC_IDLE) { /* route the new head */
                     if (!A(f_head, front))
@@ -1023,10 +1067,10 @@ static i64 va_sa_vcs(Chip *ch, i64 c, i64 n_arr)
     return 0;
 }
 
-/* pc: input ports whose circuit's VC has a matching, ready front flit
+/* pc: input ports whose circuit's VC has a matching front flit
  * (Router.step, "PC candidates"), ascending; mismatched and creditless
  * circuits are torn down on the way. */
-static i64 pc_candidates(Chip *ch, i64 c)
+static i64 pc_candidates(Chip *ch)
 {
     ENTER();
     i64 found = 0;
@@ -1039,9 +1083,7 @@ static i64 pc_candidates(Chip *ch, i64 c)
                 continue;
             i64 ivc = pp * ch->V + vc;
             i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
-            VISIT(front);
-            if (A(f_ready, front) > c)
-                continue;
+            VISIT(ivc);
             int active = A(vc_state, ivc) == VC_ACTIVE;
             if (A(f_head, front)) {
                 /* Route is known (the VA phase ran first). */
@@ -1066,9 +1108,9 @@ static i64 pc_candidates(Chip *ch, i64 c)
     return 0;
 }
 
-/* va_sa: SA requests of every other ready, active, credited VC as one
- * VC mask per input port (Router.step, "SA requests"). */
-static void va_sa_requests(Chip *ch, i64 c)
+/* va_sa: SA requests of every other active, credited VC as one VC mask
+ * per input port (Router.step, "SA requests"). */
+static void va_sa_requests(Chip *ch)
 {
     ENTER();
     memset(ch->claimed_ip, 0, (size_t)ch->n_claimed_ip);
@@ -1088,10 +1130,8 @@ static void va_sa_requests(Chip *ch, i64 c)
                 i64 ivc = port * ch->V + v;
                 if (ivc == cand)
                     continue;
-                i64 front = A(buf_fid, ivc * ch->D + A(buf_head, ivc));
-                VISIT(front);
-                if (A(f_ready, front) > c
-                    || A(cred, A(vc_out_cred, ivc)) == 0)
+                VISIT(ivc);
+                if (A(cred, A(vc_out_cred, ivc)) == 0)
                     continue;
                 acc |= BIT(v);
                 A(claimed_op, A(vc_out_opid, ivc)) = 1;
@@ -1138,7 +1178,7 @@ static i64 st_credit_reuse(Chip *ch, i64 c)
 static i64 try_buffer_bypass(Chip *ch, i64 c, i64 port, i64 ivc, i64 fid)
 {
     ENTER();
-    i64 opid, r = port / ch->Pi;
+    i64 opid, r = A(ip_router, port);
     if (A(f_head, fid)) {
         if (A(vc_state, ivc) != VC_IDLE)
             return E_HEAD_ON_ALLOCATED;
@@ -1196,19 +1236,19 @@ static i64 bw_arrivals(Chip *ch, i64 c, i64 n_arr)
             if (went)
                 continue;
         }
-        i64 len = A(buf_len, ivc);
+        i64 len = A(buf_len, ivc), at = A(buf_head, ivc) + len;
         if (len >= ch->D)
             return E_BUFFER_OVERFLOW;
-        A(buf_fid, ivc * ch->D + (A(buf_head, ivc) + len) % ch->D) = fid;
+        A(buf_fid, ivc * ch->D + (at >= ch->D ? at - ch->D : at)) = fid;
         A(buf_len, ivc) = len + 1;
 #ifndef REPRO_SEED_STALE_SUMMARY
         if (!len)
             summarise(ch, port, ivc);
 #endif
-        A(f_ready, fid) = c + 1;
-        A(r_buffered, port / ch->Pi) += 1;
+        i64 r = A(ip_router, port);
+        A(r_buffered, r) += 1;
         A(state, S_buffered) += 1;
-        COUNT(router_counts(ch, port / ch->Pi), buffer_writes) += 1;
+        COUNT(router_counts(ch, r), buffer_writes) += 1;
         if (ch->events_on)
             A(ev_bw, A(n, N_bw)++) = ivc;
     }
@@ -1222,7 +1262,7 @@ static i64 bw_arrivals(Chip *ch, i64 c, i64 n_arr)
 static i64 va_sa_switch(Chip *ch, i64 c)
 {
     ENTER();
-    i64 Pi = ch->Pi, Po = ch->Po, V = ch->V, outputs = 0;
+    i64 Pi = ch->Pi, V = ch->V, outputs = 0;
     for (i64 k = 0; k < A(n, N_ORDER); k++) {
         i64 port = A(order, k);
         i64 vc = rr_pick(A(port_mask, port), A(in_arb_next, port), V);
@@ -1232,11 +1272,12 @@ static i64 va_sa_switch(Chip *ch, i64 c)
         i64 opid = A(vc_out_opid, port * V + vc);
         if (A(omask, opid) == 0)
             A(out_order, outputs++) = opid;
-        A(omask, opid) |= (i64)1 << (port % Pi);
+        A(omask, opid) |= BIT(A(ip_local, port));
     }
     A(n, N_ORDER) = 0;
     for (i64 k = 0; k < outputs; k++) {
-        i64 opid = A(out_order, k), r = opid / Po, size = A(nip, r);
+        i64 opid = A(out_order, k), r = A(op_router, opid);
+        i64 size = A(nip, r);
         i64 win = rr_pick(A(omask, opid), A(out_arb_next, opid), size);
         A(omask, opid) = 0;
         A(out_arb_next, opid) = win + 1 == size ? 0 : win + 1;
@@ -1359,7 +1400,7 @@ static i64 inject_start(Chip *ch, i64 c, i64 t)
 
 /* One flit onto the injection channel: round-robin over ``t``'s
  * transmissions that have a credit. */
-static i64 inject_send(Chip *ch, i64 c, i64 t)
+static i64 inject_send(Chip *ch, i64 t)
 {
     ENTER();
     i64 V = ch->V, base = ch->NOVC + t * V, mask = 0;
@@ -1373,7 +1414,7 @@ static i64 inject_send(Chip *ch, i64 c, i64 t)
     i64 fid = A(snd_next, k);
     A(f_vc, fid) = vc;
     A(cred, base + vc) -= 1;
-    i64 at = ring_put(ch, RING_ARR, c, c + 1, ch->NIP);
+    i64 at = ring_put(ch, RING_ARR, 1, ch->NIP);
     if (at < 0)
         return at;
     A(arr_port, at) = A(inj_ipid, t);
@@ -1406,7 +1447,7 @@ static i64 cycle_eject(Chip *ch, i64 c)
 {
     ENTER();
     TRY(source_tick(ch, c));
-    i64 slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
+    i64 slot = ch->slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
     for (i64 k = 0; k < N_EVENTS; k++)
         A(n, k) = 0;
     A(n, N_UNREADY) = A(n, N_VISITS) = 0;
@@ -1435,7 +1476,7 @@ static int delivers(Chip *ch, i64 rows)
 static i64 cycle_rest(Chip *ch, i64 c)
 {
     ENTER();
-    i64 slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
+    i64 slot = ch->slot = c % ch->RD, mark = ch->profile_on ? now_ns() : 0;
     i64 n_arr = st_credit_stage(ch, slot);
     STAMP(st_credit);
     if (A(state, S_buffered) || n_arr) {
@@ -1443,9 +1484,9 @@ static i64 cycle_rest(Chip *ch, i64 c)
         STAMP(va_sa);
         A(n, N_CAND) = 0;
         if (ch->pc_enabled)
-            TRY(pc_candidates(ch, c));
+            TRY(pc_candidates(ch));
         STAMP(pc);
-        va_sa_requests(ch, c);
+        va_sa_requests(ch);
         STAMP(va_sa);
         TRY(st_credit_reuse(ch, c));
         STAMP(st_credit);
@@ -1462,7 +1503,7 @@ static i64 cycle_rest(Chip *ch, i64 c)
             if (A(q_head, t) >= 0)
                 TRY(inject_start(ch, c, t));
             if (A(snd_cnt, t))
-                TRY(inject_send(ch, c, t));
+                TRY(inject_send(ch, t));
         }
         STAMP(inject);
     }
@@ -1473,8 +1514,8 @@ static i64 cycle_rest(Chip *ch, i64 c)
     i64 next = c + 1;
     if (!(A(state, S_buffered) || A(state, S_queued) || A(state, S_sending))) {
         next = source_ahead(ch, c + 1);
-        for (i64 ahead = 1; ahead <= ch->RD; ahead++) {
-            i64 s = (c + ahead) % ch->RD;
+        for (i64 ahead = 1, s = slot; ahead <= ch->RD; ahead++) {
+            s = s + 1 == ch->RD ? 0 : s + 1;
             if (A(ring_n, RING_ARR * ch->RD + s)
                 || A(ring_n, RING_EJ * ch->RD + s)
                 || A(ring_n, RING_CR * ch->RD + s)) {

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import re
 import stat
@@ -43,10 +44,11 @@ import tempfile
 import time
 from functools import lru_cache
 
+from ..backend import BackendUnsupportedError
 from .obs import summaries
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 7002
+ABI = 7003
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -76,7 +78,10 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "kernel.c")
 _SEAL_BYTES = hashlib.sha256().digest_size
 #: numpy dtype of each element typedef of ``kernel.c``.
-_DTYPES = {"i64": "int64", "u8": "bool"}
+_DTYPES = {"i64": "int64", "i32": "int32", "u32": "uint32", "u8": "bool"}
+#: The largest value an ``int32`` array of the ``Chip`` holds. A chip
+#: whose ids, pools or cycles would pass it is refused (``fits``).
+I32_MAX = 2 ** 31 - 1
 
 
 def _macro_names(text: str, macro: str) -> list:
@@ -87,6 +92,38 @@ def _macro_names(text: str, macro: str) -> list:
         raise ValueError(f"kernel.c declares no {macro}")
     return [tuple(arg.strip() for arg in args.split(","))
             for args in re.findall(r"X\(([^()]*)\)", match.group(1))]
+
+
+def _chip_arrays(source: str) -> list:
+    """(numpy dtype name, field, owner) per array of the ``Chip``, in
+    struct order: ``CHIP_ARRAYS`` of ``source``."""
+    return [(_DTYPES[ctype], name, owner) for ctype, name, owner
+            in _macro_names(source, "CHIP_ARRAYS")]
+
+
+@lru_cache(maxsize=None)
+def dtypes() -> dict:
+    """Array of the ``Chip`` -> its numpy dtype name, from the
+    ``kernel.c`` beside this module: what every array the ``Chip`` points
+    into is allocated as, compiler or none."""
+    with open(_SOURCE, encoding="utf-8") as fh:
+        return {name: dtype for dtype, name, _ in _chip_arrays(fh.read())}
+
+
+def room(name: str) -> float:
+    """The largest value ``Chip`` array ``name`` holds (``I32_MAX`` for
+    a 32-bit one; the wider ones hold any this simulator reaches)."""
+    return I32_MAX if dtypes()[name] == "int32" else math.inf
+
+
+def fits(name: str, largest: int, what: str) -> None:
+    """Refuse by name a chip that would store ``largest`` (``what``) in
+    ``Chip`` array ``name`` when that array's elements cannot hold it."""
+    if largest > room(name):
+        raise BackendUnsupportedError(
+            f"the vectorized backend keeps {what} in kernel array {name}, "
+            f"whose elements are 32-bit integers (at most {I32_MAX}); "
+            f"this chip needs {largest} — use --backend scalar")
 
 
 class Kernel:
@@ -104,8 +141,7 @@ class Kernel:
         if lib is None:
             return
         #: (numpy dtype name, field, owner) per array of the ``Chip``.
-        self.arrays = [(_DTYPES[ctype], name, owner) for ctype, name, owner
-                       in _macro_names(source, "CHIP_ARRAYS")]
+        self.arrays = _chip_arrays(source)
         #: The other lists ``kernel.c`` declares, as names in C order:
         #: the ``Chip``'s scalars, one row of ``counts`` (``stats`` then
         #: ``terminations``), ``state``, ``prof_ns``, the event counts at
@@ -189,11 +225,12 @@ class Kernel:
         state["f_pkt"][1] = 1
         state["p_dst"][1] = 1
         state["vc_window"][[1, 3]] = 2    # choice 0: port 0 and injection
+        state["ip_router"][:2] = state["op_router"][:2] = (0, 1)
         state["op_latency"][:2] = 1
         state["op_dest"][:2] = (1, 0)
         state["cred"][:4] = (1, 2, 2, 2)
         state["cred_free"][:4] = True
-        sizes = dict(R=2, Pi=1, Po=1, V=2, D=1, C=1, TL=2, LR=2, T=2, NIP=2,
+        sizes = dict(R=2, Pi=1, Po=1, V=2, D=1, C=1, TL=2, T=2, NIP=2,
                      NOVC=4, RD=3, CD=1)
         for name, summary in summaries(np, state.get, 2, 1, 1, 2).items():
             state[name][:len(summary)] = summary

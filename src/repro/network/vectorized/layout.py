@@ -15,6 +15,14 @@ NIC injection-side counters. ``ip_upbase[ipid]`` holds the credit-space
 base index (vc 0) of the upstream endpoint a port's credit returns
 replenish, which makes the credit-return scatter a single ``add.at``.
 
+What dividing an id by its space's stride would say is a table too
+(``ip_router``, ``ip_local``, ``op_router``, ``r_lane``, ``t_lane``),
+so the compiled cycle looks it up instead of dividing.
+Every array the ``Chip`` points into is allocated with the element type
+``kernel.c``'s ``CHIP_ARRAYS`` gives it (``kernel.dtypes``) — most are
+32-bit — and a chip whose id spaces would not fit is refused by name
+(``kernel.fits``).
+
 Only point-to-point channels are supported (one endpoint per channel):
 ``build_layout`` refuses a multidrop channel on its one walk over the
 channels.
@@ -30,11 +38,12 @@ backend (``vectorized/batch.py``) runs S independent simulations on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ...topology.base import Topology
 from ..backend import BackendUnsupportedError, require_numpy
 from ..config import NetworkConfig
+from .kernel import dtypes, fits
 
 
 @dataclass
@@ -69,6 +78,23 @@ class Layout:
                         # choice and output port; column Po: injection
     cred_init: object   # [NCRED] initial credit counts
     lanes: int = 1      # replicated independent simulations
+    # The divisions of the id spaces, as tables (``__post_init__``):
+    ip_router: object = field(init=False)   # [NIP] ipid // Pi
+    ip_local: object = field(init=False)    # [NIP] ipid % Pi
+    op_router: object = field(init=False)   # [NOP] opid // Po
+    r_lane: object = field(init=False)      # [R] lane of each router
+    t_lane: object = field(init=False)      # [T] lane of each terminal
+
+    def __post_init__(self):
+        np = require_numpy()
+        table = dtypes()
+        ip, op = np.arange(self.NIP), np.arange(self.NOP)
+        for name, values in (
+                ("ip_router", ip // self.Pi), ("ip_local", ip % self.Pi),
+                ("op_router", op // self.Po),
+                ("r_lane", np.arange(self.R) // (self.R // self.lanes)),
+                ("t_lane", np.arange(self.T) // (self.T // self.lanes))):
+            setattr(self, name, values.astype(table[name]))
 
 
 def build_layout(topology: Topology, config: NetworkConfig,
@@ -93,20 +119,28 @@ def build_layout(topology: Topology, config: NetworkConfig,
     NOP = R * Po
     NOVC = NOP * V
     NCRED = NOVC + T * V
+    # The largest ids of the replicated chip, against the arrays that
+    # keep them (every other id is smaller than one of these).
+    for name, largest, what in (
+            ("vc_out_cred", lanes * NCRED, "credit indices"),
+            ("smap", lanes * NIVC, "input VC ids"),
+            ("p_pair", T * T, "source-destination pairs")):
+        fits(name, largest, what)
 
+    table = dtypes()
     nip = np.array([topology.num_inports(r) for r in range(R)],
-                   dtype=np.int64)
-    op_valid = np.zeros(NOP, dtype=bool)
-    op_latency = np.zeros(NOP, dtype=np.int64)
+                   dtype=table["nip"])
+    op_valid = np.zeros(NOP, dtype=table["op_valid"])
+    op_latency = np.zeros(NOP, dtype=table["op_latency"])
     op_link = np.full(NOP, -1, dtype=np.int64)
-    op_dest = np.full(NOP, -1, dtype=np.int64)
-    op_eject = np.zeros(NOP, dtype=bool)
-    op_term = np.full(NOP, -1, dtype=np.int64)
+    op_dest = np.full(NOP, -1, dtype=table["op_dest"])
+    op_eject = np.zeros(NOP, dtype=table["op_eject"])
+    op_term = np.full(NOP, -1, dtype=table["op_term"])
     op_depth = np.zeros(NOP, dtype=np.int64)
-    ip_upbase = np.full(NIP, -1, dtype=np.int64)
-    inj_ipid = np.zeros(T, dtype=np.int64)
+    ip_upbase = np.full(NIP, -1, dtype=table["ip_upbase"])
+    inj_ipid = np.zeros(T, dtype=table["inj_ipid"])
     inj_link = np.zeros(T, dtype=np.int64)
-    ej_opid = np.zeros(T, dtype=np.int64)
+    ej_opid = np.zeros(T, dtype=table["ej_opid"])
 
     channels = topology.channels()
     for link_id, channel in enumerate(channels):
@@ -158,7 +192,7 @@ def build_layout(topology: Topology, config: NetworkConfig,
             f"channels (drop index 0); topology {topology.name!r} routes "
             f"over multidrop endpoints — use --backend scalar")
 
-    cred_init = np.zeros(NCRED, dtype=np.int64)
+    cred_init = np.zeros(NCRED, dtype=table["cred"])
     cred_init[:NOVC] = np.repeat(op_depth, V)
     cred_init[NOVC:] = config.buffer_depth
 
@@ -196,14 +230,14 @@ def _replicate(lay: Layout, lanes: int) -> Layout:
     def shift(arr, stride):
         tiled = np.tile(arr, S)
         offs = np.repeat(lane * stride, len(arr))
-        return np.where(tiled >= 0, tiled + offs, tiled)
+        return np.where(tiled >= 0, tiled + offs, tiled).astype(arr.dtype)
 
     up = np.tile(lay.ip_upbase, S)
     offs = np.repeat(lane, NIP)
     ip_upbase = np.where(
         up < 0, up,
         np.where(up < NOVC, up + offs * NOVC,
-                 S * NOVC + offs * (T * V) + (up - NOVC)))
+                 S * NOVC + offs * (T * V) + (up - NOVC))).astype(up.dtype)
     cred_init = np.concatenate([np.tile(lay.cred_init[:NOVC], S),
                                 np.tile(lay.cred_init[NOVC:], S)])
     return Layout(

@@ -52,25 +52,28 @@ class CompiledRouting:
     def as_arrays(self):
         """Export the tables as numpy gather arrays for the array cores.
 
-        Returns ``(out, drop, window)``: ``out`` and ``drop`` are int64
-        arrays of shape ``[num_routers, num_route_choices,
-        num_terminals]``, ``window`` is ``[num_route_choices, ports + 1,
-        2]`` (``lo``, ``hi``; the last port column is injection).
-        Requires numpy; cached after the first call.
+        Returns ``(out, drop, window)``: ``out`` and ``drop`` are arrays
+        of shape ``[num_routers, num_route_choices, num_terminals]``,
+        ``window`` is ``[num_route_choices, ports + 1, 2]`` (``lo``,
+        ``hi``; the last port column is injection); ``out`` and
+        ``window`` have the element types of the ``Chip`` arrays they
+        become (``route_out``, ``vc_window``). Requires numpy; cached
+        after the first call.
         """
         if self._arrays is None:
             from ..network.backend import require_numpy
+            from ..network.vectorized.kernel import dtypes
             np = require_numpy()
             r = len(self.tables)
             c = self.num_route_choices
             t = len(self.tables[0][0]) if r else 0
-            out = np.empty((r, c, t), dtype=np.int64)
+            out = np.empty((r, c, t), dtype=dtypes()["route_out"])
             drop = np.empty((r, c, t), dtype=np.int64)
             for router, per_choice in enumerate(self.tables):
                 for choice, entries in enumerate(per_choice):
                     out[router, choice] = [e[0] for e in entries]
                     drop[router, choice] = [e[1] for e in entries]
-            window = np.array(self.windows, dtype=np.int64)
+            window = np.array(self.windows, dtype=dtypes()["vc_window"])
             for array in (out, drop, window):
                 array.setflags(write=False)  # shared by every network
             self._arrays = (out, drop, window)

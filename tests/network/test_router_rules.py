@@ -70,7 +70,8 @@ class RuleProbe(Probe):
         self.cases = Counter()
         self.depth = network.config.buffer_depth
         self.speculation = network.config.pseudo.speculation
-        # Flits written into each (router, port, vc), oldest first.
+        # (flit, the cycle it was written in) per (router, port, vc),
+        # oldest first.
         self.buffered = defaultdict(deque)
         self.latched = {}
 
@@ -81,8 +82,7 @@ class RuleProbe(Probe):
         ip = self._port(router, in_port)
         buffer = ip.vcs[vc].buffer
         assert buffer[-1] is flit and len(buffer) <= self.depth
-        assert flit.ready_cycle == cycle + 1
-        self.buffered[router, in_port, vc].append(flit)
+        self.buffered[router, in_port, vc].append((flit, cycle))
         if len(buffer) == self.depth:
             self.cases["buffer_full"] += 1
         if ip.pc.in_vc == vc:
@@ -109,8 +109,9 @@ class RuleProbe(Probe):
         assert channel.out_port == out_port
         self.cases["traversed"] += 1
         if read:
-            assert self.buffered[router, in_port, vc].popleft() is flit
-            assert flit.ready_cycle <= cycle
+            written, at = self.buffered[router, in_port, vc].popleft()
+            # Read no earlier than the cycle after its write.
+            assert written is flit and at < cycle
             self.cases["read"] += 1
         else:
             assert via == "buf" and not channel.buffer

@@ -260,7 +260,6 @@ class TestSlotContract:
         # A free slot and a free block read their initial values again:
         # the next packet does not inherit what the last one gathered.
         assert (net.f_vc[:net._nflits] == -1).all()
-        assert not net.f_ready[:net._nflits].any()
         pk = int(net._free_packets()[-1])
         net.inject(Packet(0, 1, 5, net.cycle))
         assert net.q_tail[0] == pk
