@@ -566,38 +566,36 @@ def resolve(config: ExperimentConfig, key: str | None = None, store=None,
     verified canonical payload a journal line or store entry was read
     from (``None`` for a memo hit), for a caller that records the point
     again without encoding it. ``key`` is the config's ``store_key``,
-    hashed here only if the store is asked and the caller has none. A
-    store hit is folded into the memo; a corrupt entry (quarantined by
-    the store) or a payload this code cannot read is a miss.
+    hashed here only if the store is asked and the caller has none.
+
+    A journal or store answer is built around ``config`` itself, not a
+    config rebuilt from the payload, and only from a payload whose
+    manifest names ``config``'s hash (``payload_to_result``). Anything
+    else is no answer: a journal line for another config, or one this
+    code cannot read, is skipped like a torn one; such a store entry is
+    quarantined and read as a miss, as a corrupt one is. A store hit is
+    folded into the memo.
     """
     if journaled:
         record = journaled.get(key)
-        result = _from_payload(record)
-        if result is not None:
-            return result, record[1], "journal-replay"
+        if record is not None:
+            try:
+                return (payload_to_result(record[0], config), record[1],
+                        "journal-replay")
+            except ValueError:
+                pass
     hit = _run_cache.get(config)
     if hit is not None:
         return hit, None, "memo"
     if store is None:
         return None
-    entry = store.get_with_text(key if key is not None
-                                else store_key(config))
-    result = _from_payload(entry)
-    if result is None:
+    entry = store.get_with_text(
+        key if key is not None else store_key(config),
+        lambda payload: payload_to_result(payload, config))
+    if entry is None:
         return None
-    persist(result)  # already durable: the memo only
-    return result, entry[1], "store"
-
-
-def _from_payload(record) -> Result | None:
-    """The ``Result`` of a ``(payload, text)`` read, or ``None`` for no
-    read or a payload this code cannot rebuild (recompute it)."""
-    if record is None:
-        return None
-    try:
-        return payload_to_result(record[0])
-    except (KeyError, TypeError, ValueError):
-        return None
+    persist(entry[0])  # already durable: the memo only
+    return entry[0], entry[1], "store"
 
 
 def persist(result: Result, key: str | None = None, store=None,

@@ -23,7 +23,9 @@ Durability and trust model:
   them on read; a mismatch (truncated write after power loss, bit rot,
   manual tampering) *quarantines* the entry — moved aside into
   ``quarantine/``, never trusted, never silently deleted — and reports
-  a miss so the caller recomputes.
+  a miss so the caller recomputes. So does a valid entry whose payload
+  the reader cannot use (``get_with_text``'s ``read``): another config's
+  result, or a payload schema this code has no reader for.
 * **First writer wins** — ``put`` on an existing key is a no-op; two
   processes computing the same point deterministically produce the same
   payload, so there is nothing to reconcile.
@@ -194,19 +196,32 @@ class ResultStore:
         hit = self.get_with_text(key)
         return None if hit is None else hit[0]
 
-    def get_with_text(self, key: str) -> tuple[dict, str] | None:
+    def get_with_text(self, key: str, read=None) -> tuple | None:
         """:meth:`get` plus the verified canonical text the payload was
         decoded from, for callers that re-record it (``journal.append_text``)
-        without encoding it again."""
+        without encoding it again.
+
+        ``read`` maps the payload to what the caller answers with
+        (``experiment.resolve`` builds the asked config's ``Result``)
+        and is handed back in its place. An entry it refuses with
+        ``ValueError`` — another config's payload, one this code cannot
+        read — is no answer: it is quarantined like a corrupt one and
+        counts as a miss, so the recomputed result is put.
+        """
         entry = self._load_entry(key)
-        if entry is None:
-            path = self._entry_path(key)
-            if os.path.exists(path) and not _stale_schema(path):
-                self._quarantine(path)
-            self.stats["misses"] += 1
-            return None
-        self.stats["hits"] += 1
-        return entry.payload, entry.text
+        if entry is not None:
+            try:
+                value = entry.payload if read is None else read(entry.payload)
+            except ValueError:
+                pass
+            else:
+                self.stats["hits"] += 1
+                return value, entry.text
+        path = self._entry_path(key)
+        if os.path.exists(path) and not _stale_schema(path):
+            self._quarantine(path)
+        self.stats["misses"] += 1
+        return None
 
     def __contains__(self, key: str) -> bool:
         """Whether an entry file exists for ``key`` (checksum unverified)."""

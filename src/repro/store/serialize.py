@@ -4,8 +4,21 @@ A stored result must come back *bit-identical* to the ``Result`` the
 simulator produced — the resume guarantee of the sweep scheduler and the
 cache-hit guarantee of the store both reduce to dataclass equality. JSON
 is exact for this payload: python floats survive a dump/load round trip
-(``repr`` round-tripping), ints stay ints, and the config dataclasses are
-rebuilt field-for-field (including the nested ``PseudoCircuitConfig``).
+(``repr`` round-tripping) and ints stay ints.
+
+A reader that asks for a point already holds its config, so
+``payload_to_result(payload, config)`` builds the ``Result`` around that
+config instead of rebuilding one — after checking, by the manifest's
+``config_sha256`` against the memoized ``config_hash(config)``, that the
+payload is that config's result; a payload that cannot show it raises
+``ValueError`` like an unreadable one. Read without a config, the config
+dataclasses are rebuilt field-for-field (including the nested
+``PseudoCircuitConfig``).
+
+The payload holds the config once: the manifest is written without its
+``config`` member, which is the payload's own ``config`` and is put back
+on reading. A payload whose manifest still carries it (written before)
+reads the same.
 
 Checked-run extras never enter the store: ``Result.monitor_report`` is
 dropped on serialization because checked runs bypass the cache entirely —
@@ -20,7 +33,7 @@ imported by ``harness.experiment`` without a cycle.
 
 from __future__ import annotations
 
-from ..instrument.provenance import config_dict
+from ..instrument.provenance import config_dict, config_hash
 from .sealed import canonical_json
 
 #: Payload schema tag; bump when the serialized field set changes.
@@ -50,12 +63,21 @@ def payload_to_config(payload: dict):
 
 
 def result_to_payload(result) -> dict:
-    """Serialize a ``Result`` to the JSON payload stored on disk."""
+    """Serialize a ``Result`` to the JSON payload stored on disk.
+
+    The manifest's ``config`` is left out when it is the payload's own
+    (``payload_to_result`` puts it back), so the config is stored once.
+    """
+    config = config_to_payload(result.config)
+    manifest = result.manifest
+    if manifest is not None and manifest.get("config") == config:
+        manifest = dict(manifest)
+        del manifest["config"]
     payload = {
         "schema": PAYLOAD_SCHEMA,
-        "config": config_to_payload(result.config),
+        "config": config,
         "energy_breakdown": dict(result.energy_breakdown),
-        "manifest": result.manifest,
+        "manifest": manifest,
     }
     for name in _METRIC_FIELDS:
         payload[name] = getattr(result, name)
@@ -68,22 +90,41 @@ def result_to_text(result) -> str:
     return canonical_json(result_to_payload(result))
 
 
-def payload_to_result(payload: dict):
+def payload_to_result(payload: dict, config=None):
     """Rebuild the ``Result`` a payload was serialized from.
 
     The returned dataclass is field-equal to the original (bit-identical
-    metrics); ``monitor_report`` is always ``None`` because checked runs
-    are never stored.
+    metrics) and its manifest equals the original's; ``monitor_report``
+    is always ``None`` because checked runs are never stored.
+
+    With ``config`` (the ``ExperimentConfig`` the caller asked for) the
+    ``Result`` carries that very object, and the payload must prove it
+    is that config's: its manifest's ``config_sha256`` must be
+    ``config_hash(config)``, a memo lookup for a frozen config. Without
+    ``config`` it is rebuilt from the payload. A payload this cannot
+    answer from — another schema, another config's, malformed — raises
+    ``ValueError``.
     """
     from ..harness.experiment import Result
-    if payload.get("schema") != PAYLOAD_SCHEMA:
-        raise ValueError(
-            f"unknown result payload schema: {payload.get('schema')!r}")
-    metrics = {name: payload[name] for name in _METRIC_FIELDS}
-    return Result(
-        config=payload_to_config(payload["config"]),
-        energy_breakdown=dict(payload["energy_breakdown"]),
-        manifest=payload.get("manifest"),
-        monitor_report=None,
-        **metrics,
-    )
+    try:
+        if payload.get("schema") != PAYLOAD_SCHEMA:
+            raise ValueError(
+                f"unknown result payload schema: {payload.get('schema')!r}")
+        manifest = payload.get("manifest")
+        if config is None:
+            config = payload_to_config(payload["config"])
+        elif (not isinstance(manifest, dict)
+              or manifest.get("config_sha256") != config_hash(config)):
+            raise ValueError("result payload is not the asked config's")
+        if manifest is not None and "config" not in manifest:
+            manifest = {**manifest, "config": payload["config"]}
+        metrics = {name: payload[name] for name in _METRIC_FIELDS}
+        return Result(
+            config=config,
+            energy_breakdown=dict(payload["energy_breakdown"]),
+            manifest=manifest,
+            monitor_report=None,
+            **metrics,
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed result payload: {exc!r}") from exc

@@ -18,7 +18,8 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, clear_cache
 from repro.harness.parallel import backoff_delay, run_experiments
-from repro.store import ResultStore, SweepJournal, store_key
+from repro.store import (ResultStore, SweepJournal, payload_to_result,
+                         result_to_payload, store_key)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -140,6 +141,72 @@ class TestCorruptStoreRecovery:
         store.reset_stats()
         run_experiments([point], max_workers=1, store=store)
         assert store.stats["hits"] == 1  # store healed
+
+
+def _other_configs_payload(point):
+    """A sealed-valid payload that is another config's result: the same
+    point at another rate."""
+    return result_to_payload(run_experiments(
+        [_point(point.seed, rate=0.07)], max_workers=1)[0])
+
+
+def _unreadable_payload(point):
+    """A payload of a schema this code has no reader for."""
+    payload = result_to_payload(run_experiments([point], max_workers=1)[0])
+    payload["schema"] = "repro.result-payload/999"
+    return payload
+
+
+_UNUSABLE = pytest.mark.parametrize(
+    "make_payload", [_other_configs_payload, _unreadable_payload],
+    ids=["another-configs-result", "unreadable-schema"])
+
+
+class TestUnusableEntry:
+    """A valid sealed record under the asked key is an answer only if
+    its payload is readable and is the asked config's result."""
+
+    @_UNUSABLE
+    def test_store_entry_is_quarantined_and_replaced(self, tmp_path,
+                                                     make_payload):
+        point = _point(91)
+        reference = run_experiments([point], max_workers=1)[0]
+        planted = make_payload(point)
+        clear_cache()
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(store_key(point), planted)
+        store.reset_stats()
+        first = run_experiments([point], max_workers=1, store=store)[0]
+        assert first == reference
+        assert first.config is point
+        assert store.stats == {"hits": 0, "misses": 1, "puts": 1,
+                               "redundant": 0, "quarantined": 1}
+        assert len(os.listdir(store.quarantine_dir)) == 1
+        # The recomputed result replaced it: the next sweep is all hits.
+        clear_cache()
+        store.reset_stats()
+        again = run_experiments([point], max_workers=1, store=store)[0]
+        assert again == reference and again.config is point
+        assert store.stats == {"hits": 1, "misses": 0, "puts": 0,
+                               "redundant": 0, "quarantined": 0}
+
+    @_UNUSABLE
+    def test_journal_line_is_skipped(self, tmp_path, make_payload):
+        point = _point(92)
+        reference = run_experiments([point], max_workers=1)[0]
+        planted = make_payload(point)
+        clear_cache()
+        path = str(tmp_path / "sweep.journal")
+        with SweepJournal(path) as journal:
+            journal.append(store_key(point), planted)
+        resumed = run_experiments([point], max_workers=1, journal=path,
+                                  resume=True)[0]
+        assert resumed == reference
+        # Recomputed and journaled after the skipped line; the last
+        # occurrence of a key is the one a later resume replays.
+        clear_cache()
+        payload = SweepJournal(path).load()[store_key(point)]
+        assert payload_to_result(payload) == reference
 
 
 class TestConcurrentSweeps:

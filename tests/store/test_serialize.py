@@ -7,13 +7,18 @@ full JSON dump/load in between (the on-disk representation).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.experiment import (ExperimentConfig, clear_cache, resolve,
+                                      run_experiment)
+from repro.harness.parallel import run_experiments
+from repro.instrument.provenance import config_dict
 from repro.network.config import ALL_SCHEMES
-from repro.store import (code_version, key_from_hash, payload_to_config,
-                         payload_to_result, result_to_payload, store_key)
+from repro.store import (ResultStore, SweepJournal, code_version,
+                         key_from_hash, payload_to_config, payload_to_result,
+                         result_to_payload, store_key)
 
 
 def _config(**overrides):
@@ -44,6 +49,67 @@ class TestResultRoundTrip:
         rebuilt = payload_to_result(payload)
         assert rebuilt.monitor_report is None
         assert rebuilt.manifest == result.manifest
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES,
+                             ids=[s.label for s in ALL_SCHEMES])
+    def test_old_layout_payload_reads_the_same(self, scheme):
+        """A payload written before the manifest stopped carrying its
+        own copy of the config (stores and journals already on disk)."""
+        result = run_experiment(_config(seed=15).with_scheme(scheme))
+        old = json.loads(json.dumps(result_to_payload(result)))
+        old["manifest"]["config"] = old["config"]
+        for config in (None, result.config):
+            rebuilt = payload_to_result(old, config)
+            assert rebuilt == result
+            assert rebuilt.manifest == result.manifest
+
+    def test_stored_manifest_holds_no_config(self):
+        result = run_experiment(_config(seed=16))
+        assert result.manifest["config"] == config_dict(result.config)
+        payload = result_to_payload(result)
+        assert "config" not in payload["manifest"]
+        assert payload["config"] == config_dict(result.config)
+        assert result.manifest["config"] == config_dict(result.config)
+        assert payload_to_result(payload).manifest == result.manifest
+
+    def test_a_foreign_manifest_config_is_kept(self):
+        """Only the manifest's copy of the payload's own config is left
+        out; a manifest naming any other config round-trips as it is."""
+        result = run_experiment(_config(seed=17))
+        foreign = dict(result.manifest, config={"x": 1})
+        payload = result_to_payload(replace(result, manifest=foreign))
+        assert payload["manifest"]["config"] == {"x": 1}
+        assert payload_to_result(payload).manifest == foreign
+
+    def test_asked_config_is_carried_after_the_hash_check(self):
+        cfg = _config(seed=18)
+        payload = json.loads(json.dumps(result_to_payload(
+            run_experiment(cfg))))
+        rebuilt = payload_to_result(payload, cfg)
+        assert rebuilt.config is cfg
+        assert rebuilt.manifest["config"] == config_dict(cfg)
+
+    @pytest.mark.parametrize("damage", ["another-config", "no-manifest",
+                                        "no-hash"])
+    def test_payload_without_proof_is_refused(self, damage):
+        cfg = _config(seed=19)
+        payload = result_to_payload(run_experiment(cfg))
+        if damage == "another-config":
+            cfg = _config(seed=19, rate=0.07)
+        elif damage == "no-manifest":
+            payload["manifest"] = None
+        else:
+            del payload["manifest"]["config_sha256"]
+        with pytest.raises(ValueError, match="asked config"):
+            payload_to_result(payload, cfg)
+
+    def test_malformed_payload_is_a_value_error(self):
+        payload = result_to_payload(run_experiment(_config(seed=20)))
+        del payload["avg_latency"]
+        with pytest.raises(ValueError, match="malformed"):
+            payload_to_result(payload)
+        with pytest.raises(ValueError):
+            payload_to_result(["not", "a", "payload"])
 
     def test_unknown_schema_is_rejected(self):
         result = run_experiment(_config(seed=13))
@@ -86,6 +152,43 @@ class TestResultRoundTrip:
         assert list(payload) == list(dataclasses.asdict(cfg))  # key order
         payload["scheme"]["enabled"] = False  # shares nothing with cfg
         assert cfg.scheme.enabled
+
+
+class TestAnswersCarryTheAskedConfig:
+    """What ``resolve`` answers from a store entry or a journal line is
+    built around the config it was asked for."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        clear_cache()
+        yield
+        clear_cache()
+
+    def test_store_hit(self, tmp_path):
+        cfg = _config(seed=21)
+        store = ResultStore(str(tmp_path / "store"))
+        (cold,) = run_experiments([cfg], max_workers=1, store=store)
+        clear_cache()
+        asked = _config(seed=21)  # equal to, not the same object as, cfg
+        result, text, tier = resolve(asked, store=store)
+        assert tier == "store" and result == cold
+        assert result.config is asked
+        assert result.manifest["config"] == config_dict(asked)
+        assert result.manifest == cold.manifest
+        assert json.loads(text) == result_to_payload(cold)
+
+    def test_journal_replay(self, tmp_path):
+        cfg = _config(seed=22)
+        path = str(tmp_path / "sweep.journal")
+        (cold,) = run_experiments([cfg], max_workers=1, journal=path)
+        clear_cache()
+        asked = _config(seed=22)
+        records = SweepJournal(path).records()
+        result, _, tier = resolve(asked, store_key(asked), None, records)
+        assert tier == "journal-replay" and result == cold
+        assert result.config is asked
+        assert result.manifest["config"] == config_dict(asked)
+        assert result.manifest == cold.manifest
 
 
 class TestKeyDerivation:
