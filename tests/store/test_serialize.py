@@ -53,8 +53,8 @@ class TestResultRoundTrip:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES,
                              ids=[s.label for s in ALL_SCHEMES])
     def test_old_layout_payload_reads_the_same(self, scheme):
-        """A payload written before the manifest stopped carrying its
-        own copy of the config (stores and journals already on disk)."""
+        """A payload whose manifest carries its own copy of the config,
+        as entries and journal lines written by earlier versions do."""
         result = run_experiment(_config(seed=15).with_scheme(scheme))
         old = json.loads(json.dumps(result_to_payload(result)))
         old["manifest"]["config"] = old["config"]
@@ -69,6 +69,7 @@ class TestResultRoundTrip:
         payload = result_to_payload(result)
         assert "config" not in payload["manifest"]
         assert payload["config"] == config_dict(result.config)
+        # The Result's own manifest is left whole.
         assert result.manifest["config"] == config_dict(result.config)
         assert payload_to_result(payload).manifest == result.manifest
 
