@@ -50,7 +50,9 @@ engine"); ``run_experiments`` documents each knob. In short:
   written by the process that ran it.
 
 Workers are forked (POSIX default), so they inherit the parent's trace
-cache, chip plans and idle networks. They only simulate — no memo, no
+cache, chip plans and idle networks, and each ends itself once its
+parent is gone (``_exit_with_parent``): a SIGKILLed sweep leaves no
+orphaned worker asleep on its call queue. They only simulate — no memo, no
 store, no journal: results travel back pickled and the parent persists
 them, which lets the figure code keep its cheap memoized
 ``run_experiment`` calls after a ``prefetch``.
@@ -61,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -88,6 +91,27 @@ def derive_seed(sweep_seed: int, *coords) -> int:
 def default_workers() -> int:
     """Worker count used when callers pass ``max_workers=None``."""
     return max(1, os.cpu_count() or 1)
+
+
+#: Seconds between a pool worker's checks that its parent still lives.
+ORPHAN_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent is gone.
+
+    A worker blocks on its call queue, so one whose sweep process was
+    SIGKILLed would sleep on, re-parented, forever; a daemon thread
+    notices the new parent and exits the process.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
 
 
 #: Longest wait (seconds) before a retry, however many came before.
@@ -457,7 +481,8 @@ class _Scheduler:
         workers = min(max_workers, len(chunks))
         tel.emit("dispatch", points=npoints, chunks=len(chunks),
                  chunk_size=chunk_size, workers=workers)
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_exit_with_parent)
         submitted: dict = {}       # future -> submission perf_counter
         try:
             future_chunks = {}

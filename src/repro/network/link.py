@@ -15,10 +15,10 @@ mix per-endpoint latencies and keep the default heap. FIFO links verify
 the monotonicity assumption on every ``deliver`` and raise if a sender
 violates it.
 
-When the owning :class:`~repro.network.simulator.Network` runs in
-active-set mode it binds each link to a live-link registry (a dict keyed by
-link id); ``deliver`` then registers the link so the simulator only ticks
-links that actually carry flits.
+The owning :class:`~repro.network.simulator.Network` binds each link to
+its live-link registry (a dict keyed by link id); ``deliver`` registers the
+link there so the simulator only ticks links that actually carry flits. A
+standalone link registers into a dict of its own that nothing reads.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class Link:
         # fifo=True: deque of (cycle, flit, endpoint), send order == arrival
         # order. fifo=False: heap of (cycle, seq, flit, endpoint).
         self._fifo = fifo
-        # Wired by the Network in active-set mode.
+        # Wired by the Network.
         self.link_id = -1
-        self._live: dict | None = None
+        self._live: dict = {}
         self.reset()
 
     def reset(self) -> None:
@@ -54,16 +54,14 @@ class Link:
         # tracing is off (set by Network.bind_probe).
         self._probe = None
 
-    def bind(self, link_id: int, live: dict | None) -> None:
+    def bind(self, link_id: int, live: dict) -> None:
         """Attach this link to the network's live-link registry."""
         self.link_id = link_id
         self._live = live
 
     def deliver(self, flit: Flit, endpoint: OutEndpoint, cycle: int) -> None:
         """Schedule ``flit`` to arrive at ``endpoint`` at ``cycle``."""
-        live = self._live
-        if live is not None:
-            live[self.link_id] = self
+        self._live[self.link_id] = self
         q = self._q
         if self._fifo:
             if q and cycle < q[-1][0]:

@@ -73,9 +73,9 @@ class Nic:
         self.inject_endpoint = None
         self.eject_endpoint = None
         # Active-set registries (dicts keyed by terminal id), bound by the
-        # Network when it runs in active-set mode; None when standalone.
-        self._inject_set: dict | None = None
-        self._eject_set: dict | None = None
+        # Network; a standalone NIC registers into its own, unread.
+        self._inject_set: dict = {}
+        self._eject_set: dict = {}
         # The compiled routing's VC windows (``routing.compiled``);
         # ``_windows[route_choice][-1]`` is the injection channel's.
         self._windows = compile_routing(routing, routing.topology,
@@ -124,9 +124,7 @@ class Nic:
             raise RuntimeError(
                 f"NIC {self.terminal}: source queue overflow "
                 f"({self.config.inject_queue})")
-        inject_set = self._inject_set
-        if inject_set is not None:
-            inject_set[self.terminal] = self
+        self._inject_set[self.terminal] = self
         self.routing.on_inject(packet, self.rng)
         self.queue.append(packet)
 
@@ -185,9 +183,7 @@ class Nic:
 
     def deliver(self, flit: Flit, endpoint, cycle: int) -> None:
         """Sink interface used by the router's ejection output port."""
-        eject_set = self._eject_set
-        if eject_set is not None:
-            eject_set[self.terminal] = self
+        self._eject_set[self.terminal] = self
         q = self._eject_q
         if q and cycle < q[-1][0]:
             raise RuntimeError(

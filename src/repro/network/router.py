@@ -135,9 +135,9 @@ class Router:
         self._pc_bypass = config.pseudo.buffer_bypass
         self._credit_delay = config.credit_delay
         # Active-set registries (dicts keyed by router id), bound by the
-        # Network when it runs in active-set mode; None when standalone.
-        self._work_set: dict | None = None
-        self._credit_set: dict | None = None
+        # Network; a standalone router registers into its own, unread.
+        self._work_set: dict = {}
+        self._credit_set: dict = {}
         self._reset_own()
 
     def reset(self) -> None:
@@ -193,9 +193,7 @@ class Router:
     def accept_flit(self, in_port: int, flit: Flit) -> None:
         """Stage a flit delivered by an upstream channel this cycle (the
         network loop stages a FIFO link's flits itself)."""
-        work = self._work_set
-        if work is not None:
-            work[self.router_id] = self
+        self._work_set[self.router_id] = self
         self._arrivals.append((in_port, flit))
 
     def deliver_credits(self, cycle: int) -> None:
@@ -617,9 +615,7 @@ class Router:
         ip.credit_due.append((cycle + self._credit_delay, vc_id))
         self._pending_credits += 1
         self._credit_mask |= 1 << i
-        credit_set = self._credit_set
-        if credit_set is not None:
-            credit_set[self.router_id] = self
+        self._credit_set[self.router_id] = self
         out_port = vc.out_port
         out = self.out_ports[out_port]
         ovc_state = vc.out_ovc_obj

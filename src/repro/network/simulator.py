@@ -16,22 +16,21 @@ Traffic sources drive the network either through :meth:`Network.run` (the
 Active-set stepping
 -------------------
 
-By default the network runs in *active-set* mode: routers, NICs and links
-register into per-phase active sets when they gain work (a staged arrival,
-a buffered flit, an in-flight credit, a queued packet, a scheduled
-ejection) and are deregistered once drained, so each cycle only touches
-components that can actually make progress. Members are visited in
-ascending component-id order — the same relative order as the exhaustive
-loops — so the two modes are cycle-for-cycle identical
-(``tests/network/test_active_set.py`` asserts this across topologies,
-router modes and traffic patterns).
+Routers, NICs and links register into per-phase active sets when they
+gain work (a staged arrival, a buffered flit, an in-flight credit, a
+queued packet, a scheduled ejection) and are deregistered once drained,
+so each cycle only touches components that can actually make progress.
+Members are visited in ascending component-id order, so a cycle is the
+same as one that visits every component in index order; the tests keep
+that exhaustive loop as their oracle (``tests/network/exhaustive.py``)
+and ``tests/network/test_active_set.py`` compares the two across
+topologies, router modes, traffic patterns and trace replay.
 
-On top of the active sets, :meth:`run` and :meth:`drain` *fast-forward*
-across quiescent stretches: when no router or sender NIC can act on every
-cycle, the remaining work is purely time-scheduled (link arrivals, credit
-returns, ejection completions, trace injections), and the clock jumps
-straight to the earliest such event. Construct with ``active_set=False``
-to force the exhaustive reference loop.
+On top of the active sets, :meth:`run`, :meth:`drain` and
+:meth:`fast_forward` skip quiescent stretches: when no router or sender
+NIC can act on every cycle, the remaining work is purely time-scheduled
+(link arrivals, credit returns, ejection completions, the next traffic
+injection), and the clock jumps straight to the earliest such event.
 
 Wiring and state
 ----------------
@@ -71,7 +70,7 @@ class Network:
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing: RoutingAlgorithm | str = "xy",
                  vc_policy: VCAllocationPolicy | str = "dynamic",
-                 seed: int = 1, active_set: bool = True, probe=None):
+                 seed: int = 1, probe=None):
         self.topology = topology
         self.config = config
         if isinstance(routing, str):
@@ -82,9 +81,8 @@ class Network:
         self.vc_policy = vc_policy
         self.stats = NetworkStats()
         self.rng = random.Random(seed)
-        self._active = active_set
         # Active sets, keyed by component id so members can be visited in
-        # the same relative order as the exhaustive loops.
+        # ascending id order.
         self._work_routers: dict[int, Router] = {}
         self._credit_routers: dict[int, Router] = {}
         self._live_links: dict[int, Link] = {}
@@ -102,14 +100,12 @@ class Network:
         self.nics: list[Nic] = []
         self._build_channels()
         self._build_nics()
-        if active_set:
-            for router in self.routers:
-                router.bind_scheduler(self._work_routers,
-                                      self._credit_routers)
-            for nic in self.nics:
-                nic.bind_scheduler(self._inject_nics, self._eject_nics)
-            for link_id, link in enumerate(self.links):
-                link.bind(link_id, self._live_links)
+        for router in self.routers:
+            router.bind_scheduler(self._work_routers, self._credit_routers)
+        for nic in self.nics:
+            nic.bind_scheduler(self._inject_nics, self._eject_nics)
+        for link_id, link in enumerate(self.links):
+            link.bind(link_id, self._live_links)
         self._reset_own()
         if probe is not None:
             self.bind_probe(probe)
@@ -234,40 +230,14 @@ class Network:
         self.nics[packet.src].outstanding -= 1
 
     def step(self) -> None:
-        """Advance the whole network by one cycle."""
-        if self._active:
-            self._step_active()
-        else:
-            self._step_exhaustive()
+        """Advance the whole network by one cycle, touching only the
+        components that registered work.
 
-    def _step_exhaustive(self) -> None:
-        """Reference loop: touch every component every cycle."""
-        cycle = self.cycle
-        probe = self.probe
-        if probe is not None:
-            probe.on_cycle_start(cycle, self)
-        routers = self.routers
-        for router in routers:
-            router.deliver_credits(cycle)
-        for nic in self.nics:
-            nic.tick_eject(cycle, self)
-        for link in self.links:
-            if link.in_flight:
-                link.tick(cycle, routers)
-        for router in routers:
-            router.step(cycle)
-        for nic in self.nics:
-            nic.tick_inject(cycle)
-        self.cycle = cycle + 1
-
-    def _step_active(self) -> None:
-        """Active-set loop: touch only components that registered work.
-
-        Each phase snapshots its set in ascending id order (matching the
-        exhaustive iteration order) and deregisters members that drained.
-        Registrations made by a phase for a *later* phase of the same cycle
-        (a link ticking flits into a router) are picked up because each
-        phase snapshots at its own start.
+        Each phase snapshots its set in ascending id order and
+        deregisters members that drained. Registrations made by a phase
+        for a *later* phase of the same cycle (a link ticking flits into
+        a router) are picked up because each phase snapshots at its own
+        start.
         """
         cycle = self.cycle
         probe = self.probe
@@ -344,14 +314,15 @@ class Network:
                 nxt = cycle
         return nxt
 
-    def _try_fast_forward(self, bound: int,
-                          traffic_next: int | None) -> None:
+    def fast_forward(self, bound: int,
+                     traffic_next: int | None = None) -> None:
         """Jump the clock to the next scheduled event, capped at ``bound``.
 
-        Legal only when no router and no sender NIC has per-cycle work —
-        everything left (link arrivals, credit returns, ejections, and the
-        caller-provided next traffic injection) fires at a known future
-        cycle, so the skipped cycles are provably no-ops.
+        A no-op while any router or sender NIC has per-cycle work;
+        otherwise everything left (link arrivals, credit returns,
+        ejections, and ``traffic_next``, the next cycle an external
+        driver such as trace replay needs control at) fires at a known
+        future cycle, so the skipped cycles are provably no-ops.
         """
         if self._work_routers or self._inject_nics:
             return
@@ -362,85 +333,60 @@ class Network:
         if target > self.cycle:
             self.cycle = target
 
-    def fast_forward(self, bound: int,
-                     traffic_next: int | None = None) -> None:
-        """Skip to the next scheduled event if nothing acts per-cycle.
-
-        Public hook for external drive loops (trace replay); a no-op in
-        exhaustive mode or while any router or sender NIC has work.
-        ``bound`` caps the jump; ``traffic_next`` is the next cycle the
-        external driver needs control at.
-        """
-        if self._active:
-            self._try_fast_forward(bound, traffic_next)
-
     def run(self, cycles: int, traffic=None) -> NetworkStats:
         """Run for ``cycles`` cycles, ticking ``traffic`` once per cycle.
 
-        In active-set mode quiescent stretches are fast-forwarded. With
-        a ``traffic`` object this is only done if it exposes
+        Quiescent stretches are fast-forwarded. With a ``traffic``
+        object this is only done if it exposes
         ``next_injection_cycle(cycle)`` — trace replay
         (``TraceReplayTraffic``) and Bernoulli sources
         (``SyntheticTraffic``, which pre-draws outcomes in tick order
         so skipping is bit-identical to stepping).
         """
         end = self.cycle + cycles
-        fast = self._active
         next_injection = (getattr(traffic, "next_injection_cycle", None)
                           if traffic is not None else None)
         while self.cycle < end:
             if traffic is not None:
                 traffic.tick(self, self.cycle)
             self.step()
-            if fast:
-                if traffic is None:
-                    self._try_fast_forward(end, None)
-                elif next_injection is not None:
-                    self._try_fast_forward(end, next_injection(self.cycle))
+            if traffic is None:
+                self.fast_forward(end)
+            elif next_injection is not None:
+                self.fast_forward(end, next_injection(self.cycle))
         return self.stats
 
     def drain(self, max_cycles: int = 1_000_000) -> NetworkStats:
         """Run without new traffic until every packet has been delivered."""
         deadline = self.cycle + max_cycles
-        fast = self._active
         while not self.quiescent():
             if self.cycle >= deadline:
                 raise RuntimeError(
                     f"network failed to drain within {max_cycles} cycles "
                     f"({self.in_flight_packets()} packets left)")
             self.step()
-            if fast and not self.quiescent():
-                self._try_fast_forward(deadline, None)
+            if not self.quiescent():
+                self.fast_forward(deadline)
         return self.stats
 
     # -- queries --------------------------------------------------------------
 
     def in_flight_packets(self) -> int:
-        queued = 0
-        if self._active:
-            nics = self.nics
-            for nid in self._inject_nics:
-                queued += len(nics[nid].queue)
-        else:
-            for nic in self.nics:
-                queued += len(nic.queue)
+        nics = self.nics
+        queued = sum(len(nics[nid].queue) for nid in self._inject_nics)
         return queued + (self.stats.injected_packets
                          - self.stats.ejected_packets)
 
     def quiescent(self) -> bool:
-        stats = self.stats
-        if self._active:
-            # Sender-side activity and ejection heaps map directly onto the
-            # active sets; pending credit returns never block quiescence
-            # (matching the exhaustive definition below).
-            if self._inject_nics:
-                return False
-            nics = self.nics
-            if any(nics[nid]._eject_q for nid in self._eject_nics):
-                return False
-            return stats.injected_packets == stats.ejected_packets
-        if any(not nic.idle for nic in self.nics):
+        """No NIC has a packet to send or a flit to eject, and every
+        injected packet was ejected; pending credit returns do not
+        count."""
+        if self._inject_nics:
             return False
+        nics = self.nics
+        if any(nics[nid]._eject_q for nid in self._eject_nics):
+            return False
+        stats = self.stats
         return stats.injected_packets == stats.ejected_packets
 
     def check_invariants(self) -> None:
@@ -451,7 +397,7 @@ class Network:
 def build_network(topology: Topology, routing: str = "xy",
                   vc_policy: str = "dynamic",
                   config: NetworkConfig | None = None,
-                  seed: int = 1, active_set: bool = True, probe=None,
+                  seed: int = 1, probe=None,
                   **config_overrides) -> Network:
     """Convenience constructor used by examples and the harness."""
     if config is None:
@@ -459,4 +405,4 @@ def build_network(topology: Topology, routing: str = "xy",
     elif config_overrides:
         raise ValueError("pass either config or keyword overrides, not both")
     return Network(topology, config, routing, vc_policy, seed=seed,
-                   active_set=active_set, probe=probe)
+                   probe=probe)

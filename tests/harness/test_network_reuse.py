@@ -41,6 +41,8 @@ from repro.topology.base import Topology
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.vcalloc import VCAllocationPolicy
 
+from ..network import exhaustive
+
 idle = experiment._idle_networks
 
 
@@ -305,19 +307,20 @@ class TestResetReachesEveryField:
         assert net.stats is not old and old.fingerprint() == before
 
     def test_exhaustive_stepping_mode_resets_too(self):
-        """``active_set=False`` (the reference loop) shares every line."""
+        """The exhaustive oracle loop (``tests/network/exhaustive.py``)
+        shares every line."""
         cfg = _point(rate=0.4)
         topo, routing = experiment.chip_plan(cfg)
 
         def run(net):
-            net.run(50, SyntheticTraffic("uniform", topo.num_terminals,
-                                         cfg.rate, 5, seed=9))
-            net.drain()
+            exhaustive.run_and_drain(
+                net, 50, SyntheticTraffic("uniform", topo.num_terminals,
+                                          cfg.rate, 5, seed=9))
             return net.stats.fingerprint()
 
         def build(seed):
             return Network(topo, build_network(cfg).config, routing=routing,
-                           vc_policy="static", seed=seed, active_set=False)
+                           vc_policy="static", seed=seed)
 
         net = build(1)
         run(net)

@@ -1,12 +1,16 @@
 """Active-set stepping must be indistinguishable from exhaustive stepping.
 
-The active-set core (``Network._step_active``) only visits components that
-registered work for the current cycle and fast-forwards fully quiescent
-stretches. These tests run the same workload twice — once per stepping
-mode — and require *bit-identical* ``NetworkStats`` plus the same final
-cycle, across topologies, pseudo-circuit schemes, and traffic patterns.
-Both modes read the same compiled routing tables; the oracle for those is
-``route()`` / ``vc_limits()`` in ``tests/routing/test_compiled.py``.
+``Network.step`` only visits components that registered work for the
+current cycle, and ``run`` / ``drain`` / ``fast_forward`` skip fully
+quiescent stretches. These tests run the same workload twice — through
+the network's own loop and through the exhaustive oracle in
+``exhaustive.py``, which visits every component every cycle and never
+skips one — and require *bit-identical* ``NetworkStats`` plus the same
+final cycle, across topologies, pseudo-circuit schemes, traffic
+patterns and CMP trace replay (driven the way ``experiment._replay``
+drives it). Both loops read the same compiled routing tables; the
+oracle for those is ``route()`` / ``vc_limits()`` in
+``tests/routing/test_compiled.py``.
 
 Also covers the parallel sweep harness: a multi-worker run must return
 rows identical to a serial run (deterministic per-point seeds, ordered
@@ -15,13 +19,18 @@ merge).
 
 import pytest
 
-from repro.harness.experiment import clear_cache
+from repro.harness import experiment
+from repro.harness.experiment import ExperimentConfig, clear_cache
 from repro.harness.sweep import sweep_load, sweep_vcs
 from repro.network.config import (BASELINE, NetworkConfig, PSEUDO, PSEUDO_B,
                                   PSEUDO_S, PSEUDO_SB)
+from repro.harness.traces import get_trace
 from repro.network.simulator import build_network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
+
+from . import exhaustive
 
 CYCLES = 300
 RATE = 0.08
@@ -34,12 +43,15 @@ def _fingerprint(topo_name, kx, ky, conc, scheme, pattern, active,
     net = build_network(topo, vc_policy=vc_policy,
                         config=NetworkConfig(num_vcs=4, buffer_depth=4,
                                              pseudo=scheme),
-                        seed=seed, active_set=active)
+                        seed=seed)
     traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 3,
                                seed=seed)
     net.stats.warmup_cycles = CYCLES // 4
-    net.run(CYCLES, traffic)
-    net.drain(max_cycles=100_000)
+    if active:
+        net.run(CYCLES, traffic)
+        net.drain(max_cycles=100_000)
+    else:
+        exhaustive.run_and_drain(net, CYCLES, traffic, max_cycles=100_000)
     net.check_invariants()
     fp = net.stats.fingerprint()
     fp["final_cycle"] = net.cycle
@@ -95,6 +107,48 @@ class TestPatternEquivalence:
         "scheme", [BASELINE, PSEUDO, PSEUDO_SB], ids=lambda s: s.label)
     def test_mesh(self, pattern, scheme):
         _assert_equivalent("mesh", 4, 4, 1, scheme, pattern)
+
+
+TRACE_CYCLES = 400
+TRACE_WARMUP = 100
+
+
+def _replay_fingerprint(topo_name, routing, scheme, benchmark, active):
+    """Replay a short CMP trace on the scalar core and fingerprint it."""
+    cfg = ExperimentConfig(
+        topology=topo_name, kx=4, ky=4, concentration=4, routing=routing,
+        vc_policy="dynamic", scheme=scheme, benchmark=benchmark,
+        trace_cycles=TRACE_CYCLES, trace_warmup=TRACE_WARMUP,
+        backend="scalar")
+    net = experiment.build_network(cfg)
+    assert net.config.mshrs == cfg.mshrs > 0  # the NICs self-throttle
+    trace = get_trace(benchmark, cycles=TRACE_CYCLES, warmup=TRACE_WARMUP,
+                      seed=cfg.seed)
+    if active:
+        experiment._replay(net, trace)
+    else:
+        exhaustive.replay(net, TraceReplayTraffic(trace))
+    net.check_invariants()
+    fp = net.stats.fingerprint()
+    fp["final_cycle"] = net.cycle
+    return fp
+
+
+class TestTraceReplayEquivalence:
+    """Trace replay steps, fast-forwards between scheduled injections and
+    drains with NIC self-throttling (``mshrs``): MECS, the Fig. 13
+    topology only the scalar core runs, and Fig. 8's cmesh under
+    O1TURN."""
+
+    @pytest.mark.parametrize("topo,routing", [
+        ("mecs", "xy"), ("cmesh", "o1turn")])
+    @pytest.mark.parametrize(
+        "scheme", [BASELINE, PSEUDO_SB], ids=lambda s: s.label)
+    def test_cmp_trace(self, topo, routing, scheme):
+        active = _replay_fingerprint(topo, routing, scheme, "fma3d", True)
+        oracle = _replay_fingerprint(topo, routing, scheme, "fma3d", False)
+        assert active == oracle
+        assert active["ejected_packets"] > 0
 
 
 class TestQuiescence:

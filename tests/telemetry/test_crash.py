@@ -148,6 +148,57 @@ class TestKilledSweepStream:
                 == len(journaled))
 
 
+def _gone(pid):
+    """``pid`` has exited: no such process, or a zombie left unreaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state == "Z"
+
+
+class TestKilledSweepWorkers:
+    def test_pool_workers_exit_with_their_parent(self, tmp_path):
+        """A SIGKILLed sweep leaves no pool worker behind: each worker
+        named by a span of the killed sweep's stream is gone within
+        5 s of the kill."""
+        journal = str(tmp_path / "sweep.journal")
+        telemetry = str(tmp_path / "sweep.tel.jsonl")
+        child = subprocess.Popen(
+            [sys.executable, "-c",
+             _CHILD_SCRIPT.format(src=os.path.abspath(SRC),
+                                  seeds=POINT_SEEDS, journal=journal,
+                                  telemetry=telemetry)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        workers = set()
+        try:
+            deadline = time.monotonic() + 60
+            while (len(_journaled(journal)) < 2
+                   and time.monotonic() < deadline
+                   and child.poll() is None):
+                time.sleep(0.02)
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+            workers = {r["pid"] for r in read_stream(telemetry)
+                       if r["ev"] == "point"} - {child.pid}
+            assert workers, "no worker wrote a span before the kill"
+            deadline = time.monotonic() + 5
+            while (time.monotonic() < deadline
+                   and not all(_gone(pid) for pid in workers)):
+                time.sleep(0.05)
+            survivors = sorted(pid for pid in workers if not _gone(pid))
+            assert not survivors, (
+                f"pool workers outlived the killed sweep: {survivors}")
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in workers:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
 class TestStreamAppendAcrossRuns:
     def test_killed_then_resumed_stream_reads_as_latest_sweep(
             self, tmp_path):
