@@ -9,6 +9,8 @@ sets, but nothing here reads them, so a registration the active-set core
 misses shows up as a difference between the two.
 """
 
+from repro.traffic.trace import TraceReplayTraffic
+
 
 def exhaustive_step(net) -> None:
     """Advance ``net`` by one cycle, visiting every component."""
@@ -56,10 +58,11 @@ def run_and_drain(net, cycles: int, traffic=None,
     return net.stats
 
 
-def replay(net, replay_traffic, max_cycles: int = 500_000):
-    """Drive ``replay_traffic`` (a ``TraceReplayTraffic``) until it is
+def replay(net, trace, max_cycles: int = 500_000):
+    """``experiment._replay(net, trace)``: replay ``trace`` until it is
     exhausted, then drain, one exhaustive cycle at a time."""
-    while not replay_traffic.exhausted:
-        replay_traffic.tick(net, net.cycle)
+    traffic = TraceReplayTraffic(trace)
+    while not traffic.exhausted:
+        traffic.tick(net, net.cycle)
         exhaustive_step(net)
     return run_and_drain(net, 0, max_cycles=max_cycles)

@@ -28,7 +28,6 @@ from repro.harness.traces import get_trace
 from repro.network.simulator import build_network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
-from repro.traffic.trace import TraceReplayTraffic
 
 from . import exhaustive
 
@@ -109,25 +108,23 @@ class TestPatternEquivalence:
         _assert_equivalent("mesh", 4, 4, 1, scheme, pattern)
 
 
+TRACE_BENCHMARK = "fma3d"
 TRACE_CYCLES = 400
 TRACE_WARMUP = 100
 
 
-def _replay_fingerprint(topo_name, routing, scheme, benchmark, active):
+def _replay_fingerprint(topo_name, routing, scheme, active):
     """Replay a short CMP trace on the scalar core and fingerprint it."""
     cfg = ExperimentConfig(
         topology=topo_name, kx=4, ky=4, concentration=4, routing=routing,
-        vc_policy="dynamic", scheme=scheme, benchmark=benchmark,
+        vc_policy="dynamic", scheme=scheme, benchmark=TRACE_BENCHMARK,
         trace_cycles=TRACE_CYCLES, trace_warmup=TRACE_WARMUP,
         backend="scalar")
     net = experiment.build_network(cfg)
     assert net.config.mshrs == cfg.mshrs > 0  # the NICs self-throttle
-    trace = get_trace(benchmark, cycles=TRACE_CYCLES, warmup=TRACE_WARMUP,
-                      seed=cfg.seed)
-    if active:
-        experiment._replay(net, trace)
-    else:
-        exhaustive.replay(net, TraceReplayTraffic(trace))
+    trace = get_trace(TRACE_BENCHMARK, cycles=TRACE_CYCLES,
+                      warmup=TRACE_WARMUP, seed=cfg.seed)
+    (experiment._replay if active else exhaustive.replay)(net, trace)
     net.check_invariants()
     fp = net.stats.fingerprint()
     fp["final_cycle"] = net.cycle
@@ -145,8 +142,8 @@ class TestTraceReplayEquivalence:
     @pytest.mark.parametrize(
         "scheme", [BASELINE, PSEUDO_SB], ids=lambda s: s.label)
     def test_cmp_trace(self, topo, routing, scheme):
-        active = _replay_fingerprint(topo, routing, scheme, "fma3d", True)
-        oracle = _replay_fingerprint(topo, routing, scheme, "fma3d", False)
+        active = _replay_fingerprint(topo, routing, scheme, True)
+        oracle = _replay_fingerprint(topo, routing, scheme, False)
         assert active == oracle
         assert active["ejected_packets"] > 0
 
