@@ -6,7 +6,7 @@ submission order, so callers see exactly the list a serial loop would
 have produced. Determinism is free: every config carries its own seed, a
 simulation's outcome depends on nothing but its config, and the ordered
 merge removes scheduling effects — parallel and serial runs are
-bit-identical (``tests/network/test_active_set.py`` locks this in).
+bit-identical (``TestParallelSweepDeterminism`` locks this in).
 
 On top of that ordered merge the scheduler is built to *survive*. The
 contract is stated once, in docs/ARCHITECTURE.md ("L4 — execution

@@ -23,7 +23,7 @@ so each cycle only touches components that can actually make progress.
 Members are visited in ascending component-id order, so a cycle is the
 same as one that visits every component in index order; the tests keep
 that exhaustive loop as their oracle (``tests/network/exhaustive.py``)
-and ``tests/network/test_active_set.py`` compares the two across
+and the equivalence tests beside it compare the two across
 topologies, router modes, traffic patterns and trace replay.
 
 On top of the active sets, :meth:`run`, :meth:`drain` and
