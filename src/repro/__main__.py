@@ -70,7 +70,9 @@ from .instrument import (CompositeProbe, FlitTracer, TimeSeriesProbe,
 from .network.backend import BACKENDS, set_default_backend
 from .network.config import (ALL_SCHEMES, BASELINE, PSEUDO, PSEUDO_B,
                              PSEUDO_S, PSEUDO_SB)
+from .routing import RoutingDeadlockError
 from .store.cli import add_store_parser, cmd_store
+from .topology import UnsupportedRoutingError
 
 SCHEMES = {"baseline": BASELINE, "pseudo": PSEUDO, "pseudo_s": PSEUDO_S,
            "pseudo_b": PSEUDO_B, "pseudo_sb": PSEUDO_SB}
@@ -578,18 +580,19 @@ def main(argv=None) -> int:
         return _cmd_figure(args)
     if args.command == "all":
         return _cmd_all(args)
-    if args.command in ("run", "trace"):
-        try:
-            return (_cmd_run if args.command == "run" else _cmd_trace)(args)
-        except EvcConfigError as err:
-            parser.error(str(err))
     if args.command == "bench":
         run_bench(cycles=args.cycles, backend=args.backend or "scalar",
                   check=args.check, out_path=args.out)
         return 0
     if args.command == "compare":
         return _cmd_compare(args)
-    return _cmd_sweep(args)
+    command = {"run": _cmd_run, "trace": _cmd_trace}.get(args.command,
+                                                         _cmd_sweep)
+    try:
+        return command(args)
+    except (EvcConfigError, UnsupportedRoutingError,
+            RoutingDeadlockError) as err:
+        parser.error(str(err))  # a configuration the point refuses
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from ..network.config import NetworkConfig, PseudoCircuitConfig
 from ..network.simulator import Network
 from ..routing import make_routing
 from ..store import payload_to_result, result_to_text, store_key
-from ..topology import make_topology
+from ..topology import check_routing, make_topology
 from ..traffic.synthetic import SyntheticTraffic
 from ..traffic.trace import Trace, TraceReplayTraffic
 from .traces import get_trace
@@ -86,6 +86,7 @@ class ExperimentConfig:
                 "configure exactly one of benchmark= or pattern=")
         if self.topology == "evc_mesh":
             check_evc_point(self.scheme.enabled, self.routing)
+        check_routing(self.topology, self.routing)
         # Resolve the backend at construction so equality, run-cache and
         # store keys always carry a concrete backend name — results from
         # different backends never alias, whatever the process default

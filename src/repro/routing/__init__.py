@@ -3,10 +3,10 @@ weight-ordered table routing for heterogeneous graphs."""
 
 from ..topology.base import Topology
 from .base import RoutingAlgorithm
-from .compiled import CompiledRouting, compile_routing
+from .compiled import CompiledRouting, RoutingDeadlockError, compile_routing
 from .dor import DimensionOrderRouting, xy_routing, yx_routing
 from .o1turn import O1TurnRouting
-from .weighted import RoutingDeadlockError, WeightOrderedRouting
+from .weighted import WeightOrderedRouting
 
 __all__ = [
     "CompiledRouting",

@@ -45,6 +45,12 @@ class RoutingAlgorithm:
     def on_inject(self, packet: Packet, rng: random.Random) -> None:
         """Hook run once per packet at injection (O1TURN picks its order)."""
 
+    def route_choices(self, src_router: int, dst_router: int):
+        """The route choices a packet from ``src_router`` to
+        ``dst_router`` may draw (``on_inject``); the deadlock check
+        follows only these. Default: every choice."""
+        return range(self.num_route_choices)
+
     def route_entry(self, router: int, dst: int,
                     route_choice: int) -> tuple[int, int]:
         """Output port (and drop index) at ``router`` toward ``dst``."""

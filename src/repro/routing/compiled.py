@@ -22,6 +22,10 @@ tables cannot diverge from them (locked in by
 configuration (too few VCs for the algorithm's classes) raises here, at
 construction, on every core.
 
+Compilation also proves the tables deadlock-free, for every routing:
+their channel-dependency graph, a node per (router, output port, VC
+window), must be acyclic, or ``RoutingDeadlockError`` names a cycle.
+
 A table is a pure function of (routing instance, ``num_vcs``), so
 ``compile_routing`` builds it once per instance and every network built
 on that instance afterwards shares it read-only: rows are tuples, equal
@@ -31,8 +35,16 @@ write-protected. The memo lives on the routing instance and dies with it.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
+from itertools import compress, repeat
+from operator import getitem
+
 from ..topology.base import Topology
 from .base import RoutingAlgorithm
+
+
+class RoutingDeadlockError(ValueError):
+    """The routing tables admit a cycle in the channel-dependency graph."""
 
 
 class CompiledRouting:
@@ -121,5 +133,73 @@ def compile_routing(routing: RoutingAlgorithm, topology: Topology,
             tuple(entry(router, dst, choice) for dst in terminals)
             for choice in choices)
         for router in routers)
+    cycle = _dependency_cycle(routing, topology, tables, windows)
+    if cycle is not None:
+        raise RoutingDeadlockError(
+            f"routing {routing.name!r} on topology {topology.name!r} "
+            f"({num_vcs} VCs) has a channel-dependency cycle: "
+            + " -> ".join(f"r{r}:p{p}[{lo}, {hi})"
+                          for r, p, (lo, hi) in cycle))
     compiled = routing.compiled[num_vcs] = CompiledRouting(tables, windows)
     return compiled
+
+
+def _dependency_cycle(routing, topology, tables, windows):
+    """A cycle of ``(router, out_port, window)`` channels, first one
+    repeated at the end, or ``None`` when the graph is acyclic.
+
+    For each route choice and destination terminal the table is followed
+    from every source router that draws the choice toward it
+    (``routing.route_choices``; a routing with one choice draws it
+    everywhere), each (choice, terminal, router) once. Ejection channels
+    always drain and are left out; a path that never arrives is a cycle.
+    """
+    routers = range(topology.num_routers)
+    choices = range(len(windows))
+    names: dict = {None: 0}  # node 0: every ejection channel, it drains
+    # steps[choice][router][(out_port, drop)] -> (node, next router)
+    steps = [[{} for _ in routers] for _ in choices]
+    for t in range(topology.num_terminals):
+        r = topology.terminal_router(t)
+        for step in steps:
+            step[r][topology.ejection_port(t), 0] = (0, r)
+    for channel in topology.channels():
+        r, port = channel.src_router, channel.src_port
+        if (port, 0) in steps[0][r]:
+            raise ValueError(f"output port {port} of router {r} wired twice")
+        for c, step in enumerate(steps):
+            node = names.setdefault((r, port, windows[c][port]), len(names))
+            step[r].update(((port, drop), (node, ep.router))
+                           for drop, ep in enumerate(channel.endpoints))
+    drawn = [[routers] * len(routers) for _ in choices]  # [choice][dst]
+    for dst in routers if len(choices) > 1 else ():
+        drawing = list(map(routing.route_choices, routers, repeat(dst)))
+        if drawing.count(choices) < len(routers):
+            for c in choices:
+                drawn[c][dst] = [src for src in routers if c in drawing[src]]
+    edges = set()
+    for c, step in enumerate(steps):
+        columns = zip(*(per_choice[c] for per_choice in tables))
+        for t, column in enumerate(columns):  # column[router] -> entry
+            dst = topology.terminal_router(t)
+            nodes, nexts = zip(*map(getitem, step, column))
+            pairs = zip(nodes, map(nodes.__getitem__, nexts))
+            if len(drawn[c][dst]) < len(routers):
+                reached = bytearray(len(routers))
+                reached[dst] = 1
+                for r in drawn[c][dst]:
+                    while not reached[r]:
+                        reached[r] = 1
+                        r = nexts[r]
+                pairs = compress(pairs, reached)
+            edges.update(pairs)
+    edges.discard((0, 0))
+    waits_for: dict = {}  # node -> the nodes whose holders wait on it
+    for a, b in edges:
+        waits_for.setdefault(b, []).append(a)
+    try:
+        TopologicalSorter(waits_for).prepare()
+    except CycleError as err:
+        nodes = list(names)
+        return [nodes[n] for n in err.args[1]]
+    return None

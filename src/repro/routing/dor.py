@@ -3,8 +3,9 @@ supported topologies: XY and YX variants.
 
 For meshes a packet fully corrects one dimension a hop at a time; on
 flattened-butterfly and MECS express channels one network hop corrects an
-entire dimension (MECS additionally returns the multidrop index). DOR is
-deadlock-free on these topologies without VC restrictions.
+entire dimension (MECS additionally returns the multidrop index). One
+order in one VC class is deadlock-free, verified by ``compile_routing``
+for every routing.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from .base import RoutingAlgorithm
 class DimensionOrderRouting(RoutingAlgorithm):
     """XY (``order='xy'``) or YX (``order='yx'``) minimal routing.
 
-    ``route_choice`` 1 flips the dimension order, which is how O1TURN
-    reuses this implementation.
+    ``route_entry``'s ``route_choice`` 1 flips the dimension order, which
+    is how O1TURN reuses this implementation; plain XY / YX draw only
+    choice 0.
     """
 
     num_vc_classes = 1
-    num_route_choices = 2  # 0: configured order, 1: flipped (O1TURN)
 
     def __init__(self, topology: Topology, order: str = "xy"):
         super().__init__(topology)

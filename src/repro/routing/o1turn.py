@@ -1,9 +1,10 @@
 """O1TURN routing (Seo et al., ISCA 2005).
 
 Each packet randomly picks XY or YX order at injection and keeps it for its
-whole flight; this is near worst-case-optimal for 2D meshes. Deadlock
-freedom requires that XY packets and YX packets use disjoint VC classes, so
-the VC space is split in half (paper Section V uses 4 VCs: 2 per class).
+whole flight; this is near worst-case-optimal for 2D meshes. XY packets
+and YX packets use disjoint VC classes, the VC space split in half (paper
+Section V uses 4 VCs: 2 per class); that this is deadlock-free is
+verified by ``compile_routing`` for every routing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .dor import DimensionOrderRouting
 class O1TurnRouting(DimensionOrderRouting):
     name = "o1turn"
     num_vc_classes = 2
+    num_route_choices = 2  # 0: XY, 1: YX
 
     def __init__(self, topology: Topology):
         super().__init__(topology, "xy")

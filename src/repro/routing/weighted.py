@@ -12,16 +12,12 @@ reproduces XY dimension order exactly.
 arrays every routing compiles to, so none of the cores need to know the
 graph is irregular.
 
-Deadlock freedom is not assumed — it is *verified*. Tie-break
-interactions on irregular graphs are subtle enough that no local
-weight-monotonicity argument survives table merging, so after building
-the tables the constructor walks every (source, destination) router pair,
-collects the channel-dependency graph per VC class (chiplet separates
-same-die from cross-die traffic into disjoint VC windows via
-``topology.route_class``, exactly the O1TURN mechanism), and runs a DFS
-cycle check. A cyclic class raises :class:`RoutingDeadlockError` naming
-one offending channel cycle; constructing a network on such a
-topology/weighting is impossible rather than silently hazardous.
+No local weight-monotonicity argument survives table merging on
+irregular graphs, so deadlock freedom rests on ``compile_routing``'s
+check, as for every routing. A packet's VC class is its
+``topology.route_class`` (chiplet: same-die or cross-die, in disjoint
+VC windows as O1TURN's orders are), and ``route_choices`` tells the
+check which class each router pair draws.
 """
 
 from __future__ import annotations
@@ -34,12 +30,8 @@ from ..topology.hetero import HeterogeneousTopology
 from .base import RoutingAlgorithm
 
 
-class RoutingDeadlockError(Exception):
-    """The routing tables admit a cycle in a channel-dependency graph."""
-
-
 class WeightOrderedRouting(RoutingAlgorithm):
-    """Minimal (weight, hops) table routing with verified deadlock freedom."""
+    """Minimal (weight, hops) table routing, one VC class per route class."""
 
     name = "weighted"
 
@@ -57,14 +49,6 @@ class WeightOrderedRouting(RoutingAlgorithm):
         # _next[dst_router][router] -> out_port (-1 at the destination).
         self._next = [self._build_for_dst(d)
                       for d in range(topology.num_routers)]
-        cycle = find_dependency_cycle(self)
-        if cycle is not None:
-            route_class, chain = cycle
-            pretty = " -> ".join(f"r{r}:p{p}" for r, p in chain)
-            raise RoutingDeadlockError(
-                f"weight-ordered tables for topology {topology.name!r} have "
-                f"a channel-dependency cycle in VC class {route_class}: "
-                f"{pretty}")
 
     # -- table construction --------------------------------------------------
 
@@ -127,6 +111,9 @@ class WeightOrderedRouting(RoutingAlgorithm):
         packet.route_choice = topo.route_class(
             topo.terminal_router(packet.src), topo.terminal_router(packet.dst))
 
+    def route_choices(self, src_router: int, dst_router: int):
+        return (self.topology.route_class(src_router, dst_router),)
+
     def route_entry(self, router: int, dst: int,
                     route_choice: int) -> tuple[int, int]:
         dst_router = self.topology.terminal_router(dst)
@@ -149,93 +136,3 @@ class WeightOrderedRouting(RoutingAlgorithm):
         lo = route_choice * num_vcs // classes
         hi = (route_choice + 1) * num_vcs // classes
         return lo, hi
-
-
-# -- deadlock analysis (also used by the property tests) ----------------------
-
-def channel_dependency_graphs(
-        routing: WeightOrderedRouting,
-) -> dict[int, dict[tuple[int, int], set[tuple[int, int]]]]:
-    """Per-VC-class channel-dependency graphs induced by the tables.
-
-    A channel is identified as ``(router, out_port)``. For every ordered
-    router pair the table path is walked; consecutive channels add a
-    dependency edge into the class that pair's traffic travels in.
-    Classes use disjoint VC windows, so cycles cannot span classes.
-    """
-    topo = routing.topology
-    n = topo.num_routers
-    graphs: dict[int, dict[tuple[int, int], set[tuple[int, int]]]] = {
-        cls: {} for cls in range(topo.num_route_classes)}
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            cls = topo.route_class(src, dst)
-            graph = graphs[cls]
-            path = _walk(routing, src, dst)
-            for a, b in zip(path, path[1:]):
-                graph.setdefault(a, set()).add(b)
-                graph.setdefault(b, set())
-    return graphs
-
-
-def _walk(routing: WeightOrderedRouting, src: int,
-          dst: int) -> list[tuple[int, int]]:
-    """Channel sequence the tables steer ``src -> dst`` traffic through."""
-    topo = routing.topology
-    path: list[tuple[int, int]] = []
-    r = src
-    while r != dst:
-        if len(path) > topo.num_routers:
-            raise RoutingDeadlockError(
-                f"routing loop: {src} -> {dst} does not converge")
-        port = routing.next_port(r, dst)
-        path.append((r, port))
-        r = topo.out_channels(r)[port].dst_router
-    return path
-
-
-def find_dependency_cycle(
-        routing: WeightOrderedRouting,
-) -> tuple[int, list[tuple[int, int]]] | None:
-    """First channel-dependency cycle across all VC classes, or ``None``.
-
-    Returns ``(route_class, [channel, ..., channel])`` with the first
-    channel repeated at the end of the chain.
-    """
-    for cls, graph in channel_dependency_graphs(routing).items():
-        cycle = _find_cycle(graph)
-        if cycle is not None:
-            return cls, cycle
-    return None
-
-
-def _find_cycle(graph: dict[tuple[int, int], set[tuple[int, int]]],
-                ) -> list[tuple[int, int]] | None:
-    """Iterative three-color DFS; returns one cycle if the graph has any."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in graph}
-    for start in graph:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[tuple[int, int], list[tuple[int, int]]]] = [
-            (start, sorted(graph[start]))]
-        color[start] = GRAY
-        trail = [start]
-        while stack:
-            node, succs = stack[-1]
-            if succs:
-                nxt = succs.pop(0)
-                if color[nxt] == GRAY:
-                    i = trail.index(nxt)
-                    return trail[i:] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    trail.append(nxt)
-                    stack.append((nxt, sorted(graph[nxt])))
-            else:
-                color[node] = BLACK
-                trail.pop()
-                stack.pop()
-    return None

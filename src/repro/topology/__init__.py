@@ -32,6 +32,8 @@ __all__ = [
     "TOPOLOGY_REGISTRY",
     "Topology",
     "TopologyInfo",
+    "UnsupportedRoutingError",
+    "check_routing",
     "make_topology",
 ]
 
@@ -105,6 +107,20 @@ TOPOLOGY_REGISTRY: dict[str, TopologyInfo] = {
         ),
     )
 }
+
+
+class UnsupportedRoutingError(ValueError):
+    """A routing the registry does not list for the topology."""
+
+
+def check_routing(topology: str, routing: str) -> None:
+    """Refuse ``routing`` on a registry ``topology`` that does not list
+    it, naming the routings that topology takes."""
+    info = TOPOLOGY_REGISTRY.get(topology)
+    if info is not None and routing not in info.routings:
+        raise UnsupportedRoutingError(
+            f"topology {topology!r} takes --routing "
+            f"{' | '.join(info.routings)}, not {routing!r}")
 
 
 def make_topology(name: str, kx: int, ky: int, concentration: int = 1,

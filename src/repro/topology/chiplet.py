@@ -14,14 +14,14 @@ those weights a minimal-weight path never crosses a boundary channel
 unless source and destination sit on different dies, so intra-die
 traffic stays intra-die.
 
-Deadlock avoidance needs two VC classes here. A single class is cyclic:
-die A's up-link feeds die B's down-link through B's internal channels
-and back, a ring through the IO hub. Splitting traffic into class 0
-(same-die) and class 1 (cross-die, via :meth:`route_class`) gives each
-class an acyclic channel-dependency graph — class 0 never touches
-boundary channels, and class 1's path structure through the corner
-gateways is a tree around the IO router. Weight-ordered routing verifies
-both claims at table-construction time.
+Traffic is split into two VC classes, class 0 (same-die) and class 1
+(cross-die, via :meth:`route_class`). Deadlock freedom does not need the
+split: with these weights every in-die path is x-then-y, a path leaving
+a gateway only moves away from it and a path to it only toward it, so
+no chain of channels returns to an up-link, and one class is acyclic
+too (``compile_routing`` finds every shape with kx, ky <= 4 and up to
+five dies acyclic in one class). ``compile_routing`` verifies the two
+classes the routing draws, as it does for every routing.
 
 Port numbering is registration order (see ``HeterogeneousTopology``):
 within each die, routers in local-id order register their +x duplex

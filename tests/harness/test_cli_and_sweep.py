@@ -141,6 +141,21 @@ def test_cli_matches_flags_exactly(argv, named, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("topology, routing, accepted", [
+    ("mesh", "weighted", "xy | yx | o1turn"),
+    ("chiplet", "xy", "weighted"),
+], ids=["mesh-weighted", "chiplet-xy"])
+def test_cli_refuses_unlisted_routing(topology, routing, accepted, capsys):
+    """A pair the topology registry does not list exits 2 naming the
+    routings the topology takes, before any point is built."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--topology", topology, "--routing", routing,
+              "--kx", "2", "--ky", "2", "--cycles", "50"])
+    assert exc.value.code == 2
+    assert f"takes --routing {accepted}, not {routing!r}" in (
+        capsys.readouterr().err)
+
+
 class TestBenchRoundTrip:
     """``repro bench`` through ``main()``: the cold gates and nothing else."""
 

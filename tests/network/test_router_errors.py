@@ -34,7 +34,7 @@ def test_double_wired_input_port_rejected():
                 src_port=2,  # different source port, same destination tap
                 endpoints=dup.endpoints)]
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wired twice"):
         Network(BadTopology(2, 2), NetworkConfig(), "xy", "dynamic")
 
 

@@ -139,7 +139,7 @@ class TestReadiness:
         assert writes.keys() == grants.keys() == {0, 1, 2, 3}
         assert all(grants[r] == writes[r] + 1 for r in writes)
 
-    def test_has_flit_and_front(self):
+    def test_buffered_flit_count_matches_buffers(self):
         """The count a router's idle test reads is the flits its VCs
         hold."""
         net = line()

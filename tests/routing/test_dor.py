@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.network.flit import Packet
 from repro.routing.dor import DimensionOrderRouting, xy_routing, yx_routing
+from repro.routing.o1turn import O1TurnRouting
 from repro.topology.fbfly import FlattenedButterfly
 from repro.topology.mecs import Mecs
 from repro.topology.mesh import EAST, Mesh, NORTH, SOUTH, WEST
@@ -98,7 +99,7 @@ class TestMecsRouting:
 
 def test_route_choice_flips_order():
     topo = Mesh(4, 4)
-    routing = xy_routing(topo)
+    routing = O1TurnRouting(topo)
     p = pkt(0, 10)
     p.route_choice = 1  # O1TURN YX leg
     assert routing.route(topo.router_at(0, 0), p) == (NORTH, 0)

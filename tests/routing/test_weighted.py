@@ -1,16 +1,15 @@
-"""Weight-ordered routing: minimality, determinism, verified deadlock
-freedom (with a Hypothesis sweep over random irregular graphs)."""
+"""Weight-ordered routing: minimality, determinism, deadlock freedom as
+``compile_routing`` verifies it (with a Hypothesis sweep over random
+irregular graphs)."""
 
 import heapq
 import random
 
 import pytest
 
-from repro.routing import make_routing
-from repro.routing.weighted import (RoutingDeadlockError,
-                                    WeightOrderedRouting,
-                                    channel_dependency_graphs,
-                                    find_dependency_cycle, _walk)
+from repro.routing import (RoutingDeadlockError, compile_routing,
+                           make_routing)
+from repro.routing.weighted import WeightOrderedRouting
 from repro.topology import make_topology
 from repro.topology.chiplet import ChipletTopology
 from repro.topology.hetero import HeterogeneousTopology
@@ -37,6 +36,24 @@ def min_weight_to(topo, dst):
                 dist[prev] = d + w
                 heapq.heappush(heap, (d + w, prev))
     return dist
+
+
+def _walk(routing, src, dst):
+    """The ``(router, out_port)`` channels the tables steer ``src -> dst``
+    router traffic through."""
+    topo = routing.topology
+    path = []
+    while src != dst:
+        assert len(path) <= topo.num_routers, "routing loop"
+        port = routing.next_port(src, dst)
+        path.append((src, port))
+        src = topo.out_channels(src)[port].dst_router
+    return path
+
+
+def _compile(topo):
+    routing = WeightOrderedRouting(topo)
+    return compile_routing(routing, topo, 4)
 
 
 def path_weight(topo, routing, src, dst):
@@ -125,7 +142,7 @@ class TestVerification:
         for r in range(4):
             topo.add_channel(r, (r + 1) % 4)
         with pytest.raises(RoutingDeadlockError, match="cycle"):
-            WeightOrderedRouting(topo)
+            _compile(topo)
 
     def test_disconnected_graph_is_refused(self):
         topo = HeterogeneousTopology(3)
@@ -134,10 +151,15 @@ class TestVerification:
             WeightOrderedRouting(topo)
 
     def test_dependency_graphs_cover_all_route_classes(self):
+        """Both classes are drawn, so the check walks both windows."""
         topo = ChipletTopology(2, 2, chiplets=2)
-        graphs = channel_dependency_graphs(WeightOrderedRouting(topo))
-        assert set(graphs) == {0, 1}
-        assert all(graphs.values())
+        routing = WeightOrderedRouting(topo)
+        drawn = {choice for src in range(topo.num_routers)
+                 for dst in range(topo.num_routers)
+                 for choice in routing.route_choices(src, dst)}
+        assert drawn == {0, 1}
+        compiled = compile_routing(routing, topo, 4)
+        assert compiled.windows[0][-1] != compiled.windows[1][-1]
 
     def test_wrong_topology_type_rejected(self):
         with pytest.raises(TypeError, match="HeterogeneousTopology"):
@@ -178,15 +200,15 @@ def connected_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(topo=connected_graphs())
 def test_random_graphs_route_minimally_or_refuse(topo):
-    """Over random irregular graphs the constructor either refuses with
+    """Over random irregular graphs compilation either refuses with
     ``RoutingDeadlockError`` (tables would admit a channel-dependency
-    cycle) or yields tables that are loop-free, weight-minimal for every
-    pair, and verifiably acyclic."""
+    cycle) or yields tables that are loop-free and weight-minimal for
+    every pair."""
+    routing = WeightOrderedRouting(topo)
     try:
-        routing = WeightOrderedRouting(topo)
+        compile_routing(routing, topo, 4)
     except RoutingDeadlockError:
         return
-    assert find_dependency_cycle(routing) is None
     for dst in range(topo.num_routers):
         oracle = min_weight_to(topo, dst)
         for src in range(topo.num_routers):
@@ -200,10 +222,10 @@ def test_random_graphs_route_minimally_or_refuse(topo):
 def test_chiplet_family_is_always_deadlock_free(kx, ky, chiplets, latency):
     topo = ChipletTopology(kx, ky, chiplets=chiplets,
                            chiplet_link_latency=latency)
-    WeightOrderedRouting(topo)     # raises RoutingDeadlockError if cyclic
+    _compile(topo)     # raises RoutingDeadlockError if cyclic
 
 
 @settings(max_examples=25, deadline=None)
 @given(kx=st.integers(2, 7), ky=st.integers(2, 7))
 def test_kite_family_is_always_deadlock_free(kx, ky):
-    WeightOrderedRouting(KiteMesh(kx, ky))
+    _compile(KiteMesh(kx, ky))
