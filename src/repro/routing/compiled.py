@@ -36,7 +36,7 @@ write-protected. The memo lives on the routing instance and dies with it.
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from itertools import compress, repeat
+from itertools import compress
 from operator import getitem
 
 from ..topology.base import Topology
@@ -150,8 +150,8 @@ def _dependency_cycle(routing, topology, tables, windows):
 
     For each route choice and destination terminal the table is followed
     from every source router that draws the choice toward it
-    (``routing.route_choices``; a routing with one choice draws it
-    everywhere), each (choice, terminal, router) once. Ejection channels
+    (``routing.route_choices``, not asked when it is the default, every
+    choice), each (choice, terminal, router) once. Ejection channels
     always drain and are left out; a path that never arrives is a cycle.
     """
     routers = range(topology.num_routers)
@@ -172,9 +172,9 @@ def _dependency_cycle(routing, topology, tables, windows):
             step[r].update(((port, drop), (node, ep.router))
                            for drop, ep in enumerate(channel.endpoints))
     drawn = [[routers] * len(routers) for _ in choices]  # [choice][dst]
-    for dst in routers if len(choices) > 1 else ():
-        drawing = list(map(routing.route_choices, routers, repeat(dst)))
-        if drawing.count(choices) < len(routers):
+    if type(routing).route_choices is not RoutingAlgorithm.route_choices:
+        for dst in routers:
+            drawing = [routing.route_choices(src, dst) for src in routers]
             for c in choices:
                 drawn[c][dst] = [src for src in routers if c in drawing[src]]
     edges = set()
