@@ -6,16 +6,15 @@ also prints an aligned table. Scale parameters (benchmark list, trace
 length, load points) default to values that finish quickly; pass larger
 ones for a full evaluation (see ``examples/full_evaluation.py``).
 
+Each experiment figure states its points once, as a dict from a row key
+to an ``ExperimentConfig``, answers them with one ``run_experiments``
+call (``max_workers`` fans the simulations out over worker processes)
+and builds its rows from the results by key. Results are bit-identical
+to a serial run: parallelism only changes where the simulations
+execute, never their seeds or the order of the rows.
+
 Runs are memoized process-wide, so figures that share configurations
 (Figs. 9, 10 and 11 use the same grid) pay for each simulation once.
-
-The experiment-driven figures take ``max_workers``: each one enumerates
-every configuration it is about to request, warms the run cache through
-``parallel.prefetch`` (which fans the simulations out over worker
-processes), and then executes its original serial loop against the cache.
-Results are bit-identical to a serial run — parallelism only changes where
-the simulations execute, never their seeds or their order in the output.
-
 With a result store installed (``--store`` / ``$REPRO_STORE`` /
 ``experiment.set_default_store``), the memo is additionally backed by
 the content-addressed on-disk store: a second ``figure all`` over a
@@ -32,8 +31,8 @@ from ..network.config import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO_SB,
 from ..network.flit import Packet
 from ..network.simulator import Network
 from ..topology.mesh import Mesh
-from .experiment import ExperimentConfig, run_experiment
-from .parallel import prefetch
+from .experiment import ExperimentConfig
+from .parallel import run_experiments
 from .report import print_table, reduction
 from .traces import get_cmp_run
 
@@ -51,13 +50,21 @@ VA_POLICIES = ("static", "dynamic")
 
 
 def _trace_config(benchmark: str, routing: str, va: str,
-                  scheme: PseudoCircuitConfig,
-                  trace_cycles: int, seed: int) -> ExperimentConfig:
+                  scheme: PseudoCircuitConfig, trace_cycles: int, seed: int,
+                  topology: str = "cmesh", kx: int = 4, ky: int = 4,
+                  concentration: int = 4) -> ExperimentConfig:
     return ExperimentConfig(
-        topology="cmesh", kx=4, ky=4, concentration=4,
+        topology=topology, kx=kx, ky=ky, concentration=concentration,
         routing=routing, vc_policy=va, scheme=scheme,
         benchmark=benchmark, trace_cycles=trace_cycles,
         trace_warmup=max(200, trace_cycles // 5), seed=seed)
+
+
+def _results(points: dict, max_workers: int | None) -> dict:
+    """Every point's ``Result``, keyed like ``points``, from one
+    ``run_experiments`` call over them in their order."""
+    return dict(zip(points, run_experiments(points.values(),
+                                            max_workers=max_workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +144,23 @@ def fig8(benchmarks=QUICK_BENCHMARKS, trace_cycles: int = 2000,
          max_workers: int | None = None) -> list[dict]:
     """Latency reduction (vs the best baseline) and reusability for the
     four pseudo-circuit schemes, per benchmark plus average."""
-    prefetch([_trace_config(bench, *BEST_BASELINE, BASELINE,
-                            trace_cycles, seed)
-              for bench in benchmarks]
-             + [_trace_config(bench, *PSEUDO_CONFIG, scheme,
-                              trace_cycles, seed)
-                for bench in benchmarks for scheme in PC_SCHEMES],
-             max_workers=max_workers)
+    # Every baseline first: the pool chunks the points in this order.
+    points = {(bench, BASELINE): _trace_config(
+        bench, *BEST_BASELINE, BASELINE, trace_cycles, seed)
+        for bench in benchmarks}
+    points.update({(bench, scheme): _trace_config(
+        bench, *PSEUDO_CONFIG, scheme, trace_cycles, seed)
+        for bench in benchmarks for scheme in PC_SCHEMES})
+    res = _results(points, max_workers)
     rows = []
     for bench in benchmarks:
-        base = run_experiment(_trace_config(
-            bench, *BEST_BASELINE, BASELINE, trace_cycles, seed))
-        row = {"benchmark": bench, "baseline_latency": base.avg_latency}
+        base = res[bench, BASELINE].avg_latency
+        row = {"benchmark": bench, "baseline_latency": base}
         for scheme in PC_SCHEMES:
-            res = run_experiment(_trace_config(
-                bench, *PSEUDO_CONFIG, scheme, trace_cycles, seed))
+            pseudo = res[bench, scheme]
             row[f"reduction_{scheme.label}"] = reduction(
-                base.avg_latency, res.avg_latency)
-            row[f"reuse_{scheme.label}"] = res.reusability
+                base, pseudo.avg_latency)
+            row[f"reuse_{scheme.label}"] = pseudo.reusability
         rows.append(row)
     avg = {"benchmark": "average", "baseline_latency": float("nan")}
     for scheme in PC_SCHEMES:
@@ -183,30 +189,24 @@ def _grid(benchmarks, trace_cycles: int, seed: int,
           max_workers: int | None = None) -> list[dict]:
     """Latency reduction here is measured against the *same* routing/VA
     baseline, isolating the pseudo-circuit effect per combination."""
-    prefetch([_trace_config(bench, routing, va, scheme, trace_cycles, seed)
-              for bench in benchmarks for routing in ROUTINGS
-              for va in VA_POLICIES
-              for scheme in (BASELINE, *PC_SCHEMES)],
-             max_workers=max_workers)
+    points = {(bench, routing, va, scheme): _trace_config(
+        bench, routing, va, scheme, trace_cycles, seed)
+        for bench in benchmarks for routing in ROUTINGS
+        for va in VA_POLICIES for scheme in (BASELINE, *PC_SCHEMES)}
+    res = _results(points, max_workers)
     rows = []
-    for bench in benchmarks:
-        for routing in ROUTINGS:
-            for va in VA_POLICIES:
-                base = run_experiment(_trace_config(
-                    bench, routing, va, BASELINE, trace_cycles, seed))
-                for scheme in PC_SCHEMES:
-                    res = run_experiment(_trace_config(
-                        bench, routing, va, scheme, trace_cycles, seed))
-                    rows.append({
-                        "benchmark": bench, "routing": routing, "va": va,
-                        "scheme": scheme.label,
-                        "latency": res.avg_latency,
-                        "baseline_latency": base.avg_latency,
-                        "reduction": reduction(base.avg_latency,
-                                               res.avg_latency),
-                        "reusability": res.reusability,
-                        "result": res,
-                    })
+    for (bench, routing, va, scheme), pseudo in res.items():
+        if scheme == BASELINE:
+            continue
+        base = res[bench, routing, va, BASELINE].avg_latency
+        rows.append({
+            "benchmark": bench, "routing": routing, "va": va,
+            "scheme": scheme.label,
+            "latency": pseudo.avg_latency,
+            "baseline_latency": base,
+            "reduction": reduction(base, pseudo.avg_latency),
+            "reusability": pseudo.reusability,
+        })
     return rows
 
 
@@ -247,26 +247,25 @@ def fig11(benchmarks=("fma3d", "specjbb", "radix"), trace_cycles: int = 2000,
           max_workers: int | None = None) -> list[dict]:
     """Router energy (normalized to the same-configuration baseline) for XY
     and YX with static VA, per scheme."""
-    prefetch([_trace_config(bench, routing, "static", scheme,
-                            trace_cycles, seed)
-              for routing in ("xy", "yx") for bench in benchmarks
-              for scheme in (BASELINE, *PC_SCHEMES)],
-             max_workers=max_workers)
+    points = {(routing, bench, scheme): _trace_config(
+        bench, routing, "static", scheme, trace_cycles, seed)
+        for routing in ("xy", "yx") for bench in benchmarks
+        for scheme in (BASELINE, *PC_SCHEMES)}
+    res = _results(points, max_workers)
+
+    def per_flit(result) -> float:
+        return result.energy_pj / max(1, result.flit_hops)
+
     rows = []
-    for routing in ("xy", "yx"):
-        for bench in benchmarks:
-            base = run_experiment(_trace_config(
-                bench, routing, "static", BASELINE, trace_cycles, seed))
-            base_epf = base.energy_pj / max(1, base.flit_hops)
-            for scheme in PC_SCHEMES:
-                res = run_experiment(_trace_config(
-                    bench, routing, "static", scheme, trace_cycles, seed))
-                epf = res.energy_pj / max(1, res.flit_hops)
-                rows.append({
-                    "routing": routing, "benchmark": bench,
-                    "scheme": scheme.label,
-                    "normalized_energy": epf / base_epf,
-                })
+    for (routing, bench, scheme), pseudo in res.items():
+        if scheme == BASELINE:
+            continue
+        rows.append({
+            "routing": routing, "benchmark": bench,
+            "scheme": scheme.label,
+            "normalized_energy": (per_flit(pseudo)
+                                  / per_flit(res[routing, bench, BASELINE])),
+        })
     if show:
         print_table(
             "Fig. 11: normalized router energy per flit-hop (static VA)",
@@ -285,24 +284,16 @@ def fig12(patterns=("uniform", "bitcomp", "transpose"),
           cycles: int = 1000, seed: int = 1, show: bool = True,
           max_workers: int | None = None) -> list[dict]:
     """Latency vs offered load on an 8x8 mesh, XY routing + static VA."""
-    def _cfg(pattern, load, scheme):
-        return ExperimentConfig(
-            topology="mesh", kx=8, ky=8, concentration=1,
-            routing="xy", vc_policy="static", scheme=scheme,
-            pattern=pattern, rate=load, packet_size=5,
-            synth_cycles=cycles, synth_warmup=cycles // 4, seed=seed)
-    prefetch([_cfg(pattern, load, scheme) for pattern in patterns
-              for load in loads for scheme in schemes],
-             max_workers=max_workers)
-    rows = []
-    for pattern in patterns:
-        for load in loads:
-            for scheme in schemes:
-                res = run_experiment(_cfg(pattern, load, scheme))
-                rows.append({"pattern": pattern, "load": load,
-                             "scheme": scheme.label,
-                             "latency": res.avg_latency,
-                             "reusability": res.reusability})
+    points = {(pattern, load, scheme): ExperimentConfig(
+        topology="mesh", kx=8, ky=8, concentration=1,
+        routing="xy", vc_policy="static", scheme=scheme,
+        pattern=pattern, rate=load, packet_size=5,
+        synth_cycles=cycles, synth_warmup=cycles // 4, seed=seed)
+        for pattern in patterns for load in loads for scheme in schemes}
+    rows = [{"pattern": pattern, "load": load, "scheme": scheme.label,
+             "latency": res.avg_latency, "reusability": res.reusability}
+            for (pattern, load, scheme), res
+            in _results(points, max_workers).items()]
     if show:
         print_table("Fig. 12: synthetic workloads (8x8 mesh, XY + static VA)",
                     ["pattern", "load", "scheme", "latency", "reuse"],
@@ -327,27 +318,17 @@ def fig13(benchmark: str = "fma3d", trace_cycles: int = 2000, seed: int = 1,
           show: bool = True, max_workers: int | None = None) -> list[dict]:
     """Latency of every scheme on mesh/cmesh/MECS/FBFLY, normalized to the
     baseline mesh (DOR XY + static VA, as in the paper)."""
-    def _cfg(topo, kx, ky, conc, scheme):
-        return ExperimentConfig(
-            topology=topo, kx=kx, ky=ky, concentration=conc,
-            routing="xy", vc_policy="static", scheme=scheme,
-            benchmark=benchmark, trace_cycles=trace_cycles,
-            trace_warmup=max(200, trace_cycles // 5), seed=seed)
-    prefetch([_cfg(topo, kx, ky, conc, scheme)
-              for topo, kx, ky, conc in TOPOLOGY_POINTS
-              for scheme in ALL_SCHEMES],
-             max_workers=max_workers)
-    rows = []
-    mesh_base = None
-    for topo, kx, ky, conc in TOPOLOGY_POINTS:
-        for scheme in ALL_SCHEMES:
-            res = run_experiment(_cfg(topo, kx, ky, conc, scheme))
-            if mesh_base is None:
-                mesh_base = res.avg_latency
-            rows.append({"topology": topo, "scheme": scheme.label,
-                         "latency": res.avg_latency,
-                         "normalized": res.avg_latency / mesh_base,
-                         "reusability": res.reusability})
+    points = {(topo, scheme): _trace_config(
+        benchmark, "xy", "static", scheme, trace_cycles, seed,
+        topology=topo, kx=kx, ky=ky, concentration=conc)
+        for topo, kx, ky, conc in TOPOLOGY_POINTS for scheme in ALL_SCHEMES}
+    res = _results(points, max_workers)
+    mesh_base = res["mesh", BASELINE].avg_latency
+    rows = [{"topology": topo, "scheme": scheme.label,
+             "latency": r.avg_latency,
+             "normalized": r.avg_latency / mesh_base,
+             "reusability": r.reusability}
+            for (topo, scheme), r in res.items()]
     if show:
         print_table(
             f"Fig. 13: topology impact on {benchmark} "
@@ -368,27 +349,17 @@ FIG14_POINTS = (("mesh", "mesh", 8, 8, 1), ("cmesh", "cmesh", 4, 4, 4))
 def fig14(benchmark: str = "fma3d", trace_cycles: int = 2000, seed: int = 1,
           show: bool = True, max_workers: int | None = None) -> list[dict]:
     """Baseline vs EVC vs Pseudo+S+B on a mesh and a concentrated mesh."""
-    def cfg(topology, kx, ky, conc, scheme):
-        return ExperimentConfig(
-            topology=topology, kx=kx, ky=ky, concentration=conc,
-            routing="xy", vc_policy="dynamic", scheme=scheme,
-            benchmark=benchmark, trace_cycles=trace_cycles,
-            trace_warmup=max(200, trace_cycles // 5), seed=seed)
-    prefetch([cfg(t, kx, ky, conc, scheme)
-              for _, topo, kx, ky, conc in FIG14_POINTS
-              for t, scheme in ((topo, BASELINE), ("evc_mesh", BASELINE),
-                                (topo, PSEUDO_SB))],
-             max_workers=max_workers)
-    rows = []
-    for label, topo_name, kx, ky, tconc in FIG14_POINTS:
-        base = run_experiment(cfg(topo_name, kx, ky, tconc, BASELINE))
-        evc = run_experiment(cfg("evc_mesh", kx, ky, tconc, BASELINE))
-        pseudo = run_experiment(cfg(topo_name, kx, ky, tconc, PSEUDO_SB))
-        for name, res in (("Baseline", base), ("EVC", evc),
-                          ("Pseudo+S+B", pseudo)):
-            rows.append({"topology": label, "scheme": name,
-                         "latency": res.avg_latency,
-                         "normalized": res.avg_latency / base.avg_latency})
+    points = {(label, name): _trace_config(
+        benchmark, "xy", "dynamic", scheme, trace_cycles, seed,
+        topology=topo, kx=kx, ky=ky, concentration=conc)
+        for label, topo_name, kx, ky, conc in FIG14_POINTS
+        for name, topo, scheme in (("Baseline", topo_name, BASELINE),
+                                   ("EVC", "evc_mesh", BASELINE),
+                                   ("Pseudo+S+B", topo_name, PSEUDO_SB))}
+    res = _results(points, max_workers)
+    rows = [{"topology": label, "scheme": name, "latency": r.avg_latency,
+             "normalized": r.avg_latency / res[label, "Baseline"].avg_latency}
+            for (label, name), r in res.items()]
     if show:
         print_table(
             f"Fig. 14: EVC comparison on {benchmark} "
@@ -443,30 +414,26 @@ def chiplet(link_latencies=CHIPLET_LINK_LATENCIES, chiplets: int = 4,
     ``recovered`` is the baseline-minus-pseudo latency gap at each
     point; ``recovered_pct`` normalizes it by the baseline latency.
     """
-    def _cfg(link_latency, scheme):
-        return ExperimentConfig(
-            topology="chiplet", kx=kx, ky=ky, concentration=1,
-            chiplets=chiplets, chiplet_link_latency=link_latency,
-            routing="weighted", vc_policy="static", scheme=scheme,
-            pattern="uniform", rate=rate, packet_size=5,
-            synth_cycles=cycles, synth_warmup=cycles // 4, seed=seed)
-    prefetch([_cfg(latency, scheme) for latency in link_latencies
-              for scheme in (BASELINE, PSEUDO_SB)],
-             max_workers=max_workers)
+    points = {(latency, scheme): ExperimentConfig(
+        topology="chiplet", kx=kx, ky=ky, concentration=1,
+        chiplets=chiplets, chiplet_link_latency=latency,
+        routing="weighted", vc_policy="static", scheme=scheme,
+        pattern="uniform", rate=rate, packet_size=5,
+        synth_cycles=cycles, synth_warmup=cycles // 4, seed=seed)
+        for latency in link_latencies for scheme in (BASELINE, PSEUDO_SB)}
+    res = _results(points, max_workers)
     rows = []
-    for latency in link_latencies:
-        base = run_experiment(_cfg(latency, BASELINE))
-        pseudo = run_experiment(_cfg(latency, PSEUDO_SB))
-        recovered = base.avg_latency - pseudo.avg_latency
-        for name, res in (("Baseline", base), ("Pseudo+S+B", pseudo)):
-            rows.append({
-                "link_latency": latency, "scheme": name,
-                "latency": res.avg_latency,
-                "network_latency": res.avg_network_latency,
-                "reusability": res.reusability,
-                "recovered": recovered,
-                "recovered_pct": 100.0 * recovered / base.avg_latency,
-            })
+    for (latency, scheme), r in res.items():
+        base = res[latency, BASELINE].avg_latency
+        recovered = base - res[latency, PSEUDO_SB].avg_latency
+        rows.append({
+            "link_latency": latency, "scheme": scheme.label,
+            "latency": r.avg_latency,
+            "network_latency": r.avg_network_latency,
+            "reusability": r.reusability,
+            "recovered": recovered,
+            "recovered_pct": 100.0 * recovered / base,
+        })
     if show:
         print_table(
             f"Chiplet boundary-latency study ({chiplets}x({kx}x{ky}) dies, "

@@ -54,8 +54,7 @@ cache, chip plans and idle networks, and each ends itself once its
 parent is gone (``_exit_with_parent``): a SIGKILLed sweep leaves no
 orphaned worker asleep on its call queue. They only simulate — no memo, no
 store, no journal: results travel back pickled and the parent persists
-them, which lets the figure code keep its cheap memoized
-``run_experiment`` calls after a ``prefetch``.
+them, so a point a pool ran is a memo hit for the rest of the process.
 """
 
 from __future__ import annotations
@@ -635,15 +634,3 @@ def run_experiments(configs: Iterable[ExperimentConfig],
             journal.close()
     return scheduler.results
 
-
-def prefetch(configs: Iterable[ExperimentConfig],
-             max_workers: int | None = None, **kwargs) -> None:
-    """Warm the run cache so later ``run_experiment`` calls are instant.
-
-    The figure code stays written as straightforward serial loops; calling
-    ``prefetch`` with every config a figure will need turns those loops
-    into cache lookups while the simulations run in parallel. Extra
-    keyword arguments (``store``, ``journal``, ``resume``, ``retries``,
-    ...) pass through to ``run_experiments``.
-    """
-    run_experiments(configs, max_workers=max_workers, **kwargs)
