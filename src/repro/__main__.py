@@ -376,17 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write rows + manifest to this JSON")
         _add_store_arg(fig_p)
         _add_backend_arg(fig_p)
-        fig_p.add_argument("--resume", action="store_true",
-                           help="serve completed points from the warm "
-                                "store of an interrupted run (needs "
-                                "--store)")
     all_p = sub.add_parser("all", help="regenerate every figure and table")
     all_p.add_argument("--workers", type=int, default=None)
     _add_store_arg(all_p)
     _add_backend_arg(all_p)
-    all_p.add_argument("--resume", action="store_true",
-                       help="serve completed points from the warm store "
-                            "of an interrupted run (needs --store)")
 
     def add_experiment_args(p, scheme_default: str,
                             scheme_choices: list[str]) -> None:

@@ -131,7 +131,8 @@ def test_cli_sweep_out_writes_manifest(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["run", "--cycle", "10"], "--cycle 10"),  # prefix of --cycles
     (["bench", "--gate"], "--gate"),           # removed with the timing bench
-], ids=["abbreviated", "removed"])
+    (["fig12", "--resume"], "--resume"),       # a store hit needs no flag
+], ids=["abbreviated", "removed", "removed-figure-resume"])
 def test_cli_matches_flags_exactly(argv, named, capsys):
     """Prefix matching is off and removed flags have no shim: either
     exits 2 naming the flag instead of binding to a surviving one."""
