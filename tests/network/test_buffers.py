@@ -26,8 +26,8 @@ def loaded(cycles=100, **config):
     return net
 
 
-class TestFlitBuffer:
-    def test_capacity_validation(self):
+class TestInputVcBuffers:
+    def test_zero_depth_is_refused(self):
         with pytest.raises(ValueError, match="buffer_depth"):
             NetworkConfig(buffer_depth=0)
 
@@ -62,7 +62,7 @@ class TestFlitBuffer:
                            match="full 2-flit buffer"):
             net.step()
 
-    def test_empty_access_raises(self):
+    def test_occupancy_masks_match_the_buffers(self):
         """The scans read the front of occupied VCs only: the occupancy
         masks they walk match the non-empty buffers after every cycle."""
         net = Network(Mesh(4, 4), NetworkConfig(), "xy", "dynamic", seed=2)
@@ -72,11 +72,11 @@ class TestFlitBuffer:
             net.step()
             net.check_invariants()
 
-    def test_free_slots_tracking(self):
+    def test_buffers_fill_to_their_depth(self):
         """Buffers fill up to their depth and never past it."""
         assert rule_cases(SPECULATION)["buffer_full"]
 
-    def test_bool_and_iter(self):
+    def test_reset_empties_buffers_in_place(self):
         """Reset empties every buffer in place: whoever holds a VC's deque
         (the monitors do) keeps holding the live one."""
         net = loaded()
