@@ -291,8 +291,8 @@ def fig12(patterns=("uniform", "bitcomp", "transpose"),
         synth_cycles=cycles, synth_warmup=cycles // 4, seed=seed)
         for pattern in patterns for load in loads for scheme in schemes}
     rows = [{"pattern": pattern, "load": load, "scheme": scheme.label,
-             "latency": res.avg_latency, "reusability": res.reusability}
-            for (pattern, load, scheme), res
+             "latency": r.avg_latency, "reusability": r.reusability}
+            for (pattern, load, scheme), r
             in _results(points, max_workers).items()]
     if show:
         print_table("Fig. 12: synthetic workloads (8x8 mesh, XY + static VA)",
