@@ -338,11 +338,12 @@ def _add_store_arg(p) -> None:
 def _add_backend_arg(p) -> None:
     """--backend NAME: pick the network core for every simulation."""
     p.add_argument("--backend", default=None, choices=list(BACKENDS),
-                   help="network core: scalar (default), the array core "
-                        "(vectorized: one compiled C cycle over flat "
-                        "arrays), batched (groups compatible sweep points "
-                        "into multi-lane runs), or auto (per-point choice; "
-                        "scalar wherever the array core refuses); all "
+                   help="network core: scalar (default), vectorized (the "
+                        "array core: one compiled C cycle over flat "
+                        "arrays), or auto (the array core wherever it "
+                        "accepts the point, compatible sweep points "
+                        "grouped into multi-lane runs; scalar where it "
+                        "refuses, the refusal in the manifest); all "
                         "bit-identical stats; the array core needs numpy "
                         "and a C compiler")
 
@@ -424,11 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write rows + manifest to this JSON")
     run_p.add_argument("--check", action="store_true",
                        help="attach the online invariant monitors (scalar "
-                            "core: the full monitor suite; vectorized/"
-                            "batched cores: whole-array invariant sweeps); "
-                            "write a *.metrics.json doc next to --out")
+                            "core: the full monitor suite; array core: "
+                            "whole-array invariant sweeps); write a "
+                            "*.metrics.json doc next to --out")
     run_p.add_argument("--check-stride", type=int, default=1, metavar="N",
-                       help="with --check on a vectorized/batched core: "
+                       help="with --check on the array core: "
                             "sweep the array invariants every N cycles "
                             "instead of every cycle (default 1)")
     _add_store_arg(run_p)
@@ -448,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write rows + manifest to this JSON")
     sweep_p.add_argument("--check", action="store_true",
                          help="attach the online invariant monitors to "
-                              "every sweep point (array sweeps on "
-                              "vectorized/batched points; checked points "
-                              "batch normally)")
+                              "every sweep point (array sweeps on array-"
+                              "core points; checked points batch "
+                              "normally)")
     sweep_p.add_argument("--check-stride", type=int, default=1,
                          metavar="N",
-                         help="with --check on vectorized/batched points: "
+                         help="with --check on array-core points: "
                               "sweep the array invariants every N cycles "
                               "(default 1)")
     sweep_p.add_argument("--cycles", type=int, default=None,
@@ -483,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="max sweep points grouped into one "
                               "multi-lane batched run (default 16; 1 "
-                              "disables batching; only points with "
-                              "--backend batched or auto group)")
+                              "disables batching; only --backend auto "
+                              "points group)")
     sweep_p.add_argument("--telemetry", default=None, metavar="PATH",
                          help="append the span/event telemetry stream "
                               "(one closed span per point: tier, "
@@ -559,7 +560,7 @@ def main(argv=None) -> int:
     if args.command == "top":
         return _cmd_top(args)
     flit_trace = args.command == "trace" or getattr(args, "trace", None)
-    if flit_trace and args.backend in ("vectorized", "batched"):
+    if flit_trace and args.backend == "vectorized":
         print("error: a flit trace records per-flit events, which only the "
               "scalar core emits; use --backend scalar (--series works on "
               "every core)", file=sys.stderr)

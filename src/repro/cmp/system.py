@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from ..network.backend import BackendUnsupportedError, backend_of
+from ..network.backend import REFUSALS, backend_of
 from ..network.config import NetworkConfig
 from ..network.flit import Packet
 from ..network.simulator import Network
@@ -188,12 +188,12 @@ class CmpSystem:
 def _paper_network(seed: int):
     """The paper's CMP network (cmesh 4x4x4, O1TURN, dynamic VA) by the
     ``auto`` rule: on the compiled core if it builds here, else on the
-    scalar core. Returns it and the refusal (``None`` if it built); a
-    process without numpy refuses the same way."""
+    scalar core. Returns it and the refusal's message (``None`` if it
+    built; ``network.backend.REFUSALS``)."""
     args = ConcentratedMesh(4, 4, 4), NetworkConfig()
     kwargs = dict(routing="o1turn", vc_policy="dynamic", seed=seed)
     try:
         from ..network.vectorized import VectorNetwork
         return VectorNetwork(*args, **kwargs), None
-    except (BackendUnsupportedError, ImportError) as refusal:
+    except REFUSALS as refusal:
         return Network(*args, **kwargs), str(refusal)

@@ -27,7 +27,7 @@ import time
 
 from ..instrument import git_sha, overhead_gate, run_manifest, write_manifest
 from ..instrument.overhead import telemetry_cold_check
-from ..network.backend import BackendUnsupportedError
+from ..network.backend import REFUSALS
 
 #: Length of each gate workload; the checks are structural and
 #: bit-identity assertions, so a few hundred cycles exercise them fully.
@@ -40,9 +40,9 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
     """Run every cold/identity gate; return (and optionally write) the report.
 
     ``backend`` other than ``"scalar"`` adds the array-core gate (needs
-    numpy and a C compiler). Without one the gate's line says why; an
-    explicit ``vectorized`` / ``batched`` then raises the refusal, while
-    ``auto`` — which would land on the scalar core — records it under
+    numpy and a C compiler). Without them the gate's line says why; an
+    explicit ``vectorized`` then raises the refusal, while ``auto`` —
+    which would land on the scalar core — records it under
     ``vectorized_overhead: {"refused": ...}`` and goes on.
     ``check=True`` adds the monitored self-check and, when
     ``out_path`` is given, writes its metrics document next to the report
@@ -55,7 +55,7 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
         try:
             gate_report["vectorized_overhead"] = overhead_gate(
                 cycles=cycles, show=show, backend="vectorized")
-        except BackendUnsupportedError as refusal:
+        except REFUSALS as refusal:
             if backend != "auto":
                 raise
             gate_report["vectorized_overhead"] = {"refused": str(refusal)}

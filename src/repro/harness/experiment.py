@@ -30,8 +30,7 @@ from types import SimpleNamespace
 from ..energy import DEFAULT_ENERGY_MODEL
 from ..evc import EvcMesh, EvcRouting, check_evc_point
 from ..instrument import run_manifest
-from ..network.backend import (BackendUnsupportedError, backend_of,
-                               choose_backend, resolve_backend)
+from ..network.backend import REFUSALS, backend_of, resolve_backend
 from ..network.config import NetworkConfig, PseudoCircuitConfig
 from ..network.simulator import Network
 from ..routing import make_routing
@@ -71,13 +70,12 @@ class ExperimentConfig:
     synth_warmup: int = 300
     mshrs: int = 4   # NIC self-throttling during trace replay
     seed: int = 1
-    # Network core: "scalar", "vectorized", "batched" or "auto"; None
-    # picks up the process default
-    # (repro.network.backend.set_default_backend). "auto" and "batched"
-    # are kept as-is in store keys (a point's identity includes the
-    # *policy* it ran under); build_network resolves them to a concrete
-    # core per point, and the scheduler groups compatible
-    # batched/auto points into BatchNetwork lanes.
+    # Network core: "scalar", "vectorized" or "auto"; None picks up the
+    # process default (repro.network.backend.set_default_backend).
+    # "auto" is kept as-is in store keys (a point's identity includes
+    # the *policy* it ran under): the array core answers it wherever it
+    # accepts the point, the scalar core elsewhere, and the scheduler
+    # groups compatible auto points into BatchNetwork lanes.
     backend: str | None = None
 
     def __post_init__(self):
@@ -263,15 +261,11 @@ def build_network(config: ExperimentConfig, probe=None) -> Network:
 
     ``config.backend`` picks the core: the scalar object-per-router
     ``Network`` or the array ``VectorNetwork`` (bit-identical stats; see
-    ARCHITECTURE.md "Backends"). ``"batched"`` runs single points on
-    the vectorized core (lane grouping happens in the scheduler, not
-    here); ``"auto"`` picks per point via ``choose_backend`` and — as
-    its documented policy, not a silent fallback — takes the scalar
-    core wherever the vectorized core refuses the configuration or the
-    process (no C compiler to build its cycle with). For the explicit
-    vectorized/batched backends both still raise
-    ``BackendUnsupportedError``. Always a new network:
-    ``run_experiment`` reuses idle ones, callers of this never see them.
+    ARCHITECTURE.md "Backends"). ``"auto"`` builds the array core
+    wherever it accepts the point and the scalar core where it refuses
+    (``network.backend.REFUSALS``); an explicit ``"vectorized"`` raises
+    the refusal. Always a new network: ``run_experiment`` reuses idle
+    ones, callers of this never see them.
     """
     return _network_for(config, probe, reuse=False)[0]
 
@@ -285,30 +279,26 @@ def _net_config(config: ExperimentConfig) -> NetworkConfig:
 
 def _network_for(config: ExperimentConfig, probe, reuse: bool):
     """``build_network`` (with ``reuse``: ``run_experiment``'s), as
-    ``_lease`` answers."""
+    ``_lease`` answers, then the message of the refusal an ``auto``
+    point fell back to the scalar core on (``None``: no fallback)."""
     net_cfg = _net_config(config)
     topo, routing = chip_plan(config)
     kwargs = dict(routing=routing, vc_policy=config.vc_policy,
                   seed=config.seed, probe=probe)
-    backend = resolve_backend(config.backend)
-    scalar_fallback = backend == "auto"
-    if scalar_fallback:
-        backend = choose_backend(
-            terminals=topo.num_terminals,
-            rate=config.rate if config.benchmark is None else None,
-            pseudo=config.scheme.enabled)
-    if backend in ("vectorized", "batched"):
-        from ..network.vectorized import VectorNetwork
-        key = _idle_key(config, net_cfg, VectorNetwork)
+    refused = None
+    if config.backend != "scalar":
         try:
-            return _lease(key, reuse,
-                          lambda: VectorNetwork(topo, net_cfg, **kwargs),
-                          config.seed, net_cfg, config.vc_policy)
-        except BackendUnsupportedError:
-            if not scalar_fallback:
+            from ..network.vectorized import VectorNetwork
+            return (*_lease(_idle_key(config, net_cfg, VectorNetwork), reuse,
+                            lambda: VectorNetwork(topo, net_cfg, **kwargs),
+                            config.seed, net_cfg, config.vc_policy), None)
+        except REFUSALS as refusal:
+            if config.backend != "auto":
                 raise
-    return _lease(_idle_key(config, net_cfg), reuse,
-                  lambda: Network(topo, net_cfg, **kwargs), config.seed)
+            refused = str(refusal)
+    return (*_lease(_idle_key(config, net_cfg), reuse,
+                    lambda: Network(topo, net_cfg, **kwargs), config.seed),
+            refused)
 
 
 def _core_fields(net) -> dict:
@@ -381,9 +371,11 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     # checked one is built bare: monitors attach after construction so
     # the vector cores take the checker path, not a probe refusal.
     reuse = probe is None and not check
-    net, how, park = _network_for(config, None if check else probe, reuse)
+    net, how, park, refused = _network_for(config, None if check else probe,
+                                           reuse)
     (result,) = _simulate([config], net, start, how, probe=probe,
-                          check=check, check_stride=check_stride, park=park)
+                          check=check, check_stride=check_stride, park=park,
+                          refused=refused)
     if use_cache:
         persist(result, store=_default_store)
     return result
@@ -399,14 +391,12 @@ BATCH_KEY_FIELDS = CHIP_FIELDS + ("vc_policy", "scheme", "num_vcs",
 def batch_key(config: ExperimentConfig):
     """Grouping key for batched execution, or ``None`` if unbatchable.
 
-    Only synthetic-traffic points that opted into batching (backend
-    ``batched`` or ``auto``) are grouped; trace replay is ticked from
-    Python one trace per network (the MSHR gate itself is per terminal,
-    ``kernel.c``'s ``inject_start``), so it always runs solo.
+    Only synthetic-traffic ``auto`` points are grouped; trace replay is
+    ticked from Python one trace per network (the MSHR gate itself is
+    per terminal, ``kernel.c``'s ``inject_start``), so it always runs
+    solo.
     """
-    if config.benchmark is not None:
-        return None
-    if resolve_backend(config.backend) not in ("batched", "auto"):
+    if config.benchmark is not None or config.backend != "auto":
         return None
     return tuple(getattr(config, f) for f in BATCH_KEY_FIELDS)
 
@@ -420,10 +410,12 @@ def run_batch_experiments(configs, *, check: bool = False,
     windows may vary per lane. Returns one ``Result`` per config, in
     order, each bit-identical to ``run_experiment`` of the same point
     (the batched-parity suite locks this in) and naming the ``batched``
-    core, a single lane included. No cache layer is read or written:
-    the scheduler resolves those first and writes lanes through after.
-    The chip comes from and goes back to the idle pool as
-    ``run_experiment``'s does (a checked one does neither).
+    core, a single lane included. A chip the array core refuses raises
+    the refusal (``network.backend.REFUSALS``); the scheduler then
+    reruns the lanes solo, where ``auto`` falls back. No cache layer is
+    read or written: the scheduler resolves those first and writes
+    lanes through after. The chip comes from and goes back to the idle
+    pool as ``run_experiment``'s does (a checked one does neither).
 
     ``check=True`` attaches one ``VectorInvariantChecker`` to the shared
     chip (whole-array sweeps every ``check_stride`` cycles cover every
@@ -453,13 +445,14 @@ def run_batch_experiments(configs, *, check: bool = False,
 
 def _simulate(configs, net, start: float, how: str, *, probe=None,
               check: bool = False, check_stride: int = 1,
-              park=None) -> list[Result]:
+              park=None, refused: str | None = None) -> list[Result]:
     """Everything after construction, for a solo point and the lanes of
     a batch alike: monitors, traffic, drain, the end-of-run invariant
     sweep, then one manifest and one ``Result`` per config. ``net``,
     ``how`` (leased or built) and ``park`` are ``_lease``'s answers at
     ``start``: a ``BatchNetwork`` with a lane per config, else the one
-    config's own network.
+    config's own network. ``refused`` is the refusal an ``auto`` point
+    fell back to the scalar core on; the manifest records it.
     """
     first = configs[0]
     batched = backend_of(net) == "batched"
@@ -480,6 +473,8 @@ def _simulate(configs, net, start: float, how: str, *, probe=None,
         net.drain(max_cycles=500_000)
     net.check_invariants()
     core = _core_fields(net)
+    if refused is not None:
+        core["refused"] = refused
     prof_doc = None
     if registry is not None:
         for monitor in registry.monitors:
@@ -536,24 +531,28 @@ def memo_hit(config: ExperimentConfig) -> Result | None:
 
 
 def backend_decision(config: ExperimentConfig, lanes: int = 1) -> dict:
-    """What the selector made of a point, for a unit of ``lanes``: the
-    ``policy`` it ran under and, for ``auto``,
-    ``network.backend.explain_choice`` (core chosen, offered load, the
-    crossover it was compared against; terminals read off the chip plan,
-    not re-derived). The core that *ran* is ``manifest["backend"]`` and
-    is not re-modelled here: an ``auto`` point the array core refused
-    says ``chosen: vectorized`` here and ``scalar`` there.
+    """What the point asked for, for a unit of ``lanes``: the ``policy``
+    it ran under and, for ``auto``, the core tried first (``chosen``:
+    ``batched`` for a unit of two or more, else ``vectorized``) with
+    the point's offered load (terminals read off the chip plan, not
+    re-derived; ``rate`` is ``None`` for trace replay). The core that
+    *ran* is ``manifest["backend"]``, and ``manifest["refused"]`` says
+    why it is not ``chosen``.
     """
-    policy = resolve_backend(config.backend)
-    if policy != "auto":
-        return {"policy": policy, "reason": "explicit"}
-    from ..network.backend import explain_choice
-    decision = explain_choice(
-        terminals=chip_plan(config)[0].num_terminals,
-        rate=config.rate if config.benchmark is None else None,
-        pseudo=config.scheme.enabled, batch=lanes)
-    decision["policy"] = "auto"
-    return decision
+    if config.backend != "auto":
+        return {"policy": config.backend, "reason": "explicit"}
+    terminals = chip_plan(config)[0].num_terminals
+    rate = config.rate if config.benchmark is None else None
+    return {
+        "policy": "auto",
+        "chosen": "batched" if lanes > 1 else "vectorized",
+        "reason": "batched-unit" if lanes > 1 else "compiled-core",
+        "terminals": terminals,
+        "rate": rate,
+        "offered_flits_per_cycle": (None if rate is None
+                                    else round(rate * terminals, 3)),
+        "batch": lanes,
+    }
 
 
 def resolve(config: ExperimentConfig, key: str | None = None, store=None,

@@ -24,8 +24,8 @@ engine"); ``run_experiments`` documents each knob. In short:
   once. ``check=True`` bypasses all three: a replayed result would
   silently skip the monitors.
 * **Units** — what is left is grouped: points sharing a ``batch_key``
-  (backend ``batched`` or ``auto``) run as up to ``batch_size`` lanes of
-  one ``BatchNetwork`` — one chip and one kernel call per window for
+  (backend ``auto``) run as up to ``batch_size`` lanes of one
+  ``BatchNetwork`` — one chip and one kernel call per window for
   the unit, all a batch saves since the cycle was compiled
   (``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"); every other point
   is a unit of one.
@@ -190,9 +190,9 @@ def _group_units(todo: Sequence[tuple], batch_size: int) -> list[list]:
     """Group todo points into execution units of at most ``batch_size``.
 
     Points whose ``batch_key`` matches (same chip shape, scheme, VC
-    policy — and a backend that opted into batching) land in one unit
-    and will run as lanes of a single ``BatchNetwork``; everything else
-    becomes a singleton unit. Units are ordered by their first point, so
+    policy — and backend ``auto``) land in one unit and will run as
+    lanes of a single ``BatchNetwork``; everything else becomes a
+    singleton unit. Units are ordered by their first point, so
     with ``batch_size=1`` this degenerates to the plain per-point list
     and the ordered result merge is unaffected either way.
     """
@@ -226,9 +226,11 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     with the config so telemetry spans name the point they close). A failure
     of the *batch* (any lane's exception aborts the shared chip) falls
     back to per-point simulation, which both isolates the failing lane
-    and completes its innocent unit-mates. Per-point failures are
-    returned as ``SweepPointError`` outcomes, never raised, so one bad
-    point cannot discard the unit's completed work. Checked units stay
+    and completes its innocent unit-mates (and is where ``auto`` lands
+    its lanes on the scalar core when the array core refuses the chip).
+    Per-point failures are returned as ``SweepPointError`` outcomes,
+    never raised, so one bad point cannot discard the unit's completed
+    work. Checked units stay
     batched: one ``VectorInvariantChecker`` sweeps every lane of the
     shared chip at once.
 
@@ -568,9 +570,9 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     with every other completed point already checkpointed.
 
     Before dispatch, uncached points that share a ``batch_key`` (same
-    chip shape, scheme and VC policy, backend ``batched`` or ``auto``)
-    are grouped into units of up to ``batch_size`` lanes and simulated
-    as one ``BatchNetwork`` run each — one chip and one kernel call per
+    chip shape, scheme and VC policy, backend ``auto``) are grouped
+    into units of up to ``batch_size`` lanes and simulated as one
+    ``BatchNetwork`` run each — one chip and one kernel call per
     window for the unit (what a batch saves now that the cycle is
     compiled: ``lane_speedup`` 1.1-1.3, EXPERIMENTS.md "PR 21"),
     every lane bit-identical to its solo run. Store and journal keys

@@ -30,7 +30,7 @@ import os
 import tempfile
 import time
 
-from ..network.backend import BackendUnsupportedError
+from ..network.backend import REFUSALS
 from ..network.config import PSEUDO_SB, NetworkConfig
 from ..network.simulator import build_network
 from ..topology import make_topology
@@ -150,13 +150,14 @@ def identity_check(cycles: int = 400, rate: float = 0.30, seed: int = 7,
 def overhead_gate(cycles: int = 400, show: bool = True,
                   backend: str = "scalar") -> dict:
     """The structural + bit-identity gate on ``backend``'s core. An array
-    core this process cannot build (no C compiler) raises
-    ``BackendUnsupportedError``, after the gate's line says why."""
+    core this process cannot build (no C compiler, no numpy) raises its
+    refusal (``network.backend.REFUSALS``), after the gate's line says
+    why."""
     gate = ("overhead gate" if backend == "scalar"
             else f"{backend} overhead gate")
     try:
         report = identity_check(cycles=cycles, backend=backend)
-    except BackendUnsupportedError as refusal:
+    except REFUSALS as refusal:
         if show:
             print(f"{gate}: refused — {refusal}")
         raise

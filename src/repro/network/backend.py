@@ -1,61 +1,52 @@
 """Backend selection for the network core.
 
-Three interchangeable cores implement the same cycle-level contract
-(see ARCHITECTURE.md "Backends"): the scalar object-per-router core in
-``network/simulator.py``, the vectorized structure-of-arrays core in
-``network/vectorized/``, and the batched multi-lane core in
-``network/vectorized/batch.py`` (several independent simulations
-stepped as one chip). All produce bit-identical ``NetworkStats``
-fingerprints for every supported configuration; the parity suites under
+Two interchangeable cores implement the same cycle-level contract (see
+ARCHITECTURE.md "Backends"): the scalar object-per-router core in
+``network/simulator.py`` and the array core in ``network/vectorized/``
+— ``VectorNetwork`` for one point, ``BatchNetwork`` for several
+independent points stepped as the lanes of one chip. They produce
+bit-identical ``NetworkStats`` fingerprints for every supported
+configuration; the parity suites under
 ``tests/network/test_vectorized_parity.py`` and
-``tests/network/test_batched_parity.py`` lock this in.
+``tests/network/test_batched_parity.py`` lock this in, so the core that
+answers a point changes only how fast it is answered.
 
-``backend="auto"`` defers the choice to ``choose_backend``: points
-grouped into a batch take the batched core, single points take the
-vectorized core above a calibrated offered-load crossover (in flits per
-cycle per chip — building the arrays and calling the compiled cycle
-pay off only with some work in flight) and the scalar core below it.
-The crossover is a module constant; the ``perf/`` ledger scores it
-against the measured-fastest core on every run
-(``network.backend.auto_agreement_share`` / ``auto_penalty_pct``),
-which is where a stale value would show.
+A config names one of ``BACKENDS``. ``auto`` is one rule: the array
+core answers every point it accepts — a grouped unit of two or more
+points as the lanes of one ``BatchNetwork``, any other point, trace
+replay included, on ``VectorNetwork`` — and the scalar core answers
+wherever it refuses (``REFUSALS``), with the refusal's message in the
+point's manifest (``refused``).
 
-The vectorized cores need numpy, which is an *optional* runtime
-dependency (``pip install repro[fast]``), and a C compiler on the
-machine that runs them (their cycle is one C file built on first use,
+The array core needs numpy, which is an *optional* runtime dependency
+(``pip install repro[fast]``), and a C compiler on the machine that
+runs it (its cycle is one C file built on first use,
 ``network/vectorized/kernel.py``). ``require_numpy`` converts the bare
 ImportError into an actionable message; ``BackendUnsupportedError``
-marks what the vectorized core deliberately refuses (per-flit probes,
-multidrop channels, a process with no compiler)
-so callers fall back to the scalar core explicitly instead of getting
-silently-different semantics — ``auto`` is the one sanctioned fallback
-path: its documented policy is to pick scalar wherever the vectorized
-core refuses.
+marks what the array core deliberately refuses (per-flit probes,
+multidrop channels, a process with no compiler). An explicit
+``vectorized`` raises either; ``auto`` is the one sanctioned fallback.
 """
 
 from __future__ import annotations
 
-BACKENDS = ("scalar", "vectorized", "batched", "auto")
+BACKENDS = ("scalar", "vectorized", "auto")
 
-#: Backends that name a concrete simulation core ("auto" resolves to
-#: one of these per point; "batched" runs single points on the
-#: vectorized core and groups of points on the batched core).
+#: The cores a manifest can name: ``batched`` is the array core running
+#: the lanes of a grouped unit.
 CONCRETE_BACKENDS = ("scalar", "vectorized", "batched")
 
 #: Process-wide default used when a config leaves ``backend`` unset.
 _default_backend = "scalar"
 
-#: Selector calibration: offered load (flits per cycle per chip,
-#: ``rate * terminals``) above which the vectorized core beats the
-#: scalar core, per scheme kind. Measured on 4x4 and 8x8 meshes with
-#: the whole cycle compiled (EXPERIMENTS.md "PR 21"): the array core
-#: wins wherever a point simulates more than a few milliseconds, so
-#: what is left below the line is its ~2 ms construction.
-_CROSSOVER_FLITS_PER_CYCLE = {"baseline": 0.1, "pseudo": 0.06}
-
 
 class BackendUnsupportedError(RuntimeError):
     """A feature the selected network backend deliberately does not support."""
+
+
+#: What the array core's refusal of a point is, for every caller that
+#: falls back on it: a named refusal or a process without numpy.
+REFUSALS = (BackendUnsupportedError, ImportError)
 
 
 def resolve_backend(name: str | None) -> str:
@@ -99,79 +90,23 @@ def backend_of(network) -> str:
     return "scalar"
 
 
-# -- the "auto" selector ------------------------------------------------------
+# -- kept for the perf/ ledger; ROADMAP item 1 removes both -------------------
 
 def calibration() -> dict:
-    """The selector calibration in effect (a fresh dict per call).
-
-    ``source`` is always ``"default"`` — nothing re-measures the
-    crossover at run time; the key stays because sweep telemetry and the
-    ``perf/`` reports record it.
-    """
-    return {"crossover_flits_per_cycle": dict(_CROSSOVER_FLITS_PER_CYCLE),
-            "source": "default"}
+    """``{"source": "default"}``: ``auto`` weighs no load, so nothing is
+    calibrated. Only the ``perf/`` reports read this; ROADMAP item 1
+    removes it."""
+    return {"source": "default"}
 
 
 def choose_backend(*, terminals: int, rate: float | None,
                    pseudo: bool = False, batch: int = 1) -> str:
-    """Pick a concrete core for one point (the ``auto`` policy).
-
-    The decision variable is offered load in flits per cycle per chip
-    (``rate * terminals``): the compiled cycle wins above the
-    calibrated crossover, and below it a point is so nearly empty that
-    reusing an idle scalar network beats building the arrays —
-    ``pseudo`` selects the pseudo-circuit schemes' crossover (lower:
-    the scalar pipeline has more to do per flit there). Points grouped
-    into a ``batch`` of two or more always take the batched core: one
-    chip is built and one call made per cycle whatever the load.
-    ``rate=None`` (trace replay, offered load unknown and
-    self-throttled by MSHRs) picks scalar. That is not where the time
-    says to go: fig8's 15 trace points run inline took 3.38-3.86 s a
-    pass on the scalar core and 0.33-0.39 s on the vectorized one, with
-    equal Results (EXPERIMENTS.md, "CMP trace extraction on the
-    compiled core"; ROADMAP item 2(a)). The rule
-    stays until the benchmark can score trace points on either core
-    (ROADMAP item 1(e)); CMP trace *extraction* already runs compiled.
-    """
-    return _auto_rule(terminals, rate, pseudo, batch)[0]
-
-
-def _auto_rule(terminals: int, rate: float | None, pseudo: bool,
-               batch: int) -> tuple[str, str]:
-    """The ``auto`` policy's three branches, stated once: the core it
-    picks and the branch that picked it."""
-    if batch > 1:
-        return "batched", "batched-unit"
-    if rate is None or terminals <= 0:
-        return "scalar", "no-offered-load"
-    threshold = _CROSSOVER_FLITS_PER_CYCLE["pseudo" if pseudo else "baseline"]
-    return ("vectorized" if rate * terminals >= threshold else "scalar",
-            "offered-load-crossover")
-
-
-def explain_choice(*, terminals: int, rate: float | None,
-                   pseudo: bool = False, batch: int = 1) -> dict:
-    """``choose_backend`` plus the inputs that produced the decision.
-
-    Harness telemetry stamps every simulated point with this record so
-    a sweep's stream says not just *which* core ran each point but
-    *why*: the offered load, the calibrated crossover it was compared
-    against, and where that calibration came from (``calibration()``'s
-    ``source``).
-    """
-    chosen, reason = _auto_rule(terminals, rate, pseudo, batch)
-    return {
-        "chosen": chosen,
-        "reason": reason,
-        "terminals": terminals,
-        "rate": rate,
-        "offered_flits_per_cycle": (None if rate is None
-                                    else round(rate * terminals, 3)),
-        "crossover_flits_per_cycle": _CROSSOVER_FLITS_PER_CYCLE[
-            "pseudo" if pseudo else "baseline"],
-        "calibration_source": "default",
-        "batch": batch,
-    }
+    """The core ``auto`` tries first for a unit of ``batch`` points:
+    ``batched`` for two or more, else ``vectorized``. ``terminals``,
+    ``rate`` and ``pseudo`` are accepted and ignored. Only the
+    ``perf/`` ledger's ``auto_*`` probe calls this; ROADMAP item 1
+    removes it."""
+    return "batched" if batch > 1 else "vectorized"
 
 
 def require_numpy():

@@ -177,8 +177,9 @@ class Kernel:
                  else f"compiler {self.compiler!r}" if self.compiler
                  else "none of cc, gcc, clang answered --version")
         said = f"; it said: {self.detail}" if self.detail else ""
-        return (f"the vectorized and batched backends step through one "
-                f"compiled C file, and this process has none: {reason} "
+        return (f"the array core (a vectorized point, a grouped unit's "
+                f"lanes) steps through one compiled C file, and this "
+                f"process has none: {reason} "
                 f"({asked}{said}) — use --backend scalar|auto, or point "
                 f"$CC at a working C compiler")
 

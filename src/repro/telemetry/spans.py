@@ -60,15 +60,16 @@ def _rounded(value):
 
 def _core_fields(config, result) -> dict:
     """Where a simulated point ran, read off its own manifest —
-    ``backend``, an array core's ``step_kernel`` and ``traffic_source``,
-    a batch lane's ``lane`` / ``lanes`` — plus ``decision``, which the
-    manifest does not say: the selector's inputs."""
+    ``backend``, the ``refused`` an ``auto`` point fell back on, an
+    array core's ``step_kernel`` and ``traffic_source``, a batch lane's
+    ``lane`` / ``lanes`` — plus ``decision``, which the manifest does
+    not say: what the point asked for."""
     from ..harness.experiment import backend_decision
     manifest = result.manifest or {}
     fields = {name: manifest[key] for name, key in (
-        ("backend", "backend"), ("step_kernel", "step_kernel"),
-        ("traffic_source", "traffic_source"), ("lane", "batch_lane"),
-        ("lanes", "batch_lanes")) if key in manifest}
+        ("backend", "backend"), ("refused", "refused"),
+        ("step_kernel", "step_kernel"), ("traffic_source", "traffic_source"),
+        ("lane", "batch_lane"), ("lanes", "batch_lanes")) if key in manifest}
     try:
         fields["decision"] = backend_decision(
             config, lanes=fields.get("lanes", 1))

@@ -9,6 +9,7 @@ without documenting it (or vice versa) fails CI.
 
 from dataclasses import dataclass
 
+from ..network.backend import CONCRETE_BACKENDS
 from .base import Channel, Endpoint, GridTopology, Topology
 from .chiplet import ChipletTopology
 from .fbfly import FlattenedButterfly
@@ -55,7 +56,6 @@ class TopologyInfo:
 
 
 _GRID_FLAGS = ("--kx", "--ky", "--concentration")
-_ALL_BACKENDS = ("scalar", "vectorized", "batched")
 
 TOPOLOGY_REGISTRY: dict[str, TopologyInfo] = {
     info.name: info for info in (
@@ -64,21 +64,21 @@ TOPOLOGY_REGISTRY: dict[str, TopologyInfo] = {
             summary="kx x ky 2D mesh, one terminal block per router",
             flags=_GRID_FLAGS,
             routings=("xy", "yx", "o1turn"),
-            backends=_ALL_BACKENDS,
+            backends=CONCRETE_BACKENDS,
         ),
         TopologyInfo(
             name="cmesh",
             summary="concentrated mesh: mesh wiring, >1 terminal per router",
             flags=_GRID_FLAGS,
             routings=("xy", "yx", "o1turn"),
-            backends=_ALL_BACKENDS,
+            backends=CONCRETE_BACKENDS,
         ),
         TopologyInfo(
             name="fbfly",
             summary="flattened butterfly: full row/column express links",
             flags=_GRID_FLAGS,
             routings=("xy", "yx", "o1turn"),
-            backends=_ALL_BACKENDS,
+            backends=CONCRETE_BACKENDS,
         ),
         TopologyInfo(
             name="mecs",
@@ -95,7 +95,7 @@ TOPOLOGY_REGISTRY: dict[str, TopologyInfo] = {
                     "boundary links",
             flags=_GRID_FLAGS + ("--chiplets", "--chiplet-link-latency"),
             routings=("weighted",),
-            backends=_ALL_BACKENDS,
+            backends=CONCRETE_BACKENDS,
         ),
         TopologyInfo(
             name="kite",
@@ -103,7 +103,7 @@ TOPOLOGY_REGISTRY: dict[str, TopologyInfo] = {
                     "channels",
             flags=_GRID_FLAGS,
             routings=("weighted",),
-            backends=_ALL_BACKENDS,
+            backends=CONCRETE_BACKENDS,
         ),
     )
 }

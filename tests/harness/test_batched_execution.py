@@ -19,7 +19,7 @@ from repro.harness.parallel import _group_units, run_experiments
 from repro.store import SweepJournal, store_key
 
 
-def _cfg(pattern="uniform", rate=0.1, seed=1, backend="batched",
+def _cfg(pattern="uniform", rate=0.1, seed=1, backend="auto",
          **overrides):
     overrides.setdefault("topology", "mesh")
     overrides.setdefault("kx", 4)
@@ -47,7 +47,7 @@ class TestBatchKey:
     def test_unbatchable_points_have_no_key(self):
         assert batch_key(_cfg(backend="scalar")) is None
         assert batch_key(_cfg(backend="vectorized")) is None
-        trace = ExperimentConfig(benchmark="bodytrack", backend="batched")
+        trace = ExperimentConfig(benchmark="bodytrack", backend="auto")
         assert batch_key(trace) is None
 
     def test_auto_points_group(self):

@@ -121,7 +121,7 @@ class TestWarmChipEqualsColdBuild:
 
     def test_harness_entry_points_agree_with_a_cold_process(self):
         pytest.importorskip("numpy")
-        cfgs = [replace(MESH4_XY, backend="batched", seed=s, rate=r)
+        cfgs = [replace(MESH4_XY, backend="auto", seed=s, rate=r)
                 for s, r in ((5, 0.05), (6, 0.08))]
         cold_batch = run_batch_experiments(cfgs)
         plan_memo.cache_clear()

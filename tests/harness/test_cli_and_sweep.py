@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.harness.experiment import ExperimentConfig, run_batch_experiments
 from repro.harness.sweep import sweep_load, sweep_vcs
 from repro.network import backend
 from repro.network.backend import BackendUnsupportedError
@@ -90,21 +91,32 @@ def test_cli_run_trace_needs_single_scheme(capsys):
     assert "single --scheme" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("core", ["vectorized", "batched"])
+@pytest.mark.parametrize("core, refusal", [
+    ("batched", "error: argument --backend: invalid choice: 'batched'"),
+    ("vectorized", "error: a flit trace records per-flit events"),
+], ids=["batched", "vectorized"])
 @pytest.mark.parametrize("command", ["run", "trace"])
-def test_cli_flit_trace_on_an_array_core_exits_2(command, core, tmp_path,
-                                                 capsys, process_backend):
+def test_cli_flit_trace_on_an_array_core_exits_2(command, core, refusal,
+                                                 tmp_path, capsys,
+                                                 process_backend):
     """Only the scalar core emits per-flit events: both commands refuse
-    an array core up front, with one line and no output file, whether
-    or not this machine could build it."""
+    an array core up front, with no output file, whether or not this
+    machine could build it. The removed batched core is refused by the
+    parser itself; the vectorized one by a single line naming scalar."""
     prefix = str(tmp_path / "t")
     argv = [command, "--scheme", "pseudo_sb", "--cycles", "50",
             "--backend", core]
     argv += ["--trace", prefix] if command == "run" else ["--out", prefix]
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: a flit trace records per-flit events")
-    assert "--backend scalar" in err and err.count("\n") == 1
+    assert refusal in err.splitlines()[-1]
+    if core == "vectorized":
+        assert err.startswith(refusal)
+        assert "--backend scalar" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -132,7 +144,9 @@ def test_cli_sweep_out_writes_manifest(tmp_path, capsys):
     (["run", "--cycle", "10"], "--cycle 10"),  # prefix of --cycles
     (["bench", "--gate"], "--gate"),           # removed with the timing bench
     (["fig12", "--resume"], "--resume"),       # a store hit needs no flag
-], ids=["abbreviated", "removed", "removed-figure-resume"])
+    (["run", "--backend", "batched"], "batched"),  # auto groups lanes
+], ids=["abbreviated", "removed", "removed-figure-resume",
+        "removed-batched-backend"])
 def test_cli_matches_flags_exactly(argv, named, capsys):
     """Prefix matching is off and removed flags have no shim: either
     exits 2 naming the flag instead of binding to a surviving one."""
@@ -196,7 +210,8 @@ class TestBenchRoundTrip:
             self, tmp_path, monkeypatch, capsys, process_backend):
         """``auto`` lands on the scalar core when the array core cannot
         be built: its gate's refusal is printed and recorded, and the
-        command succeeds. An explicit array backend still fails on it."""
+        command succeeds. An explicit ``vectorized`` and a grouped unit's
+        lane core still fail on it."""
         import json
 
         pytest.importorskip("numpy")
@@ -209,9 +224,12 @@ class TestBenchRoundTrip:
         assert "no-compiler" in gate["vectorized_overhead"]["refused"]
         assert ("vectorized overhead gate: refused"
                 in capsys.readouterr().out)
-        for core in ("vectorized", "batched"):
-            with pytest.raises(BackendUnsupportedError, match="no-compiler"):
-                main(["bench", "--cycles", "120", "--backend", core])
+        with pytest.raises(BackendUnsupportedError, match="no-compiler"):
+            main(["bench", "--cycles", "120", "--backend", "vectorized"])
+        with pytest.raises(BackendUnsupportedError, match="no-compiler"):
+            run_batch_experiments(
+                [ExperimentConfig(pattern="uniform", backend="auto",
+                                  seed=seed) for seed in (1, 2)])
 
     def test_hot_probe_fails_the_run(self, monkeypatch):
         from repro.instrument import FlitTracer, overhead

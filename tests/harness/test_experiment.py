@@ -113,7 +113,7 @@ class TestBackendObservability:
     def test_checked_batch_stamps_lanes(self):
         pytest.importorskip("numpy")
         from repro.harness.experiment import run_batch_experiments
-        configs = [ExperimentConfig(backend="batched",
+        configs = [ExperimentConfig(backend="auto",
                                     **{**self.BASE, "rate": rate})
                    for rate in (0.05, 0.25)]
         results = run_batch_experiments(configs, check=True, check_stride=2)

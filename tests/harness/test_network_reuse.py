@@ -388,7 +388,7 @@ class TestIdlePool:
         array chip under another scheme too), the first ``built``."""
         if backend != "scalar":
             request.getfixturevalue("array_core")
-        cfg = _point(backend=backend)
+        cfg = _point(backend="auto" if backend == "batched" else backend)
         nxt = replace(cfg, seed=9, rate=0.2,
                       scheme=cfg.scheme if backend == "scalar" else BASELINE)
         if backend == "batched":
@@ -410,33 +410,35 @@ class TestIdlePool:
         point = _point(backend="vectorized")
         first = run_experiment(point, use_cache=False)
         solo = _parked(point, VectorNetwork)
-        again = run_experiment(replace(point, backend="batched", seed=8,
+        again = run_experiment(replace(point, backend="auto", seed=8,
                                        scheme=BASELINE, vc_policy="dynamic"),
                                use_cache=False)
         assert (first.manifest["network"], again.manifest["network"]) == (
             "built", "leased")
         assert type(solo) is VectorNetwork and list(idle.values()) == [solo]
-        run_batch_experiments([replace(point, backend="batched", seed=seed)
+        run_batch_experiments([replace(point, backend="auto", seed=seed)
                                for seed in (1, 2)])
         batch = _parked(point, BatchNetwork, lanes=2)
         assert type(batch) is BatchNetwork
         assert list(idle.values()) == [solo, batch]
-        # auto: the vectorized core above its crossover...
-        busy = _point(kx=8, ky=8, rate=0.4, backend="auto", cycles=20)
-        assert run_experiment(busy, use_cache=False).manifest[
-            "backend"] == "vectorized"
+        # auto: the vectorized core wherever it accepts the point, at
+        # any load...
+        for rate in (0.4, 0.001):
+            busy = _point(kx=8, ky=8, rate=rate, backend="auto", cycles=20)
+            assert run_experiment(busy, use_cache=False).manifest[
+                "backend"] == "vectorized"
         assert list(idle.values()) == [batch, _parked(busy, VectorNetwork)]
-        # ...the scalar core below it, and where vectorized refuses.
-        low = _point(rate=0.001, backend="auto")
+        # ...and the scalar core where it refuses.
         refused = _point("mecs", kx=8, ky=8, rate=0.4, backend="auto",
                          cycles=20)
-        for cfg in (low, refused, low, refused):
-            result = run_experiment(cfg, use_cache=False)
+        for _ in range(2):
+            result = run_experiment(refused, use_cache=False)
             assert result.manifest["backend"] == "scalar"
-            scalar = replace(cfg, backend="scalar")
+            assert "point-to-point" in result.manifest["refused"]
+            scalar = replace(refused, backend="scalar")
             assert _metrics(replace(result, config=scalar)) == \
                 _fresh(scalar)[0]
-            assert type(_parked(cfg)) is Network
+            assert type(_parked(refused)) is Network
         assert len(idle) == 2
 
 
@@ -638,7 +640,7 @@ class TestArrayReusedEqualsFresh:
         """Two-lane units, one scheme each, alternate on one BatchNetwork;
         every lane equals its batch on a new chip, and its solo run."""
         units = [[_point(topology, routing, policy, scheme,
-                         backend="batched", **dict(step, seed=seed))
+                         backend="auto", **dict(step, seed=seed))
                   for seed in (21, 22)]
                  for step in STEPS[:2] for scheme in ALL_SCHEMES]
         for unit in units:
@@ -674,7 +676,8 @@ class TestArrayFailedRunIsNeverLeasedAgain:
     def test_raising_traffic_source(self, backend, error, monkeypatch,
                                     array_core):
         from repro.network.vectorized import BatchNetwork, VectorNetwork
-        cfgs = [_point(rate=0.5, backend=backend, seed=seed)
+        cfgs = [_point(rate=0.5, seed=seed,
+                       backend="auto" if backend == "batched" else backend)
                 for seed in (7, 8)]
 
         def run(cfgs):

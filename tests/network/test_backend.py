@@ -1,11 +1,13 @@
 """The backend seam: selection, config plumbing, and refusal paths."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from repro.harness.experiment import (ExperimentConfig, build_network,
-                                      run_experiment)
+                                      run_batch_experiments, run_experiment)
+from repro.harness.parallel import run_experiments
 from repro.network.backend import (BACKENDS, CONCRETE_BACKENDS,
                                    BackendUnsupportedError, calibration,
                                    choose_backend, default_backend,
@@ -127,11 +129,14 @@ class TestRefusals:
         point = dict(topology="mesh", kx=3, ky=3, concentration=1,
                      routing="xy", pattern="uniform", rate=0.6,
                      synth_cycles=300)
-        for backend in ("vectorized", "batched"):
-            with pytest.raises(BackendUnsupportedError,
-                               match=r"at most 63 VCs.*not 64.*'mesh'"):
-                run_experiment(ExperimentConfig(num_vcs=64, backend=backend,
-                                                **point), use_cache=False)
+        widest_word = r"at most 63 VCs.*not 64.*'mesh'"
+        with pytest.raises(BackendUnsupportedError, match=widest_word):
+            run_experiment(ExperimentConfig(num_vcs=64, backend="vectorized",
+                                            **point), use_cache=False)
+        with pytest.raises(BackendUnsupportedError, match=widest_word):
+            run_batch_experiments(
+                [ExperimentConfig(num_vcs=64, backend="auto", seed=seed,
+                                  **point) for seed in (1, 2)])
         answered = run_experiment(
             ExperimentConfig(num_vcs=64, backend="auto", **point),
             use_cache=False)
@@ -149,49 +154,52 @@ class TestRefusals:
         assert require_numpy() is numpy
 
     def test_backends_tuple_is_the_public_contract(self):
-        assert BACKENDS == ("scalar", "vectorized", "batched", "auto")
+        assert BACKENDS == ("scalar", "vectorized", "auto")
         assert CONCRETE_BACKENDS == ("scalar", "vectorized", "batched")
+
+    def test_batched_is_no_policy(self, scalar_default):
+        with pytest.raises(ValueError, match="unknown network backend"):
+            ExperimentConfig(pattern="uniform", backend="batched")
+        with pytest.raises(ValueError, match="unknown network backend"):
+            set_default_backend("batched")
 
 
 class TestAutoSelector:
+    """``choose_backend`` and ``calibration`` stay for the ``perf/``
+    ledger only; neither weighs load."""
+
     def test_batch_always_picks_batched(self):
         assert choose_backend(terminals=64, rate=0.01, batch=4) == "batched"
         assert choose_backend(terminals=4, rate=None, batch=2) == "batched"
 
-    def test_trace_replay_picks_scalar(self):
-        assert choose_backend(terminals=64, rate=None) == "scalar"
+    def test_trace_replay_picks_vectorized(self):
+        assert choose_backend(terminals=64, rate=None) == "vectorized"
 
-    def test_offered_load_crossover(self):
+    def test_offered_load_is_not_weighed(self):
         # 64 terminals: 0.0005 offers 0.032 flits/cycle, 0.30 offers 19.2.
-        assert choose_backend(terminals=64, rate=0.0005) == "scalar"
-        assert choose_backend(terminals=64, rate=0.0005,
-                              pseudo=True) == "scalar"
-        assert choose_backend(terminals=64, rate=0.30) == "vectorized"
-        # The canonical low-load cell (0.02: 1.28 flits/cycle) is far
-        # above either line since the whole cycle is compiled.
-        assert choose_backend(terminals=64, rate=0.02) == "vectorized"
-        # The pseudo crossover is lower: 0.00125 straddles 0.06 and 0.1.
-        assert choose_backend(terminals=64, rate=0.00125) == "scalar"
-        assert choose_backend(terminals=64, rate=0.00125,
-                              pseudo=True) == "vectorized"
+        for rate in (0.0005, 0.00125, 0.02, 0.30):
+            for pseudo in (False, True):
+                assert choose_backend(terminals=64, rate=rate,
+                                      pseudo=pseudo) == "vectorized"
 
-    def test_calibration_is_the_module_constants(self):
-        # Nothing re-measures the crossover at run time: every process
-        # selects on the same two numbers, and the ``perf/`` ledger
-        # scores them (network.backend.auto_agreement_share).
-        assert calibration() == {
-            "crossover_flits_per_cycle": {"baseline": 0.1, "pseudo": 0.06},
-            "source": "default"}
-        calibration()["crossover_flits_per_cycle"]["baseline"] = 0.0
-        assert calibration()["crossover_flits_per_cycle"]["baseline"] == 0.1
+    def test_calibration_names_only_its_source(self):
+        assert calibration() == {"source": "default"}
 
 
 class TestAutoDispatch:
-    def test_low_load_builds_scalar(self):
+    def test_low_load_builds_vectorized(self):
+        pytest.importorskip("numpy")
+        from repro.network.vectorized import VectorNetwork
         cfg = ExperimentConfig(topology="mesh", kx=8, ky=8, concentration=1,
                                routing="xy", pattern="uniform", rate=0.001,
                                backend="auto")
-        assert type(build_network(cfg)) is Network
+        assert type(build_network(cfg)) is VectorNetwork
+
+    def test_trace_replay_builds_vectorized(self):
+        pytest.importorskip("numpy")
+        from repro.network.vectorized import VectorNetwork
+        cfg = ExperimentConfig(benchmark="radix", backend="auto")
+        assert type(build_network(cfg)) is VectorNetwork
 
     def test_high_load_builds_vectorized(self):
         pytest.importorskip("numpy")
@@ -210,6 +218,33 @@ class TestAutoDispatch:
                                routing="xy", pattern="uniform", rate=0.30,
                                backend="auto")
         assert type(build_network(cfg)) is Network
+
+    def test_a_process_without_numpy_answers_from_scalar(self,
+                                                          monkeypatch):
+        """No numpy is a refusal like no compiler: a solo ``auto`` point
+        and a grouped ``auto`` unit (which refuses and reruns solo) run
+        on the scalar core and name numpy under ``refused``; an explicit
+        ``vectorized`` raises the ImportError."""
+        # A shape no idle network holds: an idle array chip would be
+        # reset, not built, and so never ask for numpy.
+        point = dict(topology="mesh", kx=5, ky=3, concentration=1,
+                     routing="xy", pattern="uniform", rate=0.3,
+                     synth_cycles=100, synth_warmup=20)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        solo = run_experiment(ExperimentConfig(backend="auto", **point),
+                              use_cache=False)
+        unit = run_experiments(
+            [ExperimentConfig(backend="auto", seed=seed, **point)
+             for seed in (2, 3)], max_workers=1, batch_size=2)
+        for result in (solo, *unit):
+            assert result.manifest["backend"] == "scalar"
+            assert "numpy" in result.manifest["refused"]
+        with pytest.raises(ImportError, match="numpy"):
+            run_experiment(ExperimentConfig(backend="vectorized", **point),
+                           use_cache=False)
+        scalar = run_experiment(ExperimentConfig(backend="scalar", **point),
+                                use_cache=False)
+        assert solo == dataclasses.replace(scalar, config=solo.config)
 
     def test_auto_kept_in_store_key(self):
         from repro.store import store_key

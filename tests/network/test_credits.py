@@ -107,7 +107,7 @@ def ovcs(net):
         yield from nic.inject_state.ovcs
 
 
-class TestCreditCounter:
+class TestOutputVcCredits:
     def test_starts_full(self):
         net = line(buffer_depth=3, eject_buffer_depth=6)
         limits = {ovc.limit for ovc in ovcs(net)}

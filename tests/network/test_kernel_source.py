@@ -248,7 +248,7 @@ def test_tick_runs_only_where_the_packet_is_needed(routing, drew,
         tick(self, network, cycle)
 
     monkeypatch.setattr(SyntheticTraffic, "tick", counted)
-    lanes = run_batch_experiments(_points(routing, "batched"))
+    lanes = run_batch_experiments(_points(routing, "auto"))
     solo = run_experiment(_points(routing, "vectorized")[3], use_cache=False)
     assert bool(calls) == (drew == "python")
     assert [_measured(r) for r in lanes] == [_measured(r) for r in scalar]
@@ -260,7 +260,7 @@ def test_point_spans_say_who_drew(tmp_path):
     from repro.telemetry.stream import read_stream
     stream = tmp_path / "sweep.telemetry.jsonl"
     run_experiments(
-        [*_points("xy", "batched", lanes=2),
+        [*_points("xy", "auto", lanes=2),
          _points("o1turn", "vectorized")[0], _points("xy", "scalar")[0]],
         max_workers=1, batch_size=2, telemetry=str(stream))
     spans = [rec for rec in read_stream(str(stream)) if rec["ev"] == "point"]

@@ -321,11 +321,12 @@ def _solo(backend="vectorized", **point):
 class TestManifest:
     def test_both_paths_are_named_and_agree(self, compiled, monkeypatch):
         """Solo and batched, with a compiler: both name the artifact.
-        Without one: the explicit backends refuse, ``auto`` and a
-        grouped sweep answer the same rows from the scalar core."""
+        Without one: ``vectorized`` and a grouped unit's lane core
+        refuse, ``auto`` and a grouped sweep answer the same rows from
+        the scalar core, and their manifests say why."""
         fast = _solo(**_BUSY_POINT)
         lanes = run_batch_experiments(
-            [ExperimentConfig(backend="batched", **_BUSY_POINT)])
+            [ExperimentConfig(backend="auto", **_BUSY_POINT)])
         assert fast.manifest["step_kernel"] == compiled
         assert lanes[0].manifest["step_kernel"] == compiled
         # Result equality is every measured field; the lane's config
@@ -333,19 +334,24 @@ class TestManifest:
         assert fast == dataclasses.replace(lanes[0], config=fast.config)
         assert (fast.manifest["backend"], lanes[0].manifest["backend"]) == (
             "vectorized", "batched")
+        assert "refused" not in fast.manifest
         monkeypatch.setenv("CC", "false")
-        for backend in ("vectorized", "batched"):
-            with pytest.raises(BackendUnsupportedError, match="no-compiler"):
-                _solo(backend, **_BUSY_POINT)
+        with pytest.raises(BackendUnsupportedError, match="no-compiler"):
+            _solo("vectorized", **_BUSY_POINT)
+        unit = [ExperimentConfig(backend="auto",
+                                 **dict(_BUSY_POINT, seed=seed))
+                for seed in (7, 8)]
+        with pytest.raises(BackendUnsupportedError, match="no-compiler"):
+            run_batch_experiments(unit)
         slow = _solo("auto", **_BUSY_POINT)
         assert slow.manifest["backend"] == "scalar"
         assert "step_kernel" not in slow.manifest
         assert fast == dataclasses.replace(slow, config=fast.config)
-        swept = run_experiments(
-            [ExperimentConfig(backend="auto", **dict(_BUSY_POINT, seed=seed))
-             for seed in (7, 8)], max_workers=1, batch_size=2)
+        swept = run_experiments(unit, max_workers=1, batch_size=2)
         assert [r.manifest["backend"] for r in swept] == ["scalar"] * 2
         assert fast == dataclasses.replace(swept[0], config=fast.config)
+        for result in (slow, *swept):
+            assert "no-compiler" in result.manifest["refused"]
 
     def test_scalar_points_say_nothing(self):
         assert "step_kernel" not in _solo("scalar").manifest
@@ -355,7 +361,7 @@ class TestManifest:
         stream = tmp_path / "sweep.telemetry.jsonl"
         run_experiments(
             [ExperimentConfig(backend="vectorized", **_POINT),
-             *(ExperimentConfig(backend="batched", **dict(_POINT, seed=s))
+             *(ExperimentConfig(backend="auto", **dict(_POINT, seed=s))
                for s in (1, 2))],
             max_workers=1, batch_size=2, telemetry=str(stream))
         spans = [rec for rec in read_stream(str(stream))
@@ -383,8 +389,12 @@ class TestManifest:
             r.manifest["backend"] for r in results] == ["scalar"] * 3
         assert [spans[idx]["solo_fallback"] for idx in range(3)] == [
             False, True, True]
-        # What the selector chose stays on record, under ``decision``.
+        # What the point asked for stays on record, under ``decision``,
+        # and why it did not get it, under ``refused``.
         assert spans[0]["decision"]["chosen"] == "vectorized"
+        assert [spans[idx]["refused"] for idx in range(3)] == [
+            r.manifest["refused"] for r in results]
+        assert all("no-compiler" in r.manifest["refused"] for r in results)
         assert not any("step_kernel" in span for span in spans.values())
 
 

@@ -308,7 +308,7 @@ class TestPoolHighWaterInMetrics:
 
     def test_batched_check_document(self):
         results = run_batch_experiments(
-            [ExperimentConfig(backend="batched", seed=seed, **self._POINT)
+            [ExperimentConfig(backend="auto", seed=seed, **self._POINT)
              for seed in (3, 11)], check=True)
         marks = [self._high_water(result) for result in results]
         assert marks[0] == marks[1]     # one chip, one pair of pools

@@ -167,7 +167,7 @@ class TestReach:
             for (topo_args, scheme, kw), lanes in chips.items():
                 _batched_stats(topo_args, scheme, lanes, **dict(kw))
             run_batch_experiments(
-                [ExperimentConfig(backend="batched", seed=seed, **_CHECKED)
+                [ExperimentConfig(backend="auto", seed=seed, **_CHECKED)
                  for seed in (3, 11)], check=True)
             net = _loaded(BatchNetwork, seeds=(1, 2))
             with pytest.raises(RuntimeError, match="packets left"):

@@ -96,7 +96,7 @@ class TestAggregation:
     def test_batch_occupancy(self, tmp_path):
         pytest.importorskip("numpy")
         tel = str(tmp_path / "t.jsonl")
-        points = [_point(s, backend="batched") for s in range(1, 6)]
+        points = [_point(s, backend="auto") for s in range(1, 6)]
         run_experiments(points, max_workers=1, batch_size=4, telemetry=tel)
         report = build_sweep_report(read_stream(tel))
         batch = report["batch"]

@@ -107,7 +107,7 @@ class TestTiers:
     def test_batched_unit_spans_carry_lanes(self, tmp_path):
         pytest.importorskip("numpy")
         tel = str(tmp_path / "t.jsonl")
-        points = [_point(s, backend="batched") for s in range(1, 5)]
+        points = [_point(s, backend="auto") for s in range(1, 5)]
         run_experiments(points, max_workers=1, batch_size=4, telemetry=tel)
         records = read_stream(tel)
         spans = _points_of(records)

@@ -196,7 +196,7 @@ class TestChromeTrace:
     def test_batched_lanes_become_threads(self, tmp_path):
         pytest.importorskip("numpy")
         tel = str(tmp_path / "t.jsonl")
-        points = [_point(s, backend="batched") for s in range(1, 5)]
+        points = [_point(s, backend="auto") for s in range(1, 5)]
         run_experiments(points, max_workers=1, batch_size=4, telemetry=tel)
         doc = telemetry_chrome_trace(read_stream(tel))
         point_tids = {e["tid"] for e in doc["traceEvents"]
