@@ -1,11 +1,13 @@
 /* The compiled cycle without Python in the way: load one network's Chip
  * from a dump (``kernel_dump.py``), drive it through ``run()`` the way
  * ``VectorNetwork._drive`` and ``drain`` do -- one call for the window,
- * then one to drain -- and print what a cycle and a flit-hop cost, and a
- * digest of what the run left in ``counts``, ``hist`` and ``state``
- * (``kernel_dump.digest`` of the same chip run through ``VectorNetwork``
- * answers the same). For sizing a change to ``kernel.c`` under a
- * profiler:
+ * then one to drain -- and the drained chip through ``check_drained()``,
+ * the end-of-run check, as ``check_invariants`` does; print what a cycle
+ * and a flit-hop cost, a digest of what the run left in ``counts``,
+ * ``hist`` and ``state`` (``kernel_dump.digest`` of the same chip run
+ * through ``VectorNetwork`` answers the same), and the check's verdict
+ * (0: nothing found) and cost. For sizing a change to ``kernel.c`` under
+ * a profiler:
  *
  *   PYTHONPATH=src python3 benchmarks/kernel_dump.py /root/scratch/low.chip
  *   cc -O2 -pg -o /root/scratch/driver benchmarks/kernel_driver.c
@@ -70,7 +72,7 @@ int main(int argc, char **argv)
     CHIP_SCALARS(X)
 #undef X
     i64 c0 = word(), end = c0 + word();
-    i64 cycles = 0, hops = 0, spent = 0;
+    i64 cycles = 0, hops = 0, spent = 0, checked = 0, verdict = 0, where[3];
     ch = first;
     for (int rep = 0; rep < repeats; rep++) {
         /* Every repeat starts from the dumped state, in arrays of its own. */
@@ -101,14 +103,19 @@ int main(int argc, char **argv)
         spent += now_ns() - began;
         cycles += ch.state[S_stepped] - stepped;
         hops += flit_hops(&ch) - before;
+        began = now_ns();
+        verdict = check_drained(&ch, where);
+        checked += now_ns() - began;
     }
     uint64_t digest = 0xcbf29ce484222325u;
     digest = fnv(digest, ch.counts, (size_t)ch.n_counts * sizeof *ch.counts);
     digest = fnv(digest, ch.hist, (size_t)ch.n_hist * sizeof *ch.hist);
     digest = fnv(digest, ch.state, (size_t)ch.n_state * sizeof *ch.state);
     printf("%lld cycles run, %lld flit-hops: %.2f us/cycle, "
-           "%.1f ns/flit-hop, digest %016llx\n", (long long)cycles / repeats,
+           "%.1f ns/flit-hop, digest %016llx; drained check %lld in "
+           "%.2f us\n", (long long)cycles / repeats,
            (long long)hops / repeats, spent / 1e3 / cycles,
-           (double)spent / hops, (unsigned long long)digest);
+           (double)spent / hops, (unsigned long long)digest,
+           (long long)verdict, checked / 1e3 / repeats);
     return 0;
 }

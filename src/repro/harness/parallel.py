@@ -50,11 +50,13 @@ engine"); ``run_experiments`` documents each knob. In short:
   written by the process that ran it.
 
 Workers are forked (POSIX default), so they inherit the parent's trace
-cache, chip plans and idle networks, and each ends itself once its
-parent is gone (``_exit_with_parent``): a SIGKILLed sweep leaves no
-orphaned worker asleep on its call queue. They only simulate — no memo, no
-store, no journal: results travel back pickled and the parent persists
-them, so a point a pool ran is a memo hit for the rest of the process.
+cache, chip plans and idle networks -- the parent extracts the traces of
+the points it hands out before it forks them -- and each ends itself
+once its parent is gone (``_exit_with_parent``): a SIGKILLed sweep
+leaves no orphaned worker asleep on its call queue. They only simulate
+— no memo, no store, no journal: results travel back pickled and the
+parent persists them, so a point a pool ran is a memo hit for the rest
+of the process.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from ..telemetry.spans import OFF, open_emitter, worker_emitter
 from .experiment import (ExperimentConfig, Result, batch_key, default_store,
                          persist, resolve, run_batch_experiments,
                          run_experiment)
+from .traces import get_trace
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -480,6 +483,13 @@ class _Scheduler:
         if cur:
             chunks.append(cur)
         workers = min(max_workers, len(chunks))
+        # Workers fork with the parent's trace cache: a trace extracted
+        # here once is theirs, one left to them is extracted by each.
+        for unit in units:
+            for _, cfg, _ in unit:
+                if cfg.benchmark is not None:
+                    get_trace(cfg.benchmark, cycles=cfg.trace_cycles,
+                              warmup=cfg.trace_warmup, seed=cfg.seed)
         tel.emit("dispatch", points=npoints, chunks=len(chunks),
                  chunk_size=chunk_size, workers=workers)
         pool = ProcessPoolExecutor(max_workers=workers,

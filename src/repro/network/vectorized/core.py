@@ -92,15 +92,16 @@ _PACKET_IN_FLIGHT = {"p_inject": -1, "p_hops": 0, "p_sa": 0, "p_buf": 0,
 #: gather per traversal instead of two; ``p_held``: a ``Packet`` waits
 #: in ``p_obj`` for the slot's fields at ejection; ``p_next`` links a
 #: source queue). ``p_free`` is no field of a slot but the stack of free
-#: ones, as deep as the pool.
+#: ones, as deep as the pool; ``p_mark`` and ``f_mark`` are zero but
+#: while ``kernel.c``'s ``check_drained`` counts the free stacks in them.
 _PACKET_FIELDS = {"p_src": 0, "p_dst": 0, "p_size": 0, "p_choice": 0,
                   "p_create": 0, "p_pair": 0, "p_held": 0, "p_next": -1,
-                  "p_free": 0, **_PACKET_IN_FLIGHT}
+                  "p_free": 0, "p_mark": 0, **_PACKET_IN_FLIGHT}
 #: Flit fields rewritten at every hop; ``f_pkt`` is assigned when the
 #: block is taken, ``f_head``/``f_tail`` are fixed for a block's life
 #: and ``f_link`` chains the free blocks of one size.
 _FLIT_FIELDS = {"f_pkt": 0, "f_head": False, "f_tail": False, "f_link": -1,
-                "f_vc": -1}
+                "f_vc": -1, "f_mark": 0}
 #: The array that keeps each pool's ids, which its size must fit.
 _POOL_IDS = {"p_next": "packet slots", "f_link": "flit ids"}
 _HIST_WIDTH = 256  #: histogram columns at first (``_after_ejections`` widens)
@@ -284,6 +285,11 @@ class VectorNetwork:
         starts.update((name, 0) for _, name, owner in kernel.arrays
                       if owner != "NET")
         self._call, self._chip = kernel.run, self._kernel.ref
+        #: ``check_drained``, the names of what it answers, and where it
+        #: writes the index, expected and found value of a finding.
+        self._check_call, self._checks = kernel.check_drained, kernel.checks
+        self._found = np.zeros(3, dtype=np.int64)
+        self._found_at = self._found.ctypes.data
         self.config, self.vc_policy = config, vc_policy
         VectorNetwork.reset(self, seed, config, vc_policy, lane_seeds)
         if probe is not None:
@@ -336,6 +342,9 @@ class VectorNetwork:
         #: Terminal -> its delivery callback (``attach_delivery``).
         self._deliveries: dict = {}
         self.cycle, self._stats = 0, NetworkStats()
+        #: Whether ``_stats`` holds what ``counts`` and ``hist`` hold: a
+        #: new one reads as their zeros, and no kernel call has run yet.
+        self._stats_read = True
         #: Who drew the last run's traffic: the kernel or ``inject``.
         self.traffic_source = "python"
         # Observability (see vectorized/obs.py): an optional window
@@ -529,6 +538,7 @@ class VectorNetwork:
                 for h in hooks:
                     h.on_cycle_start(c, self)
             code = self._call(self._chip, c, end, drain)
+            self._stats_read = False
             self.cycle = int(state[self._S_CYCLE])
             if code == RUN_DONE:
                 if end < stop and not (drain and self.quiescent()):
@@ -743,8 +753,11 @@ class VectorNetwork:
         """The counters of lane 0 — on a solo network, the run's —
         as of this read. It is the same object every time (set
         ``warmup_cycles`` on it before a run), refreshed from ``counts``
-        and ``hist`` on each access."""
-        return self._read_counts(self._stats, 0)
+        and ``hist`` when a kernel call has run since the last read."""
+        if not self._stats_read:
+            self._read_counts(self._stats, 0)
+            self._stats_read = True
+        return self._stats
 
     def lane_stats(self, lane: int) -> NetworkStats:
         """Extract one lane's counters as a solo-identical NetworkStats."""
@@ -815,8 +828,27 @@ class VectorNetwork:
         }
 
     def check_invariants(self) -> None:
-        """One strict ``VectorInvariantChecker`` sweep of the live state
-        (the end-of-run check; a failure names router, port and VC)."""
+        """The end-of-run check: a failure raises the ``InvariantViolation``
+        a strict ``VectorInvariantChecker`` sweep raises, naming rule,
+        lane, router, port and VC. A drained chip (``quiescent``, no
+        ``Packet`` held) is checked by one walk in ``kernel.c``
+        (``check_drained``), any other by the sweep."""
+        found = None
+        if self.quiescent() and not self.p_obj:
+            found = self._drained_finding()
+            if found is None:
+                return
         checker = VectorInvariantChecker(strict=True)
         checker.bind(self)
-        checker.sweep(self.cycle)
+        if found is None:
+            checker.sweep(self.cycle)
+        else:
+            checker.drained(self.cycle, *found)
+
+    def _drained_finding(self) -> tuple | None:
+        """What ``kernel.c``'s ``check_drained`` finds on this chip:
+        ``None``, or its ``(check, index, expected, actual)``."""
+        code = self._check_call(self._chip, self._found_at)
+        if code == E_BOUNDS:
+            raise ProtocolError(self._kernel.fault())
+        return (self._checks[code], *self._found.tolist()) if code else None

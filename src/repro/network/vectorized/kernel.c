@@ -16,6 +16,9 @@
  * structure-of-arrays state: routers ascending, input ports in the
  * scalar visit order, VCs ascending, one flit at a time. The parity
  * suites hold it bit-identical to the scalar core, cycle by cycle.
+ * Beside ``run()``, ``check_drained()`` (last in this file) checks a
+ * chip ``run()`` drained at the end of a run: one walk, in place of the
+ * numpy sweep ``VectorInvariantChecker`` makes of the same chip.
  *
  * Contract ("arrays in, arrays out"): ``run()`` takes the ``Chip`` --
  * pointers to flat arrays, each of the element type ``CHIP_ARRAYS``
@@ -130,7 +133,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 7003
+#define REPRO_KERNEL_ABI 7004
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -165,8 +168,9 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, ip_occ, NET) X(i64, ip_act, NET) X(i64, r_occ, NET) \
     X(i64, r_wait, NET) X(i64, r_map, NET) X(i64, r_pcv, NET) \
     X(i64, r_pcinv, NET) X(i64, r_held, NET) X(i32, op_credsum, NET) \
-    /* packet pool, its free stack; flit pool, its free blocks by size \
-     * (re-aimed when a pool grows) */ \
+    /* packet pool, its free stack; flit pool, its free blocks by size; \
+     * a zeroed mark per slot and per flit, which only check_drained() \
+     * writes, and sets back (re-aimed when a pool grows) */ \
     X(i32, p_src, NET) \
     X(i32, p_dst, NET) \
     X(i32, p_size, NET) \
@@ -181,11 +185,13 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i32, p_rx, NET) \
     X(i32, p_next, NET) \
     X(i32, p_free, NET) \
+    X(i32, p_mark, NET) \
     X(i32, f_pkt, NET) \
     X(u8, f_head, NET) \
     X(u8, f_tail, NET) \
     X(i32, f_vc, NET) \
     X(i32, f_link, NET) \
+    X(i32, f_mark, NET) \
     X(i32, fb_head, NET) \
     /* NICs: source queues, one transmission per injection VC */ \
     X(i32, q_head, NET) \
@@ -202,7 +208,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(u32, src_mt, NET) \
     X(i32, src_dest, NET) \
     X(i32, src_row, NET) \
-    /* layout: wiring and routing tables */ \
+    /* layout: wiring and routing tables, each credit's start value */ \
     X(i32, nip, NET) \
     X(u8, op_valid, NET) \
     X(i32, op_latency, NET) \
@@ -214,6 +220,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i32, ej_opid, NET) \
     X(i32, route_out, NET) \
     X(i32, vc_window, NET) \
+    X(i32, cred_init, NET) \
     /* layout: what the id spaces' divisions would say -- input port -> \
      * router and local port, output -> router, router and terminal -> \
      * lane (its row of counts) */ \
@@ -333,6 +340,26 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(slot) X(eject_cycle) X(inject_cycle) X(hops) X(sa_bypass_hops) \
     X(buf_bypass_hops) X(latency) X(lane)
 
+/* What ``check_drained()`` answers, in the order it looks (``ok``:
+ * nothing wrong). First what says the chip is not drained after all: a
+ * whole-chip count of packets queued, sent or started, a flit in an
+ * input buffer, the arrival or the ejection ring, a NIC transmission, a
+ * source queue, an input VC not idle, an output or injection VC still
+ * owned. Then, in the order ``VectorInvariantChecker.sweep`` checks
+ * them, the rules it holds a drained chip to: the occupancy caches,
+ * credits, circuits, the pools; last one per summary of the table
+ * above, in its order. */
+#define CHIP_CHECKS(X) \
+    X(ok) X(held_count) X(held_buffer) X(held_arrival) X(held_ejection) \
+    X(held_send) X(held_queue) X(busy_input_vc) X(busy_output_vc) \
+    X(occupancy_sync) X(occupancy_total) X(credit_range) X(credit_count) \
+    X(pc_output_shared) X(pc_holder_sync) X(packet_double_free) \
+    X(block_tiling) X(block_free_list) X(block_double_free) \
+    X(packet_leaked) X(block_leaked) \
+    X(summary_ip_occ) X(summary_ip_act) X(summary_r_occ) X(summary_r_wait) \
+    X(summary_r_map) X(summary_r_pcv) X(summary_r_pcinv) \
+    X(summary_r_held) X(summary_op_credsum)
+
 typedef struct Chip {
 #define X(T, name, owner) T *name; i64 n_##name;
     CHIP_ARRAYS(X)
@@ -365,6 +392,12 @@ enum {
     CHIP_SOURCE(X)
 #undef X
     SRC_WIDTH
+};
+enum {
+#define X(name) CK_##name,
+    CHIP_CHECKS(X)
+#undef X
+    CK_COUNT
 };
 /* Read from ``src_dest`` (patterns that use no random number) or drawn. */
 enum { DRAW_table, DRAW_uniform, DRAW_hotspot };
@@ -1628,6 +1661,232 @@ i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
     }
     A(state, S_cycle) = c;
     RETURN(rc);
+}
+
+/* -- the end-of-run check ------------------------------------------------ */
+
+/* What ``check_drained()`` found, with the index it is at and the values
+ * expected and found there in ``where[0..2]``. */
+#define FOUND(check, index, want, have) \
+    do { \
+        where[0] = (index); \
+        where[1] = (want); \
+        where[2] = (have); \
+        RETURN(CK_##check); \
+    } while (0)
+
+/* The length of the flit block that starts at ``f0``, -1 if none does
+ * (``f0`` past the high-water mark ``n``, or no head). Asked once the
+ * blocks are known to tile the pool, so a tail ends the run. */
+static i64 block_size(Chip *ch, i64 f0, i64 n)
+{
+    ENTER();
+    if (f0 < 0 || f0 >= n || !A(f_head, f0))
+        return -1;
+    i64 f = f0;
+    while (!A(f_tail, f))
+        f++;
+    return f - f0 + 1;
+}
+
+/* Adds ``sign`` to each credit counter a return still due in the credit
+ * ring names. */
+static void returns_due(Chip *ch, i64 sign)
+{
+    ENTER();
+    for (i64 s = 0; s < ch->RD; s++)
+        for (i64 k = 0; k < A(ring_n, RING_CR * ch->RD + s); k++)
+            A(cred, A(cr_ci, s * (ch->NIP + ch->T) + k)) += sign;
+}
+
+/* The pools of a drained chip, by the sweep's pool rules with nothing in
+ * use: every packet slot below the high-water mark on the free stack
+ * once, the blocks tiling the flit pool up to its mark, each on the free
+ * list of its size once. Counts the stack and the lists in ``p_mark`` /
+ * ``f_mark`` (a list's walk stopping where it goes wrong), which
+ * ``check_drained`` zeroes again; of the slots and blocks counted most
+ * often, the lowest is the one named twice. */
+static i64 drained_pools(Chip *ch, i64 *where)
+{
+    ENTER();
+    i64 height = A(state, S_p_free), n = A(state, S_flits), most = 0, at = -1;
+    for (i64 k = 0; k < height; k++) {
+        i64 pk = A(p_free, k), seen = A(p_mark, pk) += 1;
+        if (seen > most || (seen == most && pk < at)) {
+            most = seen;
+            at = pk;
+        }
+    }
+    if (most > 1)
+        FOUND(packet_double_free, at, 0, at);
+    for (i64 f = 0; f < n; f++)
+        if (!A(f_head, 0) || A(f_tail, f) != (f + 1 == n || A(f_head, f + 1)))
+            FOUND(block_tiling, 0, n, 0);
+    most = 0;
+    for (i64 size = 0; size < ch->n_fb_head; size++)
+        for (i64 f0 = A(fb_head, size), k = 0; f0 >= 0 && k <= n; k++) {
+            if (block_size(ch, f0, n) != size)
+                FOUND(block_free_list, f0, size, f0);
+            i64 seen = A(f_mark, f0) += 1;
+            if (seen > most || (seen == most && f0 < at)) {
+                most = seen;
+                at = f0;
+            }
+            f0 = A(f_link, f0);
+        }
+    if (most > 1)
+        FOUND(block_double_free, at, 0, at);
+    for (i64 pk = 0; pk < A(state, S_packets); pk++)
+        if (!A(p_mark, pk))
+            FOUND(packet_leaked, pk, 0, pk);
+    for (i64 f0 = 0; f0 < n; f0 += block_size(ch, f0, n))
+        if (!A(f_mark, f0))
+            FOUND(block_leaked, f0, block_size(ch, f0, n), f0);
+    RETURN(CK_ok);
+}
+
+/* The end-of-run check of a chip ``run()`` drained, which ``core.py``
+ * asks for when no packet is queued or started and it holds no
+ * ``Packet``: one walk over the arrays, answering the first finding of
+ * ``CHIP_CHECKS`` it meets (``where`` as ``FOUND`` sets it) or ``ok``.
+ * On a chip that holds nothing in its buffers, rings, send slots and
+ * queues the sweep's rules come down to these: the occupancy caches and
+ * summaries read zero, each credit counter is its start value less the
+ * returns still due, valid circuits sit on distinct outputs their
+ * holders name, and every packet slot and flit block is free once.
+ * What it writes -- the credit counters, the marks, nothing else -- it
+ * sets back. */
+i64 check_drained(Chip *ch, i64 *where)
+{
+    ENTER();
+    i64 R = ch->R, Pi = ch->Pi, Po = ch->Po, V = ch->V, NIP = ch->NIP;
+    i64 RD = ch->RD, T = ch->T, NCRED = ch->n_cred;
+    for (i64 s = S_queued; s <= S_started; s++) /* ..., sending, started */
+        if (A(state, s))
+            FOUND(held_count, s, 0, A(state, s));
+    for (i64 ivc = 0; ivc < NIP * V; ivc++)
+        if (A(buf_len, ivc))
+            FOUND(held_buffer, ivc, 0, A(buf_len, ivc));
+    for (i64 s = 0; s < RD; s++) {
+        if (A(ring_n, RING_ARR * RD + s))
+            FOUND(held_arrival, A(arr_port, s * NIP), 0, A(arr_fid, s * NIP));
+        if (A(ring_n, RING_EJ * RD + s))
+            FOUND(held_ejection, A(ej_term, s * T), 0, A(ej_fid, s * T));
+    }
+    for (i64 t = 0; t < T; t++) {
+        for (i64 v = 0; v < V; v++)
+            if (A(snd_left, t * V + v))
+                FOUND(held_send, ch->NOVC + t * V + v, 0,
+                      A(snd_left, t * V + v));
+        if (A(q_len, t) || A(q_head, t) >= 0)
+            FOUND(held_queue, t, 0, A(q_len, t));
+    }
+    for (i64 ivc = 0; ivc < NIP * V; ivc++)
+        if (A(vc_state, ivc) != VC_IDLE)
+            FOUND(busy_input_vc, ivc, VC_IDLE, A(vc_state, ivc));
+    for (i64 ci = 0; ci < NCRED; ci++)
+        if (!A(cred_free, ci))
+            FOUND(busy_output_vc, ci, 1, 0);
+
+    for (i64 r = 0; r < R; r++)
+        if (A(r_buffered, r))
+            FOUND(occupancy_sync, r, 0, A(r_buffered, r));
+    if (A(state, S_buffered))
+        FOUND(occupancy_total, 0, 0, A(state, S_buffered));
+    for (i64 ci = 0; ci < NCRED; ci++)
+        if (A(cred, ci) < 0 || A(cred, ci) > A(cred_init, ci))
+            FOUND(credit_range, ci, A(cred_init, ci), A(cred, ci));
+    returns_due(ch, 1);
+    i64 wrong = 0, owed = 0;
+    while (wrong < NCRED && A(cred, wrong) == A(cred_init, wrong))
+        wrong++;
+    if (wrong < NCRED)
+        owed = A(cred, wrong);
+    returns_due(ch, -1);
+    if (wrong < NCRED)
+        FOUND(credit_count, wrong,
+              A(cred_init, wrong) - (owed - A(cred, wrong)), A(cred, wrong));
+
+    if (ch->pc_enabled) {
+        for (i64 r = 0; r < R; r++) {
+            uint64_t seen = 0, twice = 0;
+            for (i64 p = r * Pi; p < (r + 1) * Pi; p++) {
+                i64 out = A(pc_out_port, p);
+                if (A(pc_valid, p) && out >= 0 && out < Po) {
+                    twice |= seen & (uint64_t)BIT(out);
+                    seen |= (uint64_t)BIT(out);
+                }
+            }
+            if (twice)
+                FOUND(pc_output_shared, r * Po + __builtin_ctzll(twice), 0, 0);
+        }
+        for (i64 r = 0; r < R; r++) {
+            i64 holder[64];
+            for (i64 out = 0; out < Po; out++)
+                holder[out] = -1;
+            for (i64 p = 0; p < Pi; p++) {
+                i64 out = A(pc_out_port, r * Pi + p);
+                if (A(pc_valid, r * Pi + p) && out >= 0 && out < Po)
+                    holder[out] = p;
+            }
+            for (i64 out = 0; out < Po; out++)
+                if (A(op_holder, r * Po + out) != holder[out])
+                    FOUND(pc_holder_sync, r * Po + out, holder[out],
+                          A(op_holder, r * Po + out));
+        }
+    }
+
+    i64 found = drained_pools(ch, where), n = A(state, S_flits);
+    for (i64 k = 0; k < A(state, S_p_free); k++)
+        A(p_mark, A(p_free, k)) = 0;
+    for (i64 size = 0; size < ch->n_fb_head; size++)
+        for (i64 f0 = A(fb_head, size), k = 0; f0 >= 0 && f0 < n && k <= n;
+             k++, f0 = A(f_link, f0))
+            A(f_mark, f0) = 0;
+    if (found)
+        return found;
+
+    /* What summarises buffers and VCs reads zero: they are empty, idle. */
+#define ZERO(summary, count) \
+    for (i64 i = 0; i < (count); i++) \
+        if (A(summary, i)) \
+            FOUND(summary_##summary, i, 0, A(summary, i));
+    ZERO(ip_occ, NIP)
+    ZERO(ip_act, NIP)
+    ZERO(r_occ, R)
+    ZERO(r_wait, R)
+    ZERO(r_map, (R + 63) >> 6)
+#undef ZERO
+    for (i64 r = 0; r < R; r++) {
+        i64 valid = 0;
+        for (i64 p = 0; p < Pi; p++)
+            valid |= A(pc_valid, r * Pi + p) ? BIT(p) : 0;
+        if (valid != A(r_pcv, r))
+            FOUND(summary_r_pcv, r, valid, A(r_pcv, r));
+    }
+    for (i64 r = 0; r < R; r++) {
+        i64 invalid = 0;
+        for (i64 p = 0; p < Pi; p++)
+            if (!A(pc_valid, r * Pi + p) && A(pc_in_vc, r * Pi + p) >= 0)
+                invalid |= BIT(p);
+        if (invalid != A(r_pcinv, r))
+            FOUND(summary_r_pcinv, r, invalid, A(r_pcinv, r));
+    }
+    for (i64 r = 0; r < R; r++) {
+        i64 held = 0;
+        for (i64 out = 0; out < Po; out++)
+            held |= A(op_holder, r * Po + out) != -1 ? BIT(out) : 0;
+        if (held != A(r_held, r))
+            FOUND(summary_r_held, r, held, A(r_held, r));
+    }
+    for (i64 opid = 0; opid < R * Po; opid++) {
+        i64 sum = 0;
+        for (i64 v = 0; v < V; v++)
+            sum += A(cred, opid * V + v);
+        if (sum != A(op_credsum, opid))
+            FOUND(summary_op_credsum, opid, sum, A(op_credsum, opid));
+    }
+    RETURN(CK_ok);
 }
 
 #ifdef REPRO_KERNEL_CHECK

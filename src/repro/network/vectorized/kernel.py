@@ -25,7 +25,8 @@ then ``repro/kernel``) must be owned by the caller and closed to
 everyone else, or it is refused. Before a handle is trusted it answers
 a known-answer self-test: the ABI number, ``sizeof(Chip)`` against the
 ``ctypes`` mirror built from the same source text, and a two-router chip
-run for one whole cycle, then over a window with a skip in it.
+run for one whole cycle, then over a window with a skip in it, then
+checked by the end-of-run walk.
 
 To force a rebuild delete the cache directory; a different compiler,
 flag set or source text already keys a different artifact.
@@ -48,7 +49,7 @@ from ..backend import BackendUnsupportedError
 from .obs import summaries
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 7003
+ABI = 7004
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -145,13 +146,15 @@ class Kernel:
         #: The other lists ``kernel.c`` declares, as names in C order:
         #: the ``Chip``'s scalars, one row of ``counts`` (``stats`` then
         #: ``terminations``), ``state``, ``prof_ns``, the event counts at
-        #: the head of ``n[]``, one row of ``ej_out``, one row of ``src``.
+        #: the head of ``n[]``, one row of ``ej_out``, one row of ``src``,
+        #: what ``check_drained`` answers.
         (self.scalars, self.stats, self.terminations, self.state,
-         self.phases, self.events, self.ejected, self.source) = (
+         self.phases, self.events, self.ejected, self.source,
+         self.checks) = (
             [name for name, in _macro_names(source, macro)]
             for macro in ("CHIP_SCALARS", "CHIP_STATS", "CHIP_TERMINATIONS",
                           "CHIP_STATE", "CHIP_PHASES", "CHIP_EVENTS",
-                          "CHIP_EJECTED", "CHIP_SOURCE"))
+                          "CHIP_EJECTED", "CHIP_SOURCE", "CHIP_CHECKS"))
         #: Room in ``n[]`` (``kernel.c`` asserts its last entry fits).
         self.counts = int(re.search(r"#define CHIP_COUNTS (\d+)\n",
                                     source).group(1))
@@ -164,6 +167,10 @@ class Kernel:
         self.run = lib.run
         self.run.argtypes = (ctypes.POINTER(self.Chip), *[ctypes.c_int64] * 3)
         self.run.restype = ctypes.c_int64
+        self.check_drained = lib.check_drained
+        self.check_drained.argtypes = (ctypes.POINTER(self.Chip),
+                                       ctypes.c_void_p)
+        self.check_drained.restype = ctypes.c_int64
         for entry in ("repro_kernel_abi", "repro_kernel_sizeof_chip"):
             fn = getattr(lib, entry)
             fn.argtypes = ()
@@ -210,7 +217,9 @@ class Kernel:
         lowest index on a tie at router 1, both flits win their switch
         and leave, and both events are counted — then on to cycle 3: the
         credits come back in cycle 1, nothing happens in cycle 2, which
-        is skipped, and the window ends as the flits land."""
+        is skipped, and the window ends as the flits land, which
+        ``check_drained`` finds in the arrival ring: router 0's flit 0,
+        first, bound for port 1."""
         lib = self.lib
         if (lib.repro_kernel_abi() != ABI or lib.repro_kernel_sizeof_chip()
                 != ctypes.sizeof(self.Chip)):
@@ -240,6 +249,7 @@ class Kernel:
 
         def scalars(name):
             return state["state"][self.state.index(name)]
+        found = np.zeros(3, dtype=np.int64)
         return (self.run(chip.ref, 0, 1, 0) == RUN_DONE
                 and scalars("cycle") == 1
                 and state["vc_out_cred"][[0, 3]].tolist() == [1, 2]
@@ -257,7 +267,10 @@ class Kernel:
                 and self.run(chip.ref, 1, 3, 0) == RUN_DONE
                 and (scalars("cycle"), scalars("stepped"),
                      scalars("skipped")) == (3, 2, 1)
-                and state["ring_n"][:9].tolist() == [2] + [0] * 8)
+                and state["ring_n"][:9].tolist() == [2] + [0] * 8
+                and self.checks[self.check_drained(
+                    chip.ref, found.ctypes.data)] == "held_arrival"
+                and found.tolist() == [1, 0, 0])
 
 
 class Binding:

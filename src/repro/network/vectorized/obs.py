@@ -11,6 +11,9 @@ every cycle (or every ``stride`` cycles); failures raise the same
 structured :class:`~repro.core.violation.InvariantViolation` as the
 scalar monitors, with batched-lane attribution. :func:`summaries` is the
 one Python statement of what each summary ``kernel.c`` keeps means.
+A drained chip's end-of-run check is ``kernel.c``'s ``check_drained``
+instead of a sweep; ``VectorInvariantChecker.drained`` raises what it
+finds as the sweep raises the same state (one table, ``_FINDINGS``).
 
 No module-level numpy import: numpy is an optional dependency and is
 taken from the bound network (``network._np``) at bind time.
@@ -51,6 +54,57 @@ def summaries(np, get, R: int, Pi: int, Po: int, V: int) -> dict:
         "r_pcinv": mask(~valid & (field("pc_in_vc", R, Pi) >= 0)),
         "r_held": mask(field("op_holder", R, Po) != -1),
         "op_credsum": field("cred", R * Po, V).sum(axis=1)}
+
+
+#: Each finding of ``kernel.c``'s ``check_drained`` but the summaries
+#: (``CHIP_CHECKS``): the rule and message of the violation, which of the
+#: values expected and found it states (``e``, ``a``), and the ``_loc_*``
+#: method that places its index, if any. All but the ``drained`` ones
+#: are the sweep's own rules, which raise from these rows too; a
+#: ``drained`` one says a chip the core counts as drained still holds
+#: something.
+_FINDINGS = {
+    "held_count": ("drained", "whole-chip count of packets queued, being "
+                   "sent or started is not zero", "ea", None),
+    "held_buffer": ("drained", "flit left in an input buffer", "ea",
+                    "_loc_ivc"),
+    "held_arrival": ("drained", "flit left in the arrival ring", "a",
+                     "_loc_ip"),
+    "held_ejection": ("drained", "flit left in the ejection ring", "a",
+                      "_loc_term"),
+    "held_send": ("drained", "NIC transmission left unsent", "a",
+                  "_loc_cred"),
+    "held_queue": ("drained", "packet left in a source queue", "a",
+                   "_loc_term"),
+    "busy_input_vc": ("drained", "input VC is not idle", "ea", "_loc_ivc"),
+    "busy_output_vc": ("drained", "output VC is still allocated", "ea",
+                       "_loc_cred"),
+    "occupancy_sync": ("occupancy_sync", "per-router buffered-flit cache "
+                       "out of sync with buf_len", "ea", "_loc_router"),
+    "occupancy_total": ("occupancy_total", "whole-chip buffered-flit count "
+                        "out of sync with buf_len", "ea", None),
+    "credit_range": ("credit_range", "credit counter outside [0, limit]",
+                     "ea", "_loc_cred"),
+    "credit_count": ("credit_count", "credit counter diverged from limit - "
+                     "buffered - in-flight - returning", "ea", "_loc_cred"),
+    "pc_output_shared": ("pc_output_shared", "two valid pseudo-circuits "
+                         "share one output port", "", "_loc_op"),
+    "pc_holder_sync": ("pc_holder_sync", "output holder register out of "
+                       "sync with circuit registers", "ea", "_loc_op"),
+    "packet_double_free": ("pool_double_free", "packet slot is on the free "
+                           "list twice", "a", "_loc_slot"),
+    "block_tiling": ("pool_block", "head..tail runs do not tile the flit "
+                     "pool up to its high-water mark", "e", None),
+    "block_free_list": ("pool_block", "free list holds a block that is not "
+                        "a whole block of its size", "ea", None),
+    "block_double_free": ("pool_double_free", "flit block is on the free "
+                          "lists twice", "a", None),
+    "packet_leaked": ("pool_accounting", "packet slot is neither in use nor "
+                      "free: live + free slots fall short of the high-water "
+                      "mark", "a", "_loc_slot"),
+    "block_leaked": ("pool_block", "live flit block does not belong to a "
+                     "started packet of its size", "ea", "_loc_block"),
+}
 
 
 class VectorInvariantChecker(Monitor):
@@ -168,12 +222,38 @@ class VectorInvariantChecker(Monitor):
         loc["vc"] = (ci - lay.NOVC) % net._V
         return loc
 
+    def _loc_ip(self, ip: int) -> dict:
+        net = self._network
+        lane, local = divmod(int(ip), self._lay.NIP // net._lanes)
+        return {"lane": self._lane(lane), "router": local // net._Pi,
+                "port": local % net._Pi}
+
     def _loc_term(self, t: int) -> dict:
-        net, lay = self._network, self._lay
-        t = int(t)
-        local = int(lay.inj_ipid[t]) % (lay.NIP // net._lanes)
-        return {"lane": self._lane(t // net._T_local),
-                "router": local // net._Pi, "port": local % net._Pi}
+        # A terminal is where its injection port is.
+        return self._loc_ip(self._lay.inj_ipid[int(t)])
+
+    def _loc_router(self, r: int) -> dict:
+        lane, router = divmod(int(r), self._lay.R // self._network._lanes)
+        return {"lane": self._lane(lane), "router": router}
+
+    def _loc_slot(self, k: int) -> dict:
+        """A packet slot is where its source terminal is."""
+        return self._loc_term(self._network.p_src[int(k)])
+
+    def _loc_block(self, fid0: int) -> dict:
+        """A flit block is where the packet it names is."""
+        return self._loc_slot(self._network.f_pkt[int(fid0)])
+
+    def _found(self, check: str, cycle: int, index=None, expected=None,
+               actual=None) -> None:
+        """The violation of finding ``check`` (``_FINDINGS``) at
+        ``index``, stating what the finding states of ``expected`` and
+        ``actual``."""
+        rule, message, states, locate = _FINDINGS[check]
+        self.violation(rule, message, cycle=cycle,
+                       expected=expected if "e" in states else None,
+                       actual=actual if "a" in states else None,
+                       **(getattr(self, locate)(index) if locate else {}))
 
     # -- the sweep ------------------------------------------------------------
 
@@ -223,19 +303,12 @@ class VectorInvariantChecker(Monitor):
         per_router = net.buf_len.reshape(self._lay.R, -1).sum(axis=1)
         if not np.array_equal(per_router, net._r_buffered):
             r = int((per_router != net._r_buffered).nonzero()[0][0])
-            lane, local = divmod(r, self._lay.R // net._lanes)
-            self.violation(
-                "occupancy_sync",
-                "per-router buffered-flit cache out of sync with buf_len",
-                cycle=cycle, lane=self._lane(lane), router=local,
-                expected=int(per_router[r]),
-                actual=int(net._r_buffered[r]))
+            self._found("occupancy_sync", cycle, r, int(per_router[r]),
+                        int(net._r_buffered[r]))
         total = int(per_router.sum())
         if total != net._buffered:
-            self.violation(
-                "occupancy_total",
-                "whole-chip buffered-flit count out of sync with buf_len",
-                cycle=cycle, expected=total, actual=int(net._buffered))
+            self._found("occupancy_total", cycle, None, total,
+                        int(net._buffered))
 
     def _check_credit(self, cycle: int) -> None:
         np = self._np
@@ -244,11 +317,8 @@ class VectorInvariantChecker(Monitor):
         if bool(((net.cred < 0) | (net.cred > limit)).any()):
             bad = ((net.cred < 0) | (net.cred > limit)).nonzero()[0]
             ci = int(bad[0])
-            self.violation(
-                "credit_range",
-                "credit counter outside [0, limit]",
-                cycle=cycle, expected=int(limit[ci]),
-                actual=int(net.cred[ci]), **self._loc_cred(ci))
+            self._found("credit_range", cycle, ci, int(limit[ci]),
+                        int(net.cred[ci]))
         expect = limit.copy()
         occ = (net.buf_len > 0).nonzero()[0]
         if len(occ):
@@ -263,12 +333,8 @@ class VectorInvariantChecker(Monitor):
         np.subtract.at(expect, net._pending("credits")[0], 1)
         if not np.array_equal(net.cred, expect):
             ci = int((net.cred != expect).nonzero()[0][0])
-            self.violation(
-                "credit_count",
-                "credit counter diverged from limit - buffered - "
-                "in-flight - returning",
-                cycle=cycle, expected=int(expect[ci]),
-                actual=int(net.cred[ci]), **self._loc_cred(ci))
+            self._found("credit_count", cycle, ci, int(expect[ci]),
+                        int(net.cred[ci]))
 
     def _check_pc(self, cycle: int) -> None:
         np = self._np
@@ -279,21 +345,13 @@ class VectorInvariantChecker(Monitor):
             so = np.sort(outs)
             dup = (so[1:] == so[:-1]).nonzero()[0]
             if len(dup):
-                opid = int(so[int(dup[0])])
-                self.violation(
-                    "pc_output_shared",
-                    "two valid pseudo-circuits share one output port",
-                    cycle=cycle, **self._loc_op(opid))
+                self._found("pc_output_shared", cycle, int(so[int(dup[0])]))
         expected = np.full(self._lay.NOP, -1, dtype=np.int64)
         expected[outs] = valid % net._Pi
         if not np.array_equal(expected, net.op_holder):
             opid = int((expected != net.op_holder).nonzero()[0][0])
-            self.violation(
-                "pc_holder_sync",
-                "output holder register out of sync with circuit "
-                "registers",
-                cycle=cycle, expected=int(expected[opid]),
-                actual=int(net.op_holder[opid]), **self._loc_op(opid))
+            self._found("pc_holder_sync", cycle, opid, int(expected[opid]),
+                        int(net.op_holder[opid]))
 
     def _check_summaries(self, cycle: int) -> None:
         net, lay = self._network, self._lay
@@ -302,27 +360,46 @@ class VectorInvariantChecker(Monitor):
                 net._Po, net._V).items():
             actual = getattr(net, name)
             wrong = (actual != expected).nonzero()[0]
-            if not len(wrong):
-                continue
-            i = int(wrong[0])
-            want, have = int(expected[i]), int(actual[i])
-            # Of a mask, the lowest bit that differs: a VC of port ``i``
-            # (ip_*), a router of the chip (r_map), else a port (or
-            # output) of router ``i``.
-            bit = ((want ^ have) & -(want ^ have)).bit_length() - 1
-            if name == "op_credsum":
-                where = self._loc_op(i)
-            elif name.startswith("ip_"):
-                where = self._loc_ivc(i * net._V + bit)
-            else:
-                lane, router = divmod(i * 64 + bit if name == "r_map" else i,
-                                      lay.R // net._lanes)
-                where = {"lane": self._lane(lane), "router": router,
-                         "port": None if name == "r_map" else bit}
-            self.violation(
-                "summary_" + name,
-                f"summary {name} diverged from the state it summarises",
-                cycle=cycle, expected=want, actual=have, **where)
+            if len(wrong):
+                i = int(wrong[0])
+                self._summary_found(cycle, name, i, int(expected[i]),
+                                    int(actual[i]))
+
+    def _summary_found(self, cycle: int, name: str, i: int, want: int,
+                       have: int) -> None:
+        """The violation of element ``i`` of summary ``name``."""
+        net = self._network
+        # Of a mask, the lowest bit that differs: a VC of port ``i``
+        # (ip_*), a router of the chip (r_map), else a port (or output)
+        # of router ``i``.
+        bit = ((want ^ have) & -(want ^ have)).bit_length() - 1
+        if name == "op_credsum":
+            where = self._loc_op(i)
+        elif name.startswith("ip_"):
+            where = self._loc_ivc(i * net._V + bit)
+        elif name == "r_map":
+            where = dict(self._loc_router(i * 64 + bit), port=None)
+        else:
+            where = dict(self._loc_router(i), port=bit)
+        self.violation(
+            "summary_" + name,
+            f"summary {name} diverged from the state it summarises",
+            cycle=cycle, expected=want, actual=have, **where)
+
+    def drained(self, cycle: int, check: str, index: int, expected: int,
+                actual: int) -> None:
+        """Raise what ``kernel.c``'s ``check_drained`` found (a name of
+        ``CHIP_CHECKS`` but ``ok``, its index, expected and found value)
+        as this sweep names it. When the finding is that the chip still
+        holds something, the sweep runs first: it names what it finds in
+        a chip that is not drained."""
+        if check.startswith("summary_"):
+            self._summary_found(cycle, check[len("summary_"):], index,
+                                expected, actual)
+            return
+        if _FINDINGS[check][0] == "drained":
+            self.sweep(cycle)
+        self._found(check, cycle, index, expected, actual)
 
     # -- pool life cycle ------------------------------------------------------
 
@@ -364,10 +441,7 @@ class VectorInvariantChecker(Monitor):
         freed = np.bincount(net._free_packets(), minlength=pcap)
         if freed.max() > 1:
             k = int(freed.argmax())
-            self.violation("pool_double_free",
-                           "packet slot is on the free list twice",
-                           cycle=cycle, actual=k,
-                           **self._loc_term(net.p_src[k]))
+            self._found("packet_double_free", cycle, k, actual=k)
         live = freed == 0
         live[hwm:] = False
         # Flit blocks are the head..tail runs; with the unused rest of
@@ -381,10 +455,7 @@ class VectorInvariantChecker(Monitor):
         starts[nb] = n
         if not (len(tails) == nb and starts[0] == 0
                 and np.array_equal(starts[1:], tails + 1)):
-            self.violation("pool_block",
-                           "head..tail runs do not tile the flit pool up "
-                           "to its high-water mark",
-                           cycle=cycle, expected=n)
+            self._found("block_tiling", cycle, expected=n)
             return
         sizes = np.empty(nb + 1, dtype=np.int64)
         sizes[:nb] = starts[1:] - heads
@@ -397,16 +468,12 @@ class VectorInvariantChecker(Monitor):
             b = block_of[f0]
             bad = ((starts[b] != f0) | (sizes[b] != size)).nonzero()[0]
             if len(bad):
-                self.violation("pool_block",
-                               "free list holds a block that is not a "
-                               "whole block of its size",
-                               cycle=cycle, expected=size,
-                               actual=int(f0[bad[0]]))
+                self._found("block_free_list", cycle, expected=size,
+                            actual=int(f0[bad[0]]))
             bfreed += np.bincount(b, minlength=nb + 1)
         if bfreed.max() > 1:
-            self.violation("pool_double_free",
-                           "flit block is on the free lists twice",
-                           cycle=cycle, actual=int(starts[bfreed.argmax()]))
+            self._found("block_double_free", cycle,
+                        actual=int(starts[bfreed.argmax()]))
         dead = bfreed > 0
         dead[nb] = True
         # Every held flit id sits in a live block; the packets those
@@ -430,15 +497,13 @@ class VectorInvariantChecker(Monitor):
         for wrong, rule, message in (
                 (named & ~live, "pool_reference",
                  "packet slot in use is free or past the high-water mark"),
-                (live & ~named, "pool_accounting",
-                 "packet slot is neither in use nor free: live + free "
-                 "slots fall short of the high-water mark"),
+                (live & ~named, *_FINDINGS["packet_leaked"][:2]),
                 (holds & ~live, "pool_accounting",
                  "p_obj holds a Packet for a slot that is not live")):
             if wrong.any():
                 k = int(wrong.argmax())
                 self.violation(rule, message, cycle=cycle, actual=k,
-                               **self._loc_term(net.p_src[k]))
+                               **self._loc_slot(k))
         # Each live block belongs to one started packet of its size, and
         # each started packet owns one.
         lb = (~dead[:nb]).nonzero()[0]
@@ -447,13 +512,9 @@ class VectorInvariantChecker(Monitor):
                  & (net.p_size[pk] == sizes[lb])
                  & (net.f_pkt[tails[lb]] == pk))
         if not owned.all():
-            i = int(owned.argmin())
-            self.violation("pool_block",
-                           "live flit block does not belong to a started "
-                           "packet of its size",
-                           cycle=cycle, expected=int(sizes[lb[i]]),
-                           actual=int(heads[lb[i]]),
-                           **self._loc_term(net.p_src[pk[i]]))
+            b = lb[int(owned.argmin())]
+            self._found("block_leaked", cycle, int(heads[b]), int(sizes[b]),
+                        int(heads[b]))
         blocks = np.bincount(pk[owned], minlength=pcap)
         wrong = blocks != (live & (net.p_inject >= 0))
         if wrong.any():
@@ -462,4 +523,4 @@ class VectorInvariantChecker(Monitor):
                            "started packet does not own exactly one live "
                            "flit block",
                            cycle=cycle, expected=1, actual=int(blocks[k]),
-                           **self._loc_term(net.p_src[k]))
+                           **self._loc_slot(k))

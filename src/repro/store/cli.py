@@ -87,6 +87,7 @@ def _gc(store: ResultStore, older_than_days: float | None) -> int:
                     else older_than_days * 86400.0)
     removed = store.gc(older_than_s=older_than_s)
     print(f"gc: removed {removed['stale_version']} stale-salt, "
+          f"{removed['unbuildable']} unbuildable, "
           f"{removed['expired']} expired, {removed['tmp']} tmp, "
           f"{removed['quarantine']} quarantined files")
     return 0

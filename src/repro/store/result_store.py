@@ -32,7 +32,9 @@ Durability and trust model:
 * **Old schemas are stale, not corrupt** — a well-formed entry of
   another ``repro.store-entry/N`` has no reader: ``get`` misses without
   quarantining it, ``put`` replaces it, ``gc`` reclaims it and
-  ``verify`` lists it as stale.
+  ``verify`` lists it as stale. So does a result whose config this code
+  refuses to build (say one stored under a backend since removed):
+  nothing can ask for it or read it back.
 
 ``python -m repro store ls|verify|gc|export`` exposes the maintenance
 surface (see ``repro.store.cli``).
@@ -48,6 +50,7 @@ import time
 
 from ..instrument.provenance import config_hash
 from .sealed import Sealed, canonical_json, payload_checksum, seal, unseal
+from .serialize import payload_to_config
 
 #: Salt mixed into every store key; bump when simulation semantics change
 #: so stale results stop being addressable. ``REPRO_STORE_SALT`` in the
@@ -116,6 +119,21 @@ def _stale_schema(path: str) -> bool:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     return (isinstance(schema, str) and schema.startswith(_SCHEMA_FAMILY)
             and schema != ENTRY_SCHEMA)
+
+
+def _unbuildable(entry: Sealed) -> bool:
+    """Whether ``entry`` is a result whose payload names a config this
+    code refuses to build (a backend or field since removed): no point
+    can ask for it, and ``payload_to_result`` could not read it back."""
+    payload = entry.payload
+    if entry.envelope["kind"] != "result" or not isinstance(
+            payload, dict) or "config" not in payload:
+        return False
+    try:
+        payload_to_config(payload["config"])
+    except (TypeError, ValueError, KeyError, AttributeError):
+        return True
+    return False
 
 
 class ResultStore:
@@ -285,14 +303,18 @@ class ResultStore:
 
         Returns ``{"checked", "ok", "stale": [keys], "quarantined":
         [keys]}`` — the maintenance counterpart of the per-read
-        verification ``get`` already performs. Stale-schema entries are
-        listed, not moved: they are ``gc``'s to reclaim.
+        verification ``get`` already performs. Stale-schema entries and
+        results whose config this code no longer builds are listed,
+        not moved: they are ``gc``'s to reclaim.
         """
         stale, quarantined = [], []
         checked = 0
         for key in self.keys():
             checked += 1
-            if self._load_entry(key) is not None:
+            entry = self._load_entry(key)
+            if entry is not None:
+                if _unbuildable(entry):
+                    stale.append(key)
                 continue
             path = self._entry_path(key)
             if _stale_schema(path):
@@ -311,14 +333,15 @@ class ResultStore:
         Removes entries whose ``code_version`` no longer matches the
         active salt or whose schema has no reader any more (neither can
         ever be addressed again; both count as ``stale_version``),
-        entries older than ``older_than_s`` when given, leftover temp
-        files, and quarantined files (already both distrusted and
-        preserved long enough to have been inspected). Returns removal
-        counts.
+        results whose config this code no longer builds (``unbuildable``:
+        no point asks for them, and none could be read back), entries
+        older than ``older_than_s`` when given, leftover temp files, and
+        quarantined files (already both distrusted and preserved long
+        enough to have been inspected). Returns removal counts.
         """
         now = time.time() if now is None else now
-        removed = {"stale_version": 0, "expired": 0, "tmp": 0,
-                   "quarantine": 0}
+        removed = {"stale_version": 0, "unbuildable": 0, "expired": 0,
+                   "tmp": 0, "quarantine": 0}
         for key in self.keys():
             path = self._entry_path(key)
             entry = self._load_entry(key)
@@ -331,6 +354,9 @@ class ResultStore:
             if envelope["code_version"] != code_version():
                 os.remove(path)
                 removed["stale_version"] += 1
+            elif _unbuildable(entry):
+                os.remove(path)
+                removed["unbuildable"] += 1
             elif (older_than_s is not None
                   and now - envelope["created_unix"] > older_than_s):
                 os.remove(path)

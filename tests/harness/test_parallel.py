@@ -7,9 +7,12 @@ come back as a ``SweepPointError`` naming that point's parameters, whether
 it died in a worker process or inline.
 """
 
+import os
+
 import pytest
 
 import repro.harness.parallel as parallel
+from repro.harness import traces
 from repro.harness.experiment import (ExperimentConfig, clear_cache,
                                       run_experiment)
 from repro.harness.parallel import SweepPointError, run_experiments
@@ -70,6 +73,36 @@ class TestChunking:
         results = run_experiments(points, max_workers=2, chunk_size=50)
         for point, result in zip(points, results):
             assert run_experiment(point) == result
+
+
+class TestTraceExtraction:
+    def test_the_parent_extracts_each_trace_before_the_pool_forks(
+            self, monkeypatch, tmp_path):
+        """Forked workers inherit the parent's trace cache: a pooled
+        sweep over two benchmarks leaves both traces in the parent and
+        extracts none in a worker."""
+        monkeypatch.setattr(traces, "_trace_cache", {})
+        monkeypatch.setattr(traces, "_cmp_cache", {})
+        parent, extract = os.getpid(), traces.get_cmp_run
+        log = tmp_path / "worker-extractions"
+
+        def get_cmp_run(*args):
+            if os.getpid() != parent:
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{args}\n")
+            return extract(*args)
+
+        monkeypatch.setattr(traces, "get_cmp_run", get_cmp_run)
+        points = [ExperimentConfig(benchmark=bench, trace_cycles=100,
+                                   trace_warmup=50, seed=seed,
+                                   backend="scalar")
+                  for bench in ("radix", "fft") for seed in (1, 2)]
+        results = run_experiments(points, max_workers=2, chunk_size=1)
+        assert [r.config for r in results] == points
+        assert set(traces._trace_cache) == {
+            (bench, 100, 50, seed)
+            for bench in ("radix", "fft") for seed in (1, 2)}
+        assert not log.exists()
 
 
 class TestExceptionSurfacing:

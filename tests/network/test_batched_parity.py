@@ -22,7 +22,7 @@ from repro.network.vectorized import BatchNetwork, VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
-from .test_vectorized_parity import chip
+from .test_vectorized_parity import both_checks_pass, chip
 
 #: (pattern, rate, seed, cycles) per lane: a low-load point, a saturated
 #: point, and two non-uniform patterns, all with distinct seeds and
@@ -52,6 +52,8 @@ def _solo_stats(cls, topo_args, scheme, lane, *, routing="xy",
     net.run(cycles, traffic)
     net.drain(max_cycles=500_000)
     net.check_invariants()
+    if isinstance(net, VectorNetwork):
+        both_checks_pass(net)
     return net.stats
 
 
@@ -68,6 +70,7 @@ def _batched_stats(topo_args, scheme, lanes, *, routing="xy",
                   warmups=[cycles // 5 for *_, cycles in lanes])
     net.drain(max_cycles=500_000)
     net.check_invariants()
+    both_checks_pass(net)
     return [net.lane_stats(lane) for lane in range(len(lanes))]
 
 

@@ -164,7 +164,11 @@ class TestOutputVcCredits:
         assert (err.router, err.port, err.vc) == (-1, 0, vc)
 
 
-class TestCreditChannel:
+class TestCreditReturns:
+    """A traversal's credit returns upstream after ``credit_delay``, in
+    the order its port's flits left, and the routers' count of returns
+    still due follows the ports' queues."""
+
     def test_delay_respected(self):
         """Each traversal's credit lands upstream ``credit_delay`` cycles
         later, at the port and VC it left."""

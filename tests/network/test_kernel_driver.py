@@ -3,10 +3,11 @@
 ``benchmarks/kernel_dump.py`` writes a network's ``Chip`` as its
 window's kernel call would start, and ``benchmarks/kernel_driver.c``
 runs that dump through ``run()`` without Python: the window, then the
-drain. Here a 4-lane 4x4 chip is dumped for 200 cycles under each
-scheme, the driver is compiled and run on it, and the cycles it ran,
-its flit-hops and its digest of ``counts``, ``hist`` and ``state`` must
-equal the same chip's run through ``VectorNetwork``. A change to
+drain, then the end-of-run check. Here a 4-lane 4x4 chip is dumped for
+200 cycles under each scheme, the driver is compiled and run on it, and
+the cycles it ran, its flit-hops and its digest of ``counts``, ``hist``
+and ``state`` must equal the same chip's run through ``VectorNetwork``,
+and the check of the drained chip must find nothing. A change to
 ``CHIP_ARRAYS`` or ``CHIP_SCALARS`` that the dump or the driver does not
 follow fails here. Skips without a C compiler.
 """
@@ -64,9 +65,11 @@ def test_driver_runs_the_dump_as_vector_network_does(driver, tmp_path,
     assert made.returncode == 0, made.stderr
     said = subprocess.run([str(driver), str(path), "2"], capture_output=True,
                           text=True, check=True).stdout
-    cycles, hops, digest = re.fullmatch(
+    cycles, hops, digest, verdict = re.fullmatch(
         r"(\d+) cycles run, (\d+) flit-hops: \S+ us/cycle, \S+ "
-        r"ns/flit-hop, digest ([0-9a-f]{16})\n", said).groups()
+        r"ns/flit-hop, digest ([0-9a-f]{16}); drained check (-?\d+) in "
+        r"\S+ us\n", said).groups()
+    assert verdict == "0"
 
     dump = _dump_module()
     net, window = dump.chip(*CHIP, scheme)

@@ -668,6 +668,37 @@ def test_a_start_that_finds_the_flit_pool_full_is_refused_by_name():
     assert net.stats.injected_packets == 0
 
 
+def test_stats_are_read_again_only_after_a_kernel_call(monkeypatch):
+    """``stats`` copies ``counts`` and ``hist`` once per kernel call,
+    however often it is read (a new or reset network's reads as their
+    zeros), and is one object throughout: a warm-up set on it before the
+    run still holds."""
+    topo = make_topology("mesh", 4, 4, 1)
+    net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB), seed=3)
+    reads = []
+    read = net._read_counts
+    monkeypatch.setattr(net, "_read_counts",
+                        lambda stats, lane: reads.append(lane) or read(
+                            stats, lane))
+    stats = net.stats
+    assert stats.fingerprint() == net.lane_stats(0).fingerprint()
+    stats.warmup_cycles = 20
+    assert net.stats is stats and reads == [0]   # lane_stats' own
+    reads.clear()
+    assert net.run(100, SyntheticTraffic("uniform", 16, 0.2, 5,
+                                         seed=3)) is stats
+    assert net.stats is stats and reads == [0]
+    assert stats.injected_packets and net.lane_warmup[0] == 20
+    net.drain()
+    assert net.stats is stats and reads == [0, 0]
+    reads.clear()
+    assert stats.fingerprint() == net.lane_stats(0).fingerprint()
+    assert stats.warmup_cycles == 20 and reads == [0]
+    net.reset(seed=3)
+    assert net.stats is not stats and net.stats.injected_packets == 0
+    assert net.stats.fingerprint() == net.lane_stats(0).fingerprint()
+
+
 # -- loader -------------------------------------------------------------------
 
 def _artifact(cache_home) -> Path:

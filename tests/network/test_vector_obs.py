@@ -300,3 +300,173 @@ class TestStaleSummary:
         assert net.stats.buffer_writes and not net.stats.flit_hops
         with pytest.raises(RuntimeError, match="failed to drain"):
             net.drain(max_cycles=500)
+
+
+def _drained_chip(lanes):
+    """A 4x4 mesh, solo or as two lanes, run at saturation and drained:
+    circuits left valid, every pool slot and block free again."""
+    topo = make_topology("mesh", 4, 4, 1)
+    config = NetworkConfig(pseudo=PSEUDO_SB)
+    seeds = (3, 11)[:lanes]
+    traffics = [SyntheticTraffic("uniform", topo.num_terminals, 0.3, 5,
+                                 seed=seed) for seed in seeds]
+    if lanes == 1:
+        net = VectorNetwork(topo, config, seed=seeds[0])
+        net.run(120, traffics[0])
+    else:
+        net = BatchNetwork(topo, config, seeds=seeds)
+        net.run_batch(traffics, [120] * lanes)
+    net.drain()
+    assert net._drained_finding() is None
+    assert net.pc_valid.any() and net._npackets and net._nflits
+    return net
+
+
+def _seeded_summary(name, lane):
+    """``_SEEDED``'s element of summary ``name`` moved to ``lane`` (of a
+    4x4 mesh: 16 routers of 5 ports a lane) and its bit."""
+    index, bit = _SEEDED[name]
+    shift = 16 - 16 * lane
+    if name == "r_map":
+        return index, bit - shift
+    return index - shift * (5 if name.startswith(("ip_", "op_")) else 1), bit
+
+
+def _credit(net, lane):
+    """One credit short on an output VC of router 5 of ``lane``."""
+    ci = (lane * 16 + 5) * net._Po * net._V + 2 * net._V
+    net.cred[ci] -= 1
+
+
+def _circuit(net, lane):
+    """A valid circuit of ``lane`` switched off without its holder."""
+    per_lane = net._NIP // net._lanes
+    pp = int(net.pc_valid[lane * per_lane:].nonzero()[0][0]) + lane * per_lane
+    net.pc_valid[pp] = False
+
+
+def _shared_output(net, lane):
+    """A second circuit on the output a valid circuit of ``lane`` holds,
+    from another port of its router."""
+    per_lane = net._NIP // net._lanes
+    pp = int(net.pc_valid[lane * per_lane:].nonzero()[0][0]) + lane * per_lane
+    other = pp + 1 if (pp + 1) % net._Pi else pp - 1
+    net.pc_valid[other] = True
+    net.pc_out_port[other] = net.pc_out_port[pp]
+
+
+def _slot_of(net, lane):
+    """A free packet slot whose last packet came from ``lane``, and its
+    height on the free stack."""
+    free = net._free_packets().tolist()
+    at = next(i for i, k in enumerate(free)
+              if net.p_src[k] // net._T_local == lane)
+    return free[at], at
+
+
+def _double_free(net, lane):
+    """A slot of ``lane`` pushed on the free stack a second time, over
+    another slot's entry."""
+    k, at = _slot_of(net, lane)
+    top = int(net._state[net._S_P_FREE]) - 1
+    net.p_free[top if top != at else top - 1] = k
+
+
+def _leaked_slot(net, lane):
+    """A slot of ``lane`` taken off the free stack and never used."""
+    k, at = _slot_of(net, lane)
+    top = int(net._state[net._S_P_FREE]) - 1
+    net.p_free[at], net.p_free[top] = net.p_free[top], k
+    net._state[net._S_P_FREE] = top
+
+
+def _left_flit(net, lane):
+    """A flit left in an input buffer of router 5 of ``lane``."""
+    ivc = ((lane * 16 + 5) * net._Pi + 2) * net._V + 1
+    net.buf_len[ivc] = 1
+
+
+_CORRUPTIONS = {
+    "credit": (_credit, "credit_count", "credit_count"),
+    "circuit": (_circuit, "pc_holder_sync", "pc_holder_sync"),
+    "shared-output": (_shared_output, "pc_output_shared",
+                      "pc_output_shared"),
+    "free-stack-duplicate": (_double_free, "packet_double_free",
+                             "pool_double_free"),
+    "leaked-slot": (_leaked_slot, "packet_leaked", "pool_accounting"),
+    # Not drained after all: the sweep names it first.
+    "left-flit": (_left_flit, "held_buffer", "occupancy_sync"),
+    **{f"summary-{name}": (name, "summary_" + name, "summary_" + name)
+       for name in _SEEDED},
+}
+
+
+@pytest.mark.usefixtures("either_build")
+class TestDrainedWalk:
+    """The end-of-run check of a drained array chip is one walk in
+    ``kernel.c``; whatever it finds is raised as the sweep raises it."""
+
+    @pytest.mark.parametrize("lanes", [1, 2], ids=["solo", "2-lane"])
+    @pytest.mark.parametrize("case", _CORRUPTIONS)
+    def test_named_as_the_sweep_names_it(self, case, lanes):
+        net = _drained_chip(lanes)
+        corrupt, finding, rule = _CORRUPTIONS[case]
+        lane = lanes - 1
+        if isinstance(corrupt, str):
+            index, bit = _seeded_summary(corrupt, lane)
+            if corrupt == "op_credsum":
+                getattr(net, corrupt)[index] += 1
+            else:
+                getattr(net, corrupt)[index] ^= 1 << bit
+        else:
+            corrupt(net, lane)
+        assert net._drained_finding()[0] == finding
+        with pytest.raises(InvariantViolation) as walked:
+            net.check_invariants()
+        checker = VectorInvariantChecker(strict=True)
+        checker.bind(net)
+        with pytest.raises(InvariantViolation) as swept:
+            checker.sweep(net.cycle)
+        assert walked.value.rule == rule
+        assert walked.value.to_dict() == swept.value.to_dict()
+        assert walked.value.lane == (1 if lanes == 2 else None)
+
+    @pytest.mark.parametrize("case", ["free-stack-duplicate",
+                                      "summary-op_credsum"])
+    def test_the_walk_sets_back_what_it_writes(self, case):
+        # Stopped in the pools, and after them: the credit counters it
+        # credits the returns still due to and the marks it counts the
+        # free lists in read as before.
+        net = _drained_chip(2)
+        if case == "free-stack-duplicate":
+            _double_free(net, 1)
+        else:
+            net.op_credsum[3] += 1
+        assert net.ring_n[2].any(), "no credit return still due"
+        before = {name: array.copy()
+                  for name, array in net._kernel._arrays.items()}
+        assert net._drained_finding()[0] == _CORRUPTIONS[case][1]
+        for name, array in net._kernel._arrays.items():
+            assert np.array_equal(array, before[name]), name
+        assert not net.p_mark.any() and not net.f_mark.any()
+
+    @pytest.mark.parametrize("side", ["input", "output"])
+    def test_a_vc_left_busy_is_named_by_the_walk_alone(self, side):
+        # An input VC in VA (only ACTIVE ones have a summary bit), an
+        # output VC still owned: no rule of the sweep sees either.
+        net = _drained_chip(2)
+        ivc = ((16 + 5) * 5 + 2) * 4 + 1    # lane 1, router 5, port 2
+        if side == "input":
+            net.vc_state[ivc] = 1    # vc.VCState.VA
+        else:
+            net.cred_free[ivc] = False    # that output VC's credit index
+        checker = VectorInvariantChecker(strict=True)
+        checker.bind(net)
+        checker.sweep(net.cycle)
+        with pytest.raises(InvariantViolation) as walked:
+            net.check_invariants()
+        v = walked.value
+        assert (v.rule, v.lane, v.router, v.port, v.vc) == (
+            "drained", 1, 5, 2, 1)
+        assert (v.expected, v.actual) == ((0, 1) if side == "input"
+                                          else (1, 0))

@@ -21,7 +21,7 @@ from repro.harness.traces import get_trace
 from repro.network.config import (ALL_SCHEMES, BASELINE, PSEUDO_SB,
                                   NetworkConfig)
 from repro.network.simulator import Network
-from repro.network.vectorized import VectorNetwork
+from repro.network.vectorized import VectorInvariantChecker, VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -57,7 +57,18 @@ def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
         net.run(cycles, traffic)
         net.drain(max_cycles=500_000)
     net.check_invariants()
+    if isinstance(net, VectorNetwork):
+        both_checks_pass(net)
     return net
+
+
+def both_checks_pass(net):
+    """The end-of-run walk of ``kernel.c`` finds nothing on the drained
+    array chip ``net``, and a strict sweep of it agrees."""
+    assert net.quiescent() and net._drained_finding() is None
+    checker = VectorInvariantChecker(strict=True)
+    checker.bind(net)
+    checker.sweep(net.cycle)
 
 
 def assert_parity(topo_args, scheme, rate, cycles, kw):

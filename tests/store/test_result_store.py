@@ -220,8 +220,8 @@ class TestGc:
     def test_fresh_entries_survive(self, store):
         store.put(KEY, PAYLOAD)
         removed = store.gc(older_than_s=86400)
-        assert removed == {"stale_version": 0, "expired": 0, "tmp": 0,
-                           "quarantine": 0}
+        assert removed == {"stale_version": 0, "unbuildable": 0,
+                           "expired": 0, "tmp": 0, "quarantine": 0}
         assert store.keys() == [KEY]
 
     def test_debris_is_swept(self, store):
@@ -232,6 +232,35 @@ class TestGc:
         removed = store.gc()
         assert removed["tmp"] == 1
         assert removed["quarantine"] == 1
+
+
+class TestUnbuildableConfig:
+    """A result stored under a config this code refuses to build (here
+    the ``batched`` backend, no longer a policy value) can be neither
+    asked for nor read back: ``verify`` lists it stale, ``gc`` removes
+    it, and a live result beside it stays."""
+
+    @pytest.fixture
+    def keys(self, store):
+        from repro.harness.experiment import ExperimentConfig
+        from repro.store import config_to_payload
+        live = config_to_payload(ExperimentConfig(pattern="uniform",
+                                                  backend="auto"))
+        gone = dict(live, backend="batched")
+        store.put(KEY, {**PAYLOAD, "config": live})
+        store.put(OTHER_KEY, {**PAYLOAD, "config": gone})
+        return KEY, OTHER_KEY
+
+    def test_verify_lists_it_stale(self, store, keys):
+        assert store.verify() == {"checked": 2, "ok": 1,
+                                  "stale": [keys[1]], "quarantined": []}
+        assert keys[1] in store
+
+    def test_gc_removes_it(self, store, keys):
+        removed = store.gc()
+        assert removed["unbuildable"] == 1
+        assert removed["stale_version"] == removed["expired"] == 0
+        assert store.keys() == [keys[0]]
 
 
 class TestExport:

@@ -55,6 +55,21 @@ class TestStoreCli:
         assert main(["store", "--dir", store_dir, "gc"]) == 0
         assert "removed 1 stale-salt" in capsys.readouterr().out
 
+    def test_a_result_whose_config_no_longer_builds_is_reclaimed(
+            self, store_dir, capsys):
+        from repro.harness.experiment import ExperimentConfig
+        from repro.store import config_to_payload
+        config = dict(config_to_payload(ExperimentConfig(
+            pattern="uniform")), backend="batched")
+        ResultStore(store_dir).put("cd" + "1" * 62,
+                                   dict(PAYLOAD, config=config))
+        assert main(["store", "--dir", store_dir, "verify"]) == 0
+        assert "1 ok, 1 stale, 0 quarantined" in capsys.readouterr().out
+        assert main(["store", "--dir", store_dir, "gc"]) == 0
+        assert ("removed 0 stale-salt, 1 unbuildable"
+                in capsys.readouterr().out)
+        assert ResultStore(store_dir).keys() == [KEY]
+
     def test_gc(self, store_dir, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_SALT", "pc-sim-other")
         assert main(["store", "--dir", store_dir, "gc"]) == 0
