@@ -288,8 +288,8 @@ class VectorNetwork:
         #: ``check_drained``, the names of what it answers, and where it
         #: writes the index, expected and found value of a finding.
         self._check_call, self._checks = kernel.check_drained, kernel.checks
-        self._found = np.zeros(3, dtype=np.int64)
-        self._found_at = self._found.ctypes.data
+        self._finding = np.zeros(3, dtype=np.int64)
+        self._finding_at = self._finding.ctypes.data
         self.config, self.vc_policy = config, vc_policy
         VectorNetwork.reset(self, seed, config, vc_policy, lane_seeds)
         if probe is not None:
@@ -848,7 +848,7 @@ class VectorNetwork:
     def _drained_finding(self) -> tuple | None:
         """What ``kernel.c``'s ``check_drained`` finds on this chip:
         ``None``, or its ``(check, index, expected, actual)``."""
-        code = self._check_call(self._chip, self._found_at)
+        code = self._check_call(self._chip, self._finding_at)
         if code == E_BOUNDS:
             raise ProtocolError(self._kernel.fault())
-        return (self._checks[code], *self._found.tolist()) if code else None
+        return (self._checks[code], *self._finding.tolist()) if code else None
