@@ -11,9 +11,9 @@ Commands (full reference with every flag: ``docs/CLI.md``):
           --pattern uniform --rate 0.1
 
 * ``sweep`` — sensitivity sweeps (``--kind vcs|buffers|load``);
-* ``bench`` — the post-install self-check: probes, monitors and
-  telemetry are cold when off and bit-identical when on (speed is
-  measured by ``perf/run.py``, not here);
+* ``bench`` — the post-install gate: probes, monitors and telemetry
+  are cold when off and bit-identical when on, at a low and a
+  saturation load (speed is measured by ``perf/run.py``, not here);
 * ``compare`` — diff two metrics/bench JSON documents into a regression
   report (exit 1 when any metric regressed past its threshold), e.g.::
 
@@ -30,10 +30,11 @@ Commands (full reference with every flag: ``docs/CLI.md``):
   ``--once`` snapshots, ``--trace-out``/``--report-out`` export the
   Perfetto trace and the sweep-report.
 
-``run``, ``sweep`` and ``bench`` accept ``--check`` to attach the full
+``run`` and ``sweep`` accept ``--check`` to attach the full
 online-monitor suite (``repro.monitor``): invariant violations abort the
 run, and a ``*.metrics.json`` document is written next to ``--out`` for
-later ``compare`` calls.
+later ``compare`` calls. ``bench`` always attaches it, and with
+``--out`` writes its runs' documents the same way.
 
 Figure and sweep commands accept ``--workers N`` to fan the underlying
 simulations out over N worker processes; results are bit-identical to a
@@ -501,11 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cycles per gate workload (default "
                               f"{DEFAULT_CYCLES})")
     bench_p.add_argument("--out", default=None, metavar="PATH",
-                         help="write the report (+ manifest sidecar) to "
-                              "this JSON; nothing is written without it")
-    bench_p.add_argument("--check", action="store_true",
-                         help="also run the monitored self-check; its "
-                              "metrics doc is written next to --out")
+                         help="write the report (+ manifest and "
+                              "*.metrics.json sidecars) to this JSON; "
+                              "nothing is written without it")
     _add_backend_arg(bench_p)
     _add_store_arg(bench_p)
 
@@ -576,7 +575,7 @@ def main(argv=None) -> int:
         return _cmd_all(args)
     if args.command == "bench":
         run_bench(cycles=args.cycles, backend=args.backend or "scalar",
-                  check=args.check, out_path=args.out)
+                  out_path=args.out)
         return 0
     if args.command == "compare":
         return _cmd_compare(args)

@@ -147,13 +147,13 @@ class CmpSystem:
                                benchmark=self.profile.name)
         self._record_from = self.network.cycle + warmup
         self.network.stats.warmup_cycles = self._record_from
-        end = self.network.cycle + cycles
-        while self.network.cycle < end:
-            self._step_endpoints(self.network.cycle)
-            self.network.step()
+        self.network.run(cycles, self)
         return self
 
-    def _step_endpoints(self, cycle: int) -> None:
+    def tick(self, network, cycle: int) -> None:
+        """The traffic-source step ``network.run`` takes once per cycle:
+        every core, then every bank, acts on ``cycle``; what they send
+        goes through ``send``."""
         for core in self.cores:
             core.tick(self, cycle)
         for bank in self.banks:

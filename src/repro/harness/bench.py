@@ -1,19 +1,19 @@
-"""``repro bench``: the post-install self-check that instrumentation is cold.
+"""``repro bench``: the post-install check that instrumentation is cold.
 
 An installed package ships no test suite, so this runner is how a user
 asks "does everything that is off by default really cost nothing, and
 does everything that observes really only observe, on *my* install":
 
 * ``overhead_gate`` — a default-built network carries no probe, and
-  stats stay bit-identical with every observer the core accepts
-  attached (``repro.instrument.overhead``), on the scalar core and, for
-  any other backend, on the array core too;
+  stats stay bit-identical, with no violation found, when what a
+  checked run attaches and every probe the core accepts observe it
+  (``repro.instrument.overhead``), at a low and a saturation load, on
+  the scalar core and, for any other backend, on the array core too;
 * ``telemetry_cold_check`` — a telemetry-off sweep holds the off emitter
   and writes nothing, and a telemetry-on sweep returns bit-identical
-  results (``repro.instrument.overhead``);
-* with ``check=True``, the monitored self-check (``repro.monitor``).
+  results (``repro.instrument.overhead``).
 
-Any violation raises the named ``OverheadGateError`` / ``SelfCheckError``.
+Any failure raises the named ``OverheadGateError``.
 Nothing here is timed: how fast each core, layer and sweep runs is
 measured by ``perf/run.py`` against ``BENCHMARK.json``.
 """
@@ -35,30 +35,37 @@ DEFAULT_CYCLES = 400
 
 
 def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
-              check: bool = False, out_path: str | None = None,
-              show: bool = True) -> dict:
+              out_path: str | None = None, show: bool = True) -> dict:
     """Run every cold/identity gate; return (and optionally write) the report.
 
     ``backend`` other than ``"scalar"`` adds the array-core gate (needs
     numpy and a C compiler). Without them the gate's line says why; an
     explicit ``vectorized`` then raises the refusal, while ``auto`` —
     which would land on the scalar core — records it under
-    ``vectorized_overhead: {"refused": ...}`` and goes on.
-    ``check=True`` adds the monitored self-check and, when
-    ``out_path`` is given, writes its metrics document next to the report
-    (``*.metrics.json``). Nothing touches the filesystem without
-    ``out_path``; with one, the report gets a provenance manifest sidecar.
+    ``vectorized_overhead: {"refused": ...}`` and goes on. Nothing
+    touches the filesystem without ``out_path``; with one, the report
+    gets a provenance manifest sidecar and the gate's observed runs
+    their metrics documents, one ``repro.metrics-set/1`` beside it
+    (``*.metrics.json``).
     """
+    # Imported here, as experiment.py does: ``import repro`` loads no monitor.
+    from ..monitor import metrics_path, metrics_set, write_metrics
     start_wall = time.perf_counter()
     gate_report = overhead_gate(cycles=cycles, show=show)
+    gates = [("scalar", gate_report)]
     if backend != "scalar":
         try:
-            gate_report["vectorized_overhead"] = overhead_gate(
-                cycles=cycles, show=show, backend="vectorized")
+            vec = overhead_gate(cycles=cycles, show=show,
+                                backend="vectorized")
+            gates.append(("vectorized", vec))
         except REFUSALS as refusal:
             if backend != "auto":
                 raise
-            gate_report["vectorized_overhead"] = {"refused": str(refusal)}
+            vec = {"refused": str(refusal)}
+        gate_report["vectorized_overhead"] = vec
+    # The monitor documents go to their own file, not into the report.
+    docs = metrics_set([(f"{core} rate {run['rate']:g}", run.pop("metrics"))
+                        for core, gate in gates for run in gate["runs"]])
     gate_report["telemetry"] = tel_gate = telemetry_cold_check()
     if show:
         print(f"telemetry gate: off-by-default ok, {tel_gate['points']} "
@@ -75,29 +82,16 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
         },
         "overhead_gate": gate_report,
     }
-    if check:
-        from ..monitor import metrics_path, self_check, write_metrics
-        check_report = self_check(cycles=cycles, show=show)
-        report["self_check"] = {
-            "runs": len(check_report["runs"]),
-            "violations": sum(run["violation_count"]
-                              for run in check_report["runs"]),
-            "stats_identical": all(run["stats_identical"]
-                                   for run in check_report["runs"]),
-        }
-        if out_path is not None:
-            path = write_metrics(metrics_path(out_path), check_report)
-            if show:
-                print(f"wrote {path}")
     if out_path is not None:
+        path = write_metrics(metrics_path(out_path), docs)
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         manifest = run_manifest(
-            {"driver": "bench", "cycles": cycles, "backend": backend,
-             "check": check},
+            {"driver": "bench", "cycles": cycles, "backend": backend},
             wall_s=time.perf_counter() - start_wall)
         write_manifest(manifest, out_path)
         if show:
+            print(f"wrote {path}")
             print(f"wrote {out_path}")
     return report

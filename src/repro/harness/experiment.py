@@ -37,7 +37,7 @@ from ..routing import make_routing
 from ..store import payload_to_result, result_to_text, store_key
 from ..topology import check_routing, make_topology
 from ..traffic.synthetic import SyntheticTraffic
-from ..traffic.trace import Trace, TraceReplayTraffic
+from ..traffic.trace import TraceReplayTraffic
 from .traces import get_trace
 
 
@@ -316,33 +316,6 @@ def _core_fields(net) -> dict:
     return fields
 
 
-def _attach_monitors(net, probe, check_stride: int):
-    """Attach the ``--check`` suite to a freshly built network.
-
-    Scalar cores bind the monitor registry's composite probe (merged
-    with any user probe); vectorized/batched cores attach the
-    array-native ``VectorInvariantChecker`` and switch on the per-phase
-    profiler instead. Returns the registry whose ``finish``/``snapshot``
-    produce the run's metrics document.
-    """
-    if hasattr(net, "attach_checker"):
-        from ..monitor import MetricsRegistry
-        from ..network.vectorized import VectorInvariantChecker
-        if probe is not None:
-            net.bind_probe(probe)
-        checker = VectorInvariantChecker(strict=True, stride=check_stride)
-        net.attach_checker(checker)
-        net.enable_profile()
-        return MetricsRegistry([checker])
-    from ..instrument import CompositeProbe
-    from ..monitor import default_registry
-    registry = default_registry(strict=True)
-    monitor_probe = registry.probe()
-    net.bind_probe(monitor_probe if probe is None
-                   else CompositeProbe(probe, monitor_probe))
-    return registry
-
-
 def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
                    probe=None, check: bool = False,
                    check_stride: int = 1) -> Result:
@@ -351,14 +324,14 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     ``probe`` attaches an instrumentation probe for this run; probed runs
     never read or populate the memo (the probe observes the simulation, so
     a cached result would silently skip it). ``check=True`` additionally
-    attaches invariant checking — the full scalar monitor suite
-    (``repro.monitor.default_registry``) on the scalar core, the
-    array-native ``VectorInvariantChecker`` sweeping every
-    ``check_stride`` cycles on the vectorized cores; both strict (the
-    first violation raises) — and stores the metrics document on
-    ``Result.monitor_report``. Unchecked, unprobed runs are answered by
-    ``resolve`` (memo, then the default store) and a simulated one goes
-    through ``persist``, as every point of a sweep does.
+    attaches invariant checking (``repro.monitor.attach_checks``: the
+    full scalar monitor suite on the scalar core, the array-native
+    ``VectorInvariantChecker`` sweeping every ``check_stride`` cycles on
+    the vectorized cores; both strict, so the first violation raises)
+    and stores the metrics document on ``Result.monitor_report``.
+    Unchecked, unprobed runs are answered by ``resolve`` (memo, then the
+    default store) and a simulated one goes through ``persist``, as
+    every point of a sweep does.
     """
     use_cache = use_cache and probe is None and not check
     if use_cache:
@@ -456,10 +429,15 @@ def _simulate(configs, net, start: float, how: str, *, probe=None,
     """
     first = configs[0]
     batched = backend_of(net) == "batched"
-    registry = _attach_monitors(net, probe, check_stride) if check else None
+    registry = None
+    if check:  # imported here: unchecked points never load the monitors
+        from ..monitor.registry import attach_checks
+        registry = attach_checks(net, probe, check_stride)
     if first.benchmark is not None:
-        _replay(net, get_trace(first.benchmark, cycles=first.trace_cycles,
-                               warmup=first.trace_warmup, seed=first.seed))
+        replay = TraceReplayTraffic(get_trace(
+            first.benchmark, cycles=first.trace_cycles,
+            warmup=first.trace_warmup, seed=first.seed))
+        net.run(replay.horizon, replay)
     else:
         traffics = [SyntheticTraffic(cfg.pattern, net.topology.num_terminals,
                                      cfg.rate, cfg.packet_size, seed=cfg.seed)
@@ -470,7 +448,7 @@ def _simulate(configs, net, start: float, how: str, *, probe=None,
         else:
             net.stats.warmup_cycles = first.synth_warmup
             net.run(first.synth_cycles, traffics[0])
-        net.drain(max_cycles=500_000)
+    net.drain(max_cycles=500_000)
     net.check_invariants()
     core = _core_fields(net)
     if refused is not None:
@@ -506,18 +484,6 @@ def _simulate(configs, net, start: float, how: str, *, probe=None,
         if len(_idle_networks) > _IDLE_NETWORKS_MAX:
             _idle_networks.popitem(last=False)  # the least recently back
     return results
-
-
-def _replay(net: Network, trace: Trace) -> None:
-    replay = TraceReplayTraffic(trace)
-    while not replay.exhausted:
-        replay.tick(net, net.cycle)
-        net.step()
-        nxt = replay.next_injection_cycle(net.cycle)
-        if nxt is not None:
-            # Idle gaps between scheduled injections are skipped outright.
-            net.fast_forward(nxt, nxt)
-    net.drain(max_cycles=500_000)
 
 
 def memo_hit(config: ExperimentConfig) -> Result | None:

@@ -1,17 +1,19 @@
-"""The instrumentation-overhead gate, one for every core.
+"""The one gate that proves every observer harmless, on every core.
 
-The layer's contract is *zero overhead when off*: a network built without
-a probe must behave — and cost — exactly as if the layer did not exist.
-:func:`overhead_gate` checks it on the core ``backend`` names two ways:
+The layer's contract is *zero overhead when off* and *observe, never
+perturb* when on. :func:`overhead_gate` checks it on the core
+``backend`` names, at a low and a saturation load (``GATE_RATES``):
 
 1. **Structural** (:func:`assert_probes_cold`): a default-built network
    has nothing attached and no event or clock switch on, so a probe
    accidentally left attached (hot) fails deterministically.
 2. **Bit-identity** (:func:`identity_check`): the gate workload run bare
-   and with every observer the core accepts — tracer + time series on
-   the scalar core, time series + strict invariant checker + phase
-   profiler on an array core — gives identical ``NetworkStats``
-   fingerprints, and the observers find nothing wrong.
+   and with every observer the core accepts -- what a checked run
+   attaches (``repro.monitor.attach_checks``: the monitor suite on the
+   scalar core, the strict invariant checker and phase profiler on an
+   array core) plus a ``TimeSeriesProbe`` and, on the scalar core, a
+   ``FlitTracer`` -- gives identical ``NetworkStats`` fingerprints, and
+   the observers find nothing wrong.
 
 The sweep scheduler's telemetry has the same contract, checked by
 :func:`telemetry_cold_check`: with telemetry off the scheduler holds the
@@ -74,13 +76,19 @@ def assert_probes_cold(network) -> None:
                     f"{kind} {i} carries a probe by default")
 
 
+#: The gate's two loads: low, where pseudo-circuits live long and are
+#: reused, and saturation, where conflicts and credit exhaustion end them.
+GATE_RATES = (0.02, 0.30)
+
+
 def _gate_workload(backend: str, cycles: int, rate: float, seed: int,
-                   probe=None, checker=None):
+                   probe=None):
     """The one gate workload: an 8x8 mesh under Pseudo+S+B (4 VCs of 4
-    flits) built bare on ``backend``'s core, ``probe`` bound (an array
-    core: and ``checker`` attached with the phase profiler on), run for
-    ``cycles`` of uniform traffic at ``rate`` and drained. Returns the
-    network. The overhead gate and ``repro.monitor.check`` both run it."""
+    flits) built bare on ``backend``'s core, run for ``cycles`` of
+    uniform traffic at ``rate`` and drained. With ``probe`` the run is
+    checked: ``probe`` and what ``run_experiment(check=True)`` attaches
+    (``repro.monitor.attach_checks``) observe it. Returns the network
+    and the registry of its checks (``None`` for a bare run)."""
     config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
     topo = make_topology("mesh", 8, 8, 1)
     if backend == "scalar":
@@ -88,62 +96,68 @@ def _gate_workload(backend: str, cycles: int, rate: float, seed: int,
     else:
         from ..network.vectorized import VectorNetwork
         net = VectorNetwork(topo, config, seed=seed)
+    registry = None
     if probe is not None:
-        net.bind_probe(probe)
-    if checker is not None:
-        net.attach_checker(checker)
-        net.enable_profile()
+        from ..monitor.registry import attach_checks
+        registry = attach_checks(net, probe)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=seed)
     net.stats.warmup_cycles = cycles // 5
     net.run(cycles, traffic)
     net.drain(max_cycles=500_000)
-    return net
+    return net, registry
 
 
-def identity_check(cycles: int = 400, rate: float = 0.30, seed: int = 7,
+def identity_check(cycles: int = 400, seed: int = 7,
                    backend: str = "scalar") -> dict:
-    """Run the saturation workload on ``backend``'s core bare (asserted
-    cold) and with every observer that core accepts; raise unless the
-    stats are bit-identical and the observers found nothing wrong (the
-    traced pseudo-circuit terminations reconcile with the counters; the
-    invariant checker swept clean)."""
-    bare = _gate_workload(backend, cycles, rate, seed)
-    assert_probes_cold(bare)
-    series = TimeSeriesProbe(window=max(1, cycles // 16))
-    if backend == "scalar":
-        tracer = FlitTracer()
-        net = _gate_workload(backend, cycles, rate, seed,
-                             CompositeProbe(tracer, series))
-    else:
-        from ..network.vectorized import VectorInvariantChecker
-        checker = VectorInvariantChecker(strict=True)
-        net = _gate_workload(backend, cycles, rate, seed, series, checker)
-    want, got = bare.stats.fingerprint(), net.stats.fingerprint()
-    if want != got:
-        diff = {k: (v, got[k]) for k, v in want.items() if got[k] != v}
-        raise OverheadGateError(
-            f"{backend} stats diverged with observers attached: {diff}")
-    report = {"cycles": cycles, "stats_identical": True,
-              "series_windows": len(series.samples)}
-    if backend == "scalar":
-        traced = tracer.termination_counts
-        aggregate = {reason.value: count
-                     for reason, count in net.stats.pc_terminations.items()
-                     if count}
-        if traced != aggregate:
+    """The gate on ``backend``'s core, at each of ``GATE_RATES``: the
+    gate workload run bare (asserted cold), then checked with every
+    probe the core accepts beside the checks -- a ``TimeSeriesProbe``,
+    and on the scalar core a ``FlitTracer``. Raises
+    :class:`OverheadGateError` unless the checked run finishes, its
+    stats are bit-identical to the bare run's, the checks found no
+    violation and (scalar core) the traced pseudo-circuit terminations
+    equal the counters. Each entry of ``runs`` holds its run's metrics
+    document under ``metrics``."""
+    runs = []
+    for rate in GATE_RATES:
+        where = f"{backend} at rate {rate:g}"
+        bare, _ = _gate_workload(backend, cycles, rate, seed)
+        assert_probes_cold(bare)
+        series = TimeSeriesProbe(window=max(1, cycles // 16))
+        tracer = FlitTracer() if backend == "scalar" else None
+        try:
+            net, registry = _gate_workload(
+                backend, cycles, rate, seed,
+                series if tracer is None else CompositeProbe(tracer, series))
+            doc = registry.finish(net)
+        except Exception as err:
             raise OverheadGateError(
-                f"traced terminations {traced} != counters {aggregate}")
-        report.update(traced_events=sum(tracer.counts.values()),
-                      pc_terminations=dict(traced))
-    else:
-        if checker.violations:
+                f"{where}: the observed run failed: {err}") from err
+        want, got = bare.stats.fingerprint(), net.stats.fingerprint()
+        if want != got:
+            diff = {k: (v, got[k]) for k, v in want.items() if got[k] != v}
             raise OverheadGateError(
-                f"vectorized invariant checker flagged the gate workload: "
-                f"{checker.violations[0]}")
-        report.update(checker_sweeps=checker.sweeps,
-                      phase_profile=net.profile(),
-                      step_kernel=net.step_kernel)
+                f"{where}: stats diverged with observers attached: {diff}")
+        if doc["violation_count"]:
+            raise OverheadGateError(
+                f"{where}: {doc['violation_count']} violations, first: "
+                f"{doc['violations'][0]}")
+        run = {"rate": rate, "series_windows": len(series.samples),
+               "metrics": doc}
+        if tracer is not None:
+            traced = tracer.termination_counts
+            if traced != doc["run"]["pc_terminations"]:
+                raise OverheadGateError(
+                    f"{where}: traced terminations {traced} != counters "
+                    f"{doc['run']['pc_terminations']}")
+            run["traced_events"] = sum(tracer.counts.values())
+        else:
+            doc["phase_profile"] = net.profile()
+        runs.append(run)
+    report = {"cycles": cycles, "stats_identical": True, "runs": runs}
+    if backend != "scalar":
+        report["step_kernel"] = net.step_kernel
     return report
 
 
@@ -163,13 +177,16 @@ def overhead_gate(cycles: int = 400, show: bool = True,
         raise
     report["probes_cold"] = True
     if show:
-        windows = f"{report['series_windows']} series windows"
-        seen = (f"{report['traced_events']} traced events, {windows}"
-                if backend == "scalar" else
-                f"{windows}, {report['checker_sweeps']} checker sweeps, "
-                f"step kernel {report['step_kernel']}")
-        print(f"{gate}: probes cold, stats bit-identical over {cycles} "
-              f"cycles ({seen})")
+        kernel = (f", step kernel {report['step_kernel']}"
+                  if "step_kernel" in report else "")
+        for run in report["runs"]:
+            traced = (f"{run['traced_events']} traced events, "
+                      if "traced_events" in run else "")
+            print(f"{gate} at rate {run['rate']:g}: probes cold, stats "
+                  f"bit-identical over {cycles} cycles ({traced}"
+                  f"{run['series_windows']} series windows{kernel}), "
+                  f"0 violations from "
+                  f"{', '.join(run['metrics']['monitors'])}")
     return report
 
 

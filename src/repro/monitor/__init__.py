@@ -3,14 +3,16 @@
 Monitors are probes (``repro.instrument``) that maintain shadow models of
 the network's invariants and verify them at cycle boundaries — the
 simulator proves itself correct while it runs, at zero cost when no
-monitor is attached. ``default_registry()`` bundles the full suite;
-``self_check`` is the CI acceptance run; ``compare_docs`` turns two runs'
-metrics documents into a regression report.
+monitor is attached. ``default_registry()`` bundles the scalar core's
+suite; ``attach_checks`` attaches what a checked run is observed by on
+either core -- for ``run_experiment(check=True)`` and the ``repro
+bench`` gate (``repro.instrument.overhead``) alike, which proves them
+harmless; ``compare_docs`` turns two runs' metrics documents into a
+regression report.
 """
 
 from ..core.violation import InvariantViolation
 from .base import Monitor
-from .check import SelfCheckError, self_check
 from .conservation import ConservationMonitor
 from .credit import CreditMonitor
 from .pc import PseudoCircuitMonitor
@@ -18,6 +20,7 @@ from .registry import (
     METRICS_SCHEMA,
     METRICS_SET_SCHEMA,
     MetricsRegistry,
+    attach_checks,
     default_registry,
     metrics_path,
     metrics_set,
@@ -44,7 +47,7 @@ __all__ = [
     "Monitor",
     "ProgressWatchdog",
     "PseudoCircuitMonitor",
-    "SelfCheckError",
+    "attach_checks",
     "compare_docs",
     "compare_files",
     "default_registry",
@@ -53,6 +56,5 @@ __all__ = [
     "metrics_path",
     "metrics_set",
     "render_report",
-    "self_check",
     "write_metrics",
 ]

@@ -80,13 +80,40 @@ class MetricsRegistry:
 
 
 def default_registry(strict: bool = True) -> MetricsRegistry:
-    """The full self-checking suite (what ``--check`` attaches)."""
+    """The scalar core's monitor suite (what ``--check`` attaches there)."""
     return MetricsRegistry([
         ConservationMonitor(strict=strict),
         CreditMonitor(strict=strict),
         PseudoCircuitMonitor(strict=strict),
         ProgressWatchdog(strict=strict),
     ])
+
+
+def attach_checks(net, probe=None, stride: int = 1) -> MetricsRegistry:
+    """Attach what observes a checked run to a freshly built network,
+    with ``probe`` beside it: the one statement of it, for
+    ``run_experiment(check=True)`` and the bench gate alike.
+
+    The scalar core binds the strict ``default_registry``'s composite
+    probe (merged with ``probe``); an array core binds ``probe``,
+    attaches the strict ``VectorInvariantChecker`` sweeping every
+    ``stride`` cycles and switches on the per-phase profiler. Returns
+    the registry whose ``finish`` / ``snapshot`` give the run's metrics
+    document.
+    """
+    if hasattr(net, "attach_checker"):
+        from ..network.vectorized import VectorInvariantChecker
+        if probe is not None:
+            net.bind_probe(probe)
+        checker = VectorInvariantChecker(strict=True, stride=stride)
+        net.attach_checker(checker)
+        net.enable_profile()
+        return MetricsRegistry([checker])
+    registry = default_registry(strict=True)
+    monitors = registry.probe()
+    net.bind_probe(monitors if probe is None
+                   else CompositeProbe(probe, monitors))
+    return registry
 
 
 def metrics_path(path: str) -> str:

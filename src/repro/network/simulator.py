@@ -333,7 +333,7 @@ class Network:
         if target > self.cycle:
             self.cycle = target
 
-    def run(self, cycles: int, traffic=None) -> NetworkStats:
+    def run(self, cycles: int, traffic=None) -> None:
         """Run for ``cycles`` cycles, ticking ``traffic`` once per cycle.
 
         Quiescent stretches are fast-forwarded. With a ``traffic``
@@ -354,9 +354,8 @@ class Network:
                 self.fast_forward(end)
             elif next_injection is not None:
                 self.fast_forward(end, next_injection(self.cycle))
-        return self.stats
 
-    def drain(self, max_cycles: int = 1_000_000) -> NetworkStats:
+    def drain(self, max_cycles: int = 1_000_000) -> None:
         """Run without new traffic until every packet has been delivered."""
         deadline = self.cycle + max_cycles
         while not self.quiescent():
@@ -367,7 +366,6 @@ class Network:
             self.step()
             if not self.quiescent():
                 self.fast_forward(deadline)
-        return self.stats
 
     # -- queries --------------------------------------------------------------
 

@@ -642,10 +642,9 @@ class VectorNetwork:
             self._state[self._S_SKIPPED] += target - self.cycle
             self.cycle = target
 
-    def run(self, cycles: int, traffic=None) -> NetworkStats:
+    def run(self, cycles: int, traffic=None) -> None:
         """Run for ``cycles`` cycles, ticking ``traffic`` once per cycle."""
         self._drive([traffic], [self.cycle + cycles])
-        return self.stats
 
     def _drive(self, traffics, ends) -> None:
         """The traffic loop: lane ``i`` is offered ``traffics[i]`` every
@@ -699,14 +698,13 @@ class VectorNetwork:
                     src["generated"])
                 self.src[lane] = 0   # ``end``: the window is closed
 
-    def drain(self, max_cycles: int = 1_000_000) -> NetworkStats:
+    def drain(self, max_cycles: int = 1_000_000) -> None:
         """Run without new traffic until every packet is delivered."""
         self._advance(self.cycle + max_cycles, drain=True)
         if not self.quiescent():
             raise RuntimeError(
                 f"network failed to drain within {max_cycles} cycles "
                 f"({self.in_flight_packets()} packets left)")
-        return self.stats
 
     # -- queries --------------------------------------------------------------
 

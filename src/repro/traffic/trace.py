@@ -107,6 +107,14 @@ class TraceReplayTraffic:
     def exhausted(self) -> bool:
         return self._round >= self.repeat
 
+    @property
+    def horizon(self) -> int:
+        """The cycles a ``run`` from cycle 0 ticks this source until it is
+        spent: through the last round's last record, one past its cycle
+        (the tick that injects a round's last record ends the round)."""
+        records = self.trace.records
+        return self.repeat * (records[-1].cycle + 1) if records else 1
+
     def next_injection_cycle(self, cycle: int) -> int | None:
         """Next cycle at which ``tick`` may inject (fast-forward protocol).
 

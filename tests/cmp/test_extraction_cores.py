@@ -33,7 +33,6 @@ np = pytest.importorskip("numpy")
 from repro.cmp.messages import (INV_ACK, INVAL, READ_REQ, READ_RESP,
                                 WRITE_ACK, WRITE_REQ)
 from repro.cmp.system import CmpSystem
-from repro.harness.experiment import _replay
 from repro.harness.traces import get_trace
 from repro.network.config import PSEUDO_SB, NetworkConfig
 from repro.network.flit import Packet
@@ -41,6 +40,7 @@ from repro.network.simulator import Network
 from repro.network.vectorized import VectorNetwork, kernel
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 
 
 @pytest.fixture(autouse=True)
@@ -208,7 +208,10 @@ def _trace_point():
                         routing="o1turn", vc_policy="dynamic", seed=7)
     calls = _recording(net)
     net.stats.warmup_cycles = 30
-    _replay(net, get_trace("radix", cycles=150, warmup=200, seed=7))
+    replay = TraceReplayTraffic(get_trace("radix", cycles=150, warmup=200,
+                                          seed=7))
+    net.run(replay.horizon, replay)
+    net.drain(max_cycles=500_000)
     return calls
 
 

@@ -15,10 +15,11 @@ import json
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig, _replay, build_network
+from repro.harness.experiment import ExperimentConfig, build_network
 from repro.harness.traces import get_trace
 from repro.network.config import BASELINE
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 
 
 def _evc(**fields) -> ExperimentConfig:
@@ -52,15 +53,16 @@ def fingerprint(config: ExperimentConfig):
     drives it, and its record: the stats fingerprint plus final cycle."""
     net = build_network(config)
     if config.benchmark is not None:
-        _replay(net, get_trace(config.benchmark, cycles=config.trace_cycles,
-                               warmup=config.trace_warmup,
-                               seed=config.seed))
+        replay = TraceReplayTraffic(get_trace(
+            config.benchmark, cycles=config.trace_cycles,
+            warmup=config.trace_warmup, seed=config.seed))
+        net.run(replay.horizon, replay)
     else:
         net.stats.warmup_cycles = config.synth_warmup
         net.run(config.synth_cycles, SyntheticTraffic(
             config.pattern, net.topology.num_terminals, config.rate,
             config.packet_size, seed=config.seed))
-        net.drain(max_cycles=500_000)
+    net.drain(max_cycles=500_000)
     net.check_invariants()
     record = net.stats.fingerprint()
     record["latency_histogram"] = sorted(record["latency_histogram"].items())

@@ -145,8 +145,9 @@ def test_cli_sweep_out_writes_manifest(tmp_path, capsys):
     (["bench", "--gate"], "--gate"),           # removed with the timing bench
     (["fig12", "--resume"], "--resume"),       # a store hit needs no flag
     (["run", "--backend", "batched"], "batched"),  # auto groups lanes
+    (["bench", "--check"], "--check"),         # the gate always checks
 ], ids=["abbreviated", "removed", "removed-figure-resume",
-        "removed-batched-backend"])
+        "removed-batched-backend", "removed-bench-check"])
 def test_cli_matches_flags_exactly(argv, named, capsys):
     """Prefix matching is off and removed flags have no shim: either
     exits 2 naming the flag instead of binding to a surviving one."""

@@ -39,6 +39,7 @@ from repro.routing import CompiledRouting, RoutingAlgorithm
 from repro.topology import TOPOLOGY_REGISTRY
 from repro.topology.base import Topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 from repro.vcalloc import VCAllocationPolicy
 
 from ..network import exhaustive
@@ -97,15 +98,16 @@ def _fresh(cfg):
     """
     net = build_network(cfg)
     if cfg.benchmark is not None:
-        experiment._replay(net, get_trace(
+        replay = TraceReplayTraffic(get_trace(
             cfg.benchmark, cycles=cfg.trace_cycles, warmup=cfg.trace_warmup,
             seed=cfg.seed))
+        net.run(replay.horizon, replay)
     else:
         net.stats.warmup_cycles = cfg.synth_warmup
         net.run(cfg.synth_cycles, SyntheticTraffic(
             cfg.pattern, net.topology.num_terminals, cfg.rate,
             cfg.packet_size, seed=cfg.seed))
-        net.drain(max_cycles=500_000)
+    net.drain(max_cycles=500_000)
     net.check_invariants()
     return _metrics(Result.from_network(cfg, net)), net.stats.fingerprint()
 

@@ -14,13 +14,13 @@ import hashlib
 
 import pytest
 
-from repro.harness.experiment import _replay
 from repro.harness.traces import get_trace
 from repro.instrument import Probe
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 
 
 def _flit(flit):
@@ -88,7 +88,10 @@ def _trace_point(routing, scheme):
     net = Network(make_topology("cmesh", 4, 4, 4),
                   NetworkConfig(pseudo=scheme, mshrs=4), routing=routing,
                   vc_policy="dynamic", seed=7, probe=log)
-    _replay(net, get_trace("radix", cycles=150, warmup=200, seed=7))
+    replay = TraceReplayTraffic(get_trace("radix", cycles=150, warmup=200,
+                                          seed=7))
+    net.run(replay.horizon, replay)
+    net.drain(max_cycles=500_000)
     return log, net
 
 

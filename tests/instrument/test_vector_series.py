@@ -169,6 +169,8 @@ class TestOverheadGate:
         from repro.instrument import identity_check
         report = identity_check(cycles=300, backend="vectorized")
         assert report["stats_identical"]
-        assert report["series_windows"] > 0
-        assert report["checker_sweeps"] > 0
-        assert report["phase_profile"]["stepped_cycles"] > 0
+        for run in report["runs"]:
+            doc = run["metrics"]
+            assert run["series_windows"] > 0
+            assert doc["monitors"]["vector_invariants"]["sweeps"] > 0
+            assert doc["phase_profile"]["stepped_cycles"] > 0

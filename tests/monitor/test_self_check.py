@@ -1,4 +1,4 @@
-"""The monitored self-check and the harness/CLI --check plumbing."""
+"""The bench gate's checked runs and the harness/CLI --check plumbing."""
 
 import json
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.parallel import run_experiments
-from repro.monitor import self_check
+from repro.instrument import identity_check
+from repro.instrument.overhead import GATE_RATES
 
 
 def _cfg(**overrides):
@@ -18,21 +19,25 @@ def _cfg(**overrides):
 
 
 class TestSelfCheck:
+    """The gate's checked runs: the 8x8 mesh at low load and saturation
+    with the monitor suite, tracer and series attached, violation-free
+    and bit-identical to the bare runs."""
+
     def test_reduced_scale_passes(self):
-        report = self_check(cycles=200)
-        assert report["schema"] == "repro.self-check/1"
-        assert len(report["runs"]) == 2
+        report = identity_check(cycles=200)
+        assert report["stats_identical"] is True
+        assert [run["rate"] for run in report["runs"]] == list(GATE_RATES)
         for run in report["runs"]:
-            assert run["violation_count"] == 0
-            assert run["stats_identical"] is True
-            assert run["run"]["ejected_packets"] > 0
+            doc = run["metrics"]
+            assert doc["violation_count"] == 0
+            assert set(doc["monitors"]) == {"conservation", "credits",
+                                            "pseudo_circuit", "watchdog"}
+            assert doc["run"]["ejected_packets"] > 0
 
     @pytest.mark.slow
     def test_acceptance_scale_passes(self):
-        """ISSUE acceptance: 8x8 mesh at low load and saturation, all
-        monitors attached, violation-free and bit-identical."""
-        report = self_check(cycles=600)
-        assert all(run["violation_count"] == 0
+        report = identity_check(cycles=600)
+        assert all(run["metrics"]["violation_count"] == 0
                    for run in report["runs"])
 
 
@@ -66,11 +71,17 @@ class TestHarnessCheck:
 
 class TestBenchCheck:
     def test_bench_check_writes_metrics_doc(self, tmp_path):
+        """``--out`` writes the gate's metrics documents beside the
+        report, one per checked run, and none into the report."""
         from repro.harness.bench import run_bench
         out = tmp_path / "bench.json"
-        report = run_bench(cycles=120, out_path=str(out), show=False,
-                           check=True)
-        assert report["self_check"]["violations"] == 0
-        assert report["self_check"]["stats_identical"] is True
+        report = run_bench(cycles=120, out_path=str(out), show=False)
+        gate = report["overhead_gate"]
+        assert gate["stats_identical"] is True
+        assert all("metrics" not in run for run in gate["runs"])
         doc = json.loads((tmp_path / "bench.metrics.json").read_text())
-        assert doc["schema"] == "repro.self-check/1"
+        assert doc["schema"] == "repro.metrics-set/1"
+        assert doc["violation_count"] == 0
+        assert [run["label"] for run in doc["runs"]] == [
+            f"scalar rate {rate:g}" for rate in GATE_RATES]
+        assert all(run["schema"] == "repro.metrics/1" for run in doc["runs"])

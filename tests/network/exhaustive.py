@@ -59,10 +59,7 @@ def run_and_drain(net, cycles: int, traffic=None,
 
 
 def replay(net, trace, max_cycles: int = 500_000):
-    """``experiment._replay(net, trace)``: replay ``trace`` until it is
-    exhausted, then drain, one exhaustive cycle at a time."""
+    """``net.run`` of ``trace`` over its replay's ``horizon``, then
+    ``net.drain``, one exhaustive cycle at a time."""
     traffic = TraceReplayTraffic(trace)
-    while not traffic.exhausted:
-        traffic.tick(net, net.cycle)
-        exhaustive_step(net)
-    return run_and_drain(net, 0, max_cycles=max_cycles)
+    return run_and_drain(net, traffic.horizon, traffic, max_cycles)

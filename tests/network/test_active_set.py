@@ -7,7 +7,7 @@ the network's own loop and through the exhaustive oracle in
 ``exhaustive.py``, which visits every component every cycle and never
 skips one — and require *bit-identical* ``NetworkStats`` plus the same
 final cycle, across topologies, pseudo-circuit schemes, traffic
-patterns and CMP trace replay (driven the way ``experiment._replay``
+patterns and CMP trace replay (driven the way ``experiment._simulate``
 drives it). Both loops read the same compiled routing tables; the
 oracle for those is ``route()`` / ``vc_limits()`` in
 ``tests/routing/test_compiled.py``.
@@ -28,6 +28,7 @@ from repro.harness.traces import get_trace
 from repro.network.simulator import build_network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 
 from . import exhaustive
 
@@ -124,7 +125,12 @@ def _replay_fingerprint(topo_name, routing, scheme, active):
     assert net.config.mshrs == cfg.mshrs > 0  # the NICs self-throttle
     trace = get_trace(TRACE_BENCHMARK, cycles=TRACE_CYCLES,
                       warmup=TRACE_WARMUP, seed=cfg.seed)
-    (experiment._replay if active else exhaustive.replay)(net, trace)
+    if active:
+        replay = TraceReplayTraffic(trace)
+        net.run(replay.horizon, replay)
+        net.drain(max_cycles=500_000)
+    else:
+        exhaustive.replay(net, trace)
     net.check_invariants()
     fp = net.stats.fingerprint()
     fp["final_cycle"] = net.cycle

@@ -214,7 +214,7 @@ class TestCreditReturns:
                     1 << i for i, n in enumerate(dues) if n)
 
 
-class TestCreditChannelEdgeCases:
+class TestCreditReturnTimingAndLimits:
     """Returns due together, in flight across cycles, and at the limits."""
 
     def test_equal_due_cycles_deliver_in_send_order(self):

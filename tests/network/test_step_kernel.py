@@ -108,16 +108,10 @@ def _stepping(net, traffic, cycles):
 
 
 def _replaying(net, trace):
-    """``experiment._replay``, yielding after every ``step()``."""
+    """``net.run`` of ``trace`` over its replay's ``horizon``, then
+    ``net.drain``, yielding after every ``step()``."""
     replay = TraceReplayTraffic(trace)
-    while not replay.exhausted:
-        replay.tick(net, net.cycle)
-        net.step()
-        yield
-        nxt = replay.next_injection_cycle(net.cycle)
-        if nxt is not None:
-            net.fast_forward(nxt, nxt)
-    yield from _stepping(net, None, 0)
+    yield from _stepping(net, replay, replay.horizon)
 
 
 def _lockstep(build, drive):
@@ -686,10 +680,11 @@ def test_stats_are_read_again_only_after_a_kernel_call(monkeypatch):
     assert net.stats is stats and reads == [0]   # lane_stats' own
     reads.clear()
     assert net.run(100, SyntheticTraffic("uniform", 16, 0.2, 5,
-                                         seed=3)) is stats
+                                         seed=3)) is None
+    assert reads == []                           # run reads nothing
     assert net.stats is stats and reads == [0]
     assert stats.injected_packets and net.lane_warmup[0] == 20
-    net.drain()
+    assert net.drain() is None and reads == [0]  # nor does drain
     assert net.stats is stats and reads == [0, 0]
     reads.clear()
     assert stats.fingerprint() == net.lane_stats(0).fingerprint()
@@ -697,6 +692,29 @@ def test_stats_are_read_again_only_after_a_kernel_call(monkeypatch):
     net.reset(seed=3)
     assert net.stats is not stats and net.stats.injected_packets == 0
     assert net.stats.fingerprint() == net.lane_stats(0).fingerprint()
+
+
+def test_a_point_reads_its_counters_once_per_lane(monkeypatch):
+    """``run`` and ``drain`` read nothing, so a solo point copies
+    ``counts`` / ``hist`` once, into its ``Result``, and a 2-lane unit
+    once per lane."""
+    reads = []
+    read = VectorNetwork._read_counts
+    monkeypatch.setattr(VectorNetwork, "_read_counts",
+                        lambda net, stats, lane: reads.append(lane) or read(
+                            net, stats, lane))
+    point = dict(topology="mesh", kx=4, ky=4, concentration=1,
+                 routing="xy", pattern="uniform", rate=0.1,
+                 synth_cycles=100, synth_warmup=20)
+    result = run_experiment(ExperimentConfig(**point, backend="vectorized",
+                                             seed=3), use_cache=False)
+    assert result.manifest["backend"] == "vectorized" and reads == [0]
+    reads.clear()
+    results = run_batch_experiments([
+        ExperimentConfig(**point, backend="auto", seed=seed)
+        for seed in (3, 4)])
+    assert [r.manifest["batch_lane"] for r in results] == [0, 1]
+    assert reads == [0, 1]
 
 
 # -- loader -------------------------------------------------------------------

@@ -15,8 +15,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.evc import EvcMesh, EvcRouting
-from repro.harness.experiment import (ExperimentConfig, _replay,
-                                      run_experiment)
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.traces import get_trace
 from repro.network.config import (ALL_SCHEMES, BASELINE, PSEUDO_SB,
                                   NetworkConfig)
@@ -24,6 +23,7 @@ from repro.network.simulator import Network
 from repro.network.vectorized import VectorInvariantChecker, VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.traffic.trace import TraceReplayTraffic
 
 
 def chip(topo_args, routing):
@@ -49,13 +49,14 @@ def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
               seed=seed)
     net.stats.warmup_cycles = cycles // 5
     if benchmark:
-        _replay(net, get_trace(benchmark, cycles=cycles, warmup=200,
-                               seed=seed))
+        traffic = TraceReplayTraffic(get_trace(benchmark, cycles=cycles,
+                                               warmup=200, seed=seed))
+        net.run(traffic.horizon, traffic)
     else:
         traffic = SyntheticTraffic(pattern, topo.num_terminals, rate,
                                    packet_size, seed=seed)
         net.run(cycles, traffic)
-        net.drain(max_cycles=500_000)
+    net.drain(max_cycles=500_000)
     net.check_invariants()
     if isinstance(net, VectorNetwork):
         both_checks_pass(net)
