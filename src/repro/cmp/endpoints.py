@@ -41,7 +41,11 @@ class Core:
         self.l1 = SetAssociativeCache(config.l1d_size, config.l1d_assoc,
                                       config.block_size)
         self.mshrs = MshrFile(config.mshrs_per_core)
+        #: The access the core stalls on, ``(block, is_write)``, and
+        #: whether an MSHR was released since it stalled: until one is,
+        #: a retry stalls again.
         self._stalled: tuple[int, bool] | None = None
+        self._released = False
         # Statistics.
         self.accesses = 0
         self.reads = 0
@@ -49,61 +53,57 @@ class Core:
         self.l1_hits = 0
         self.stall_cycles = 0
 
-    # -- per-cycle behaviour --------------------------------------------------
-
-    def tick(self, system, cycle: int) -> None:
-        if self._stalled is not None:
-            block, is_write = self._stalled
-            self._stalled = None
-            self._issue(system, cycle, block, is_write)
-            if self._stalled is not None:
-                self.stall_cycles += 1
-                return  # still blocked: the core cannot run ahead
-        if self.rng.random() < self.stream.profile.access_rate:
-            block, is_write = self.stream.next_access()
-            self._issue(system, cycle, block, is_write)
+    # -- accesses -----------------------------------------------------------
+    # ``CmpSystem.tick`` is the per-cycle loop: a core that is not
+    # stalled draws whether it accesses memory, a stalled one retries.
 
     def _issue(self, system, cycle: int, block: int, is_write: bool) -> None:
+        """A new access: a read that hits the L1 ends there; a write
+        (write-through) or a read miss takes an MSHR (``_request``)."""
+        if not is_write and self.l1.lookup(block):
+            self.accesses += 1
+            self.reads += 1
+            self.l1_hits += 1
+            return
+        self._request(system, cycle, block, is_write)
+
+    def _retry(self, system, cycle: int) -> None:
+        """Issue the access the core stalled on again. It goes straight
+        to the MSHR file: a read missed the L1 when it stalled, and no
+        fill can bring its block while the core stalls (none of its
+        MSHRs holds that block, or the read would have merged)."""
+        block, is_write = self._stalled
+        self._stalled = None
+        self._request(system, cycle, block, is_write)
+
+    def _request(self, system, cycle: int, block: int,
+                 is_write: bool) -> None:
+        """Track a miss in the MSHR file and send its request. An access
+        to a block that already has an MSHR merges into it (stores
+        coalesce); with every MSHR busy the core stalls on the access
+        (self-throttling) and counts it once it is issued. The core
+        tells the home bank whether a store keeps an L1 copy (updated
+        in place) so the directory stays precise."""
+        key = _mshr_key(block, is_write)
+        merged = self.mshrs.outstanding(key)
+        if not self.mshrs.allocate(key, is_write):
+            self._stalled = (block, is_write)
+            self._released = False
+            return
         self.accesses += 1
         if is_write:
             self.writes += 1
-            # Write-through: every store reaches the home L2 bank. The core
-            # tells the bank whether it keeps an L1 copy (updated in place)
-            # so the directory stays precise. Stores to a block with an
-            # outstanding write coalesce into the same MSHR.
-            key = _mshr_key(block, True)
-            if self.mshrs.outstanding(key):
-                self.mshrs.allocate(key, True)  # coalesce
-                return
-            if not self.mshrs.allocate(key, True):
-                self._retract(block, is_write)
-                return
-            keeps_copy = self.l1.contains(block)
-            system.send(self.terminal, system.bank_terminal_for(block),
-                        WRITE_REQ, block, cycle, payload=(block, keeps_copy))
         else:
             self.reads += 1
-            if self.l1.lookup(block):
-                self.l1_hits += 1
-                return
-            key = _mshr_key(block, False)
-            if self.mshrs.outstanding(key):
-                self.mshrs.allocate(key, False)  # merge
-                return
-            if not self.mshrs.allocate(key, False):
-                self._retract(block, is_write)
-                return
+        if merged:
+            return
+        if is_write:
+            system.send(self.terminal, system.bank_terminal_for(block),
+                        WRITE_REQ, block, cycle,
+                        payload=(block, self.l1.contains(block)))
+        else:
             system.send(self.terminal, system.bank_terminal_for(block),
                         READ_REQ, block, cycle)
-
-    def _retract(self, block: int, is_write: bool) -> None:
-        """All MSHRs busy: remember the access and stall (self-throttling)."""
-        self._stalled = (block, is_write)
-        self.accesses -= 1
-        if is_write:
-            self.writes -= 1
-        else:
-            self.reads -= 1
 
     # -- message handling -----------------------------------------------------
 
@@ -114,8 +114,10 @@ class Core:
         if msg == READ_RESP:
             self.l1.fill(block)
             self.mshrs.release(_mshr_key(block, False))
+            self._released = True
         elif msg == WRITE_ACK:
             self.mshrs.release(_mshr_key(block, True))
+            self._released = True
         elif msg == INVAL:
             self.l1.invalidate(block)
             system.send(self.terminal, packet.src, INV_ACK, block, cycle)

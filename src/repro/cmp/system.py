@@ -18,11 +18,13 @@ trace (``tests/cmp/test_extraction_cores.py``).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from ..network.backend import REFUSALS, backend_of
 from ..network.config import NetworkConfig
 from ..network.flit import Packet
 from ..network.simulator import Network
+from ..routing import make_routing
 from ..topology.base import Topology
 from ..topology.mesh import ConcentratedMesh
 from ..traffic.benchmarks import BenchmarkProfile, get_profile
@@ -153,11 +155,27 @@ class CmpSystem:
     def tick(self, network, cycle: int) -> None:
         """The traffic-source step ``network.run`` takes once per cycle:
         every core, then every bank, acts on ``cycle``; what they send
-        goes through ``send``."""
+        goes through ``send``. A core that is not stalled draws once
+        whether it accesses memory. A stalled core retries only once an
+        MSHR of its own was released (a ``READ_RESP`` or ``WRITE_ACK``
+        delivered to it): before that the retry would stall again, so
+        the cycle is counted as that failed retry counts it. A bank acts
+        only when a delayed response of its own is due."""
+        rate = self.profile.access_rate
         for core in self.cores:
-            core.tick(self, cycle)
+            if core._stalled is not None:
+                if not core._released:
+                    core.mshrs.stalls += 1
+                    core.stall_cycles += 1
+                    continue
+                core._retry(self, cycle)
+            if core.rng.random() < rate:
+                block, is_write = core.stream.next_access()
+                core._issue(self, cycle, block, is_write)
         for bank in self.banks:
-            bank.tick(self, cycle)
+            due = bank._due
+            if due and due[0][0] <= cycle:
+                bank.tick(self, cycle)
 
     # -- reporting ------------------------------------------------------------
 
@@ -185,13 +203,24 @@ class CmpSystem:
         return summary
 
 
+@lru_cache(maxsize=None)
+def _paper_chip():
+    """The paper's CMP chip, cmesh 4x4x4 and its O1TURN routing: built
+    once per process and shared read-only by every default network, as
+    ``harness.experiment.chip_plan`` shares a point's, so the routing is
+    compiled once (``routing.compiled``)."""
+    topology = ConcentratedMesh(4, 4, 4)
+    return topology, make_routing("o1turn", topology)
+
+
 def _paper_network(seed: int):
     """The paper's CMP network (cmesh 4x4x4, O1TURN, dynamic VA) by the
     ``auto`` rule: on the compiled core if it builds here, else on the
     scalar core. Returns it and the refusal's message (``None`` if it
     built; ``network.backend.REFUSALS``)."""
-    args = ConcentratedMesh(4, 4, 4), NetworkConfig()
-    kwargs = dict(routing="o1turn", vc_policy="dynamic", seed=seed)
+    topology, routing = _paper_chip()
+    args = topology, NetworkConfig()
+    kwargs = dict(routing=routing, vc_policy="dynamic", seed=seed)
     try:
         from ..network.vectorized import VectorNetwork
         return VectorNetwork(*args, **kwargs), None

@@ -131,10 +131,13 @@ class Probe:
 
 
 class CompositeProbe(Probe):
-    """Fan every event out to several probes (e.g. tracer + time series)."""
+    """Fan every event out to several probes (e.g. tracer + time series).
+    An array core drives it when it can drive every one of them."""
 
     def __init__(self, *probes: Probe):
         self.probes = tuple(probes)
+        self.vector_hooks = all(getattr(p, "vector_hooks", False)
+                                for p in self.probes)
 
     def bind(self, network) -> None:
         for p in self.probes:
@@ -188,3 +191,23 @@ class CompositeProbe(Probe):
     def on_cycle_start(self, cycle, network):
         for p in self.probes:
             p.on_cycle_start(cycle, network)
+
+    def vec_inject(self, cycle, terminal):
+        for p in self.probes:
+            p.vec_inject(cycle, terminal)
+
+    def vec_ejects(self, cycle, terminals):
+        for p in self.probes:
+            p.vec_ejects(cycle, terminals)
+
+    def vec_buffer_writes(self, cycle, ivcs):
+        for p in self.probes:
+            p.vec_buffer_writes(cycle, ivcs)
+
+    def vec_traversals(self, cycle, via, popped, ivcs):
+        for p in self.probes:
+            p.vec_traversals(cycle, via, popped, ivcs)
+
+    def vec_cycle_end(self, cycle, network):
+        for p in self.probes:
+            p.vec_cycle_end(cycle, network)

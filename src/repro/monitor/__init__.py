@@ -9,52 +9,42 @@ either core -- for ``run_experiment(check=True)`` and the ``repro
 bench`` gate (``repro.instrument.overhead``) alike, which proves them
 harmless; ``compare_docs`` turns two runs' metrics documents into a
 regression report.
+
+Each name below loads its module on first use, so what needs only
+``monitor.base`` (the array core's ``VectorInvariantChecker``) does not
+load the scalar suite with it.
 """
 
-from ..core.violation import InvariantViolation
-from .base import Monitor
-from .conservation import ConservationMonitor
-from .credit import CreditMonitor
-from .pc import PseudoCircuitMonitor
-from .registry import (
-    METRICS_SCHEMA,
-    METRICS_SET_SCHEMA,
-    MetricsRegistry,
-    attach_checks,
-    default_registry,
-    metrics_path,
-    metrics_set,
-    write_metrics,
-)
-from .regression import (
-    REPORT_SCHEMA,
-    compare_docs,
-    compare_files,
-    document_backend,
-    flatten,
-    render_report,
-)
-from .watchdog import ProgressWatchdog
+import importlib
 
-__all__ = [
-    "METRICS_SCHEMA",
-    "METRICS_SET_SCHEMA",
-    "REPORT_SCHEMA",
-    "ConservationMonitor",
-    "CreditMonitor",
-    "InvariantViolation",
-    "MetricsRegistry",
-    "Monitor",
-    "ProgressWatchdog",
-    "PseudoCircuitMonitor",
-    "attach_checks",
-    "compare_docs",
-    "compare_files",
-    "default_registry",
-    "document_backend",
-    "flatten",
-    "metrics_path",
-    "metrics_set",
-    "render_report",
-    "write_metrics",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "InvariantViolation": "..core.violation",
+    "Monitor": ".base",
+    "ConservationMonitor": ".conservation",
+    "CreditMonitor": ".credit",
+    "PseudoCircuitMonitor": ".pc",
+    **dict.fromkeys(("METRICS_SCHEMA", "METRICS_SET_SCHEMA",
+                     "MetricsRegistry", "attach_checks", "default_registry",
+                     "metrics_path", "metrics_set", "write_metrics"),
+                    ".registry"),
+    **dict.fromkeys(("REPORT_SCHEMA", "compare_docs", "compare_files",
+                     "document_backend", "flatten", "render_report"),
+                    ".regression"),
+    "ProgressWatchdog": ".watchdog",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -285,6 +285,10 @@ class VectorNetwork:
         starts.update((name, 0) for _, name, owner in kernel.arrays
                       if owner != "NET")
         self._call, self._chip = kernel.run, self._kernel.ref
+        #: The ``Chip``'s arrays as memoryviews (``Binding.view``), the
+        #: way ``inject`` and the per-call glue reach single elements;
+        #: the last cycle ``p_create`` holds.
+        self._view, self._cycle_room = self._kernel.view, room("p_create")
         #: ``check_drained``, the names of what it answers, and where it
         #: writes the index, expected and found value of a finding.
         self._check_call, self._checks = kernel.check_drained, kernel.checks
@@ -462,8 +466,10 @@ class VectorNetwork:
         keeps every lane bit-identical to its solo run.
         """
         t = packet.src + lane * self._T_local
-        fits("p_create", packet.create_cycle, "cycles")
-        if 0 < self._iq <= self.q_len[t]:
+        view = self._view
+        if packet.create_cycle > self._cycle_room:
+            fits("p_create", packet.create_cycle, "cycles")
+        if 0 < self._iq <= view.q_len[t]:
             raise RuntimeError(
                 f"NIC {t}: source queue overflow ({self._iq})")
         if self._on_inject is not None:
@@ -471,37 +477,38 @@ class VectorNetwork:
             if rng is None:
                 rng = self.nic_rngs[t] = random.Random(self._nic_seeds[t])
             self._on_inject(packet, rng)
-        if packet.size >= len(self.fb_head):
+        if packet.size >= len(view.fb_head):
             self._size_classes(packet.size)
         # A packet slot reading its initial in-flight values: the top of
-        # the free stack, else the next past the high-water mark.
-        state = self._state
+        # the free stack, else the next past the high-water mark (growing
+        # the pool re-aims every ``p_*`` view).
+        state = view.state
         free = state[self._S_P_FREE]
         if free:
             state[self._S_P_FREE] = free - 1
-            pk = int(self.p_free[free - 1])
+            pk = view.p_free[free - 1]
         else:
-            pk = int(state[self._S_PACKETS])
+            pk = state[self._S_PACKETS]
             if pk >= self._pcap:
                 self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap,
                                              pk + 1)
             state[self._S_PACKETS] = pk + 1
         self.p_obj[pk] = packet
-        self.p_held[pk] = 1
-        self.p_src[pk] = t
-        self.p_dst[pk] = packet.dst
-        self.p_pair[pk] = packet.src * self._T_local + packet.dst
-        self.p_size[pk] = packet.size
-        self.p_choice[pk] = packet.route_choice
-        self.p_create[pk] = packet.create_cycle
-        self.p_next[pk] = -1
-        tail = self.q_tail[t]
+        view.p_held[pk] = 1
+        view.p_src[pk] = t
+        view.p_dst[pk] = packet.dst
+        view.p_pair[pk] = packet.src * self._T_local + packet.dst
+        view.p_size[pk] = packet.size
+        view.p_choice[pk] = packet.route_choice
+        view.p_create[pk] = packet.create_cycle
+        view.p_next[pk] = -1
+        tail = view.q_tail[t]
         if tail < 0:
-            self.q_head[t] = pk
+            view.q_head[t] = pk
         else:
-            self.p_next[tail] = pk
-        self.q_tail[t] = pk
-        self.q_len[t] += 1
+            view.p_next[tail] = pk
+        view.q_tail[t] = pk
+        view.q_len[t] += 1
         state[self._S_QUEUED] += 1
 
     def attach_delivery(self, terminal: int, callback) -> None:
@@ -525,11 +532,12 @@ class VectorNetwork:
         the error a code stands for. Cycles are kept in 32 bits: a window
         that would run past the last cycle they hold stops there and is
         refused."""
-        state, hooks, started = self._state, self._vhooks, None
-        end = min(stop, room("p_create"))
+        view, hooks, started = self._view, self._vhooks, None
+        state = view.state
+        end = min(stop, self._cycle_room)
         # Lane 0's warm-up is ``stats.warmup_cycles``, which a caller may
         # set any time before the run.
-        self.lane_warmup[0] = self._stats.warmup_cycles
+        view.lane_warmup[0] = self._stats.warmup_cycles
         while True:
             c = self.cycle
             if (hooks and c != started and c < end
@@ -539,16 +547,16 @@ class VectorNetwork:
                     h.on_cycle_start(c, self)
             code = self._call(self._chip, c, end, drain)
             self._stats_read = False
-            self.cycle = int(state[self._S_CYCLE])
+            self.cycle = state[self._S_CYCLE]
             if code == RUN_DONE:
                 if end < stop and not (drain and self.quiescent()):
                     fits("p_create", stop, "cycles")
                 return
             if code == RUN_GROW:
-                self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap, int(
-                    state[self._S_NEED_FLITS]))
-                self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap, int(
-                    state[self._S_NEED_PACKETS]))
+                self._fcap = self._size_pool(_FLIT_FIELDS, self._fcap,
+                                             state[self._S_NEED_FLITS])
+                self._pcap = self._size_pool(_PACKET_FIELDS, self._pcap,
+                                             state[self._S_NEED_PACKETS])
                 continue
             if code == RUN_DELIVER:
                 self._deliver(self._after_ejections())
@@ -571,10 +579,11 @@ class VectorNetwork:
         reference to it (the slot and its flit block are free already),
         or count a latency the histogram had no column for, widening
         it. Returns ``(terminal, Packet)`` per packet written back."""
-        width = len(_EJECTED_ROW)
-        rows = self._kernel.ej_out[:self._state[self._S_ROWS] * width]
+        view, width = self._view, len(_EJECTED_ROW)
+        flat = view.ej_out[:view.state[self._S_ROWS] * width].tolist()
         written = []
-        for k, *fields, latency, lane in rows.reshape(-1, width).tolist():
+        for row in range(0, len(flat), width):
+            k, *fields, latency, lane = flat[row:row + width]
             pkt = self.p_obj.pop(k, None)
             if pkt is not None:
                 (pkt.eject_cycle, pkt.inject_cycle, pkt.hops,
@@ -633,13 +642,13 @@ class VectorNetwork:
         no-op while anything is buffered, queued or being sent."""
         if self._busy():
             return
-        target = bound
-        for event in (int(self._state[self._S_NEXT_ACT]), *traffic_next):
+        state, target = self._view.state, bound
+        for event in (state[self._S_NEXT_ACT], *traffic_next):
             if event is not None and 0 <= event < target:
                 target = event
         if target > self.cycle:
             fits("p_create", target, "cycles")
-            self._state[self._S_SKIPPED] += target - self.cycle
+            state[self._S_SKIPPED] += target - self.cycle
             self.cycle = target
 
     def run(self, cycles: int, traffic=None) -> None:
@@ -720,13 +729,13 @@ class VectorNetwork:
         """Whether a flit or packet is anywhere on the chip that acts
         every cycle: buffered, queued at a NIC or being sent (what only
         waits in a calendar can be skipped to)."""
-        state = self._state
+        state = self._view.state
         return bool(state[self._S_BUFFERED] or state[self._S_QUEUED]
                     or state[self._S_SENDING])
 
     def in_flight_packets(self) -> int:
-        state = self._state
-        return int(state[self._S_QUEUED] + state[self._S_STARTED])
+        state = self._view.state
+        return state[self._S_QUEUED] + state[self._S_STARTED]
 
     def quiescent(self) -> bool:
         return not self.in_flight_packets()
@@ -766,13 +775,17 @@ class VectorNetwork:
         """Attach a probe that takes the batched hooks (``vector_hooks``).
 
         Probes that need the scalar per-event stream (``FlitTracer``,
-        the scalar monitors) are refused loudly: replaying per-flit
-        events from array batches would serialize the core.
+        the scalar monitors) are refused loudly, by name, also inside a
+        ``CompositeProbe``: replaying per-flit events from array batches
+        would serialize the core.
         """
         if not getattr(probe, "vector_hooks", False):
+            names = [type(p).__name__
+                     for p in getattr(probe, "probes", (probe,))
+                     if not getattr(p, "vector_hooks", False)]
             raise BackendUnsupportedError(
                 f"the vectorized backend cannot drive "
-                f"{type(probe).__name__}: per-flit event instrumentation "
+                f"{', '.join(names)}: per-flit event instrumentation "
                 f"(e.g. Chrome tracing) needs the scalar core (topology "
                 f"{self.topology.name!r}) — use --backend scalar, or a "
                 f"vector-aware probe such as TimeSeriesProbe")

@@ -44,6 +44,7 @@ import subprocess
 import tempfile
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 from ..backend import BackendUnsupportedError
 from .obs import summaries
@@ -286,6 +287,11 @@ class Binding:
         self._dtypes = {name: np.dtype(dtype)
                         for dtype, name, _ in kernel.arrays}
         self._arrays = {}
+        #: Field -> a ``memoryview`` of the array aimed at: the Python
+        #: side reads and writes single elements through these, at a
+        #: fraction of a numpy scalar access's cost. ``point`` is the one
+        #: place either is aimed, so a re-aimed array's view follows it.
+        self.view = SimpleNamespace()
         # Size classes of the buffers allocated here: some are sizes the
         # Chip carries anyway (R, NIP, T), the rest the caller names.
         extents = dict(scalars, **extents, COUNTS=kernel.counts)
@@ -313,6 +319,7 @@ class Binding:
             raise TypeError(f"kernel array {name}: need C-contiguous "
                             f"{self._dtypes[name]}, got {array.dtype}")
         self._arrays[name] = array
+        setattr(self.view, name, memoryview(array))
         setattr(self.chip, name, array.ctypes.data)
         setattr(self.chip, "n_" + name, array.size)
 

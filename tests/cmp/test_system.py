@@ -62,6 +62,21 @@ class TestExecution:
         assert all(r.cycle < 200 for r in trace.records)  # re-based to 0
         assert trace.benchmark == "swaptions"
 
+    def test_each_read_probes_the_l1_once(self):
+        """A stalled read is retried at the MSHR file, not the L1: every
+        issued read probed once, and each core stalled on a read has
+        probed for it but not yet issued it (radix at 600 + 200 cycles,
+        seed 1, recorded 7 512 misses for 3 773 reads when the retry
+        probed every cycle)."""
+        system = CmpSystem("radix", seed=1)
+        system.run(800, warmup=200)
+        probes = sum(c.l1.hits + c.l1.misses for c in system.cores)
+        reads = sum(c.reads for c in system.cores)
+        stalled_on_reads = sum(c._stalled is not None and not c._stalled[1]
+                               for c in system.cores)
+        assert system.summary()["mshr_stalls"] > 0
+        assert probes == reads + stalled_on_reads
+
     def test_summary_fields(self):
         system = CmpSystem("lu", seed=1)
         system.run(300)

@@ -15,7 +15,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.instrument import TimeSeriesProbe
+from repro.instrument import CompositeProbe, FlitTracer, TimeSeriesProbe
+from repro.network.backend import BackendUnsupportedError
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.simulator import Network
 from repro.network.vectorized import BatchNetwork, VectorNetwork
@@ -73,6 +74,38 @@ class TestRowParity:
             _run(cls, PSEUDO_SB, 0.20, 300, dual)
             assert dual.samples == reference.samples, cls
             assert dual.heatmap() == reference.heatmap()
+
+
+class TestComposite:
+    """A ``CompositeProbe`` is vector-aware exactly when every probe it
+    holds is, and fans the ``vec_*`` hooks out to each."""
+
+    def test_two_series_probes_record_what_a_lone_one_records(self):
+        lone = TimeSeriesProbe(window=WINDOW)
+        pair = TimeSeriesProbe(window=WINDOW), TimeSeriesProbe(window=WINDOW)
+        composite = CompositeProbe(*pair)
+        assert composite.vector_hooks
+        for probe in (lone, composite):
+            topo = make_topology("mesh", 4, 4, 1)
+            net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                                routing="xy", seed=7, probe=probe)
+            net.run(300, SyntheticTraffic("uniform", 16, 0.2, 5, seed=7))
+            net.drain(max_cycles=500_000)
+        lone.flush()
+        for probe in pair:
+            probe.flush()
+            assert probe.samples and probe.samples == lone.samples
+            assert probe.heatmap() == lone.heatmap()
+
+    def test_a_composite_holding_a_tracer_is_refused_by_its_name(self):
+        composite = CompositeProbe(TimeSeriesProbe(window=WINDOW),
+                                   FlitTracer())
+        assert not composite.vector_hooks
+        net = VectorNetwork(make_topology("mesh", 4, 4, 1), NetworkConfig(),
+                            routing="xy")
+        with pytest.raises(BackendUnsupportedError,
+                           match="cannot drive FlitTracer: per-flit"):
+            net.bind_probe(composite)
 
 
 class TestLaneView:

@@ -13,10 +13,15 @@ and port, and a kernel with one ``summarise`` call compiled out is caught
 by the checker in the cycle it first matters, by the drain without one.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro
 from repro.core.violation import InvariantViolation
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
@@ -470,3 +475,24 @@ class TestDrainedWalk:
             "drained", 1, 5, 2, 1)
         assert (v.expected, v.actual) == ((0, 1) if side == "input"
                                           else (1, 0))
+
+
+class TestImports:
+    def test_building_a_compiled_network_loads_no_monitor_suite(self):
+        """The checker needs ``monitor.base`` alone; the scalar suite
+        (``repro.monitor``'s other modules) stays unloaded until a
+        checked run asks for it."""
+        code = (
+            "import sys\n"
+            "from repro.network.config import NetworkConfig\n"
+            "from repro.network.vectorized import VectorNetwork\n"
+            "from repro.topology import make_topology\n"
+            "VectorNetwork(make_topology('mesh', 4, 4, 1), NetworkConfig())\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.monitor')))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split("\n")[-2] == str(["repro.monitor",
+                                                  "repro.monitor.base"])
