@@ -12,37 +12,28 @@ Public API quick tour::
     net.run(10_000, SyntheticTraffic("uniform", topo.num_terminals, 0.1))
     print(net.stats.avg_latency, net.stats.reusability)
 
+Every name below loads its module on first use (``repro._lazy``), so
+``import repro`` costs next to nothing and a run loads only the modules
+it uses.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every figure and table.
 """
 
-from .network import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO, PSEUDO_B,
-                      PSEUDO_S, PSEUDO_SB, Network, NetworkConfig, Packet,
-                      PseudoCircuitConfig, build_network)
-from .topology import (ConcentratedMesh, FlattenedButterfly, Mecs, Mesh,
-                       make_topology)
-from .traffic import SyntheticTraffic
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_SCHEMES",
-    "BASELINE",
-    "ConcentratedMesh",
-    "FlattenedButterfly",
-    "Mecs",
-    "Mesh",
-    "Network",
-    "NetworkConfig",
-    "PC_SCHEMES",
-    "PSEUDO",
-    "PSEUDO_B",
-    "PSEUDO_S",
-    "PSEUDO_SB",
-    "Packet",
-    "PseudoCircuitConfig",
-    "SyntheticTraffic",
-    "build_network",
-    "make_topology",
-    "__version__",
-]
+_names, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".network.config": ("ALL_SCHEMES", "BASELINE", "PC_SCHEMES", "PSEUDO",
+                        "PSEUDO_B", "PSEUDO_S", "PSEUDO_SB", "NetworkConfig",
+                        "PseudoCircuitConfig"),
+    ".network.flit": ("Packet",),
+    ".network.simulator": ("Network", "build_network"),
+    ".topology": ("make_topology",),
+    ".topology.fbfly": ("FlattenedButterfly",),
+    ".topology.mecs": ("Mecs",),
+    ".topology.mesh": ("ConcentratedMesh", "Mesh"),
+    ".traffic.synthetic": ("SyntheticTraffic",),
+})
+__all__ = [*_names, "__version__"]

@@ -58,6 +58,7 @@ import inspect
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .evc import EvcConfigError
 from .harness.bench import DEFAULT_CYCLES, run_bench
@@ -66,14 +67,17 @@ from .harness.experiment import (ExperimentConfig, default_store,
 from .harness.figures import ALL_FIGURES
 from .harness.report import print_table, write_results
 from .harness.sweep import sweep_buffer_depth, sweep_load, sweep_vcs
-from .instrument import (CompositeProbe, FlitTracer, TimeSeriesProbe,
-                         run_manifest, write_manifest)
+from .instrument.provenance import run_manifest, write_manifest
 from .network.backend import BACKENDS, set_default_backend
 from .network.config import (ALL_SCHEMES, BASELINE, PSEUDO, PSEUDO_B,
                              PSEUDO_S, PSEUDO_SB)
 from .routing import RoutingDeadlockError
 from .store.cli import add_store_parser, cmd_store
 from .topology import UnsupportedRoutingError
+
+if TYPE_CHECKING:
+    from .instrument.series import TimeSeriesProbe
+    from .instrument.tracer import FlitTracer
 
 SCHEMES = {"baseline": BASELINE, "pseudo": PSEUDO, "pseudo_s": PSEUDO_S,
            "pseudo_b": PSEUDO_B, "pseudo_sb": PSEUDO_SB}
@@ -167,6 +171,8 @@ def _cmd_run(args) -> int:
         scheme = point.scheme
         probe = tracer = series = None
         if tracing:
+            from .instrument import (CompositeProbe, FlitTracer,
+                                     TimeSeriesProbe)
             probes = []
             if args.trace is not None:
                 tracer = FlitTracer(max_events=args.max_events)
@@ -250,6 +256,7 @@ def _write_series(series: TimeSeriesProbe, prefix: str) -> None:
 
 
 def _cmd_trace(args) -> int:
+    from .instrument import CompositeProbe, FlitTracer, TimeSeriesProbe
     cfg = _experiment_config(args).with_scheme(SCHEMES[args.scheme])
     tracer = FlitTracer(max_events=args.max_events)
     series = TimeSeriesProbe(window=args.window)

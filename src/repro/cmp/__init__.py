@@ -1,29 +1,17 @@
 """CMP coherence-traffic substrate (substitution for the paper's Simics
-traces; see DESIGN.md §3)."""
+traces; see DESIGN.md §3).
 
-from .address_stream import AddressStream
-from .cache import SetAssociativeCache
-from .config import CmpConfig
-from .endpoints import Core, L2Bank
-from .messages import (ALL_TYPES, INV_ACK, INVAL, READ_REQ, READ_RESP,
-                       WRITE_ACK, WRITE_REQ, message_flits)
-from .mshr import MshrFile
-from .system import CmpSystem
+Each name loads its module on first use."""
 
-__all__ = [
-    "ALL_TYPES",
-    "AddressStream",
-    "CmpConfig",
-    "CmpSystem",
-    "Core",
-    "INVAL",
-    "INV_ACK",
-    "L2Bank",
-    "MshrFile",
-    "READ_REQ",
-    "READ_RESP",
-    "SetAssociativeCache",
-    "WRITE_ACK",
-    "WRITE_REQ",
-    "message_flits",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".address_stream": ("AddressStream",),
+    ".cache": ("SetAssociativeCache",),
+    ".config": ("CmpConfig",),
+    ".endpoints": ("Core", "L2Bank"),
+    ".messages": ("ALL_TYPES", "INV_ACK", "INVAL", "READ_REQ", "READ_RESP",
+                  "WRITE_ACK", "WRITE_REQ", "message_flits"),
+    ".mshr": ("MshrFile",),
+    ".system": ("CmpSystem",),
+})

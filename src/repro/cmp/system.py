@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from ..network.backend import REFUSALS, backend_of
 from ..network.config import NetworkConfig
 from ..network.flit import Packet
-from ..network.simulator import Network
 from ..routing import make_routing
 from ..topology.base import Topology
 from ..topology.mesh import ConcentratedMesh
@@ -33,6 +33,9 @@ from .address_stream import AddressStream
 from .config import CmpConfig
 from .endpoints import Core, L2Bank
 from .messages import message_flits
+
+if TYPE_CHECKING:
+    from ..network.simulator import Network
 
 
 class CmpSystem:
@@ -225,4 +228,5 @@ def _paper_network(seed: int):
         from ..network.vectorized import VectorNetwork
         return VectorNetwork(*args, **kwargs), None
     except REFUSALS as refusal:
+        from ..network.simulator import Network  # the fallback only
         return Network(*args, **kwargs), str(refusal)

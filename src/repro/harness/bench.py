@@ -25,8 +25,7 @@ import platform
 import sys
 import time
 
-from ..instrument import git_sha, overhead_gate, run_manifest, write_manifest
-from ..instrument.overhead import telemetry_cold_check
+from ..instrument.provenance import git_sha, run_manifest, write_manifest
 from ..network.backend import REFUSALS
 
 #: Length of each gate workload; the checks are structural and
@@ -48,7 +47,9 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
     their metrics documents, one ``repro.metrics-set/1`` beside it
     (``*.metrics.json``).
     """
-    # Imported here, as experiment.py does: ``import repro`` loads no monitor.
+    # Imported here: importing this module (the CLI does) loads neither
+    # the gate nor the monitors, which load the scalar core.
+    from ..instrument.overhead import overhead_gate, telemetry_cold_check
     from ..monitor import metrics_path, metrics_set, write_metrics
     start_wall = time.perf_counter()
     gate_report = overhead_gate(cycles=cycles, show=show)

@@ -26,19 +26,20 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from ..energy import DEFAULT_ENERGY_MODEL
-from ..evc import EvcMesh, EvcRouting, check_evc_point
-from ..instrument import run_manifest
+from ..instrument.provenance import run_manifest
 from ..network.backend import REFUSALS, backend_of, resolve_backend
 from ..network.config import NetworkConfig, PseudoCircuitConfig
-from ..network.simulator import Network
 from ..routing import make_routing
 from ..store import payload_to_result, result_to_text, store_key
-from ..topology import check_routing, make_topology
+from ..topology import TOPOLOGY_REGISTRY, check_routing, make_topology
 from ..traffic.synthetic import SyntheticTraffic
-from ..traffic.trace import TraceReplayTraffic
 from .traces import get_trace
+
+if TYPE_CHECKING:
+    from ..network.simulator import Network
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,7 @@ class ExperimentConfig:
             raise ValueError(
                 "configure exactly one of benchmark= or pattern=")
         if self.topology == "evc_mesh":
+            from ..evc import check_evc_point
             check_evc_point(self.scheme.enabled, self.routing)
         check_routing(self.topology, self.routing)
         # Resolve the backend at construction so equality, run-cache and
@@ -198,6 +200,8 @@ CHIP_FIELDS = ("topology", "kx", "ky", "concentration", "chiplets",
 def _chip_plan(topology, kx, ky, concentration, chiplets,
                chiplet_link_latency, routing):
     if topology == "evc_mesh":
+        from ..evc.routing import EvcRouting
+        from ..evc.topology import EvcMesh
         topo = EvcMesh(kx, ky, concentration)
         return topo, EvcRouting(topo)
     topo = make_topology(topology, kx, ky, concentration,
@@ -296,6 +300,7 @@ def _network_for(config: ExperimentConfig, probe, reuse: bool):
             if config.backend != "auto":
                 raise
             refused = str(refusal)
+    from ..network.simulator import Network
     return (*_lease(_idle_key(config, net_cfg), reuse,
                     lambda: Network(topo, net_cfg, **kwargs), config.seed),
             refused)
@@ -416,6 +421,41 @@ def run_batch_experiments(configs, *, check: bool = False,
                      check_stride=check_stride, park=park)
 
 
+def load_unit(configs, check: bool = False) -> None:
+    """Load what simulating ``configs`` as one unit takes, so that a
+    process forked afterwards loads and compiles none of it: the chip
+    plan, each trace-replay point's trace, the core the unit is built
+    on (the array core's kernel included, and the scalar core wherever
+    an ``auto`` point will fall back to it) and, for a ``check`` unit,
+    the checkers. A unit that fails here is left to fail where it runs,
+    which names the point.
+    """
+    first = configs[0]
+    info = TOPOLOGY_REGISTRY.get(first.topology)
+    array = first.backend != "scalar" and (
+        info is None or "vectorized" in info.backends)
+    try:
+        chip_plan(first)
+        for cfg in configs:
+            if cfg.benchmark is not None:
+                get_trace(cfg.benchmark, cycles=cfg.trace_cycles,
+                          warmup=cfg.trace_warmup, seed=cfg.seed)
+        if check:
+            from ..monitor import registry  # noqa: F401
+        if array:
+            from ..network.vectorized import batch, core  # noqa: F401
+            if check:
+                from ..network.vectorized import obs  # noqa: F401
+            try:
+                if core.load_kernel().lib is not None:
+                    return
+            except REFUSALS:  # no numpy: the scalar core answers
+                pass
+        from ..network import simulator  # noqa: F401
+    except Exception:
+        return
+
+
 def _simulate(configs, net, start: float, how: str, *, probe=None,
               check: bool = False, check_stride: int = 1,
               park=None, refused: str | None = None) -> list[Result]:
@@ -434,6 +474,7 @@ def _simulate(configs, net, start: float, how: str, *, probe=None,
         from ..monitor.registry import attach_checks
         registry = attach_checks(net, probe, check_stride)
     if first.benchmark is not None:
+        from ..traffic.trace import TraceReplayTraffic
         replay = TraceReplayTraffic(get_trace(
             first.benchmark, cycles=first.trace_cycles,
             warmup=first.trace_warmup, seed=first.seed))

@@ -13,8 +13,10 @@ and builds its rows from the results by key. Results are bit-identical
 to a serial run: parallelism only changes where the simulations
 execute, never their seeds or the order of the rows.
 
-Runs are memoized process-wide, so figures that share configurations
-(Figs. 9, 10 and 11 use the same grid) pay for each simulation once.
+The scalar core, the CMP and the energy model load in the figures that
+use them, not with this module. Runs are memoized process-wide, so
+figures that share configurations (Figs. 9, 10 and 11 use the same
+grid) pay for each simulation once.
 With a result store installed (``--store`` / ``$REPRO_STORE`` /
 ``experiment.set_default_store``), the memo is additionally backed by
 the content-addressed on-disk store: a second ``figure all`` over a
@@ -24,13 +26,8 @@ warm store recomputes nothing — every point is a verified store hit
 
 from __future__ import annotations
 
-from ..cmp.config import CmpConfig
-from ..energy import DEFAULT_ENERGY_MODEL
 from ..network.config import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO_SB,
                               NetworkConfig, PseudoCircuitConfig)
-from ..network.flit import Packet
-from ..network.simulator import Network
-from ..topology.mesh import Mesh
 from .experiment import ExperimentConfig
 from .parallel import run_experiments
 from .report import print_table, reduction
@@ -123,6 +120,9 @@ def fig6(show: bool = True) -> list[dict]:
 
 
 def _warm_flow_latency(scheme: PseudoCircuitConfig, hops: int) -> int:
+    from ..network.flit import Packet
+    from ..network.simulator import Network
+    from ..topology.mesh import Mesh
     topo = Mesh(8, 2)
     net = Network(topo, NetworkConfig(pseudo=scheme), routing="xy",
                   vc_policy="static", seed=1)
@@ -375,6 +375,7 @@ def fig14(benchmark: str = "fma3d", trace_cycles: int = 2000, seed: int = 1,
 # ---------------------------------------------------------------------------
 
 def table1(show: bool = True) -> list[tuple[str, str]]:
+    from ..cmp.config import CmpConfig
     rows = CmpConfig().as_table()
     if show:
         print_table("Table I: CMP configuration parameters",
@@ -383,6 +384,7 @@ def table1(show: bool = True) -> list[tuple[str, str]]:
 
 
 def table2(show: bool = True) -> list[dict]:
+    from ..energy import DEFAULT_ENERGY_MODEL
     model = DEFAULT_ENERGY_MODEL
     rows = [{"component": name, "pj_per_hop": pj, "share": share}
             for name, (pj, share) in model.component_breakdown().items()]

@@ -49,9 +49,11 @@ engine"); ``run_experiments`` documents each knob. In short:
   own emitter for the spec the chunk carries, so a point's span is
   written by the process that ran it.
 
-Workers are forked (POSIX default), so they inherit the parent's trace
-cache, chip plans and idle networks -- the parent extracts the traces of
-the points it hands out before it forks them -- and each ends itself
+Workers are forked (POSIX default), so they inherit the parent's
+modules, trace cache, chip plans and idle networks -- before it forks
+them the parent loads what each unit it hands out runs on
+(``experiment.load_unit``: chip plan, trace, core), so a worker loads
+and compiles no ``repro`` module -- and each ends itself
 once its parent is gone (``_exit_with_parent``): a SIGKILLed sweep
 leaves no orphaned worker asleep on its call queue. They only simulate
 — no memo, no store, no journal: results travel back pickled and the
@@ -67,15 +69,13 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-from ..instrument import run_manifest
+from ..instrument.provenance import run_manifest
 from ..store import SweepJournal, result_to_text, store_key
 from ..telemetry.spans import OFF, open_emitter, worker_emitter
 from .experiment import (ExperimentConfig, Result, batch_key, default_store,
-                         persist, resolve, run_batch_experiments,
+                         load_unit, persist, resolve, run_batch_experiments,
                          run_experiment)
-from .traces import get_trace
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -91,7 +91,11 @@ def derive_seed(sweep_seed: int, *coords) -> int:
 
 
 def default_workers() -> int:
-    """Worker count used when callers pass ``max_workers=None``."""
+    """Worker count used when callers pass ``max_workers=None``: the
+    CPUs this process may run on (its affinity set, where the platform
+    keeps one), not every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -483,13 +487,13 @@ class _Scheduler:
         if cur:
             chunks.append(cur)
         workers = min(max_workers, len(chunks))
-        # Workers fork with the parent's trace cache: a trace extracted
-        # here once is theirs, one left to them is extracted by each.
+        # Workers fork with the parent's modules and caches: what is
+        # loaded here once is theirs, what is left to them each loads
+        # (and compiles) again.
         for unit in units:
-            for _, cfg, _ in unit:
-                if cfg.benchmark is not None:
-                    get_trace(cfg.benchmark, cycles=cfg.trace_cycles,
-                              warmup=cfg.trace_warmup, seed=cfg.seed)
+            load_unit([cfg for _, cfg, _ in unit], self.check)
+        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                        wait)
         tel.emit("dispatch", points=npoints, chunks=len(chunks),
                  chunk_size=chunk_size, workers=workers)
         pool = ProcessPoolExecutor(max_workers=workers,

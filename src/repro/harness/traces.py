@@ -7,8 +7,11 @@ and then replayed against every router configuration under test.
 
 from __future__ import annotations
 
-from ..cmp.system import CmpSystem
-from ..traffic.trace import Trace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..cmp.system import CmpSystem
+    from ..traffic.trace import Trace
 
 _trace_cache: dict[tuple, Trace] = {}
 _cmp_cache: dict[tuple, CmpSystem] = {}
@@ -20,6 +23,7 @@ def get_cmp_run(benchmark: str, cycles: int = 2000, warmup: int = 400,
     key = (benchmark, cycles, warmup, seed)
     system = _cmp_cache.get(key)
     if system is None:
+        from ..cmp.system import CmpSystem  # the CMP loads when extracting
         system = CmpSystem(benchmark, seed=seed)
         system.run(cycles + warmup, record_trace=True, warmup=warmup)
         _cmp_cache[key] = system

@@ -16,17 +16,18 @@ Three orthogonal pieces, all optional at construction time:
 **Run provenance** (`provenance`) stamps every bench/sweep/figure output
 with a manifest: config dict + hash, git SHA, seed, python version and
 wall-clock, so any result file is reproducible from its sidecar alone.
+
+Each name loads its module on first use: a run stamps a manifest
+(``provenance``) without loading the probes, the tracer or the gate.
 """
 
-from .overhead import identity_check, overhead_gate
-from .probe import CompositeProbe, Probe
-from .provenance import (config_hash, git_sha, manifest_path, run_manifest,
-                         write_manifest)
-from .series import TimeSeriesProbe
-from .tracer import FlitTracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Probe", "CompositeProbe", "FlitTracer", "TimeSeriesProbe",
-    "run_manifest", "write_manifest", "manifest_path", "config_hash",
-    "git_sha", "overhead_gate", "identity_check",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".overhead": ("identity_check", "overhead_gate"),
+    ".probe": ("CompositeProbe", "Probe"),
+    ".provenance": ("config_hash", "git_sha", "manifest_path",
+                    "run_manifest", "write_manifest"),
+    ".series": ("TimeSeriesProbe",),
+    ".tracer": ("FlitTracer",),
+})

@@ -15,36 +15,18 @@ Each name below loads its module on first use, so what needs only
 load the scalar suite with it.
 """
 
-import importlib
+from .._lazy import lazy_exports
 
-#: Public name -> the module that defines it.
-_EXPORTS = {
-    "InvariantViolation": "..core.violation",
-    "Monitor": ".base",
-    "ConservationMonitor": ".conservation",
-    "CreditMonitor": ".credit",
-    "PseudoCircuitMonitor": ".pc",
-    **dict.fromkeys(("METRICS_SCHEMA", "METRICS_SET_SCHEMA",
-                     "MetricsRegistry", "attach_checks", "default_registry",
-                     "metrics_path", "metrics_set", "write_metrics"),
-                    ".registry"),
-    **dict.fromkeys(("REPORT_SCHEMA", "compare_docs", "compare_files",
-                     "document_backend", "flatten", "render_report"),
-                    ".regression"),
-    "ProgressWatchdog": ".watchdog",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "..core.violation": ("InvariantViolation",),
+    ".base": ("Monitor",),
+    ".conservation": ("ConservationMonitor",),
+    ".credit": ("CreditMonitor",),
+    ".pc": ("PseudoCircuitMonitor",),
+    ".registry": ("METRICS_SCHEMA", "METRICS_SET_SCHEMA", "MetricsRegistry",
+                  "attach_checks", "default_registry", "metrics_path",
+                  "metrics_set", "write_metrics"),
+    ".regression": ("REPORT_SCHEMA", "compare_docs", "compare_files",
+                    "document_backend", "flatten", "render_report"),
+    ".watchdog": ("ProgressWatchdog",),
+})

@@ -78,15 +78,12 @@ from ..vcalloc.base import VCAllocationPolicy
 from .arbiters import round_robin
 from .config import NetworkConfig
 from .credits import credit_error
+from .errors import BufferOverflowError, ProtocolError
 from .flit import Flit
 from .ports import InputPort, OutputPort
-from .vc import BufferOverflowError, VCState, VirtualChannel
+from .vc import VCState, VirtualChannel
 
 IDLE, VA, ACTIVE = VCState.IDLE, VCState.VA, VCState.ACTIVE
-
-
-class ProtocolError(RuntimeError):
-    """A flow-control or wormhole invariant was violated."""
 
 
 class Router:

@@ -12,11 +12,8 @@ from __future__ import annotations
 from collections import deque
 from enum import IntEnum
 
+from .errors import BufferOverflowError  # noqa: F401  (also named here)
 from .flit import Flit
-
-
-class BufferOverflowError(RuntimeError):
-    """A flit arrived at a full VC buffer (flow-control violation)."""
 
 
 class VCState(IntEnum):

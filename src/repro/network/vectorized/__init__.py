@@ -1,9 +1,15 @@
-"""Vectorized structure-of-arrays network backend (numpy + a C compiler)."""
+"""Vectorized structure-of-arrays network backend (numpy + a C compiler).
 
-from .batch import BatchNetwork
-from .core import VectorNetwork
-from .layout import Layout, build_layout
-from .obs import VectorInvariantChecker
+Each name loads its module on first use: building a ``VectorNetwork``
+loads neither ``BatchNetwork`` nor the ``VectorInvariantChecker``, and
+nothing here imports the scalar core.
+"""
 
-__all__ = ["BatchNetwork", "Layout", "VectorInvariantChecker",
-           "VectorNetwork", "build_layout"]
+from ..._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".batch": ("BatchNetwork",),
+    ".core": ("VectorNetwork",),
+    ".layout": ("Layout", "build_layout"),
+    ".obs": ("VectorInvariantChecker",),
+})

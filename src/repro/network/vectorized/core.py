@@ -71,14 +71,12 @@ from ...routing import RoutingAlgorithm, compile_routing, make_routing
 from ...topology.base import Topology
 from ...vcalloc import make_vc_policy
 from ..config import NetworkConfig
+from ..errors import BufferOverflowError, ProtocolError
 from ..flit import Packet
-from ..router import ProtocolError
-from ..vc import BufferOverflowError
 from .kernel import (E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_GROW, Binding,
-                     dtypes, fits, room)
+                     dtypes, fits, room, summaries)
 from .kernel import load as load_kernel
 from .layout import build_layout
-from .obs import VectorInvariantChecker, summaries
 
 from ..backend import BackendUnsupportedError, require_numpy
 
@@ -849,6 +847,7 @@ class VectorNetwork:
             found = self._drained_finding()
             if found is None:
                 return
+        from .obs import VectorInvariantChecker  # only a finding needs it
         checker = VectorInvariantChecker(strict=True)
         checker.bind(self)
         if found is None:

@@ -30,6 +30,11 @@ checked by the end-of-run walk.
 
 To force a rebuild delete the cache directory; a different compiler,
 flag set or source text already keys a different artifact.
+
+``summaries`` is the one Python statement of what each summary
+``kernel.c`` keeps means: construction and the self-test fill a chip's
+from it, and ``obs.VectorInvariantChecker`` compares with it, so
+building a network loads no checker.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from ..backend import BackendUnsupportedError
-from .obs import summaries
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
 ABI = 7004
@@ -126,6 +130,36 @@ def fits(name: str, largest: int, what: str) -> None:
             f"the vectorized backend keeps {what} in kernel array {name}, "
             f"whose elements are 32-bit integers (at most {I32_MAX}); "
             f"this chip needs {largest} — use --backend scalar")
+
+
+def summaries(np, get, R: int, Pi: int, Po: int, V: int) -> dict:
+    """Every summary ``kernel.c`` keeps (the table in its header comment),
+    worked out again from the state it summarises — the one Python
+    statement of what each means. ``get(name)`` hands over a state array
+    (flat, at least its chip's size); the answer maps summary to array.
+    """
+    def field(name, *shape):
+        return get(name)[:math.prod(shape)].reshape(shape)
+
+    def mask(flags, word=np.int64):
+        # Bit ``i`` of an answer is ``flags[..., i]``.
+        shifts = np.arange(flags.shape[-1], dtype=word)
+        return (flags.astype(word) << shifts).sum(axis=-1, dtype=word)
+
+    occ = field("buf_len", R, Pi, V) > 0
+    act = field("vc_state", R, Pi, V) == 2      # vc.VCState.ACTIVE
+    valid = field("pc_valid", R, Pi).astype(bool)
+    routers = np.zeros(-(-R // 64) * 64, dtype=bool)
+    routers[:R] = occ.any(axis=(1, 2))
+    return {
+        "ip_occ": mask(occ).ravel(), "ip_act": mask(act).ravel(),
+        "r_occ": mask(occ.any(axis=2)),
+        "r_wait": mask((occ & ~act).any(axis=2)),
+        "r_map": mask(routers.reshape(-1, 64), np.uint64).view(np.int64),
+        "r_pcv": mask(valid),
+        "r_pcinv": mask(~valid & (field("pc_in_vc", R, Pi) >= 0)),
+        "r_held": mask(field("op_holder", R, Po) != -1),
+        "op_credsum": field("cred", R * Po, V).sum(axis=1)}
 
 
 class Kernel:

@@ -9,8 +9,9 @@ conservation, credit conservation, pseudo-circuit legality, the pools'
 life cycle and the kernel's summaries as whole-array assertions, swept
 every cycle (or every ``stride`` cycles); failures raise the same
 structured :class:`~repro.core.violation.InvariantViolation` as the
-scalar monitors, with batched-lane attribution. :func:`summaries` is the
-one Python statement of what each summary ``kernel.c`` keeps means.
+scalar monitors, with batched-lane attribution. ``kernel.summaries`` is
+the one Python statement of what each summary ``kernel.c`` keeps means;
+the checker compares the kernel's summaries with it.
 A drained chip's end-of-run check is ``kernel.c``'s ``check_drained``
 instead of a sweep; ``VectorInvariantChecker.drained`` raises what it
 finds as the sweep raises the same state (one table, ``_FINDINGS``).
@@ -21,39 +22,8 @@ taken from the bound network (``network._np``) at bind time.
 
 from __future__ import annotations
 
-import math
-
 from ...monitor.base import Monitor
-
-
-def summaries(np, get, R: int, Pi: int, Po: int, V: int) -> dict:
-    """Every summary ``kernel.c`` keeps (the table in its header comment),
-    worked out again from the state it summarises — the one Python
-    statement of what each means. ``get(name)`` hands over a state array
-    (flat, at least its chip's size); the answer maps summary to array.
-    """
-    def field(name, *shape):
-        return get(name)[:math.prod(shape)].reshape(shape)
-
-    def mask(flags, word=np.int64):
-        # Bit ``i`` of an answer is ``flags[..., i]``.
-        shifts = np.arange(flags.shape[-1], dtype=word)
-        return (flags.astype(word) << shifts).sum(axis=-1, dtype=word)
-
-    occ = field("buf_len", R, Pi, V) > 0
-    act = field("vc_state", R, Pi, V) == 2      # vc.VCState.ACTIVE
-    valid = field("pc_valid", R, Pi).astype(bool)
-    routers = np.zeros(-(-R // 64) * 64, dtype=bool)
-    routers[:R] = occ.any(axis=(1, 2))
-    return {
-        "ip_occ": mask(occ).ravel(), "ip_act": mask(act).ravel(),
-        "r_occ": mask(occ.any(axis=2)),
-        "r_wait": mask((occ & ~act).any(axis=2)),
-        "r_map": mask(routers.reshape(-1, 64), np.uint64).view(np.int64),
-        "r_pcv": mask(valid),
-        "r_pcinv": mask(~valid & (field("pc_in_vc", R, Pi) >= 0)),
-        "r_held": mask(field("op_holder", R, Po) != -1),
-        "op_credsum": field("cred", R * Po, V).sum(axis=1)}
+from .kernel import summaries
 
 
 #: Each finding of ``kernel.c``'s ``check_drained`` but the summaries

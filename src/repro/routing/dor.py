@@ -11,10 +11,19 @@ for every routing.
 from __future__ import annotations
 
 from ..topology.base import Topology
-from ..topology.fbfly import FlattenedButterfly
-from ..topology.mecs import EAST, Mecs, NORTH, SOUTH, WEST
-from ..topology.mesh import Mesh
+from ..topology.mesh import EAST, NORTH, SOUTH, WEST, Mesh
 from .base import RoutingAlgorithm
+
+
+def _express_kind(topology: Topology) -> str | None:
+    """``"fbfly"`` or ``"mecs"`` for the express-channel grids DOR
+    routes, else ``None``; their modules load only for such a grid."""
+    from ..topology.fbfly import FlattenedButterfly
+    from ..topology.mecs import Mecs
+    for cls, kind in ((FlattenedButterfly, "fbfly"), (Mecs, "mecs")):
+        if isinstance(topology, cls):
+            return kind
+    return None
 
 
 class DimensionOrderRouting(RoutingAlgorithm):
@@ -31,7 +40,11 @@ class DimensionOrderRouting(RoutingAlgorithm):
         super().__init__(topology)
         if order not in ("xy", "yx"):
             raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
-        if not isinstance(topology, (Mesh, FlattenedButterfly, Mecs)):
+        #: How one hop corrects a dimension: a mesh link, or one express
+        #: channel (MECS also names the drop).
+        self._kind = ("mesh" if isinstance(topology, Mesh)
+                      else _express_kind(topology))
+        if self._kind is None:
             raise TypeError(
                 f"DOR does not support topology {type(topology).__name__}")
         self.order = order
@@ -56,23 +69,17 @@ class DimensionOrderRouting(RoutingAlgorithm):
     def _hop(self, router: int, x: int, y: int, dx: int, dy: int,
              dim: str) -> tuple[int, int]:
         topo = self.topology
-        if isinstance(topo, Mesh):
+        if self._kind == "mesh":
             if dim == "x":
                 return (EAST if dx > x else WEST), 0
             return (NORTH if dy > y else SOUTH), 0
-        if isinstance(topo, FlattenedButterfly):
+        if self._kind == "fbfly":
             target = (topo.router_at(dx, y) if dim == "x"
                       else topo.router_at(x, dy))
             return topo.port_to(router, target), 0
-        if isinstance(topo, Mecs):
-            if dim == "x":
-                direction = EAST if dx > x else WEST
-                drop = abs(dx - x) - 1
-            else:
-                direction = NORTH if dy > y else SOUTH
-                drop = abs(dy - y) - 1
-            return direction, drop
-        raise TypeError(f"unsupported topology {type(topo).__name__}")
+        if dim == "x":  # MECS
+            return (EAST if dx > x else WEST), abs(dx - x) - 1
+        return (NORTH if dy > y else SOUTH), abs(dy - y) - 1
 
 
 def xy_routing(topology: Topology) -> DimensionOrderRouting:

@@ -28,30 +28,20 @@ which returns from every call and writes nothing
 (``repro.instrument.overhead.telemetry_cold_check`` gates it). Pass a
 path (or a :class:`Telemetry`) to ``run_experiments`` / ``repro sweep
 --telemetry`` to switch the stream on.
+
+Each name loads its module on first use, and the off emitter loads no
+writer: a sweep with telemetry off never loads the stream, the report,
+``top`` or the trace export.
 """
 
-from .report import (SWEEP_REPORT_SCHEMA, build_sweep_report, report_path,
-                     write_sweep_report)
-from .spans import Telemetry, new_sweep_id
-from .stream import (SCHEMA, TailReader, TelemetryWriter,
-                     parse_telemetry_line, read_stream)
-from .top import SweepProgress, run_top
-from .trace_export import telemetry_chrome_trace, write_chrome_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "SWEEP_REPORT_SCHEMA",
-    "SweepProgress",
-    "TailReader",
-    "Telemetry",
-    "TelemetryWriter",
-    "build_sweep_report",
-    "new_sweep_id",
-    "parse_telemetry_line",
-    "read_stream",
-    "report_path",
-    "run_top",
-    "telemetry_chrome_trace",
-    "write_chrome_trace",
-    "write_sweep_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".report": ("SWEEP_REPORT_SCHEMA", "build_sweep_report", "report_path",
+                "write_sweep_report"),
+    ".spans": ("Telemetry", "new_sweep_id"),
+    ".stream": ("SCHEMA", "TailReader", "TelemetryWriter",
+                "parse_telemetry_line", "read_stream"),
+    ".top": ("SweepProgress", "run_top"),
+    ".trace_export": ("telemetry_chrome_trace", "write_chrome_trace"),
+})

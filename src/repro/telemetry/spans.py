@@ -37,9 +37,6 @@ import itertools
 import os
 import time
 
-from .report import try_write_sweep_report
-from .stream import TelemetryWriter
-
 _sweep_counter = itertools.count(1)
 
 
@@ -91,6 +88,7 @@ class Telemetry:
     owns_report = False
 
     def __init__(self, path: str, sweep: str | None = None):
+        from .stream import TelemetryWriter  # the off emitter opens none
         self.writer = TelemetryWriter(path)
         self.path = str(path)
         self.sweep = sweep or new_sweep_id()
@@ -165,6 +163,7 @@ class Telemetry:
                   completed=sum(result is not None for result in results))
         self.close()
         if self.owns_report:
+            from .report import try_write_sweep_report
             try_write_sweep_report(self.path)
 
     # -- lifecycle --------------------------------------------------------

@@ -7,36 +7,30 @@ tests/docs/test_topologies_doc.py walks it, so adding a topology here
 without documenting it (or vice versa) fails CI.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_exports
 from ..network.backend import CONCRETE_BACKENDS
-from .base import Channel, Endpoint, GridTopology, Topology
-from .chiplet import ChipletTopology
-from .fbfly import FlattenedButterfly
-from .hetero import HeterogeneousTopology, OutChannel
-from .kite import KiteMesh
-from .mecs import Mecs
-from .mesh import ConcentratedMesh, Mesh
 
-__all__ = [
-    "Channel",
-    "ChipletTopology",
-    "ConcentratedMesh",
-    "Endpoint",
-    "FlattenedButterfly",
-    "GridTopology",
-    "HeterogeneousTopology",
-    "KiteMesh",
-    "Mecs",
-    "Mesh",
-    "OutChannel",
-    "TOPOLOGY_REGISTRY",
-    "Topology",
-    "TopologyInfo",
-    "UnsupportedRoutingError",
-    "check_routing",
-    "make_topology",
-]
+if TYPE_CHECKING:
+    from .base import Topology
+
+#: The topology classes load on first use: a run builds one of them.
+_names, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Channel", "Endpoint", "GridTopology", "Topology"),
+    ".chiplet": ("ChipletTopology",),
+    ".fbfly": ("FlattenedButterfly",),
+    ".hetero": ("HeterogeneousTopology", "OutChannel"),
+    ".kite": ("KiteMesh",),
+    ".mecs": ("Mecs",),
+    ".mesh": ("ConcentratedMesh", "Mesh"),
+})
+__all__ = sorted([*_names, "TOPOLOGY_REGISTRY", "TopologyInfo",
+                  "UnsupportedRoutingError", "check_routing",
+                  "make_topology"])
 
 
 @dataclass(frozen=True)
@@ -128,16 +122,22 @@ def make_topology(name: str, kx: int, ky: int, concentration: int = 1,
                   chiplet_link_latency: int = 4) -> Topology:
     """Factory keyed by topology name (see ``TOPOLOGY_REGISTRY``)."""
     if name == "mesh":
+        from .mesh import Mesh
         return Mesh(kx, ky, concentration)
     if name == "cmesh":
+        from .mesh import ConcentratedMesh
         return ConcentratedMesh(kx, ky, concentration)
     if name == "fbfly":
+        from .fbfly import FlattenedButterfly
         return FlattenedButterfly(kx, ky, concentration)
     if name == "mecs":
+        from .mecs import Mecs
         return Mecs(kx, ky, concentration)
     if name == "chiplet":
+        from .chiplet import ChipletTopology
         return ChipletTopology(kx, ky, concentration, chiplets=chiplets,
                                chiplet_link_latency=chiplet_link_latency)
     if name == "kite":
+        from .kite import KiteMesh
         return KiteMesh(kx, ky, concentration)
     raise ValueError(f"unknown topology {name!r}")

@@ -1,18 +1,15 @@
-"""Traffic models: synthetic patterns, benchmark profiles, trace replay."""
+"""Traffic models: synthetic patterns, benchmark profiles, trace replay.
 
-from .benchmarks import BENCHMARKS, PROFILES, BenchmarkProfile, get_profile
-from .synthetic import PAPER_PATTERNS, SyntheticTraffic, destination_function
-from .trace import Trace, TraceRecord, TraceReplayTraffic
+Each name loads its module on first use: a synthetic run loads neither
+the benchmark profiles nor trace replay.
+"""
 
-__all__ = [
-    "BENCHMARKS",
-    "BenchmarkProfile",
-    "PAPER_PATTERNS",
-    "PROFILES",
-    "SyntheticTraffic",
-    "Trace",
-    "TraceRecord",
-    "TraceReplayTraffic",
-    "destination_function",
-    "get_profile",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".benchmarks": ("BENCHMARKS", "PROFILES", "BenchmarkProfile",
+                    "get_profile"),
+    ".synthetic": ("PAPER_PATTERNS", "SyntheticTraffic",
+                   "destination_function"),
+    ".trace": ("Trace", "TraceRecord", "TraceReplayTraffic"),
+})

@@ -11,7 +11,6 @@ import os
 
 import pytest
 
-import repro.harness.parallel as parallel
 from repro.harness import traces
 from repro.harness.experiment import (ExperimentConfig, clear_cache,
                                       run_experiment)
@@ -42,7 +41,8 @@ class _PoolBomb:
 
 class TestSerialFallback:
     def test_single_worker_never_creates_a_pool(self, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _PoolBomb)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _PoolBomb)
         points = [_point(seed=s) for s in (1, 2, 3)]
         results = run_experiments(points, max_workers=1)
         assert [r.config for r in results] == points
@@ -52,7 +52,8 @@ class TestSerialFallback:
             assert run_experiment(point) is result
 
     def test_single_uncached_point_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _PoolBomb)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _PoolBomb)
         cached_point = _point(seed=4)
         run_experiment(cached_point)  # warm the memo
         fresh_point = _point(seed=5)

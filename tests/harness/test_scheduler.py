@@ -157,14 +157,16 @@ class _StalledPool:
 
 class TestDegradation:
     def test_broken_pool_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _BrokenPool)
         points = [_point(seed=s) for s in (31, 32, 33)]
         results = run_experiments(points, max_workers=2, chunk_size=1)
         assert [r.config for r in results] == points
         assert all(r.packets > 0 for r in results)
 
     def test_stalled_pool_times_out_then_degrades(self, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _StalledPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _StalledPool)
         points = [_point(seed=s) for s in (34, 35)]
         results = run_experiments(points, max_workers=2, chunk_size=1,
                                   timeout=0.05)
@@ -174,7 +176,8 @@ class TestDegradation:
         points = [_point(seed=s) for s in (36, 37)]
         serial = run_experiments(points, max_workers=1)
         clear_cache()
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _BrokenPool)
         degraded = run_experiments(points, max_workers=2, chunk_size=1)
         assert degraded == serial  # bit-identical despite the pool loss
 

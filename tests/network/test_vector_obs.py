@@ -479,9 +479,9 @@ class TestDrainedWalk:
 
 class TestImports:
     def test_building_a_compiled_network_loads_no_monitor_suite(self):
-        """The checker needs ``monitor.base`` alone; the scalar suite
-        (``repro.monitor``'s other modules) stays unloaded until a
-        checked run asks for it."""
+        """Construction reads the summaries from ``kernel``; the checker
+        (``obs``) and every ``repro.monitor`` module stay unloaded until
+        a checked run or a drained-chip finding asks for them."""
         code = (
             "import sys\n"
             "from repro.network.config import NetworkConfig\n"
@@ -489,10 +489,10 @@ class TestImports:
             "from repro.topology import make_topology\n"
             "VectorNetwork(make_topology('mesh', 4, 4, 1), NetworkConfig())\n"
             "print(sorted(m for m in sys.modules"
-            " if m.startswith('repro.monitor')))\n")
+            " if m.startswith('repro.monitor')"
+            " or m == 'repro.network.vectorized.obs'))\n")
         src = os.path.dirname(os.path.dirname(repro.__file__))
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.split("\n")[-2] == str(["repro.monitor",
-                                                  "repro.monitor.base"])
+        assert out.stdout.split("\n")[-2] == str([])
