@@ -1,17 +1,19 @@
 /* The compiled cycle without Python in the way: load one network's Chip
  * from a dump (``kernel_dump.py``), drive it through ``run()`` the way
  * ``VectorNetwork._drive`` and ``drain`` do -- one call for the window,
- * then one to drain -- and the drained chip through ``check_drained()``,
- * the end-of-run check, as ``check_invariants`` does; print what a cycle
- * and a flit-hop cost, a digest of what the run left in ``counts``,
- * ``hist`` and ``state`` (``kernel_dump.digest`` of the same chip run
- * through ``VectorNetwork`` answers the same), and the check's verdict
- * (0: nothing found) and cost. For sizing a change to ``kernel.c`` under
- * a profiler:
+ * then one to drain -- and the drained chip through ``check_chip()``, the
+ * end-of-run walk, as ``check_invariants`` does; print what a cycle and a
+ * flit-hop cost, a digest of what the run left in ``counts``, ``hist``
+ * and ``state`` (``kernel_dump.digest`` of the same chip run through
+ * ``VectorNetwork`` answers the same), and the walk's verdict (0: nothing
+ * found) and cost. A third argument N has ``run()`` walk the live chip
+ * every N stepped cycles too, as ``--check --check-stride N`` does; a
+ * finding there ends the driver (exit 1). For sizing a change to
+ * ``kernel.c`` under a profiler:
  *
- *   PYTHONPATH=src python3 benchmarks/kernel_dump.py /root/scratch/low.chip
- *   cc -O2 -pg -o /root/scratch/driver benchmarks/kernel_driver.c
- *   /root/scratch/driver /root/scratch/low.chip 20 && gprof /root/scratch/driver
+ *   PYTHONPATH=src python3 benchmarks/kernel_dump.py low.chip
+ *   cc -O2 -pg -o driver benchmarks/kernel_driver.c
+ *   ./driver low.chip 20 && gprof driver
  *
  * (run from the repository root; ``-pg`` only when gprof is wanted.) The
  * dump is in the order of this tree's CHIP_ARRAYS / CHIP_SCALARS: make it
@@ -62,8 +64,10 @@ static i64 flit_hops(Chip *ch)
 int main(int argc, char **argv)
 {
     if (argc < 2 || !(dump = fopen(argv[1], "rb")))
-        return fprintf(stderr, "usage: %s CHIP-DUMP [repeats]\n", argv[0]), 2;
+        return fprintf(stderr, "usage: %s CHIP-DUMP [repeats] [walk-every]\n",
+                       argv[0]), 2;
     int repeats = argc > 2 ? atoi(argv[2]) : 1;
+    i64 stride = argc > 3 ? atoi(argv[3]) : 0;
     Chip first, ch;
 #define X(T, name, owner) first.name = take(&first.n_##name, sizeof(T));
     CHIP_ARRAYS(X)
@@ -72,7 +76,11 @@ int main(int argc, char **argv)
     CHIP_SCALARS(X)
 #undef X
     i64 c0 = word(), end = c0 + word();
-    i64 cycles = 0, hops = 0, spent = 0, checked = 0, verdict = 0, where[3];
+    i64 cycles = 0, hops = 0, spent = 0, checked = 0, verdict = 0;
+    /* The walk holds each buffer to its writes - reads from here on. */
+    memcpy(first.buf_shadow, first.buf_len,
+           (size_t)first.n_buf_len * sizeof *first.buf_len);
+    first.check_stride = stride;
     ch = first;
     for (int rep = 0; rep < repeats; rep++) {
         /* Every repeat starts from the dumped state, in arrays of its own. */
@@ -93,6 +101,11 @@ int main(int argc, char **argv)
             if (rc < 0)
                 return fprintf(stderr, "cycle %lld: E %lld\n", (long long)c,
                                (long long)rc), 1;
+            if (rc == RUN_FOUND)
+                return fprintf(stderr, "cycle %lld: walk found %lld at %lld\n",
+                               (long long)ch.walk[W_cycle],
+                               (long long)ch.walk[W_check],
+                               (long long)ch.walk[W_index]), 1;
             if (rc != RUN_DONE)
                 continue;
             if (drain)
@@ -104,7 +117,7 @@ int main(int argc, char **argv)
         cycles += ch.state[S_stepped] - stepped;
         hops += flit_hops(&ch) - before;
         began = now_ns();
-        verdict = check_drained(&ch, where);
+        verdict = check_chip(&ch, 0, 1);
         checked += now_ns() - began;
     }
     uint64_t digest = 0xcbf29ce484222325u;

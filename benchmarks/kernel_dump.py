@@ -50,9 +50,12 @@ def chip(k, rate, lanes, cycles, scheme):
 
 def digest(net) -> str:
     """FNV-1a (64 bits) over the bytes of ``counts``, ``hist`` and
-    ``state``, as ``kernel_driver.c`` prints it."""
+    ``state``, as ``kernel_driver.c`` prints it: of ``hist`` the columns a
+    dump starts with, the driver's whole histogram (it counts no latency
+    past them, which ``VectorNetwork`` widens its histogram for)."""
     value = 0xcbf29ce484222325
-    for array in (net.counts, net.hist, net._state):
+    hist = net.hist[:, :core._HIST_WIDTH].copy()
+    for array in (net.counts, hist, net._state):
         for byte in array.tobytes():
             value = ((value ^ byte) * 0x100000001b3) & (1 << 64) - 1
     return f"{value:016x}"

@@ -335,6 +335,19 @@ def _cmd_compare(args) -> int:
     return 1 if report["regressed"] else 0
 
 
+def _check_stride(text: str) -> int:
+    """A ``--check-stride``: whole cycles, at least 1."""
+    try:
+        stride = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a whole number of cycles: {text!r}") from None
+    if stride < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 cycle, not {stride}")
+    return stride
+
+
 def _add_store_arg(p) -> None:
     """--store DIR: back the run cache with the on-disk result store."""
     p.add_argument("--store", default=os.environ.get("REPRO_STORE"),
@@ -434,11 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--check", action="store_true",
                        help="attach the online invariant monitors (scalar "
                             "core: the full monitor suite; array core: "
-                            "whole-array invariant sweeps); write a "
+                            "the compiled invariant walk); write a "
                             "*.metrics.json doc next to --out")
-    run_p.add_argument("--check-stride", type=int, default=1, metavar="N",
+    run_p.add_argument("--check-stride", type=_check_stride, default=1,
+                       metavar="N",
                        help="with --check on the array core: "
-                            "sweep the array invariants every N cycles "
+                            "walk the chip every N stepped cycles "
                             "instead of every cycle (default 1)")
     _add_store_arg(run_p)
 
@@ -457,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write rows + manifest to this JSON")
     sweep_p.add_argument("--check", action="store_true",
                          help="attach the online invariant monitors to "
-                              "every sweep point (array sweeps on array-"
-                              "core points; checked points batch "
+                              "every sweep point (the compiled walk on "
+                              "array-core points; checked points batch "
                               "normally)")
-    sweep_p.add_argument("--check-stride", type=int, default=1,
+    sweep_p.add_argument("--check-stride", type=_check_stride, default=1,
                          metavar="N",
                          help="with --check on array-core points: "
-                              "sweep the array invariants every N cycles "
+                              "walk the chip every N stepped cycles "
                               "(default 1)")
     sweep_p.add_argument("--cycles", type=int, default=None,
                          help="cycles per sweep point (default 1000; "

@@ -321,6 +321,15 @@ def _core_fields(net) -> dict:
     return fields
 
 
+def check_stride_of(stride: int) -> int:
+    """``stride``, the stepped cycles between two walks of a checked
+    array-core run, refused by name below 1 on every core, checked or
+    not: a caller's mistake is named before any point runs."""
+    if stride < 1:
+        raise ValueError(f"check stride must be >= 1 cycle, not {stride}")
+    return stride
+
+
 def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
                    probe=None, check: bool = False,
                    check_stride: int = 1) -> Result:
@@ -330,14 +339,16 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     never read or populate the memo (the probe observes the simulation, so
     a cached result would silently skip it). ``check=True`` additionally
     attaches invariant checking (``repro.monitor.attach_checks``: the
-    full scalar monitor suite on the scalar core, the array-native
-    ``VectorInvariantChecker`` sweeping every ``check_stride`` cycles on
-    the vectorized cores; both strict, so the first violation raises)
-    and stores the metrics document on ``Result.monitor_report``.
+    full scalar monitor suite on the scalar core, ``kernel.c``'s
+    invariant walk every ``check_stride`` stepped cycles on the
+    vectorized cores; both strict, so the first violation raises) and
+    stores the metrics document on ``Result.monitor_report``. A
+    ``check_stride`` below 1 raises ``ValueError`` (``check_stride_of``).
     Unchecked, unprobed runs are answered by ``resolve`` (memo, then the
     default store) and a simulated one goes through ``persist``, as
     every point of a sweep does.
     """
+    check_stride_of(check_stride)
     use_cache = use_cache and probe is None and not check
     if use_cache:
         hit = resolve(config, store=_default_store)
@@ -396,10 +407,11 @@ def run_batch_experiments(configs, *, check: bool = False,
     pool as ``run_experiment``'s does (a checked one does neither).
 
     ``check=True`` attaches one ``VectorInvariantChecker`` to the shared
-    chip (whole-array sweeps every ``check_stride`` cycles cover every
+    chip (the walk every ``check_stride`` stepped cycles covers every
     lane at once; violations carry the offending lane index) and gives
     each result a per-lane metrics document on ``monitor_report``.
     """
+    check_stride_of(check_stride)
     if not configs:
         return []
     keys = {batch_key(cfg) for cfg in configs}

@@ -66,16 +66,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import threading
 import time
 from collections.abc import Iterable, Sequence
 
-from ..instrument.provenance import run_manifest
+from ..instrument.provenance import git_sha, run_manifest
 from ..store import SweepJournal, result_to_text, store_key
 from ..telemetry.spans import OFF, open_emitter, worker_emitter
-from .experiment import (ExperimentConfig, Result, batch_key, default_store,
-                         load_unit, persist, resolve, run_batch_experiments,
-                         run_experiment)
+from .experiment import (ExperimentConfig, Result, batch_key,
+                         check_stride_of, default_store, load_unit, persist,
+                         resolve, run_batch_experiments, run_experiment)
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -238,8 +239,8 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     Per-point failures are returned as ``SweepPointError`` outcomes,
     never raised, so one bad point cannot discard the unit's completed
     work. Checked units stay
-    batched: one ``VectorInvariantChecker`` sweeps every lane of the
-    shared chip at once.
+    batched: one ``VectorInvariantChecker``'s walk covers every lane of
+    the shared chip at once.
 
     Every completed point goes to ``tel`` *before* the outcome goes back
     to the scheduler (whose ``finish`` journals it) — the ordering that
@@ -489,9 +490,13 @@ class _Scheduler:
         workers = min(max_workers, len(chunks))
         # Workers fork with the parent's modules and caches: what is
         # loaded here once is theirs, what is left to them each loads
-        # (and compiles) again.
+        # and compiles again -- and the commit and platform every
+        # manifest records, each a subprocess (``git``, ``uname -p``)
+        # the first time a process asks.
         for unit in units:
             load_unit([cfg for _, cfg, _ in unit], self.check)
+        git_sha()
+        platform.platform()
         from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                         wait)
         tel.emit("dispatch", points=npoints, chunks=len(chunks),
@@ -595,13 +600,13 @@ def run_experiments(configs: Iterable[ExperimentConfig],
 
     ``check=True`` attaches invariant checking to every point (strict
     mode: the first violation surfaces as a ``SweepPointError`` naming
-    the point): the full scalar monitor suite on the scalar core, the
-    array-native ``VectorInvariantChecker`` — sweeping every
-    ``check_stride`` cycles — on the vectorized and batched cores.
-    Checked runs bypass memo, store and journal entirely (a cached or
-    replayed result would skip the monitors) but batch normally: one
-    checker's whole-array sweeps cover every lane of a shared chip, and
-    violations carry the offending lane index.
+    the point): the full scalar monitor suite on the scalar core,
+    ``kernel.c``'s invariant walk — every ``check_stride`` stepped cycles
+    — on the vectorized and batched cores; a ``check_stride`` below 1
+    raises ``ValueError`` before any point runs. Checked runs bypass
+    memo, store and journal entirely (a cached or replayed result would
+    skip the monitors) but batch normally: one walk covers every lane of
+    a shared chip, and violations carry the offending lane index.
 
     ``telemetry=`` (a stream path or a live ``repro.telemetry
     .Telemetry``) switches on the span/event stream documented in
@@ -612,6 +617,7 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     observation: results are bit-identical with it on or off, and the
     default ``None`` holds the off emitter, which writes nothing.
     """
+    check_stride_of(check_stride)
     configs = list(configs)
     journal = _open_journal(journal if not check else None, resume)
     tel = open_emitter(telemetry, resume)

@@ -51,9 +51,9 @@ def assert_probes_cold(network) -> None:
 
     The scalar core checks every router/link/NIC slot; an array core (no
     ``routers`` attribute) checks that no probe, checker or profiler is
-    attached and that the kernel's ``events_on`` / ``profile_on``
-    switches — which make its cycle record events and read the clock —
-    are off.
+    attached and that the kernel's ``events_on`` / ``check_stride`` /
+    ``profile_on`` switches — which make its cycle record events, walk
+    the chip and read the clock — are off.
     """
     if getattr(network, "probe", None) is not None:
         raise OverheadGateError("network carries a probe by default")
@@ -63,6 +63,7 @@ def assert_probes_cold(network) -> None:
                           (network._checker, "an invariant checker"),
                           (network._vhooks, "hook emission enabled"),
                           (chip.events_on, "kernel event recording on"),
+                          (chip.check_stride, "kernel invariant walk on"),
                           (chip.profile_on, "kernel phase timers on")):
             if hot:
                 raise OverheadGateError(

@@ -96,10 +96,10 @@ def attach_checks(net, probe=None, stride: int = 1) -> MetricsRegistry:
 
     The scalar core binds the strict ``default_registry``'s composite
     probe (merged with ``probe``); an array core binds ``probe``,
-    attaches the strict ``VectorInvariantChecker`` sweeping every
-    ``stride`` cycles and switches on the per-phase profiler. Returns
-    the registry whose ``finish`` / ``snapshot`` give the run's metrics
-    document.
+    attaches the strict ``VectorInvariantChecker`` (``kernel.c`` walks
+    the chip every ``stride`` stepped cycles, inside the call that runs
+    them) and switches on the per-phase profiler. Returns the registry
+    whose ``finish`` / ``snapshot`` give the run's metrics document.
     """
     if hasattr(net, "attach_checker"):
         from ..network.vectorized import VectorInvariantChecker

@@ -43,12 +43,14 @@ start in it, as on the scalar core:
   build, when a pool grows, at ``inject`` and for the window of a run or
   a skip.
 
-Observability is array-native: probes and monitors with
-``vector_hooks`` set (``TimeSeriesProbe``, ``VectorInvariantChecker``)
-attach through ``bind_probe``/``attach_checker`` and receive, after each
-cycle, the batched ``vec_*`` hooks of ``instrument/probe.py`` — the
-index arrays the kernel recorded while one was attached;
-``enable_profile`` has the kernel time its stages. Deliberately
+Observability is array-native: a probe with ``vector_hooks`` set
+(``TimeSeriesProbe``) attaches through ``bind_probe`` and receives, after
+each cycle, the batched ``vec_*`` hooks of ``instrument/probe.py`` — the
+index arrays the kernel recorded while one was attached; the invariant
+checker (``attach_checker``, ``--check``) has the kernel walk the chip
+every ``stride`` cycles it steps (``kernel.c``'s ``check_chip``), inside
+the same call; ``enable_profile`` has the kernel time its stages.
+Deliberately
 unsupported (raising ``BackendUnsupportedError``): a process that
 cannot build the kernel (no C compiler), per-flit event probes
 (``FlitTracer`` and other scalar-protocol instrumentation), multidrop
@@ -73,8 +75,8 @@ from ...vcalloc import make_vc_policy
 from ..config import NetworkConfig
 from ..errors import BufferOverflowError, ProtocolError
 from ..flit import Packet
-from .kernel import (E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_GROW, Binding,
-                     dtypes, fits, room, summaries)
+from .kernel import (E_BOUNDS, RUN_DELIVER, RUN_DONE, RUN_FOUND, RUN_GROW,
+                     Binding, dtypes, fits, room, summaries)
 from .kernel import load as load_kernel
 from .layout import build_layout
 
@@ -82,18 +84,19 @@ from ..backend import BackendUnsupportedError, require_numpy
 
 # Pool fields and the value a free slot reads; construction, growth, the
 # kernel's release at ejection and ``reset`` all leave it there.
-#: Packet fields filled in flight, which a reused slot must not inherit.
+#: Packet fields filled in flight, which a reused slot must not inherit
+#: (``p_held``: a ``Packet`` waits in ``p_obj`` for the slot's fields at
+#: ejection, set by ``inject``).
 _PACKET_IN_FLIGHT = {"p_inject": -1, "p_hops": 0, "p_sa": 0, "p_buf": 0,
-                     "p_rx": 0}
+                     "p_rx": 0, "p_held": 0}
 #: The rest are assigned outright by ``inject`` (``p_pair`` is
 #: src * T + dst, precomputed there: the e2e-repeat stat compares one
-#: gather per traversal instead of two; ``p_held``: a ``Packet`` waits
-#: in ``p_obj`` for the slot's fields at ejection; ``p_next`` links a
-#: source queue). ``p_free`` is no field of a slot but the stack of free
-#: ones, as deep as the pool; ``p_mark`` and ``f_mark`` are zero but
-#: while ``kernel.c``'s ``check_drained`` counts the free stacks in them.
+#: gather per traversal instead of two; ``p_next`` links a source
+#: queue). ``p_free`` is no field of a slot but the stack of free ones,
+#: as deep as the pool; ``p_mark`` and ``f_mark`` are zero but while
+#: ``kernel.c``'s walk counts the pools in them.
 _PACKET_FIELDS = {"p_src": 0, "p_dst": 0, "p_size": 0, "p_choice": 0,
-                  "p_create": 0, "p_pair": 0, "p_held": 0, "p_next": -1,
+                  "p_create": 0, "p_pair": 0, "p_next": -1,
                   "p_free": 0, "p_mark": 0, **_PACKET_IN_FLIGHT}
 #: Flit fields rewritten at every hop; ``f_pkt`` is assigned when the
 #: block is taken, ``f_head``/``f_tail`` are fixed for a block's life
@@ -123,7 +126,8 @@ _KERNEL_ERRORS = {
 #: One row of ``ej_out`` as ``_after_ejections`` unpacks it; checked
 #: against ``kernel.c``'s ``CHIP_EJECTED`` when a network binds.
 _EJECTED_ROW = ["slot", "eject_cycle", "inject_cycle", "hops",
-                "sa_bypass_hops", "buf_bypass_hops", "latency", "lane"]
+                "sa_bypass_hops", "buf_bypass_hops", "latency", "lane",
+                "held"]
 #: The three traversal event lists in the kernel's order (``VIA_*``,
 #: the thirds of ``ev_trav``): ``via`` and whether the flit was popped.
 _KERNEL_VIAS = (("sa", True), ("pc", True), ("buf", False))
@@ -191,7 +195,9 @@ class VectorNetwork:
                 ("vc_out_opid", NIVC, -1), ("vc_out_vc", NIVC, -1),
                 ("vc_out_cred", NIVC, 0), ("buf_fid", (NIVC, D), 0),
                 ("buf_head", NIVC, 0), ("buf_len", NIVC, 0),
-                ("_r_buffered", R, 0),
+                # Writes less reads of each buffer, which the walk holds
+                # ``buf_len`` to while a checker is attached.
+                ("_buf_shadow", NIVC, 0), ("_r_buffered", R, 0),
                 # Pseudo-circuit registers per input port (``ip_st``: the
                 # st_busy_cycle), output holders (local in ports) and
                 # history registers, arbiters; credits with no owner.
@@ -287,11 +293,10 @@ class VectorNetwork:
         #: way ``inject`` and the per-call glue reach single elements;
         #: the last cycle ``p_create`` holds.
         self._view, self._cycle_room = self._kernel.view, room("p_create")
-        #: ``check_drained``, the names of what it answers, and where it
-        #: writes the index, expected and found value of a finding.
-        self._check_call, self._checks = kernel.check_drained, kernel.checks
-        self._finding = np.zeros(3, dtype=np.int64)
-        self._finding_at = self._finding.ctypes.data
+        #: The walk (``check_chip``), the names of what it answers and of
+        #: its record (the Binding's ``walk``).
+        self._check_call, self._checks = kernel.check_chip, kernel.checks
+        self._walk_names = kernel.walk
         self.config, self.vc_policy = config, vc_policy
         VectorNetwork.reset(self, seed, config, vc_policy, lane_seeds)
         if probe is not None:
@@ -326,6 +331,7 @@ class VectorNetwork:
         chip.static_vc = vc_policy.name == "static"
         chip.mshrs = config.mshrs
         chip.deliver_on = chip.profile_on = chip.err_id = chip.err_idx = 0
+        chip.events_on = chip.check_stride = 0
         arrays = self._kernel._arrays
         for name, start in self._starts.items():
             arrays[name][...] = start
@@ -349,12 +355,12 @@ class VectorNetwork:
         self._stats_read = True
         #: Who drew the last run's traffic: the kernel or ``inject``.
         self.traffic_source = "python"
-        # Observability (see vectorized/obs.py): an optional window
-        # probe and/or invariant checker consume the batched hooks
-        # after each cycle; ``_vhooks`` holds the attached consumers
-        # and the kernel records events only while it is non-empty.
+        # Observability: an optional window probe consumes the batched
+        # hooks after each cycle (``_vhooks``; the kernel records events
+        # only while one is attached), an optional invariant checker
+        # raises what the kernel's walk finds.
         self.probe = self._vprobe = self._checker = None
-        self._rebuild_hooks()
+        self._vhooks = ()
 
     # -- pools ----------------------------------------------------------------
     # A packet slot and its contiguous flit block live exactly as long
@@ -410,45 +416,6 @@ class VectorNetwork:
     def _npackets(self) -> int:
         """The packet pool's high-water mark."""
         return int(self._state[self._S_PACKETS])
-
-    def _free_packets(self):
-        """The free packet slots, bottom of the stack first."""
-        return self.p_free[:self._state[self._S_P_FREE]]
-
-    def _free_blocks(self) -> dict:
-        """Packet size -> first flits of the free blocks of that size,
-        top of the stack first (walked at most one link per flit ever
-        made, so a corrupted chain still ends)."""
-        links = self.f_link[:self._nflits].tolist()
-        blocks = {}
-        for size, fid0 in enumerate(self.fb_head.tolist()):
-            chain = []
-            while fid0 >= 0 and len(chain) <= len(links):
-                chain.append(fid0)
-                fid0 = links[fid0] if fid0 < len(links) else -1
-            if chain:
-                blocks[size] = chain
-        return blocks
-
-    def _queued_packets(self) -> list:
-        """The packet slots waiting in source queues (at most one link
-        walked per slot ever made)."""
-        links = self.p_next[:self._npackets].tolist()
-        slots = []
-        for pk in self.q_head[self.q_len > 0].tolist():
-            while 0 <= pk < len(links) and len(slots) <= len(links):
-                slots.append(pk)
-                pk = links[pk]
-        return slots
-
-    def _pending(self, ring: str) -> tuple:
-        """Everything still waiting in one calendar, all slots together:
-        one array per column of the ring (``_rings``)."""
-        np = self._np
-        row, columns = self._rings[ring]
-        room = columns[0].shape[1]
-        waiting = (np.arange(room) < self.ring_n[row][:, None])
-        return tuple(column[waiting] for column in columns)
 
     # -- driving --------------------------------------------------------------
 
@@ -526,10 +493,10 @@ class VectorNetwork:
         until nothing is in flight) in ``kernel.c``'s ``run``, which skips
         what nothing acts in and comes back only for what Python does:
         grow the pools, read a cycle's ``ej_out`` rows, run the delivery
-        callbacks halfway through a cycle, hand observers a cycle, raise
-        the error a code stands for. Cycles are kept in 32 bits: a window
-        that would run past the last cycle they hold stops there and is
-        refused."""
+        callbacks halfway through a cycle, hand observers a cycle, have
+        the checker raise what the walk found, raise the error a code
+        stands for. Cycles are kept in 32 bits: a window that would run
+        past the last cycle they hold stops there and is refused."""
         view, hooks, started = self._view, self._vhooks, None
         state = view.state
         end = min(stop, self._cycle_room)
@@ -568,6 +535,9 @@ class VectorNetwork:
                     iq=self._iq, t=self._kernel.chip.err_idx))
             if state[self._S_ROWS]:
                 self._after_ejections()
+            if code == RUN_FOUND:
+                walk = self._walk_record()
+                self._checker.found(walk["cycle"], *self._finding(walk))
             if hooks:
                 self._dispatch(c, hooks)
 
@@ -581,7 +551,7 @@ class VectorNetwork:
         flat = view.ej_out[:view.state[self._S_ROWS] * width].tolist()
         written = []
         for row in range(0, len(flat), width):
-            k, *fields, latency, lane = flat[row:row + width]
+            k, *fields, latency, lane, _ = flat[row:row + width]
             pkt = self.p_obj.pop(k, None)
             if pkt is not None:
                 (pkt.eject_cycle, pkt.inject_cycle, pkt.hops,
@@ -789,18 +759,20 @@ class VectorNetwork:
                 f"vector-aware probe such as TimeSeriesProbe")
         probe.bind(self)
         self.probe = self._vprobe = probe
-        self._rebuild_hooks()
+        self._vhooks = (probe,)
+        self._kernel.chip.events_on = True
 
     def attach_checker(self, checker) -> None:
-        """Attach a vector-aware invariant checker (``--check``)."""
+        """Attach the invariant checker (``--check``): from here on the
+        kernel walks the chip (``check_chip``) at the bottom of every
+        ``checker.stride``-th cycle it steps, within the same call, and
+        ``checker.found`` raises a finding. The buffers' writes - reads
+        count from their occupancy now."""
+        self._buf_shadow[...] = self.buf_len
+        self._kernel.walk[...] = 0
         checker.bind(self)
         self._checker = checker
-        self._rebuild_hooks()
-
-    def _rebuild_hooks(self) -> None:
-        self._vhooks = tuple(h for h in (self._vprobe, self._checker)
-                             if h is not None)
-        self._kernel.chip.events_on = bool(self._vhooks)
+        self._kernel.chip.check_stride = checker.stride
 
     def enable_profile(self) -> None:
         """Switch on the per-phase wall-time profiler (see ``profile``)."""
@@ -837,28 +809,32 @@ class VectorNetwork:
         }
 
     def check_invariants(self) -> None:
-        """The end-of-run check: a failure raises the ``InvariantViolation``
-        a strict ``VectorInvariantChecker`` sweep raises, naming rule,
-        lane, router, port and VC. A drained chip (``quiescent``, no
-        ``Packet`` held) is checked by one walk in ``kernel.c``
-        (``check_drained``), any other by the sweep."""
-        found = None
-        if self.quiescent() and not self.p_obj:
-            found = self._drained_finding()
-            if found is None:
-                return
-        from .obs import VectorInvariantChecker  # only a finding needs it
-        checker = VectorInvariantChecker(strict=True)
-        checker.bind(self)
-        if found is None:
-            checker.sweep(self.cycle)
-        else:
-            checker.drained(self.cycle, *found)
+        """The end-of-run check: ``kernel.c``'s walk of the chip, a
+        drained one (``quiescent``, no ``Packet`` held) also held to
+        holding nothing. A finding raises the strict checker's
+        ``InvariantViolation``, naming rule, lane, router, port and VC."""
+        found = self._walk(drained=self.quiescent() and not self.p_obj)
+        if found is not None:
+            from .obs import VectorInvariantChecker  # only a finding needs it
+            checker = VectorInvariantChecker(strict=True)
+            checker.bind(self)
+            checker.found(self.cycle, *found)
 
-    def _drained_finding(self) -> tuple | None:
-        """What ``kernel.c``'s ``check_drained`` finds on this chip:
-        ``None``, or its ``(check, index, expected, actual)``."""
-        code = self._check_call(self._chip, self._finding_at)
+    def _walk(self, shadow: bool = False, drained: bool = False):
+        """What ``kernel.c``'s walk finds on this chip now: ``None``, or
+        its ``(check, index, expected, actual)``. ``shadow``: hold the
+        buffers to the writes - reads counted since a checker attached;
+        ``drained``: the chip must hold nothing."""
+        code = self._check_call(self._chip, shadow, drained)
         if code == E_BOUNDS:
             raise ProtocolError(self._kernel.fault())
-        return (self._checks[code], *self._finding.tolist()) if code else None
+        return self._finding(self._walk_record()) if code else None
+
+    def _walk_record(self) -> dict:
+        """The walk's record (``CHIP_WALK``) by name."""
+        return dict(zip(self._walk_names, self._kernel.walk.tolist()))
+
+    def _finding(self, walk: dict) -> tuple:
+        """``(check, index, expected, actual)`` of the walk's last finding."""
+        return (self._checks[walk["check"]], walk["index"], walk["expected"],
+                walk["actual"])

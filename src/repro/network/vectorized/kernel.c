@@ -16,9 +16,11 @@
  * structure-of-arrays state: routers ascending, input ports in the
  * scalar visit order, VCs ascending, one flit at a time. The parity
  * suites hold it bit-identical to the scalar core, cycle by cycle.
- * Beside ``run()``, ``check_drained()`` (last in this file) checks a
- * chip ``run()`` drained at the end of a run: one walk, in place of the
- * numpy sweep ``VectorInvariantChecker`` makes of the same chip.
+ * Beside ``run()``, ``check_chip()`` (last in this file) is the one
+ * statement of the array core's invariants: a walk over the chip, live or
+ * drained, which ``run()`` makes at the bottom of every ``check_stride``-th
+ * cycle it steps while a checker is attached (``--check``) and ``core.py``
+ * makes at the end of a run.
  *
  * Contract ("arrays in, arrays out"): ``run()`` takes the ``Chip`` --
  * pointers to flat arrays, each of the element type ``CHIP_ARRAYS``
@@ -65,8 +67,8 @@
  *   occupied, not what exists: 64-bit masks (a bit per VC of a port,
  *   per port or output of a router, per router) and one 32-bit sum, each
  *   written where the state under it changes and read by iterating its
- *   set bits, ascending. ``obs.summaries`` states every one from that
- *   state again; the checker's ``summary_*`` rules compare the two.
+ *   set bits, ascending. ``kernel.summaries`` states every one from that
+ *   state again; the walk's ``summary_*`` rules compare the two.
  *
  *   summary     what it says                       written by   read by
  *   ip_occ      port: VCs with buf_len > 0         summarise    VA, SA, PC
@@ -101,7 +103,9 @@
  * ``events_on`` (an observer is attached) the index arrays of the six
  * observer hooks are filled, lengths in ``n[]``, and ``run()`` comes
  * back after every cycle; while ``profile_on`` the stages' wall time
- * accumulates in ``prof_ns``.
+ * accumulates in ``prof_ns``; while ``check_stride`` (a checker is
+ * attached) every that many stepped cycles end with the walk, and a
+ * finding comes back as ``RUN_FOUND``, recorded in ``walk``.
  *
  * With -DREPRO_KERNEL_CHECK (the test suite's build) every array access
  * goes through ``A()``'s bounds check: an index outside its array is
@@ -115,8 +119,8 @@
  * which BW writes after the scans -- so never one, and no flit carries a
  * readiness stamp.
  * -DREPRO_SEED_STALE_SUMMARY (tests only) leaves out the ``summarise``
- * of a flit buffered into an empty VC: the seeded bug the checker and
- * the drain must catch.
+ * of a flit buffered into an empty VC: the seeded bug the walk and the
+ * drain must catch.
  */
 
 #define _POSIX_C_SOURCE 199309L
@@ -133,7 +137,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 7004
+#define REPRO_KERNEL_ABI 7005
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -150,6 +154,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i32, buf_fid, NET) \
     X(i32, buf_head, NET) \
     X(i32, buf_len, NET) \
+    X(i32, buf_shadow, NET) \
     X(i32, pc_in_vc, NET) \
     X(i32, pc_out_port, NET) \
     X(u8, pc_valid, NET) \
@@ -169,7 +174,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, r_wait, NET) X(i64, r_map, NET) X(i64, r_pcv, NET) \
     X(i64, r_pcinv, NET) X(i64, r_held, NET) X(i32, op_credsum, NET) \
     /* packet pool, its free stack; flit pool, its free blocks by size; \
-     * a zeroed mark per slot and per flit, which only check_drained() \
+     * a zeroed mark per slot and per flit, which only check_chip() \
      * writes, and sets back (re-aimed when a pool grows) */ \
     X(i32, p_src, NET) \
     X(i32, p_dst, NET) \
@@ -251,9 +256,10 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(i64, port_mask, NIP) \
     X(i64, omask, NOP) \
     X(i32, smap, NIP) \
-    /* scratch handed from stage to stage within one cycle: the routers \
-     * with a buffered flit, those and the ones an arrival is staged for \
-     * (as a bitmap like r_map, then as a list), ascending */ \
+    /* scratch handed from stage to stage within one cycle (and the \
+     * walk's list of occupied ports, in cand_ip): the routers with a \
+     * buffered flit, those and the ones an arrival is staged for (as a \
+     * bitmap like r_map, then as a list), ascending */ \
     X(i32, active, R) \
     X(i64, work_map, RW) \
     X(i32, work, R) \
@@ -263,9 +269,10 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
     X(u8, claimed_ip, NIP) \
     X(u8, claimed_op, NOP) \
     X(i32, out_order, NOP) \
-    /* what a call hands back: ejected packets, then (events_on) the \
-     * observer hooks' index arrays, lengths in n[] */ \
+    /* what a call hands back: ejected packets, the walk's record, then \
+     * (events_on) the observer hooks' index arrays, lengths in n[] */ \
     X(i64, ej_out, TOUT) \
+    X(i64, walk, WALK) \
     X(i64, n, COUNTS) \
     X(i64, ev_bw, NIP) \
     X(i64, ev_trav, NIP3) \
@@ -274,12 +281,13 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 
 /* Sizes, scheme flags, switches, the ring slot of the cycle being run
  * and the checked build's fault record. TL is the terminals of one
- * lane; CD the credit delay; RD the ring depth. */
+ * lane; CD the credit delay; RD the ring depth; ``check_stride`` the
+ * stepped cycles between two walks of ``run()`` (0: none). */
 #define CHIP_SCALARS(X) \
     X(R) X(Pi) X(Po) X(V) X(D) X(C) X(TL) X(T) X(NIP) X(NOVC) \
     X(RD) X(CD) X(slot) X(mshrs) X(inject_queue) \
     X(static_vc) X(pc_enabled) X(pc_speculation) X(pc_bypass) \
-    X(events_on) X(deliver_on) X(profile_on) \
+    X(events_on) X(deliver_on) X(profile_on) X(check_stride) \
     X(err_id) X(err_idx)
 
 /* One row of ``counts``: the integer slots of ``NetworkStats`` by
@@ -335,30 +343,48 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 
 /* One row of ``ej_out`` per packet of the cycle core.py must see (see
  * ``st_credit_eject``). ``latency`` is -1 unless it is one for core.py
- * to count: measured, and past the histogram's last row. */
+ * to count: measured, and past the histogram's last row; ``held`` is 1
+ * for a packet core.py holds a ``Packet`` for. */
 #define CHIP_EJECTED(X) \
     X(slot) X(eject_cycle) X(inject_cycle) X(hops) X(sa_bypass_hops) \
-    X(buf_bypass_hops) X(latency) X(lane)
+    X(buf_bypass_hops) X(latency) X(lane) X(held)
 
-/* What ``check_drained()`` answers, in the order it looks (``ok``:
- * nothing wrong). First what says the chip is not drained after all: a
+/* What ``check_chip()`` answers, in the order it looks (``ok``:
+ * nothing wrong), each a rule of ``VectorInvariantChecker`` (obs.py's
+ * ``_FINDINGS``, ``summary_*`` its own). Conservation: a flit id held
+ * twice (in an input buffer or the arrival ring, placed at an input VC;
+ * in the ejection ring, at a credit index), a VC's occupancy against its
+ * buffer's writes - reads, the occupancy caches. Then credits, circuits,
+ * the pools -- a slot on the free stack twice, the blocks' tiling, their
+ * free lists, a held flit id outside every live block (input VC or
+ * credit index: a NIC's send slot is its injection VC's), a slot in use
+ * but free, a live slot nothing names, ``p_held`` on a free slot, a live
+ * block no started packet of its size owns, a started packet without
+ * exactly one -- and one per summary of the table above, in its order.
+ * Last, on a chip ``core.py`` counts as drained, what says it is not: a
  * whole-chip count of packets queued, sent or started, a flit in an
  * input buffer, the arrival or the ejection ring, a NIC transmission, a
  * source queue, an input VC not idle, an output or injection VC still
- * owned. Then, in the order ``VectorInvariantChecker.sweep`` checks
- * them, the rules it holds a drained chip to: the occupancy caches,
- * credits, circuits, the pools; last one per summary of the table
- * above, in its order. */
+ * owned. */
 #define CHIP_CHECKS(X) \
-    X(ok) X(held_count) X(held_buffer) X(held_arrival) X(held_ejection) \
-    X(held_send) X(held_queue) X(busy_input_vc) X(busy_output_vc) \
+    X(ok) X(flit_twice_ivc) X(flit_twice_cred) X(occupancy_shadow) \
     X(occupancy_sync) X(occupancy_total) X(credit_range) X(credit_count) \
     X(pc_output_shared) X(pc_holder_sync) X(packet_double_free) \
     X(block_tiling) X(block_free_list) X(block_double_free) \
-    X(packet_leaked) X(block_leaked) \
+    X(flit_outside_ivc) X(flit_outside_cred) X(packet_named_free) \
+    X(packet_leaked) X(packet_held_free) X(block_leaked) X(packet_blocks) \
     X(summary_ip_occ) X(summary_ip_act) X(summary_r_occ) X(summary_r_wait) \
     X(summary_r_map) X(summary_r_pcv) X(summary_r_pcinv) \
-    X(summary_r_held) X(summary_op_credsum)
+    X(summary_r_held) X(summary_op_credsum) \
+    X(held_count) X(held_buffer) X(held_arrival) X(held_ejection) \
+    X(held_send) X(held_queue) X(busy_input_vc) X(busy_output_vc)
+
+/* ``walk``: the stepped cycles since ``run()``'s last walk, the walks it
+ * made, the cycle of the last one, and what the last walk of either
+ * caller found (a CHIP_CHECKS entry) with the index it is at and the
+ * values expected and found there. */
+#define CHIP_WALK(X) \
+    X(tick) X(walks) X(cycle) X(check) X(index) X(expected) X(actual)
 
 typedef struct Chip {
 #define X(T, name, owner) T *name; i64 n_##name;
@@ -398,6 +424,12 @@ enum {
     CHIP_CHECKS(X)
 #undef X
     CK_COUNT
+};
+enum {
+#define X(name) W_##name,
+    CHIP_WALK(X)
+#undef X
+    W_COUNT
 };
 /* Read from ``src_dest`` (patterns that use no random number) or drawn. */
 enum { DRAW_table, DRAW_uniform, DRAW_hotspot };
@@ -447,8 +479,9 @@ enum {
 };
 /* Why ``run()`` came back, when it did not fail: its window is done,
  * the pools must grow before the next cycle, core.py must see the cycle
- * just run, or its delivery callbacks must run before the rest of it. */
-enum { RUN_DONE, RUN_GROW, RUN_CYCLE, RUN_DELIVER };
+ * just run, its delivery callbacks must run before the rest of it, or
+ * the walk found something at the end of a cycle (``walk``). */
+enum { RUN_DONE, RUN_GROW, RUN_CYCLE, RUN_DELIVER, RUN_FOUND };
 
 #ifdef REPRO_KERNEL_CHECK
 enum {
@@ -702,6 +735,7 @@ static i64 traverse(Chip *ch, i64 c, i64 ivc, i64 port, int via,
         fid = A(buf_fid, ivc * ch->D + head);
         A(buf_head, ivc) = head + 1 == ch->D ? 0 : head + 1;
         emptied = (A(buf_len, ivc) -= 1) == 0;
+        A(buf_shadow, ivc) -= 1;
         A(r_buffered, r) -= 1;
         A(state, S_buffered) -= 1;
         COUNT(count, buffer_reads) += 1;
@@ -962,9 +996,9 @@ static void st_credit_returns(Chip *ch, i64 slot)
  * reassembly buffer at once, the credit lands after the delay; a tail
  * closes its packet -- counted, its latency into its lane's row of
  * ``hist`` -- whose slot and flit block go back to the pools reading
- * their initial values. A packet core.py holds a ``Packet`` for, or
- * whose latency is past the histogram's last row, leaves a row in
- * ``ej_out``; returns the rows. */
+ * their initial values. A packet core.py holds a ``Packet`` for (which
+ * it lets go of with the row), or whose latency is past the histogram's
+ * last row, leaves a row in ``ej_out``; returns the rows. */
 static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
 {
     ENTER();
@@ -1004,6 +1038,7 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
             A(ej_out, row + EJ_buf_bypass_hops) = A(p_buf, pk);
             A(ej_out, row + EJ_latency) = late;
             A(ej_out, row + EJ_lane) = lane;
+            A(ej_out, row + EJ_held) = A(p_held, pk);
         }
         A(outstanding, src) -= 1;
         A(state, S_started) -= 1;
@@ -1011,6 +1046,7 @@ static i64 st_credit_eject(Chip *ch, i64 c, i64 slot)
             A(ev_ej, A(n, N_ej)++) = t;
         A(p_inject, pk) = -1;
         A(p_hops, pk) = A(p_sa, pk) = A(p_buf, pk) = A(p_rx, pk) = 0;
+        A(p_held, pk) = 0;
         A(p_free, A(state, S_p_free)++) = pk;
         i64 fid0 = fid - size + 1;
         for (i64 f = fid0; f <= fid; f++)
@@ -1274,6 +1310,7 @@ static i64 bw_arrivals(Chip *ch, i64 c, i64 n_arr)
             return E_BUFFER_OVERFLOW;
         A(buf_fid, ivc * ch->D + (at >= ch->D ? at - ch->D : at)) = fid;
         A(buf_len, ivc) = len + 1;
+        A(buf_shadow, ivc) += 1;
 #ifndef REPRO_SEED_STALE_SUMMARY
         if (!len)
             summarise(ch, port, ivc);
@@ -1493,13 +1530,13 @@ static i64 cycle_eject(Chip *ch, i64 c)
 }
 
 /* Whether one of the ``rows`` packets ``cycle_eject`` left in ``ej_out``
- * is one core.py holds a ``Packet`` for. Its slot is free already, but
+ * is one core.py held a ``Packet`` for. Its slot is free already, but
  * only the next cycle's sources or core.py take a slot. */
 static int delivers(Chip *ch, i64 rows)
 {
     ENTER();
     for (i64 k = 0; k < rows; k++)
-        if (A(p_held, A(ej_out, k * EJ_WIDTH + EJ_slot)))
+        if (A(ej_out, k * EJ_WIDTH + EJ_held))
             return 1;
     return 0;
 }
@@ -1597,11 +1634,15 @@ static int pools_short(Chip *ch, i64 c)
         || A(state, S_need_packets) > ch->n_p_src;
 }
 
+i64 check_chip(Chip *ch, i64 shadow, i64 drained);
+
 /* Cycles ``c``, ``c`` + 1, ... until ``stop`` -- with ``drain``, until
  * no packet is in flight or ``stop`` -- each by ``cycle_eject()`` then
- * ``cycle_rest()``. After a cycle in which nothing is buffered, queued or
- * being sent it skips to ``next_act`` (at most to ``stop``; a drained
- * chip stays where it is): the cycles in between would change nothing.
+ * ``cycle_rest()``, every ``check_stride``-th of them (while that is not
+ * 0) then by the walk, ``check_chip()``. After a cycle in which nothing
+ * is buffered, queued or being sent it skips to ``next_act`` (at most to
+ * ``stop``; a drained chip stays where it is): the cycles in between
+ * would change nothing and are not counted towards the stride.
  * A call never skips before its first cycle. Comes back RUN_DONE there,
  * or early for what only core.py can do: RUN_GROW before a cycle the
  * pools might not hold (``pools_short``; nothing of it run), RUN_DELIVER
@@ -1610,8 +1651,9 @@ static int pools_short(Chip *ch, i64 c)
  * after it, at that cycle, first finishes it, whatever its window, and
  * asks the pools again: the callbacks may have queued packets), RUN_CYCLE
  * after a cycle (and its skip) that left rows in ``ej_out`` or while an
- * observer is attached, or the E_* code of a cycle that failed
- * (``state.cycle`` is that cycle). */
+ * observer is attached, RUN_FOUND after one (and its skip) whose walk
+ * found something, or the E_* code of a cycle that failed (``state.cycle``
+ * is that cycle). */
 i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
 {
     ENTER();
@@ -1640,6 +1682,13 @@ i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
             }
         }
         i64 done = cycle_rest(ch, c);
+        if (!done && ch->check_stride
+            && ++A(walk, W_tick) >= ch->check_stride) {
+            A(walk, W_tick) = 0;
+            A(walk, W_walks) += 1;
+            A(walk, W_cycle) = c;
+            done = check_chip(ch, 1, 0);
+        }
         if (done < 0) {
             rc = done;
             break;
@@ -1654,8 +1703,8 @@ i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
             A(state, S_skipped) += to - c;
             c = to;
         }
-        if (rows || ch->events_on) {
-            rc = RUN_CYCLE;
+        if (done || rows || ch->events_on) {
+            rc = done ? RUN_FOUND : RUN_CYCLE;
             break;
         }
     }
@@ -1663,20 +1712,327 @@ i64 run(Chip *ch, i64 c, i64 stop, i64 drain)
     RETURN(rc);
 }
 
-/* -- the end-of-run check ------------------------------------------------ */
+/* -- the invariant walk ---------------------------------------------------- */
 
-/* What ``check_drained()`` found, with the index it is at and the values
- * expected and found there in ``where[0..2]``. */
-#define FOUND(check, index, want, have) \
+/* What the walk found: ``walk`` takes the CHIP_CHECKS entry, the index it
+ * is at and the values expected and found there. */
+#define FOUND(check, at, want, have) \
     do { \
-        where[0] = (index); \
-        where[1] = (want); \
-        where[2] = (have); \
+        A(walk, W_index) = (at); \
+        A(walk, W_expected) = (want); \
+        A(walk, W_actual) = (have); \
+        A(walk, W_check) = CK_##check; \
         RETURN(CK_##check); \
     } while (0)
+/* A part of the walk, whose finding (or bounds fault) ends it. */
+#define WALK(call) \
+    do { \
+        i64 found_ = (call); \
+        if (found_) \
+            return found_; \
+    } while (0)
+/* Bit ``i`` set if ``cond``. */
+#define BIT_IF(cond, i) ((i64)((uint64_t)!!(cond) << (i)))
+
+/* The marks the walk counts in, zero again when it returns: a flit's
+ * ``f_mark`` counts the places holding its id (F_HELD each) and the free
+ * lists holding its block (F_FREE each);
+ * a packet slot's ``p_mark`` counts the free stack's entries naming it
+ * (P_FREE each), then notes that the chip names it and counts the blocks
+ * it owns. */
+enum { F_FREE = 1, F_HELD = 1 << 16, F_FREES = F_HELD - 1 };
+enum { P_FREE = 1, P_NAMED = 1 << 16, P_BLOCK = 1 << 17 };
+
+/* What a walk learns on the way. From the census of the routers, the
+ * first element each summary is wrong at -- a port (``ip_*``), a router
+ * (``r_*``), an ``r_map`` word, an output (``op_credsum``) -- the first
+ * router whose ``r_buffered`` is wrong, the first output two valid
+ * circuits share and whose holder register is wrong (-1: none), the
+ * flits buffered and the ports holding one, listed ascending in
+ * ``cand_ip``. Then the lowest flit id held twice (-1: none), whether at
+ * a credit index, and where; the flit ids ``f_mark`` counts end before
+ * ``marked``. */
+typedef struct Walk {
+    i64 ip_occ, ip_act, r_occ, r_wait, r_map, r_pcv, r_pcinv, r_held;
+    i64 op_credsum, sync, shared, holder, total, ports;
+    i64 twice, twice_cred, twice_at, marked;
+} Walk;
+
+/* Router ``r`` as its state has it: the flits buffered, the ports
+ * ``r_occ``, ``r_wait``, ``r_pcv`` and ``r_pcinv`` should name, the outputs
+ * ``r_held`` should, the outputs two valid circuits share, each output's
+ * holder by the circuits (the highest port) and the sum of its credits;
+ * the lowest of its ports whose ``ip_occ`` or ``ip_act`` is wrong (-1:
+ * none). A router with no flit and no active VC is seen by its sums. */
+typedef struct Router {
+    i64 flits, occs, waits, valid, invalid, held, shared, bad_occ, bad_act;
+    i64 holder[64], credits[64];
+} Router;
+
+static void router_census(Chip *ch, i64 r, Router *at)
+{
+    ENTER();
+    i64 Pi = ch->Pi, Po = ch->Po, V = ch->V, busy = 0, seen = 0;
+    at->flits = at->occs = at->waits = at->valid = at->invalid = 0;
+    at->held = at->shared = 0;
+    at->bad_occ = at->bad_act = -1;
+    for (i64 ivc = r * Pi * V; ivc < (r + 1) * Pi * V; ivc++)
+        busy |= A(buf_len, ivc) | A(vc_state, ivc);
+    for (i64 p = Pi - 1; p >= 0; p--) {
+        i64 port = r * Pi + p, occ = 0, act = 0;
+        for (i64 v = V - 1; busy && v >= 0; v--) {
+            i64 ivc = port * V + v, len = A(buf_len, ivc);
+            at->flits += len;
+            occ = occ << 1 | (len > 0);
+            act = act << 1 | (A(vc_state, ivc) == VC_ACTIVE);
+        }
+        if (occ != A(ip_occ, port))
+            at->bad_occ = port;
+        if (act != A(ip_act, port))
+            at->bad_act = port;
+        at->occs = at->occs << 1 | (occ != 0);
+        at->waits = at->waits << 1 | ((occ & ~act) != 0);
+        at->valid = at->valid << 1 | A(pc_valid, port);
+        at->invalid = at->invalid << 1
+            | (!A(pc_valid, port) && A(pc_in_vc, port) >= 0);
+    }
+    for (i64 out = 0; out < Po; out++) {
+        at->holder[out] = -1;
+        at->credits[out] = 0;
+        for (i64 v = 0; v < V; v++)
+            at->credits[out] += A(cred, (r * Po + out) * V + v);
+    }
+    for (i64 p = 0; p < Pi; p++) {
+        i64 out = A(pc_out_port, r * Pi + p);
+        if (A(pc_valid, r * Pi + p) && out >= 0 && out < Po) {
+            at->shared |= seen & BIT(out);
+            seen |= BIT(out);
+            at->holder[out] = p;
+        }
+    }
+    for (i64 out = Po - 1; out >= 0; out--)
+        at->held = at->held << 1 | (A(op_holder, r * Po + out) != -1);
+}
+
+/* The census: every router's, noting in ``w`` the first element each
+ * summary, cache and circuit rule is wrong at, the chip's flits and the
+ * ports holding one. */
+static void census(Chip *ch, Walk *w)
+{
+    ENTER();
+    i64 map = 0, Po = ch->Po;
+    Router at;
+#define NOTE(rule, wrong, where) \
+    if ((wrong) && w->rule < 0) \
+        w->rule = (where)
+    for (i64 r = 0; r < ch->R; r++) {
+        router_census(ch, r, &at);
+        w->total += at.flits;
+        uint64_t ports = (uint64_t)at.occs;
+        EACH_BIT(p, ports)
+            A(cand_ip, w->ports++) = r * ch->Pi + p;
+        NOTE(ip_occ, at.bad_occ >= 0, at.bad_occ);
+        NOTE(ip_act, at.bad_act >= 0, at.bad_act);
+        NOTE(sync, at.flits != A(r_buffered, r), r);
+        NOTE(r_occ, at.occs != A(r_occ, r), r);
+        NOTE(r_wait, at.waits != A(r_wait, r), r);
+        NOTE(r_pcv, at.valid != A(r_pcv, r), r);
+        NOTE(r_pcinv, at.invalid != A(r_pcinv, r), r);
+        NOTE(r_held, at.held != A(r_held, r), r);
+        NOTE(shared, at.shared, r * Po + __builtin_ctzll(at.shared));
+        for (i64 out = 0; out < Po; out++) {
+            NOTE(holder, A(op_holder, r * Po + out) != at.holder[out],
+                 r * Po + out);
+            NOTE(op_credsum, A(op_credsum, r * Po + out) != at.credits[out],
+                 r * Po + out);
+        }
+        map |= BIT_IF(at.occs, r & 63);
+        if ((r & 63) == 63 || r + 1 == ch->R) {
+            NOTE(r_map, map != A(r_map, r >> 6), r >> 6);
+            map = 0;
+        }
+    }
+#undef NOTE
+}
+
+/* What ``refs`` does with each flit id the chip holds: counts it, or
+ * finds it outside every live block and names its packet. */
+enum { REF_COUNT, REF_LIVE };
+
+/* Flit id ``fid``, held at ``at`` (an input VC; a credit index if
+ * ``cred``), for ``refs``' ``job``: COUNT counts it in ``f_mark`` and
+ * keeps the lowest id met a second time in ``w``; LIVE finds it outside
+ * every live block (``f_mark`` counts each flit's block on the free
+ * lists), else marks its packet named. */
+#define REF(job, fid, cred, at) \
+    do { \
+        i64 fid_ = (fid); \
+        if (job == REF_COUNT) { \
+            if (fid_ >= 0 && fid_ < ch->n_f_mark) { \
+                w->marked = fid_ < w->marked ? w->marked : fid_ + 1; \
+                if ((A(f_mark, fid_) += F_HELD) / F_HELD == 2 \
+                    && (w->twice < 0 || fid_ < w->twice)) { \
+                    w->twice = fid_; \
+                    w->twice_cred = (cred); \
+                    w->twice_at = (at); \
+                } \
+            } \
+        } else if (fid_ < 0 || fid_ >= n || A(f_mark, fid_) & F_FREES) { \
+            if (cred) \
+                FOUND(flit_outside_cred, at, 0, fid_); \
+            FOUND(flit_outside_ivc, at, 0, fid_); \
+        } else if (A(f_pkt, fid_) >= 0 && A(f_pkt, fid_) < ch->n_p_mark) \
+            A(p_mark, A(f_pkt, fid_)) |= P_NAMED; \
+    } while (0)
+
+/* Every flit id the chip holds, for ``job`` (``REF``), in the sweep's
+ * order: the input buffers (VCs ascending, front first), the arrival and
+ * the ejection ring (slots ascending), and but for COUNT the NICs' send
+ * slots (the next flit of each, then the last). */
+static i64 refs(Chip *ch, Walk *w, int job)
+{
+    ENTER();
+    i64 V = ch->V, D = ch->D, RD = ch->RD, NIP = ch->NIP, T = ch->T;
+    i64 n = A(state, S_flits);
+    for (i64 j = 0; j < w->ports; j++)
+        for (i64 ivc = A(cand_ip, j) * V; ivc < (A(cand_ip, j) + 1) * V; ivc++)
+            for (i64 k = 0, len = A(buf_len, ivc); k < len && k < D; k++)
+                REF(job, A(buf_fid, ivc * D + (A(buf_head, ivc) + k) % D), 0,
+                    ivc);
+    for (i64 s = 0; s < RD; s++)
+        for (i64 k = 0, due = A(ring_n, RING_ARR * RD + s); k < due; k++) {
+            i64 fid = A(arr_fid, s * NIP + k);
+            REF(job, fid, 0, A(arr_port, s * NIP + k) * V + A(f_vc, fid));
+        }
+    for (i64 s = 0; s < RD; s++)
+        for (i64 k = 0, due = A(ring_n, RING_EJ * RD + s); k < due; k++) {
+            i64 fid = A(ej_fid, s * T + k);
+            REF(job, fid, 1,
+                A(ej_opid, A(ej_term, s * T + k)) * V + A(f_vc, fid));
+        }
+    for (i64 last = 0; job != REF_COUNT && last < 2; last++)
+        for (i64 k = 0; k < T * V; k++)
+            if (A(snd_left, k) > 0)
+                REF(job, A(snd_next, k) + last * (A(snd_left, k) - 1), 1,
+                    ch->NOVC + k);
+    RETURN(0);
+}
+#undef REF
+
+/* Conservation: no flit id held twice (send slots aside: one naming a
+ * single flit names it twice), each VC holding what its buffer was
+ * written less what was read (``shadow``: while a checker keeps
+ * ``buf_shadow``), the occupancy caches agreeing with ``buf_len``. */
+static i64 walk_flits(Chip *ch, Walk *w, i64 shadow)
+{
+    ENTER();
+    i64 NIVC = ch->NIP * ch->V;
+    Router at;
+    WALK(refs(ch, w, REF_COUNT));
+    if (w->twice >= 0) {
+        if (w->twice_cred)
+            FOUND(flit_twice_cred, w->twice_at, 1, w->twice);
+        FOUND(flit_twice_ivc, w->twice_at, 1, w->twice);
+    }
+    if (shadow && memcmp(ch->buf_len, ch->buf_shadow,
+                         (size_t)NIVC * sizeof *ch->buf_len))
+        for (i64 ivc = 0; ivc < NIVC; ivc++)
+            if (A(buf_len, ivc) != A(buf_shadow, ivc))
+                FOUND(occupancy_shadow, ivc, A(buf_shadow, ivc),
+                      A(buf_len, ivc));
+    if (w->sync >= 0) {
+        router_census(ch, w->sync, &at);
+        FOUND(occupancy_sync, w->sync, at.flits, A(r_buffered, w->sync));
+    }
+    if (w->total != A(state, S_buffered))
+        FOUND(occupancy_total, 0, w->total, A(state, S_buffered));
+    RETURN(0);
+}
+
+/* Credit counter ``ci`` owed ``k`` more, for ``owed``: ``sign`` times that
+ * added to it; with ``sign`` 0, the lowest such counter below 0 kept in
+ * ``low``. */
+static void owe(Chip *ch, i64 ci, i64 k, i64 sign, i64 *low)
+{
+    ENTER();
+    A(cred, ci) += sign * k;
+    if (!sign && A(cred, ci) < 0 && (*low < 0 || ci < *low))
+        *low = ci;
+}
+
+/* ``owe`` each credit counter what it is owed: the flits buffered
+ * downstream of it, on the link toward it and in the ejection ring from
+ * it, and the returns still due to it. */
+static void owed(Chip *ch, const Walk *w, i64 sign, i64 *low)
+{
+    ENTER();
+    i64 V = ch->V, RD = ch->RD, NIP = ch->NIP, T = ch->T;
+    for (i64 j = 0; j < w->ports; j++) {
+        i64 port = A(cand_ip, j), up = A(ip_upbase, port);
+        for (i64 v = 0; up >= 0 && v < V; v++)
+            if (A(buf_len, port * V + v) > 0)
+                owe(ch, up + v, A(buf_len, port * V + v), sign, low);
+    }
+    for (i64 s = 0; s < RD; s++) {
+        for (i64 k = 0; k < A(ring_n, RING_ARR * RD + s); k++)
+            owe(ch, A(ip_upbase, A(arr_port, s * NIP + k))
+                + A(f_vc, A(arr_fid, s * NIP + k)), 1, sign, low);
+        for (i64 k = 0; k < A(ring_n, RING_EJ * RD + s); k++)
+            owe(ch, A(ej_opid, A(ej_term, s * T + k)) * V
+                + A(f_vc, A(ej_fid, s * T + k)), 1, sign, low);
+        for (i64 k = 0; k < A(ring_n, RING_CR * RD + s); k++)
+            owe(ch, A(cr_ci, s * (NIP + T) + k), 1, sign, low);
+    }
+}
+
+/* Credits: each counter within [0, its start value], and that value less
+ * what it is owed. When every counter plus what it is owed is its start
+ * value, only one owed something can be out of range, below 0. */
+static i64 walk_credits(Chip *ch, const Walk *w)
+{
+    ENTER();
+    i64 NCRED = ch->n_cred, wrong = 0, plus = 0, low = -1;
+    owed(ch, w, 1, &low);
+    int right = !memcmp(ch->cred, ch->cred_init,
+                        (size_t)NCRED * sizeof *ch->cred);
+    owed(ch, w, -1, &low);
+    if (right) {
+        owed(ch, w, 0, &low);
+        if (low >= 0)
+            FOUND(credit_range, low, A(cred_init, low), A(cred, low));
+        RETURN(0);
+    }
+    for (i64 ci = 0; ci < NCRED; ci++)
+        if (A(cred, ci) < 0 || A(cred, ci) > A(cred_init, ci))
+            FOUND(credit_range, ci, A(cred_init, ci), A(cred, ci));
+    owed(ch, w, 1, &low);
+    while (wrong < NCRED && A(cred, wrong) == A(cred_init, wrong))
+        wrong++;
+    plus = A(cred, wrong);
+    owed(ch, w, -1, &low);
+    FOUND(credit_count, wrong,
+          A(cred_init, wrong) - (plus - A(cred, wrong)), A(cred, wrong));
+}
+
+/* Pseudo-circuits: valid ones on distinct outputs, whose holder
+ * registers name them (the highest port, were two on one), as the
+ * census found them. */
+static i64 walk_circuits(Chip *ch, const Walk *w)
+{
+    ENTER();
+    Router at;
+    if (w->shared >= 0)
+        FOUND(pc_output_shared, w->shared, 0, 0);
+    if (w->holder >= 0) {
+        router_census(ch, w->holder / ch->Po, &at);
+        FOUND(pc_holder_sync, w->holder, at.holder[w->holder % ch->Po],
+              A(op_holder, w->holder));
+    }
+    RETURN(0);
+}
 
 /* The length of the flit block that starts at ``f0``, -1 if none does
- * (``f0`` past the high-water mark ``n``, or no head). Asked once the
+ * (``f0`` outside the high-water mark ``n``, or no head). Asked once the
  * blocks are known to tile the pool, so a tail ends the run. */
 static i64 block_size(Chip *ch, i64 f0, i64 n)
 {
@@ -1689,29 +2045,24 @@ static i64 block_size(Chip *ch, i64 f0, i64 n)
     return f - f0 + 1;
 }
 
-/* Adds ``sign`` to each credit counter a return still due in the credit
- * ring names. */
-static void returns_due(Chip *ch, i64 sign)
+/* The pools: every packet slot below the high-water mark live or on the
+ * free stack once, the blocks tiling the flit pool up to its mark and on
+ * the free list of their size at most once; every flit id held in a live
+ * block; the live slots exactly those the chip names (a held flit's
+ * packet, a transmission's, a queued one) and those ``p_held`` marks
+ * among them; each live block owned by a started packet of its size,
+ * each started packet owning one. Of the slots and blocks counted most
+ * often on the free stacks, the lowest is the one named twice. */
+static i64 walk_pools(Chip *ch, Walk *w)
 {
     ENTER();
-    for (i64 s = 0; s < ch->RD; s++)
-        for (i64 k = 0; k < A(ring_n, RING_CR * ch->RD + s); k++)
-            A(cred, A(cr_ci, s * (ch->NIP + ch->T) + k)) += sign;
-}
-
-/* The pools of a drained chip, by the sweep's pool rules with nothing in
- * use: every packet slot below the high-water mark on the free stack
- * once, the blocks tiling the flit pool up to its mark, each on the free
- * list of its size once. Counts the stack and the lists in ``p_mark`` /
- * ``f_mark`` (a list's walk stopping where it goes wrong), which
- * ``check_drained`` zeroes again; of the slots and blocks counted most
- * often, the lowest is the one named twice. */
-static i64 drained_pools(Chip *ch, i64 *where)
-{
-    ENTER();
-    i64 height = A(state, S_p_free), n = A(state, S_flits), most = 0, at = -1;
-    for (i64 k = 0; k < height; k++) {
-        i64 pk = A(p_free, k), seen = A(p_mark, pk) += 1;
+    i64 hwm = A(state, S_packets), n = A(state, S_flits);
+    i64 pcap = ch->n_p_mark, most = 0, at = -1, leaked = -1;
+    for (i64 k = 0; k < A(state, S_p_free); k++) {
+        i64 pk = A(p_free, k), seen;
+        if (pk < 0 || pk >= pcap)
+            continue;
+        seen = A(p_mark, pk) += P_FREE;
         if (seen > most || (seen == most && pk < at)) {
             most = seen;
             at = pk;
@@ -1719,15 +2070,17 @@ static i64 drained_pools(Chip *ch, i64 *where)
     }
     if (most > 1)
         FOUND(packet_double_free, at, 0, at);
-    for (i64 f = 0; f < n; f++)
-        if (!A(f_head, 0) || A(f_tail, f) != (f + 1 == n || A(f_head, f + 1)))
-            FOUND(block_tiling, 0, n, 0);
+    if (n && (!A(f_head, 0) || !A(f_tail, n - 1)
+              || memcmp(ch->f_tail, ch->f_head + 1, (size_t)n - 1)))
+        FOUND(block_tiling, 0, n, 0);
     most = 0;
     for (i64 size = 0; size < ch->n_fb_head; size++)
         for (i64 f0 = A(fb_head, size), k = 0; f0 >= 0 && k <= n; k++) {
             if (block_size(ch, f0, n) != size)
                 FOUND(block_free_list, f0, size, f0);
-            i64 seen = A(f_mark, f0) += 1;
+            for (i64 f = f0 + 1; f < f0 + size; f++)
+                A(f_mark, f) += F_FREE;
+            i64 seen = (A(f_mark, f0) += F_FREE) & F_FREES;
             if (seen > most || (seen == most && f0 < at)) {
                 most = seen;
                 at = f0;
@@ -1736,31 +2089,104 @@ static i64 drained_pools(Chip *ch, i64 *where)
         }
     if (most > 1)
         FOUND(block_double_free, at, 0, at);
-    for (i64 pk = 0; pk < A(state, S_packets); pk++)
-        if (!A(p_mark, pk))
-            FOUND(packet_leaked, pk, 0, pk);
-    for (i64 f0 = 0; f0 < n; f0 += block_size(ch, f0, n))
-        if (!A(f_mark, f0))
-            FOUND(block_leaked, f0, block_size(ch, f0, n), f0);
-    RETURN(CK_ok);
+    WALK(refs(ch, w, REF_LIVE));
+    for (i64 k = 0; k < ch->T * ch->V; k++)
+        if (A(snd_left, k) > 0 && A(snd_pid, k) >= 0 && A(snd_pid, k) < pcap)
+            A(p_mark, A(snd_pid, k)) |= P_NAMED;
+    for (i64 t = 0, seen = 0; A(state, S_queued) && t < ch->T; t++)
+        for (i64 pk = A(q_len, t) > 0 ? A(q_head, t) : -1;
+             pk >= 0 && pk < hwm && seen <= hwm; pk = A(p_next, pk), seen++)
+            A(p_mark, pk) |= P_NAMED;
+#define LIVE(k) ((k) < hwm && !(A(p_mark, k) & P_FREE))
+    for (i64 f0 = 0, size; leaked < 0 && f0 < n; f0 += size) {
+        size = block_size(ch, f0, n);
+        i64 pk = A(f_pkt, f0);
+        if (A(f_mark, f0) & F_FREES)
+            continue;
+        if (pk < 0 || pk >= pcap || !LIVE(pk) || A(p_inject, pk) < 0
+            || A(p_size, pk) != size || A(f_pkt, f0 + size - 1) != pk)
+            leaked = f0;
+        else
+            A(p_mark, pk) += P_BLOCK;
+    }
+    /* The first slot wrong by each rule: named but not live, live but
+     * not named, held but not live, owning other than one block. Past
+     * the high-water mark no slot is live or owns a block: only one
+     * named or held there is wrong. */
+    i64 first[4] = {-1, -1, -1, -1};
+    for (i64 k = 0; k < pcap; k++) {
+        if (k >= hwm && !A(p_mark, k) && !A(p_held, k))
+            continue;
+        i64 mark = A(p_mark, k), live = LIVE(k);
+        int named = !!(mark & P_NAMED), wrong[4] = {
+            named && !live, live && !named, A(p_held, k) && !live,
+            mark / P_BLOCK != (live && A(p_inject, k) >= 0)};
+        for (int rule = 0; rule < 4; rule++)
+            if (wrong[rule] && first[rule] < 0)
+                first[rule] = k;
+    }
+#undef LIVE
+    if (first[0] >= 0)
+        FOUND(packet_named_free, first[0], 0, first[0]);
+    if (first[1] >= 0)
+        FOUND(packet_leaked, first[1], 0, first[1]);
+    if (first[2] >= 0)
+        FOUND(packet_held_free, first[2], 0, first[2]);
+    if (leaked >= 0)
+        FOUND(block_leaked, leaked, block_size(ch, leaked, n), leaked);
+    if (first[3] >= 0)
+        FOUND(packet_blocks, first[3], 1, A(p_mark, first[3]) / P_BLOCK);
+    RETURN(0);
 }
 
-/* The end-of-run check of a chip ``run()`` drained, which ``core.py``
- * asks for when no packet is queued or started and it holds no
- * ``Packet``: one walk over the arrays, answering the first finding of
- * ``CHIP_CHECKS`` it meets (``where`` as ``FOUND`` sets it) or ``ok``.
- * On a chip that holds nothing in its buffers, rings, send slots and
- * queues the sweep's rules come down to these: the occupancy caches and
- * summaries read zero, each credit counter is its start value less the
- * returns still due, valid circuits sit on distinct outputs their
- * holders name, and every packet slot and flit block is free once.
- * What it writes -- the credit counters, the marks, nothing else -- it
- * sets back. */
-i64 check_drained(Chip *ch, i64 *where)
+/* The summaries, each against the state it summarises (``kernel.summaries``
+ * states the same), as the census found them. */
+static i64 walk_summaries(Chip *ch, const Walk *w)
 {
     ENTER();
-    i64 R = ch->R, Pi = ch->Pi, Po = ch->Po, V = ch->V, NIP = ch->NIP;
-    i64 RD = ch->RD, T = ch->T, NCRED = ch->n_cred;
+    i64 V = ch->V, Po = ch->Po;
+    Router at;
+    if (w->ip_occ >= 0 || w->ip_act >= 0) {
+        i64 port = w->ip_occ >= 0 ? w->ip_occ : w->ip_act, occ = 0, act = 0;
+        for (i64 v = 0; v < V; v++) {
+            occ |= BIT_IF(A(buf_len, port * V + v) > 0, v);
+            act |= BIT_IF(A(vc_state, port * V + v) == VC_ACTIVE, v);
+        }
+        if (w->ip_occ >= 0)
+            FOUND(summary_ip_occ, port, occ, A(ip_occ, port));
+        FOUND(summary_ip_act, port, act, A(ip_act, port));
+    }
+#define RECOUNT(rule, value)     if (w->rule >= 0) {         router_census(ch, w->rule, &at);         FOUND(summary_##rule, w->rule, at.value, A(rule, w->rule));     }
+    RECOUNT(r_occ, occs)
+    RECOUNT(r_wait, waits)
+    if (w->r_map >= 0) {
+        i64 map = 0;
+        for (i64 r = w->r_map * 64; r < ch->R && r < (w->r_map + 1) * 64;
+             r++) {
+            router_census(ch, r, &at);
+            map |= BIT_IF(at.occs, r & 63);
+        }
+        FOUND(summary_r_map, w->r_map, map, A(r_map, w->r_map));
+    }
+    RECOUNT(r_pcv, valid)
+    RECOUNT(r_pcinv, invalid)
+    RECOUNT(r_held, held)
+#undef RECOUNT
+    if (w->op_credsum >= 0) {
+        router_census(ch, w->op_credsum / Po, &at);
+        FOUND(summary_op_credsum, w->op_credsum,
+              at.credits[w->op_credsum % Po], A(op_credsum, w->op_credsum));
+    }
+    RETURN(0);
+}
+
+/* A chip core.py counts as drained holds nothing: no packet queued, sent
+ * or started by the whole-chip counts, no flit in a buffer, a ring or a
+ * send slot, no source queue, every VC free. */
+static i64 walk_drained(Chip *ch)
+{
+    ENTER();
+    i64 V = ch->V, NIP = ch->NIP, RD = ch->RD, T = ch->T;
     for (i64 s = S_queued; s <= S_started; s++) /* ..., sending, started */
         if (A(state, s))
             FOUND(held_count, s, 0, A(state, s));
@@ -1784,108 +2210,45 @@ i64 check_drained(Chip *ch, i64 *where)
     for (i64 ivc = 0; ivc < NIP * V; ivc++)
         if (A(vc_state, ivc) != VC_IDLE)
             FOUND(busy_input_vc, ivc, VC_IDLE, A(vc_state, ivc));
-    for (i64 ci = 0; ci < NCRED; ci++)
+    for (i64 ci = 0; ci < ch->n_cred; ci++)
         if (!A(cred_free, ci))
             FOUND(busy_output_vc, ci, 1, 0);
+    RETURN(0);
+}
 
-    for (i64 r = 0; r < R; r++)
-        if (A(r_buffered, r))
-            FOUND(occupancy_sync, r, 0, A(r_buffered, r));
-    if (A(state, S_buffered))
-        FOUND(occupancy_total, 0, 0, A(state, S_buffered));
-    for (i64 ci = 0; ci < NCRED; ci++)
-        if (A(cred, ci) < 0 || A(cred, ci) > A(cred_init, ci))
-            FOUND(credit_range, ci, A(cred_init, ci), A(cred, ci));
-    returns_due(ch, 1);
-    i64 wrong = 0, owed = 0;
-    while (wrong < NCRED && A(cred, wrong) == A(cred_init, wrong))
-        wrong++;
-    if (wrong < NCRED)
-        owed = A(cred, wrong);
-    returns_due(ch, -1);
-    if (wrong < NCRED)
-        FOUND(credit_count, wrong,
-              A(cred_init, wrong) - (owed - A(cred, wrong)), A(cred, wrong));
-
-    if (ch->pc_enabled) {
-        for (i64 r = 0; r < R; r++) {
-            uint64_t seen = 0, twice = 0;
-            for (i64 p = r * Pi; p < (r + 1) * Pi; p++) {
-                i64 out = A(pc_out_port, p);
-                if (A(pc_valid, p) && out >= 0 && out < Po) {
-                    twice |= seen & (uint64_t)BIT(out);
-                    seen |= (uint64_t)BIT(out);
-                }
-            }
-            if (twice)
-                FOUND(pc_output_shared, r * Po + __builtin_ctzll(twice), 0, 0);
-        }
-        for (i64 r = 0; r < R; r++) {
-            i64 holder[64];
-            for (i64 out = 0; out < Po; out++)
-                holder[out] = -1;
-            for (i64 p = 0; p < Pi; p++) {
-                i64 out = A(pc_out_port, r * Pi + p);
-                if (A(pc_valid, r * Pi + p) && out >= 0 && out < Po)
-                    holder[out] = p;
-            }
-            for (i64 out = 0; out < Po; out++)
-                if (A(op_holder, r * Po + out) != holder[out])
-                    FOUND(pc_holder_sync, r * Po + out, holder[out],
-                          A(op_holder, r * Po + out));
-        }
-    }
-
-    i64 found = drained_pools(ch, where), n = A(state, S_flits);
-    for (i64 k = 0; k < A(state, S_p_free); k++)
-        A(p_mark, A(p_free, k)) = 0;
-    for (i64 size = 0; size < ch->n_fb_head; size++)
-        for (i64 f0 = A(fb_head, size), k = 0; f0 >= 0 && f0 < n && k <= n;
-             k++, f0 = A(f_link, f0))
-            A(f_mark, f0) = 0;
-    if (found)
-        return found;
-
-    /* What summarises buffers and VCs reads zero: they are empty, idle. */
-#define ZERO(summary, count) \
-    for (i64 i = 0; i < (count); i++) \
-        if (A(summary, i)) \
-            FOUND(summary_##summary, i, 0, A(summary, i));
-    ZERO(ip_occ, NIP)
-    ZERO(ip_act, NIP)
-    ZERO(r_occ, R)
-    ZERO(r_wait, R)
-    ZERO(r_map, (R + 63) >> 6)
-#undef ZERO
-    for (i64 r = 0; r < R; r++) {
-        i64 valid = 0;
-        for (i64 p = 0; p < Pi; p++)
-            valid |= A(pc_valid, r * Pi + p) ? BIT(p) : 0;
-        if (valid != A(r_pcv, r))
-            FOUND(summary_r_pcv, r, valid, A(r_pcv, r));
-    }
-    for (i64 r = 0; r < R; r++) {
-        i64 invalid = 0;
-        for (i64 p = 0; p < Pi; p++)
-            if (!A(pc_valid, r * Pi + p) && A(pc_in_vc, r * Pi + p) >= 0)
-                invalid |= BIT(p);
-        if (invalid != A(r_pcinv, r))
-            FOUND(summary_r_pcinv, r, invalid, A(r_pcinv, r));
-    }
-    for (i64 r = 0; r < R; r++) {
-        i64 held = 0;
-        for (i64 out = 0; out < Po; out++)
-            held |= A(op_holder, r * Po + out) != -1 ? BIT(out) : 0;
-        if (held != A(r_held, r))
-            FOUND(summary_r_held, r, held, A(r_held, r));
-    }
-    for (i64 opid = 0; opid < R * Po; opid++) {
-        i64 sum = 0;
-        for (i64 v = 0; v < V; v++)
-            sum += A(cred, opid * V + v);
-        if (sum != A(op_credsum, opid))
-            FOUND(summary_op_credsum, opid, sum, A(op_credsum, opid));
-    }
+/* The walk: every rule of the array core, checked over the whole chip in
+ * the order CHIP_CHECKS lists them, answering the first finding (``walk``
+ * records it) or ``ok``. ``shadow``: a checker has kept ``buf_shadow``
+ * since it was attached; ``drained``: the chip is one ``core.py`` counts
+ * as drained (no packet queued or started, none held), which must hold
+ * nothing. ``run()`` walks the live chip every ``check_stride`` stepped
+ * cycles; ``core.py`` walks it when a run ends. What it writes -- the
+ * credit counters, the marks -- it sets back; it keeps ``walk`` and the
+ * occupied ports it listed in ``cand_ip``, SA's scratch, which the next
+ * cycle fills again before it reads it. */
+i64 check_chip(Chip *ch, i64 shadow, i64 drained)
+{
+    ENTER();
+    Walk w = {-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 0,
+              -1, 0, 0, 0};
+    census(ch, &w);
+    A(walk, W_check) = CK_ok;
+    i64 found = walk_flits(ch, &w, shadow);
+    if (!found)
+        found = walk_credits(ch, &w);
+    if (!found && ch->pc_enabled)
+        found = walk_circuits(ch, &w);
+    if (!found)
+        found = walk_pools(ch, &w);
+    i64 n = A(state, S_flits);
+    n = w.marked > n ? w.marked : n;
+    memset(ch->p_mark, 0, (size_t)ch->n_p_mark * sizeof *ch->p_mark);
+    memset(ch->f_mark, 0, (size_t)(n < ch->n_f_mark ? n : ch->n_f_mark)
+           * sizeof *ch->f_mark);
+    WALK(found);
+    WALK(walk_summaries(ch, &w));
+    if (drained)
+        WALK(walk_drained(ch));
     RETURN(CK_ok);
 }
 

@@ -25,16 +25,15 @@ then ``repro/kernel``) must be owned by the caller and closed to
 everyone else, or it is refused. Before a handle is trusted it answers
 a known-answer self-test: the ABI number, ``sizeof(Chip)`` against the
 ``ctypes`` mirror built from the same source text, and a two-router chip
-run for one whole cycle, then over a window with a skip in it, then
-checked by the end-of-run walk.
+run for one whole cycle, then over a window with a skip in it, walked at
+the end of each cycle, then checked by the end-of-run walk.
 
 To force a rebuild delete the cache directory; a different compiler,
 flag set or source text already keys a different artifact.
 
 ``summaries`` is the one Python statement of what each summary
 ``kernel.c`` keeps means: construction and the self-test fill a chip's
-from it, and ``obs.VectorInvariantChecker`` compares with it, so
-building a network loads no checker.
+from it, and the tests hold the walk's ``summary_*`` rules to it.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from types import SimpleNamespace
 from ..backend import BackendUnsupportedError
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 7004
+ABI = 7005
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -71,9 +70,10 @@ REASONS = ("no-compiler", "compile-failed", "cache-unwritable",
 #: Return code of the checked build's bounds fault.
 E_BOUNDS = -9
 #: Why ``run`` came back when it did not fail (``RUN_*`` in ``kernel.c``):
-#: its window is done, the pools must grow, a cycle is to be seen, or
-#: the delivery callbacks run before the rest of a cycle.
-RUN_DONE, RUN_GROW, RUN_CYCLE, RUN_DELIVER = range(4)
+#: its window is done, the pools must grow, a cycle is to be seen, the
+#: delivery callbacks run before the rest of a cycle, or the walk found
+#: something.
+RUN_DONE, RUN_GROW, RUN_CYCLE, RUN_DELIVER, RUN_FOUND = range(5)
 #: A compile may run this long; a ``build-*.tmp`` older than that was
 #: left by a killed one.
 _COMPILE_TIMEOUT_S = 300
@@ -182,14 +182,15 @@ class Kernel:
         #: the ``Chip``'s scalars, one row of ``counts`` (``stats`` then
         #: ``terminations``), ``state``, ``prof_ns``, the event counts at
         #: the head of ``n[]``, one row of ``ej_out``, one row of ``src``,
-        #: what ``check_drained`` answers.
+        #: what the walk (``check_chip``) answers, its record ``walk``.
         (self.scalars, self.stats, self.terminations, self.state,
          self.phases, self.events, self.ejected, self.source,
-         self.checks) = (
+         self.checks, self.walk) = (
             [name for name, in _macro_names(source, macro)]
             for macro in ("CHIP_SCALARS", "CHIP_STATS", "CHIP_TERMINATIONS",
                           "CHIP_STATE", "CHIP_PHASES", "CHIP_EVENTS",
-                          "CHIP_EJECTED", "CHIP_SOURCE", "CHIP_CHECKS"))
+                          "CHIP_EJECTED", "CHIP_SOURCE", "CHIP_CHECKS",
+                          "CHIP_WALK"))
         #: Room in ``n[]`` (``kernel.c`` asserts its last entry fits).
         self.counts = int(re.search(r"#define CHIP_COUNTS (\d+)\n",
                                     source).group(1))
@@ -202,10 +203,10 @@ class Kernel:
         self.run = lib.run
         self.run.argtypes = (ctypes.POINTER(self.Chip), *[ctypes.c_int64] * 3)
         self.run.restype = ctypes.c_int64
-        self.check_drained = lib.check_drained
-        self.check_drained.argtypes = (ctypes.POINTER(self.Chip),
-                                       ctypes.c_void_p)
-        self.check_drained.restype = ctypes.c_int64
+        self.check_chip = lib.check_chip
+        self.check_chip.argtypes = (ctypes.POINTER(self.Chip),
+                                    *[ctypes.c_int64] * 2)
+        self.check_chip.restype = ctypes.c_int64
         for entry in ("repro_kernel_abi", "repro_kernel_sizeof_chip"):
             fn = getattr(lib, entry)
             fn.argtypes = ()
@@ -246,15 +247,17 @@ class Kernel:
 
     def self_test(self, np) -> bool:
         """Known answers before the handle is trusted: the ABI number,
-        the struct size, and two one-port routers, each with a head flit
-        at the front of a VC, run for one cycle — the dynamic policy
-        takes the free VC with the most credits at router 0 and the
-        lowest index on a tie at router 1, both flits win their switch
-        and leave, and both events are counted — then on to cycle 3: the
-        credits come back in cycle 1, nothing happens in cycle 2, which
-        is skipped, and the window ends as the flits land, which
-        ``check_drained`` finds in the arrival ring: router 0's flit 0,
-        first, bound for port 1."""
+        the struct size, and two one-port routers wired to each other,
+        each with the head flit of a two-flit packet at the front of a
+        VC, run for one cycle — the dynamic policy takes the free VC with
+        the most credits at router 0 and the lowest index on a tie at
+        router 1, both flits win their switch and leave, and both events
+        are counted — then on to cycle 3: the credits come back in cycle
+        1, nothing happens in cycle 2, which is skipped, and the window
+        ends as the flits land. The walk at the end of each cycle run
+        finds nothing; the end-of-run walk of the chip as if drained
+        finds the flits in the arrival ring: router 0's flit 0, first,
+        bound for port 1."""
         lib = self.lib
         if (lib.repro_kernel_abi() != ABI or lib.repro_kernel_sizeof_chip()
                 != ctypes.sizeof(self.Chip)):
@@ -263,20 +266,26 @@ class Kernel:
                  for dtype, name, owner in self.arrays if owner == "NET"}
         state["nip"][:2] = 1
         state["r_buffered"][:2] = 1
-        state["state"][self.state.index("buffered")] = 2
+        for name, value in (("buffered", 2), ("packets", 2), ("flits", 4)):
+            state["state"][self.state.index(name)] = value
         state["buf_len"][[0, 3]] = 1      # (router 0, vc 0), (router 1, vc 1)
-        state["buf_fid"][3] = 1
-        state["f_head"][:2] = True
-        state["f_pkt"][1] = 1
+        state["buf_shadow"][[0, 3]] = 1
+        state["buf_fid"][3] = 2
+        state["f_head"][[0, 2]] = state["f_tail"][[1, 3]] = True
+        state["f_pkt"][2:4] = 1
+        state["fb_head"][:] = -1
+        state["p_size"][:2] = 2
         state["p_dst"][1] = 1
         state["vc_window"][[1, 3]] = 2    # choice 0: port 0 and injection
         state["ip_router"][:2] = state["op_router"][:2] = (0, 1)
         state["op_latency"][:2] = 1
         state["op_dest"][:2] = (1, 0)
+        state["ip_upbase"][:2] = (2, 0)   # fed by router 1's, 0's output
         state["cred"][:4] = (1, 2, 2, 2)
+        state["cred_init"][:4] = (1, 3, 3, 2)   # less the flits buffered
         state["cred_free"][:4] = True
         sizes = dict(R=2, Pi=1, Po=1, V=2, D=1, C=1, TL=2, T=2, NIP=2,
-                     NOVC=4, RD=3, CD=1)
+                     NOVC=4, RD=3, CD=1, check_stride=1)
         for name, summary in summaries(np, state.get, 2, 1, 1, 2).items():
             state[name][:len(summary)] = summary
         chip = Binding(self, np, state, sizes, NOP=2)
@@ -284,7 +293,9 @@ class Kernel:
 
         def scalars(name):
             return state["state"][self.state.index(name)]
-        found = np.zeros(3, dtype=np.int64)
+
+        def walked(name):
+            return chip.walk[self.walk.index(name)]
         return (self.run(chip.ref, 0, 1, 0) == RUN_DONE
                 and scalars("cycle") == 1
                 and state["vc_out_cred"][[0, 3]].tolist() == [1, 2]
@@ -303,9 +314,11 @@ class Kernel:
                 and (scalars("cycle"), scalars("stepped"),
                      scalars("skipped")) == (3, 2, 1)
                 and state["ring_n"][:9].tolist() == [2] + [0] * 8
-                and self.checks[self.check_drained(
-                    chip.ref, found.ctypes.data)] == "held_arrival"
-                and found.tolist() == [1, 0, 0])
+                and (walked("walks"), walked("cycle")) == (2, 1)
+                and self.checks[self.check_chip(chip.ref, 1, 1)]
+                == "held_arrival"
+                and chip.walk[self.walk.index("index"):].tolist()
+                == [1, 0, 0])
 
 
 class Binding:
@@ -332,6 +345,7 @@ class Binding:
         extents["NIP3"] = 3 * extents["NIP"]
         extents["RW"] = -(-extents["R"] // 64)   # one bit per router
         extents["TOUT"] = len(kernel.ejected) * extents["T"]
+        extents["WALK"] = len(kernel.walk)
         for dtype, name, owner in kernel.arrays:
             if owner == "NET":
                 self.point(name, net_arrays[name])

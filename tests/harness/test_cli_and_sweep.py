@@ -172,6 +172,22 @@ def test_cli_refuses_unlisted_routing(topology, routing, accepted, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+@pytest.mark.parametrize("core", ["scalar", "vectorized"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_refuses_a_check_stride_below_one(command, core, stride,
+                                              capsys):
+    """The parser refuses it by name (exit 2), before any point runs,
+    whichever core the points would run on."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--check", "--check-stride", stride,
+              "--backend", core])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --check-stride: must be at least 1 cycle, "
+            f"not {stride}") in err
+
+
 class TestBenchRoundTrip:
     """``repro bench`` through ``main()``: the cold gates and nothing else."""
 

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.evc.topology import EvcMesh
+from repro.harness import experiment
 from repro.harness.experiment import (ExperimentConfig, build_network,
-                                      clear_cache, run_experiment)
+                                      clear_cache, run_batch_experiments,
+                                      run_experiment)
+from repro.harness.parallel import run_experiments
 from repro.network.config import PSEUDO_SB
 from repro.topology.mesh import ConcentratedMesh
 
@@ -70,6 +73,29 @@ class TestRun:
         first = run_experiment(cfg)
         second = run_experiment(cfg)
         assert first is second
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+def test_a_check_stride_below_one_is_refused_before_any_point_runs(
+        backend, stride, monkeypatch):
+    def simulated(*args, **kwargs):
+        raise AssertionError("a point ran")
+    monkeypatch.setattr(experiment, "_simulate", simulated)
+    point = dict(topology="mesh", kx=4, ky=4, concentration=1,
+                 pattern="uniform", rate=0.05, synth_cycles=50,
+                 synth_warmup=10)
+    solo = ExperimentConfig(backend=backend, **point)
+    lanes = [ExperimentConfig(backend="auto", seed=seed, **point)
+             for seed in (1, 2)]
+    for call in (
+            lambda: run_experiment(solo, check=True, check_stride=stride),
+            lambda: run_batch_experiments(lanes, check=True,
+                                          check_stride=stride),
+            lambda: run_experiments([solo], max_workers=1, check=True,
+                                    check_stride=stride)):
+        with pytest.raises(ValueError, match="check stride must be >= 1"):
+            call()
 
 
 class TestBackendObservability:

@@ -99,6 +99,38 @@ def test_pool_workers_import_no_repro_module(tmp_path):
             if line.startswith("import repro")] == []
 
 
+def test_pool_workers_spawn_no_subprocess(tmp_path):
+    """The manifest's provenance (``git rev-parse HEAD``, ``uname -p``)
+    is asked once, by the parent before it forks: an audit hook the
+    workers inherit logs every process a worker spawns, over two pooled
+    passes."""
+    log = tmp_path / "workers.log"
+    code = (
+        "import os, sys\n"
+        "parent, log = os.getpid(), sys.argv[1]\n"
+        "def hook(event, args):\n"
+        "    if os.getpid() != parent and event in ('subprocess.Popen',\n"
+        "                                           'pickle.find_class'):\n"
+        "        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
+        "        os.write(fd, f'{event} {args[0]}\\n'.encode())\n"
+        "        os.close(fd)\n"
+        "sys.addaudithook(hook)\n"
+        "from repro.harness import ExperimentConfig, run_experiments\n"
+        "for rate in (0.05, 0.06):\n"
+        "    points = [ExperimentConfig(topology='mesh', kx=4, ky=4,"
+        " concentration=1, routing='xy', pattern='uniform', rate=rate,"
+        " synth_cycles=100, synth_warmup=20, seed=seed, backend='scalar')"
+        " for seed in range(4)]\n"
+        "    results = run_experiments(points, max_workers=2,"
+        " chunk_size=1)\n"
+        "print(sum(result.packets > 0 for result in results))\n")
+    assert _run(code, str(log)) == "4"
+    events = log.read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("pickle.find_class") for line in events)
+    assert [line for line in events
+            if line.startswith("subprocess.Popen")] == []
+
+
 class TestDefaultWorkers:
     def test_the_affinity_set_bounds_the_default(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},

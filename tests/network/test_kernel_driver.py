@@ -4,10 +4,11 @@
 window's kernel call would start, and ``benchmarks/kernel_driver.c``
 runs that dump through ``run()`` without Python: the window, then the
 drain, then the end-of-run check. Here a 4-lane 4x4 chip is dumped for
-200 cycles under each scheme, the driver is compiled and run on it, and
-the cycles it ran, its flit-hops and its digest of ``counts``, ``hist``
-and ``state`` must equal the same chip's run through ``VectorNetwork``,
-and the check of the drained chip must find nothing. A change to
+200 cycles under each scheme, the driver is compiled and run on it --
+bare, and walking the live chip every 3 cycles -- and the cycles it ran,
+its flit-hops and its digest of ``counts``, ``hist`` and ``state`` must
+equal the same chip's run through ``VectorNetwork``, and no walk, live
+or of the drained chip, may find anything. A change to
 ``CHIP_ARRAYS`` or ``CHIP_SCALARS`` that the dump or the driver does not
 follow fails here. Skips without a C compiler.
 """
@@ -57,14 +58,15 @@ def driver(_private_kernel_cache, tmp_path_factory):
     return binary
 
 
-@pytest.mark.parametrize("scheme", ["baseline", "pseudo"])
-def test_driver_runs_the_dump_as_vector_network_does(driver, tmp_path,
-                                                     scheme):
+def _driven_as_vector_network(driver, tmp_path, scheme, *walk):
+    """Dump the chip under ``scheme``, drive it (``walk``: the driver's
+    live-walk stride) and compare with the same chip's Python run."""
     path = tmp_path / f"{scheme}.chip"
     made = _dump(str(path), *CHIP, scheme)
     assert made.returncode == 0, made.stderr
-    said = subprocess.run([str(driver), str(path), "2"], capture_output=True,
-                          text=True, check=True).stdout
+    said = subprocess.run([str(driver), str(path), "2", *walk],
+                          capture_output=True, text=True,
+                          check=True).stdout
     cycles, hops, digest, verdict = re.fullmatch(
         r"(\d+) cycles run, (\d+) flit-hops: \S+ us/cycle, \S+ "
         r"ns/flit-hop, digest ([0-9a-f]{16}); drained check (-?\d+) in "
@@ -80,6 +82,18 @@ def test_driver_runs_the_dump_as_vector_network_does(driver, tmp_path,
     assert int(cycles) == net._state[net._S_STEPPED]
     assert int(hops) == sum(lane.flit_hops for lane in stats)
     assert digest == dump.digest(net)
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "pseudo"])
+def test_driver_runs_the_dump_as_vector_network_does(driver, tmp_path,
+                                                     scheme):
+    _driven_as_vector_network(driver, tmp_path, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "pseudo"])
+def test_a_live_walk_every_3_cycles_changes_nothing_and_finds_nothing(
+        driver, tmp_path, scheme):
+    _driven_as_vector_network(driver, tmp_path, scheme, "3")
 
 
 def test_dump_refuses_an_unknown_scheme(tmp_path):

@@ -120,7 +120,7 @@ def test_the_bound_source_enqueues_what_tick_injects(flags, terminals,
     net = VectorNetwork(make_topology("mesh", *MESHES[terminals], 1),
                         NetworkConfig(pseudo=BASELINE))
     seen = Enqueued()
-    net.attach_checker(seen)
+    net.bind_probe(seen)
     accepted = 0
     for pattern in PATTERNS:
         try:

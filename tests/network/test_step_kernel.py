@@ -51,7 +51,7 @@ from repro.network.router import ProtocolError
 from repro.network.simulator import Network
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
                                       VectorNetwork, core, kernel)
-from repro.network.vectorized.obs import summaries
+from repro.network.vectorized.kernel import summaries
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
@@ -285,7 +285,8 @@ def test_observers_change_nothing_and_see_everything(case):
         net.attach_checker(VectorInvariantChecker(strict=True))
         return net
     net = _run(observed, topo_args, scheme, rate, cycles, **kw)
-    assert not bare._vhooks and len(net._vhooks) == 2
+    assert not bare._vhooks and net._vhooks == (observer,)
+    assert net._kernel.chip.check_stride == 1
     assert net.stats.fingerprint() == bare.stats.fingerprint()
     assert net.cycle == bare.cycle
     stats, seen = net.stats, observer.seen

@@ -1,16 +1,20 @@
-"""The vectorized invariant checker: clean runs, fault injection, lanes.
+"""The array core's invariant walk: clean runs, fault injection, lanes.
 
 A checker that never fires is indistinguishable from one that cannot
-fire, so beyond the clean-run sweeps (zero violations on every canonical
-workload) this suite corrupts live state cells and asserts the next
-sweep reports the *right* rule with the *right* coordinates — including
-the lane index on batched networks. Strictness, stride pacing and the
-snapshot document round out the contract.
+fire, so beyond the clean runs (zero violations on every canonical
+workload) this suite corrupts live state cells and asserts the walk
+(``kernel.c``'s ``check_chip``, what ``VectorInvariantChecker`` raises)
+reports the *right* rule with the *right* coordinates — including the
+lane index on batched networks — and the *same* first violation as its
+oracle, the numpy sweep of ``sweep_oracle.py``. Strictness, stride
+pacing and the snapshot document round out the contract.
 
 The ``summary_*`` rules get the same treatment on both builds of
 ``kernel.c``: one flipped bit per summary is named with its lane, router
-and port, and a kernel with one ``summarise`` call compiled out is caught
-by the checker in the cycle it first matters, by the drain without one.
+and port — on the spot and by a run that goes on at stride 1 and 7, solo
+and on four lanes — and a kernel with one ``summarise`` call compiled
+out is caught by the walk in the cycle it first matters, by the drain
+without one.
 """
 
 import os
@@ -26,26 +30,36 @@ from repro.core.violation import InvariantViolation
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
                                       VectorNetwork, core, kernel)
-from repro.network.vectorized.obs import summaries
+from repro.network.vectorized.kernel import summaries
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
+from .sweep_oracle import SweepOracle, free_packets, same_first, same_now
+
 
 def _checked_run(scheme, rate, cycles, *, stride=1, strict=True,
-                 topo_args=("mesh", 4, 4, 1), seed=7, drain=True):
+                 topo_args=("mesh", 4, 4, 1), seed=7, drain=True,
+                 oracle=False):
+    """A run checked by the walk (and, with ``oracle``, swept by its
+    oracle too): the network and the checker, or both checkers."""
     topo = make_topology(*topo_args)
     net = VectorNetwork(topo, NetworkConfig(pseudo=scheme), routing="xy",
                         vc_policy="dynamic", seed=seed)
     checker = VectorInvariantChecker(strict=strict, stride=stride)
     net.attach_checker(checker)
+    checkers = [checker]
+    if oracle:
+        checkers.append(SweepOracle(strict=strict, stride=stride))
+        net.bind_probe(checkers[-1])
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=seed)
     net.stats.warmup_cycles = cycles // 5
     net.run(cycles, traffic)
     if drain:
         net.drain(max_cycles=500_000)
-        checker.finish(net)
-    return net, checker
+        for each in checkers:
+            each.finish(net)
+    return (net, *checkers)
 
 
 class TestCleanRuns:
@@ -55,9 +69,9 @@ class TestCleanRuns:
     ], ids=["low-baseline", "low-pseudo_sb",
             "sat-baseline", "sat-pseudo_sb"])
     def test_no_violations(self, scheme, rate):
-        net, checker = _checked_run(scheme, rate, 300)
-        assert checker.violations == []
-        assert checker.sweeps > 0
+        net, checker, oracle = _checked_run(scheme, rate, 300, oracle=True)
+        assert checker.violations == [] == oracle.violations
+        assert checker.sweeps == oracle.sweeps > 0
         doc = checker.snapshot()
         assert doc == {"violations": 0, "sweeps": checker.sweeps,
                        "stride": 1,
@@ -75,15 +89,18 @@ class TestCleanRuns:
         bare.drain(max_cycles=500_000)
         checked, _ = _checked_run(PSEUDO_SB, 0.25, 300)
         assert checked.stats.fingerprint() == bare.stats.fingerprint()
+        assert not checked._vhooks and not checked._kernel.chip.events_on
 
     def test_stride_paces_sweeps(self):
         _, every = _checked_run(PSEUDO_SB, 0.10, 200)
-        _, strided = _checked_run(PSEUDO_SB, 0.10, 200, stride=8)
+        _, strided, oracle = _checked_run(PSEUDO_SB, 0.10, 200, stride=8,
+                                          oracle=True)
         assert every.violations == [] and strided.violations == []
         # Fast-forwarded cycles never tick the stride counter, so the
         # exact ratio varies with quiescence; an 8x stride must still
-        # cut sweeps by far more than half.
+        # cut sweeps by far more than half, and walks its oracle's.
         assert strided.sweeps < every.sweeps / 2
+        assert strided.sweeps == oracle.sweeps
 
     def test_stride_validated(self):
         with pytest.raises(ValueError, match="stride"):
@@ -92,82 +109,87 @@ class TestCleanRuns:
 
 class TestFaultInjection:
     """Corrupted state cells must fire the matching rule, with
-    coordinates pointing at the corrupted cell."""
+    coordinates pointing at the corrupted cell: the walk's first
+    violation, which its oracle names too."""
 
-    def _net(self, strict=False):
-        net, checker = _checked_run(PSEUDO_SB, 0.25, 200, strict=strict)
-        assert checker.violations == []
-        return net, checker
+    def _net(self):
+        net, checker, oracle = _checked_run(PSEUDO_SB, 0.25, 200,
+                                            strict=False, oracle=True)
+        assert checker.violations == [] == oracle.violations
+        return net, checker, oracle
 
     def test_credit_range(self):
-        net, checker = self._net()
+        net, *checkers = self._net()
         net.cred[13] += 2  # above limit
-        checker.sweep(net.cycle)
-        rules = {v.rule for v in checker.violations}
-        assert "credit_range" in rules
-        v = next(v for v in checker.violations if v.rule == "credit_range")
+        v = same_now(net, *checkers)
+        assert v.rule == "credit_range"
         assert v.actual == int(net.cred[13])
         assert v.lane is None
 
     def test_credit_count(self):
-        net, checker = self._net()
+        net, *checkers = self._net()
         ci = int((net.cred > 0).nonzero()[0][0])
         net.cred[ci] -= 1  # still within [0, limit], wrong count
-        checker.sweep(net.cycle)
-        # Seen twice: against the flits downstream, and against the
-        # output's credit sum the kernel keeps beside it.
-        assert {v.rule for v in checker.violations} == {
-            "credit_count", "summary_op_credsum"}
+        # Wrong twice over: against the flits downstream, and against
+        # the output's credit sum the kernel keeps beside it, which the
+        # walk reaches last.
+        assert same_now(net, *checkers).rule == "credit_count"
+        net.op_credsum[ci // net._V] -= 1
+        net.cred[ci] += 1
+        assert same_now(net, *checkers).rule == "summary_op_credsum"
 
     def test_conservation(self):
-        net, checker = self._net()
+        net, *checkers = self._net()
         net.buf_len[7] += 1
-        checker.sweep(net.cycle)
-        rules = [v.rule for v in checker.violations]
-        assert "conservation" in rules
-        v = checker.violations[0]
+        v = same_now(net, *checkers)
+        assert v.rule == "conservation"
         pv = net._Pi * net._V
         assert v.router == 7 // pv
         assert v.port == (7 // net._V) % net._Pi
         assert v.vc == 7 % net._V
 
     def test_occupancy_caches(self):
-        net, checker = self._net()
+        net, *checkers = self._net()
         net._r_buffered[3] += 1
-        checker.sweep(net.cycle)
-        rules = {v.rule for v in checker.violations}
-        assert "occupancy_sync" in rules
-        net2, checker2 = self._net()
+        assert same_now(net, *checkers).rule == "occupancy_sync"
+        net2, *checkers2 = self._net()
         net2._state[net2._S_BUFFERED] += 1
-        checker2.sweep(net2.cycle)
-        assert {v.rule for v in checker2.violations} == {"occupancy_total"}
+        assert same_now(net2, *checkers2).rule == "occupancy_total"
 
     def test_pc_holder_sync(self):
         # Saturated pseudo_sb keeps circuits alive mid-run; corrupt a
         # holder register before the drain so circuits still exist.
-        net, checker = _checked_run(PSEUDO_SB, 0.30, 200, strict=False,
-                                    drain=False)
-        assert checker.violations == []
+        net, checker, oracle = _checked_run(PSEUDO_SB, 0.30, 200,
+                                            strict=False, drain=False,
+                                            oracle=True)
+        assert checker.violations == [] == oracle.violations
         valid = net.pc_valid.nonzero()[0]
         assert len(valid), "expected live circuits at saturation"
         opid = int((valid[0] // net._Pi) * net._Po
                    + net.pc_out_port[valid[0]])
         net.op_holder[opid] = -1
-        checker.sweep(net.cycle)
-        assert {v.rule for v in checker.violations} == {
-            "pc_holder_sync", "summary_r_held"}
+        assert same_now(net, checker, oracle).rule == "pc_holder_sync"
 
     def test_strict_raises(self):
-        net, checker = self._net(strict=True)
+        net, checker = _checked_run(PSEUDO_SB, 0.25, 200)
         net.cred[0] -= 1
         with pytest.raises(InvariantViolation, match="credit"):
-            checker.sweep(net.cycle)
+            checker.finish(net)
+
+    def test_non_strict_records_and_goes_on(self):
+        net, checker = _checked_run(PSEUDO_SB, 0.25, 200, strict=False)
+        net.cred[13] += 2
+        for _ in range(3):
+            net.step()
+        # Found at the end of each cycle run; the run went on.
+        assert [v.rule for v in checker.violations] == ["credit_range"] * 3
+        assert [v.cycle for v in checker.violations] == list(
+            range(net.cycle - 3, net.cycle))
 
     def test_violation_is_structured(self):
-        net, checker = self._net()
+        net, *checkers = self._net()
         net.cred[13] += 2
-        checker.sweep(net.cycle)
-        v = checker.violations[0]
+        v = same_now(net, *checkers)
         doc = v.to_dict()
         assert doc["monitor"] == "vector_invariants"
         assert doc["rule"] == "credit_range"
@@ -180,33 +202,33 @@ class TestBatchedLaneAttribution:
         topo = make_topology("mesh", 4, 4, 1)
         net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
                            routing="xy", vc_policy="dynamic", seeds=[3, 11])
-        checker = VectorInvariantChecker(strict=False)
+        checker, oracle = (VectorInvariantChecker(strict=False),
+                           SweepOracle(strict=False))
         net.attach_checker(checker)
+        net.bind_probe(oracle)
         traffics = [SyntheticTraffic("uniform", topo.num_terminals, rate,
                                      5, seed=seed)
                     for rate, seed in ((0.05, 3), (0.25, 11))]
         net.run_batch(traffics, [200, 200], warmups=[40, 40])
         net.drain(max_cycles=500_000)
         checker.finish(net)
-        assert checker.violations == []
-        return net, checker
+        assert checker.violations == [] == oracle.violations
+        return net, checker, oracle
 
     def test_lane_in_occupancy_violation(self):
-        net, checker = self._batched()
+        net, *checkers = self._batched()
         solo_routers = net._lay.R // net.lanes
         net._r_buffered[solo_routers + 5] += 1  # lane 1, router 5
-        checker.sweep(net.cycle)
-        v = next(v for v in checker.violations
-                 if v.rule == "occupancy_sync")
+        v = same_now(net, *checkers)
+        assert v.rule == "occupancy_sync"
         assert v.lane == 1
         assert v.router == 5
 
     def test_lane_in_conservation_violation(self):
-        net, checker = self._batched()
+        net, *checkers = self._batched()
         solo_ivcs = net._lay.NIVC // net.lanes
         net.buf_len[solo_ivcs + 2] += 1  # lane 1, ivc 2
-        checker.sweep(net.cycle)
-        v = checker.violations[0]
+        v = same_now(net, *checkers)
         assert v.rule == "conservation"
         assert v.lane == 1
         assert v.router == 0
@@ -241,40 +263,86 @@ class TestSummaries:
         topo = make_topology("mesh", 4, 4, 1)
         net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
                            routing="xy", vc_policy="dynamic", seeds=[3, 11])
-        checker = VectorInvariantChecker(strict=False)
+        checker, oracle = (VectorInvariantChecker(strict=False),
+                           SweepOracle(strict=False))
         net.attach_checker(checker)
+        net.bind_probe(oracle)
         net.run_batch([SyntheticTraffic("uniform", topo.num_terminals, 0.3,
                                         5, seed=seed) for seed in (3, 11)],
                       [120, 120])
-        assert checker.violations == [] and checker.sweeps >= 120
+        assert checker.violations == [] == oracle.violations
+        assert checker.sweeps == oracle.sweeps >= 120
         assert net._buffered and net.pc_valid.any()
-        return net, checker
+        return net, checker, oracle
 
     def test_the_table_is_the_checked_set(self):
         source = open(kernel._SOURCE, encoding="utf-8").read()
         table = source[source.index("summary     what it says"):]
         rows = [line.split()[1] for line in table.splitlines()[1:10]]
-        net, _ = self._mid_run()
+        net, *_ = self._mid_run()
         assert rows == list(_SEEDED) == list(summaries(
             np, lambda name: getattr(net, name), net._R, net._Pi, net._Po,
             net._V))
 
     @pytest.mark.parametrize("name", _SEEDED)
     def test_a_seeded_bug_is_named(self, name):
-        net, checker = self._mid_run()
+        net, *checkers = self._mid_run()
         index, bit = _SEEDED[name]
-        if name == "op_credsum":
-            getattr(net, name)[index] += 1
-        else:
-            getattr(net, name)[index] ^= 1 << bit
-        checker.sweep(net.cycle)
-        (v,) = checker.violations
+        _seed(net, name, index, bit)
+        v = same_now(net, *checkers)
         assert v.rule == "summary_" + name
         assert (v.lane, v.router) == (1, 5)
         assert v.port == (None if name == "r_map" else 2)
         assert v.vc == (bit if name.startswith("ip_") else None)
         assert v.actual == int(getattr(net, name)[index]) != v.expected
         assert name in str(v)
+
+
+class TestOneVerdict:
+    """A summary seeded wrong mid-run is found by the walk inside the run
+    as by the oracle after each cycle: the same first violation, at
+    stride 1 and 7, solo and on four lanes. On the checked build, where
+    a cycle that trips over the seeded summary before the next walk
+    fails by name instead of writing past an array; at a load low enough
+    that the seeded router keeps it until then."""
+
+    @pytest.fixture(autouse=True)
+    def checked(self, monkeypatch):
+        built = kernel.load(kernel.CHECK_FLAGS)
+        assert built.status.startswith("c:"), built.refusal()
+        monkeypatch.setattr(core, "load_kernel", lambda: built)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("lanes", [1, 4], ids=["solo", "4-lane"])
+    @pytest.mark.parametrize("name", _SEEDED)
+    def test_a_run_goes_on_to_one_verdict(self, name, lanes, stride):
+        # Into lane 1 (the solo chip's only lane), at cycle 60.
+        topo = make_topology("mesh", 4, 4, 1)
+        lane = min(lanes - 1, 1)
+        index, bit = _seeded_summary(name, lane)
+
+        def build():
+            if lanes == 1:
+                return VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                                     seed=3)
+            return BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
+                                seeds=range(3, 3 + lanes))
+
+        def drive(net):
+            traffics = [SyntheticTraffic("uniform", topo.num_terminals,
+                                         0.05, 5, seed=3 + k)
+                        for k in range(lanes)]
+            for cycles in (60, 40):
+                if lanes == 1:
+                    net.run(cycles, traffics[0])
+                else:
+                    net.run_batch(traffics, [cycles] * lanes)
+                if net.cycle == 60:
+                    _seed(net, name, index, bit)
+        v = same_first(build, drive, stride)
+        assert v["rule"] == "summary_" + name
+        assert 60 <= v["cycle"] < 60 + stride
+        assert (v["lane"], v["router"]) == (lane if lanes > 1 else None, 5)
 
 
 class TestStaleSummary:
@@ -288,14 +356,28 @@ class TestStaleSummary:
         assert built.status.startswith("c:"), built.refusal()
         monkeypatch.setattr(core, "load_kernel", lambda: built)
 
+    @staticmethod
+    def _found(stride):
+        """What the walk and the oracle both raise on a run of it, and
+        the latest cycle the first stale buffer write may be seen in: the
+        first flit off an injection channel is sent at 0 at the earliest
+        and buffered one cycle later; it is found at the next walk."""
+        topo = make_topology("mesh", 4, 4, 1)
+        v = same_first(
+            lambda: VectorNetwork(topo, NetworkConfig(pseudo=BASELINE)),
+            lambda net: net.run(100, SyntheticTraffic(
+                "uniform", topo.num_terminals, 0.10, 5, seed=7)), stride)
+        assert v["rule"] == "summary_ip_occ"
+        assert v["expected"] and not v["actual"]
+        return v["cycle"], 10 + stride - 1
+
     def test_the_checker_names_it_in_the_cycle_it_happens(self):
-        with pytest.raises(InvariantViolation) as caught:
-            _checked_run(BASELINE, 0.10, 100)
-        v = caught.value
-        assert v.rule == "summary_ip_occ" and v.expected and not v.actual
-        # The first flit off an injection channel: sent at 0 at the
-        # earliest, buffered one cycle later.
-        assert 1 <= v.cycle <= 10
+        cycle, latest = self._found(1)
+        assert 1 <= cycle <= latest
+
+    def test_at_stride_7_at_the_next_walk(self):
+        cycle, latest = self._found(7)
+        assert 1 <= cycle <= latest
 
     def test_the_drain_ends_without_one(self):
         topo = make_topology("mesh", 4, 4, 1)
@@ -322,9 +404,18 @@ def _drained_chip(lanes):
         net = BatchNetwork(topo, config, seeds=seeds)
         net.run_batch(traffics, [120] * lanes)
     net.drain()
-    assert net._drained_finding() is None
+    assert net._walk(drained=True) is None
     assert net.pc_valid.any() and net._npackets and net._nflits
     return net
+
+
+def _seed(net, name, index, bit):
+    """Summary ``name`` wrong at ``index``: one more credit, or ``bit``
+    flipped."""
+    if name == "op_credsum":
+        getattr(net, name)[index] += 1
+    else:
+        getattr(net, name)[index] ^= 1 << bit
 
 
 def _seeded_summary(name, lane):
@@ -363,7 +454,7 @@ def _shared_output(net, lane):
 def _slot_of(net, lane):
     """A free packet slot whose last packet came from ``lane``, and its
     height on the free stack."""
-    free = net._free_packets().tolist()
+    free = free_packets(net).tolist()
     at = next(i for i, k in enumerate(free)
               if net.p_src[k] // net._T_local == lane)
     return free[at], at
@@ -399,8 +490,8 @@ _CORRUPTIONS = {
     "free-stack-duplicate": (_double_free, "packet_double_free",
                              "pool_double_free"),
     "leaked-slot": (_leaked_slot, "packet_leaked", "pool_accounting"),
-    # Not drained after all: the sweep names it first.
-    "left-flit": (_left_flit, "held_buffer", "occupancy_sync"),
+    # Not drained after all: the live rules name it first.
+    "left-flit": (_left_flit, "occupancy_sync", "occupancy_sync"),
     **{f"summary-{name}": (name, "summary_" + name, "summary_" + name)
        for name in _SEEDED},
 }
@@ -408,8 +499,9 @@ _CORRUPTIONS = {
 
 @pytest.mark.usefixtures("either_build")
 class TestDrainedWalk:
-    """The end-of-run check of a drained array chip is one walk in
-    ``kernel.c``; whatever it finds is raised as the sweep raises it."""
+    """The end-of-run check of a drained array chip is the same walk,
+    which then also finds what a drained chip may not hold; whatever it
+    finds is raised as the oracle's sweep raises it."""
 
     @pytest.mark.parametrize("lanes", [1, 2], ids=["solo", "2-lane"])
     @pytest.mark.parametrize("case", _CORRUPTIONS)
@@ -418,20 +510,16 @@ class TestDrainedWalk:
         corrupt, finding, rule = _CORRUPTIONS[case]
         lane = lanes - 1
         if isinstance(corrupt, str):
-            index, bit = _seeded_summary(corrupt, lane)
-            if corrupt == "op_credsum":
-                getattr(net, corrupt)[index] += 1
-            else:
-                getattr(net, corrupt)[index] ^= 1 << bit
+            _seed(net, corrupt, *_seeded_summary(corrupt, lane))
         else:
             corrupt(net, lane)
-        assert net._drained_finding()[0] == finding
+        assert net._walk(drained=True)[0] == finding
         with pytest.raises(InvariantViolation) as walked:
             net.check_invariants()
-        checker = VectorInvariantChecker(strict=True)
-        checker.bind(net)
+        oracle = SweepOracle(strict=True)
+        oracle.bind(net)
         with pytest.raises(InvariantViolation) as swept:
-            checker.sweep(net.cycle)
+            oracle.sweep(net.cycle)
         assert walked.value.rule == rule
         assert walked.value.to_dict() == swept.value.to_dict()
         assert walked.value.lane == (1 if lanes == 2 else None)
@@ -441,7 +529,8 @@ class TestDrainedWalk:
     def test_the_walk_sets_back_what_it_writes(self, case):
         # Stopped in the pools, and after them: the credit counters it
         # credits the returns still due to and the marks it counts the
-        # free lists in read as before.
+        # free lists in read as before; it keeps its record (``walk``)
+        # and the occupied ports it listed in SA's scratch (``cand_ip``).
         net = _drained_chip(2)
         if case == "free-stack-duplicate":
             _double_free(net, 1)
@@ -449,10 +538,11 @@ class TestDrainedWalk:
             net.op_credsum[3] += 1
         assert net.ring_n[2].any(), "no credit return still due"
         before = {name: array.copy()
-                  for name, array in net._kernel._arrays.items()}
-        assert net._drained_finding()[0] == _CORRUPTIONS[case][1]
-        for name, array in net._kernel._arrays.items():
-            assert np.array_equal(array, before[name]), name
+                  for name, array in net._kernel._arrays.items()
+                  if name not in ("walk", "cand_ip")}
+        assert net._walk(drained=True)[0] == _CORRUPTIONS[case][1]
+        for name, array in before.items():
+            assert np.array_equal(net._kernel._arrays[name], array), name
         assert not net.p_mark.any() and not net.f_mark.any()
 
     @pytest.mark.parametrize("side", ["input", "output"])
@@ -465,9 +555,9 @@ class TestDrainedWalk:
             net.vc_state[ivc] = 1    # vc.VCState.VA
         else:
             net.cred_free[ivc] = False    # that output VC's credit index
-        checker = VectorInvariantChecker(strict=True)
-        checker.bind(net)
-        checker.sweep(net.cycle)
+        oracle = SweepOracle(strict=True)
+        oracle.bind(net)
+        oracle.sweep(net.cycle)
         with pytest.raises(InvariantViolation) as walked:
             net.check_invariants()
         v = walked.value

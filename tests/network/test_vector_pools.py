@@ -8,9 +8,10 @@ bumping the high-water mark. Three things are pinned here:
 
 * **Seeded mutants.** A slot freed one cycle early, a leaked slot and a
   block handed out for the wrong size — each seeded into the free stacks
-  the kernel and ``inject`` share — are each caught by
-  ``VectorInvariantChecker``'s pool invariant in the cycle they happen,
-  with the lane and port named, on a solo and on a 4-lane chip.
+  the kernel and ``inject`` share — are each caught by the walk's pool
+  rules in the cycle they happen (stride 1) or at the next walk (stride
+  7), with the lane and port named, on a solo and on a 4-lane chip, as
+  the oracle's sweep names them.
 * **Plateau.** Capacity ends within twice the peak in flight however
   many packets were injected; mixed 1-/5-flit traffic reuses both size
   classes; per-terminal state (NIC RNGs) exists only where it is used.
@@ -25,18 +26,18 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.violation import InvariantViolation
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
 from repro.harness.traces import get_trace
 from repro.network.config import PSEUDO_SB, NetworkConfig
 from repro.network.flit import Packet
 from repro.network.simulator import Network
-from repro.network.vectorized import (BatchNetwork, VectorInvariantChecker,
-                                      VectorNetwork)
+from repro.network.vectorized import (BatchNetwork, VectorNetwork, core,
+                                      kernel)
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
+from .sweep_oracle import free_blocks, free_packets, same_first
 from .test_batched_parity import lane_sink
 from .test_vectorized_parity import CONCENTRATED, _run
 
@@ -111,7 +112,7 @@ def _free_early(net, lane):
 
 def _leak(net, lane):
     """An ejected packet's slot and block never reach the free stacks."""
-    free = net._free_packets().tolist()
+    free = free_packets(net).tolist()
     for pk in free:
         if net.p_src[pk] // net._T_local == lane and net.fb_head[5] >= 0:
             free.remove(pk)
@@ -141,16 +142,26 @@ def _wrong_size(net, lane):
     return ("pool_reference", *_nic(net, ready[0]), None)
 
 
-class TestSeededMutants:
-    @pytest.mark.parametrize("cls,kw,lane", [
-        (VectorNetwork, {}, 0),
-        (BatchNetwork, {"seeds": (1, 2, 3, 4)}, 2),
-    ], ids=["solo", "4-lane"])
-    @pytest.mark.parametrize("mutant", [_free_early, _leak, _wrong_size])
-    def test_checker_names_the_fault_in_the_cycle_it_happens(
-            self, mutant, cls, kw, lane):
+_MUTANTS = [pytest.mark.parametrize("cls,kw,lane", [
+    (VectorNetwork, {}, 0),
+    (BatchNetwork, {"seeds": (1, 2, 3, 4)}, 2),
+], ids=["solo", "4-lane"]), pytest.mark.parametrize(
+    "mutant", [_free_early, _leak, _wrong_size])]
+
+
+def _seeded(mutant, cls, kw, lane, stride):
+    """Seed ``mutant`` into a run checked by the walk and into one swept
+    by the oracle, at ``stride``; step ``stride`` cycles on. The outcome
+    both reach, and the cycle and expectation the mutant seeded."""
+    ticks, seeded = [], []
+
+    def build():
         net, tick = _chip(cls, **kw)
-        net.attach_checker(VectorInvariantChecker(strict=True))
+        ticks.append(tick)
+        return net
+
+    def drive(net):
+        tick = ticks[-1]
         for _ in range(60):     # clean so far, free lists populated
             tick()
             net.step()
@@ -161,16 +172,38 @@ class TestSeededMutants:
                 break
             net.step()
         assert expected is not None, "no cycle offered the fault"
-        c = net.cycle
-        with pytest.raises(InvariantViolation) as caught:
+        seeded.append((net.cycle, expected))
+        for _ in range(stride):
             net.step()
-        v = caught.value
-        rule, router, port, vc = expected
-        assert (v.rule, v.cycle) == (rule, c)
-        assert v.lane == (lane if net._lanes > 1 else None)
-        assert (v.router, v.port) == (router, port)
+    v = same_first(build, drive, stride, found=stride == 1)
+    assert seeded[0] == seeded[1]
+    return v, seeded[0]
+
+
+class TestSeededMutants:
+    @_MUTANTS[0]
+    @_MUTANTS[1]
+    def test_checker_names_the_fault_in_the_cycle_it_happens(
+            self, mutant, cls, kw, lane):
+        v, (c, (rule, router, port, vc)) = _seeded(mutant, cls, kw, lane, 1)
+        assert (v["rule"], v["cycle"]) == (rule, c)
+        assert v["lane"] == (lane if cls is BatchNetwork else None)
+        assert (v["router"], v["port"]) == (router, port)
         if vc is not None:
-            assert v.vc == vc
+            assert v["vc"] == vc
+
+    @_MUTANTS[0]
+    @_MUTANTS[1]
+    def test_the_next_walk_at_stride_7_agrees_with_the_oracle(
+            self, mutant, cls, kw, lane, monkeypatch):
+        # Between walks the cycles run on with the fault and may trip
+        # over it first: on the checked build, by name, the same from
+        # both sides.
+        built = kernel.load(kernel.CHECK_FLAGS)
+        monkeypatch.setattr(core, "load_kernel", lambda: built)
+        v, (c, _) = _seeded(mutant, cls, kw, lane, 7)
+        if isinstance(v, dict):
+            assert c <= v["cycle"] < c + 7
 
 
 class TestPlateau:
@@ -192,16 +225,16 @@ class TestPlateau:
         net.drain()
         net.check_invariants()
         # Drained: every slot is free again and no Packet is retained.
-        assert len(net._free_packets()) == net._npackets
+        assert len(free_packets(net)) == net._npackets
         assert net.p_obj == {}
-        assert 5 * len(net._free_blocks()[5]) == net._nflits
+        assert 5 * len(free_blocks(net)[5]) == net._nflits
 
     def test_trace_replay_reuses_both_size_classes(self):
         topo_args, scheme, rate, cycles, kw = CONCENTRATED[
             "cmesh4x4-trace-mshrs"]
         net = _run(VectorNetwork, topo_args, scheme, rate, cycles, **kw)
         blocks = {size: len(free)
-                  for size, free in net._free_blocks().items()}
+                  for size, free in free_blocks(net).items()}
         assert set(blocks) == {1, 5}
         assert blocks[1] + 5 * blocks[5] == net._nflits
         # Far fewer blocks of either size were ever made than packets of
@@ -260,7 +293,7 @@ class TestSlotContract:
         # A free slot and a free block read their initial values again:
         # the next packet does not inherit what the last one gathered.
         assert (net.f_vc[:net._nflits] == -1).all()
-        pk = int(net._free_packets()[-1])
+        pk = int(free_packets(net)[-1])
         net.inject(Packet(0, 1, 5, net.cycle))
         assert net.q_tail[0] == pk
         assert [int(getattr(net, name)[pk]) for name in

@@ -16,8 +16,8 @@ That is pinned here instead.
   no allow-list: a function the grid cannot reach gets the one-line case
   that enters it, or is deleted.
 * **Seeded duplicate arrival.** A ``(port, fid)`` entry written twice
-  into the arrival ring is caught by ``VectorInvariantChecker`` in the
-  cycle it lands, naming the port (and the lane).
+  into the arrival ring is caught by the walk in the cycle it lands,
+  naming the port (and the lane), as its oracle names it.
 """
 
 import ast
@@ -31,6 +31,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.cmp.system import CmpSystem
+from repro.core.violation import InvariantViolation
 from repro.harness.experiment import (ExperimentConfig,
                                       run_batch_experiments, run_experiment)
 from repro.instrument import TimeSeriesProbe
@@ -42,6 +43,7 @@ from repro.topology import make_topology
 from repro.traffic import synthetic
 from repro.traffic.synthetic import SyntheticTraffic
 
+from .sweep_oracle import SweepOracle, same_first
 from .test_batched_parity import _batched_stats, lane_sink
 from .test_vectorized_parity import GRID, _run
 
@@ -123,7 +125,7 @@ class TestReach:
                 ExperimentConfig(backend="vectorized", seed=7, **_CHECKED),
                 probe=TimeSeriesProbe(), check=True)
             # Mid-run, with a source queue longer than its NIC has VCs:
-            # the sweep walks it, a solo network is its own lane 0, and
+            # the walk follows it, a solo network is its own lane 0, and
             # it cannot drain in one cycle.
             net = _loaded(VectorNetwork)
             for _ in range(6):
@@ -133,6 +135,10 @@ class TestReach:
             assert net._num_queued and net.lane_stats(0) == net.stats
             with pytest.raises(RuntimeError, match="packets left"):
                 net.drain(max_cycles=1)
+            # A chip the walk finds wrong: it works out where, by router.
+            net.cred[0] -= 1
+            with pytest.raises(InvariantViolation, match="credit"):
+                net.check_invariants()
             # Delivery callbacks (the CMP's endpoints): cycles that come
             # back after their ejection stage and then go on.
             CmpSystem("radix", network=VectorNetwork(
@@ -185,43 +191,81 @@ _DUPLICATE = pytest.mark.parametrize("cls,kw,lane", [
 ], ids=["solo", "4-lane"])
 
 
+def _duplicate(net):
+    """Write the first arrival due this cycle into the ring twice: the
+    cycle, the port and the flit."""
+    c = net.cycle
+    row, (ports, fids) = net._rings["arrivals"]
+    slot = c % net._RD
+    due = int(net.ring_n[row, slot])
+    assert due, "no arrival to duplicate"
+    dest, fid = int(ports[slot, 0]), int(fids[slot, 0])
+    ports[slot, due], fids[slot, due] = dest, fid
+    net.ring_n[row, slot] = due + 1
+    return c, dest, fid
+
+
 class TestSeededDuplicateArrival:
     """The kernel buffers what the arrival ring holds; were an upstream
-    bug to deliver a flit twice, the checker — not a hot-path guard —
-    reports it in the same cycle, twice over: the flit sits in two
-    buffer slots, and the second never paid a credit."""
+    bug to deliver a flit twice, the walk — not a hot-path guard —
+    reports it in the same cycle, as its oracle does: the flit sits in
+    two buffer slots. The oracle, which records every rule a sweep
+    breaks, shows the other: the second never paid a credit."""
 
-    def _duplicated(self, cls, kw):
-        net = _loaded(cls, **kw)
-        checker = VectorInvariantChecker(strict=False)
-        net.attach_checker(checker)
-        c = net.cycle
-        row, (ports, fids) = net._rings["arrivals"]
-        slot = c % net._RD
-        due = int(net.ring_n[row, slot])
-        assert due, "no arrival to duplicate"
-        dest, fid = int(ports[slot, 0]), int(fids[slot, 0])
-        ports[slot, due], fids[slot, due] = dest, fid
-        net.ring_n[row, slot] = due + 1
-        net.step()
-        assert {v.cycle for v in checker.violations} == {c}
-        return net, {v.rule: v for v in checker.violations}, dest, fid
+    @staticmethod
+    def _walked_and_swept(cls, kw, stride):
+        """The duplicate seeded into a run checked by the walk and into
+        one swept by the oracle, at ``stride``, ``stride`` cycles on: the
+        outcome both reach, and the cycle, port and flit seeded."""
+        seeded = []
+
+        def drive(net):
+            seeded.append(_duplicate(net))
+            for _ in range(stride):
+                net.step()
+        v = same_first(lambda: _loaded(cls, **kw), drive, stride,
+                       found=stride == 1)
+        assert seeded[0] == seeded[1]
+        return v, seeded[0]
 
     @_DUPLICATE
     def test_checker_raises_conservation_in_the_same_cycle(
             self, cls, kw, lane):
-        net, raised, dest, fid = self._duplicated(cls, kw)
-        v = raised["conservation"]
+        v, (c, dest, fid) = self._walked_and_swept(cls, kw, 1)
+        net = _loaded(cls, **kw)
         local = dest % (net._NIP // net._lanes)
-        assert v.lane == lane
-        assert (v.router, v.port) == divmod(local, net._Pi)
-        assert v.vc == int(net.f_vc[fid])
-        assert v.actual == fid
+        assert (v["rule"], v["cycle"], v["actual"]) == ("conservation", c,
+                                                       fid)
+        assert v["lane"] == lane
+        assert (v["router"], v["port"]) == divmod(local, net._Pi)
+
+    @_DUPLICATE
+    def test_the_next_walk_at_stride_7_agrees_with_the_oracle(
+            self, cls, kw, lane, monkeypatch):
+        # The cycles may trip over the second flit before the next walk:
+        # on the checked build, by name, on both sides.
+        built = kernel.load(kernel.CHECK_FLAGS)
+        monkeypatch.setattr(core, "load_kernel", lambda: built)
+        v, (c, _, _) = self._walked_and_swept(cls, kw, 7)
+        if isinstance(v, dict):
+            assert c <= v["cycle"] < c + 7 and v["lane"] == lane
 
     @_DUPLICATE
     def test_checker_raises_credit_in_the_same_cycle_on_the_kernel(
             self, cls, kw, lane):
-        net, raised, dest, fid = self._duplicated(cls, kw)
+        net = _loaded(cls, **kw)
+        checker, oracle = (VectorInvariantChecker(strict=False),
+                           SweepOracle(strict=False))
+        net.attach_checker(checker)
+        net.bind_probe(oracle)
+        c, dest, fid = _duplicate(net)
+        net.step()
+        assert {v.cycle for v in checker.violations + oracle.violations} \
+            == {c}
+        assert checker.violations[0].to_dict() \
+            == oracle.violations[0].to_dict()
+        raised = {v.rule: v for v in oracle.violations}
+        assert raised["conservation"].vc == int(net.f_vc[fid])
         v = raised["credit_count"]
         # Named by the sender's side of the link: the output VC whose
         # counter is one short of the two flits it now has downstream.

@@ -20,10 +20,12 @@ from repro.harness.traces import get_trace
 from repro.network.config import (ALL_SCHEMES, BASELINE, PSEUDO_SB,
                                   NetworkConfig)
 from repro.network.simulator import Network
-from repro.network.vectorized import VectorInvariantChecker, VectorNetwork
+from repro.network.vectorized import VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
+
+from .sweep_oracle import SweepOracle
 
 
 def chip(topo_args, routing):
@@ -65,11 +67,11 @@ def _run(cls, topo_args, scheme, rate, cycles, *, routing="xy",
 
 def both_checks_pass(net):
     """The end-of-run walk of ``kernel.c`` finds nothing on the drained
-    array chip ``net``, and a strict sweep of it agrees."""
-    assert net.quiescent() and net._drained_finding() is None
-    checker = VectorInvariantChecker(strict=True)
-    checker.bind(net)
-    checker.sweep(net.cycle)
+    array chip ``net``, and a strict sweep of its oracle agrees."""
+    assert net.quiescent() and net._walk(drained=True) is None
+    oracle = SweepOracle(strict=True)
+    oracle.bind(net)
+    oracle.sweep(net.cycle)
 
 
 def assert_parity(topo_args, scheme, rate, cycles, kw):
