@@ -15,5 +15,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                  "fig11", "fig12", "fig13", "fig14", "table1", "table2"),
     ".parallel": ("derive_seed", "run_experiments"),
     ".report": ("format_table", "print_table", "reduction"),
-    ".traces": ("get_cmp_run", "get_trace"),
+    ".traces": ("get_trace",),
 })

@@ -14,9 +14,12 @@ on — topology, routing instance and, through it, the compiled routing
 tables — is a pure function of the config's shape fields and is
 likewise built once per process (``chip_plan``) and shared read-only by
 every network on it. The network built on that chip is reused as well,
-on every core: a point's run ends with the network idle again, and the
-next point of the same shape resets it instead of constructing it
-(``_idle_networks``).
+on every core and whether or not anything observes the point: a point's
+run ends with the network idle again, and the next point of the same
+shape resets it instead of constructing it (``_idle_networks``).
+Networks are built bare; what observes a point attaches to its network
+in one place (``_observe``), where the ``auto`` rule may still fall back
+to the scalar core.
 """
 
 from __future__ import annotations
@@ -226,9 +229,10 @@ def chip_plan(config: ExperimentConfig):
 
 #: Idle networks of this process, of every core, least recently used
 #: first: ``run_experiment`` and ``run_batch_experiments`` take one out
-#: (``_lease``), reset it to the point, and put it back once the run
-#: drained clean — never after a run that raised, a probed or checked
-#: run, nor for ``build_network``. Two entries hold what sweeps alternate
+#: (``_lease``), reset it to the point (which detaches what observed
+#: its last run), and put it back once the run drained clean, observed
+#: or not — never after a run that raised, nor for ``build_network``.
+#: Two entries hold what sweeps alternate
 #: between: a scalar baseline/pseudo pair (10.5 MB each on 16x16), or the
 #: 8x8 and 16x16 array chips of ``sat_points`` serving every scheme. It
 #: holds no results (``clear_cache()`` leaves it); forked workers inherit it.
@@ -249,18 +253,23 @@ def _idle_key(config: ExperimentConfig, net_cfg: NetworkConfig, cls=None,
     return chip, layout, cls.__name__, lanes, core.load_kernel().status
 
 
-def _lease(key, reuse: bool, build, *reset):
-    """With ``reuse`` the network idle under ``key``, out of the pool and
-    ``reset(*reset)``, else ``build()``; whether it was ``"leased"`` or
-    ``"built"``; and the key it goes back under (``None``: never)."""
-    net = _idle_networks.pop(key, None) if reuse else None
+def _lease(key, build, *reset):
+    """The network idle under ``key``, out of the pool and
+    ``reset(*reset)``, else ``build()``; and whether it was ``"leased"``
+    or ``"built"``."""
+    net = _idle_networks.pop(key, None)
     if net is None:
-        return build(), "built", key if reuse else None
+        return build(), "built"
     net.reset(*reset)
-    return net, "leased", key
+    return net, "leased"
 
 
-def build_network(config: ExperimentConfig, probe=None) -> Network:
+def _new(key, build, *reset):
+    """``_lease`` for ``build_network``: always ``build()``."""
+    return build(), "built"
+
+
+def build_network(config: ExperimentConfig) -> Network:
     """Construct the simulated network one experiment point describes.
 
     ``config.backend`` picks the core: the scalar object-per-router
@@ -268,10 +277,10 @@ def build_network(config: ExperimentConfig, probe=None) -> Network:
     ARCHITECTURE.md "Backends"). ``"auto"`` builds the array core
     wherever it accepts the point and the scalar core where it refuses
     (``network.backend.REFUSALS``); an explicit ``"vectorized"`` raises
-    the refusal. Always a new network: ``run_experiment`` reuses idle
-    ones, callers of this never see them.
+    the refusal. Always a new network, bare: ``run_experiment`` reuses
+    idle ones, callers of this never see them.
     """
-    return _network_for(config, probe, reuse=False)[0]
+    return _network_for(config, _new)[0]
 
 
 def _net_config(config: ExperimentConfig) -> NetworkConfig:
@@ -281,29 +290,51 @@ def _net_config(config: ExperimentConfig) -> NetworkConfig:
         mshrs=config.mshrs if config.benchmark is not None else 0)
 
 
-def _network_for(config: ExperimentConfig, probe, reuse: bool):
-    """``build_network`` (with ``reuse``: ``run_experiment``'s), as
-    ``_lease`` answers, then the message of the refusal an ``auto``
-    point fell back to the scalar core on (``None``: no fallback)."""
+def _network_for(config: ExperimentConfig, lease=_lease, probe=None,
+                 check: bool = False, stride: int = 1):
+    """The network ``config`` runs on, as ``lease`` (``_lease`` or
+    ``_new``) answers, with ``_observe``'s observers attached: ``(net,
+    how, key, registry, refused)`` -- ``key`` the one it goes back to
+    the pool under, ``refused`` the message of the refusal an ``auto``
+    point fell back to the scalar core on (``None``: no fallback). The
+    array core may refuse the chip or, once leased or built, the probe:
+    either way an ``auto`` point goes to the scalar core, and the array
+    chip, nothing bound to it, is dropped."""
     net_cfg = _net_config(config)
     topo, routing = chip_plan(config)
     kwargs = dict(routing=routing, vc_policy=config.vc_policy,
-                  seed=config.seed, probe=probe)
+                  seed=config.seed)
     refused = None
     if config.backend != "scalar":
         try:
             from ..network.vectorized import VectorNetwork
-            return (*_lease(_idle_key(config, net_cfg, VectorNetwork), reuse,
-                            lambda: VectorNetwork(topo, net_cfg, **kwargs),
-                            config.seed, net_cfg, config.vc_policy), None)
+            key = _idle_key(config, net_cfg, VectorNetwork)
+            net, how = lease(key, lambda: VectorNetwork(
+                topo, net_cfg, **kwargs), config.seed, net_cfg,
+                config.vc_policy)
+            return net, how, key, _observe(net, probe, check, stride), None
         except REFUSALS as refusal:
             if config.backend != "auto":
                 raise
             refused = str(refusal)
     from ..network.simulator import Network
-    return (*_lease(_idle_key(config, net_cfg), reuse,
-                    lambda: Network(topo, net_cfg, **kwargs), config.seed),
-            refused)
+    key = _idle_key(config, net_cfg)
+    net, how = lease(key, lambda: Network(topo, net_cfg, **kwargs),
+                     config.seed)
+    return net, how, key, _observe(net, probe, check, stride), refused
+
+
+def _observe(net, probe, check: bool, stride: int):
+    """Attach what observes a point to its network, the one place that
+    does: ``probe``, and for a ``check`` point the checks beside it
+    (``repro.monitor.attach_checks``, whose registry is returned; else
+    ``None``). An array core refuses a probe it cannot drive here."""
+    if check:  # imported here: unchecked points never load the monitors
+        from ..monitor.registry import attach_checks
+        return attach_checks(net, probe, stride)
+    if probe is not None:
+        net.bind_probe(probe)
+    return None
 
 
 def _core_fields(net) -> dict:
@@ -337,7 +368,9 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
 
     ``probe`` attaches an instrumentation probe for this run; probed runs
     never read or populate the memo (the probe observes the simulation, so
-    a cached result would silently skip it). ``check=True`` additionally
+    a cached result would silently skip it), and an ``auto`` point whose
+    probe the array core refuses (``FlitTracer``) runs on the scalar core,
+    ``manifest["refused"]`` saying why. ``check=True`` additionally
     attaches invariant checking (``repro.monitor.attach_checks``: the
     full scalar monitor suite on the scalar core, ``kernel.c``'s
     invariant walk every ``check_stride`` stepped cycles on the
@@ -346,7 +379,9 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     ``check_stride`` below 1 raises ``ValueError`` (``check_stride_of``).
     Unchecked, unprobed runs are answered by ``resolve`` (memo, then the
     default store) and a simulated one goes through ``persist``, as
-    every point of a sweep does.
+    every point of a sweep does. Every point, observed or not, runs on a
+    network from the idle pool when one fits and parks it after a clean
+    run.
     """
     check_stride_of(check_stride)
     use_cache = use_cache and probe is None and not check
@@ -355,16 +390,10 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
         if hit is not None:
             return hit[0]
     start = time.perf_counter()
-    # Monitored runs get a network of their own, before and after: what a
-    # probe or monitor sees must not depend on what ran here earlier. A
-    # checked one is built bare: monitors attach after construction so
-    # the vector cores take the checker path, not a probe refusal.
-    reuse = probe is None and not check
-    net, how, park, refused = _network_for(config, None if check else probe,
-                                           reuse)
-    (result,) = _simulate([config], net, start, how, probe=probe,
-                          check=check, check_stride=check_stride, park=park,
-                          refused=refused)
+    net, how, park, registry, refused = _network_for(
+        config, probe=probe, check=check, stride=check_stride)
+    (result,) = _simulate([config], net, start, how, registry, park,
+                          refused)
     if use_cache:
         persist(result, store=_default_store)
     return result
@@ -404,7 +433,7 @@ def run_batch_experiments(configs, *, check: bool = False,
     reruns the lanes solo, where ``auto`` falls back. No cache layer is
     read or written: the scheduler resolves those first and writes
     lanes through after. The chip comes from and goes back to the idle
-    pool as ``run_experiment``'s does (a checked one does neither).
+    pool as ``run_experiment``'s does, checked or not.
 
     ``check=True`` attaches one ``VectorInvariantChecker`` to the shared
     chip (the walk every ``check_stride`` stepped cycles covers every
@@ -424,13 +453,12 @@ def run_batch_experiments(configs, *, check: bool = False,
     from ..network.vectorized import BatchNetwork
     start = time.perf_counter()
     net_cfg, seeds = _net_config(first), [cfg.seed for cfg in configs]
-    net, how, park = _lease(
-        _idle_key(first, net_cfg, BatchNetwork, len(configs)), not check,
-        lambda: BatchNetwork(topo, net_cfg, routing=routing,
-                             vc_policy=first.vc_policy, seeds=seeds),
-        seeds, net_cfg, first.vc_policy)
-    return _simulate(configs, net, start, how, check=check,
-                     check_stride=check_stride, park=park)
+    park = _idle_key(first, net_cfg, BatchNetwork, len(configs))
+    net, how = _lease(park, lambda: BatchNetwork(
+        topo, net_cfg, routing=routing, vc_policy=first.vc_policy,
+        seeds=seeds), seeds, net_cfg, first.vc_policy)
+    registry = _observe(net, None, check, check_stride)
+    return _simulate(configs, net, start, how, registry, park)
 
 
 def load_unit(configs, check: bool = False) -> None:
@@ -468,23 +496,20 @@ def load_unit(configs, check: bool = False) -> None:
         return
 
 
-def _simulate(configs, net, start: float, how: str, *, probe=None,
-              check: bool = False, check_stride: int = 1,
-              park=None, refused: str | None = None) -> list[Result]:
-    """Everything after construction, for a solo point and the lanes of
-    a batch alike: monitors, traffic, drain, the end-of-run invariant
-    sweep, then one manifest and one ``Result`` per config. ``net``,
-    ``how`` (leased or built) and ``park`` are ``_lease``'s answers at
-    ``start``: a ``BatchNetwork`` with a lane per config, else the one
-    config's own network. ``refused`` is the refusal an ``auto`` point
-    fell back to the scalar core on; the manifest records it.
+def _simulate(configs, net, start: float, how: str, registry, park,
+              refused: str | None = None) -> list[Result]:
+    """Everything after the network is leased or built and observed, for
+    a solo point and the lanes of a batch alike: traffic, drain, the
+    end-of-run invariant sweep, then one manifest and one ``Result`` per
+    config, and ``net`` back to the pool under ``park``. ``net`` (a
+    ``BatchNetwork`` with a lane per config, else the one config's own
+    network) and ``how`` (leased or built) are the lease's answers at
+    ``start``, ``registry`` the checks ``_observe`` attached (``None``:
+    unchecked). ``refused`` is the refusal an ``auto`` point fell back
+    to the scalar core on; the manifest records it.
     """
     first = configs[0]
     batched = backend_of(net) == "batched"
-    registry = None
-    if check:  # imported here: unchecked points never load the monitors
-        from ..monitor.registry import attach_checks
-        registry = attach_checks(net, probe, check_stride)
     if first.benchmark is not None:
         from ..traffic.trace import TraceReplayTraffic
         replay = TraceReplayTraffic(get_trace(
@@ -531,11 +556,11 @@ def _simulate(configs, net, start: float, how: str, *, probe=None,
                                 extra={**core, **where, "network": how})
         results.append(Result.from_stats(cfg, stats, manifest=manifest,
                                          monitor_report=monitor_report))
-    if park is not None:  # drained clean: fit for the next point
-        _idle_networks[park] = net
-        _idle_networks.move_to_end(park)
-        if len(_idle_networks) > _IDLE_NETWORKS_MAX:
-            _idle_networks.popitem(last=False)  # the least recently back
+    # Drained clean: fit for the next point, which resets it.
+    _idle_networks[park] = net
+    _idle_networks.move_to_end(park)
+    if len(_idle_networks) > _IDLE_NETWORKS_MAX:
+        _idle_networks.popitem(last=False)  # the least recently back
     return results
 
 

@@ -31,7 +31,7 @@ from ..network.config import (ALL_SCHEMES, BASELINE, PC_SCHEMES, PSEUDO_SB,
 from .experiment import ExperimentConfig
 from .parallel import run_experiments
 from .report import print_table, reduction
-from .traces import get_cmp_run
+from .traces import extract
 
 #: Benchmarks used by the reduced (bench-suite) figure runs.
 QUICK_BENCHMARKS = ("fma3d", "equake", "blackscholes", "specjbb", "fft",
@@ -73,11 +73,10 @@ def fig1(benchmarks=QUICK_BENCHMARKS, cycles: int = 2000, seed: int = 1,
     """End-to-end vs crossbar-connection temporal locality per benchmark."""
     rows = []
     for bench in benchmarks:
-        system = get_cmp_run(bench, cycles=cycles, seed=seed)
-        stats = system.network.stats
+        run = extract(bench, cycles=cycles, seed=seed)
         rows.append({"benchmark": bench,
-                     "e2e_locality": stats.e2e_locality,
-                     "xbar_locality": stats.xbar_locality})
+                     "e2e_locality": run.e2e_locality,
+                     "xbar_locality": run.xbar_locality})
     avg = {"benchmark": "average",
            "e2e_locality": sum(r["e2e_locality"] for r in rows) / len(rows),
            "xbar_locality": sum(r["xbar_locality"] for r in rows) / len(rows)}

@@ -59,9 +59,7 @@ def assert_probes_cold(network) -> None:
         raise OverheadGateError("network carries a probe by default")
     if not hasattr(network, "routers"):
         chip = network._kernel.chip
-        for hot, what in ((network._vprobe, "a vector probe"),
-                          (network._checker, "an invariant checker"),
-                          (network._vhooks, "hook emission enabled"),
+        for hot, what in ((network._checker, "an invariant checker"),
                           (chip.events_on, "kernel event recording on"),
                           (chip.check_stride, "kernel invariant walk on"),
                           (chip.profile_on, "kernel phase timers on")):

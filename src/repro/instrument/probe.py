@@ -2,17 +2,18 @@
 
 A probe receives the events the network cores emit. The null object is
 literally ``None``: scalar components hold ``_probe = None`` and an array
-core an empty hook tuple when nothing observes, so the disabled hot path
+core ``probe = None`` when nothing observes, so the disabled hot path
 costs one pointer test per call site (``python -m repro bench`` keeps
 this honest). Attached probes (``bind_probe``) must never mutate what
 they are handed — the overhead gate asserts stats stay bit-identical.
 
 The scalar core makes one call per flit event (``flit`` arguments are
 live :class:`~repro.network.flit.Flit` objects, read-only). The array
-cores make *batched* calls after each compiled cycle — one per kind of
-event, carrying the index arrays the kernel recorded (global ids,
-lane-major on a batch) — and drive only a probe whose ``vector_hooks``
-is true: replaying the per-flit stream would serialize their loops.
+cores make one call after each compiled cycle, ``vec_cycle_end``, in
+which the probe reads that cycle's events off the network as index
+arrays by kind (``VectorNetwork.events``), and drive only a probe whose
+``vector_hooks`` is true: replaying the per-flit stream would serialize
+their loops.
 
 ========================  ==================================================
 ``bind``                  called once when attached to a network
@@ -38,12 +39,8 @@ is true: replaying the per-flit stream would serialize their loops.
 ``on_inject``             packet left its source queue into the network
 ``on_eject``              packet fully reassembled at its destination NIC
 *array cores*
-``vec_inject``            one packet left its source queue (terminal)
-``vec_ejects``            packets fully reassembled (terminal array)
-``vec_buffer_writes``     flits written into input VC buffers (ivc array)
-``vec_traversals``        a crossbar traversal batch (duplicate-free ivc
-                          array; ``via``, and ``popped`` as ``read``)
-``vec_cycle_end``         the cycle's last event has been handed over
+``vec_cycle_end``         the cycle has run; its events are
+                          ``network.events()`` until the next cycle
 ========================  ==================================================
 """
 
@@ -55,8 +52,8 @@ class Probe:
     need. Attach with :meth:`repro.network.simulator.Network.bind_probe`
     (or ``VectorNetwork.bind_probe``, if ``vector_hooks``)."""
 
-    #: Whether the array cores may drive this probe with the ``vec_*``
-    #: hooks; they refuse one that needs the per-flit stream.
+    #: Whether the array cores may drive this probe through
+    #: ``vec_cycle_end``; they refuse one that needs the per-flit stream.
     vector_hooks = False
 
     def bind(self, network) -> None:
@@ -112,19 +109,6 @@ class Probe:
         pass
 
     # -- array cores ----------------------------------------------------------
-
-    def vec_inject(self, cycle: int, terminal: int) -> None:
-        pass
-
-    def vec_ejects(self, cycle: int, terminals) -> None:
-        pass
-
-    def vec_buffer_writes(self, cycle: int, ivcs) -> None:
-        pass
-
-    def vec_traversals(self, cycle: int, via: str, popped: bool,
-                       ivcs) -> None:
-        pass
 
     def vec_cycle_end(self, cycle: int, network) -> None:
         pass
@@ -191,22 +175,6 @@ class CompositeProbe(Probe):
     def on_cycle_start(self, cycle, network):
         for p in self.probes:
             p.on_cycle_start(cycle, network)
-
-    def vec_inject(self, cycle, terminal):
-        for p in self.probes:
-            p.vec_inject(cycle, terminal)
-
-    def vec_ejects(self, cycle, terminals):
-        for p in self.probes:
-            p.vec_ejects(cycle, terminals)
-
-    def vec_buffer_writes(self, cycle, ivcs):
-        for p in self.probes:
-            p.vec_buffer_writes(cycle, ivcs)
-
-    def vec_traversals(self, cycle, via, popped, ivcs):
-        for p in self.probes:
-            p.vec_traversals(cycle, via, popped, ivcs)
 
     def vec_cycle_end(self, cycle, network):
         for p in self.probes:

@@ -12,9 +12,9 @@ fast-forwards (the skipped cycles are event-free by construction; skipped
 windows are emitted with zero activity and the carried occupancy).
 
 One probe serves every core: on the scalar ``Network`` it counts the
-``on_*`` events into lists, on an array core the ``vec_*`` hooks into
-arrays of the network's numpy, with bit-identical rows. A batch's rows
-span every lane (lane-major router ids); :meth:`lane_view` cuts one out.
+``on_*`` events into lists, on an array core each cycle's ``events()``
+into arrays of the network's numpy (``vec_cycle_end``), with
+bit-identical rows.
 
 Exports:
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from types import SimpleNamespace
 
 from .probe import Probe
 
@@ -100,27 +99,22 @@ class TimeSeriesProbe(Probe):
     def on_eject(self, cycle, terminal, packet):
         self._acc["ejected"][self._terminal_router[terminal]] += 1
 
-    def vec_inject(self, cycle, terminal):
-        self._acc["injected"][self._terminal_router[terminal]] += 1
-
-    def vec_ejects(self, cycle, terminals):
-        self._np.add.at(self._acc["ejected"],
-                        self._terminal_router[terminals], 1)
-
-    def vec_buffer_writes(self, cycle, ivcs):
-        self._np.add.at(self._acc["buffer_writes"],
-                        ivcs // self._ivc_router, 1)
-
-    def vec_traversals(self, cycle, via, popped, ivcs):
-        acc, add = self._acc, self._np.add.at
-        routers = ivcs // self._ivc_router
-        add(acc["hops"], routers, 1)
-        if via != "sa":
-            add(acc["sa_bypass"], routers, 1)
-            if via == "buf":
-                add(acc["buf_bypass"], routers, 1)
-        if popped:
-            add(acc["buffer_reads"], routers, 1)
+    def vec_cycle_end(self, cycle, network):
+        events = network.events()
+        acc, add, per = self._acc, self._np.add.at, self._ivc_router
+        add(acc["buffer_writes"], events["buffer_writes"] // per, 1)
+        for via, popped, ivcs in events["traversals"]:
+            routers = ivcs // per
+            add(acc["hops"], routers, 1)
+            if via != "sa":
+                add(acc["sa_bypass"], routers, 1)
+                if via == "buf":
+                    add(acc["buf_bypass"], routers, 1)
+            if popped:
+                add(acc["buffer_reads"], routers, 1)
+        for key, terminals in (("injected", events["starts"]),
+                               ("ejected", events["ejects"])):
+            add(acc[key], self._terminal_router[terminals], 1)
 
     # -- window management ----------------------------------------------------
 
@@ -164,28 +158,6 @@ class TimeSeriesProbe(Probe):
             self._close(cycle)
 
     # -- derived views --------------------------------------------------------
-
-    def lane_view(self, lane: int) -> TimeSeriesProbe:
-        """A probe holding lane ``lane``'s rows of a ``BatchNetwork``
-        run — a solo run's rows, whose exporters work against the batch's
-        solo topology (:meth:`flush` first). Only the last window's
-        ``end`` may be later than solo: the chip drains to its slowest
-        lane, idle for this one."""
-        net = self._network
-        lanes = getattr(net, "_lanes", 1)
-        if not 0 <= lane < lanes:
-            raise ValueError(f"lane {lane} out of range (lanes={lanes})")
-        solo = self._num // lanes
-        view = TimeSeriesProbe(window=self.window, capacity=self.capacity)
-        view._num = solo
-        view._network = SimpleNamespace(topology=net.topology,
-                                        cycle=net.cycle)
-        lo, hi = lane * solo, (lane + 1) * solo
-        for sample in self.samples:
-            view.samples.append({key: value[lo:hi]
-                                 if isinstance(value, list) else value
-                                 for key, value in sample.items()})
-        return view
 
     def network_rows(self) -> list[dict]:
         """Network-wide totals per window (activity summed over routers)."""

@@ -90,15 +90,16 @@ def default_registry(strict: bool = True) -> MetricsRegistry:
 
 
 def attach_checks(net, probe=None, stride: int = 1) -> MetricsRegistry:
-    """Attach what observes a checked run to a freshly built network,
-    with ``probe`` beside it: the one statement of it, for
+    """Attach what observes a checked run to a bare network, built or
+    leased, with ``probe`` beside it: the one statement of it, for
     ``run_experiment(check=True)`` and the bench gate alike.
 
     The scalar core binds the strict ``default_registry``'s composite
-    probe (merged with ``probe``); an array core binds ``probe``,
-    attaches the strict ``VectorInvariantChecker`` (``kernel.c`` walks
-    the chip every ``stride`` stepped cycles, inside the call that runs
-    them) and switches on the per-phase profiler. Returns the registry
+    probe (merged with ``probe``); an array core binds ``probe`` (or
+    refuses it, before anything is attached), attaches the strict
+    ``VectorInvariantChecker`` (``kernel.c`` walks the chip every
+    ``stride`` stepped cycles, inside the call that runs them) and
+    switches on the per-phase profiler. Returns the registry
     whose ``finish`` / ``snapshot`` give the run's metrics document.
     """
     if hasattr(net, "attach_checker"):

@@ -70,7 +70,7 @@ class Network:
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing: RoutingAlgorithm | str = "xy",
                  vc_policy: VCAllocationPolicy | str = "dynamic",
-                 seed: int = 1, probe=None):
+                 seed: int = 1):
         self.topology = topology
         self.config = config
         if isinstance(routing, str):
@@ -107,8 +107,6 @@ class Network:
         for link_id, link in enumerate(self.links):
             link.bind(link_id, self._live_links)
         self._reset_own()
-        if probe is not None:
-            self.bind_probe(probe)
 
     def reset(self, seed: int = 1) -> None:
         """Back to the state of a freshly built network seeded ``seed``.
@@ -395,12 +393,10 @@ class Network:
 def build_network(topology: Topology, routing: str = "xy",
                   vc_policy: str = "dynamic",
                   config: NetworkConfig | None = None,
-                  seed: int = 1, probe=None,
-                  **config_overrides) -> Network:
+                  seed: int = 1, **config_overrides) -> Network:
     """Convenience constructor used by examples and the harness."""
     if config is None:
         config = NetworkConfig(**config_overrides)
     elif config_overrides:
         raise ValueError("pass either config or keyword overrides, not both")
-    return Network(topology, config, routing, vc_policy, seed=seed,
-                   probe=probe)
+    return Network(topology, config, routing, vc_policy, seed=seed)

@@ -48,13 +48,12 @@ class BatchNetwork(VectorNetwork):
     """
 
     def __init__(self, topology: Topology, config: NetworkConfig,
-                 routing="xy", vc_policy="dynamic", seeds=(1,),
-                 probe=None):
+                 routing="xy", vc_policy="dynamic", seeds=(1,)):
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("BatchNetwork needs at least one lane seed")
         super().__init__(topology, config, routing=routing,
-                         vc_policy=vc_policy, seed=seeds[0], probe=probe,
+                         vc_policy=vc_policy, seed=seeds[0],
                          lanes=len(seeds), lane_seeds=seeds)
         self.lanes = len(seeds)
         self.lane_seeds = seeds

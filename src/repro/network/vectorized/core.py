@@ -44,9 +44,9 @@ start in it, as on the scalar core:
   a skip.
 
 Observability is array-native: a probe with ``vector_hooks`` set
-(``TimeSeriesProbe``) attaches through ``bind_probe`` and receives, after
-each cycle, the batched ``vec_*`` hooks of ``instrument/probe.py`` — the
-index arrays the kernel recorded while one was attached; the invariant
+(``TimeSeriesProbe``) attaches through ``bind_probe``, and after each
+cycle its one call, ``vec_cycle_end``, reads the index arrays the kernel
+recorded of that cycle while it was bound (``events``); the invariant
 checker (``attach_checker``, ``--check``) has the kernel walk the chip
 every ``stride`` cycles it steps (``kernel.c``'s ``check_chip``), inside
 the same call; ``enable_profile`` has the kernel time its stages.
@@ -141,7 +141,7 @@ class VectorNetwork:
 
     def __init__(self, topology: Topology, config: NetworkConfig,
                  routing="xy", vc_policy="dynamic", seed: int = 1,
-                 probe=None, lanes: int = 1, lane_seeds=None):
+                 lanes: int = 1, lane_seeds=None):
         np = require_numpy()
         self._np = np
         self.topology = topology
@@ -299,8 +299,6 @@ class VectorNetwork:
         self._walk_names = kernel.walk
         self.config, self.vc_policy = config, vc_policy
         VectorNetwork.reset(self, seed, config, vc_policy, lane_seeds)
-        if probe is not None:
-            self.bind_probe(probe)
 
     def reset(self, seed: int = 1, config: NetworkConfig | None = None,
               vc_policy=None, lane_seeds=None) -> None:
@@ -355,12 +353,10 @@ class VectorNetwork:
         self._stats_read = True
         #: Who drew the last run's traffic: the kernel or ``inject``.
         self.traffic_source = "python"
-        # Observability: an optional window probe consumes the batched
-        # hooks after each cycle (``_vhooks``; the kernel records events
-        # only while one is attached), an optional invariant checker
-        # raises what the kernel's walk finds.
-        self.probe = self._vprobe = self._checker = None
-        self._vhooks = ()
+        # Observability: an optional probe reads each cycle's events
+        # after it (the kernel records them only while one is bound), an
+        # optional invariant checker raises what the kernel's walk finds.
+        self.probe = self._checker = None
 
     # -- pools ----------------------------------------------------------------
     # A packet slot and its contiguous flit block live exactly as long
@@ -497,7 +493,7 @@ class VectorNetwork:
         the checker raise what the walk found, raise the error a code
         stands for. Cycles are kept in 32 bits: a window that would run
         past the last cycle they hold stops there and is refused."""
-        view, hooks, started = self._view, self._vhooks, None
+        view, probe, started = self._view, self.probe, None
         state = view.state
         end = min(stop, self._cycle_room)
         # Lane 0's warm-up is ``stats.warmup_cycles``, which a caller may
@@ -505,11 +501,10 @@ class VectorNetwork:
         view.lane_warmup[0] = self._stats.warmup_cycles
         while True:
             c = self.cycle
-            if (hooks and c != started and c < end
+            if (probe is not None and c != started and c < end
                     and not (drain and self.quiescent())):
                 started = c     # the cycle the call runs first
-                for h in hooks:
-                    h.on_cycle_start(c, self)
+                probe.on_cycle_start(c, self)
             code = self._call(self._chip, c, end, drain)
             self._stats_read = False
             self.cycle = state[self._S_CYCLE]
@@ -538,8 +533,8 @@ class VectorNetwork:
             if code == RUN_FOUND:
                 walk = self._walk_record()
                 self._checker.found(walk["cycle"], *self._finding(walk))
-            if hooks:
-                self._dispatch(c, hooks)
+            if probe is not None:
+                probe.vec_cycle_end(c, self)
 
     def _after_ejections(self) -> list:
         """For each row the last cycle left in ``ej_out``: write the
@@ -577,31 +572,23 @@ class VectorNetwork:
             if callback is not None:
                 callback(pkt, pkt.eject_cycle)
 
-    def _dispatch(self, c: int, hooks) -> None:
-        """Hand the attached observers the events of cycle ``c``, one
-        batched call per kind (copies: the kernel reuses the buffers)."""
-        k = self._kernel
-        events = self._event_names
-        n = dict(zip(events, k.n[:len(events)].tolist()))
-        if n["ej"]:
-            terminals = k.ev_ej[:n["ej"]].copy()
-            for h in hooks:
-                h.vec_ejects(c, terminals)
-        for (via, popped), base in zip(
-                _KERNEL_VIAS, range(0, 3 * self._NIP, self._NIP)):
-            if n[via]:
-                ivcs = k.ev_trav[base:base + n[via]].copy()
-                for h in hooks:
-                    h.vec_traversals(c, via, popped, ivcs)
-        if n["bw"]:
-            ivcs = k.ev_bw[:n["bw"]].copy()
-            for h in hooks:
-                h.vec_buffer_writes(c, ivcs)
-        for t in k.ev_inj[:n["inj"]].tolist():
-            for h in hooks:
-                h.vec_inject(c, t)
-        for h in hooks:
-            h.vec_cycle_end(c, self)
+    def events(self) -> dict:
+        """The events of the cycle the last kernel call ran, which it
+        records while a probe is bound, as index arrays by kind (global
+        ids, lane-major on a batch): ``buffer_writes`` (input VCs
+        written), ``traversals`` (one ``(via, popped, ivcs)`` per way
+        across the crossbar, in the kernel's order: ``sa`` and ``pc``
+        pop the flit they move, ``buf`` bypasses the buffer; no input VC
+        twice in one), ``starts`` (terminals whose packet left its
+        source queue) and ``ejects`` (terminals that reassembled one).
+        Views of the kernel's buffers: valid until its next call."""
+        k, nip = self._kernel, self._NIP
+        n = dict(zip(self._event_names, k.n[:len(self._event_names)].tolist()))
+        return {"buffer_writes": k.ev_bw[:n["bw"]],
+                "traversals": [(via, popped, k.ev_trav[at:at + n[via]])
+                               for (via, popped), at in zip(
+                                   _KERNEL_VIAS, range(0, 3 * nip, nip))],
+                "starts": k.ev_inj[:n["inj"]], "ejects": k.ev_ej[:n["ej"]]}
 
     def fast_forward(self, bound: int, *traffic_next: int | None) -> None:
         """Skip to ``next_act`` of the cycle just run, as ``kernel.c``'s
@@ -740,7 +727,8 @@ class VectorNetwork:
         return self._read_counts(stats, lane)
 
     def bind_probe(self, probe) -> None:
-        """Attach a probe that takes the batched hooks (``vector_hooks``).
+        """Attach a probe that reads each cycle's ``events`` in its
+        ``vec_cycle_end`` (``vector_hooks``); ``reset`` detaches it.
 
         Probes that need the scalar per-event stream (``FlitTracer``,
         the scalar monitors) are refused loudly, by name, also inside a
@@ -758,8 +746,7 @@ class VectorNetwork:
                 f"{self.topology.name!r}) — use --backend scalar, or a "
                 f"vector-aware probe such as TimeSeriesProbe")
         probe.bind(self)
-        self.probe = self._vprobe = probe
-        self._vhooks = (probe,)
+        self.probe = probe
         self._kernel.chip.events_on = True
 
     def attach_checker(self, checker) -> None:

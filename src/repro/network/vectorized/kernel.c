@@ -1369,14 +1369,19 @@ static void pc_maintenance(Chip *ch)
     ENTER();
     i64 Pi = ch->Pi, Po = ch->Po;
     for (i64 k = 0; k < A(n, N_WORK); k++) {
-        /* Outputs some invalidated circuit still points at. The
-         * terminations below only add candidates at their own
-         * creditless port, so the snapshots stay exact. */
+        /* Outputs some invalidated circuit still points at (a port
+         * that names none -- a wrong bit -- is left to the walk's
+         * ``summary_r_pcinv``). The terminations below only add
+         * candidates at their own creditless port, so the snapshots
+         * stay exact. */
         i64 r = A(work, k), held = A(r_held, r), cand_outs = 0;
         uint64_t inv = ch->pc_speculation ? (uint64_t)A(r_pcinv, r) : 0;
         uint64_t ports = inv;
-        EACH_BIT(i, ports)
-            cand_outs |= BIT(A(pc_out_port, r * Pi + i));
+        EACH_BIT(i, ports) {
+            i64 out = A(pc_out_port, r * Pi + i);
+            if (out >= 0)
+                cand_outs |= BIT(out);
+        }
         uint64_t outs = (uint64_t)(held | cand_outs);
         EACH_BIT(out, outs) {
             i64 opid = r * Po + out;

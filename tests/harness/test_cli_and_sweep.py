@@ -120,6 +120,37 @@ def test_cli_flit_trace_on_an_array_core_exits_2(command, core, refusal,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("check", [False, True], ids=["unchecked",
+                                                     "checked"])
+def test_cli_traced_auto_run_answers_from_the_scalar_core(
+        check, tmp_path, capsys, process_backend):
+    """``run --trace`` under ``auto``, with or without ``--check``: the
+    array core refuses the tracer where observers attach, so the point
+    runs on the scalar core, its manifest says why, and the trace (and
+    the metrics document of a checked run) is written."""
+    import json
+
+    pytest.importorskip("numpy")
+    from repro.network.vectorized import kernel
+    if not kernel.load().status.startswith("c:"):
+        pytest.skip("no compiled cycle here: auto refuses the chip first")
+    out = tmp_path / "auto.json"
+    argv = ["run", "--backend", "auto", "--scheme", "pseudo_sb", "--kx",
+            "4", "--ky", "4", "--cycles", "100", "--trace",
+            str(tmp_path / "t"), "--out", str(out)]
+    assert main(argv + ["--check"] * check) == 0
+    assert (tmp_path / "t.jsonl").stat().st_size > 0
+    [row] = json.loads(out.read_text())["rows"]
+    assert row["manifest"]["backend"] == "scalar"
+    assert "cannot drive FlitTracer" in row["manifest"]["refused"]
+    metrics = tmp_path / "auto.metrics.json"
+    assert metrics.exists() == check
+    if check:
+        doc = json.loads(metrics.read_text())
+        assert doc["violation_count"] == 0
+        assert doc["runs"][0]["backend"] == "scalar"
+
+
 def test_cli_run_with_series(tmp_path, capsys):
     prefix = str(tmp_path / "r")
     assert main(["run", "--kx", "4", "--ky", "4", "--scheme", "pseudo_sb",
@@ -254,8 +285,9 @@ class TestBenchRoundTrip:
         cold_build = overhead.build_network
 
         def hot_build(*args, **kwargs):
-            kwargs.setdefault("probe", FlitTracer())
-            return cold_build(*args, **kwargs)
+            net = cold_build(*args, **kwargs)
+            net.bind_probe(FlitTracer())
+            return net
 
         monkeypatch.setattr(overhead, "build_network", hot_build)
         with pytest.raises(OverheadGateError, match="probe by default"):

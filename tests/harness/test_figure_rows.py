@@ -20,6 +20,7 @@ ONE_TRACE = {"benchmark": "radix", "trace_cycles": 200}
 
 #: The figure and the keyword arguments of each pinned run.
 RUNS = {
+    "fig1": (figures.fig1, {"benchmarks": ("radix",), "cycles": 200}),
     "fig8": (figures.fig8, TRACE),
     "fig9": (figures.fig9, TRACE),
     "fig10": (figures.fig10, TRACE),
@@ -33,6 +34,8 @@ RUNS = {
 
 #: SHA-256 of each run's rows. Figs. 9 and 10 return the same grid.
 DIGESTS = {
+    "fig1":
+        "8c75fc0faa3eb56d3575f5eaa5028ea0a2647572ed1277e461ded2637d6c92cb",
     "fig8":
         "ef60fd47b711953e777b261f146aa86f278fe78f78f87386a14e313bfcae81ff",
     "fig9":
@@ -59,8 +62,11 @@ def rows_digest(rows) -> str:
 
 
 def run_figure(name, **overrides):
+    """Figure ``name``'s pinned run, inline where it simulates points
+    (Fig. 1 reads its trace extractions and has no workers)."""
     fn, kwargs = RUNS[name]
-    return fn(**kwargs, show=False, **{"max_workers": 1, **overrides})
+    inline = {} if name == "fig1" else {"max_workers": 1}
+    return fn(**kwargs, show=False, **{**inline, **overrides})
 
 
 @pytest.fixture(autouse=True)

@@ -4,10 +4,12 @@
 networks per process and run the next point of the same shape on one of
 them after ``reset`` instead of constructing it again: ~1 300 objects of
 a scalar ``Network``, every array of an array core's ``Chip``. That is
-pure reuse: nothing a simulation reports may depend on what ran on its
-network before, a network whose run did not end clean is never used
-again, and monitored runs (``probe=``, ``check=True``) and
-``build_network`` stay outside the pool altogether. An array core's key
+pure reuse: nothing a simulation reports, nor anything an observer of it
+sees, may depend on what ran on its network before, and a network whose
+run did not end clean is never used again. Observed points (``probe=``,
+``check=True``) lease and park like any other, ``reset`` detaching what
+watched the last run; ``build_network`` stays outside the pool
+altogether. An array core's key
 leaves out the scheme and VC policy, which ``reset`` sets, so one chip
 serves every scheme of a shape; every manifest says whether its network
 was ``leased`` or ``built``.
@@ -28,7 +30,8 @@ from repro.harness.experiment import (ExperimentConfig, Result,
                                       run_batch_experiments, run_experiment)
 from repro.harness.parallel import run_experiments
 from repro.harness.traces import get_trace
-from repro.instrument import FlitTracer
+from repro.instrument import CompositeProbe, FlitTracer, TimeSeriesProbe
+from repro.instrument.overhead import assert_probes_cold
 from repro.metrics.stats import NetworkStats
 from repro.network.vc import BufferOverflowError
 from repro.network.config import (ALL_SCHEMES, BASELINE, PC_SCHEMES,
@@ -42,6 +45,7 @@ from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
 from repro.vcalloc import VCAllocationPolicy
 
+from ..instrument.test_overhead import CreditThief
 from ..network import exhaustive
 
 idle = experiment._idle_networks
@@ -273,7 +277,8 @@ def _state(obj, seen, path="net"):
 def _dirty(cfg, cycles=40):
     """A network stopped mid-run: flits buffered, credits in flight,
     circuits held, NICs sending, active sets populated, probe bound."""
-    net = build_network(cfg, probe=FlitTracer())
+    net = build_network(cfg)
+    net.bind_probe(FlitTracer())
     net.nics[0].keep_ejected = True
     net.nics[1].on_packet = lambda packet, cycle: None
     net.stats.warmup_cycles = 7
@@ -526,9 +531,40 @@ class TestFailedRunIsNeverLeasedAgain:
         assert _parked(cfg) is not doomed
 
 
-# -- runs that stay outside the pool ------------------------------------------
+# -- observed points lease like any other -------------------------------------
+
+def _unwalled(doc):
+    """A metrics document less what reads the clock (the phase profile's
+    times; its cycle counts stay)."""
+    if doc is None:
+        return None
+    doc = dict(doc)
+    profile = doc.pop("phase_profile", None)
+    if profile is not None:
+        doc["cycles"] = profile["stepped_cycles"], profile["ff_cycles"]
+    return doc
+
+
+def _observed(cfg, check):
+    """``cfg`` through ``run_experiment`` with a ``TimeSeriesProbe`` (and
+    on the scalar core a ``FlitTracer`` beside it) and, with ``check``,
+    the checks: how its network came, its metrics, its metrics document
+    without walls, the series rows and the traced event counts."""
+    series = TimeSeriesProbe(window=8)
+    tracer = FlitTracer() if cfg.backend == "scalar" else None
+    result = run_experiment(cfg, check=check, probe=series if tracer is None
+                            else CompositeProbe(tracer, series))
+    series.flush()
+    return (result.manifest["network"], _metrics(result),
+            _unwalled(result.monitor_report), list(series.samples),
+            tracer and tracer.counts)
+
 
 class TestMonitoredRunsAndBuildNetwork:
+    """A probed or checked point takes the idle network of its shape and
+    parks it after a clean run, as any point does, and reads as on a
+    network built for it; ``build_network`` is always new."""
+
     def _watched(self, cfg):
         """Result and event stream of a traced run (packet ids come from
         a process-wide counter: renumbered by first appearance)."""
@@ -539,31 +575,38 @@ class TestMonitoredRunsAndBuildNetwork:
                   if "pid" in ev else ev for ev in tracer.events]
         return result, events
 
-    def test_probe_runs_neither_take_nor_return(self, resets):
+    def test_probe_runs_lease_and_park(self, resets):
         cfg = _point(rate=0.2)
         cold = self._watched(cfg)
-        assert not idle
+        [net] = idle.values()
         run_experiment(replace(cfg, seed=2, rate=0.6), use_cache=False)
-        net = _parked(cfg)
-        left = _state(net, {})
-        assert self._watched(cfg) == cold
-        assert list(idle.values()) == [net] and not resets
-        assert _state(net, {}) == left
+        warm = self._watched(cfg)
+        assert warm == cold
+        assert [cold[0].manifest["network"], warm[0].manifest["network"]] \
+            == ["built", "leased"]
+        assert list(idle.values()) == [net] and resets == [net, net]
+        assert _metrics(warm[0]) == _fresh(cfg)[0]
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_checked_runs_neither_take_nor_return(self, backend, resets):
-        if backend != "scalar":
-            pytest.importorskip("numpy")
+    def test_checked_runs_lease_and_park(self):
+        self._checked_lease_and_park("scalar")
+
+    def test_checked_array_runs_lease_and_park(self, array_core):
+        self._checked_lease_and_park("vectorized")
+
+    def _checked_lease_and_park(self, backend):
+        """A checked point on ``backend`` builds, parks, and is leased
+        the same network again, reporting as it did on the new one."""
         cfg = _point(rate=0.2, backend=backend)
         cold = run_experiment(cfg, check=True)
-        assert not idle
-        run_experiment(_point(seed=2, rate=0.6), use_cache=False)
         [net] = idle.values()
+        run_experiment(replace(cfg, seed=2, rate=0.6), use_cache=False)
         warm = run_experiment(cfg, check=True)
         assert warm == cold
-        assert warm.monitor_report["monitors"] == \
-            cold.monitor_report["monitors"]
-        assert list(idle.values()) == [net] and not resets
+        assert _unwalled(warm.monitor_report) == \
+            _unwalled(cold.monitor_report)
+        assert [cold.manifest["network"], warm.manifest["network"]] == [
+            "built", "leased"]
+        assert list(idle.values()) == [net]
         assert cold == run_experiment(cfg, use_cache=False)
 
     def test_build_network_is_always_new(self, resets):
@@ -573,11 +616,113 @@ class TestMonitoredRunsAndBuildNetwork:
         assert not idle
         run_experiment(cfg, use_cache=False)
         net = _parked(cfg)
-        built = [build_network(cfg), build_network(cfg, probe=FlitTracer())]
+        built = [build_network(cfg), build_network(cfg)]
         assert all(other is not net and other is not first
-                   for other in built)
+                   and other.probe is None for other in built)
         assert list(idle.values()) == [net] and not resets
         assert net.cycle > 0  # untouched since its run
+
+
+class TestObservedReusedEqualsFresh:
+    """What an observer sees of a point, and what a checked point
+    reports, on a leased network equals the same on a new one: results,
+    metrics documents, series rows, traced event counts, and the first
+    violation of a seeded fault."""
+
+    @pytest.mark.parametrize("check", [False, True],
+                             ids=["probed", "checked"])
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_solo(self, backend, check, request):
+        if backend != "scalar":
+            request.getfixturevalue("array_core")
+        cfg = _point(rate=0.2, backend=backend)
+        fresh = _observed(cfg, check)
+        [net] = idle.values()
+        run_experiment(replace(cfg, seed=2, rate=0.6), use_cache=False)
+        leased = _observed(cfg, check)
+        assert (fresh[0], leased[0]) == ("built", "leased")
+        assert leased[1:] == fresh[1:] and fresh[3]
+        assert (fresh[2] is not None) == check
+        assert fresh[1] == _fresh(cfg)[0]
+        assert list(idle.values()) == [net]
+
+    def test_a_checked_four_lane_unit(self, array_core):
+        unit = [_point(rate=0.2, backend="auto", seed=seed)
+                for seed in (21, 22, 23, 24)]
+
+        def checked():
+            results = run_batch_experiments(unit, check=True)
+            return ([r.manifest["network"] for r in results],
+                    [_metrics(r) for r in results],
+                    [_unwalled(r.monitor_report) for r in results])
+        fresh = checked()
+        [net] = idle.values()
+        run_batch_experiments([replace(cfg, rate=0.6, seed=cfg.seed + 9)
+                               for cfg in unit])
+        leased = checked()
+        assert (fresh[0], leased[0]) == (["built"] * 4, ["leased"] * 4)
+        assert leased[1:] == fresh[1:]
+        assert fresh[1] == _batch_fresh(unit)
+        assert list(idle.values()) == [net]
+        assert type(net) is array_core.BatchNetwork
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_a_seeded_fault_is_named_alike(self, backend, request):
+        if backend != "scalar":
+            request.getfixturevalue("array_core")
+        cfg = _point(rate=0.2, backend=backend)
+
+        def first_violation():
+            with pytest.raises(InvariantViolation) as found:
+                run_experiment(cfg, probe=CreditThief(), check=True)
+            assert not idle  # a run that raised parks nothing
+            return found.value.to_dict()
+        fresh = first_violation()
+        run_experiment(replace(cfg, seed=2, rate=0.6), use_cache=False)
+        assert len(idle) == 1  # taken by the next point
+        assert first_violation() == fresh
+        assert fresh["cycle"] >= 20
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_the_next_point_detaches_what_watched_the_last(self, backend,
+                                                            request):
+        if backend != "scalar":
+            request.getfixturevalue("array_core")
+        cfg = _point(rate=0.2, backend=backend)
+        series = TimeSeriesProbe(window=8)
+        run_experiment(cfg, probe=series, check=True)
+        [net] = idle.values()
+        assert net.probe is not None  # parked as its run left it
+        rows = list(series.samples)
+        run_experiment(replace(cfg, seed=2), use_cache=False)
+        assert list(idle.values()) == [net]
+        assert_probes_cold(net)
+        assert list(series.samples) == rows
+
+    @pytest.mark.parametrize("check", [False, True],
+                             ids=["unchecked", "checked"])
+    def test_an_auto_point_traced_runs_on_the_scalar_core(self, check,
+                                                           array_core):
+        """The array core refuses a ``FlitTracer`` where observers
+        attach, inside the ``auto`` rule's fallback: a traced ``auto``
+        point runs on the scalar core, checked or not, says why, and
+        parks the scalar network; the array chip it took is dropped,
+        nothing bound to it."""
+        cfg = _point(rate=0.2, backend="auto")
+        run_experiment(cfg, use_cache=False)
+        [chip] = idle.values()
+        tracer = FlitTracer()
+        result = run_experiment(cfg, probe=tracer, check=check)
+        assert result.manifest["backend"] == "scalar"
+        assert "cannot drive FlitTracer" in result.manifest["refused"]
+        assert tracer.counts["hop"] > 0
+        assert (result.monitor_report is not None) == check
+        if check:
+            assert result.monitor_report["violation_count"] == 0
+        scalar = replace(cfg, backend="scalar")
+        assert _metrics(replace(result, config=scalar)) == _fresh(scalar)[0]
+        assert [type(net) for net in idle.values()] == [Network]
+        assert chip.probe is None and chip._checker is None
 
 
 # -- the array cores ----------------------------------------------------------
@@ -587,7 +732,8 @@ def array_core():
     """The array cores' module, in a process that has their kernel."""
     pytest.importorskip("numpy")
     from repro.network import vectorized
-    loaded = vectorized.kernel.load()
+    from repro.network.vectorized import kernel
+    loaded = kernel.load()
     if not loaded.status.startswith("c:"):
         pytest.skip(f"no compiled cycle on this machine: {loaded.refusal()}")
     return vectorized
@@ -728,17 +874,18 @@ class TestArrayFailedRunIsNeverLeasedAgain:
             _fresh(cfg)[0]
         assert _parked(cfg, array_core.VectorNetwork) is not doomed
 
-    def test_monitored_runs_and_build_network_stay_out(self, array_core):
-        """Probed and checked runs neither take nor return an array chip,
-        and ``build_network`` never hands out the idle one."""
-        from repro.instrument import TimeSeriesProbe
+    def test_monitored_runs_and_build_network_on_an_array_chip(
+            self, array_core):
+        """Probed and checked points take the idle array chip and park it
+        again, each reading as a fresh run; ``build_network`` never hands
+        out the idle one."""
         cfg = _point(backend="vectorized", rate=0.3)
         run_experiment(cfg, use_cache=False)
         [net] = idle.values()
         probed = run_experiment(cfg, probe=TimeSeriesProbe())
         checked = run_experiment(cfg, check=True)
         assert probed.manifest["network"] == checked.manifest[
-            "network"] == "built"
+            "network"] == "leased"
         assert build_network(cfg) is not net
         assert list(idle.values()) == [net] and net.cycle > 0
         assert _metrics(probed) == _metrics(checked) == _fresh(cfg)[0]
@@ -775,8 +922,7 @@ def _python_side(net):
     """What the network keeps outside its ``Chip``."""
     return (net.cycle, net._nic_seeds, net.nic_rngs, net.p_obj,
             net._deliveries, net.stats.fingerprint(), net.traffic_source,
-            net.probe,
-            net._vhooks, net.config, net.vc_policy.name, net._pc_enabled,
+            net.probe, net.config, net.vc_policy.name, net._pc_enabled,
             net.profile(), getattr(net, "lane_seeds", None))
 
 

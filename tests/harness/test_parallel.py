@@ -82,25 +82,24 @@ class TestTraceExtraction:
         """Forked workers inherit the parent's trace cache: a pooled
         sweep over two benchmarks leaves both traces in the parent and
         extracts none in a worker."""
-        monkeypatch.setattr(traces, "_trace_cache", {})
-        monkeypatch.setattr(traces, "_cmp_cache", {})
-        parent, extract = os.getpid(), traces.get_cmp_run
+        monkeypatch.setattr(traces, "_extractions", {})
+        parent, real = os.getpid(), traces.extract
         log = tmp_path / "worker-extractions"
 
-        def get_cmp_run(*args):
-            if os.getpid() != parent:
+        def extract(*key):
+            if os.getpid() != parent and key not in traces._extractions:
                 with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(f"{args}\n")
-            return extract(*args)
+                    fh.write(f"{key}\n")
+            return real(*key)
 
-        monkeypatch.setattr(traces, "get_cmp_run", get_cmp_run)
+        monkeypatch.setattr(traces, "extract", extract)
         points = [ExperimentConfig(benchmark=bench, trace_cycles=100,
                                    trace_warmup=50, seed=seed,
                                    backend="scalar")
                   for bench in ("radix", "fft") for seed in (1, 2)]
         results = run_experiments(points, max_workers=2, chunk_size=1)
         assert [r.config for r in results] == points
-        assert set(traces._trace_cache) == {
+        assert set(traces._extractions) == {
             (bench, 100, 50, seed)
             for bench in ("radix", "fft") for seed in (1, 2)}
         assert not log.exists()

@@ -19,7 +19,8 @@ def test_default_network_is_cold():
 def test_hot_probe_is_detected():
     topo = make_topology("mesh", 4, 4, 1)
     config = NetworkConfig(num_vcs=2, buffer_depth=2, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config, probe=FlitTracer())
+    net = build_network(topo, config=config)
+    net.bind_probe(FlitTracer())
     with pytest.raises(OverheadGateError):
         assert_probes_cold(net)
 

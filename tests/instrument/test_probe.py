@@ -10,7 +10,10 @@ from repro.traffic.synthetic import SyntheticTraffic
 def small_net(probe=None):
     topo = make_topology("mesh", 4, 4, 1)
     config = NetworkConfig(num_vcs=2, buffer_depth=2, pseudo=PSEUDO_SB)
-    return build_network(topo, config=config, seed=3, probe=probe)
+    net = build_network(topo, config=config, seed=3)
+    if probe is not None:
+        net.bind_probe(probe)
+    return net
 
 
 class RecordingProbe(Probe):

@@ -87,7 +87,8 @@ def _trace_point(routing, scheme):
     log = EventLog()
     net = Network(make_topology("cmesh", 4, 4, 4),
                   NetworkConfig(pseudo=scheme, mshrs=4), routing=routing,
-                  vc_policy="dynamic", seed=7, probe=log)
+                  vc_policy="dynamic", seed=7)
+    net.bind_probe(log)
     replay = TraceReplayTraffic(get_trace("radix", cycles=150, warmup=200,
                                           seed=7))
     net.run(replay.horizon, replay)
@@ -99,7 +100,8 @@ def _mesh_point():
     log = EventLog()
     topo = make_topology("mesh", 4, 4, 1)
     net = Network(topo, NetworkConfig(pseudo=PSEUDO_SB), routing="xy",
-                  vc_policy="dynamic", seed=3, probe=log)
+                  vc_policy="dynamic", seed=3)
+    net.bind_probe(log)
     net.run(300, SyntheticTraffic("uniform", topo.num_terminals, 0.1, 5,
                                   seed=3))
     net.drain(max_cycles=100_000)

@@ -18,8 +18,8 @@ def run_with_series(window=32, cycles=300, rate=0.15, topology="mesh",
     tracer = FlitTracer()
     topo = make_topology(topology, 4, 4, concentration)
     config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config, seed=5,
-                        probe=CompositeProbe(tracer, series))
+    net = build_network(topo, config=config, seed=5)
+    net.bind_probe(CompositeProbe(tracer, series))
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=5)
     net.run(cycles, traffic)

@@ -13,7 +13,8 @@ def traced_run(cycles=300, rate=0.15, max_events=None, kx=4):
     tracer = FlitTracer(max_events=max_events)
     topo = make_topology("mesh", kx, kx, 1)
     config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config, seed=5, probe=tracer)
+    net = build_network(topo, config=config, seed=5)
+    net.bind_probe(tracer)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=5)
     net.run(cycles, traffic)

@@ -1,14 +1,15 @@
 """Series parity: ``TimeSeriesProbe`` rows are the same on every core.
 
-Bound to an array core the probe counts the batched ``vec_*`` hooks with
-numpy scatters; it is only trustworthy if those reproduce the rows its
-scalar per-event path records exactly — same window boundaries, same
-per-router occupancy snapshots, same activity counts — so every exporter
-(CSV, JSON, heatmap) downstream sees identical data whichever core ran.
-This suite pins that contract on the canonical bench workloads, checks
-that one probe instance serves scalar and vector networks in turn,
-per-lane batched views, and the zero-overhead gate on the array core
-(cold by default, instrumented runs bit-identical to bare runs).
+Bound to an array core the probe counts each cycle's ``events()`` with
+numpy scatters in its one call, ``vec_cycle_end``; it is only
+trustworthy if those reproduce the rows its scalar per-event path
+records exactly — same window boundaries, same per-router occupancy
+snapshots, same activity counts — so every exporter (CSV, JSON,
+heatmap) downstream sees identical data whichever core ran. This suite
+pins that contract on the canonical bench workloads, checks that one
+probe instance serves scalar and vector networks in turn, and the
+zero-overhead gate on the array core (cold by default, instrumented
+runs bit-identical to bare runs).
 """
 
 import pytest
@@ -19,7 +20,7 @@ from repro.instrument import CompositeProbe, FlitTracer, TimeSeriesProbe
 from repro.network.backend import BackendUnsupportedError
 from repro.network.config import BASELINE, PSEUDO_SB, NetworkConfig
 from repro.network.simulator import Network
-from repro.network.vectorized import BatchNetwork, VectorNetwork
+from repro.network.vectorized import VectorNetwork
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -78,7 +79,7 @@ class TestRowParity:
 
 class TestComposite:
     """A ``CompositeProbe`` is vector-aware exactly when every probe it
-    holds is, and fans the ``vec_*`` hooks out to each."""
+    holds is, and fans ``vec_cycle_end`` out to each."""
 
     def test_two_series_probes_record_what_a_lone_one_records(self):
         lone = TimeSeriesProbe(window=WINDOW)
@@ -88,7 +89,8 @@ class TestComposite:
         for probe in (lone, composite):
             topo = make_topology("mesh", 4, 4, 1)
             net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
-                                routing="xy", seed=7, probe=probe)
+                                routing="xy", seed=7)
+            net.bind_probe(probe)
             net.run(300, SyntheticTraffic("uniform", 16, 0.2, 5, seed=7))
             net.drain(max_cycles=500_000)
         lone.flush()
@@ -106,64 +108,6 @@ class TestComposite:
         with pytest.raises(BackendUnsupportedError,
                            match="cannot drive FlitTracer: per-flit"):
             net.bind_probe(composite)
-
-
-class TestLaneView:
-    """Per-lane batched views match solo runs of the same point."""
-
-    LANES = ((0.05, 3), (0.30, 11))
-
-    def test_lane_rows_match_solo(self):
-        topo = make_topology("mesh", 4, 4, 1)
-        batch_probe = TimeSeriesProbe(window=WINDOW)
-        net = BatchNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB),
-                           routing="xy", vc_policy="dynamic",
-                           seeds=[seed for _, seed in self.LANES])
-        net.bind_probe(batch_probe)
-        traffics = [SyntheticTraffic("uniform", topo.num_terminals, rate,
-                                     5, seed=seed)
-                    for rate, seed in self.LANES]
-        net.run_batch(traffics, [300] * len(self.LANES),
-                      warmups=[60] * len(self.LANES))
-        net.drain(max_cycles=500_000)
-        net.check_invariants()
-        batch_probe.flush()
-
-        for lane, (rate, seed) in enumerate(self.LANES):
-            solo_probe = TimeSeriesProbe(window=WINDOW)
-            _run(VectorNetwork, PSEUDO_SB, rate, 300, solo_probe,
-                 topo_args=("mesh", 4, 4, 1), seed=seed)
-            view = batch_probe.lane_view(lane)
-            solo = list(solo_probe.samples)
-            got = list(view.samples)
-            assert len(got) >= len(solo)
-            # The shared chip drains to its slowest lane, so the view
-            # may carry extra all-idle trailing windows and a later
-            # final ``end``; every count and occupancy must still match.
-            for idx, ref in enumerate(solo):
-                row = got[idx]
-                assert row["start"] == ref["start"]
-                if idx < len(solo) - 1:
-                    assert row["end"] == ref["end"]
-                for key in ref:
-                    if key not in ("start", "end"):
-                        assert row[key] == ref[key], (idx, key)
-            idle = {key: [0] * view._num for key in solo[0]
-                    if key not in ("start", "end", "occupancy")}
-            for row in got[len(solo):]:
-                for key, zeros in idle.items():
-                    assert row[key] == zeros
-                assert row["occupancy"] == [0] * view._num
-            assert view.heatmap()["grid"] is not None
-
-    def test_lane_out_of_range(self):
-        topo = make_topology("mesh", 4, 4, 1)
-        probe = TimeSeriesProbe(window=WINDOW)
-        net = BatchNetwork(topo, NetworkConfig(pseudo=BASELINE),
-                           routing="xy", vc_policy="dynamic", seeds=[1, 2])
-        net.bind_probe(probe)
-        with pytest.raises(ValueError, match="out of range"):
-            probe.lane_view(2)
 
 
 class TestOverheadGate:

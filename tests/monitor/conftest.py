@@ -13,7 +13,8 @@ def monitored_net(probe, kx=4, ky=4, rate=0.2, cycles=200, seed=3,
     config = NetworkConfig(num_vcs=num_vcs, buffer_depth=buffer_depth,
                            pseudo=scheme)
     topo = make_topology("mesh", kx, ky, 1)
-    net = build_network(topo, config=config, seed=seed, probe=probe)
+    net = build_network(topo, config=config, seed=seed)
+    net.bind_probe(probe)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=seed)
     net.run(cycles, traffic)

@@ -3,10 +3,11 @@
 ``kernel.c``'s ``check_chip`` is the one statement of the array core's
 invariants that runs (``VectorInvariantChecker``, ``--check``). This is
 the same set of rules stated a second way, as whole-array numpy
-reductions over the same ``Chip`` arrays, fed by the batched ``vec_*``
-hooks (the shadow writes - reads counts): what the tests hold the walk
-to. A seeded fault must be named by both, as the same first violation
-(rule, message, cycle and coordinates), and a clean run by neither.
+reductions over the same ``Chip`` arrays, fed by each cycle's recorded
+events (``VectorNetwork.events``: the shadow writes - reads counts):
+what the tests hold the walk to. A seeded fault must be named by both,
+as the same first violation (rule, message, cycle and coordinates), and
+a clean run by neither.
 
 Attach it as a probe (``net.bind_probe(SweepOracle(...))``): it sweeps at
 the bottom of every ``stride``-th stepped cycle, as the kernel walks, and
@@ -140,14 +141,12 @@ class SweepOracle(VectorInvariantChecker):
 
     # -- shadow accumulation --------------------------------------------------
 
-    def vec_buffer_writes(self, cycle, aivc):
-        self._np.add.at(self._w, aivc, 1)
-
-    def vec_traversals(self, cycle, via, popped, ivcs):
-        if popped:
-            self._r[ivcs] += 1  # ivcs duplicate-free per traversal batch
-
     def vec_cycle_end(self, cycle, network):
+        events = network.events()
+        self._np.add.at(self._w, events["buffer_writes"], 1)
+        for _, popped, ivcs in events["traversals"]:
+            if popped:
+                self._r[ivcs] += 1  # no input VC twice in one way
         self._tick += 1
         if self._tick >= self.stride:
             self._tick = 0

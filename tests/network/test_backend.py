@@ -94,7 +94,7 @@ class TestRefusals:
                                routing="xy", pattern="uniform",
                                backend="vectorized")
         with pytest.raises(BackendUnsupportedError, match="per-flit"):
-            build_network(cfg, probe=FlitTracer())
+            build_network(cfg).bind_probe(FlitTracer())
 
     def test_checked_run_supported(self):
         # --check no longer pins the scalar core: the vectorized path

@@ -52,7 +52,8 @@ class WriteCycles(Probe):
 
 class _Scalar(Network):
     def __init__(self, *args, **kw):
-        super().__init__(*args, probe=WriteCycles(), **kw)
+        super().__init__(*args, **kw)
+        self.bind_probe(WriteCycles())
 
 
 @pytest.mark.parametrize("case", GRID)
@@ -86,7 +87,8 @@ def test_compiled_scans_read_no_unready_front():
 
     class Counted(VectorNetwork):
         def __init__(self, *args, **kw):
-            super().__init__(*args, probe=FrontReads(), **kw)
+            super().__init__(*args, **kw)
+            self.bind_probe(FrontReads())
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "load_kernel", lambda: checked)

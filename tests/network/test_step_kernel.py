@@ -244,7 +244,7 @@ class TestPerPhaseDifferential:
 # -- observers ----------------------------------------------------------------
 
 class _Observer(Probe):
-    """Counts what each observer hook is handed."""
+    """Counts what each cycle's ``events()`` hold."""
 
     vector_hooks = True
 
@@ -252,19 +252,15 @@ class _Observer(Probe):
         self.seen = {"injects": 0, "ejects": 0, "buffer_writes": 0,
                      "sa": 0, "pc": 0, "buf": 0, "popped": 0}
 
-    def vec_inject(self, cycle, terminal):
-        self.seen["injects"] += 1
-
-    def vec_ejects(self, cycle, terminals):
-        self.seen["ejects"] += len(terminals)
-
-    def vec_buffer_writes(self, cycle, aivc):
-        self.seen["buffer_writes"] += len(aivc)
-
-    def vec_traversals(self, cycle, via, popped, ivcs):
-        assert len(set(ivcs.tolist())) == len(ivcs)
-        self.seen[via] += len(ivcs)
-        self.seen["popped"] += popped * len(ivcs)
+    def vec_cycle_end(self, cycle, network):
+        events = network.events()
+        self.seen["injects"] += len(events["starts"])
+        self.seen["ejects"] += len(events["ejects"])
+        self.seen["buffer_writes"] += len(events["buffer_writes"])
+        for via, popped, ivcs in events["traversals"]:
+            assert len(set(ivcs.tolist())) == len(ivcs)
+            self.seen[via] += len(ivcs)
+            self.seen["popped"] += popped * len(ivcs)
 
 
 @pytest.mark.parametrize("case", [
@@ -285,7 +281,7 @@ def test_observers_change_nothing_and_see_everything(case):
         net.attach_checker(VectorInvariantChecker(strict=True))
         return net
     net = _run(observed, topo_args, scheme, rate, cycles, **kw)
-    assert not bare._vhooks and net._vhooks == (observer,)
+    assert bare.probe is None and net.probe is observer
     assert net._kernel.chip.check_stride == 1
     assert net.stats.fingerprint() == bare.stats.fingerprint()
     assert net.cycle == bare.cycle

@@ -89,7 +89,7 @@ class TestCleanRuns:
         bare.drain(max_cycles=500_000)
         checked, _ = _checked_run(PSEUDO_SB, 0.25, 300)
         assert checked.stats.fingerprint() == bare.stats.fingerprint()
-        assert not checked._vhooks and not checked._kernel.chip.events_on
+        assert checked.probe is None and not checked._kernel.chip.events_on
 
     def test_stride_paces_sweeps(self):
         _, every = _checked_run(PSEUDO_SB, 0.10, 200)
@@ -343,6 +343,53 @@ class TestOneVerdict:
         assert v["rule"] == "summary_" + name
         assert 60 <= v["cycle"] < 60 + stride
         assert (v["lane"], v["router"]) == (lane if lanes > 1 else None, 5)
+
+
+class TestAStrayRestorableBit:
+    """An ``r_pcinv`` bit on a port that names no circuit
+    (``pc_out_port`` -1): the circuit upkeep restores nothing from it,
+    so the walk names it as ``summary_r_pcinv`` at the bottom of the
+    cycle it is first stepped with, the same way on every run and on the
+    bounds-checked build, where no access falls outside its array."""
+
+    @staticmethod
+    def _verdict():
+        """A strict stride-1 run at load 0.1 seeded at cycle 60 on a
+        router holding flits (on the next cycle's work list) at an input
+        port with no upstream, which no circuit can ever use; the
+        violation and the (router, port) seeded."""
+        topo = make_topology("mesh", 4, 4, 1)
+        net = VectorNetwork(topo, NetworkConfig(pseudo=PSEUDO_SB), seed=3)
+        net.attach_checker(VectorInvariantChecker(strict=True))
+        traffic = SyntheticTraffic("uniform", topo.num_terminals, 0.1, 5,
+                                   seed=3)
+        net.run(60, traffic)
+        Pi = net._Pi
+        r, p = next((r, p) for r in net._r_buffered.nonzero()[0].tolist()
+                    for p in range(Pi)
+                    if net._lay.ip_upbase[r * Pi + p] < 0)
+        assert net.pc_out_port[r * Pi + p] == -1 and net.pc_in_vc[
+            r * Pi + p] == -1
+        net.r_pcinv[r] |= 1 << p
+        with pytest.raises(InvariantViolation) as found:
+            net.run(40, traffic)
+        return found.value.to_dict(), (r, p)
+
+    def test_named_alike_on_every_run_of_the_release_build(self):
+        verdicts = [self._verdict() for _ in range(5)]
+        assert all(each == verdicts[0] for each in verdicts)
+        v, (r, p) = verdicts[0]
+        assert (v["rule"], v["cycle"], v["router"], v["port"]) == (
+            "summary_r_pcinv", 60, r, p)
+
+    def test_no_access_out_of_bounds_on_the_checked_build(self,
+                                                           monkeypatch):
+        built = kernel.load(kernel.CHECK_FLAGS)
+        assert built.status.startswith("c:"), built.refusal()
+        monkeypatch.setattr(core, "load_kernel", lambda: built)
+        v, (r, p) = self._verdict()
+        assert (v["rule"], v["cycle"], v["router"], v["port"]) == (
+            "summary_r_pcinv", 60, r, p)
 
 
 class TestStaleSummary:
