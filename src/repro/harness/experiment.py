@@ -229,9 +229,9 @@ def chip_plan(config: ExperimentConfig):
 
 #: Idle networks of this process, of every core, least recently used
 #: first: ``run_experiment`` and ``run_batch_experiments`` take one out
-#: (``_lease``), reset it to the point (which detaches what observed
-#: its last run), and put it back once the run drained clean, observed
-#: or not — never after a run that raised, nor for ``build_network``.
+#: (``_lease``), reset it to the point, and put it back once the run
+#: drained clean, observed or not (detached from what observed it) —
+#: never after a run that raised, nor for ``build_network``.
 #: Two entries hold what sweeps alternate
 #: between: a scalar baseline/pseudo pair (10.5 MB each on 16x16), or the
 #: 8x8 and 16x16 array chips of ``sat_points`` serving every scheme. It
@@ -556,7 +556,10 @@ def _simulate(configs, net, start: float, how: str, registry, park,
                                 extra={**core, **where, "network": how})
         results.append(Result.from_stats(cfg, stats, manifest=manifest,
                                          monitor_report=monitor_report))
-    # Drained clean: fit for the next point, which resets it.
+    # Drained clean: fit for the next point, which resets it. The pool
+    # keeps no observer of this one alive.
+    if registry is not None or net.probe is not None:
+        net.detach()
     _idle_networks[park] = net
     _idle_networks.move_to_end(park)
     if len(_idle_networks) > _IDLE_NETWORKS_MAX:

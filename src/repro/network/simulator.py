@@ -157,6 +157,13 @@ class Network:
             nic._probe = probe
         probe.bind(self)
 
+    def detach(self) -> None:
+        """Unbind the probe from the network and every component, as
+        ``reset`` does."""
+        self.probe = None
+        for part in (*self.routers, *self.links, *self.nics):
+            part._probe = None
+
     # -- construction ---------------------------------------------------------
 
     def _build_channels(self) -> None:

@@ -328,8 +328,7 @@ class VectorNetwork:
         chip.pc_bypass = pseudo.buffer_bypass
         chip.static_vc = vc_policy.name == "static"
         chip.mshrs = config.mshrs
-        chip.deliver_on = chip.profile_on = chip.err_id = chip.err_idx = 0
-        chip.events_on = chip.check_stride = 0
+        chip.deliver_on = chip.err_id = chip.err_idx = 0
         arrays = self._kernel._arrays
         for name, start in self._starts.items():
             arrays[name][...] = start
@@ -353,10 +352,7 @@ class VectorNetwork:
         self._stats_read = True
         #: Who drew the last run's traffic: the kernel or ``inject``.
         self.traffic_source = "python"
-        # Observability: an optional probe reads each cycle's events
-        # after it (the kernel records them only while one is bound), an
-        # optional invariant checker raises what the kernel's walk finds.
-        self.probe = self._checker = None
+        self.detach()
 
     # -- pools ----------------------------------------------------------------
     # A packet slot and its contiguous flit block live exactly as long
@@ -748,6 +744,17 @@ class VectorNetwork:
         probe.bind(self)
         self.probe = probe
         self._kernel.chip.events_on = True
+
+    def detach(self) -> None:
+        """Unbind the probe, the invariant checker and the profiler, as
+        ``reset`` does: the kernel records no event, walks nothing and
+        reads no clock."""
+        # Observability: an optional probe reads each cycle's events
+        # after it (the kernel records them only while one is bound), an
+        # optional invariant checker raises what the kernel's walk finds.
+        self.probe = self._checker = None
+        chip = self._kernel.chip
+        chip.events_on = chip.check_stride = chip.profile_on = 0
 
     def attach_checker(self, checker) -> None:
         """Attach the invariant checker (``--check``): from here on the

@@ -22,7 +22,8 @@ build once it is older than any compile may run); a file that fails its
 seal (truncated, garbage) is never handed to ``dlopen`` — it is rebuilt
 in place. The cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``,
 then ``repro/kernel``) must be owned by the caller and closed to
-everyone else, or it is refused. Before a handle is trusted it answers
+everyone else, or it is refused (``store.sealed.cache_dir``, the rule
+the trace cache follows too). Before a handle is trusted it answers
 a known-answer self-test: the ABI number, ``sizeof(Chip)`` against the
 ``ctypes`` mirror built from the same source text, and a two-router chip
 run for one whole cycle, then over a window with a skip in it, walked at
@@ -43,13 +44,13 @@ import hashlib
 import math
 import os
 import re
-import stat
 import subprocess
 import tempfile
 import time
 from functools import lru_cache
 from types import SimpleNamespace
 
+from ...store.sealed import cache_dir, cache_home
 from ..backend import BackendUnsupportedError
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
@@ -381,14 +382,11 @@ class Binding:
 def load(flags=RELEASE_FLAGS) -> Kernel:
     """The process's kernel for ``flags``: built, verified and loaded
     on the first call, answered from memory afterwards."""
-    return _load(os.environ.get("CC"),
-                 os.environ.get("XDG_CACHE_HOME")
-                 or os.path.join(os.path.expanduser("~"), ".cache"),
-                 tuple(flags))
+    return _load(os.environ.get("CC"), cache_home(), tuple(flags))
 
 
 @lru_cache(maxsize=None)
-def _load(cc_env, cache_home, flags) -> Kernel:
+def _load(cc_env, home, flags) -> Kernel:
     from ..backend import require_numpy
     np = require_numpy()
     compiler = _find_compiler(cc_env)
@@ -404,7 +402,7 @@ def _load(cc_env, cache_home, flags) -> Kernel:
                       detail=str(err))
     key = hashlib.sha256(
         b"\0".join((source, " ".join(flags).encode(), version))).hexdigest()
-    cache = _cache_dir(cache_home)
+    cache = cache_dir(home, "kernel")
     if cache is None:
         return Kernel("refused:cache-unwritable", compiler=asked)
     path = os.path.join(cache, f"step-{key[:32]}.so")
@@ -436,20 +434,6 @@ def _find_compiler(cc_env):
         if argv and out.returncode == 0:
             return argv, out.stdout
     return None
-
-
-def _cache_dir(cache_home: str) -> str | None:
-    """The artifact directory, created owner-only; ``None`` if it cannot
-    be made, is not the caller's, or is open to anyone else."""
-    path = os.path.join(cache_home, "repro", "kernel")
-    try:
-        os.makedirs(path, mode=0o700, exist_ok=True)
-        info = os.stat(path)
-    except OSError:
-        return None
-    if info.st_uid != os.getuid() or stat.S_IMODE(info.st_mode) & 0o077:
-        return None
-    return path
 
 
 def _sealed(path: str) -> bool:

@@ -49,7 +49,8 @@ import threading
 import time
 
 from ..instrument.provenance import config_hash
-from .sealed import Sealed, canonical_json, payload_checksum, seal, unseal
+from .sealed import (Sealed, canonical_json, payload_checksum, read_record,
+                     seal)
 from .serialize import payload_to_config
 
 #: Salt mixed into every store key; bump when simulation semantics change
@@ -250,11 +251,7 @@ class ResultStore:
         absent or bad. The envelope fields the maintenance commands read
         are checked here, so nothing downstream meets a half-formed
         entry."""
-        try:
-            with open(self._entry_path(key), "rb") as fh:
-                entry = unseal(fh.read(), ENTRY_SCHEMA)
-        except OSError:
-            return None
+        entry = read_record(self._entry_path(key), ENTRY_SCHEMA)
         if entry is None:
             return None
         envelope = entry.envelope

@@ -35,6 +35,12 @@ stream — are files of such lines, and share one writer and one reader:
   holds a final line back until its newline arrives; a one-shot read
   (:func:`read_sealed`) takes it, so a valid last line that lost only
   its newline is kept.
+
+A file that holds one record — a store entry, a trace cache entry — is
+read by :func:`read_record`. The per-user caches (the compiled cycle's
+artifacts, the extracted traces) live in directories :func:`cache_dir`
+makes and vouches for: owned by the caller and closed to everyone else,
+or not used at all.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 from typing import NamedTuple
 
 #: Structural bytes between the digest and the payload text. A ``"`` is
@@ -112,6 +119,40 @@ def unseal(line: bytes | str, schema: str) -> Sealed | None:
             or envelope.get("sha256") != digest):
         return None
     return Sealed(envelope, payload, text)
+
+
+def read_record(path: str, schema: str) -> Sealed | None:
+    """The :class:`Sealed` contents of the one ``schema`` record file
+    ``path`` holds, else ``None``: absent, unreadable and untrustworthy
+    alike."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    return unseal(data, schema)
+
+
+def cache_home() -> str:
+    """Where per-user caches go: ``$XDG_CACHE_HOME``, else
+    ``~/.cache``."""
+    return (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+
+
+def cache_dir(home: str, name: str) -> str | None:
+    """``<home>/repro/<name>``, created owner-only; ``None`` if it
+    cannot be made, is not the caller's, or is open to anyone else — a
+    cache nobody else can write is the only one a reader may trust."""
+    path = os.path.join(home, "repro", name)
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.stat(path)
+    except OSError:
+        return None
+    if info.st_uid != os.getuid() or stat.S_IMODE(info.st_mode) & 0o077:
+        return None
+    return path
 
 
 class SealedWriter:

@@ -14,10 +14,11 @@ from repro.network.flit import Packet
 
 @pytest.fixture(scope="session", autouse=True)
 def _private_kernel_cache(tmp_path_factory):
-    """The compiled router step (``network/vectorized/kernel.py``) builds
-    into this session's own cache: the suite neither reads nor leaves
-    anything under the user's ``~/.cache``, and workers it forks or
-    spawns inherit the same place."""
+    """The compiled router step (``network/vectorized/kernel.py``) and
+    the extracted CMP traces (``harness/traces.py``) are cached in this
+    session's own place: the suite neither reads nor leaves anything
+    under the user's ``~/.cache``, and workers it forks or spawns
+    inherit the same place."""
     patch = pytest.MonkeyPatch()
     patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
     yield

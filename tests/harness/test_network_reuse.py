@@ -7,8 +7,8 @@ a scalar ``Network``, every array of an array core's ``Chip``. That is
 pure reuse: nothing a simulation reports, nor anything an observer of it
 sees, may depend on what ran on its network before, and a network whose
 run did not end clean is never used again. Observed points (``probe=``,
-``check=True``) lease and park like any other, ``reset`` detaching what
-watched the last run; ``build_network`` stays outside the pool
+``check=True``) lease and park like any other, detached from what
+watched them at park; ``build_network`` stays outside the pool
 altogether. An array core's key
 leaves out the scheme and VC policy, which ``reset`` sets, so one chip
 serves every scheme of a shape; every manifest says whether its network
@@ -692,7 +692,7 @@ class TestObservedReusedEqualsFresh:
         series = TimeSeriesProbe(window=8)
         run_experiment(cfg, probe=series, check=True)
         [net] = idle.values()
-        assert net.probe is not None  # parked as its run left it
+        assert net.probe is None  # parked detached
         rows = list(series.samples)
         run_experiment(replace(cfg, seed=2), use_cache=False)
         assert list(idle.values()) == [net]
