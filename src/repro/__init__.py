@@ -29,7 +29,7 @@ _names, __getattr__, __dir__ = lazy_exports(__name__, {
                         "PSEUDO_B", "PSEUDO_S", "PSEUDO_SB", "NetworkConfig",
                         "PseudoCircuitConfig"),
     ".network.flit": ("Packet",),
-    ".network.simulator": ("Network", "build_network"),
+    ".network.simulator": ("Network",),
     ".topology": ("make_topology",),
     ".topology.fbfly": ("FlattenedButterfly",),
     ".topology.mecs": ("Mecs",),

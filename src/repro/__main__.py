@@ -526,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the report (+ manifest and "
                               "*.metrics.json sidecars) to this JSON; "
                               "nothing is written without it")
-    _add_backend_arg(bench_p)
     _add_store_arg(bench_p)
 
     compare_p = sub.add_parser(
@@ -595,8 +594,7 @@ def main(argv=None) -> int:
     if args.command == "all":
         return _cmd_all(args)
     if args.command == "bench":
-        run_bench(cycles=args.cycles, backend=args.backend or "scalar",
-                  out_path=args.out)
+        run_bench(cycles=args.cycles, out_path=args.out)
         return 0
     if args.command == "compare":
         return _cmd_compare(args)

@@ -8,7 +8,8 @@ does everything that observes really only observe, on *my* install":
   stats stay bit-identical, with no violation found, when what a
   checked run attaches and every probe the core accepts observe it
   (``repro.instrument.overhead``), at a low and a saturation load, on
-  the scalar core and, for any other backend, on the array core too;
+  the scalar core and on the array core wherever this process can build
+  it;
 * ``telemetry_cold_check`` — a telemetry-off sweep holds the off emitter
   and writes nothing, and a telemetry-on sweep returns bit-identical
   results (``repro.instrument.overhead``).
@@ -33,15 +34,14 @@ from ..network.backend import REFUSALS
 DEFAULT_CYCLES = 400
 
 
-def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
-              out_path: str | None = None, show: bool = True) -> dict:
+def run_bench(cycles: int = DEFAULT_CYCLES, out_path: str | None = None,
+              show: bool = True) -> dict:
     """Run every cold/identity gate; return (and optionally write) the report.
 
-    ``backend`` other than ``"scalar"`` adds the array-core gate (needs
-    numpy and a C compiler). Without them the gate's line says why; an
-    explicit ``vectorized`` then raises the refusal, while ``auto`` —
-    which would land on the scalar core — records it under
-    ``vectorized_overhead: {"refused": ...}`` and goes on. Nothing
+    Every core this process can build is gated: the scalar core always,
+    then the array core (needs numpy and a C compiler). Where the array
+    core is refused, the gate's line says why and the report records it
+    under ``vectorized_overhead: {"refused": ...}``. Nothing
     touches the filesystem without ``out_path``; with one, the report
     gets a provenance manifest sidecar and the gate's observed runs
     their metrics documents, one ``repro.metrics-set/1`` beside it
@@ -54,16 +54,12 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
     start_wall = time.perf_counter()
     gate_report = overhead_gate(cycles=cycles, show=show)
     gates = [("scalar", gate_report)]
-    if backend != "scalar":
-        try:
-            vec = overhead_gate(cycles=cycles, show=show,
-                                backend="vectorized")
-            gates.append(("vectorized", vec))
-        except REFUSALS as refusal:
-            if backend != "auto":
-                raise
-            vec = {"refused": str(refusal)}
-        gate_report["vectorized_overhead"] = vec
+    try:
+        vec = overhead_gate(cycles=cycles, show=show, backend="vectorized")
+        gates.append(("vectorized", vec))
+    except REFUSALS as refusal:
+        vec = {"refused": str(refusal)}
+    gate_report["vectorized_overhead"] = vec
     # The monitor documents go to their own file, not into the report.
     docs = metrics_set([(f"{core} rate {run['rate']:g}", run.pop("metrics"))
                         for core, gate in gates for run in gate["runs"]])
@@ -79,7 +75,6 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
             "platform": platform.platform(),
             "git_sha": git_sha(),
             "cycles": cycles,
-            "backend": backend,
         },
         "overhead_gate": gate_report,
     }
@@ -89,7 +84,7 @@ def run_bench(cycles: int = DEFAULT_CYCLES, backend: str = "scalar",
             json.dump(report, fh, indent=2)
             fh.write("\n")
         manifest = run_manifest(
-            {"driver": "bench", "cycles": cycles, "backend": backend},
+            {"driver": "bench", "cycles": cycles},
             wall_s=time.perf_counter() - start_wall)
         write_manifest(manifest, out_path)
         if show:

@@ -580,26 +580,14 @@ def memo_hit(config: ExperimentConfig) -> Result | None:
 def backend_decision(config: ExperimentConfig, lanes: int = 1) -> dict:
     """What the point asked for, for a unit of ``lanes``: the ``policy``
     it ran under and, for ``auto``, the core tried first (``chosen``:
-    ``batched`` for a unit of two or more, else ``vectorized``) with
-    the point's offered load (terminals read off the chip plan, not
-    re-derived; ``rate`` is ``None`` for trace replay). The core that
-    *ran* is ``manifest["backend"]``, and ``manifest["refused"]`` says
-    why it is not ``chosen``.
+    ``batched`` for a unit of two or more, else ``vectorized``). The
+    core that *ran* is ``manifest["backend"]``, and
+    ``manifest["refused"]`` says why it is not ``chosen``.
     """
     if config.backend != "auto":
-        return {"policy": config.backend, "reason": "explicit"}
-    terminals = chip_plan(config)[0].num_terminals
-    rate = config.rate if config.benchmark is None else None
-    return {
-        "policy": "auto",
-        "chosen": "batched" if lanes > 1 else "vectorized",
-        "reason": "batched-unit" if lanes > 1 else "compiled-core",
-        "terminals": terminals,
-        "rate": rate,
-        "offered_flits_per_cycle": (None if rate is None
-                                    else round(rate * terminals, 3)),
-        "batch": lanes,
-    }
+        return {"policy": config.backend}
+    return {"policy": "auto",
+            "chosen": "batched" if lanes > 1 else "vectorized"}
 
 
 def resolve(config: ExperimentConfig, key: str | None = None, store=None,

@@ -519,19 +519,21 @@ class _Scheduler:
             future_chunks = {}
             tel.emit("degrade", reason="pool-unusable", points=npoints)
         pending = set(future_chunks)
+        stalled = False
         while pending:
             done, pending = wait(pending, timeout=self.timeout,
                                  return_when=FIRST_COMPLETED)
             if not done:
                 # No chunk completed within the timeout window: stop
                 # trusting the pool, salvage the rest in-process.
-                stalled = 0
+                stalled = True
+                points = 0
                 for future in pending:
                     future.cancel()
                     self.absorb(future_chunks[future])
-                    stalled += len(future_chunks[future])
+                    points += len(future_chunks[future])
                 tel.emit("degrade", reason="stall-timeout",
-                         timeout_s=self.timeout, points=stalled)
+                         timeout_s=self.timeout, points=points)
                 break
             for future in done:
                 chunk = future_chunks[future]
@@ -548,7 +550,10 @@ class _Scheduler:
                 tel.emit("chunk", points=len(chunk),
                          turnaround_s=time.perf_counter() - submitted[future])
                 self.absorb(chunk, outcomes)
-        pool.shutdown(wait=False, cancel_futures=True)
+        # Join the workers once every chunk came back, so none is left
+        # for interpreter exit to tear down; abandon only a stalled pool,
+        # whose stuck worker must not block the sweep.
+        pool.shutdown(wait=not stalled, cancel_futures=True)
 
 
 def run_experiments(configs: Iterable[ExperimentConfig],

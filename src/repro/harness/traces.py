@@ -32,7 +32,10 @@ entries answer every later process without running the CMP:
   never fail a run: the point extracts as it would without a cache.
 * **Bound.** Creating a salt's directory removes every other salt's
   under ``traces/`` (never ``kernel/``): the cache holds only traces the
-  running code can read. Deleting ``traces/`` forces re-extraction.
+  running code can read. Within a salt, a write that takes the directory
+  past ``BUDGET`` bytes removes the least recently used entries (a hit
+  refreshes its entry's mtime), never the one just written. Deleting
+  ``traces/`` forces re-extraction.
 
 A hit loads neither the CMP nor the array core; they load on a miss.
 """
@@ -59,6 +62,10 @@ SCHEMA = "repro.trace-entry/1"
 _PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Hex digits of the salt that name its directory.
 _SALT_DIR = 16
+#: Bytes of entries one salt's directory keeps: the paper scale, 13
+#: profiles x 10 seeds at 8 000 cycles (0.45-0.75 MB an entry, 83 MB in
+#: all), with room to spare.
+BUDGET = 128 << 20
 
 
 class Extraction(NamedTuple):
@@ -87,6 +94,11 @@ def extract(benchmark: str, cycles: int = 2000, warmup: int = 400,
             entry = _run(*key)
             if path is not None:
                 _write(path, key, entry)
+        else:
+            try:
+                os.utime(path)  # most recently used: evicted last
+            except OSError:
+                pass
         _extractions[key] = entry
     return entry
 
@@ -205,6 +217,7 @@ def _write(path: str, key: tuple, entry: Extraction) -> None:
             fh.write(line + "\n")
         os.replace(tmp, path)
         tmp = None
+        _trim(folder, path)
     except OSError:
         pass  # an unusable cache costs the next process an extraction
     finally:
@@ -224,3 +237,27 @@ def _evict(root: str, keep: str) -> None:
     for name in names:
         if name != keep:
             shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+
+
+def _trim(folder: str, keep: str) -> None:
+    """Remove the least recently used entries of ``folder`` but ``keep``
+    until its entries fit in ``BUDGET`` bytes."""
+    entries = []
+    with os.scandir(folder) as items:
+        for item in items:
+            if item.name.endswith(".json"):
+                try:
+                    stat = item.stat()
+                except OSError:
+                    continue  # removed by another process meanwhile
+                entries.append((stat.st_mtime_ns, item.path, stat.st_size))
+    total = sum(size for _, _, size in entries)
+    for _, path, size in sorted(entries):
+        if total <= BUDGET:
+            break
+        if path != keep:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            total -= size

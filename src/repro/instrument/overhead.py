@@ -34,7 +34,7 @@ import time
 
 from ..network.backend import REFUSALS
 from ..network.config import PSEUDO_SB, NetworkConfig
-from ..network.simulator import build_network
+from ..network.simulator import Network
 from ..topology import make_topology
 from ..traffic.synthetic import SyntheticTraffic
 from .probe import CompositeProbe
@@ -91,7 +91,7 @@ def _gate_workload(backend: str, cycles: int, rate: float, seed: int,
     config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
     topo = make_topology("mesh", 8, 8, 1)
     if backend == "scalar":
-        net = build_network(topo, config=config, seed=seed)
+        net = Network(topo, config, seed=seed)
     else:
         from ..network.vectorized import VectorNetwork
         net = VectorNetwork(topo, config, seed=seed)

@@ -18,6 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".nic": ("Nic",),
     ".ports": ("InputPort", "OutEndpoint", "OutputPort", "OutVC"),
     ".router": ("Router",),
-    ".simulator": ("Network", "build_network"),
+    ".simulator": ("Network",),
     ".vc": ("VCState", "VirtualChannel"),
 })

@@ -62,7 +62,6 @@ class NetworkConfig:
     pseudo: PseudoCircuitConfig = field(default_factory=PseudoCircuitConfig)
     # NIC parameters.
     mshrs: int = 0          # 0 = unlimited outstanding packets per terminal
-    inject_queue: int = 0   # 0 = unbounded source queue
     # Ejection side: depth of the NIC-side reassembly buffers, expressed as
     # credits granted to the router's ejection output port per VC.
     eject_buffer_depth: int = 8
@@ -78,5 +77,3 @@ class NetworkConfig:
             raise ValueError("eject_buffer_depth must be >= 1")
         if self.mshrs < 0:
             raise ValueError("mshrs must be >= 0 (0: unlimited)")
-        if self.inject_queue < 0:
-            raise ValueError("inject_queue must be >= 0 (0: unbounded)")

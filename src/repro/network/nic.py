@@ -120,10 +120,6 @@ class Nic:
 
     def enqueue(self, packet: Packet) -> None:
         """Hand a packet to the NIC (source queuing starts here)."""
-        if 0 < self.config.inject_queue <= len(self.queue):
-            raise RuntimeError(
-                f"NIC {self.terminal}: source queue overflow "
-                f"({self.config.inject_queue})")
         self._inject_set[self.terminal] = self
         self.routing.on_inject(packet, self.rng)
         self.queue.append(packet)

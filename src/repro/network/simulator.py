@@ -396,14 +396,3 @@ class Network:
         for router in self.routers:
             router.check_invariants()
 
-
-def build_network(topology: Topology, routing: str = "xy",
-                  vc_policy: str = "dynamic",
-                  config: NetworkConfig | None = None,
-                  seed: int = 1, **config_overrides) -> Network:
-    """Convenience constructor used by examples and the harness."""
-    if config is None:
-        config = NetworkConfig(**config_overrides)
-    elif config_overrides:
-        raise ValueError("pass either config or keyword overrides, not both")
-    return Network(topology, config, routing, vc_policy, seed=seed)

@@ -121,7 +121,6 @@ _KERNEL_ERRORS = {
     -8: (ProtocolError, "calendar ring overflow: an event more than "
                         "{RD} cycles ahead, or more in one cycle than "
                         "the chip has links"),
-    -10: (RuntimeError, "NIC {t}: source queue overflow ({iq})"),
 }
 #: One row of ``ej_out`` as ``_after_ejections`` unpacks it; checked
 #: against ``kernel.c``'s ``CHIP_EJECTED`` when a network binds.
@@ -259,7 +258,6 @@ class VectorNetwork:
         starts.update(_PACKET_FIELDS, **_FLIT_FIELDS)
         hooked = type(routing).on_inject is not RoutingAlgorithm.on_inject
         self._on_inject = routing.on_inject if hooked else None
-        self._iq = config.inject_queue
         #: Ring -> its row of ``ring_n`` and the columns of its slots.
         self._rings = {"arrivals": (0, (self.arr_port, self.arr_fid)),
                        "ejections": (1, (self.ej_term, self.ej_fid)),
@@ -285,7 +283,7 @@ class VectorNetwork:
             kernel, np, arrays,
             dict(R=R, Pi=Pi, Po=Po, V=V, D=D, C=lay.route_out.shape[1],
                  TL=TL, T=T, NIP=NIP, NOVC=NOVC,
-                 RD=RD, CD=cd, inject_queue=self._iq), NOP=NOP)
+                 RD=RD, CD=cd), NOP=NOP)
         starts.update((name, 0) for _, name, owner in kernel.arrays
                       if owner != "NET")
         self._call, self._chip = kernel.run, self._kernel.ref
@@ -426,9 +424,6 @@ class VectorNetwork:
         view = self._view
         if packet.create_cycle > self._cycle_room:
             fits("p_create", packet.create_cycle, "cycles")
-        if 0 < self._iq <= view.q_len[t]:
-            raise RuntimeError(
-                f"NIC {t}: source queue overflow ({self._iq})")
         if self._on_inject is not None:
             rng = self.nic_rngs.get(t)
             if rng is None:
@@ -522,8 +517,7 @@ class VectorNetwork:
                     raise ProtocolError(self._kernel.fault())
                 error, message = _KERNEL_ERRORS[code]
                 raise error(message.format(
-                    D=self._D, RD=self._RD, fcap=self._fcap, pcap=self._pcap,
-                    iq=self._iq, t=self._kernel.chip.err_idx))
+                    D=self._D, RD=self._RD, fcap=self._fcap, pcap=self._pcap))
             if state[self._S_ROWS]:
                 self._after_ejections()
             if code == RUN_FOUND:

@@ -137,7 +137,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
 /* Bumped with any change to the Chip layout, the lists below or the
  * entry point's meaning; kernel.py refuses a library that answers
  * another number. */
-#define REPRO_KERNEL_ABI 7005
+#define REPRO_KERNEL_ABI 7006
 
 /* Every array of the Chip: X(element type, name, owner). kernel.py
  * reads this list (it is the only statement of the struct layout) and
@@ -285,7 +285,7 @@ typedef uint8_t u8; /* numpy bool: one byte, 0 or 1 */
  * stepped cycles between two walks of ``run()`` (0: none). */
 #define CHIP_SCALARS(X) \
     X(R) X(Pi) X(Po) X(V) X(D) X(C) X(TL) X(T) X(NIP) X(NOVC) \
-    X(RD) X(CD) X(slot) X(mshrs) X(inject_queue) \
+    X(RD) X(CD) X(slot) X(mshrs) \
     X(static_vc) X(pc_enabled) X(pc_speculation) X(pc_bypass) \
     X(events_on) X(deliver_on) X(profile_on) X(check_stride) \
     X(err_id) X(err_idx)
@@ -474,8 +474,7 @@ enum {
     E_TAIL_EARLY = -6,          /* tail arrived before all flits of its packet */
     E_POOL = -7,                /* a packet found its pool full */
     E_RING = -8,                /* an event beyond a calendar's depth or room */
-    E_BOUNDS = -9,              /* checked build: see err_id / err_idx */
-    E_QUEUE = -10               /* source queue overflow at NIC err_idx */
+    E_BOUNDS = -9               /* checked build: see err_id / err_idx */
 };
 /* Why ``run()`` came back, when it did not fail: its window is done,
  * the pools must grow before the next cycle, core.py must see the cycle
@@ -922,10 +921,6 @@ static i64 source_tick(Chip *ch, i64 c)
             continue;
         for (i64 k = 0; k < s[SRC_pending]; k++) {
             i64 pair = A(src_row, lane * TL + k), t = lane * TL + pair / TL;
-            if (ch->inject_queue > 0 && A(q_len, t) >= ch->inject_queue) {
-                ch->err_idx = t;
-                return E_QUEUE;
-            }
             i64 pk = A(state, S_packets);
             if (A(state, S_p_free))
                 pk = A(p_free, --A(state, S_p_free));

@@ -54,7 +54,7 @@ from ...store.sealed import cache_dir, cache_home
 from ..backend import BackendUnsupportedError
 
 #: ``REPRO_KERNEL_ABI`` of the ``kernel.c`` this module drives.
-ABI = 7005
+ABI = 7006
 
 #: The build every network runs.
 RELEASE_FLAGS = ("-O2", "-shared", "-fPIC")

@@ -67,11 +67,8 @@ def _core_fields(config, result) -> dict:
         ("backend", "backend"), ("refused", "refused"),
         ("step_kernel", "step_kernel"), ("traffic_source", "traffic_source"),
         ("lane", "batch_lane"), ("lanes", "batch_lanes")) if key in manifest}
-    try:
-        fields["decision"] = backend_decision(
-            config, lanes=fields.get("lanes", 1))
-    except Exception:
-        pass  # observation must never fail the point
+    fields["decision"] = backend_decision(config,
+                                          lanes=fields.get("lanes", 1))
     return fields
 
 

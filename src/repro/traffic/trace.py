@@ -4,9 +4,10 @@ A trace is a time-ordered list of injections ``(cycle, src, dst, size,
 msg_type)`` extracted from a CMP run. ``TraceReplayTraffic`` feeds a trace
 into any network configuration; combined with NIC-level MSHR throttling
 (``NetworkConfig(mshrs=4)``) this reproduces the paper's "traces on a
-self-throttling CMP network with 4 MSHRs per core" setup. Traces
-serialize to a simple text format so extraction and evaluation can be
-separate steps.
+self-throttling CMP network with 4 MSHRs per core" setup. A replay is
+one pass over the trace. On disk a trace lives only as a sealed entry of
+the per-user trace cache (``harness/traces.py``), so extraction and
+evaluation can still be separate processes.
 """
 
 from __future__ import annotations
@@ -59,31 +60,6 @@ class Trace:
         return Trace(self.num_terminals, self.benchmark,
                      sorted(self.records, key=lambda r: r.cycle))
 
-    # -- serialization --------------------------------------------------------
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# repro-trace v1 benchmark={self.benchmark} "
-                     f"terminals={self.num_terminals}\n")
-            for r in self.records:
-                fh.write(f"{r.cycle} {r.src} {r.dst} {r.size} "
-                         f"{r.msg_type}\n")
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("# repro-trace v1"):
-                raise ValueError(f"{path}: not a repro trace file")
-            meta = dict(field.split("=", 1)
-                        for field in header.split()[3:])
-            trace = cls(int(meta["terminals"]), meta.get("benchmark", ""))
-            for line in fh:
-                cycle, src, dst, size, msg_type = line.split()
-                trace.records.append(TraceRecord(
-                    int(cycle), int(src), int(dst), int(size), msg_type))
-        return trace
-
 
 class TraceReplayTraffic:
     """Replays a trace into a network at the recorded injection times.
@@ -93,27 +69,22 @@ class TraceReplayTraffic:
     NIC-level MSHR limit throttles injection, like the original cores would.
     """
 
-    def __init__(self, trace: Trace, repeat: int = 1):
-        if repeat < 1:
-            raise ValueError("repeat must be >= 1")
+    def __init__(self, trace: Trace):
         self.trace = trace.sorted()
-        self.repeat = repeat
         self._idx = 0
-        self._round = 0
-        self._offset = 0
-        self.injected = 0
 
     @property
     def exhausted(self) -> bool:
-        return self._round >= self.repeat
+        """Every record has been offered to the network."""
+        return self._idx >= len(self.trace.records)
 
     @property
     def horizon(self) -> int:
         """The cycles a ``run`` from cycle 0 ticks this source until it is
-        spent: through the last round's last record, one past its cycle
-        (the tick that injects a round's last record ends the round)."""
+        spent: one past the last record's cycle (the tick that injects the
+        last record exhausts the replay)."""
         records = self.trace.records
-        return self.repeat * (records[-1].cycle + 1) if records else 1
+        return records[-1].cycle + 1 if records else 1
 
     def next_injection_cycle(self, cycle: int) -> int | None:
         """Next cycle at which ``tick`` may inject (fast-forward protocol).
@@ -124,24 +95,14 @@ class TraceReplayTraffic:
         """
         if self.exhausted:
             return None
-        records = self.trace.records
-        if self._idx >= len(records):
-            return cycle + 1  # rollover resolves on the next tick
-        return max(cycle + 1, records[self._idx].cycle + self._offset)
+        return max(cycle + 1, self.trace.records[self._idx].cycle)
 
     def tick(self, network, cycle: int) -> None:
         records = self.trace.records
-        while not self.exhausted:
-            if self._idx >= len(records):
-                self._round += 1
-                self._idx = 0
-                self._offset = cycle + 1
-                continue
+        while self._idx < len(records):
             record = records[self._idx]
-            when = record.cycle + self._offset
-            if when > cycle:
+            if record.cycle > cycle:
                 break
             network.inject(Packet(record.src, record.dst, record.size,
                                   cycle, msg_type=record.msg_type))
-            self.injected += 1
             self._idx += 1

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.evc import EvcConfigError, EvcMesh, EvcRouting, build_evc_network
+from repro.evc import EvcConfigError, EvcMesh, EvcRouting
 from repro.evc.topology import EXPRESS_SPAN
-from repro.harness.experiment import ExperimentConfig
-from repro.network.config import BASELINE, NetworkConfig, PSEUDO, PSEUDO_SB
+from repro.harness.experiment import ExperimentConfig, build_network
+from repro.network.config import BASELINE, PSEUDO, PSEUDO_SB
 from repro.network.flit import Packet
 from repro.topology.mesh import EAST, NORTH
 
@@ -75,9 +75,16 @@ class TestRouting:
             EvcRouting(Mesh(4, 4))
 
 
+def _network(topology):
+    """An 8x8 network of ``topology`` built the way a figure point is."""
+    return build_network(ExperimentConfig(
+        topology=topology, kx=8, ky=8, concentration=1, routing="xy",
+        scheme=BASELINE, pattern="uniform", backend="scalar"))
+
+
 class TestNetwork:
     def test_delivery_with_express_paths(self):
-        net = build_evc_network(8, 8, seed=1)
+        net = _network("evc_mesh")
         packets = [Packet(0, 56, 5, 0), Packet(7, 0, 1, 0),
                    Packet(9, 54, 5, 0)]
         for p in packets:
@@ -93,21 +100,20 @@ class TestNetwork:
             net.inject(p)
             net.drain()
             return p.network_latency
-        from repro.network.simulator import build_network
-        from repro.topology.mesh import Mesh
-        evc = latency(lambda: build_evc_network(8, 8, seed=1))
-        mesh = latency(lambda: build_network(Mesh(8, 8), routing="xy"))
-        assert evc < mesh
+        assert (latency(lambda: _network("evc_mesh"))
+                < latency(lambda: _network("mesh")))
 
     def test_pseudo_circuit_config_rejected(self):
         with pytest.raises(ValueError, match="--scheme baseline"):
-            build_evc_network(4, 4, config=NetworkConfig(pseudo=PSEUDO))
+            ExperimentConfig(topology="evc_mesh", kx=4, ky=4,
+                             concentration=1, routing="xy", scheme=PSEUDO,
+                             pattern="uniform")
 
 
 class TestOneRule:
     """An EVC point is the baseline router under routing ``xy``; a config
-    (and so the CLI) refuses anything else with the error
-    ``build_evc_network`` raises (``test_pseudo_circuit_config_rejected``).
+    (and so the CLI) refuses anything else with ``EvcConfigError``, a
+    ``ValueError`` (``test_pseudo_circuit_config_rejected``).
     """
 
     @pytest.mark.parametrize("scheme,routing", [

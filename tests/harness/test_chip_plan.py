@@ -205,16 +205,23 @@ class TestPlanCacheIsBounded:
         assert _simulate(first, "scalar") == before
 
 
-class TestBackendDecisionReadsThePlan:
+class TestBackendDecisionNeedsNoPlan:
     @pytest.mark.parametrize("name", sorted(TOPOLOGY_REGISTRY))
-    def test_terminals_match_the_built_network(self, name):
+    def test_auto_names_the_core_without_building_a_chip(self, name):
+        """The decision a telemetry span records is the policy and, for
+        ``auto``, the core tried first: nothing it reports is read off
+        the chip, so deciding builds no chip plan."""
         cfg = _point(name, k=3, routing=TOPOLOGY_REGISTRY[name].routings[0],
                      concentration=2, chiplets=3, backend="auto")
-        decision = backend_decision(cfg)
-        net = build_network(replace(cfg, backend="scalar"))
-        assert decision["terminals"] == net.topology.num_terminals
-        assert decision["offered_flits_per_cycle"] == round(
-            cfg.rate * net.topology.num_terminals, 3)
+        plan_memo.cache_clear()
+        assert backend_decision(cfg) == {"policy": "auto",
+                                         "chosen": "vectorized"}
+        assert backend_decision(cfg, lanes=4) == {"policy": "auto",
+                                                  "chosen": "batched"}
+        assert backend_decision(replace(cfg, backend="scalar")) == {
+            "policy": "scalar"}
+        info = plan_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestEachPointIsHashedOnce:

@@ -177,8 +177,10 @@ def test_cli_sweep_out_writes_manifest(tmp_path, capsys):
     (["fig12", "--resume"], "--resume"),       # a store hit needs no flag
     (["run", "--backend", "batched"], "batched"),  # auto groups lanes
     (["bench", "--check"], "--check"),         # the gate always checks
+    (["bench", "--backend", "auto"], "--backend"),  # every core is gated
 ], ids=["abbreviated", "removed", "removed-figure-resume",
-        "removed-batched-backend", "removed-bench-check"])
+        "removed-batched-backend", "removed-bench-check",
+        "removed-bench-backend"])
 def test_cli_matches_flags_exactly(argv, named, capsys):
     """Prefix matching is off and removed flags have no shim: either
     exits 2 naming the flag instead of binding to a surviving one."""
@@ -231,7 +233,6 @@ class TestBenchRoundTrip:
         gate = report["overhead_gate"]
         assert gate["probes_cold"] and gate["stats_identical"]
         assert gate["telemetry"]["results_identical"]
-        assert report["meta"]["backend"] == "scalar"
         assert "workloads" not in report and "self_check" not in report
         manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
         assert manifest["config"]["driver"] == "bench"
@@ -243,37 +244,32 @@ class TestBenchRoundTrip:
         assert list(tmp_path.iterdir()) == []
         assert "wrote" not in capsys.readouterr().out
 
-    def test_vectorized_backend_adds_the_vector_gate(self, capsys):
+    def test_a_buildable_array_core_is_gated_too(self, capsys):
         pytest.importorskip("numpy")
         from repro.harness.bench import run_bench
-        for name in ("vectorized", "auto"):
-            report = run_bench(cycles=120, backend=name, show=False)
-            assert report["meta"]["backend"] == name
-            vec = report["overhead_gate"]["vectorized_overhead"]
-            assert vec["probes_cold"] and vec["stats_identical"]
-            assert vec["step_kernel"].startswith("c:")
+        report = run_bench(cycles=120, show=False)
+        vec = report["overhead_gate"]["vectorized_overhead"]
+        assert vec["probes_cold"] and vec["stats_identical"]
+        assert vec["step_kernel"].startswith("c:")
         assert capsys.readouterr().out == ""
 
-    def test_auto_without_a_compiler_records_the_refusal(
+    def test_a_refused_array_core_is_recorded(
             self, tmp_path, monkeypatch, capsys, process_backend):
-        """``auto`` lands on the scalar core when the array core cannot
-        be built: its gate's refusal is printed and recorded, and the
-        command succeeds. An explicit ``vectorized`` and a grouped unit's
-        lane core still fail on it."""
+        """Without a compiler the array core's gate cannot run: its
+        refusal is printed and recorded, and the command succeeds on the
+        scalar core's gate. A grouped unit's lane core still fails on
+        it."""
         import json
 
         pytest.importorskip("numpy")
         monkeypatch.setenv("CC", "false")
         out = tmp_path / "bench.json"
-        assert main(["bench", "--cycles", "120", "--backend", "auto",
-                     "--out", str(out)]) == 0
+        assert main(["bench", "--cycles", "120", "--out", str(out)]) == 0
         gate = json.loads(out.read_text())["overhead_gate"]
         assert gate["probes_cold"] and gate["telemetry"]["results_identical"]
         assert "no-compiler" in gate["vectorized_overhead"]["refused"]
         assert ("vectorized overhead gate: refused"
                 in capsys.readouterr().out)
-        with pytest.raises(BackendUnsupportedError, match="no-compiler"):
-            main(["bench", "--cycles", "120", "--backend", "vectorized"])
         with pytest.raises(BackendUnsupportedError, match="no-compiler"):
             run_batch_experiments(
                 [ExperimentConfig(pattern="uniform", backend="auto",
@@ -282,13 +278,13 @@ class TestBenchRoundTrip:
     def test_hot_probe_fails_the_run(self, monkeypatch):
         from repro.instrument import FlitTracer, overhead
         from repro.instrument.overhead import OverheadGateError
-        cold_build = overhead.build_network
+        cold_build = overhead.Network
 
         def hot_build(*args, **kwargs):
             net = cold_build(*args, **kwargs)
             net.bind_probe(FlitTracer())
             return net
 
-        monkeypatch.setattr(overhead, "build_network", hot_build)
+        monkeypatch.setattr(overhead, "Network", hot_build)
         with pytest.raises(OverheadGateError, match="probe by default"):
             main(["bench", "--cycles", "120"])

@@ -998,7 +998,7 @@ class TestArrayResetReachesEveryField:
         from repro.network.config import NetworkConfig
         net = self._build(array_core, 1, "xy", "static", BASELINE, 1)
         for layout in (dict(num_vcs=2), dict(buffer_depth=2),
-                       dict(credit_delay=2), dict(inject_queue=4)):
+                       dict(credit_delay=2), dict(eject_buffer_depth=4)):
             with pytest.raises(ValueError, match="layout"):
                 net.reset(1, NetworkConfig(**layout))
         net.reset(1, NetworkConfig(pseudo=PSEUDO_SB, mshrs=4), "dynamic")

@@ -182,6 +182,40 @@ class TestDegradation:
         assert degraded == serial  # bit-identical despite the pool loss
 
 
+class TestShutdown:
+    """A pool every chunk came back from is joined, so no worker is left
+    for interpreter exit to tear down; only a stalled pool is abandoned,
+    where a stuck worker must not block the sweep."""
+
+    @staticmethod
+    def _recording(base, waits):
+        class Recording(base):
+            def shutdown(self, wait=True, **kwargs):
+                waits.append(wait)
+                super().shutdown(wait=wait, **kwargs)
+        return Recording
+
+    def test_a_clean_sweep_joins_its_pool(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        waits = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            self._recording(ProcessPoolExecutor, waits))
+        points = [_point(seed=s) for s in (38, 39)]
+        results = run_experiments(points, max_workers=2, chunk_size=1)
+        assert [r.config for r in results] == points
+        assert waits == [True]
+
+    def test_a_stalled_pool_is_abandoned(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            self._recording(_StalledPool, waits))
+        points = [_point(seed=s) for s in (34, 35)]
+        results = run_experiments(points, max_workers=2, chunk_size=1,
+                                  timeout=0.05)
+        assert [r.config for r in results] == points
+        assert waits == [False]
+
+
 class TestJournalResume:
     def test_completed_points_are_journaled_as_they_land(self, tmp_path):
         path = str(tmp_path / "sweep.journal")

@@ -270,3 +270,71 @@ def test_a_warm_cache_loads_neither_the_cmp_nor_the_array_core(tmp_path):
     out = _python(code, tmp_path, "6")
     assert out[0] == cold
     assert json.loads(out[-1]) == []
+
+
+def _stub(benchmark, cycles, warmup, seed):
+    """A small extraction of the same size for every key, no CMP run."""
+    from repro.traffic.trace import Trace, TraceRecord
+    records = [TraceRecord(c, 0, 1, 1, "read_req") for c in range(50)]
+    return traces.Extraction(Trace(16, benchmark, records), 0.5, 0.25)
+
+
+@pytest.fixture
+def stubbed(monkeypatch, tmp_path):
+    """A private cache home and memo over ``_stub`` extractions."""
+    monkeypatch.setattr(traces, "cache_home", lambda: str(tmp_path))
+    monkeypatch.setattr(traces, "_extractions", {})
+    monkeypatch.setattr(traces, "_run", _stub)
+    return [("radix", 100, 0, seed) for seed in range(6)]
+
+
+def _cached(keys) -> list:
+    return [key for key in keys if os.path.exists(_entry(key))]
+
+
+def test_the_budget_evicts_the_least_recently_used(stubbed, monkeypatch):
+    keys = stubbed
+    for age, key in enumerate(keys[:3], 1):
+        _fresh(key)
+        os.utime(_entry(key), ns=(age * 10**9, age * 10**9))
+    size = os.path.getsize(_entry(keys[0]))
+    monkeypatch.setattr(traces, "BUDGET", 3 * size)
+    _fresh(keys[0])  # a hit: the oldest entry becomes the newest
+    _fresh(keys[3])
+    assert _cached(keys) == [keys[0], keys[2], keys[3]]
+    _fresh(keys[4])
+    assert _cached(keys) == [keys[0], keys[3], keys[4]]
+    # The entry just written stays even when it alone is over budget.
+    monkeypatch.setattr(traces, "BUDGET", size - 1)
+    _fresh(keys[5])
+    assert _cached(keys) == [keys[5]]
+
+
+def test_another_writers_temporary_file_is_left_alone(stubbed,
+                                                     monkeypatch):
+    """A ``write-*.tmp`` file is another process's entry in flight: the
+    budget neither counts nor removes it."""
+    keys = stubbed
+    _fresh(keys[0])
+    folder = os.path.dirname(_entry(keys[0]))
+    size = os.path.getsize(_entry(keys[0]))
+    in_flight = os.path.join(folder, "write-other.tmp")
+    with open(in_flight, "w") as fh:
+        fh.write("x" * 10 * size)
+    monkeypatch.setattr(traces, "BUDGET", 2 * size)
+    _fresh(keys[1])
+    assert _cached(keys) == keys[:2]
+    assert os.path.exists(in_flight)
+
+
+def test_a_hit_whose_mtime_cannot_be_refreshed_still_answers(stubbed,
+                                                             monkeypatch):
+    key = stubbed[0]
+    written = _fresh(key)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(traces, "_run", None)  # a miss would fail
+    monkeypatch.setattr(traces.os, "utime", refuse)
+    _same(_fresh(key), written)

@@ -6,20 +6,20 @@ from repro.instrument import FlitTracer, Probe, identity_check, overhead_gate
 from repro.instrument.overhead import OverheadGateError, assert_probes_cold
 from repro.monitor import registry
 from repro.network.config import PSEUDO_SB, NetworkConfig
-from repro.network.simulator import build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 
 
 def test_default_network_is_cold():
     topo = make_topology("mesh", 4, 4, 1)
     config = NetworkConfig(num_vcs=2, buffer_depth=2, pseudo=PSEUDO_SB)
-    assert_probes_cold(build_network(topo, config=config))
+    assert_probes_cold(Network(topo, config))
 
 
 def test_hot_probe_is_detected():
     topo = make_topology("mesh", 4, 4, 1)
     config = NetworkConfig(num_vcs=2, buffer_depth=2, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config)
+    net = Network(topo, config)
     net.bind_probe(FlitTracer())
     with pytest.raises(OverheadGateError):
         assert_probes_cold(net)

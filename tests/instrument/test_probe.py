@@ -2,7 +2,7 @@
 
 from repro.instrument import CompositeProbe, Probe
 from repro.network.config import PSEUDO_SB, NetworkConfig
-from repro.network.simulator import build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -10,7 +10,7 @@ from repro.traffic.synthetic import SyntheticTraffic
 def small_net(probe=None):
     topo = make_topology("mesh", 4, 4, 1)
     config = NetworkConfig(num_vcs=2, buffer_depth=2, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config, seed=3)
+    net = Network(topo, config, seed=3)
     if probe is not None:
         net.bind_probe(probe)
     return net

@@ -7,7 +7,7 @@ import pytest
 
 from repro.instrument import CompositeProbe, FlitTracer, TimeSeriesProbe
 from repro.network.config import PSEUDO_SB, NetworkConfig
-from repro.network.simulator import build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -18,7 +18,7 @@ def run_with_series(window=32, cycles=300, rate=0.15, topology="mesh",
     tracer = FlitTracer()
     topo = make_topology(topology, 4, 4, concentration)
     config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config, seed=5)
+    net = Network(topo, config, seed=5)
     net.bind_probe(CompositeProbe(tracer, series))
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=5)

@@ -4,7 +4,7 @@ import json
 
 from repro.instrument import FlitTracer
 from repro.network.config import PSEUDO_SB, NetworkConfig
-from repro.network.simulator import build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -13,7 +13,7 @@ def traced_run(cycles=300, rate=0.15, max_events=None, kx=4):
     tracer = FlitTracer(max_events=max_events)
     topo = make_topology("mesh", kx, kx, 1)
     config = NetworkConfig(num_vcs=4, buffer_depth=4, pseudo=PSEUDO_SB)
-    net = build_network(topo, config=config, seed=5)
+    net = Network(topo, config, seed=5)
     net.bind_probe(tracer)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=5)

@@ -1,7 +1,7 @@
 """Shared helpers for the monitor tests: small monitored mesh runs."""
 
 from repro.network.config import PSEUDO_SB, NetworkConfig
-from repro.network.simulator import build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -13,7 +13,7 @@ def monitored_net(probe, kx=4, ky=4, rate=0.2, cycles=200, seed=3,
     config = NetworkConfig(num_vcs=num_vcs, buffer_depth=buffer_depth,
                            pseudo=scheme)
     topo = make_topology("mesh", kx, ky, 1)
-    net = build_network(topo, config=config, seed=seed)
+    net = Network(topo, config, seed=seed)
     net.bind_probe(probe)
     traffic = SyntheticTraffic("uniform", topo.num_terminals, rate, 5,
                                seed=seed)

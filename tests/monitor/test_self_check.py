@@ -82,6 +82,8 @@ class TestBenchCheck:
         doc = json.loads((tmp_path / "bench.metrics.json").read_text())
         assert doc["schema"] == "repro.metrics-set/1"
         assert doc["violation_count"] == 0
+        cores = ["scalar"] + (
+            [] if "refused" in gate["vectorized_overhead"] else ["vectorized"])
         assert [run["label"] for run in doc["runs"]] == [
-            f"scalar rate {rate:g}" for rate in GATE_RATES]
+            f"{core} rate {rate:g}" for core in cores for rate in GATE_RATES]
         assert all(run["schema"] == "repro.metrics/1" for run in doc["runs"])

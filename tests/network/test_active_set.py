@@ -25,7 +25,7 @@ from repro.harness.sweep import sweep_load, sweep_vcs
 from repro.network.config import (BASELINE, NetworkConfig, PSEUDO, PSEUDO_B,
                                   PSEUDO_S, PSEUDO_SB)
 from repro.harness.traces import get_trace
-from repro.network.simulator import build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceReplayTraffic
@@ -40,10 +40,9 @@ def _fingerprint(topo_name, kx, ky, conc, scheme, pattern, active,
                  vc_policy="dynamic", seed=3, rate=RATE):
     """Simulate once and return every observable stat plus the end cycle."""
     topo = make_topology(topo_name, kx, ky, conc)
-    net = build_network(topo, vc_policy=vc_policy,
-                        config=NetworkConfig(num_vcs=4, buffer_depth=4,
-                                             pseudo=scheme),
-                        seed=seed)
+    net = Network(topo, NetworkConfig(num_vcs=4, buffer_depth=4,
+                                      pseudo=scheme),
+                  vc_policy=vc_policy, seed=seed)
     traffic = SyntheticTraffic(pattern, topo.num_terminals, rate, 3,
                                seed=seed)
     net.stats.warmup_cycles = CYCLES // 4
@@ -157,7 +156,7 @@ class TestTraceReplayEquivalence:
 class TestQuiescence:
     def test_idle_network_fast_forwards(self):
         """With no traffic source, drain() must not iterate cycle by cycle."""
-        net = build_network(make_topology("mesh", 4, 4, 1))
+        net = Network(make_topology("mesh", 4, 4, 1), NetworkConfig())
         net.run(5)
         assert net.quiescent()
         start = net.cycle

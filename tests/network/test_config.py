@@ -47,10 +47,9 @@ class TestNetworkConfig:
 
     def test_nic_side_limits_rejected(self):
         """A zero ejection depth would leave the router no credit into
-        the NIC (the array cores then fail to drain); negative MSHR and
-        source-queue bounds mean nothing. All three are refused here."""
-        for field, value in (("eject_buffer_depth", 0), ("mshrs", -1),
-                             ("inject_queue", -1)):
+        the NIC (the array cores then fail to drain); a negative MSHR
+        bound means nothing. Both are refused here."""
+        for field, value in (("eject_buffer_depth", 0), ("mshrs", -1)):
             with pytest.raises(ValueError, match=field):
                 NetworkConfig(**{field: value})
 

@@ -300,20 +300,6 @@ def test_a_python_source_is_asked_only_on_an_idle_chip():
 
 # -- (d) refusals by name -----------------------------------------------------
 
-def test_source_queue_overflow_is_the_scalar_error():
-    topo = make_topology("mesh", 4, 4, 1)
-    raised = []
-    for cls in (Network, VectorNetwork):
-        net = cls(topo, NetworkConfig(pseudo=BASELINE, inject_queue=2),
-                  seed=7)
-        source = SyntheticTraffic("transpose", 16, 1.0, 1, seed=3)
-        with pytest.raises(RuntimeError, match="source queue overflow") as err:
-            net.run(200, source)
-        raised.append((str(err.value), net.cycle, source.generated))
-    assert raised[0] == raised[1]
-    assert raised[0][0].startswith("NIC ") and raised[0][0].endswith("(2)")
-
-
 def test_a_source_that_finds_the_packet_pool_full_is_refused_by_name():
     """``step`` grows the packet pool by a slot per bound terminal; were
     that bound ever wrong the kernel must not write past the pool. Here

@@ -1,16 +1,13 @@
 """Unit tests for the network interface."""
 
-import pytest
-
 from repro.network.config import NetworkConfig
 from repro.network.flit import Packet
 from repro.network.simulator import Network
 from repro.topology.mesh import Mesh
 
 
-def build(mshrs=0, inject_queue=0):
-    net = Network(Mesh(4, 2), NetworkConfig(mshrs=mshrs,
-                                            inject_queue=inject_queue),
+def build(mshrs=0):
+    net = Network(Mesh(4, 2), NetworkConfig(mshrs=mshrs),
                   routing="xy", vc_policy="dynamic", seed=1)
     return net
 
@@ -34,13 +31,6 @@ class TestInjection:
         net.step()
         nic = net.nics[0]
         assert len(nic._sending) == 2  # both packets started, distinct VCs
-
-    def test_queue_capacity_enforced(self):
-        net = build(inject_queue=2)
-        net.inject(Packet(0, 1, 1, 0))
-        net.inject(Packet(0, 2, 1, 0))
-        with pytest.raises(RuntimeError):
-            net.inject(Packet(0, 3, 1, 0))
 
     def test_mshr_limits_outstanding(self):
         net = build(mshrs=2)

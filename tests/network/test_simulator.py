@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.config import NetworkConfig, PSEUDO_SB
 from repro.network.flit import Packet
-from repro.network.simulator import Network, build_network
+from repro.network.simulator import Network
 from repro.topology import make_topology
 from repro.topology.mesh import Mesh
 
@@ -24,13 +24,9 @@ class TestConstruction:
         net.check_invariants()
 
     def test_string_factories(self):
-        net = build_network(Mesh(2, 2), routing="yx", vc_policy="static")
+        net = Network(Mesh(2, 2), NetworkConfig(), "yx", "static")
         assert net.routing.name == "yx"
         assert net.vc_policy.name == "static"
-
-    def test_config_override_exclusivity(self):
-        with pytest.raises(ValueError):
-            build_network(Mesh(2, 2), config=NetworkConfig(), num_vcs=2)
 
     def test_router_port_counts_match_topology(self):
         topo = make_topology("mecs", 4, 4, 4)
@@ -42,13 +38,13 @@ class TestConstruction:
 
 class TestRunLoop:
     def test_drain_timeout_raises(self):
-        net = build_network(Mesh(2, 2))
+        net = Network(Mesh(2, 2), NetworkConfig())
         net.inject(Packet(0, 3, 1, 0))
         with pytest.raises(RuntimeError):
             net.drain(max_cycles=2)
 
     def test_quiescent_accounting(self):
-        net = build_network(Mesh(2, 2))
+        net = Network(Mesh(2, 2), NetworkConfig())
         assert net.quiescent()
         net.inject(Packet(0, 3, 1, 0))
         assert not net.quiescent()
@@ -60,7 +56,7 @@ class TestRunLoop:
     def test_same_seed_is_deterministic(self):
         def run(seed):
             from repro.traffic.synthetic import SyntheticTraffic
-            net = build_network(Mesh(4, 4), vc_policy="dynamic", seed=seed)
+            net = Network(Mesh(4, 4), NetworkConfig(), seed=seed)
             net.run(300, SyntheticTraffic("uniform", 16, 0.2, 5, seed=3))
             net.drain()
             return (net.stats.avg_latency, net.stats.ejected_packets,

@@ -758,6 +758,18 @@ def test_an_installed_package_carries_the_source():
     assert Path(kernel._SOURCE).is_file()
 
 
+def test_no_source_queue_bound_in_the_config_or_the_chip():
+    """A NIC queues every packet its source offers (the paper's NICs
+    throttle with MSHRs alone), so neither ``NetworkConfig`` nor the
+    loaded ``Chip`` has a bound; its removal is ABI 7006."""
+    assert kernel.ABI == 7006
+    loaded = kernel.load()
+    assert loaded.status.startswith("c:")
+    assert "inject_queue" not in loaded.scalars
+    assert "inject_queue" not in {
+        field.name for field in dataclasses.fields(NetworkConfig)}
+
+
 #: ``_solo()`` in an interpreter of its own, answering on stdout.
 _RACER = f"""
 from repro.harness.experiment import ExperimentConfig, run_experiment

@@ -84,7 +84,7 @@ class TestSweepRecords:
                         journal=journal, telemetry=warm)
         keys = list(SweepJournal(journal).load())
         labels = [cfg.label for cfg in _configs()]
-        decision = {"policy": "scalar", "reason": "explicit"}
+        decision = {"policy": "scalar"}
 
         def begin():
             return {"ev": "sweep_begin", "t": "<stamped>",

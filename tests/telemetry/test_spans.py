@@ -126,7 +126,7 @@ class TestTiers:
         run_experiments([_point(41)], max_workers=1, telemetry=tel)
         (span,) = _points_of(read_stream(tel))
         assert span["backend"] == "scalar"
-        assert span["decision"]["reason"] == "explicit"
+        assert span["decision"] == {"policy": "scalar"}
 
 
 class TestFailurePaths:

@@ -1,4 +1,4 @@
-"""Unit tests for trace capture, serialization and replay."""
+"""Unit tests for traces and their one-pass replay."""
 
 import pytest
 
@@ -40,21 +40,6 @@ class TestTrace:
         assert trace.flits() == 8
         assert trace.offered_load() == pytest.approx(8 / (8 * 16))
 
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "t.trace"
-        trace = small_trace()
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded.num_terminals == 16
-        assert loaded.benchmark == "demo"
-        assert loaded.records == trace.records
-
-    def test_load_rejects_other_files(self, tmp_path):
-        path = tmp_path / "bogus.txt"
-        path.write_text("not a trace\n")
-        with pytest.raises(ValueError):
-            Trace.load(path)
-
     def test_sorted(self):
         trace = Trace(4, records=[TraceRecord(5, 0, 1, 1, "a"),
                                   TraceRecord(1, 1, 2, 1, "b")])
@@ -81,15 +66,34 @@ class TestReplay:
         replay.tick(net, 100)  # network was busy; all records now due
         assert len(net.packets) == 4
 
-    def test_repeat_rounds(self):
-        replay = TraceReplayTraffic(small_trace(), repeat=2)
+    def test_one_pass_ends_on_the_last_record(self):
+        """``exhausted`` turns true on the tick that offers the last
+        record; from then on the replay offers nothing and asks for no
+        cycle, and a run of ``horizon`` cycles ticks exactly that far."""
+        replay = TraceReplayTraffic(small_trace())
+        assert replay.horizon == 8
         net = FakeNetwork()
-        cycle = 0
-        while not replay.exhausted:
+        for cycle in range(8):
+            assert not replay.exhausted
+            assert replay.next_injection_cycle(cycle - 1) is not None
             replay.tick(net, cycle)
-            cycle += 1
-        assert len(net.packets) == 8
-        assert replay.injected == 8
+        assert replay.exhausted and len(net.packets) == 4
+        for cycle in range(8, 40):
+            assert replay.next_injection_cycle(cycle) is None
+            replay.tick(net, cycle)
+        assert len(net.packets) == 4
+
+    def test_next_injection_cycle_names_the_next_record(self):
+        replay = TraceReplayTraffic(small_trace())
+        replay.tick(FakeNetwork(), 0)
+        assert replay.next_injection_cycle(0) == 2
+        assert replay.next_injection_cycle(5) == 6  # never behind the clock
+
+    def test_an_empty_trace_is_spent_from_the_start(self):
+        replay = TraceReplayTraffic(Trace(16))
+        assert replay.horizon == 1
+        assert replay.exhausted
+        assert replay.next_injection_cycle(0) is None
 
     def test_packet_fields_from_records(self):
         replay = TraceReplayTraffic(small_trace())
@@ -97,7 +101,3 @@ class TestReplay:
         replay.tick(net, 0)
         p = net.packets[0]
         assert (p.src, p.dst, p.size, p.msg_type) == (0, 5, 1, "read_req")
-
-    def test_repeat_validation(self):
-        with pytest.raises(ValueError):
-            TraceReplayTraffic(small_trace(), repeat=0)
